@@ -7,7 +7,7 @@ use mnp_experiments::scale::MediumHotLoop;
 
 fn bench(c: &mut Criterion) {
     c.bench_function("scale/20x20-run", |b| {
-        b.iter(|| mnp_experiments::scale::measure(20, 20, 1, BENCH_SEED, &|| (0, 0)))
+        b.iter(|| mnp_experiments::scale::measure(20, 20, 1, BENCH_SEED, 1, &|| (0, 0)))
     });
     c.bench_function("scale/medium-hot-loop-1k", |b| {
         let mut hot = MediumHotLoop::new(20, 20, BENCH_SEED);

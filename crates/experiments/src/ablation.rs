@@ -10,6 +10,7 @@
 
 use std::fmt;
 
+use mnp::Mnp;
 use mnp_sim::SimTime;
 
 use crate::runner::GridExperiment;
@@ -64,7 +65,7 @@ pub fn run_with(n: usize, segments: u16, seed: u64) -> Ablation {
     let rows = variants
         .into_iter()
         .map(|(variant, tweak)| {
-            let out = scenario.run_mnp(|c| tweak(c));
+            let out = scenario.run::<Mnp>(|c| tweak(c));
             AblationRow {
                 variant,
                 completed: out.completed,

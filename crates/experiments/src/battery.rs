@@ -15,6 +15,7 @@
 
 use std::fmt;
 
+use mnp::Mnp;
 use mnp_radio::{NodeId, PowerLevel};
 use mnp_sim::SimRng;
 
@@ -74,7 +75,7 @@ pub fn run_with(n: usize, seed: u64) -> Battery {
             }
             rep_seed = rep_seed.wrapping_add(97);
         };
-        let out = scenario.run_mnp(|_| {});
+        let out = scenario.run::<Mnp>(|_| {});
         all_completed &= out.completed;
         for (i, &b) in batteries.iter().enumerate().skip(1) {
             let q = (((b - 0.25) / 0.1875) as usize).min(3);

@@ -1,30 +1,9 @@
 //! `mnp-run` — command-line driver for one dissemination run.
 //!
-//! ```text
-//! Usage: mnp-run [--rows N] [--cols N] [--spacing FT] [--segments N]
-//!                [--power LEVEL] [--seed N] [--seeds A,B,...]
-//!                [--protocol mnp|deluge|rlnc|xor]
-//!                [--capture] [--heatmap] [--parents]
-//!                [--events PATH] [--metrics PATH] [--timeline PATH]
-//!                [--check-invariants]
-//!        mnp-run scale [--seed N] [--segments N] [--out PATH]
-//!                      [--grids RxC[@SHARDS],...] [--shards A,B,...]
-//!                      [--history PATH] [--allow-dirty] [--compare]
-//!        mnp-run profile [--rows N] [--cols N] [--segments N] [--seed N]
-//!                        [--stride N] [--sample-ms MS] [--top N]
-//!                        [--out PATH] [--series PATH] [--timeline PATH]
-//!        mnp-run report OLD NEW
-//!        mnp-run coded [--rows N] [--cols N] [--segments N] [--seed N]
-//!                      [--losses A,B,... (percent)] [--out PATH]
-//!        mnp-run mobility [--nodes N] [--segments N] [--seed N]
-//!                         [--speeds A,B,... (ft/s)] [--out PATH]
-//!        mnp-run chaos [--seed N] [--grid N] [--protocol mnp|rlnc|xor]
-//!                      [--crashes A,B,...] [--flaps A,B,...]
-//!                      [--storage A,B,...]
-//!        mnp-run fuzz [--runs N] [--seed N] [--policy fifo|permute]
-//!                     [--mobile] [--shrink-budget N] [--out PATH]
-//!        mnp-run repro PATH
-//! ```
+//! `mnp-run --help` prints the usage text ([`usage`]): the default mode
+//! runs one dissemination (or one per `--seeds` entry) of any registered
+//! protocol; the subcommands in [`SUBCOMMANDS`] run the campaigns
+//! described below.
 //!
 //! Prints the run summary (completion, active radio time, messages,
 //! collisions) and, on request, the ART heatmap and the parent map.
@@ -35,13 +14,13 @@
 //! safety monitor that fails fast on any violation.
 //!
 //! `mnp-run coded` runs the loss-sweep comparison campaign
-//! (`mnp_experiments::coded_cmp`): MNP vs Deluge vs RLNC vs XOR at each
+//! (`mnp_experiments::sweep::loss_sweep`): MNP vs Deluge vs RLNC vs XOR at each
 //! swept per-link packet-loss rate, measuring completion time, mean
 //! active radio time, and message count, and writing the
 //! `CODED_cmp.json` artifact.
 //!
 //! `mnp-run mobility` runs the mobility-sweep campaign
-//! (`mnp_experiments::mobility_cmp`): MNP vs Deluge vs RLNC over a
+//! (`mnp_experiments::sweep::speed_sweep`): MNP vs Deluge vs RLNC over a
 //! random-waypoint field at each swept node speed, writing the
 //! `MOBILITY_cmp.json` artifact. Motion is pre-materialized into a
 //! potential-edge topology plus a deterministic link-quality schedule,
@@ -95,11 +74,16 @@
 //! files or two profile files — pairing rows by grid or by phase.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::fmt::Display;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use mnp::Mnp;
+use mnp_experiments::registry::{FAULT_TESTED, NAMES};
+use mnp_experiments::sweep::{self, Sweep};
 use mnp_experiments::{
-    coded_cmp, fuzz, mobility_cmp, report, resilience, scale, GridExperiment, RunOutcome,
+    fuzz, report, resilience, scale, GridExperiment, Instruments, ProtocolId, RunOutcome,
 };
 use mnp_net::Observer;
 use mnp_obs::{
@@ -164,7 +148,7 @@ struct Args {
     power: u8,
     seed: u64,
     seeds: Option<Vec<u64>>,
-    protocol: String,
+    protocol: ProtocolId,
     capture: bool,
     heatmap: bool,
     parents: bool,
@@ -175,7 +159,7 @@ struct Args {
 }
 
 impl Args {
-    fn parse() -> Result<Args, String> {
+    fn parse(it: ArgIter) -> Result<Args, String> {
         let mut args = Args {
             rows: 10,
             cols: 10,
@@ -184,7 +168,7 @@ impl Args {
             power: 255,
             seed: 42,
             seeds: None,
-            protocol: "mnp".into(),
+            protocol: ProtocolId::of::<Mnp>(),
             capture: false,
             heatmap: false,
             parents: false,
@@ -193,129 +177,166 @@ impl Args {
             timeline: None,
             check_invariants: false,
         };
-        let mut it = std::env::args().skip(1);
         while let Some(flag) = it.next() {
-            let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
             match flag.as_str() {
-                "--rows" => args.rows = parse(&value("--rows")?)?,
-                "--cols" => args.cols = parse(&value("--cols")?)?,
-                "--spacing" => args.spacing = parse(&value("--spacing")?)?,
-                "--segments" => args.segments = parse(&value("--segments")?)?,
-                "--power" => args.power = parse(&value("--power")?)?,
-                "--seed" => args.seed = parse(&value("--seed")?)?,
-                "--seeds" => {
-                    args.seeds = Some(
-                        value("--seeds")?
-                            .split(',')
-                            .map(parse)
-                            .collect::<Result<_, _>>()?,
-                    );
-                }
-                "--protocol" => args.protocol = value("--protocol")?,
+                "--rows" => args.rows = arg(it, &flag)?,
+                "--cols" => args.cols = arg(it, &flag)?,
+                "--spacing" => args.spacing = arg(it, &flag)?,
+                "--segments" => args.segments = arg(it, &flag)?,
+                "--power" => args.power = arg(it, &flag)?,
+                "--seed" => args.seed = arg(it, &flag)?,
+                "--seeds" => args.seeds = Some(arg_list(it, &flag)?),
+                "--protocol" => args.protocol = ProtocolId::parse(&value(it, &flag)?, NAMES)?,
                 "--capture" => args.capture = true,
                 "--heatmap" => args.heatmap = true,
                 "--parents" => args.parents = true,
-                "--events" => args.events = Some(value("--events")?),
-                "--metrics" => args.metrics = Some(value("--metrics")?),
-                "--timeline" => args.timeline = Some(value("--timeline")?),
+                "--events" => args.events = Some(value(it, &flag)?),
+                "--metrics" => args.metrics = Some(value(it, &flag)?),
+                "--timeline" => args.timeline = Some(value(it, &flag)?),
                 "--check-invariants" => args.check_invariants = true,
-                "--help" | "-h" => return Err(USAGE.into()),
-                other => return Err(format!("unknown flag {other}\n{USAGE}")),
+                other => return Err(bad_flag(other)),
             }
         }
         Ok(args)
     }
 }
 
-const USAGE: &str = "Usage: mnp-run [--rows N] [--cols N] [--spacing FT] [--segments N]\n               [--power LEVEL] [--seed N] [--seeds A,B,...]\n               [--protocol mnp|deluge|rlnc|xor]\n               [--capture] [--heatmap] [--parents]\n               [--events PATH] [--metrics PATH] [--timeline PATH]\n               [--check-invariants]\n       mnp-run scale [--seed N] [--segments N] [--out PATH]\n                     [--grids RxC[@SHARDS],...] [--shards A,B,...]\n                     [--history PATH] [--allow-dirty] [--compare]\n       mnp-run profile [--rows N] [--cols N] [--segments N] [--seed N]\n                       [--stride N] [--sample-ms MS] [--top N]\n                       [--out PATH] [--series PATH] [--timeline PATH]\n       mnp-run report OLD NEW\n       mnp-run coded [--rows N] [--cols N] [--segments N] [--seed N]\n                     [--losses A,B,... (percent)] [--out PATH]\n       mnp-run mobility [--nodes N] [--segments N] [--seed N]\n                        [--speeds A,B,... (ft/s)] [--out PATH]\n       mnp-run chaos [--seed N] [--grid N] [--protocol mnp|rlnc|xor]\n                     [--crashes A,B,...] [--flaps A,B,...]\n                     [--storage A,B,...]\n       mnp-run fuzz [--runs N] [--seed N] [--policy fifo|permute]\n                    [--mobile] [--shrink-budget N] [--out PATH]\n       mnp-run repro PATH";
+/// The usage text; the `--protocol` choices come from the registry.
+fn usage() -> String {
+    format!(
+        "Usage: mnp-run [--rows N] [--cols N] [--spacing FT] [--segments N]
+               [--power LEVEL] [--seed N] [--seeds A,B,...]
+               [--protocol {all}]
+               [--capture] [--heatmap] [--parents]
+               [--events PATH] [--metrics PATH] [--timeline PATH]
+               [--check-invariants]
+       mnp-run scale [--seed N] [--segments N] [--out PATH]
+                     [--grids RxC[@SHARDS],...] [--shards A,B,...]
+                     [--history PATH] [--allow-dirty] [--compare]
+       mnp-run profile [--rows N] [--cols N] [--segments N] [--seed N]
+                       [--stride N] [--sample-ms MS] [--top N]
+                       [--out PATH] [--series PATH] [--timeline PATH]
+       mnp-run report OLD NEW
+       mnp-run coded [--rows N] [--cols N] [--segments N] [--seed N]
+                     [--losses A,B,... (percent)] [--out PATH]
+       mnp-run mobility [--nodes N] [--segments N] [--seed N]
+                        [--speeds A,B,... (ft/s)] [--out PATH]
+       mnp-run chaos [--seed N] [--grid N] [--protocol {fault_tested}]
+                     [--crashes A,B,...] [--flaps A,B,...]
+                     [--storage A,B,...]
+       mnp-run fuzz [--runs N] [--seed N] [--policy fifo|permute]
+                    [--mobile] [--shrink-budget N] [--out PATH]
+       mnp-run repro PATH",
+        all = NAMES.join("|"),
+        fault_tested = FAULT_TESTED.join("|"),
+    )
+}
 
-fn parse<T: std::str::FromStr>(s: &str) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
+/// The arguments after the (sub)command name.
+type ArgIter<'a> = &'a mut dyn Iterator<Item = String>;
+
+fn parse<T: FromStr<Err: Display>>(s: &str) -> Result<T, String> {
     s.parse().map_err(|e| format!("bad value {s:?}: {e}"))
 }
 
+/// The raw value following `flag`.
+fn value(it: ArgIter, flag: &str) -> Result<String, String> {
+    it.next().ok_or_else(|| format!("{flag} needs a value"))
+}
+
+/// The parsed value following `flag`.
+fn arg<T: FromStr<Err: Display>>(it: ArgIter, flag: &str) -> Result<T, String> {
+    parse(&value(it, flag)?)
+}
+
+/// The comma-separated list following `flag`; an empty value ("--flaps ''")
+/// is the empty list.
+fn arg_list<T: FromStr<Err: Display>>(it: ArgIter, flag: &str) -> Result<Vec<T>, String> {
+    value(it, flag)?
+        .split(',')
+        .filter(|part| !part.is_empty())
+        .map(parse)
+        .collect()
+}
+
+/// The error for a flag no arm matched: the usage text, preceded by a
+/// complaint unless help was what the user asked for.
+fn bad_flag(flag: &str) -> String {
+    match flag {
+        "--help" | "-h" => usage(),
+        other => format!("unknown flag {other}\n{}", usage()),
+    }
+}
+
+/// Names `path` in the error of a failed write to it.
+fn written<T>(path: &str, result: std::io::Result<T>) -> Result<T, String> {
+    result.map_err(|e| format!("cannot write {path}: {e}"))
+}
+
+fn read_file(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
+}
+
+/// Wraps `observer` in a [`Shared`] handle, attached to `observers` and
+/// returned for reading back after the run — if `wanted`.
+fn tap<O: Observer + Send + 'static>(
+    wanted: bool,
+    observer: O,
+    observers: &mut Vec<Box<dyn Observer + Send>>,
+) -> Option<Shared<O>> {
+    wanted.then(|| {
+        let shared = Shared::new(observer);
+        observers.push(Box::new(shared.clone()));
+        shared
+    })
+}
+
+/// Runs `f` with the default panic hook silenced. `run_scenario` turns
+/// panics into verdicts; without this every probed panic would spray a
+/// backtrace over the report. A CLI-only affordance — the library never
+/// touches the process-global hook (tests run multithreaded).
+fn quietly<T>(f: impl FnOnce() -> T) -> T {
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let out = f();
+    std::panic::set_hook(hook);
+    out
+}
+
+/// A subcommand: takes the arguments after its name.
+type Subcommand = fn(ArgIter) -> Result<ExitCode, String>;
+
+/// Subcommands by name; anything else is the default single-run mode.
+const SUBCOMMANDS: &[(&str, Subcommand)] = &[
+    ("scale", run_scale),
+    ("profile", run_profile),
+    ("report", run_report),
+    ("coded", run_coded),
+    ("mobility", run_mobility),
+    ("chaos", run_chaos),
+    ("fuzz", run_fuzz),
+    ("repro", run_repro),
+];
+
 fn main() -> ExitCode {
-    if std::env::args().nth(1).as_deref() == Some("scale") {
-        return match run_scale(std::env::args().skip(2)) {
-            Ok(code) => code,
-            Err(msg) => {
-                eprintln!("{msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if std::env::args().nth(1).as_deref() == Some("profile") {
-        return match run_profile(std::env::args().skip(2)) {
-            Ok(code) => code,
-            Err(msg) => {
-                eprintln!("{msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if std::env::args().nth(1).as_deref() == Some("report") {
-        return match run_report(std::env::args().skip(2)) {
-            Ok(code) => code,
-            Err(msg) => {
-                eprintln!("{msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if std::env::args().nth(1).as_deref() == Some("coded") {
-        return match run_coded(std::env::args().skip(2)) {
-            Ok(code) => code,
-            Err(msg) => {
-                eprintln!("{msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if std::env::args().nth(1).as_deref() == Some("mobility") {
-        return match run_mobility(std::env::args().skip(2)) {
-            Ok(code) => code,
-            Err(msg) => {
-                eprintln!("{msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if std::env::args().nth(1).as_deref() == Some("chaos") {
-        return match run_chaos(std::env::args().skip(2)) {
-            Ok(code) => code,
-            Err(msg) => {
-                eprintln!("{msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if std::env::args().nth(1).as_deref() == Some("fuzz") {
-        return match run_fuzz(std::env::args().skip(2)) {
-            Ok(code) => code,
-            Err(msg) => {
-                eprintln!("{msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if std::env::args().nth(1).as_deref() == Some("repro") {
-        return match run_repro(std::env::args().skip(2)) {
-            Ok(code) => code,
-            Err(msg) => {
-                eprintln!("{msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let args = match Args::parse() {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
+    let mut args = std::env::args().skip(1).peekable();
+    let subcommand = args
+        .peek()
+        .and_then(|name| SUBCOMMANDS.iter().find(|(n, _)| n == name))
+        .map(|&(_, run)| run);
+    let result = match subcommand {
+        Some(run) => run(&mut args.skip(1)),
+        None => run_single(&mut args),
     };
+    result.unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        ExitCode::FAILURE
+    })
+}
+
+/// The default mode: one dissemination run (or one per `--seeds` entry).
+fn run_single(it: ArgIter) -> Result<ExitCode, String> {
+    let args = Args::parse(it)?;
 
     let scenario = GridExperiment::new(args.rows, args.cols, args.spacing)
         .segments(args.segments)
@@ -327,7 +348,7 @@ fn main() -> ExitCode {
         "{} | image {} | {} | seed {} | capture {}",
         scenario.grid(),
         scenario.image().layout(),
-        args.protocol,
+        args.protocol.name(),
         args.seed,
         args.capture
     );
@@ -336,54 +357,34 @@ fn main() -> ExitCode {
         return run_seeds(&args, &scenario, seeds);
     }
 
-    // Shared handles keep the observers readable after the network (which
-    // owns the attached boxes) is dropped.
-    let events = args
-        .events
-        .as_ref()
-        .map(|_| Shared::new(JsonlLogger::new()));
-    let metrics = args
-        .metrics
-        .as_ref()
-        .map(|_| Shared::new(MetricsRegistry::new()));
-    let timeline = args
-        .timeline
-        .as_ref()
-        .map(|_| Shared::new(TimelineExporter::new()));
-    let invariants = args
-        .check_invariants
-        .then(|| Shared::new(InvariantMonitor::new()));
+    let mut observers = Vec::new();
+    let events = tap(args.events.is_some(), JsonlLogger::new(), &mut observers);
+    let metrics = tap(
+        args.metrics.is_some(),
+        MetricsRegistry::new(),
+        &mut observers,
+    );
+    let timeline = tap(
+        args.timeline.is_some(),
+        TimelineExporter::new(),
+        &mut observers,
+    );
+    let invariants = tap(
+        args.check_invariants,
+        InvariantMonitor::new(),
+        &mut observers,
+    );
 
-    let mut observers: Vec<Box<dyn Observer + Send>> = Vec::new();
-    if let Some(log) = &events {
-        observers.push(Box::new(log.clone()));
-    }
-    if let Some(reg) = &metrics {
-        observers.push(Box::new(reg.clone()));
-    }
-    if let Some(tl) = &timeline {
-        observers.push(Box::new(tl.clone()));
-    }
-    if let Some(inv) = &invariants {
-        observers.push(Box::new(inv.clone()));
-    }
-
-    let out = match args.protocol.as_str() {
-        "mnp" => scenario.run_mnp_observed(|_| {}, observers),
-        "deluge" => scenario.run_deluge_observed(|_| {}, observers),
-        "rlnc" => scenario.run_rlnc_observed(|_| {}, observers),
-        "xor" => scenario.run_xor_observed(|_| {}, observers),
-        other => {
-            eprintln!("unknown protocol {other:?} (use mnp, deluge, rlnc, or xor)");
-            return ExitCode::FAILURE;
-        }
-    };
+    let out = scenario.run_named(
+        args.protocol,
+        Instruments {
+            observers,
+            sampler: None,
+        },
+    );
 
     println!("{out}");
-    if let Err(msg) = write_outputs(&args, events, metrics, timeline, invariants) {
-        eprintln!("{msg}");
-        return ExitCode::FAILURE;
-    }
+    write_outputs(&args, events, metrics, timeline, invariants)?;
     if args.heatmap {
         println!("active radio time by location (dark = high):");
         print!("{}", render_heatmap(args.rows, args.cols, &out.art_s));
@@ -400,16 +401,24 @@ fn main() -> ExitCode {
             })
         );
     }
-    if out.completed {
+    Ok(completion_code(
+        out.completed,
+        "dissemination did not complete before the deadline",
+    ))
+}
+
+/// Exit status of a run: success iff `ok`, else `complaint` on stderr.
+fn completion_code(ok: bool, complaint: &str) -> ExitCode {
+    if ok {
         ExitCode::SUCCESS
     } else {
-        eprintln!("dissemination did not complete before the deadline");
+        eprintln!("{complaint}");
         ExitCode::FAILURE
     }
 }
 
 /// `mnp-run scale`: the large-grid benchmark behind `BENCH_scale.json`.
-fn run_scale(mut it: impl Iterator<Item = String>) -> Result<ExitCode, String> {
+fn run_scale(it: ArgIter) -> Result<ExitCode, String> {
     let mut seed = 42u64;
     let mut segments = 1u16;
     let mut out_path = String::from("BENCH_scale.json");
@@ -423,22 +432,16 @@ fn run_scale(mut it: impl Iterator<Item = String>) -> Result<ExitCode, String> {
         .map(|&(r, c)| (r, c, None))
         .collect();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
         match flag.as_str() {
-            "--seed" => seed = parse(&value("--seed")?)?,
-            "--segments" => segments = parse(&value("--segments")?)?,
-            "--out" => out_path = value("--out")?,
-            "--history" => history_path = Some(value("--history")?),
+            "--seed" => seed = arg(it, &flag)?,
+            "--segments" => segments = arg(it, &flag)?,
+            "--out" => out_path = value(it, &flag)?,
+            "--history" => history_path = Some(value(it, &flag)?),
             "--allow-dirty" => allow_dirty = true,
             "--compare" => compare = true,
-            "--shards" => {
-                shard_counts = value("--shards")?
-                    .split(',')
-                    .map(parse)
-                    .collect::<Result<_, _>>()?;
-            }
+            "--shards" => shard_counts = arg_list(it, &flag)?,
             "--grids" => {
-                grids = value("--grids")?
+                grids = value(it, &flag)?
                     .split(',')
                     .map(|g| {
                         let (g, s) = match g.split_once('@') {
@@ -452,8 +455,7 @@ fn run_scale(mut it: impl Iterator<Item = String>) -> Result<ExitCode, String> {
                     })
                     .collect::<Result<_, String>>()?;
             }
-            "--help" | "-h" => return Err(USAGE.into()),
-            other => return Err(format!("unknown flag {other}\n{USAGE}")),
+            other => return Err(bad_flag(other)),
         }
     }
     if grids.is_empty() {
@@ -490,8 +492,10 @@ fn run_scale(mut it: impl Iterator<Item = String>) -> Result<ExitCode, String> {
     if !steady_clean {
         eprintln!("warning: the medium hot path allocated in steady state");
     }
-    std::fs::write(&out_path, scale::render_json(&measurements))
-        .map_err(|e| format!("cannot write {out_path}: {e}"))?;
+    written(
+        &out_path,
+        std::fs::write(&out_path, scale::render_json(&measurements)),
+    )?;
     println!("wrote {out_path}");
 
     // Compare against the history *before* appending the fresh rows, so
@@ -571,7 +575,7 @@ fn run_scale(mut it: impl Iterator<Item = String>) -> Result<ExitCode, String> {
 
 /// `mnp-run profile`: one seeded run with the kernel span profiler and
 /// the time-series sampler attached (DESIGN.md §12).
-fn run_profile(mut it: impl Iterator<Item = String>) -> Result<ExitCode, String> {
+fn run_profile(it: ArgIter) -> Result<ExitCode, String> {
     let mut rows = 20usize;
     let mut cols = 20usize;
     let mut segments = 1u16;
@@ -583,20 +587,18 @@ fn run_profile(mut it: impl Iterator<Item = String>) -> Result<ExitCode, String>
     let mut series_path: Option<String> = None;
     let mut timeline_path: Option<String> = None;
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
         match flag.as_str() {
-            "--rows" => rows = parse(&value("--rows")?)?,
-            "--cols" => cols = parse(&value("--cols")?)?,
-            "--segments" => segments = parse(&value("--segments")?)?,
-            "--seed" => seed = parse(&value("--seed")?)?,
-            "--stride" => stride = parse(&value("--stride")?)?,
-            "--sample-ms" => sample_ms = parse(&value("--sample-ms")?)?,
-            "--top" => top = parse(&value("--top")?)?,
-            "--out" => out_path = Some(value("--out")?),
-            "--series" => series_path = Some(value("--series")?),
-            "--timeline" => timeline_path = Some(value("--timeline")?),
-            "--help" | "-h" => return Err(USAGE.into()),
-            other => return Err(format!("unknown flag {other}\n{USAGE}")),
+            "--rows" => rows = arg(it, &flag)?,
+            "--cols" => cols = arg(it, &flag)?,
+            "--segments" => segments = arg(it, &flag)?,
+            "--seed" => seed = arg(it, &flag)?,
+            "--stride" => stride = arg(it, &flag)?,
+            "--sample-ms" => sample_ms = arg(it, &flag)?,
+            "--top" => top = arg(it, &flag)?,
+            "--out" => out_path = Some(value(it, &flag)?),
+            "--series" => series_path = Some(value(it, &flag)?),
+            "--timeline" => timeline_path = Some(value(it, &flag)?),
+            other => return Err(bad_flag(other)),
         }
     }
     if sample_ms == 0 {
@@ -618,19 +620,24 @@ fn run_profile(mut it: impl Iterator<Item = String>) -> Result<ExitCode, String>
         TimeSeriesSampler::new(SimDuration::from_millis(sample_ms), 4096)
             .with_alloc_counters(alloc_counters),
     );
-    let timeline = timeline_path
-        .as_ref()
-        .map(|_| Shared::new(TimelineExporter::new()));
-    let mut observers: Vec<Box<dyn Observer + Send>> = Vec::new();
-    if let Some(tl) = &timeline {
-        observers.push(Box::new(tl.clone()));
-    }
+    let mut observers = Vec::new();
+    let timeline = tap(
+        timeline_path.is_some(),
+        TimelineExporter::new(),
+        &mut observers,
+    );
 
     profile::reset();
     profile::set_stride(stride);
     profile::set_enabled(true);
     let start = std::time::Instant::now();
-    let out = scenario.run_mnp_sampled(|_| {}, observers, Some(sampler.clone()));
+    let out = scenario.run_observed::<Mnp>(
+        |_| {},
+        Instruments {
+            observers,
+            sampler: Some(sampler.clone()),
+        },
+    );
     let wall_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
     profile::set_enabled(false);
 
@@ -640,48 +647,42 @@ fn run_profile(mut it: impl Iterator<Item = String>) -> Result<ExitCode, String>
     println!("series: {} samples", sampler.borrow().len());
 
     if let Some(path) = &out_path {
-        std::fs::write(path, rep.dump_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
+        written(path, std::fs::write(path, rep.dump_json()))?;
         println!("profile: wrote {path}");
     }
     if let Some(path) = &series_path {
-        sampler
-            .borrow()
-            .write_to(path)
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        written(path, sampler.borrow().write_to(path))?;
         println!("series: wrote {path}");
     }
     if let (Some(path), Some(tl)) = (&timeline_path, &timeline) {
-        std::fs::write(path, tl.borrow().dump_json_with_counters(&sampler.borrow()))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        let json = tl.borrow().dump_json_with_counters(&sampler.borrow());
+        written(path, std::fs::write(path, json))?;
         println!("timeline: wrote {path}");
     }
-    Ok(if out.completed {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("dissemination did not complete before the deadline");
-        ExitCode::FAILURE
-    })
+    Ok(completion_code(
+        out.completed,
+        "dissemination did not complete before the deadline",
+    ))
 }
 
 /// `mnp-run report`: diffs two bench/profile JSON documents.
-fn run_report(mut it: impl Iterator<Item = String>) -> Result<ExitCode, String> {
+fn run_report(it: ArgIter) -> Result<ExitCode, String> {
     let old_path = it
         .next()
-        .ok_or_else(|| format!("report needs OLD NEW\n{USAGE}"))?;
+        .ok_or_else(|| format!("report needs OLD NEW\n{}", usage()))?;
     let new_path = it
         .next()
-        .ok_or_else(|| format!("report needs OLD NEW\n{USAGE}"))?;
-    let old =
-        std::fs::read_to_string(&old_path).map_err(|e| format!("cannot read {old_path}: {e}"))?;
-    let new =
-        std::fs::read_to_string(&new_path).map_err(|e| format!("cannot read {new_path}: {e}"))?;
-    print!("{}", report::diff(&old, &new)?);
+        .ok_or_else(|| format!("report needs OLD NEW\n{}", usage()))?;
+    print!(
+        "{}",
+        report::diff(&read_file(&old_path)?, &read_file(&new_path)?)?
+    );
     Ok(ExitCode::SUCCESS)
 }
 
 /// `mnp-run coded`: the loss-sweep comparison campaign (MNP vs Deluge vs
 /// RLNC vs XOR) behind `CODED_cmp.json`.
-fn run_coded(mut it: impl Iterator<Item = String>) -> Result<ExitCode, String> {
+fn run_coded(it: ArgIter) -> Result<ExitCode, String> {
     let mut rows = 6usize;
     let mut cols = 6usize;
     let mut segments = 1u16;
@@ -689,22 +690,14 @@ fn run_coded(mut it: impl Iterator<Item = String>) -> Result<ExitCode, String> {
     let mut losses: Vec<f64> = vec![0.0, 10.0, 20.0];
     let mut out_path = String::from("CODED_cmp.json");
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
         match flag.as_str() {
-            "--rows" => rows = parse(&value("--rows")?)?,
-            "--cols" => cols = parse(&value("--cols")?)?,
-            "--segments" => segments = parse(&value("--segments")?)?,
-            "--seed" => seed = parse(&value("--seed")?)?,
-            "--losses" => {
-                losses = value("--losses")?
-                    .split(',')
-                    .filter(|part| !part.is_empty())
-                    .map(parse)
-                    .collect::<Result<_, _>>()?;
-            }
-            "--out" => out_path = value("--out")?,
-            "--help" | "-h" => return Err(USAGE.into()),
-            other => return Err(format!("unknown flag {other}\n{USAGE}")),
+            "--rows" => rows = arg(it, &flag)?,
+            "--cols" => cols = arg(it, &flag)?,
+            "--segments" => segments = arg(it, &flag)?,
+            "--seed" => seed = arg(it, &flag)?,
+            "--losses" => losses = arg_list(it, &flag)?,
+            "--out" => out_path = value(it, &flag)?,
+            other => return Err(bad_flag(other)),
         }
     }
     if losses.is_empty() {
@@ -717,45 +710,39 @@ fn run_coded(mut it: impl Iterator<Item = String>) -> Result<ExitCode, String> {
     if fractions.iter().any(|&p| !(0.0..=1.0).contains(&p)) {
         return Err("--losses entries must be percentages in [0, 100]".into());
     }
-    let cmp = coded_cmp::run_with(rows, cols, segments, seed, &fractions);
+    let cmp = sweep::loss_sweep(rows, cols, segments, seed, &fractions);
+    report_sweep(&cmp, &out_path, "loss rate")
+}
+
+/// Prints a finished sweep, writes its JSON artifact, and turns "every
+/// protocol completed at every point" into the exit status.
+fn report_sweep(cmp: &Sweep, out_path: &str, point: &str) -> Result<ExitCode, String> {
     print!("{cmp}");
-    std::fs::write(&out_path, cmp.render_json())
-        .map_err(|e| format!("cannot write {out_path}: {e}"))?;
+    written(out_path, std::fs::write(out_path, cmp.to_json()))?;
     println!("wrote {out_path}");
-    let all_completed = cmp.points.iter().flat_map(|p| &p.rows).all(|r| r.completed);
-    Ok(if all_completed {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("some protocol missed the deadline at some loss rate");
-        ExitCode::FAILURE
-    })
+    Ok(completion_code(
+        cmp.rows().all(|r| r.completed),
+        &format!("some protocol missed the deadline at some {point}"),
+    ))
 }
 
 /// `mnp-run mobility`: the mobility-sweep comparison campaign (MNP vs
 /// Deluge vs RLNC across random-waypoint speeds) behind
 /// `MOBILITY_cmp.json`.
-fn run_mobility(mut it: impl Iterator<Item = String>) -> Result<ExitCode, String> {
+fn run_mobility(it: ArgIter) -> Result<ExitCode, String> {
     let mut nodes = 16usize;
     let mut segments = 1u16;
     let mut seed = 42u64;
     let mut speeds: Vec<f64> = vec![0.0, 1.0, 2.0];
     let mut out_path = String::from("MOBILITY_cmp.json");
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
         match flag.as_str() {
-            "--nodes" => nodes = parse(&value("--nodes")?)?,
-            "--segments" => segments = parse(&value("--segments")?)?,
-            "--seed" => seed = parse(&value("--seed")?)?,
-            "--speeds" => {
-                speeds = value("--speeds")?
-                    .split(',')
-                    .filter(|part| !part.is_empty())
-                    .map(parse)
-                    .collect::<Result<_, _>>()?;
-            }
-            "--out" => out_path = value("--out")?,
-            "--help" | "-h" => return Err(USAGE.into()),
-            other => return Err(format!("unknown flag {other}\n{USAGE}")),
+            "--nodes" => nodes = arg(it, &flag)?,
+            "--segments" => segments = arg(it, &flag)?,
+            "--seed" => seed = arg(it, &flag)?,
+            "--speeds" => speeds = arg_list(it, &flag)?,
+            "--out" => out_path = value(it, &flag)?,
+            other => return Err(bad_flag(other)),
         }
     }
     if nodes == 0 {
@@ -767,88 +754,62 @@ fn run_mobility(mut it: impl Iterator<Item = String>) -> Result<ExitCode, String
     if speeds.iter().any(|&v| !v.is_finite() || v < 0.0) {
         return Err("--speeds entries must be non-negative ft/s".into());
     }
-    let cmp = mobility_cmp::run_with(nodes, segments, seed, &speeds);
-    print!("{cmp}");
-    std::fs::write(&out_path, cmp.render_json())
-        .map_err(|e| format!("cannot write {out_path}: {e}"))?;
-    println!("wrote {out_path}");
-    let all_completed = cmp.points.iter().flat_map(|p| &p.rows).all(|r| r.completed);
-    Ok(if all_completed {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("some protocol missed the deadline at some speed");
-        ExitCode::FAILURE
-    })
+    let cmp = sweep::speed_sweep(nodes, segments, seed, &speeds);
+    report_sweep(&cmp, &out_path, "speed")
 }
 
 /// `mnp-run chaos`: the transient-fault sweep (crash–restarts, link
 /// flaps, storage-fault bursts) under the chosen protocol.
-fn run_chaos(mut it: impl Iterator<Item = String>) -> Result<ExitCode, String> {
+fn run_chaos(it: ArgIter) -> Result<ExitCode, String> {
     let mut seed = 42u64;
     let mut grid = 8usize;
-    let mut protocol = resilience::ChaosProtocol::Mnp;
+    let mut protocol = ProtocolId::of::<Mnp>();
     let mut crashes: Vec<usize> = vec![0, 2, 4, 8];
     let mut flaps: Vec<usize> = vec![0, 8, 16, 32];
     let mut storage: Vec<usize> = Vec::new();
-    // An empty value ("--flaps ''") disables that sweep entirely.
-    let parse_counts = |s: String| {
-        s.split(',')
-            .filter(|part| !part.is_empty())
-            .map(parse)
-            .collect::<Result<Vec<usize>, String>>()
-    };
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
         match flag.as_str() {
-            "--seed" => seed = parse(&value("--seed")?)?,
-            "--grid" => grid = parse(&value("--grid")?)?,
-            "--protocol" => {
-                let name = value("--protocol")?;
-                protocol = resilience::ChaosProtocol::from_name(&name)
-                    .ok_or_else(|| format!("unknown protocol {name:?} (mnp|rlnc|xor)"))?;
-            }
-            "--crashes" => crashes = parse_counts(value("--crashes")?)?,
-            "--flaps" => flaps = parse_counts(value("--flaps")?)?,
-            "--storage" => storage = parse_counts(value("--storage")?)?,
-            "--help" | "-h" => return Err(USAGE.into()),
-            other => return Err(format!("unknown flag {other}\n{USAGE}")),
+            "--seed" => seed = arg(it, &flag)?,
+            "--grid" => grid = arg(it, &flag)?,
+            "--protocol" => protocol = ProtocolId::parse(&value(it, &flag)?, FAULT_TESTED)?,
+            // An empty value ("--flaps ''") disables that sweep entirely.
+            "--crashes" => crashes = arg_list(it, &flag)?,
+            "--flaps" => flaps = arg_list(it, &flag)?,
+            "--storage" => storage = arg_list(it, &flag)?,
+            other => return Err(bad_flag(other)),
         }
     }
     let chaos = resilience::run_chaos_matrix(protocol, grid, &crashes, &flaps, &storage, seed);
     print!("{chaos}");
     let full_coverage = chaos.all_rows().all(|r| (r.coverage - 1.0).abs() < 1e-9);
-    Ok(if full_coverage {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("transient faults cost coverage: some node never completed");
-        ExitCode::FAILURE
-    })
+    Ok(completion_code(
+        full_coverage,
+        "transient faults cost coverage: some node never completed",
+    ))
 }
 
 /// `mnp-run fuzz`: the schedule-exploration fuzz campaign (DESIGN.md §11).
-fn run_fuzz(mut it: impl Iterator<Item = String>) -> Result<ExitCode, String> {
+fn run_fuzz(it: ArgIter) -> Result<ExitCode, String> {
     let mut cfg = fuzz::FuzzConfig {
         runs: 40,
         ..fuzz::FuzzConfig::default()
     };
     let mut out_path = String::from("repro.json");
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
         match flag.as_str() {
-            "--runs" => cfg.runs = parse(&value("--runs")?)?,
-            "--seed" => cfg.fuzz_seed = parse(&value("--seed")?)?,
+            "--runs" => cfg.runs = arg(it, &flag)?,
+            "--seed" => cfg.fuzz_seed = arg(it, &flag)?,
             "--policy" => {
-                cfg.permute = match value("--policy")?.as_str() {
+                cfg.permute = match value(it, &flag)?.as_str() {
                     "fifo" => false,
                     "permute" => true,
                     other => return Err(format!("unknown policy {other:?} (fifo|permute)")),
                 }
             }
-            "--shrink-budget" => cfg.shrink_budget = parse(&value("--shrink-budget")?)?,
+            "--shrink-budget" => cfg.shrink_budget = arg(it, &flag)?,
             "--mobile" => cfg.mobile = true,
-            "--out" => out_path = value("--out")?,
-            "--help" | "-h" => return Err(USAGE.into()),
-            other => return Err(format!("unknown flag {other}\n{USAGE}")),
+            "--out" => out_path = value(it, &flag)?,
+            other => return Err(bad_flag(other)),
         }
     }
     if cfg!(not(debug_assertions)) {
@@ -865,21 +826,16 @@ fn run_fuzz(mut it: impl Iterator<Item = String>) -> Result<ExitCode, String> {
         if cfg.mobile { ", all mobile" } else { "" }
     );
 
-    // `run_scenario` turns panics into verdicts; silence the default hook
-    // so every probed panic does not spray a backtrace over the report.
-    // This is a CLI-only affordance — the library never touches the
-    // process-global hook (tests run multithreaded).
-    let hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let outcome = fuzz::fuzz(&cfg, |i, sc, verdict| {
-        let tag = match verdict {
-            fuzz::Verdict::Pass => "pass",
-            fuzz::Verdict::Fail(_) => "FAIL",
-            fuzz::Verdict::Invalid(_) => "invalid",
-        };
-        println!("  [{i:>3}] {tag:<7} {sc}");
+    let outcome = quietly(|| {
+        fuzz::fuzz(&cfg, |i, sc, verdict| {
+            let tag = match verdict {
+                fuzz::Verdict::Pass => "pass",
+                fuzz::Verdict::Fail(_) => "FAIL",
+                fuzz::Verdict::Invalid(_) => "invalid",
+            };
+            println!("  [{i:>3}] {tag:<7} {sc}");
+        })
     });
-    std::panic::set_hook(hook);
 
     match outcome {
         Ok(runs) => {
@@ -893,8 +849,7 @@ fn run_fuzz(mut it: impl Iterator<Item = String>) -> Result<ExitCode, String> {
                 report.original, report.shrunk, report.shrink_spent
             );
             let json = fuzz::emit_repro(&report.shrunk, &report.failure);
-            std::fs::write(&out_path, &json)
-                .map_err(|e| format!("cannot write {out_path}: {e}"))?;
+            written(&out_path, std::fs::write(&out_path, &json))?;
             println!("wrote {out_path}; replay with: mnp-run repro {out_path}");
             Ok(ExitCode::FAILURE)
         }
@@ -902,20 +857,16 @@ fn run_fuzz(mut it: impl Iterator<Item = String>) -> Result<ExitCode, String> {
 }
 
 /// `mnp-run repro`: deterministically replays a shrunk `repro.json`.
-fn run_repro(mut it: impl Iterator<Item = String>) -> Result<ExitCode, String> {
+fn run_repro(it: ArgIter) -> Result<ExitCode, String> {
     let path = it
         .next()
-        .ok_or_else(|| format!("repro needs a PATH\n{USAGE}"))?;
-    let text = std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let (sc, recorded) = fuzz::parse_repro(&text)?;
+        .ok_or_else(|| format!("repro needs a PATH\n{}", usage()))?;
+    let (sc, recorded) = fuzz::parse_repro(&read_file(&path)?)?;
     println!("repro: {sc}");
     if let Some(kind) = recorded {
         println!("recorded failure kind: {}", kind.name());
     }
-    let hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let verdict = fuzz::run_scenario(&sc);
-    std::panic::set_hook(hook);
+    let verdict = quietly(|| fuzz::run_scenario(&sc));
     match verdict {
         fuzz::Verdict::Pass => {
             println!("replay: all oracles pass (the recorded failure is fixed)");
@@ -938,7 +889,7 @@ fn run_repro(mut it: impl Iterator<Item = String>) -> Result<ExitCode, String> {
     }
 }
 
-fn run_seeds(args: &Args, scenario: &GridExperiment, seeds: &[u64]) -> ExitCode {
+fn run_seeds(args: &Args, scenario: &GridExperiment, seeds: &[u64]) -> Result<ExitCode, String> {
     // One observer cannot soundly record several concurrent runs; the
     // multi-seed mode is summary-only.
     if args.events.is_some()
@@ -948,19 +899,14 @@ fn run_seeds(args: &Args, scenario: &GridExperiment, seeds: &[u64]) -> ExitCode 
         || args.heatmap
         || args.parents
     {
-        eprintln!("--seeds cannot be combined with observer or rendering flags");
-        return ExitCode::FAILURE;
+        return Err("--seeds cannot be combined with observer or rendering flags".into());
     }
-    let outs = match args.protocol.as_str() {
-        "mnp" => scenario.run_seeds(seeds),
-        "deluge" => scenario.run_seeds_with(seeds, |s| s.run_deluge(|_| {})),
-        "rlnc" => scenario.run_seeds_with(seeds, |s| s.run_rlnc(|_| {})),
-        "xor" => scenario.run_seeds_with(seeds, |s| s.run_xor(|_| {})),
-        other => {
-            eprintln!("unknown protocol {other:?} (use mnp, deluge, rlnc, or xor)");
-            return ExitCode::FAILURE;
-        }
-    };
+    if seeds.is_empty() {
+        return Err("--seeds needs at least one seed".into());
+    }
+    let outs = scenario.run_seeds_with(seeds, |s| {
+        s.run_named(args.protocol, Instruments::default())
+    });
     for (seed, out) in seeds.iter().zip(&outs) {
         print!("seed {seed:>3}: {out}");
     }
@@ -970,12 +916,10 @@ fn run_seeds(args: &Args, scenario: &GridExperiment, seeds: &[u64]) -> ExitCode 
         mnp_trace::mean(&completions),
         seeds.len()
     );
-    if outs.iter().all(|o| o.completed) {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("some seed did not complete before the deadline");
-        ExitCode::FAILURE
-    }
+    Ok(completion_code(
+        outs.iter().all(|o| o.completed),
+        "some seed did not complete before the deadline",
+    ))
 }
 
 fn write_outputs(
@@ -987,14 +931,12 @@ fn write_outputs(
 ) -> Result<(), String> {
     if let (Some(path), Some(log)) = (&args.events, events) {
         let log = log.borrow();
-        log.write_to(path)
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        written(path, log.write_to(path))?;
         println!("events: {} lines -> {path}", log.events());
     }
     if let (Some(path), Some(reg)) = (&args.metrics, metrics) {
         let reg = reg.borrow();
-        reg.write_to(path)
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        written(path, reg.write_to(path))?;
         println!(
             "metrics: {} tx / {} rx / {} drops -> {path}",
             reg.tx_total(),
@@ -1004,8 +946,7 @@ fn write_outputs(
     }
     if let (Some(path), Some(tl)) = (&args.timeline, timeline) {
         let tl = tl.borrow();
-        tl.write_to(path)
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        written(path, tl.write_to(path))?;
         println!("timeline: {} spans -> {path}", tl.spans().len());
     }
     if let Some(inv) = invariants {

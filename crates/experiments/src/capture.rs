@@ -9,6 +9,8 @@
 
 use std::fmt;
 
+use mnp::Mnp;
+
 use crate::runner::GridExperiment;
 
 /// One row of the sensitivity table.
@@ -49,7 +51,7 @@ pub fn run_with(n: usize, segments: u16, seed: u64) -> Capture {
                 .segments(segments)
                 .seed(seed)
                 .capture(capture)
-                .run_mnp(|_| {});
+                .run::<Mnp>(|_| {});
             assert!(out.completed, "capture={capture}: {out}");
             CaptureRow {
                 capture,

@@ -12,22 +12,8 @@ use std::fmt;
 
 use mnp_sim::SimTime;
 
-use crate::runner::{GridExperiment, RunOutcome};
-
-/// One protocol's row in the comparison table.
-#[derive(Clone, Debug)]
-pub struct CmpRow {
-    /// Protocol name.
-    pub protocol: &'static str,
-    /// Completion time (s).
-    pub completion_s: f64,
-    /// Mean active radio time (s).
-    pub art_s: f64,
-    /// Total messages sent.
-    pub messages: f64,
-    /// Whether the run completed.
-    pub completed: bool,
-}
+use crate::runner::{GridExperiment, Instruments};
+use crate::sweep::{measure, write_table, CmpRow};
 
 /// The comparison result.
 #[derive(Clone, Debug)]
@@ -49,21 +35,11 @@ pub fn run_with(rows: usize, cols: usize, segments: u16, seed: u64) -> DelugeCmp
         .segments(segments)
         .seed(seed)
         .deadline(SimTime::from_secs(8 * 3_600));
-    let mnp = scenario.run_mnp(|_| {});
-    let deluge = scenario.run_deluge(|_| {});
     DelugeCmp {
         label: format!("{rows}x{cols} grid, {segments} segments"),
-        rows: vec![to_row("MNP", &mnp), to_row("Deluge-like", &deluge)],
-    }
-}
-
-pub(crate) fn to_row(name: &'static str, out: &RunOutcome) -> CmpRow {
-    CmpRow {
-        protocol: name,
-        completion_s: out.completion_s(),
-        art_s: out.mean_art_s(),
-        messages: out.total_sent(),
-        completed: out.completed,
+        rows: measure(&["mnp", "deluge"], |id| {
+            scenario.run_named(id, Instruments::default())
+        }),
     }
 }
 
@@ -77,17 +53,7 @@ impl DelugeCmp {
 impl fmt::Display for DelugeCmp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "=== C1: MNP vs Deluge, {} ===", self.label)?;
-        writeln!(
-            f,
-            "protocol     completed  completion(s)  mean ART(s)  messages"
-        )?;
-        for r in &self.rows {
-            writeln!(
-                f,
-                "{:<12} {:>9} {:>14.0} {:>12.0} {:>9.0}",
-                r.protocol, r.completed, r.completion_s, r.art_s, r.messages
-            )?;
-        }
+        write_table(f, &self.rows)?;
         writeln!(
             f,
             "Deluge/MNP active-radio-time ratio: {:.1}x",

@@ -9,6 +9,8 @@
 
 use std::fmt;
 
+use mnp::Mnp;
+use mnp_baselines::Deluge;
 use mnp_sim::SimTime;
 
 use crate::runner::{GridExperiment, RunOutcome};
@@ -63,8 +65,8 @@ pub fn run_with(n: usize, seed: u64) -> Diagonal {
         .segments(1)
         .seed(seed)
         .deadline(SimTime::from_secs(8 * 3_600));
-    let mnp = scenario.run_mnp(|_| {});
-    let deluge = scenario.run_deluge(|_| {});
+    let mnp = scenario.run::<Mnp>(|_| {});
+    let deluge = scenario.run::<Deluge>(|_| {});
     Diagonal {
         label: format!("{n}x{n} grid"),
         rows: vec![to_row("MNP", n, &mnp), to_row("Deluge-like", n, &deluge)],

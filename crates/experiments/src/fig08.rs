@@ -9,6 +9,7 @@
 
 use std::fmt;
 
+use mnp::Mnp;
 use mnp_sim::SimTime;
 use mnp_trace::{max, mean, min, render_heatmap};
 
@@ -32,7 +33,7 @@ pub fn run_with(rows: usize, cols: usize, segments: u16, seed: u64) -> Fig08 {
         .segments(segments)
         .seed(seed)
         .deadline(SimTime::from_secs(8 * 3_600))
-        .run_mnp(|_| {});
+        .run::<Mnp>(|_| {});
     Fig08 { outcome }
 }
 

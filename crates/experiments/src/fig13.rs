@@ -7,6 +7,7 @@
 
 use std::fmt;
 
+use mnp::Mnp;
 use mnp_sim::SimTime;
 use mnp_trace::render_snapshot;
 
@@ -32,7 +33,7 @@ pub fn run_with(rows: usize, cols: usize, seed: u64) -> Fig13 {
     let outcome = GridExperiment::new(rows, cols, 10.0)
         .segments(1)
         .seed(seed)
-        .run_mnp(|_| {});
+        .run::<Mnp>(|_| {});
     assert!(outcome.completed, "{outcome}");
     let total = outcome.completion.as_micros();
     let snapshots = [0.3, 0.6, 0.9]

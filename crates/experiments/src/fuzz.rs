@@ -7,7 +7,7 @@
 //! never executed. This module explores that family deterministically:
 //!
 //! 1. **Generate** — [`generate`] draws a protocol under test (MNP or the
-//!    coded family, [`FuzzProtocol`]), a grid or mobile topology (roughly
+//!    coded family, [`FAULT_TESTED`]), a grid or mobile topology (roughly
 //!    one scenario in three moves, [`MobilitySpec`]), protocol sizing,
 //!    and a transient-fault plan from a fuzz seed (crash–restarts, link
 //!    flaps, EEPROM write faults; never fail-stop kills, so the liveness
@@ -28,22 +28,25 @@
 //!    that `mnp-run repro` replays deterministically.
 //!
 //! All JSON here is hand-rolled like the rest of the workspace (offline
-//! build, no serde): the repro format is a flat integer-plus-string subset
-//! parsed by [`parse_repro`].
+//! build, no serde): [`emit_repro`] writes a flat integer-plus-string
+//! document and [`parse_repro`] reads it back through
+//! [`report::Json`](crate::report::Json).
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use mnp::{Mnp, MnpConfig, MnpStats};
-use mnp_baselines::{Rlnc, RlncConfig, Xor, XorConfig};
-use mnp_net::{FaultPlan, LinkChange, Network, NetworkBuilder, Protocol};
-use mnp_obs::{InvariantMonitor, Observer, Shared};
-use mnp_radio::{LinkTable, MediumStats, NodeId, PowerLevel};
+use mnp_net::{FaultPlan, LinkChange, NetworkBuilder};
+use mnp_obs::{InvariantMonitor, Shared};
+use mnp_radio::{LinkTable, NodeId};
 use mnp_sim::{SimDuration, SimRng, SimTime, TieBreak};
 use mnp_storage::{ImageLayout, ProgramId, ProgramImage};
-use mnp_topology::{GridSpec, TopologyBuilder};
+use mnp_topology::GridSpec;
 
 use crate::mobility::{FieldLayout, MobileExperiment};
+use crate::registry::{with_protocol, Disseminator, ProtocolId, FAULT_TESTED};
+use crate::report::{escape_json, Json};
+use crate::runner::{build, finish, reaches_all, GridExperiment};
+use crate::scale::tie_break_label;
 
 /// One planned transient fault of a fuzz scenario.
 ///
@@ -87,44 +90,6 @@ pub enum FaultSpec {
     },
 }
 
-/// Which dissemination protocol a fuzz scenario runs.
-///
-/// The coded protocols bring their own oracle surface: the RLNC decoder's
-/// rank discipline is checked after every run ([`Rlnc::decode_rank`]), and
-/// a liveness failure reports each stuck node's decoding frontier so the
-/// repro points at *where* in the generation the rank stalled.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FuzzProtocol {
-    /// The paper's protocol (the default, and the only choice in legacy
-    /// repros).
-    Mnp,
-    /// Random linear network coding over GF(256).
-    Rlnc,
-    /// XOR single-hop recoding.
-    Xor,
-}
-
-impl FuzzProtocol {
-    /// Stable lowercase name used in `repro.json`.
-    pub fn name(self) -> &'static str {
-        match self {
-            FuzzProtocol::Mnp => "mnp",
-            FuzzProtocol::Rlnc => "rlnc",
-            FuzzProtocol::Xor => "xor",
-        }
-    }
-
-    /// Parses a [`FuzzProtocol::name`] back.
-    pub fn from_name(s: &str) -> Option<FuzzProtocol> {
-        Some(match s {
-            "mnp" => FuzzProtocol::Mnp,
-            "rlnc" => FuzzProtocol::Rlnc,
-            "xor" => FuzzProtocol::Xor,
-            _ => return None,
-        })
-    }
-}
-
 /// Initial placement family of a mobile fuzz scenario.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FuzzLayout {
@@ -139,6 +104,14 @@ pub enum FuzzLayout {
 }
 
 impl FuzzLayout {
+    /// Every layout, in the order [`generate_with`] draws them.
+    pub const ALL: [FuzzLayout; 4] = [
+        FuzzLayout::Uniform,
+        FuzzLayout::Poisson,
+        FuzzLayout::Clustered,
+        FuzzLayout::Corridor,
+    ];
+
     /// Stable lowercase name used in `repro.json`.
     pub fn name(self) -> &'static str {
         match self {
@@ -151,13 +124,7 @@ impl FuzzLayout {
 
     /// Parses a [`FuzzLayout::name`] back.
     pub fn from_name(s: &str) -> Option<FuzzLayout> {
-        Some(match s {
-            "uniform" => FuzzLayout::Uniform,
-            "poisson" => FuzzLayout::Poisson,
-            "clustered" => FuzzLayout::Clustered,
-            "corridor" => FuzzLayout::Corridor,
-            _ => return None,
-        })
+        Self::ALL.into_iter().find(|l| l.name() == s)
     }
 }
 
@@ -202,8 +169,13 @@ fn mobile_experiment(
 /// one run byte-for-byte.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FuzzScenario {
-    /// The protocol under test.
-    pub protocol: FuzzProtocol,
+    /// The protocol under test, one of [`FAULT_TESTED`]. The coded
+    /// protocols bring their own oracle surface: a decoder's rank
+    /// discipline is checked after every run
+    /// ([`Disseminator::decode_frontier`]), and a liveness failure reports
+    /// each stuck node's decoding frontier so the repro points at *where*
+    /// in the generation the rank stalled.
+    pub protocol: ProtocolId,
     /// Grid rows.
     pub rows: usize,
     /// Grid columns.
@@ -249,31 +221,14 @@ impl FuzzScenario {
     /// invalid, not failing.
     fn topology(&self) -> Result<(LinkTable, Vec<LinkChange>), String> {
         let (links, schedule) = match self.mobility {
-            Some(m) => {
-                let mob = mobile_experiment(self.rows * self.cols, m, self.seed, self.deadline)
-                    .mobile_topology();
-                let schedule = mob
-                    .updates
-                    .iter()
-                    .map(|u| LinkChange {
-                        at: u.at,
-                        from: u.from,
-                        to: u.to,
-                        ber: u.ber,
-                    })
-                    .collect();
-                (mob.topology.links, schedule)
-            }
+            Some(m) => mobile_experiment(self.rows * self.cols, m, self.seed, self.deadline)
+                .links_and_schedule(),
             None => {
-                let grid = GridSpec::new(self.rows, self.cols, FUZZ_SPACING_FT);
-                let mut topo_rng = SimRng::new(self.seed).derive(0xdeadbeef);
-                let topo = TopologyBuilder::new(grid.placement())
-                    .power(PowerLevel::FULL)
-                    .build(&mut topo_rng);
-                (topo.links, Vec::new())
+                let grid = GridExperiment::new(self.rows, self.cols, FUZZ_SPACING_FT);
+                (grid.seed(self.seed).sample_links(), Vec::new())
             }
         };
-        if !links.reaches_all_usable(NodeId(0), mnp_radio::loss::usable_ber_threshold()) {
+        if !reaches_all(&links) {
             return Err("sampled topology does not reach every node".into());
         }
         Ok((links, schedule))
@@ -313,10 +268,7 @@ impl fmt::Display for FuzzScenario {
             self.cols,
             self.segments,
             self.seed,
-            match self.tie_seed {
-                Some(s) => format!("permute({s})"),
-                None => "fifo".into(),
-            },
+            tie_break_label(self.tie_break()),
             self.shards,
             self.faults.len(),
             self.deadline.as_secs_f64(),
@@ -354,6 +306,15 @@ pub enum FailureKind {
 }
 
 impl FailureKind {
+    /// Every kind, most specific oracle first.
+    pub const ALL: [FailureKind; 5] = [
+        FailureKind::Panic,
+        FailureKind::Invariant,
+        FailureKind::Liveness,
+        FailureKind::Conservation,
+        FailureKind::StatOverflow,
+    ];
+
     /// Stable lowercase name used in `repro.json`.
     pub fn name(self) -> &'static str {
         match self {
@@ -367,14 +328,7 @@ impl FailureKind {
 
     /// Parses a [`FailureKind::name`] back.
     pub fn from_name(s: &str) -> Option<FailureKind> {
-        Some(match s {
-            "panic" => FailureKind::Panic,
-            "invariant" => FailureKind::Invariant,
-            "liveness" => FailureKind::Liveness,
-            "conservation" => FailureKind::Conservation,
-            "stat_overflow" => FailureKind::StatOverflow,
-            _ => return None,
-        })
+        Self::ALL.into_iter().find(|k| k.name() == s)
     }
 }
 
@@ -416,24 +370,6 @@ impl Verdict {
     }
 }
 
-/// Data collected from a run that finished without panicking.
-struct RunData {
-    completed: bool,
-    incomplete: Vec<u32>,
-    medium: Vec<MediumStats>,
-    /// MNP protocol counters ([`FuzzProtocol::Mnp`] only; the coded
-    /// protocols carry their own stats types and are exempt from the
-    /// MNP counter-overflow oracle).
-    stats: Vec<MnpStats>,
-    /// RLNC decoding frontier per *incomplete* node (`FuzzProtocol::Rlnc`
-    /// only): folded into the liveness message so a stuck repro names the
-    /// generation and rank where progress died.
-    ranks: Vec<String>,
-    /// First decoder rank-discipline violation (`rank > gen_size`), if
-    /// any — surfaced as [`FailureKind::Invariant`].
-    rank_violation: Option<String>,
-}
-
 /// Runs one scenario and applies the oracle set.
 ///
 /// Deterministic: the same scenario always returns the same verdict. The
@@ -444,44 +380,67 @@ struct RunData {
 /// assertions on (the default `cargo` profile; CI runs the fuzz smoke
 /// unoptimised for exactly this reason).
 pub fn run_scenario(sc: &FuzzScenario) -> Verdict {
+    let result = catch_unwind(AssertUnwindSafe(
+        || with_protocol!(sc.protocol, P => check::<P>(sc)),
+    ));
+    match result {
+        Err(payload) => Verdict::Fail(FuzzFailure {
+            kind: FailureKind::Panic,
+            message: panic_message(payload.as_ref()),
+        }),
+        Ok(Err(invalid)) => Verdict::Invalid(invalid),
+        Ok(Ok(Some(failure))) => Verdict::Fail(failure),
+        Ok(Ok(None)) => Verdict::Pass,
+    }
+}
+
+/// Runs the scenario under protocol `P` and returns the first oracle it
+/// violates, if any; `Err` means the scenario is structurally invalid
+/// (cannot even be built).
+fn check<P: Disseminator>(sc: &FuzzScenario) -> Result<Option<FuzzFailure>, String> {
     let monitor = Shared::new(InvariantMonitor::lenient());
-    let attach = monitor.clone();
-    let result = catch_unwind(AssertUnwindSafe(|| run_once(sc, Box::new(attach))));
-    let data = match result {
-        Err(payload) => {
-            return Verdict::Fail(FuzzFailure {
-                kind: FailureKind::Panic,
-                message: panic_message(payload.as_ref()),
-            })
-        }
-        Ok(Err(invalid)) => return Verdict::Invalid(invalid),
-        Ok(Ok(data)) => data,
-    };
+    let image = ProgramImage::synthetic(ProgramId(1), ImageLayout::paper_default(sc.segments));
+    let (links, schedule) = sc.topology()?;
+    let builder = NetworkBuilder::new(links, sc.seed)
+        .tie_break(sc.tie_break())
+        .faults(sc.fault_plan())
+        .shards(sc.shards)
+        .link_schedule(schedule)
+        .observer(monitor.clone());
+    let mut net = build::<P>(builder, &image, P::config_for(&image)).map_err(|e| e.to_string())?;
+    let grid = GridSpec::new(sc.rows, sc.cols, FUZZ_SPACING_FT);
+    let completed = finish(&mut net, grid, sc.deadline).completed;
 
     // Oracle order: most specific first, so a run that trips several
     // reports the most actionable one.
-    let monitor = monitor.borrow();
-    if let Some(v) = monitor.violations().first() {
-        return Verdict::Fail(FuzzFailure {
-            kind: FailureKind::Invariant,
-            message: v.clone(),
-        });
+    let fail = |kind, message| Ok(Some(FuzzFailure { kind, message }));
+    let nodes = || (0..net.len()).map(NodeId::from_index);
+    if let Some(v) = monitor.borrow().violations().first() {
+        return fail(FailureKind::Invariant, v.clone());
     }
-    if let Some(v) = data.rank_violation {
-        return Verdict::Fail(FuzzFailure {
-            kind: FailureKind::Invariant,
-            message: v,
-        });
+    for id in nodes() {
+        // A decoder's rank may never exceed its generation size.
+        if let Some((gen, rank, size)) = net.protocol(id).decode_frontier() {
+            if rank > size {
+                let i = id.0;
+                return fail(
+                    FailureKind::Invariant,
+                    format!(
+                        "node {i}: decoder rank {rank} exceeds generation size {size} (gen {gen})"
+                    ),
+                );
+            }
+        }
     }
-    for (i, m) in data.medium.iter().enumerate() {
+    for (i, m) in nodes().map(|id| net.medium_stats(id)).enumerate() {
         let resolved = m.frames_received + m.rx_corrupted + m.bit_error_losses + m.rx_aborted;
         // A node holds at most one reception lock, so at quiescence the
         // books balance exactly or are one in-flight frame short.
         let slack = m.rx_locks.checked_sub(resolved);
         if !matches!(slack, Some(0) | Some(1)) {
-            return Verdict::Fail(FuzzFailure {
-                kind: FailureKind::Conservation,
-                message: format!(
+            return fail(
+                FailureKind::Conservation,
+                format!(
                     "node {i}: {} reception locks vs {} resolutions \
                      ({} received, {} corrupted, {} bit-error, {} aborted)",
                     m.rx_locks,
@@ -491,168 +450,40 @@ pub fn run_scenario(sc: &FuzzScenario) -> Verdict {
                     m.bit_error_losses,
                     m.rx_aborted
                 ),
-            });
+            );
         }
     }
-    for (i, s) in data.stats.iter().enumerate() {
-        if let Some((name, value)) = overflowed_counter(s) {
-            return Verdict::Fail(FuzzFailure {
-                kind: FailureKind::StatOverflow,
-                message: format!("node {i}: counter {name} = {value} (wrapped below zero?)"),
-            });
+    for id in nodes() {
+        if let Some((name, value)) = net.protocol(id).overflowed_counter() {
+            let i = id.0;
+            return fail(
+                FailureKind::StatOverflow,
+                format!("node {i}: counter {name} = {value} (wrapped below zero?)"),
+            );
         }
     }
-    if !data.completed {
+    if !completed {
+        let stuck = || nodes().filter(|&id| !net.protocol(id).is_complete());
         let mut message = format!(
             "nodes {:?} never completed before the {:.0}s deadline \
              (all faults are transient, so they must)",
-            data.incomplete,
+            stuck().map(|id| id.0).collect::<Vec<_>>(),
             sc.deadline.as_secs_f64()
         );
-        if !data.ranks.is_empty() {
-            message.push_str(&format!("; decode frontier: {}", data.ranks.join(", ")));
+        // A stuck decoder's frontier names the generation and rank where
+        // progress died.
+        let ranks: Vec<String> = stuck()
+            .filter_map(|id| {
+                let (gen, rank, size) = net.protocol(id).decode_frontier()?;
+                Some(format!("node {}: gen {gen} rank {rank}/{size}", id.0))
+            })
+            .collect();
+        if !ranks.is_empty() {
+            message.push_str(&format!("; decode frontier: {}", ranks.join(", ")));
         }
-        return Verdict::Fail(FuzzFailure {
-            kind: FailureKind::Liveness,
-            message,
-        });
+        return fail(FailureKind::Liveness, message);
     }
-    Verdict::Pass
-}
-
-/// Builds the scenario's network for any protocol and runs it to the
-/// deadline; `Err` means the scenario is structurally invalid (cannot
-/// even be built).
-fn build_and_run<P: Protocol>(
-    sc: &FuzzScenario,
-    monitor: Box<dyn Observer + Send>,
-    make: impl FnMut(NodeId, &mut SimRng) -> P,
-) -> Result<(Network<P>, bool), String> {
-    let (links, schedule) = sc.topology()?;
-    let mut net = NetworkBuilder::new(links, sc.seed)
-        .tie_break(sc.tie_break())
-        .faults(sc.fault_plan())
-        .shards(sc.shards)
-        .link_schedule(schedule)
-        .observer(monitor)
-        .try_build(make)
-        .map_err(|e| e.to_string())?;
-    let completed = net.run_until_all_complete(sc.deadline);
-    Ok((net, completed))
-}
-
-/// Node ids that never completed, per a protocol-specific predicate.
-fn incomplete_of<P: Protocol>(net: &Network<P>, done: impl Fn(&P) -> bool) -> Vec<u32> {
-    (0..net.len())
-        .map(NodeId::from_index)
-        .filter(|&id| !done(net.protocol(id)))
-        .map(|id| id.0)
-        .collect()
-}
-
-/// Per-node medium accounting of a finished run.
-fn medium_of<P: Protocol>(net: &Network<P>) -> Vec<MediumStats> {
-    (0..net.len())
-        .map(|i| net.medium_stats(NodeId::from_index(i)))
-        .collect()
-}
-
-/// Runs the scenario under its protocol and collects the oracle inputs.
-fn run_once(sc: &FuzzScenario, monitor: Box<dyn Observer + Send>) -> Result<RunData, String> {
-    let image = ProgramImage::synthetic(ProgramId(1), ImageLayout::paper_default(sc.segments));
-    match sc.protocol {
-        FuzzProtocol::Mnp => {
-            let cfg = MnpConfig::for_image(&image);
-            let (net, completed) = build_and_run(sc, monitor, |id, _| {
-                if id == NodeId(0) {
-                    Mnp::base_station(cfg.clone(), &image)
-                } else {
-                    Mnp::node(cfg.clone())
-                }
-            })?;
-            let stats = (0..net.len())
-                .map(|i| net.protocol(NodeId::from_index(i)).stats)
-                .collect();
-            Ok(RunData {
-                completed,
-                incomplete: incomplete_of(&net, Mnp::is_complete),
-                medium: medium_of(&net),
-                stats,
-                ranks: Vec::new(),
-                rank_violation: None,
-            })
-        }
-        FuzzProtocol::Rlnc => {
-            let cfg = RlncConfig::for_image(&image);
-            let (net, completed) = build_and_run(sc, monitor, |id, _| {
-                if id == NodeId(0) {
-                    Rlnc::base_station(cfg.clone(), &image)
-                } else {
-                    Rlnc::node(cfg.clone())
-                }
-            })?;
-            let incomplete = incomplete_of(&net, Rlnc::is_complete);
-            let ranks = incomplete
-                .iter()
-                .map(|&i| {
-                    let (gen, rank, size) = net.protocol(NodeId(i)).decode_rank();
-                    format!("node {i}: gen {gen} rank {rank}/{size}")
-                })
-                .collect();
-            let rank_violation = (0..net.len()).find_map(|i| {
-                let (gen, rank, size) = net.protocol(NodeId::from_index(i)).decode_rank();
-                (rank > size).then(|| {
-                    format!(
-                        "node {i}: decoder rank {rank} exceeds generation size {size} (gen {gen})"
-                    )
-                })
-            });
-            Ok(RunData {
-                completed,
-                incomplete,
-                medium: medium_of(&net),
-                stats: Vec::new(),
-                ranks,
-                rank_violation,
-            })
-        }
-        FuzzProtocol::Xor => {
-            let cfg = XorConfig::for_image(&image);
-            let (net, completed) = build_and_run(sc, monitor, |id, _| {
-                if id == NodeId(0) {
-                    Xor::base_station(cfg.clone(), &image)
-                } else {
-                    Xor::node(cfg.clone())
-                }
-            })?;
-            Ok(RunData {
-                completed,
-                incomplete: incomplete_of(&net, Xor::is_complete),
-                medium: medium_of(&net),
-                stats: Vec::new(),
-                ranks: Vec::new(),
-                rank_violation: None,
-            })
-        }
-    }
-}
-
-/// The first protocol counter whose value is implausibly huge (a `u64`
-/// that went below zero wraps to `> 2^63`).
-fn overflowed_counter(s: &MnpStats) -> Option<(&'static str, u64)> {
-    const LIMIT: u64 = 1 << 63;
-    let fields = [
-        ("fails", s.fails),
-        ("fails_dl_timeout", s.fails_dl_timeout),
-        ("fails_update", s.fails_update),
-        ("forward_rounds", s.forward_rounds),
-        ("retransmissions", s.retransmissions),
-        ("requests_sent", s.requests_sent),
-        ("sleeps", s.sleeps),
-        ("advertisements_sent", s.advertisements_sent),
-        ("write_faults", s.write_faults),
-    ];
-    fields.into_iter().find(|&(_, v)| v >= LIMIT)
+    Ok(None)
 }
 
 /// Extracts a printable message from a panic payload.
@@ -690,11 +521,8 @@ pub fn generate_with(
     force_mobile: bool,
 ) -> FuzzScenario {
     let mut rng = SimRng::new(fuzz_seed).derive(index);
-    let protocol = match rng.index(3) {
-        0 => FuzzProtocol::Mnp,
-        1 => FuzzProtocol::Rlnc,
-        _ => FuzzProtocol::Xor,
-    };
+    let protocol = ProtocolId::lookup(FAULT_TESTED[rng.index(FAULT_TESTED.len())])
+        .expect("FAULT_TESTED is a subset of the registry");
     let rows = 3 + rng.index(3);
     let cols = 3 + rng.index(3);
     let segments = 1 + rng.index(2) as u16;
@@ -703,12 +531,7 @@ pub fn generate_with(
     let shards = 1 + rng.index(4);
     let deadline = SimTime::from_secs(4 * 3_600);
     let mobility = (force_mobile || rng.chance(1.0 / 3.0)).then(|| MobilitySpec {
-        layout: match rng.index(4) {
-            0 => FuzzLayout::Uniform,
-            1 => FuzzLayout::Poisson,
-            2 => FuzzLayout::Clustered,
-            _ => FuzzLayout::Corridor,
-        },
+        layout: FuzzLayout::ALL[rng.index(FuzzLayout::ALL.len())],
         speed_tenths: 5 + rng.index(16) as u32,
     });
     // Redraw the experiment seed until the sampled topology is viable
@@ -716,28 +539,27 @@ pub fn generate_with(
     // scenarios viability means reachable at t = 0 over the potential-edge
     // set, and the kept links table *is* that potential set — so the fault
     // edges drawn below may name pairs disconnected until nodes move.
-    let mut seed = rng.next_u64();
-    let mut links = None;
-    for _ in 0..32 {
-        let probe = FuzzScenario {
-            protocol,
-            rows,
-            cols,
-            segments,
-            seed,
-            tie_seed: None,
-            deadline,
-            shards,
-            mobility,
-            faults: Vec::new(),
-        };
-        if let Ok((l, _)) = probe.topology() {
-            links = Some(l);
-            break;
+    let mut sc = FuzzScenario {
+        protocol,
+        rows,
+        cols,
+        segments,
+        seed: rng.next_u64(),
+        tie_seed: None,
+        deadline,
+        shards,
+        mobility,
+        faults: Vec::new(),
+    };
+    let mut draws = 1;
+    let links = loop {
+        if let Ok((links, _)) = sc.topology() {
+            break links;
         }
-        seed = rng.next_u64();
-    }
-    let links = links.expect("no viable topology in 32 draws (full power)");
+        assert!(draws < 32, "no viable topology in 32 draws (full power)");
+        draws += 1;
+        sc.seed = rng.next_u64();
+    };
 
     let n = rows * cols;
     let edges: Vec<(u32, u32)> = (0..n)
@@ -745,10 +567,9 @@ pub fn generate_with(
         .flat_map(|from| links.neighbors(from).map(move |(to, _)| (from.0, to.0)))
         .collect();
     let window = (SimTime::from_secs(60), SimTime::from_secs(1200));
-    let mut faults = Vec::new();
     for _ in 0..rng.index(5) {
         let at = SimTime::from_micros(rng.range_u64(window.0.as_micros(), window.1.as_micros()));
-        faults.push(match rng.index(3) {
+        let fault = match rng.index(3) {
             0 => FaultSpec::CrashRestart {
                 node: 1 + rng.index(n - 1) as u32,
                 at,
@@ -769,20 +590,13 @@ pub fn generate_with(
                 at,
                 failures: 1 + rng.index(3) as u32,
             },
-        });
+        };
+        sc.faults.push(fault);
     }
-    FuzzScenario {
-        protocol,
-        rows,
-        cols,
-        segments,
-        seed,
-        tie_seed: permute.then(|| rng.next_u64()),
-        deadline,
-        shards,
-        mobility,
-        faults,
+    if permute {
+        sc.tie_seed = Some(rng.next_u64());
     }
+    sc
 }
 
 /// Greedily minimises a failing scenario.
@@ -804,11 +618,16 @@ pub fn shrink(
 ) -> (FuzzScenario, u32) {
     let mut best = original.clone();
     let mut spent = 0u32;
-    let mut try_accept = |cand: FuzzScenario, best: &mut FuzzScenario, spent: &mut u32| -> bool {
+    // Applies `simplify` to a copy of the best scenario so far and keeps
+    // the copy if it still fails the same way.
+    type Simplify<'a> = &'a dyn Fn(&mut FuzzScenario);
+    let mut try_accept = |best: &mut FuzzScenario, spent: &mut u32, simplify: Simplify| {
         if *spent >= budget {
             return false;
         }
         *spent += 1;
+        let mut cand = best.clone();
+        simplify(&mut cand);
         if matches!(check(&cand), Verdict::Fail(f) if f.kind == kind) {
             *best = cand;
             true
@@ -822,49 +641,36 @@ pub fn shrink(
         // may come back Invalid (a fault named a potential-only edge the
         // grid lacks) — that is rejected like any other.
         if best.mobility.is_some() {
-            let mut cand = best.clone();
-            cand.mobility = None;
-            improved |= try_accept(cand, &mut best, &mut spent);
+            improved |= try_accept(&mut best, &mut spent, &|c| c.mobility = None);
         }
         // Drop faults, largest index first so removal indices stay valid.
         for i in (0..best.faults.len()).rev() {
-            let mut cand = best.clone();
-            cand.faults.remove(i);
-            improved |= try_accept(cand, &mut best, &mut spent);
+            improved |= try_accept(&mut best, &mut spent, &|c| {
+                c.faults.remove(i);
+            });
         }
         if best.rows > 2 {
-            let mut cand = best.clone();
-            cand.rows -= 1;
-            improved |= try_accept(cand, &mut best, &mut spent);
+            improved |= try_accept(&mut best, &mut spent, &|c| c.rows -= 1);
         }
         if best.cols > 2 {
-            let mut cand = best.clone();
-            cand.cols -= 1;
-            improved |= try_accept(cand, &mut best, &mut spent);
+            improved |= try_accept(&mut best, &mut spent, &|c| c.cols -= 1);
         }
         if best.segments > 1 {
-            let mut cand = best.clone();
-            cand.segments -= 1;
-            improved |= try_accept(cand, &mut best, &mut spent);
+            improved |= try_accept(&mut best, &mut spent, &|c| c.segments -= 1);
         }
         // A repro that still fails on the sequential kernel is strictly
         // easier to debug than a sharded one.
         if best.shards > 1 {
-            let mut cand = best.clone();
-            cand.shards = 1;
-            improved |= try_accept(cand, &mut best, &mut spent);
+            improved |= try_accept(&mut best, &mut spent, &|c| c.shards = 1);
         }
         if kind != FailureKind::Liveness && best.deadline > SimTime::from_secs(600) {
-            let mut cand = best.clone();
-            cand.deadline = SimTime::from_micros(best.deadline.as_micros() / 2);
-            improved |= try_accept(cand, &mut best, &mut spent);
+            let half = SimTime::from_micros(best.deadline.as_micros() / 2);
+            improved |= try_accept(&mut best, &mut spent, &|c| c.deadline = half);
         }
         if let Some(tie) = best.tie_seed {
             if tie > 7 {
                 for small in 0..4u64 {
-                    let mut cand = best.clone();
-                    cand.tie_seed = Some(small);
-                    if try_accept(cand, &mut best, &mut spent) {
+                    if try_accept(&mut best, &mut spent, &|c| c.tie_seed = Some(small)) {
                         improved = true;
                         break;
                     }
@@ -953,195 +759,6 @@ pub fn emit_repro(sc: &FuzzScenario, failure: &FuzzFailure) -> String {
     out
 }
 
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// A parsed JSON value — exactly the subset [`emit_repro`] produces.
-#[derive(Clone, Debug, PartialEq)]
-enum Json {
-    Num(u64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn field<'a>(&'a self, name: &str) -> Option<&'a Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == name).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn num(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b) if b.is_ascii_digit() => self.number(),
-            other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                other => return Err(format!("bad object separator {other:?}")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => return Err(format!("bad array separator {other:?}")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).ok_or("bad \\u escape")?);
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(&b) => {
-                    // Multi-byte UTF-8 continuation bytes pass through.
-                    out.push(b as char);
-                    self.pos += 1;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|e| e.to_string())?
-            .parse()
-            .map(Json::Num)
-            .map_err(|e| format!("bad number: {e}"))
-    }
-}
-
 /// Parses a `repro.json` back into the scenario it records (plus the
 /// advisory recorded failure kind, if present and well-formed).
 ///
@@ -1153,117 +770,105 @@ impl<'a> Parser<'a> {
 /// replayed sequentially would "reproduce" a different schedule than the
 /// one that failed.
 pub fn parse_repro(text: &str) -> Result<(FuzzScenario, Option<FailureKind>), String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let root = p.value()?;
-    // Required integer: absent and mistyped are distinct errors.
-    let get = |name: &str| match root.field(name) {
-        None => Err(format!("missing integer field {name:?}")),
-        Some(v) => v
-            .num()
-            .ok_or_else(|| format!("field {name:?} is present but not an integer")),
-    };
-    // Optional integer: absent is fine (legacy repro), mistyped is not.
-    let opt = |name: &str| match root.field(name) {
-        None => Ok(None),
-        Some(v) => v
-            .num()
+    let root = Json::parse(text)?;
+    /// `obj.name` as an integer that fits `T`; `None` when absent.
+    fn int<T: TryFrom<u64>>(obj: &Json, name: &str) -> Result<Option<T>, String> {
+        let Some(v) = obj.get(name) else {
+            return Ok(None);
+        };
+        let n = v
+            .as_u64()
+            .ok_or_else(|| format!("field {name:?} is present but not an integer"))?;
+        T::try_from(n)
             .map(Some)
-            .ok_or_else(|| format!("field {name:?} is present but not an integer")),
-    };
-    let version = get("version")?;
+            .map_err(|_| format!("field {name:?} is out of range: {n}"))
+    }
+    /// Required integer: absent and mistyped are distinct errors.
+    fn get<T: TryFrom<u64>>(obj: &Json, name: &str) -> Result<T, String> {
+        int(obj, name)?.ok_or_else(|| format!("missing integer field {name:?}"))
+    }
+    let version: u64 = get(&root, "version")?;
     if version != 1 {
         return Err(format!("unsupported repro version {version}"));
     }
     let mut faults = Vec::new();
-    if let Some(Json::Arr(items)) = root.field("faults") {
+    if let Some(items) = root.get("faults").and_then(Json::as_arr) {
         for item in items {
-            let fget = |name: &str| match item.field(name) {
-                None => Err(format!("fault missing integer field {name:?}")),
-                Some(v) => v
-                    .num()
-                    .ok_or_else(|| format!("fault field {name:?} is present but not an integer")),
-            };
             let kind = item
-                .field("kind")
-                .and_then(Json::str)
+                .get("kind")
+                .and_then(Json::as_str)
                 .ok_or("fault missing kind")?;
+            let fget = |name| get::<u64>(item, name).map_err(|e| format!("fault: {e}"));
+            let node = |name| get::<u32>(item, name).map_err(|e| format!("fault: {e}"));
             faults.push(match kind {
                 "crash_restart" => FaultSpec::CrashRestart {
-                    node: fget("node")? as u32,
+                    node: node("node")?,
                     at: SimTime::from_micros(fget("at_us")?),
                     down: SimDuration::from_micros(fget("down_us")?),
                 },
                 "link_flap" => FaultSpec::LinkFlap {
-                    from: fget("from")? as u32,
-                    to: fget("to")? as u32,
+                    from: node("from")?,
+                    to: node("to")?,
                     at: SimTime::from_micros(fget("at_us")?),
                     down: SimDuration::from_micros(fget("down_us")?),
                     ber_ppb: fget("ber_ppb")?,
                 },
                 "storage_faults" => FaultSpec::StorageFaults {
-                    node: fget("node")? as u32,
+                    node: node("node")?,
                     at: SimTime::from_micros(fget("at_us")?),
-                    failures: fget("failures")? as u32,
+                    failures: node("failures")?,
                 },
                 other => return Err(format!("unknown fault kind {other:?}")),
             });
         }
     }
     let recorded = root
-        .field("failure")
-        .and_then(|f| f.field("kind"))
-        .and_then(Json::str)
+        .get("failure")
+        .and_then(|f| f.get("kind"))
+        .and_then(Json::as_str)
         .and_then(FailureKind::from_name);
-    let protocol = match root.field("protocol") {
+    let protocol = match root.get("protocol") {
         // Absent in pre-coding repros: those all ran MNP.
-        None => FuzzProtocol::Mnp,
+        None => ProtocolId::of::<mnp::Mnp>(),
         Some(v) => {
             let name = v
-                .str()
+                .as_str()
                 .ok_or("field \"protocol\" is present but not a string")?;
-            FuzzProtocol::from_name(name)
-                .ok_or_else(|| format!("unknown protocol {name:?} (mnp|rlnc|xor)"))?
+            ProtocolId::parse(name, FAULT_TESTED)?
         }
     };
-    let mobility = match root.field("mobility") {
+    let mobility = match root.get("mobility") {
         // Absent in pre-mobility repros: those all ran static grids.
         None => None,
         Some(m) => {
             let layout_name = m
-                .field("layout")
+                .get("layout")
                 .ok_or("mobility object missing \"layout\"")?
-                .str()
+                .as_str()
                 .ok_or("mobility field \"layout\" is present but not a string")?;
             let layout = FuzzLayout::from_name(layout_name).ok_or_else(|| {
                 format!(
                     "unknown mobility layout {layout_name:?} (uniform|poisson|clustered|corridor)"
                 )
             })?;
-            let speed_tenths = m
-                .field("speed_tenths")
-                .ok_or("mobility object missing \"speed_tenths\"")?
-                .num()
-                .ok_or("mobility field \"speed_tenths\" is present but not an integer")?;
             Some(MobilitySpec {
                 layout,
-                speed_tenths: speed_tenths as u32,
+                speed_tenths: get(m, "speed_tenths").map_err(|e| format!("mobility: {e}"))?,
             })
         }
     };
     Ok((
         FuzzScenario {
             protocol,
-            rows: get("rows")? as usize,
-            cols: get("cols")? as usize,
-            segments: get("segments")? as u16,
-            seed: get("seed")?,
-            tie_seed: opt("tie_seed")?,
-            deadline: SimTime::from_micros(get("deadline_us")?),
+            rows: get(&root, "rows")?,
+            cols: get(&root, "cols")?,
+            segments: get(&root, "segments")?,
+            seed: get(&root, "seed")?,
+            // Absent in FIFO repros.
+            tie_seed: int(&root, "tie_seed")?,
+            deadline: SimTime::from_micros(get(&root, "deadline_us")?),
             // Absent in pre-sharding repros: those ran sequentially.
-            shards: opt("shards")?.unwrap_or(1) as usize,
+            shards: int(&root, "shards")?.unwrap_or(1),
             mobility,
             faults,
         },
@@ -1352,10 +957,11 @@ pub fn fuzz(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mnp::Mnp;
 
     fn sample_scenario() -> FuzzScenario {
         FuzzScenario {
-            protocol: FuzzProtocol::Mnp,
+            protocol: ProtocolId::of::<Mnp>(),
             rows: 3,
             cols: 4,
             segments: 2,
@@ -1386,50 +992,81 @@ mod tests {
         }
     }
 
-    #[test]
-    fn repro_json_roundtrips() {
-        let sc = sample_scenario();
-        let failure = FuzzFailure {
-            kind: FailureKind::Invariant,
-            message: "node 3 wrote EEPROM packet (0,3) twice — \"quoted\"\nline 2".into(),
-        };
-        let json = emit_repro(&sc, &failure);
-        let (parsed, recorded) = parse_repro(&json).expect("parse back");
-        assert_eq!(parsed, sc);
-        assert_eq!(recorded, Some(FailureKind::Invariant));
+    /// A small clean static scenario every oracle passes.
+    fn small_scenario() -> FuzzScenario {
+        FuzzScenario {
+            rows: 3,
+            cols: 3,
+            segments: 1,
+            seed: 5,
+            tie_seed: None,
+            deadline: SimTime::from_secs(4 * 3_600),
+            shards: 1,
+            faults: Vec::new(),
+            ..sample_scenario()
+        }
     }
 
     #[test]
-    fn repro_json_roundtrips_without_tie_seed_or_faults() {
+    fn repro_json_roundtrips() {
+        let mobile = Some(MobilitySpec {
+            layout: FuzzLayout::Clustered,
+            speed_tenths: 12,
+        });
+        let mut scenarios = vec![
+            sample_scenario(),
+            // Optional fields absent from the document.
+            FuzzScenario {
+                tie_seed: None,
+                faults: Vec::new(),
+                ..sample_scenario()
+            },
+            FuzzScenario {
+                mobility: mobile,
+                ..sample_scenario()
+            },
+        ];
+        scenarios.extend(FAULT_TESTED.iter().map(|name| FuzzScenario {
+            protocol: ProtocolId::lookup(name).unwrap(),
+            ..sample_scenario()
+        }));
+        for sc in scenarios {
+            let failure = FuzzFailure {
+                kind: FailureKind::Invariant,
+                message: "node 3 wrote EEPROM packet (0,3) twice — \"quoted\"\nline 2".into(),
+            };
+            let json = emit_repro(&sc, &failure);
+            let (parsed, recorded) = parse_repro(&json).expect("parse back");
+            assert_eq!(parsed, sc, "{json}");
+            assert_eq!(recorded, Some(FailureKind::Invariant));
+            assert_eq!(parsed.tie_break() == TieBreak::Fifo, sc.tie_seed.is_none());
+            assert_eq!(
+                json.contains("\"layout\": \"clustered\""),
+                sc.mobility.is_some()
+            );
+        }
+        // Hostile nesting is an error here too, not a stack overflow.
+        assert!(parse_repro(&"[".repeat(100_000)).is_err());
+    }
+
+    #[test]
+    fn repro_json_roundtrips_full_range_seeds_exactly() {
+        // Fuzz seeds are full-range u64 draws, far beyond f64's 2^53 exact
+        // integers: a reader that went through a float would replay a
+        // *different* schedule than the one that failed.
         let sc = FuzzScenario {
-            tie_seed: None,
-            faults: Vec::new(),
+            seed: 11142325072803023859,
+            tie_seed: Some(u64::MAX),
             ..sample_scenario()
         };
         let failure = FuzzFailure {
             kind: FailureKind::Liveness,
             message: "x".into(),
         };
-        let (parsed, recorded) = parse_repro(&emit_repro(&sc, &failure)).unwrap();
+        let (parsed, _) = parse_repro(&emit_repro(&sc, &failure)).unwrap();
+        assert_eq!(parsed.seed, 11142325072803023859);
+        assert_eq!(parsed.tie_seed, Some(u64::MAX));
         assert_eq!(parsed, sc);
-        assert_eq!(recorded, Some(FailureKind::Liveness));
-        assert_eq!(parsed.tie_break(), TieBreak::Fifo);
-    }
-
-    #[test]
-    fn repro_json_roundtrips_coded_protocols() {
-        for protocol in [FuzzProtocol::Rlnc, FuzzProtocol::Xor] {
-            let sc = FuzzScenario {
-                protocol,
-                ..sample_scenario()
-            };
-            let failure = FuzzFailure {
-                kind: FailureKind::Liveness,
-                message: "x".into(),
-            };
-            let (parsed, _) = parse_repro(&emit_repro(&sc, &failure)).unwrap();
-            assert_eq!(parsed, sc);
-        }
     }
 
     #[test]
@@ -1440,7 +1077,7 @@ mod tests {
         let json = r#"{"version": 1, "rows": 3, "cols": 3, "segments": 1,
                        "seed": 5, "deadline_us": 600000000, "faults": []}"#;
         let (sc, recorded) = parse_repro(json).expect("legacy repro parses");
-        assert_eq!(sc.protocol, FuzzProtocol::Mnp);
+        assert_eq!(sc.protocol, ProtocolId::of::<Mnp>());
         assert_eq!(sc.shards, 1);
         assert_eq!(sc.tie_seed, None);
         assert_eq!(recorded, None);
@@ -1459,9 +1096,28 @@ mod tests {
         };
         for (field, needle) in [
             (r#""shards": "four""#, "shards"),
+            (r#""shards": 1.5"#, "shards"),
             (r#""tie_seed": "low""#, "tie_seed"),
+            (r#""tie_seed": -3"#, "tie_seed"),
+            // One past u64::MAX only exists as a float.
+            (r#""tie_seed": 18446744073709551616"#, "tie_seed"),
             (r#""protocol": 7"#, "protocol"),
             (r#""protocol": "fountain""#, "fountain"),
+            (
+                r#""mobility": {"layout": "warp", "speed_tenths": 5}"#,
+                "warp",
+            ),
+            (
+                r#""mobility": {"layout": "uniform", "speed_tenths": "fast"}"#,
+                "speed_tenths",
+            ),
+            // Fits u64, not the field's u32.
+            (
+                r#""mobility": {"layout": "uniform", "speed_tenths": 4294967296}"#,
+                "out of range",
+            ),
+            (r#""mobility": {"speed_tenths": 5}"#, "layout"),
+            (r#""mobility": {"layout": 3, "speed_tenths": 5}"#, "layout"),
         ] {
             let err = parse_repro(&base(field)).expect_err(field);
             assert!(err.contains(needle), "{field}: {err}");
@@ -1494,56 +1150,43 @@ mod tests {
     }
 
     #[test]
-    fn clean_scenario_passes_all_oracles() {
-        let sc = FuzzScenario {
-            protocol: FuzzProtocol::Mnp,
-            rows: 3,
-            cols: 3,
-            segments: 1,
-            seed: 5,
-            tie_seed: None,
-            deadline: SimTime::from_secs(4 * 3_600),
-            shards: 1,
-            mobility: None,
-            faults: Vec::new(),
-        };
-        assert_eq!(run_scenario(&sc), Verdict::Pass);
-        // The permuted schedule of the same scenario passes too.
-        let permuted = FuzzScenario {
-            tie_seed: Some(11),
-            ..sc
-        };
-        assert_eq!(run_scenario(&permuted), Verdict::Pass);
-    }
-
-    #[test]
-    fn coded_scenarios_pass_all_oracles() {
-        // Both coded protocols through the full oracle set, including the
-        // RLNC decoder rank-discipline check and a storage fault (the
-        // coded commit paths must retry/re-request, not stall liveness).
-        for protocol in [FuzzProtocol::Rlnc, FuzzProtocol::Xor] {
-            let sc = FuzzScenario {
-                protocol,
-                rows: 3,
-                cols: 3,
-                segments: 1,
-                seed: 5,
+    fn clean_scenarios_pass_all_oracles() {
+        let storage_fault = vec![FaultSpec::StorageFaults {
+            node: 4,
+            at: SimTime::from_secs(10),
+            failures: 2,
+        }];
+        let mut scenarios = vec![
+            small_scenario(),
+            // The permuted schedule of the same scenario.
+            FuzzScenario {
                 tie_seed: Some(11),
-                deadline: SimTime::from_secs(4 * 3_600),
-                shards: 1,
-                mobility: None,
-                faults: vec![FaultSpec::StorageFaults {
-                    node: 4,
-                    at: SimTime::from_secs(10),
-                    failures: 2,
-                }],
-            };
-            assert_eq!(
-                run_scenario(&sc),
-                Verdict::Pass,
-                "{} failed the oracle set",
-                protocol.name()
-            );
+                ..small_scenario()
+            },
+            // Mirrors `mobility::tests`: 9 nodes at 2 ft/s complete well
+            // inside the 4 h deadline, here through the full oracle set
+            // and the motion-driven link schedule.
+            FuzzScenario {
+                seed: 2,
+                mobility: Some(MobilitySpec {
+                    layout: FuzzLayout::Uniform,
+                    speed_tenths: 20,
+                }),
+                ..small_scenario()
+            },
+        ];
+        // Every fault-tested protocol through the full oracle set,
+        // including the decoder rank-discipline check and a storage fault
+        // (the coded commit paths must retry/re-request, not stall
+        // liveness).
+        scenarios.extend(FAULT_TESTED.iter().map(|name| FuzzScenario {
+            protocol: ProtocolId::lookup(name).unwrap(),
+            tie_seed: Some(11),
+            faults: storage_fault.clone(),
+            ..small_scenario()
+        }));
+        for sc in scenarios {
+            assert_eq!(run_scenario(&sc), Verdict::Pass, "{sc}");
         }
     }
 
@@ -1551,35 +1194,25 @@ mod tests {
     fn generation_draws_every_protocol() {
         let mut seen = [false; 3];
         for i in 0..64 {
-            match generate(9, i, false).protocol {
-                FuzzProtocol::Mnp => seen[0] = true,
-                FuzzProtocol::Rlnc => seen[1] = true,
-                FuzzProtocol::Xor => seen[2] = true,
-            }
+            let name = generate(9, i, false).protocol.name();
+            let drawn = FAULT_TESTED.iter().position(|n| *n == name);
+            seen[drawn.expect("draws stay inside FAULT_TESTED")] = true;
             if seen.iter().all(|&s| s) {
                 return;
             }
         }
-        panic!("64 draws never covered all of mnp/rlnc/xor: {seen:?}");
+        panic!("64 draws never covered all of {FAULT_TESTED:?}: {seen:?}");
     }
 
     #[test]
     fn orphaned_fault_is_invalid_not_failing() {
         let sc = FuzzScenario {
-            protocol: FuzzProtocol::Mnp,
-            rows: 3,
-            cols: 3,
-            segments: 1,
-            seed: 5,
-            tie_seed: None,
-            deadline: SimTime::from_secs(600),
-            shards: 1,
-            mobility: None,
             faults: vec![FaultSpec::CrashRestart {
                 node: 99, // a 3x3 grid has nodes 0..9
                 at: SimTime::from_secs(100),
                 down: SimDuration::from_secs(10),
             }],
+            ..small_scenario()
         };
         assert!(matches!(run_scenario(&sc), Verdict::Invalid(_)));
     }
@@ -1654,71 +1287,6 @@ mod tests {
     }
 
     #[test]
-    fn repro_json_roundtrips_mobile_scenarios() {
-        let sc = FuzzScenario {
-            mobility: Some(MobilitySpec {
-                layout: FuzzLayout::Clustered,
-                speed_tenths: 12,
-            }),
-            ..sample_scenario()
-        };
-        let failure = FuzzFailure {
-            kind: FailureKind::Liveness,
-            message: "x".into(),
-        };
-        let json = emit_repro(&sc, &failure);
-        assert!(json.contains("\"layout\": \"clustered\""), "{json}");
-        let (parsed, _) = parse_repro(&json).unwrap();
-        assert_eq!(parsed, sc);
-    }
-
-    #[test]
-    fn malformed_mobility_fields_are_hard_errors() {
-        let base = |mobility: &str| {
-            format!(
-                r#"{{"version": 1, "rows": 3, "cols": 3, "segments": 1,
-                     "seed": 5, "deadline_us": 600000000, "faults": [],
-                     "mobility": {mobility}}}"#
-            )
-        };
-        for (mobility, needle) in [
-            (r#"{"layout": "warp", "speed_tenths": 5}"#, "warp"),
-            (
-                r#"{"layout": "uniform", "speed_tenths": "fast"}"#,
-                "speed_tenths",
-            ),
-            (r#"{"speed_tenths": 5}"#, "layout"),
-            (r#"{"layout": 3, "speed_tenths": 5}"#, "layout"),
-        ] {
-            let err = parse_repro(&base(mobility)).expect_err(mobility);
-            assert!(err.contains(needle), "{mobility}: {err}");
-        }
-    }
-
-    #[test]
-    fn mobile_scenario_passes_all_oracles() {
-        // Mirrors `mobility::tests`: 9 nodes at 2 ft/s complete well
-        // inside the 4 h deadline, here through the full oracle set and
-        // the motion-driven link schedule.
-        let sc = FuzzScenario {
-            protocol: FuzzProtocol::Mnp,
-            rows: 3,
-            cols: 3,
-            segments: 1,
-            seed: 2,
-            tie_seed: None,
-            deadline: SimTime::from_secs(4 * 3_600),
-            shards: 1,
-            mobility: Some(MobilitySpec {
-                layout: FuzzLayout::Uniform,
-                speed_tenths: 20,
-            }),
-            faults: Vec::new(),
-        };
-        assert_eq!(run_scenario(&sc), Verdict::Pass);
-    }
-
-    #[test]
     fn generation_draws_both_static_and_mobile_scenarios() {
         let (mut still, mut moving) = (false, false);
         for i in 0..64 {
@@ -1742,13 +1310,7 @@ mod tests {
 
     #[test]
     fn failure_kind_names_roundtrip() {
-        for kind in [
-            FailureKind::Panic,
-            FailureKind::Invariant,
-            FailureKind::Liveness,
-            FailureKind::Conservation,
-            FailureKind::StatOverflow,
-        ] {
+        for kind in FailureKind::ALL {
             assert_eq!(FailureKind::from_name(kind.name()), Some(kind));
         }
         assert_eq!(FailureKind::from_name("nonsense"), None);

@@ -17,15 +17,15 @@
 //! | [`fig12`] | Fig. 12 — message classes per one-minute window |
 //! | [`fig13`] | Fig. 13 — propagation snapshots |
 //! | [`deluge_cmp`] | §5 — MNP vs Deluge completion and ART |
-//! | [`coded_cmp`] | loss-sweep campaign — MNP vs Deluge vs RLNC vs XOR (`mnp-run coded`) |
 //! | [`diagonal`] | §5 — diagonal-vs-edge propagation dynamic |
 //! | [`battery`] | §6 — battery-aware sender selection extension |
 //! | [`subsets`] | §6 — subset (targeted) dissemination extension |
 //! | [`resilience`] | §3.3 — fail-stop resilience + chaos (crash–restart, link-flap) sweeps |
 //! | [`mobility`] | dynamic topologies — mobile/irregular scenarios with churn |
-//! | [`mobility_cmp`] | mobility sweep — MNP vs Deluge vs RLNC (`mnp-run mobility`) |
 //! | [`capture`] | X4 — capture-effect sensitivity of the radio model |
 //! | [`ablation`] | DESIGN.md A1–A4 — design-choice ablations |
+//! | [`sweep`] | protocol-comparison sweeps: the loss campaign (`mnp-run coded`) and the mobility campaign (`mnp-run mobility`) |
+//! | [`registry`] | the `Disseminator` trait and the one protocol list every harness dispatches from |
 //! | [`scale`] | simulator scale benchmark (`mnp-run scale`, BENCH_scale.json) |
 //! | [`fuzz`] | DESIGN.md §11 — schedule-exploration fuzz harness (`mnp-run fuzz`/`repro`) |
 
@@ -35,7 +35,6 @@
 pub mod ablation;
 pub mod battery;
 pub mod capture;
-pub mod coded_cmp;
 pub mod deluge_cmp;
 pub mod diagonal;
 pub mod fig05;
@@ -48,13 +47,15 @@ pub mod fig12;
 pub mod fig13;
 pub mod fuzz;
 pub mod mobility;
-pub mod mobility_cmp;
+pub mod registry;
 pub mod report;
 pub mod resilience;
 pub mod runner;
 pub mod scale;
 pub mod subsets;
+pub mod sweep;
 pub mod table1;
 
 pub use mobility::{FieldLayout, MobileExperiment};
-pub use runner::{GridExperiment, RunOutcome};
+pub use registry::{Disseminator, ProtocolId};
+pub use runner::{GridExperiment, Instruments, RunOutcome};

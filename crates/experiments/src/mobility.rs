@@ -8,16 +8,15 @@
 //! schedule of [`LinkChange`]s (`mnp_topology::mobility`), so runs stay
 //! byte-identical at any shard count.
 
-use mnp::{Mnp, MnpConfig};
-use mnp_baselines::{Deluge, DelugeConfig, Rlnc, RlncConfig, Xor, XorConfig};
-use mnp_net::{FaultPlan, LinkChange, Network, NetworkBuilder, Observer, Protocol};
-use mnp_radio::{NodeId, PowerLevel};
-use mnp_sim::{SimDuration, SimRng, SimTime, TieBreak};
+use mnp_net::{FaultPlan, LinkChange, NetworkBuilder};
+use mnp_radio::{LinkTable, NodeId, PowerLevel};
+use mnp_sim::{SimDuration, SimTime, TieBreak};
 use mnp_storage::{ImageLayout, ProgramId, ProgramImage};
 use mnp_topology::mobility::{materialize, Field, MobileTopology, MobilityModel};
 use mnp_topology::{GridSpec, Placement};
 
-use crate::runner::RunOutcome;
+use crate::registry::{with_protocol, Disseminator, ProtocolId};
+use crate::runner::{reaches_all, run, topology_rng, Instruments, RunOutcome};
 
 /// How nodes are placed at `t = 0`.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -170,16 +169,11 @@ impl MobileExperiment {
         self.seed
     }
 
-    /// The image under dissemination.
-    pub fn image(&self) -> &ProgramImage {
-        &self.image
-    }
-
     /// Builds the potential-edge topology and link schedule this
     /// scenario runs over — exposed for tests and viability checks.
     pub fn mobile_topology(&self) -> MobileTopology {
         let field = Field::new(self.width_ft, self.height_ft);
-        let mut topo_rng = SimRng::new(self.seed).derive(0xdeadbeef);
+        let mut topo_rng = topology_rng(self.seed);
         let initial = match self.layout {
             FieldLayout::Uniform => {
                 Placement::random(self.nodes, self.width_ft, self.height_ft, &mut topo_rng)
@@ -213,129 +207,11 @@ impl MobileExperiment {
         materialize(&initial, &plan, PowerLevel::FULL, &mut topo_rng.derive(2))
     }
 
-    /// Whether the `t = 0` topology has a usable bidirectional path from
-    /// the base to every node. Campaigns check this and reseed rather
-    /// than run a scenario that starts partitioned. (The `t = 0` link
-    /// set is speed-independent for a fixed seed, so one viable seed is
-    /// viable across a whole speed sweep.)
-    pub fn is_viable(&self) -> bool {
-        self.mobile_topology()
-            .topology
-            .links
-            .reaches_all_usable(NodeId(0), mnp_radio::loss::usable_ber_threshold())
-    }
-
-    /// Runs MNP over this scenario.
-    pub fn run_mnp(&self, tweak: impl Fn(&mut MnpConfig)) -> RunOutcome {
-        self.run_mnp_observed(tweak, Vec::new())
-    }
-
-    /// Runs MNP with `observers` attached.
-    pub fn run_mnp_observed(
-        &self,
-        tweak: impl Fn(&mut MnpConfig),
-        observers: Vec<Box<dyn Observer + Send>>,
-    ) -> RunOutcome {
-        let mut cfg = MnpConfig::for_image(&self.image);
-        tweak(&mut cfg);
-        let image = self.image.clone();
-        let mut net = self.build_network(observers, |id, _| {
-            if id == NodeId(0) {
-                Mnp::base_station(cfg.clone(), &image)
-            } else {
-                Mnp::node(cfg.clone())
-            }
-        });
-        let completed = net.run_until_all_complete(self.deadline);
-        self.collect(&mut net, completed)
-    }
-
-    /// Runs the Deluge-like baseline with `observers` attached.
-    pub fn run_deluge_observed(
-        &self,
-        tweak: impl Fn(&mut DelugeConfig),
-        observers: Vec<Box<dyn Observer + Send>>,
-    ) -> RunOutcome {
-        let mut cfg = DelugeConfig::for_image(&self.image);
-        tweak(&mut cfg);
-        let image = self.image.clone();
-        let mut net = self.build_network(observers, |id, _| {
-            if id == NodeId(0) {
-                Deluge::base_station(cfg.clone(), &image)
-            } else {
-                Deluge::node(cfg.clone())
-            }
-        });
-        let completed = net.run_until_all_complete(self.deadline);
-        self.collect(&mut net, completed)
-    }
-
-    /// Runs the Deluge-like baseline.
-    pub fn run_deluge(&self, tweak: impl Fn(&mut DelugeConfig)) -> RunOutcome {
-        self.run_deluge_observed(tweak, Vec::new())
-    }
-
-    /// Runs the RLNC protocol with `observers` attached.
-    pub fn run_rlnc_observed(
-        &self,
-        tweak: impl Fn(&mut RlncConfig),
-        observers: Vec<Box<dyn Observer + Send>>,
-    ) -> RunOutcome {
-        let mut cfg = RlncConfig::for_image(&self.image);
-        tweak(&mut cfg);
-        let image = self.image.clone();
-        let mut net = self.build_network(observers, |id, _| {
-            if id == NodeId(0) {
-                Rlnc::base_station(cfg.clone(), &image)
-            } else {
-                Rlnc::node(cfg.clone())
-            }
-        });
-        let completed = net.run_until_all_complete(self.deadline);
-        self.collect(&mut net, completed)
-    }
-
-    /// Runs the RLNC protocol.
-    pub fn run_rlnc(&self, tweak: impl Fn(&mut RlncConfig)) -> RunOutcome {
-        self.run_rlnc_observed(tweak, Vec::new())
-    }
-
-    /// Runs the XOR recoding protocol.
-    pub fn run_xor(&self, tweak: impl Fn(&mut XorConfig)) -> RunOutcome {
-        let mut cfg = XorConfig::for_image(&self.image);
-        tweak(&mut cfg);
-        let image = self.image.clone();
-        let mut net = self.build_network(Vec::new(), |id, _| {
-            if id == NodeId(0) {
-                Xor::base_station(cfg.clone(), &image)
-            } else {
-                Xor::node(cfg.clone())
-            }
-        });
-        let completed = net.run_until_all_complete(self.deadline);
-        self.collect(&mut net, completed)
-    }
-
-    fn collect<P: Protocol>(&self, net: &mut Network<P>, completed: bool) -> RunOutcome {
-        // RunOutcome is grid-shaped for the paper figures; a mobile field
-        // has no rows/cols, so record it as a 1×n line at unit spacing.
-        RunOutcome::collect(net, GridSpec::new(1, self.nodes, 1.0), completed)
-    }
-
-    fn build_network<P, F>(&self, observers: Vec<Box<dyn Observer + Send>>, make: F) -> Network<P>
-    where
-        P: Protocol,
-        F: FnMut(NodeId, &mut SimRng) -> P,
-    {
+    /// The potential-edge link table and the motion-induced link schedule
+    /// a network of this scenario is built from.
+    pub(crate) fn links_and_schedule(&self) -> (LinkTable, Vec<LinkChange>) {
         let mobile = self.mobile_topology();
-        assert!(
-            mobile
-                .topology
-                .links
-                .reaches_all_usable(NodeId(0), mnp_radio::loss::usable_ber_threshold()),
-            "initial mobile topology has no usable path to some node (reseed)"
-        );
-        let schedule: Vec<LinkChange> = mobile
+        let schedule = mobile
             .updates
             .iter()
             .map(|u| LinkChange {
@@ -345,7 +221,55 @@ impl MobileExperiment {
                 ber: u.ber,
             })
             .collect();
-        let mut builder = NetworkBuilder::new(mobile.topology.links, self.seed)
+        (mobile.topology.links, schedule)
+    }
+
+    /// Whether the `t = 0` topology has a usable bidirectional path from
+    /// the base to every node. Campaigns check this and reseed rather
+    /// than run a scenario that starts partitioned. (The `t = 0` link
+    /// set is speed-independent for a fixed seed, so one viable seed is
+    /// viable across a whole speed sweep.)
+    pub fn is_viable(&self) -> bool {
+        reaches_all(&self.mobile_topology().topology.links)
+    }
+
+    /// Runs protocol `P` over this scenario; `tweak` may adjust the
+    /// protocol config.
+    pub fn run<P: Disseminator>(&self, tweak: impl FnOnce(&mut P::Config)) -> RunOutcome {
+        self.run_observed::<P>(tweak, Instruments::default())
+    }
+
+    /// Runs protocol `P` with `instruments` attached to the network.
+    pub fn run_observed<P: Disseminator>(
+        &self,
+        tweak: impl FnOnce(&mut P::Config),
+        instruments: Instruments,
+    ) -> RunOutcome {
+        // RunOutcome is grid-shaped for the paper figures; a mobile field
+        // has no rows/cols, so record it as a 1×n line at unit spacing.
+        let grid = GridSpec::new(1, self.nodes, 1.0);
+        run::<P>(
+            self.builder(instruments),
+            &self.image,
+            tweak,
+            grid,
+            self.deadline,
+        )
+    }
+
+    /// Runs the registered protocol `protocol` names, at its default
+    /// config.
+    pub fn run_named(&self, protocol: ProtocolId, instruments: Instruments) -> RunOutcome {
+        with_protocol!(protocol, P => self.run_observed::<P>(|_| {}, instruments))
+    }
+
+    fn builder(&self, instruments: Instruments) -> NetworkBuilder {
+        let (links, schedule) = self.links_and_schedule();
+        assert!(
+            reaches_all(&links),
+            "initial mobile topology has no usable path to some node (reseed)"
+        );
+        let mut builder = NetworkBuilder::new(links, self.seed)
             .tie_break(self.tie_break)
             .shards(self.shards)
             .link_schedule(schedule);
@@ -359,16 +283,14 @@ impl MobileExperiment {
             );
             builder = builder.faults(plan);
         }
-        for obs in observers {
-            builder = builder.observer(obs);
-        }
-        builder.build(make)
+        instruments.attach(builder)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mnp::Mnp;
 
     /// Seed 2 is viable for the default 9-node field (checked below);
     /// tests pin it so they exercise runs, not reseeding.
@@ -389,7 +311,7 @@ mod tests {
 
     #[test]
     fn mnp_completes_over_a_mobile_field() {
-        let out = scenario().run_mnp(|_| {});
+        let out = scenario().run::<Mnp>(|_| {});
         assert!(out.completed, "dissemination must survive 2 ft/s motion");
     }
 
@@ -399,15 +321,15 @@ mod tests {
         // (one with the no-op schedule machinery, one fresh) agree.
         let s = MobileExperiment::new(9).seed(2).speed(0.0);
         assert!(s.mobile_topology().updates.is_empty());
-        let a = s.run_mnp(|_| {});
-        let b = s.run_mnp(|_| {});
+        let a = s.run::<Mnp>(|_| {});
+        let b = s.run::<Mnp>(|_| {});
         assert_eq!(a.completion, b.completion);
         assert_eq!(a.sent, b.sent);
     }
 
     #[test]
     fn churn_and_motion_compose() {
-        let out = scenario().churn(3).run_mnp(|_| {});
+        let out = scenario().churn(3).run::<Mnp>(|_| {});
         assert!(out.completed, "churned nodes must rejoin and finish");
     }
 
@@ -419,7 +341,7 @@ mod tests {
             .speed(1.0)
             .seed(6);
         assert!(s.is_viable(), "corridor seed 6 is viable (checked)");
-        let out = s.run_mnp(|_| {});
+        let out = s.run::<Mnp>(|_| {});
         assert!(out.completed);
     }
 }

@@ -1,14 +1,16 @@
 //! Bench/profile report diffing (`mnp-run report`) and history compare.
 //!
 //! The build environment is offline, so this module carries its own small
-//! JSON reader: a recursive-descent parser into a [`Json`] value tree that
-//! understands the full scalar set (numbers with fractions/exponents,
-//! strings with escapes, booleans, null) — unlike the intentionally
-//! minimal integer-only reader inside the fuzz repro loader. It exists to
-//! *consume* the documents this workspace *produces* (`BENCH_scale.json`,
-//! `BENCH_history.jsonl`, `mnp-run profile --out` JSON), not to be a
-//! general-purpose JSON library; it accepts that grammar strictly and
-//! reports positions on errors.
+//! JSON reader — the workspace's only one: a recursive-descent parser
+//! into a [`Json`] value tree that understands the full scalar set
+//! (numbers with fractions/exponents, strings with escapes, booleans,
+//! null), keeps unsigned integers exact over the whole `u64` range (fuzz
+//! seeds in `repro.json` need every bit), and bounds nesting at
+//! [`MAX_DEPTH`] so hostile input yields an `Err`, not a stack overflow.
+//! It exists to *consume* the documents this workspace *produces*
+//! (`BENCH_scale.json`, `BENCH_history.jsonl`, `mnp-run profile --out`
+//! JSON, `repro.json`), not to be a general-purpose JSON library; it
+//! accepts that grammar strictly and reports positions on errors.
 //!
 //! On top of the parser sit the two consumers:
 //!
@@ -28,6 +30,10 @@ use crate::scale::ScaleMeasurement;
 /// [`history_regressions`] reports a regression.
 pub const REGRESSION_THRESHOLD_PCT: f64 = 10.0;
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The documents
+/// this workspace writes nest four levels at most.
+pub const MAX_DEPTH: usize = 64;
+
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
@@ -35,8 +41,10 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number (parsed as `f64`; the documents here stay well inside
-    /// the 2^53 exact-integer range).
+    /// An unsigned integer literal that fits `u64`, kept exact (an `f64`
+    /// only holds integers up to 2^53).
+    UInt(u64),
+    /// Any other number.
     Num(f64),
     /// A string, with escapes decoded.
     Str(String),
@@ -56,6 +64,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -77,15 +86,16 @@ impl Json {
     /// The numeric value, if this is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Json::UInt(n) => Some(*n as f64),
             Json::Num(n) => Some(*n),
             _ => None,
         }
     }
 
-    /// The numeric value as `u64`, if this is a non-negative number.
+    /// The exact value, if this is an unsigned integer literal.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 => Some(*n as u64),
+            Json::UInt(n) => Some(*n),
             _ => None,
         }
     }
@@ -118,6 +128,8 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -159,11 +171,25 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Parses one container, refusing to recurse past [`MAX_DEPTH`].
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -191,6 +217,11 @@ impl Parser<'_> {
         }
         let text =
             std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits and sign are ASCII");
+        // A plain digit string that fits stays an exact integer; anything
+        // else (sign, fraction, exponent, > u64::MAX) is a float.
+        if let Ok(n) = text.parse::<u64>() {
+            return Ok(Json::UInt(n));
+        }
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|e| format!("bad number {text:?} at byte {start}: {e}"))
@@ -300,6 +331,25 @@ impl Parser<'_> {
             }
         }
     }
+}
+
+/// Escapes a string for embedding in a JSON string literal — the writing
+/// counterpart of [`Json::parse`], shared by every artifact this crate
+/// renders.
+pub fn escape_json(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 /// Signed percent change from `a` to `b`; 0 when `a` is 0.
@@ -533,6 +583,34 @@ mod tests {
         assert_eq!(v.get("e"), Some(&Json::Null));
         assert_eq!(v.get("f").unwrap().as_str(), Some("x\"\\\nA"));
         assert_eq!(v.get("g").unwrap().as_arr().unwrap().len(), 3);
+    }
+
+    #[test]
+    fn unsigned_integers_stay_exact_over_the_whole_u64_range() {
+        let v = Json::parse("[18446744073709551615, 11142325072803023859, 18446744073709551616]")
+            .unwrap();
+        let items = v.as_arr().unwrap();
+        assert_eq!(items[0].as_u64(), Some(u64::MAX));
+        assert_eq!(items[1].as_u64(), Some(11142325072803023859));
+        // One past u64::MAX is only representable as a float.
+        assert_eq!(items[2].as_u64(), None);
+        assert!(items[2].as_f64().is_some());
+        // Non-integers never pass as integers.
+        assert_eq!(Json::parse("2.5").unwrap().as_u64(), None);
+        assert_eq!(Json::parse("-1").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn runaway_nesting_is_an_error_not_a_stack_overflow() {
+        for unit in ["[", "{\"a\":"] {
+            let err = Json::parse(&unit.repeat(100_000)).expect_err(unit);
+            assert!(err.contains("nesting deeper than 64 at byte"), "{err}");
+        }
+        // Exactly MAX_DEPTH levels still parse.
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&ok).is_ok());
+        let too_deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(Json::parse(&too_deep).is_err());
     }
 
     #[test]

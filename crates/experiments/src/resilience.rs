@@ -15,13 +15,15 @@
 
 use std::fmt;
 
-use mnp::{Mnp, MnpConfig};
-use mnp_baselines::{Rlnc, RlncConfig, Xor, XorConfig};
-use mnp_net::{FaultPlan, Network, NetworkBuilder, Protocol};
+use mnp::Mnp;
+use mnp_net::{FaultPlan, NetworkBuilder};
 use mnp_radio::{LinkTable, NodeId};
 use mnp_sim::{SimDuration, SimRng, SimTime};
 use mnp_storage::{ImageLayout, ProgramId, ProgramImage};
-use mnp_topology::{GridSpec, TopologyBuilder};
+use mnp_topology::GridSpec;
+
+use crate::registry::{with_protocol, Disseminator, ProtocolId};
+use crate::runner::{build, finish, GridExperiment};
 
 /// One row: a kill fraction and what happened.
 #[derive(Clone, Copy, Debug)]
@@ -54,19 +56,13 @@ pub fn run(seed: u64) -> Resilience {
 pub fn run_with(n: usize, fractions: &[f64], seed: u64) -> Resilience {
     let grid = GridSpec::new(n, n, 10.0);
     let image = ProgramImage::synthetic(ProgramId(1), ImageLayout::paper_default(1));
-    let cfg = MnpConfig::for_image(&image);
+    let links = GridExperiment::new(n, n, 10.0).seed(seed).sample_links();
     let rows = fractions
         .iter()
         .map(|&frac| {
-            let mut topo_rng = SimRng::new(seed).derive(0xdeadbeef);
-            let topo = TopologyBuilder::new(grid.placement()).build(&mut topo_rng);
-            let mut net: Network<Mnp> = NetworkBuilder::new(topo.links, seed).build(|id, _| {
-                if id == grid.corner() {
-                    Mnp::base_station(cfg.clone(), &image)
-                } else {
-                    Mnp::node(cfg.clone())
-                }
-            });
+            let builder = NetworkBuilder::new(links.clone(), seed);
+            let mut net = build::<Mnp>(builder, &image, Mnp::config_for(&image))
+                .expect("no fault plan to reject");
             // Pick victims and death times deterministically.
             let mut kill_rng = SimRng::new(seed).derive(0x6b11);
             let total = n * n;
@@ -83,7 +79,7 @@ pub fn run_with(n: usize, fractions: &[f64], seed: u64) -> Resilience {
                 net.schedule_failure(v, at);
             }
             let survivors: Vec<NodeId> = grid.nodes().filter(|id| !victims.contains(id)).collect();
-            let done = net.run_until(
+            net.run_until(
                 |net| survivors.iter().all(|&s| net.protocol(s).is_complete()),
                 SimTime::from_secs(2 * 3_600),
             );
@@ -96,7 +92,6 @@ pub fn run_with(n: usize, fractions: &[f64], seed: u64) -> Resilience {
                 .filter_map(|&s| net.trace().node(s).completion)
                 .max()
                 .unwrap_or_else(|| net.now());
-            let _ = done;
             ResilienceRow {
                 kill_fraction: frac,
                 killed: kill_count,
@@ -124,51 +119,18 @@ pub struct ChaosRow {
     pub completion_s: f64,
 }
 
-/// Which protocol a chaos sweep disseminates with.
-///
-/// The coded protocols go through the same transient-fault gauntlet as
-/// MNP: crash–restarts must resume from the flash prefix, flapped links
-/// must re-request or re-mix, and storage faults must retry (RLNC) or
-/// re-request (XOR) without costing coverage.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ChaosProtocol {
-    /// The paper's protocol.
-    Mnp,
-    /// Random linear network coding over GF(256).
-    Rlnc,
-    /// XOR single-hop recoding.
-    Xor,
-}
-
-impl ChaosProtocol {
-    /// Stable lowercase name (the `mnp-run chaos --protocol` value).
-    pub fn name(self) -> &'static str {
-        match self {
-            ChaosProtocol::Mnp => "mnp",
-            ChaosProtocol::Rlnc => "rlnc",
-            ChaosProtocol::Xor => "xor",
-        }
-    }
-
-    /// Parses a [`ChaosProtocol::name`] back.
-    pub fn from_name(s: &str) -> Option<ChaosProtocol> {
-        Some(match s {
-            "mnp" => ChaosProtocol::Mnp,
-            "rlnc" => ChaosProtocol::Rlnc,
-            "xor" => ChaosProtocol::Xor,
-            _ => return None,
-        })
-    }
-}
-
 /// The chaos sweep: transient crash–restart, link-flap, and
 /// storage-fault resilience.
 #[derive(Clone, Debug)]
 pub struct Chaos {
     /// Grid label.
     pub label: String,
-    /// The protocol that disseminated.
-    pub protocol: ChaosProtocol,
+    /// The protocol that disseminated. The coded protocols go through
+    /// the same transient-fault gauntlet as MNP: crash–restarts must
+    /// resume from the flash prefix, flapped links must re-request or
+    /// re-mix, and storage faults must retry (RLNC) or re-request (XOR)
+    /// without costing coverage.
+    pub protocol: ProtocolId,
     /// One row per crash–restart count.
     pub crash_rows: Vec<ChaosRow>,
     /// One row per link-flap count.
@@ -187,19 +149,11 @@ impl Chaos {
     }
 }
 
-/// Runs the default chaos sweep: 8×8 grid, 0–8 crash–restarts and 0–32
-/// link flaps.
+/// Runs the default chaos sweep: MNP on an 8×8 grid under 0–8
+/// crash–restarts and 0–32 link flaps.
 pub fn run_chaos(seed: u64) -> Chaos {
-    run_chaos_with(8, &[0, 2, 4, 8], &[0, 8, 16, 32], seed)
-}
-
-/// Runs the chaos sweep on an `n×n` grid: one run per crash–restart count
-/// in `crashes`, one per link-flap count in `flaps`. Fault schedules come
-/// from a [`FaultPlan`] seeded from `seed`, so the whole sweep is
-/// reproducible. MNP-only, no storage sweep — the legacy entry point;
-/// [`run_chaos_matrix`] is the full protocol × fault-class version.
-pub fn run_chaos_with(n: usize, crashes: &[usize], flaps: &[usize], seed: u64) -> Chaos {
-    run_chaos_matrix(ChaosProtocol::Mnp, n, crashes, flaps, &[], seed)
+    let mnp = ProtocolId::of::<Mnp>();
+    run_chaos_matrix(mnp, 8, &[0, 2, 4, 8], &[0, 8, 16, 32], &[], seed)
 }
 
 /// A seeded plan injecting `count` transient EEPROM write-fault bursts at
@@ -222,33 +176,32 @@ fn random_storage_plan(
     plan
 }
 
-/// One chaos run under any protocol: build the seeded topology, apply the
+/// One chaos run under protocol `P`: build the seeded topology, apply the
 /// plan, disseminate, and score coverage over *all* nodes.
-fn chaos_one<P: Protocol>(
-    grid: &GridSpec,
+fn chaos_one<P: Disseminator>(
+    n: usize,
     seed: u64,
     plan_of: &dyn Fn(&LinkTable) -> FaultPlan,
     injected: usize,
-    make: impl FnMut(NodeId, &mut SimRng) -> P,
-    done: impl Fn(&P) -> bool,
 ) -> ChaosRow {
-    let mut topo_rng = SimRng::new(seed).derive(0xdeadbeef);
-    let topo = TopologyBuilder::new(grid.placement()).build(&mut topo_rng);
-    let plan = plan_of(&topo.links);
-    let mut net: Network<P> = NetworkBuilder::new(topo.links, seed)
-        .faults(plan)
-        .build(make);
-    let _ = net.run_until_all_complete(SimTime::from_secs(2 * 3_600));
-    let total = grid.nodes().count();
-    let completed = grid.nodes().filter(|&id| done(net.protocol(id))).count();
-    let completion = grid
-        .nodes()
-        .filter_map(|id| net.trace().node(id).completion)
+    let image = ProgramImage::synthetic(ProgramId(1), ImageLayout::paper_default(1));
+    let scenario = GridExperiment::new(n, n, 10.0).seed(seed);
+    let links = scenario.sample_links();
+    let plan = plan_of(&links);
+    let builder = NetworkBuilder::new(links, seed).faults(plan);
+    let mut net =
+        build::<P>(builder, &image, P::config_for(&image)).unwrap_or_else(|e| panic!("{e}"));
+    let out = finish(&mut net, scenario.grid(), SimTime::from_secs(2 * 3_600));
+    // The slowest *completing* node, even when someone never finished.
+    let completion = out
+        .trace
+        .iter()
+        .filter_map(|(_, node)| node.completion)
         .max()
-        .unwrap_or_else(|| net.now());
+        .unwrap_or(out.completion);
     ChaosRow {
         injected,
-        coverage: completed as f64 / total as f64,
+        coverage: out.coverage(),
         completion_s: completion.as_secs_f64(),
     }
 }
@@ -259,7 +212,7 @@ fn chaos_one<P: Protocol>(
 /// coverage is expected of every protocol; the interesting output is the
 /// completion-time penalty.
 pub fn run_chaos_matrix(
-    protocol: ChaosProtocol,
+    protocol: ProtocolId,
     n: usize,
     crashes: &[usize],
     flaps: &[usize],
@@ -267,113 +220,41 @@ pub fn run_chaos_matrix(
     seed: u64,
 ) -> Chaos {
     let grid = GridSpec::new(n, n, 10.0);
-    let image = ProgramImage::synthetic(ProgramId(1), ImageLayout::paper_default(1));
     // Faults land while dissemination is in full swing (a single-segment
     // grid run completes in roughly a minute).
     let window = (SimTime::from_secs(2), SimTime::from_secs(40));
     let non_base: Vec<NodeId> = grid.nodes().filter(|&id| id != grid.corner()).collect();
 
-    let run_one = |plan_of: &dyn Fn(&LinkTable) -> FaultPlan, injected: usize| match protocol {
-        ChaosProtocol::Mnp => {
-            let cfg = MnpConfig::for_image(&image);
-            chaos_one(
-                &grid,
-                seed,
-                plan_of,
-                injected,
-                |id, _| {
-                    if id == grid.corner() {
-                        Mnp::base_station(cfg.clone(), &image)
-                    } else {
-                        Mnp::node(cfg.clone())
-                    }
-                },
-                Mnp::is_complete,
-            )
-        }
-        ChaosProtocol::Rlnc => {
-            let cfg = RlncConfig::for_image(&image);
-            chaos_one(
-                &grid,
-                seed,
-                plan_of,
-                injected,
-                |id, _| {
-                    if id == grid.corner() {
-                        Rlnc::base_station(cfg.clone(), &image)
-                    } else {
-                        Rlnc::node(cfg.clone())
-                    }
-                },
-                Rlnc::is_complete,
-            )
-        }
-        ChaosProtocol::Xor => {
-            let cfg = XorConfig::for_image(&image);
-            chaos_one(
-                &grid,
-                seed,
-                plan_of,
-                injected,
-                |id, _| {
-                    if id == grid.corner() {
-                        Xor::base_station(cfg.clone(), &image)
-                    } else {
-                        Xor::node(cfg.clone())
-                    }
-                },
-                Xor::is_complete,
-            )
-        }
+    // One run per count, under the plan `plan_of` draws for that count.
+    let sweep = |counts: &[usize], plan_of: &dyn Fn(usize, &LinkTable) -> FaultPlan| {
+        let row = |count| {
+            let plan_of = |links: &LinkTable| plan_of(count, links);
+            with_protocol!(protocol, P => chaos_one::<P>(n, seed, &plan_of, count))
+        };
+        counts.iter().map(|&count| row(count)).collect()
     };
-
-    let crash_rows = crashes
-        .iter()
-        .map(|&count| {
-            run_one(
-                &|_links| {
-                    FaultPlan::seeded(seed).random_crash_restarts(
-                        count,
-                        &non_base,
-                        window,
-                        (SimDuration::from_secs(5), SimDuration::from_secs(30)),
-                    )
-                },
-                count,
-            )
-        })
-        .collect();
-    let flap_rows = flaps
-        .iter()
-        .map(|&count| {
-            run_one(
-                &|links| {
-                    FaultPlan::seeded(seed ^ 1).random_link_flaps(
-                        count,
-                        links,
-                        window,
-                        (SimDuration::from_secs(2), SimDuration::from_secs(15)),
-                    )
-                },
-                count,
-            )
-        })
-        .collect();
-    let storage_rows = storage
-        .iter()
-        .map(|&count| {
-            run_one(
-                &|_links| random_storage_plan(seed ^ 2, count, &non_base, window),
-                count,
-            )
-        })
-        .collect();
     Chaos {
         label: grid.to_string(),
         protocol,
-        crash_rows,
-        flap_rows,
-        storage_rows,
+        crash_rows: sweep(crashes, &|count, _| {
+            FaultPlan::seeded(seed).random_crash_restarts(
+                count,
+                &non_base,
+                window,
+                (SimDuration::from_secs(5), SimDuration::from_secs(30)),
+            )
+        }),
+        flap_rows: sweep(flaps, &|count, links| {
+            FaultPlan::seeded(seed ^ 1).random_link_flaps(
+                count,
+                links,
+                window,
+                (SimDuration::from_secs(2), SimDuration::from_secs(15)),
+            )
+        }),
+        storage_rows: sweep(storage, &|count, _| {
+            random_storage_plan(seed ^ 2, count, &non_base, window)
+        }),
     }
 }
 
@@ -428,6 +309,7 @@ impl fmt::Display for Resilience {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::FAULT_TESTED;
 
     #[test]
     fn no_failures_baseline_is_full_coverage() {
@@ -446,51 +328,24 @@ mod tests {
     }
 
     #[test]
-    fn chaos_crash_restarts_preserve_full_coverage() {
-        // Crash–restarts are transient: the rebooted nodes resume from
-        // their EEPROM and everyone still completes.
-        let c = run_chaos_with(4, &[2], &[], 503);
-        assert_eq!(c.flap_rows.len(), 0);
-        assert!(
-            (c.crash_rows[0].coverage - 1.0).abs() < 1e-9,
-            "restarted nodes must still complete: {c}"
-        );
-    }
-
-    #[test]
-    fn chaos_link_flaps_preserve_full_coverage() {
-        let c = run_chaos_with(4, &[], &[4], 504);
-        assert!(
-            (c.flap_rows[0].coverage - 1.0).abs() < 1e-9,
-            "flapped links recover, so everyone completes: {c}"
-        );
-    }
-
-    #[test]
-    fn coded_protocols_survive_the_full_chaos_matrix() {
-        // Kills, flaps, and storage-fault bursts are all transient; the
+    fn fault_tested_protocols_survive_the_full_chaos_matrix() {
+        // Crash–restarts (rebooted nodes resume from their EEPROM), link
+        // flaps, and storage-fault bursts are all transient; MNP and the
         // coded dissemination paths (decode-commit retries for RLNC,
-        // re-requests for XOR) must hold full coverage like MNP does.
-        for protocol in [ChaosProtocol::Rlnc, ChaosProtocol::Xor] {
+        // re-requests for XOR) must all hold full coverage.
+        for name in FAULT_TESTED {
+            let protocol = ProtocolId::lookup(name).unwrap();
             let c = run_chaos_matrix(protocol, 4, &[2], &[4], &[3], 505);
             assert_eq!(c.protocol, protocol);
-            assert_eq!(c.storage_rows.len(), 1);
+            let rows = (c.crash_rows.len(), c.flap_rows.len(), c.storage_rows.len());
+            assert_eq!(rows, (1, 1, 1));
             for r in c.all_rows() {
                 assert!(
                     (r.coverage - 1.0).abs() < 1e-9,
-                    "{} lost coverage under {} transient fault(s): {c}",
-                    protocol.name(),
+                    "{name} lost coverage under {} transient fault(s): {c}",
                     r.injected
                 );
             }
         }
-    }
-
-    #[test]
-    fn chaos_protocol_names_roundtrip() {
-        for p in [ChaosProtocol::Mnp, ChaosProtocol::Rlnc, ChaosProtocol::Xor] {
-            assert_eq!(ChaosProtocol::from_name(p.name()), Some(p));
-        }
-        assert_eq!(ChaosProtocol::from_name("deluge"), None);
     }
 }

@@ -2,15 +2,120 @@
 
 use std::fmt;
 
-use mnp::{Mnp, MnpConfig};
-use mnp_baselines::{Deluge, DelugeConfig, Rlnc, RlncConfig, Xor, XorConfig};
-use mnp_net::{FaultPlan, Network, NetworkBuilder, Observer, Protocol};
+use mnp::Mnp;
+use mnp_net::{FaultPlan, FaultPlanError, Network, NetworkBuilder, Observer};
 use mnp_obs::{InvariantMonitor, Shared, TimeSeriesSampler};
-use mnp_radio::{NodeId, PowerLevel};
+use mnp_radio::{LinkTable, NodeId, PowerLevel};
 use mnp_sim::{SimRng, SimTime, TieBreak};
 use mnp_storage::{ImageLayout, ProgramId, ProgramImage};
 use mnp_topology::{GridSpec, TopologyBuilder};
 use mnp_trace::{MsgClass, RunTrace};
+
+use crate::registry::{with_protocol, Disseminator, ProtocolId};
+
+/// The base station of every harness scenario: node 0 (the grid corner).
+pub(crate) const BASE: NodeId = NodeId(0);
+
+/// RNG stream every scenario derives its topology sampling from, so the
+/// same seed samples the same field whichever harness entry point runs it.
+const TOPOLOGY_STREAM: u64 = 0xdeadbeef;
+
+/// The topology-sampling RNG of the scenario seeded `seed`.
+pub(crate) fn topology_rng(seed: u64) -> SimRng {
+    SimRng::new(seed).derive(TOPOLOGY_STREAM)
+}
+
+/// Whether `links` has a usable bidirectional path from the base station
+/// to every node.
+pub(crate) fn reaches_all(links: &LinkTable) -> bool {
+    links.reaches_all_usable(BASE, mnp_radio::loss::usable_ber_threshold())
+}
+
+/// What a run attaches to its network besides the protocol: observers
+/// (event logs, metrics, timelines; see `mnp_obs`) and an optional
+/// time-series sampler fed kernel gauges (queue depth, event rate) on its
+/// sim-time cadence.
+///
+/// These ride outside the scenario structs (observers are stateful and
+/// belong to one run) so scenarios stay `Clone` and fan-out-able across
+/// threads; keep a [`Shared`] clone of each to read it back after the run.
+#[derive(Default)]
+pub struct Instruments {
+    /// Observers, attached in order.
+    pub observers: Vec<Box<dyn Observer + Send>>,
+    /// The time-series sampler, if any.
+    pub sampler: Option<Shared<TimeSeriesSampler>>,
+}
+
+impl Instruments {
+    /// Just one observer, no sampler — the common case.
+    pub fn observing(observer: impl Observer + Send + 'static) -> Self {
+        Instruments {
+            observers: vec![Box::new(observer)],
+            sampler: None,
+        }
+    }
+
+    pub(crate) fn attach(self, mut builder: NetworkBuilder) -> NetworkBuilder {
+        for obs in self.observers {
+            builder = builder.observer(obs);
+        }
+        if let Some(sampler) = self.sampler {
+            builder = builder.timeseries(sampler);
+        }
+        builder
+    }
+}
+
+/// The build half of the harness's one run path: instantiates `P` on
+/// every node of `builder`'s network — the base station holding `image`,
+/// everyone else empty.
+pub(crate) fn build<P: Disseminator>(
+    builder: NetworkBuilder,
+    image: &ProgramImage,
+    cfg: P::Config,
+) -> Result<Network<P>, FaultPlanError> {
+    builder.try_build(|id, _| {
+        if id == BASE {
+            P::base_station(cfg.clone(), image)
+        } else {
+            P::node(cfg.clone())
+        }
+    })
+}
+
+/// The finish half: runs `net` until every node completes or `deadline`
+/// passes, and collects the outcome. `net` stays with the caller for
+/// whatever else it reads off the finished network.
+pub(crate) fn finish<P: Disseminator>(
+    net: &mut Network<P>,
+    grid: GridSpec,
+    deadline: SimTime,
+) -> RunOutcome {
+    let completed = net.run_until_all_complete(deadline);
+    let mut outcome = RunOutcome::collect(net, grid, completed);
+    for i in 0..net.len() {
+        let id = NodeId::from_index(i);
+        let p = net.protocol(id);
+        outcome.complete_nodes += usize::from(p.is_complete());
+        p.fold_stats(id, &mut outcome);
+    }
+    outcome
+}
+
+/// Build + finish for scenarios whose fault plan is known valid.
+pub(crate) fn run<P: Disseminator>(
+    builder: NetworkBuilder,
+    image: &ProgramImage,
+    tweak: impl FnOnce(&mut P::Config),
+    grid: GridSpec,
+    deadline: SimTime,
+) -> RunOutcome {
+    let mut cfg = P::config_for(image);
+    tweak(&mut cfg);
+    let mut net = build::<P>(builder, image, cfg).unwrap_or_else(|e| panic!("{e}"));
+    finish(&mut net, grid, deadline)
+}
 
 /// A grid dissemination scenario: the common shape of every experiment in
 /// the paper's §4.
@@ -18,10 +123,11 @@ use mnp_trace::{MsgClass, RunTrace};
 /// # Example
 ///
 /// ```
+/// use mnp::Mnp;
 /// use mnp_experiments::GridExperiment;
 ///
 /// // A scaled-down smoke scenario.
-/// let out = GridExperiment::new(3, 3, 10.0).segments(1).seed(1).run_mnp(|_| {});
+/// let out = GridExperiment::new(3, 3, 10.0).segments(1).seed(1).run::<Mnp>(|_| {});
 /// assert!(out.completed);
 /// ```
 #[derive(Clone, Debug)]
@@ -34,7 +140,6 @@ pub struct GridExperiment {
     image: ProgramImage,
     seed: u64,
     deadline: SimTime,
-    base: NodeId,
     capture: bool,
     check_invariants: bool,
     faults: Option<FaultPlan>,
@@ -69,7 +174,6 @@ impl GridExperiment {
             image: ProgramImage::synthetic(ProgramId(1), ImageLayout::paper_default(1)),
             seed: 42,
             deadline: SimTime::from_secs(4 * 3_600),
-            base: NodeId(0),
             capture: false,
             check_invariants: false,
             faults: None,
@@ -99,11 +203,6 @@ impl GridExperiment {
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
         self
-    }
-
-    /// The shard count runs of this scenario will use.
-    pub fn shard_count(&self) -> usize {
-        self.shards
     }
 
     /// Enables the radio capture effect (sensitivity experiment X4).
@@ -137,11 +236,6 @@ impl GridExperiment {
     pub fn tie_break(mut self, tie_break: TieBreak) -> Self {
         self.tie_break = tie_break;
         self
-    }
-
-    /// The same-instant tie-break policy the scenario's queue will use.
-    pub fn tie_break_policy(&self) -> TieBreak {
-        self.tie_break
     }
 
     /// Sets the transmission power level of every node.
@@ -191,159 +285,49 @@ impl GridExperiment {
         &self.image
     }
 
+    /// Samples this scenario's link graph (before any
+    /// [`extra_loss`](GridExperiment::extra_loss) is composed in).
+    pub(crate) fn sample_links(&self) -> LinkTable {
+        let mut builder = TopologyBuilder::new(self.grid().placement()).power(self.power);
+        for (node, p) in &self.node_power {
+            builder = builder.node_power(*node, *p);
+        }
+        builder.build(&mut topology_rng(self.seed)).links
+    }
+
     /// Whether the topology this scenario would sample has a usable
     /// bidirectional path from the base to every node. Experiments with
     /// aggressive per-node power reductions (battery extension) check this
     /// and reseed instead of running an impossible scenario.
     pub fn is_viable(&self) -> bool {
-        let grid = self.grid();
-        let mut topo_rng = SimRng::new(self.seed).derive(0xdeadbeef);
-        let mut builder = TopologyBuilder::new(grid.placement()).power(self.power);
-        for (node, p) in &self.node_power {
-            builder = builder.node_power(*node, *p);
-        }
-        let topo = builder.build(&mut topo_rng);
-        topo.links
-            .reaches_all_usable(self.base, mnp_radio::loss::usable_ber_threshold())
+        reaches_all(&self.sample_links())
     }
 
-    /// Runs MNP over this scenario; `tweak` may adjust the protocol config
-    /// (ablations).
-    pub fn run_mnp(&self, tweak: impl Fn(&mut MnpConfig)) -> RunOutcome {
-        self.run_mnp_observed(tweak, Vec::new())
+    /// Runs protocol `P` over this scenario; `tweak` may adjust the
+    /// protocol config (ablations).
+    pub fn run<P: Disseminator>(&self, tweak: impl FnOnce(&mut P::Config)) -> RunOutcome {
+        self.run_observed::<P>(tweak, Instruments::default())
     }
 
-    /// Runs MNP with `observers` attached to the network (event logs,
-    /// metrics, timelines; see `mnp_obs`).
-    pub fn run_mnp_observed(
+    /// Runs protocol `P` with `instruments` attached to the network.
+    pub fn run_observed<P: Disseminator>(
         &self,
-        tweak: impl Fn(&mut MnpConfig),
-        observers: Vec<Box<dyn Observer + Send>>,
+        tweak: impl FnOnce(&mut P::Config),
+        instruments: Instruments,
     ) -> RunOutcome {
-        self.run_mnp_sampled(tweak, observers, None)
+        run::<P>(
+            self.builder(instruments),
+            &self.image,
+            tweak,
+            self.grid(),
+            self.deadline,
+        )
     }
 
-    /// Runs MNP with observers plus an optional time-series sampler fed
-    /// kernel gauges (queue depth, event rate) on its sim-time cadence.
-    ///
-    /// The sampler rides outside the scenario struct (it is a `Shared`
-    /// handle, not `Send`) so scenarios stay fan-out-able across threads;
-    /// keep a clone to read the series back after the run.
-    pub fn run_mnp_sampled(
-        &self,
-        tweak: impl Fn(&mut MnpConfig),
-        observers: Vec<Box<dyn Observer + Send>>,
-        sampler: Option<Shared<TimeSeriesSampler>>,
-    ) -> RunOutcome {
-        let mut cfg = MnpConfig::for_image(&self.image);
-        tweak(&mut cfg);
-        let base = self.base;
-        let image = self.image.clone();
-        let mut net = self.build_network(observers, sampler, |id, _| {
-            if id == base {
-                Mnp::base_station(cfg.clone(), &image)
-            } else {
-                Mnp::node(cfg.clone())
-            }
-        });
-        let completed = net.run_until_all_complete(self.deadline);
-        let mut outcome = RunOutcome::collect(&mut net, self.grid(), completed);
-        // Protocol-specific counters.
-        for i in 0..net.len() {
-            let p = net.protocol(NodeId::from_index(i));
-            outcome.protocol_fails += p.stats.fails;
-            outcome.forward_rounds[i] = p.stats.forward_rounds;
-            outcome.sleeps += p.stats.sleeps;
-            if completed {
-                assert!(p.is_complete(), "coverage violation despite completion");
-            }
-        }
-        outcome
-    }
-
-    /// Runs the Deluge-like baseline over this scenario.
-    pub fn run_deluge(&self, tweak: impl Fn(&mut DelugeConfig)) -> RunOutcome {
-        self.run_deluge_observed(tweak, Vec::new())
-    }
-
-    /// Runs the Deluge-like baseline with `observers` attached.
-    pub fn run_deluge_observed(
-        &self,
-        tweak: impl Fn(&mut DelugeConfig),
-        observers: Vec<Box<dyn Observer + Send>>,
-    ) -> RunOutcome {
-        let mut cfg = DelugeConfig::for_image(&self.image);
-        tweak(&mut cfg);
-        let base = self.base;
-        let image = self.image.clone();
-        let mut net = self.build_network(observers, None, |id, _| {
-            if id == base {
-                Deluge::base_station(cfg.clone(), &image)
-            } else {
-                Deluge::node(cfg.clone())
-            }
-        });
-        let completed = net.run_until_all_complete(self.deadline);
-        RunOutcome::collect(&mut net, self.grid(), completed)
-    }
-
-    /// Runs the random-linear-coding protocol over this scenario.
-    pub fn run_rlnc(&self, tweak: impl Fn(&mut RlncConfig)) -> RunOutcome {
-        self.run_rlnc_observed(tweak, Vec::new())
-    }
-
-    /// Runs the random-linear-coding protocol with `observers` attached.
-    pub fn run_rlnc_observed(
-        &self,
-        tweak: impl Fn(&mut RlncConfig),
-        observers: Vec<Box<dyn Observer + Send>>,
-    ) -> RunOutcome {
-        let mut cfg = RlncConfig::for_image(&self.image);
-        tweak(&mut cfg);
-        let base = self.base;
-        let image = self.image.clone();
-        let mut net = self.build_network(observers, None, |id, _| {
-            if id == base {
-                Rlnc::base_station(cfg.clone(), &image)
-            } else {
-                Rlnc::node(cfg.clone())
-            }
-        });
-        let completed = net.run_until_all_complete(self.deadline);
-        RunOutcome::collect(&mut net, self.grid(), completed)
-    }
-
-    /// Runs the XOR single-hop recoding protocol over this scenario.
-    pub fn run_xor(&self, tweak: impl Fn(&mut XorConfig)) -> RunOutcome {
-        self.run_xor_observed(tweak, Vec::new())
-    }
-
-    /// Runs the XOR single-hop recoding protocol with `observers`
-    /// attached.
-    pub fn run_xor_observed(
-        &self,
-        tweak: impl Fn(&mut XorConfig),
-        observers: Vec<Box<dyn Observer + Send>>,
-    ) -> RunOutcome {
-        let mut cfg = XorConfig::for_image(&self.image);
-        tweak(&mut cfg);
-        let base = self.base;
-        let image = self.image.clone();
-        let mut net = self.build_network(observers, None, |id, _| {
-            if id == base {
-                Xor::base_station(cfg.clone(), &image)
-            } else {
-                Xor::node(cfg.clone())
-            }
-        });
-        let completed = net.run_until_all_complete(self.deadline);
-        RunOutcome::collect(&mut net, self.grid(), completed)
-    }
-
-    /// Runs MNP once per seed, fanning the runs across threads; outcomes
-    /// come back in `seeds` order.
-    pub fn run_seeds(&self, seeds: &[u64]) -> Vec<RunOutcome> {
-        self.run_seeds_with(seeds, |s| s.run_mnp(|_| {}))
+    /// Runs the registered protocol `protocol` names, at its default
+    /// config.
+    pub fn run_named(&self, protocol: ProtocolId, instruments: Instruments) -> RunOutcome {
+        with_protocol!(protocol, P => self.run_observed::<P>(|_| {}, instruments))
     }
 
     /// Runs `run` over a per-seed copy of this scenario, one thread per
@@ -351,7 +335,7 @@ impl GridExperiment {
     ///
     /// Each thread gets its own `GridExperiment` clone, so the runs are
     /// fully independent and each is as deterministic as a solo
-    /// [`GridExperiment::run_mnp`] with that seed.
+    /// [`GridExperiment::run`] with that seed.
     pub fn run_seeds_with<F>(&self, seeds: &[u64], run: F) -> Vec<RunOutcome>
     where
         F: Fn(&GridExperiment) -> RunOutcome + Sync,
@@ -372,26 +356,10 @@ impl GridExperiment {
         })
     }
 
-    fn build_network<P, F>(
-        &self,
-        observers: Vec<Box<dyn Observer + Send>>,
-        sampler: Option<Shared<TimeSeriesSampler>>,
-        make: F,
-    ) -> Network<P>
-    where
-        P: Protocol,
-        F: FnMut(NodeId, &mut SimRng) -> P,
-    {
-        let grid = self.grid();
-        let mut topo_rng = SimRng::new(self.seed).derive(0xdeadbeef);
-        let mut builder = TopologyBuilder::new(grid.placement()).power(self.power);
-        for (node, p) in &self.node_power {
-            builder = builder.node_power(*node, *p);
-        }
-        let mut topo = builder.build(&mut topo_rng);
+    fn builder(&self, instruments: Instruments) -> NetworkBuilder {
+        let mut links = self.sample_links();
         assert!(
-            topo.links
-                .reaches_all_usable(self.base, mnp_radio::loss::usable_ber_threshold()),
+            reaches_all(&links),
             "sampled topology has no usable bidirectional path to some node; \
              coverage is impossible (reseed)"
         );
@@ -400,15 +368,15 @@ impl GridExperiment {
             // BER: independent loss processes multiply their survival
             // probabilities.
             let q = ber_for_packet_loss(self.extra_loss);
-            for from in 0..topo.links.len() {
+            for from in 0..links.len() {
                 let from = NodeId::from_index(from);
-                let edges: Vec<(NodeId, f64)> = topo.links.neighbors(from).collect();
+                let edges: Vec<(NodeId, f64)> = links.neighbors(from).collect();
                 for (to, ber) in edges {
-                    topo.links.connect(from, to, 1.0 - (1.0 - ber) * (1.0 - q));
+                    links.connect(from, to, 1.0 - (1.0 - ber) * (1.0 - q));
                 }
             }
         }
-        let mut builder = NetworkBuilder::new(topo.links, self.seed)
+        let mut builder = NetworkBuilder::new(links, self.seed)
             .capture(self.capture)
             .tie_break(self.tie_break)
             .shards(self.shards);
@@ -418,13 +386,7 @@ impl GridExperiment {
         if self.check_invariants {
             builder = builder.observer(InvariantMonitor::new());
         }
-        for obs in observers {
-            builder = builder.observer(obs);
-        }
-        if let Some(sampler) = sampler {
-            builder = builder.timeseries(sampler);
-        }
-        builder.build(make)
+        instruments.attach(builder)
     }
 }
 
@@ -447,8 +409,10 @@ pub struct RunOutcome {
     pub sent: Vec<f64>,
     /// Per-node messages received.
     pub received: Vec<f64>,
-    /// Per-node collision counts (receptions lost to overlap).
+    /// Receptions lost to overlap, summed over all nodes.
     pub collisions: u64,
+    /// Nodes holding the complete image when the run stopped.
+    pub complete_nodes: usize,
     /// Per-node forwarding rounds (MNP only; zero otherwise).
     pub forward_rounds: Vec<u64>,
     /// Total MNP download failures (MNP only).
@@ -460,50 +424,42 @@ pub struct RunOutcome {
 }
 
 impl RunOutcome {
-    pub(crate) fn collect<P: Protocol>(
-        net: &mut Network<P>,
-        grid: GridSpec,
-        completed: bool,
-    ) -> Self {
+    fn collect<P: Disseminator>(net: &mut Network<P>, grid: GridSpec, completed: bool) -> Self {
         let completion = net.trace().completion_time().unwrap_or_else(|| net.now());
         net.finalize_meters(completion);
         let n = net.len();
         let trace = net.trace().clone();
-        let art_s: Vec<f64> = (0..n)
-            .map(|i| trace.node(NodeId::from_index(i)).active_radio.as_secs_f64())
-            .collect();
-        let art_noidle_s: Vec<f64> = (0..n)
-            .map(|i| {
-                trace
-                    .node(NodeId::from_index(i))
-                    .active_radio_after_first_adv(completion)
-                    .as_secs_f64()
+        let nodes = || (0..n).map(NodeId::from_index);
+        let art_noidle_s = nodes()
+            .map(|id| {
+                let active = trace.node(id).active_radio_after_first_adv(completion);
+                active.as_secs_f64()
             })
             .collect();
-        let sent: Vec<f64> = (0..n)
-            .map(|i| trace.node(NodeId::from_index(i)).sent as f64)
-            .collect();
-        let received: Vec<f64> = (0..n)
-            .map(|i| trace.node(NodeId::from_index(i)).received as f64)
-            .collect();
-        let collisions = (0..n)
-            .map(|i| net.medium_stats(NodeId::from_index(i)).collisions)
-            .sum();
+        let collisions = nodes().map(|id| net.medium_stats(id).collisions).sum();
         RunOutcome {
             grid,
             completed,
             completion,
-            trace,
-            art_s,
+            art_s: nodes()
+                .map(|id| trace.node(id).active_radio.as_secs_f64())
+                .collect(),
             art_noidle_s,
-            sent,
-            received,
+            sent: nodes().map(|id| trace.node(id).sent as f64).collect(),
+            received: nodes().map(|id| trace.node(id).received as f64).collect(),
+            trace,
             collisions,
+            complete_nodes: 0,
             forward_rounds: vec![0; n],
             protocol_fails: 0,
             sleeps: 0,
             events: net.events_processed(),
         }
+    }
+
+    /// Fraction of nodes holding the complete image when the run stopped.
+    pub fn coverage(&self) -> f64 {
+        self.complete_nodes as f64 / self.art_s.len() as f64
     }
 
     /// Mean active radio time in seconds.
@@ -577,7 +533,7 @@ pub fn run_mote_figure(
                 .power(p)
                 .packets(packets)
                 .seed(seed)
-                .run_mnp(|_| {});
+                .run::<Mnp>(|_| {});
             (p, out)
         })
         .collect();
@@ -649,10 +605,11 @@ pub fn fmt_mmss(secs: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mnp_baselines::{Deluge, Rlnc};
 
     #[test]
     fn small_grid_mnp_completes_and_reports() {
-        let out = GridExperiment::new(3, 3, 10.0).seed(5).run_mnp(|_| {});
+        let out = GridExperiment::new(3, 3, 10.0).seed(5).run::<Mnp>(|_| {});
         assert!(out.completed);
         assert!(out.completion_s() > 0.0);
         assert_eq!(out.art_s.len(), 9);
@@ -663,7 +620,9 @@ mod tests {
 
     #[test]
     fn small_grid_deluge_completes() {
-        let out = GridExperiment::new(3, 3, 10.0).seed(5).run_deluge(|_| {});
+        let out = GridExperiment::new(3, 3, 10.0)
+            .seed(5)
+            .run::<Deluge>(|_| {});
         assert!(out.completed);
         // Deluge never sleeps: everyone's ART equals the completion time.
         for art in &out.art_s {
@@ -672,14 +631,14 @@ mod tests {
     }
 
     #[test]
-    fn run_seeds_matches_solo_runs() {
+    fn run_seeds_with_matches_solo_runs() {
         let scenario = GridExperiment::new(3, 3, 10.0);
-        let outs = scenario.run_seeds(&[5, 6]);
+        let outs = scenario.run_seeds_with(&[5, 6], |s| s.run::<Mnp>(|_| {}));
         assert_eq!(outs.len(), 2);
         // Thread fan-out must not perturb determinism: each outcome equals
         // the same seed run alone.
         for (seed, out) in [5u64, 6].into_iter().zip(&outs) {
-            let solo = scenario.clone().seed(seed).run_mnp(|_| {});
+            let solo = scenario.clone().seed(seed).run::<Mnp>(|_| {});
             assert_eq!(out.completed, solo.completed);
             assert_eq!(out.completion, solo.completion);
             assert_eq!(out.sent, solo.sent);
@@ -689,8 +648,8 @@ mod tests {
     #[test]
     fn sharded_mnp_run_matches_sequential() {
         let scenario = GridExperiment::new(4, 4, 10.0).seed(9);
-        let solo = scenario.clone().run_mnp(|_| {});
-        let sharded = scenario.shards(3).run_mnp(|_| {});
+        let solo = scenario.clone().run::<Mnp>(|_| {});
+        let sharded = scenario.shards(3).run::<Mnp>(|_| {});
         assert_eq!(sharded.completed, solo.completed);
         assert_eq!(sharded.completion, solo.completion);
         assert_eq!(sharded.sent, solo.sent);
@@ -701,27 +660,13 @@ mod tests {
     }
 
     #[test]
-    fn run_seeds_with_drives_other_protocols() {
-        let outs = GridExperiment::new(3, 3, 10.0).run_seeds_with(&[5], |s| s.run_deluge(|_| {}));
-        assert!(outs[0].completed);
-    }
-
-    #[test]
-    fn small_grid_coded_protocols_complete() {
-        let rlnc = GridExperiment::new(3, 3, 10.0).seed(5).run_rlnc(|_| {});
-        assert!(rlnc.completed);
-        let xor = GridExperiment::new(3, 3, 10.0).seed(5).run_xor(|_| {});
-        assert!(xor.completed);
-    }
-
-    #[test]
     fn extra_loss_composes_and_still_completes() {
         // 15% extra packet loss on every link: slower, but exact.
-        let clean = GridExperiment::new(3, 3, 10.0).seed(5).run_rlnc(|_| {});
+        let clean = GridExperiment::new(3, 3, 10.0).seed(5).run::<Rlnc>(|_| {});
         let lossy = GridExperiment::new(3, 3, 10.0)
             .seed(5)
             .extra_loss(0.15)
-            .run_rlnc(|_| {});
+            .run::<Rlnc>(|_| {});
         assert!(lossy.completed);
         assert!(
             lossy.completion > clean.completion,
@@ -749,13 +694,13 @@ mod tests {
             .seed(3)
             .extra_loss(1.0)
             .deadline(SimTime::from_secs(120))
-            .run_mnp(|_| {});
+            .run::<Mnp>(|_| {});
         assert!(!out.completed, "nothing can disseminate over dead links");
     }
 
     #[test]
     fn display_is_informative() {
-        let out = GridExperiment::new(2, 2, 10.0).seed(3).run_mnp(|_| {});
+        let out = GridExperiment::new(2, 2, 10.0).seed(3).run::<Mnp>(|_| {});
         let s = out.to_string();
         assert!(s.contains("completed=true"), "{s}");
     }

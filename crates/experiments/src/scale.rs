@@ -24,10 +24,12 @@
 use std::fmt;
 use std::time::Instant;
 
+use mnp::Mnp;
 use mnp_radio::{Frame, Medium, NodeId, TxOutcome, MAX_PAYLOAD_BYTES, PERCEPTION_LATENCY};
 use mnp_sim::{SimRng, SimTime, TieBreak};
 use mnp_topology::{GridSpec, TopologyBuilder};
 
+use crate::report::escape_json;
 use crate::runner::GridExperiment;
 
 /// Cumulative `(allocations, bytes)` reported by the process allocator.
@@ -167,7 +169,7 @@ pub fn measure(
         .shards(shards);
     let (allocs_before, bytes_before) = alloc_counter();
     let start = Instant::now();
-    let out = scenario.run_mnp(|_| {});
+    let out = scenario.run::<Mnp>(|_| {});
     let wall_s = start.elapsed().as_secs_f64();
     let (allocs_after, bytes_after) = alloc_counter();
 
@@ -184,12 +186,12 @@ pub fn measure(
     ScaleMeasurement {
         schema_version: SCALE_SCHEMA_VERSION,
         git: git_describe(),
-        tie_break: tie_break_label(scenario.tie_break_policy()),
+        tie_break: tie_break_label(TieBreak::Fifo),
         rows,
         cols,
         seed,
         segments,
-        shards: scenario.shard_count(),
+        shards,
         completed: out.completed,
         completion_s: out.completion_s(),
         wall_s,
@@ -307,48 +309,20 @@ pub fn render_json(measurements: &[ScaleMeasurement]) -> String {
     s.push_str(&format!(
         "  \"schema_version\": {SCALE_SCHEMA_VERSION},\n  \"grids\": [\n"
     ));
-    for (i, m) in measurements.iter().enumerate() {
-        s.push_str("    {\n");
-        s.push_str(&format!(
-            "      \"schema_version\": {},\n",
-            m.schema_version
-        ));
-        s.push_str(&format!("      \"git\": \"{}\",\n", json_escaped(&m.git)));
-        s.push_str(&format!(
-            "      \"tie_break\": \"{}\",\n",
-            json_escaped(&m.tie_break)
-        ));
-        s.push_str(&format!("      \"rows\": {},\n", m.rows));
-        s.push_str(&format!("      \"cols\": {},\n", m.cols));
-        s.push_str(&format!("      \"seed\": {},\n", m.seed));
-        s.push_str(&format!("      \"segments\": {},\n", m.segments));
-        s.push_str(&format!("      \"shards\": {},\n", m.shards));
-        s.push_str(&format!("      \"completed\": {},\n", m.completed));
-        s.push_str(&format!("      \"completion_s\": {:.3},\n", m.completion_s));
-        s.push_str(&format!("      \"wall_s\": {:.4},\n", m.wall_s));
-        s.push_str(&format!("      \"events\": {},\n", m.events));
-        s.push_str(&format!(
-            "      \"events_per_sec\": {:.0},\n",
-            m.events_per_sec
-        ));
-        s.push_str(&format!("      \"run_allocs\": {},\n", m.run_allocs));
-        s.push_str(&format!(
-            "      \"run_alloc_bytes\": {},\n",
-            m.run_alloc_bytes
-        ));
-        s.push_str(&format!(
-            "      \"steady_state_allocs\": {},\n",
-            m.steady_state_allocs
-        ));
-        s.push_str(&format!(
-            "      \"steady_state_rounds\": {}\n",
-            m.steady_state_rounds
-        ));
-        s.push_str(if i + 1 == measurements.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
+    let rows: Vec<String> = measurements
+        .iter()
+        .map(|m| {
+            let fields: Vec<String> = m
+                .json_fields()
+                .iter()
+                .map(|(key, value)| format!("      \"{key}\": {value}"))
+                .collect();
+            format!("    {{\n{}\n    }}", fields.join(",\n"))
+        })
+        .collect();
+    if !rows.is_empty() {
+        s.push_str(&rows.join(",\n"));
+        s.push('\n');
     }
     s.push_str("  ],\n");
     match scaling_summary(measurements) {
@@ -370,52 +344,43 @@ pub fn render_json(measurements: &[ScaleMeasurement]) -> String {
     s
 }
 
-/// Escapes a string for embedding in a JSON literal. Benchmark metadata
-/// is ASCII identifiers in practice; this covers the JSON-mandatory set.
-fn json_escaped(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders one measurement as a single `BENCH_history.jsonl` line
 /// (newline-terminated), the append-mode record `mnp-run scale
 /// --history` accumulates across runs and `--compare` diffs against.
-///
-/// Key order matches the `BENCH_scale.json` row schema.
 pub fn render_history_row(m: &ScaleMeasurement) -> String {
-    format!(
-        "{{\"schema_version\":{},\"git\":\"{}\",\"tie_break\":\"{}\",\
-         \"rows\":{},\"cols\":{},\"seed\":{},\"segments\":{},\"shards\":{},\
-         \"completed\":{},\"completion_s\":{:.3},\"wall_s\":{:.4},\
-         \"events\":{},\"events_per_sec\":{:.0},\"run_allocs\":{},\
-         \"run_alloc_bytes\":{},\"steady_state_allocs\":{},\
-         \"steady_state_rounds\":{}}}\n",
-        m.schema_version,
-        json_escaped(&m.git),
-        json_escaped(&m.tie_break),
-        m.rows,
-        m.cols,
-        m.seed,
-        m.segments,
-        m.shards,
-        m.completed,
-        m.completion_s,
-        m.wall_s,
-        m.events,
-        m.events_per_sec,
-        m.run_allocs,
-        m.run_alloc_bytes,
-        m.steady_state_allocs,
-        m.steady_state_rounds,
-    )
+    let fields: Vec<String> = m
+        .json_fields()
+        .iter()
+        .map(|(key, value)| format!("\"{key}\":{value}"))
+        .collect();
+    format!("{{{}}}\n", fields.join(","))
+}
+
+impl ScaleMeasurement {
+    /// The row schema: every key with its rendered JSON value, in document
+    /// order — shared by `BENCH_scale.json` rows and history lines.
+    fn json_fields(&self) -> [(&'static str, String); 17] {
+        let quoted = |s: &str| format!("\"{}\"", escape_json(s));
+        [
+            ("schema_version", self.schema_version.to_string()),
+            ("git", quoted(&self.git)),
+            ("tie_break", quoted(&self.tie_break)),
+            ("rows", self.rows.to_string()),
+            ("cols", self.cols.to_string()),
+            ("seed", self.seed.to_string()),
+            ("segments", self.segments.to_string()),
+            ("shards", self.shards.to_string()),
+            ("completed", self.completed.to_string()),
+            ("completion_s", format!("{:.3}", self.completion_s)),
+            ("wall_s", format!("{:.4}", self.wall_s)),
+            ("events", self.events.to_string()),
+            ("events_per_sec", format!("{:.0}", self.events_per_sec)),
+            ("run_allocs", self.run_allocs.to_string()),
+            ("run_alloc_bytes", self.run_alloc_bytes.to_string()),
+            ("steady_state_allocs", self.steady_state_allocs.to_string()),
+            ("steady_state_rounds", self.steady_state_rounds.to_string()),
+        ]
+    }
 }
 
 /// The isolated radio-medium hot path: repeated single-frame broadcasts on

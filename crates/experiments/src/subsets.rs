@@ -14,9 +14,11 @@ use std::fmt;
 use mnp::{Mnp, MnpConfig};
 use mnp_net::{Network, NetworkBuilder};
 use mnp_radio::NodeId;
-use mnp_sim::{SimRng, SimTime};
+use mnp_sim::SimTime;
 use mnp_storage::{ImageLayout, ProgramId, ProgramImage};
-use mnp_topology::{GridSpec, TopologyBuilder};
+use mnp_topology::GridSpec;
+
+use crate::runner::GridExperiment;
 
 /// The subset-dissemination result.
 #[derive(Clone, Debug)]
@@ -49,13 +51,13 @@ pub fn run(seed: u64) -> Subsets {
 /// Runs on an `n×n` grid, targeting columns `< n/2`.
 pub fn run_with(n: usize, seed: u64) -> Subsets {
     let grid = GridSpec::new(n, n, 10.0);
-    let mut topo_rng = SimRng::new(seed).derive(0xdeadbeef);
-    let topo = TopologyBuilder::new(grid.placement()).build(&mut topo_rng);
+    let links = GridExperiment::new(n, n, 10.0).seed(seed).sample_links();
     let image = ProgramImage::synthetic(ProgramId(1), ImageLayout::paper_default(2));
     let cfg = MnpConfig::for_image(&image);
 
     let in_subset = |id: NodeId| grid.coords(id).1 < n / 2;
-    let mut net: Network<Mnp> = NetworkBuilder::new(topo.links, seed).build(|id, _| {
+    // The one three-way factory: members, outsiders, and the base.
+    let mut net: Network<Mnp> = NetworkBuilder::new(links, seed).build(|id, _| {
         if id == grid.corner() {
             Mnp::base_station(cfg.clone(), &image)
         } else if in_subset(id) {

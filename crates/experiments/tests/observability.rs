@@ -2,7 +2,8 @@
 //! attaching the kernel profiler and the time-series sampler must never
 //! change what the simulator *does* — only record how long it took.
 
-use mnp_experiments::GridExperiment;
+use mnp::Mnp;
+use mnp_experiments::{GridExperiment, Instruments};
 use mnp_obs::{JsonlLogger, Observer, ProfileReport, Shared, TimeSeriesSampler};
 use mnp_sim::profile::{self, Phase};
 use mnp_sim::SimDuration;
@@ -14,7 +15,7 @@ fn scenario() -> GridExperiment {
 fn logged_run(sampler: Option<Shared<TimeSeriesSampler>>) -> String {
     let log = Shared::new(JsonlLogger::new());
     let observers: Vec<Box<dyn Observer + Send>> = vec![Box::new(log.clone())];
-    let out = scenario().run_mnp_sampled(|_| {}, observers, sampler);
+    let out = scenario().run_observed::<Mnp>(|_| {}, Instruments { observers, sampler });
     assert!(out.completed, "{out}");
     let dump = log.borrow().as_str().to_string();
     dump
@@ -69,7 +70,13 @@ fn profiling_on_and_off_produce_byte_identical_event_logs() {
 fn sampler_records_a_monotonic_series_on_the_configured_cadence() {
     let interval = SimDuration::from_secs(1);
     let sampler = Shared::new(TimeSeriesSampler::new(interval, 1024));
-    let out = scenario().run_mnp_sampled(|_| {}, Vec::new(), Some(sampler.clone()));
+    let out = scenario().run_observed::<Mnp>(
+        |_| {},
+        Instruments {
+            observers: Vec::new(),
+            sampler: Some(sampler.clone()),
+        },
+    );
     assert!(out.completed, "{out}");
 
     let sampler = sampler.borrow();
@@ -112,7 +119,13 @@ fn sampler_records_a_monotonic_series_on_the_configured_cadence() {
 fn sampled_series_is_deterministic_per_seed() {
     let run = || {
         let sampler = Shared::new(TimeSeriesSampler::new(SimDuration::from_millis(500), 256));
-        let out = scenario().run_mnp_sampled(|_| {}, Vec::new(), Some(sampler.clone()));
+        let out = scenario().run_observed::<Mnp>(
+            |_| {},
+            Instruments {
+                observers: Vec::new(),
+                sampler: Some(sampler.clone()),
+            },
+        );
         assert!(out.completed);
         let dump = sampler.borrow().dump_jsonl();
         dump
@@ -150,7 +163,13 @@ fn profiler_overhead_stays_within_the_five_percent_budget() {
         let sampler = Shared::new(TimeSeriesSampler::new(SimDuration::from_millis(500), 4096));
         let wall_start = std::time::Instant::now();
         let cpu_start = cpu_ticks();
-        let out = scenario.run_mnp_sampled(|_| {}, Vec::new(), Some(sampler));
+        let out = scenario.run_observed::<Mnp>(
+            |_| {},
+            Instruments {
+                observers: Vec::new(),
+                sampler: Some(sampler),
+            },
+        );
         let cost = match (cpu_start, cpu_ticks()) {
             (Some(a), Some(b)) => (b - a) as f64,
             _ => wall_start.elapsed().as_secs_f64(),

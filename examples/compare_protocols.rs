@@ -6,157 +6,47 @@
 //!
 //! Run with: `cargo run --release --example compare_protocols`
 
-use mnp_baselines::{Flood, FloodConfig, Moap, MoapConfig, Xnp, XnpConfig};
 use mnp_repro::prelude::*;
 
-struct Row {
-    name: &'static str,
-    coverage: f64,
-    completion_s: Option<f64>,
-    mean_art_s: f64,
-    messages: u64,
-    collisions: u64,
-}
-
 fn main() {
-    let seed = 11;
-    let rows = 8;
-    let cols = 8;
-    let segments = 2;
-    let deadline = SimTime::from_secs(2 * 3_600);
-
-    let image = ProgramImage::synthetic(ProgramId(1), ImageLayout::paper_default(segments));
-
-    let build_links = || {
-        let grid = GridSpec::new(rows, cols, 10.0);
-        let mut rng = SimRng::new(seed).derive(0xdeadbeef);
-        TopologyBuilder::new(grid.placement()).build(&mut rng).links
+    let scenario = GridExperiment::new(8, 8, 10.0)
+        .segments(2)
+        .seed(11)
+        .deadline(SimTime::from_secs(2 * 3_600));
+    let run = |name: &str, scenario: &GridExperiment| {
+        let protocol = ProtocolId::lookup(name).expect("a registered protocol");
+        (
+            protocol.label(),
+            scenario.run_named(protocol, Instruments::default()),
+        )
     };
+    let table = [
+        run("mnp", &scenario),
+        run("deluge", &scenario),
+        run("moap", &scenario),
+        // XNP is single-hop and the flood never repairs losses: neither can
+        // cover the grid, so give them a shorter leash than the 2 h deadline.
+        run("xnp", &scenario.clone().deadline(SimTime::from_secs(1_800))),
+        run("flood", &scenario.clone().deadline(SimTime::from_secs(600))),
+    ];
 
-    let mut table: Vec<Row> = Vec::new();
-
-    // --- MNP ---
-    {
-        let cfg = MnpConfig::for_image(&image);
-        let mut net: Network<Mnp> = NetworkBuilder::new(build_links(), seed).build(|id, _| {
-            if id == NodeId(0) {
-                Mnp::base_station(cfg.clone(), &image)
-            } else {
-                Mnp::node(cfg.clone())
-            }
-        });
-        net.run_until_all_complete(deadline);
-        table.push(summarize("MNP", &mut net, |p: &Mnp| p.is_complete()));
-    }
-
-    // --- Deluge-like ---
-    {
-        let cfg = DelugeConfig::for_image(&image);
-        let mut net: Network<Deluge> = NetworkBuilder::new(build_links(), seed).build(|id, _| {
-            if id == NodeId(0) {
-                Deluge::base_station(cfg.clone(), &image)
-            } else {
-                Deluge::node(cfg.clone())
-            }
-        });
-        net.run_until_all_complete(deadline);
-        table.push(summarize("Deluge-like", &mut net, |p: &Deluge| {
-            p.is_complete()
-        }));
-    }
-
-    // --- MOAP-like ---
-    {
-        let cfg = MoapConfig::for_image(&image);
-        let mut net: Network<Moap> = NetworkBuilder::new(build_links(), seed).build(|id, _| {
-            if id == NodeId(0) {
-                Moap::base_station(cfg.clone(), &image)
-            } else {
-                Moap::node(cfg.clone())
-            }
-        });
-        net.run_until_all_complete(deadline);
-        table.push(summarize("MOAP-like", &mut net, |p: &Moap| p.is_complete()));
-    }
-
-    // --- XNP (single-hop; cannot cover the grid) ---
-    {
-        let cfg = XnpConfig::for_image(&image);
-        let mut net: Network<Xnp> = NetworkBuilder::new(build_links(), seed).build(|id, _| {
-            if id == NodeId(0) {
-                Xnp::base_station(cfg.clone(), &image)
-            } else {
-                Xnp::node(cfg.clone())
-            }
-        });
-        net.run_until(|_| false, SimTime::from_secs(1_800));
-        table.push(summarize("XNP", &mut net, |p: &Xnp| p.is_complete()));
-    }
-
-    // --- Naive flood (broadcast storm) ---
-    {
-        let cfg = FloodConfig::for_image(&image);
-        let mut net: Network<Flood> = NetworkBuilder::new(build_links(), seed).build(|id, _| {
-            if id == NodeId(0) {
-                Flood::base_station(cfg.clone(), &image)
-            } else {
-                Flood::node(cfg.clone())
-            }
-        });
-        net.run_until(|_| false, SimTime::from_secs(600));
-        table.push(summarize("flood", &mut net, |p: &Flood| p.is_complete()));
-    }
-
-    println!("{} nodes, image {}", rows * cols, image.layout());
+    println!("{} nodes, image {}", 8 * 8, scenario.image().layout());
     println!();
     println!("protocol      coverage  completion   mean ART  messages  collisions");
-    for r in &table {
-        let completion = r
-            .completion_s
-            .map(|s| format!("{s:>8.0}s"))
-            .unwrap_or_else(|| "       --".into());
+    for (label, out) in &table {
+        let completion = if out.completed {
+            format!("{:>8.0}s", out.completion_s())
+        } else {
+            "       --".into()
+        };
         println!(
-            "{:<12} {:>8.0}% {completion}  {:>8.0}s {:>9} {:>11}",
-            r.name,
-            r.coverage * 100.0,
-            r.mean_art_s,
-            r.messages,
-            r.collisions
+            "{label:<12} {:>8.0}% {completion}  {:>8.0}s {:>9} {:>11}",
+            out.coverage() * 100.0,
+            out.mean_art_s(),
+            out.total_sent(),
+            out.collisions
         );
     }
     println!();
     println!("(XNP covers only the base station's radio cell; the flood never recovers losses.)");
-}
-
-fn summarize<P: Protocol>(
-    name: &'static str,
-    net: &mut Network<P>,
-    complete: impl Fn(&P) -> bool,
-) -> Row {
-    let n = net.len();
-    let done = (0..n)
-        .filter(|&i| complete(net.protocol(NodeId::from_index(i))))
-        .count();
-    let at = net.trace().completion_time().unwrap_or_else(|| net.now());
-    net.finalize_meters(at);
-    let arts: Vec<f64> = (0..n)
-        .map(|i| {
-            net.trace()
-                .node(NodeId::from_index(i))
-                .active_radio
-                .as_secs_f64()
-        })
-        .collect();
-    Row {
-        name,
-        coverage: done as f64 / n as f64,
-        completion_s: net.trace().completion_time().map(|t| t.as_secs_f64()),
-        mean_art_s: mnp_trace::mean(&arts),
-        messages: (0..n)
-            .map(|i| net.trace().node(NodeId::from_index(i)).sent)
-            .sum(),
-        collisions: (0..n)
-            .map(|i| net.medium().stats(NodeId::from_index(i)).collisions)
-            .sum(),
-    }
 }

@@ -85,15 +85,12 @@ fn main() {
         if faulted {
             scenario = scenario.faults(fault_plan());
         }
-        let out = if name.starts_with("deluge") {
-            scenario.run_deluge_observed(|_| {}, vec![Box::new(log.clone())])
-        } else if name.starts_with("rlnc") {
-            scenario.run_rlnc_observed(|_| {}, vec![Box::new(log.clone())])
-        } else if name.starts_with("xor") {
-            scenario.run_xor_observed(|_| {}, vec![Box::new(log.clone())])
-        } else {
-            scenario.run_mnp_observed(|_| {}, vec![Box::new(log.clone())])
-        };
+        // Scenario names start with the protocol's registry name.
+        let protocol = name.split('_').next().and_then(ProtocolId::lookup);
+        let out = scenario.run_named(
+            protocol.expect("scenario names a registered protocol"),
+            Instruments::observing(log.clone()),
+        );
         assert!(out.completed, "{name} did not complete");
         let path = format!("{dir}/{name}.jsonl");
         std::fs::write(&path, log.borrow().as_str()).expect("write log");
@@ -110,7 +107,7 @@ fn main() {
             .speed(2.0)
             .churn(1)
             .shards(shards)
-            .run_mnp_observed(|_| {}, vec![Box::new(log.clone())]);
+            .run_observed::<Mnp>(|_| {}, Instruments::observing(log.clone()));
         assert!(out.completed, "{name} did not complete");
         let path = format!("{dir}/{name}.jsonl");
         std::fs::write(&path, log.borrow().as_str()).expect("write log");

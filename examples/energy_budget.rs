@@ -24,8 +24,8 @@ fn main() {
     );
 
     for (name, outcome) in [
-        ("MNP", scenario.run_mnp(|_| {})),
-        ("Deluge-like", scenario.run_deluge(|_| {})),
+        (Mnp::LABEL, scenario.run::<Mnp>(|_| {})),
+        (Deluge::LABEL, scenario.run::<Deluge>(|_| {})),
     ] {
         assert!(outcome.completed, "{name} failed: {outcome}");
         // Reconstruct per-node charge from the trace: the harness folded

@@ -23,7 +23,7 @@ fn main() {
     );
 
     // 2. Run MNP with the paper's default configuration.
-    let outcome = experiment.run_mnp(|_| {});
+    let outcome = experiment.run::<Mnp>(|_| {});
 
     // 3. Report.
     assert!(outcome.completed, "dissemination failed: {outcome}");

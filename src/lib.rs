@@ -32,7 +32,7 @@
 //! use mnp_repro::prelude::*;
 //!
 //! // Disseminate a 1-segment image over a 3×3 grid.
-//! let outcome = GridExperiment::new(3, 3, 10.0).seed(7).run_mnp(|_| {});
+//! let outcome = GridExperiment::new(3, 3, 10.0).seed(7).run::<Mnp>(|_| {});
 //! assert!(outcome.completed);
 //! ```
 
@@ -58,7 +58,10 @@ pub mod prelude {
         Deluge, DelugeConfig, Flood, FloodConfig, Moap, MoapConfig, Rlnc, RlncConfig, Xnp,
         XnpConfig, Xor, XorConfig,
     };
-    pub use mnp_experiments::{FieldLayout, GridExperiment, MobileExperiment, RunOutcome};
+    pub use mnp_experiments::{
+        Disseminator, FieldLayout, GridExperiment, Instruments, MobileExperiment, ProtocolId,
+        RunOutcome,
+    };
     pub use mnp_net::{
         Context, FaultPlan, LinkChange, Network, NetworkBuilder, PlannedFault, Protocol, WireMsg,
     };

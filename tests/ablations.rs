@@ -55,8 +55,8 @@ fn no_pipelining_slows_multisegment_multihop() {
     // On a strip with several segments, hop-by-hop full-image forwarding
     // must be slower than pipelining.
     let strip = GridExperiment::new(2, 8, 10.0).segments(3).seed(103);
-    let piped = strip.run_mnp(|_| {});
-    let basic = strip.run_mnp(|c| c.pipelining = false);
+    let piped = strip.run::<Mnp>(|_| {});
+    let basic = strip.run::<Mnp>(|c| c.pipelining = false);
     assert!(piped.completed && basic.completed);
     assert!(
         basic.completion_s() > piped.completion_s(),
@@ -71,8 +71,8 @@ fn query_update_reduces_failures_on_lossy_networks() {
     // Give both variants the same slightly lossy 5×5 grid; the repair
     // phase should convert fail-and-retry cycles into quick repairs.
     let grid = GridExperiment::new(5, 5, 10.0).segments(2).seed(104);
-    let with_qu = grid.run_mnp(|_| {});
-    let without = grid.run_mnp(|c| c.query_update = false);
+    let with_qu = grid.run::<Mnp>(|_| {});
+    let without = grid.run::<Mnp>(|c| c.query_update = false);
     assert!(with_qu.completed && without.completed);
     assert!(
         with_qu.protocol_fails <= without.protocol_fails,

@@ -1,16 +1,7 @@
 //! The paper's §5 comparisons, asserted as properties rather than
 //! eyeballed: MNP vs Deluge/XNP/MOAP/flood on shared deployments.
 
-use mnp_baselines::{Flood, FloodConfig, Moap, MoapConfig, Xnp, XnpConfig};
 use mnp_repro::prelude::*;
-
-fn shared_links(rows: usize, cols: usize, seed: u64) -> LinkTable {
-    let grid = GridSpec::new(rows, cols, 10.0);
-    let mut rng = SimRng::new(seed).derive(0xdeadbeef);
-    let topo = TopologyBuilder::new(grid.placement()).build(&mut rng);
-    assert!(topo.links.reaches_all(NodeId(0)));
-    topo.links
-}
 
 #[test]
 fn mnp_saves_active_radio_time_over_deluge() {
@@ -26,8 +17,8 @@ fn mnp_saves_active_radio_time_over_deluge() {
 #[test]
 fn deluge_radio_is_always_on_mnp_is_not() {
     let scenario = GridExperiment::new(6, 6, 10.0).segments(1).seed(201);
-    let mnp = scenario.run_mnp(|_| {});
-    let deluge = scenario.run_deluge(|_| {});
+    let mnp = scenario.run::<Mnp>(|_| {});
+    let deluge = scenario.run::<Deluge>(|_| {});
     assert!(mnp.completed && deluge.completed);
     for (i, art) in deluge.art_s.iter().enumerate() {
         assert!(
@@ -45,77 +36,47 @@ fn deluge_radio_is_always_on_mnp_is_not() {
 
 #[test]
 fn xnp_cannot_cover_a_multihop_network() {
-    let seed = 202;
-    let links = shared_links(8, 8, seed);
-    let image = ProgramImage::synthetic(ProgramId(1), ImageLayout::paper_default(1));
-    let cfg = XnpConfig::for_image(&image);
-    let mut net: Network<Xnp> = NetworkBuilder::new(links, seed).build(|id, _| {
-        if id == NodeId(0) {
-            Xnp::base_station(cfg.clone(), &image)
-        } else {
-            Xnp::node(cfg.clone())
-        }
-    });
-    net.run_until(|_| false, SimTime::from_secs(3_600));
-    let covered = (0..64)
-        .filter(|&i| net.protocol(NodeId::from_index(i)).is_complete())
-        .count();
-    assert!(covered > 1, "someone in range must complete");
+    let out = GridExperiment::new(8, 8, 10.0)
+        .segments(1)
+        .seed(202)
+        .deadline(SimTime::from_secs(3_600))
+        .run::<Xnp>(|_| {});
+    assert!(out.complete_nodes > 1, "someone in range must complete");
     assert!(
-        covered < 64,
+        out.complete_nodes < 64,
         "an 8x8 grid at 10 ft spans multiple hops; XNP must fail coverage"
     );
 }
 
 #[test]
 fn moap_completes_but_never_sleeps() {
-    let seed = 203;
-    let links = shared_links(4, 4, seed);
-    let image = ProgramImage::synthetic(ProgramId(1), ImageLayout::paper_default(1));
-    let cfg = MoapConfig::for_image(&image);
-    let mut net: Network<Moap> = NetworkBuilder::new(links, seed).build(|id, _| {
-        if id == NodeId(0) {
-            Moap::base_station(cfg.clone(), &image)
-        } else {
-            Moap::node(cfg.clone())
-        }
-    });
-    assert!(net.run_until_all_complete(SimTime::from_secs(3_600)));
-    let end = net.now();
-    for i in 0..16 {
-        assert_eq!(
-            net.medium().active_radio_time(NodeId::from_index(i), end),
-            end.saturating_since(SimTime::ZERO)
+    let out = GridExperiment::new(4, 4, 10.0)
+        .segments(1)
+        .seed(203)
+        .deadline(SimTime::from_secs(3_600))
+        .run::<Moap>(|_| {});
+    assert!(out.completed);
+    // Radios stayed on from time zero to the end of the run.
+    for (i, art) in out.art_s.iter().enumerate() {
+        assert!(
+            (art - out.completion_s()).abs() < 1e-6,
+            "MOAP node {i}: ART {art} != completion {}",
+            out.completion_s()
         );
     }
 }
 
 #[test]
 fn flood_loses_to_mnp_on_the_same_field() {
-    let seed = 204;
-    let image = ProgramImage::synthetic(ProgramId(1), ImageLayout::paper_default(1));
-    // Flood on an 8x8.
-    let links = shared_links(8, 8, seed);
-    let fcfg = FloodConfig::for_image(&image);
-    let mut flood: Network<Flood> = NetworkBuilder::new(links, seed).build(|id, _| {
-        if id == NodeId(0) {
-            Flood::base_station(fcfg.clone(), &image)
-        } else {
-            Flood::node(fcfg.clone())
-        }
-    });
-    flood.run_until(|_| false, SimTime::from_secs(600));
-    let flood_covered = (0..64)
-        .filter(|&i| flood.protocol(NodeId::from_index(i)).is_complete())
-        .count();
-    // MNP on the same topology.
-    let out = GridExperiment::new(8, 8, 10.0)
-        .segments(1)
-        .seed(seed)
-        .run_mnp(|_| {});
-    assert!(out.completed);
+    let field = GridExperiment::new(8, 8, 10.0).segments(1).seed(204);
+    let flood = field
+        .clone()
+        .deadline(SimTime::from_secs(600))
+        .run::<Flood>(|_| {});
+    let mnp = field.run::<Mnp>(|_| {});
+    assert!(mnp.completed);
     assert!(
-        flood_covered < 64,
+        flood.complete_nodes < 64,
         "the unsuppressed flood should not achieve full coverage"
     );
 }

@@ -24,11 +24,11 @@ fn identical_seeds_give_identical_runs() {
     let a = GridExperiment::new(6, 6, 10.0)
         .segments(1)
         .seed(77)
-        .run_mnp(|_| {});
+        .run::<Mnp>(|_| {});
     let b = GridExperiment::new(6, 6, 10.0)
         .segments(1)
         .seed(77)
-        .run_mnp(|_| {});
+        .run::<Mnp>(|_| {});
     assert_eq!(a.completed, b.completed);
     assert_eq!(a.completion, b.completion);
     assert_eq!(fingerprint(&a), fingerprint(&b));
@@ -41,11 +41,11 @@ fn different_seeds_give_different_runs() {
     let a = GridExperiment::new(5, 5, 10.0)
         .segments(1)
         .seed(1)
-        .run_mnp(|_| {});
+        .run::<Mnp>(|_| {});
     let b = GridExperiment::new(5, 5, 10.0)
         .segments(1)
         .seed(2)
-        .run_mnp(|_| {});
+        .run::<Mnp>(|_| {});
     assert_ne!(
         fingerprint(&a),
         fingerprint(&b),
@@ -58,11 +58,11 @@ fn deluge_runs_are_also_deterministic() {
     let a = GridExperiment::new(5, 5, 10.0)
         .segments(1)
         .seed(3)
-        .run_deluge(|_| {});
+        .run::<Deluge>(|_| {});
     let b = GridExperiment::new(5, 5, 10.0)
         .segments(1)
         .seed(3)
-        .run_deluge(|_| {});
+        .run::<Deluge>(|_| {});
     assert_eq!(a.completion, b.completion);
     assert_eq!(fingerprint(&a), fingerprint(&b));
 }
@@ -70,9 +70,9 @@ fn deluge_runs_are_also_deterministic() {
 #[test]
 fn config_tweaks_change_behaviour_deterministically() {
     let base = GridExperiment::new(5, 5, 10.0).segments(1).seed(4);
-    let with_sleep = base.run_mnp(|_| {});
-    let no_sleep_1 = base.run_mnp(|c| c.sleep_enabled = false);
-    let no_sleep_2 = base.run_mnp(|c| c.sleep_enabled = false);
+    let with_sleep = base.run::<Mnp>(|_| {});
+    let no_sleep_1 = base.run::<Mnp>(|c| c.sleep_enabled = false);
+    let no_sleep_2 = base.run::<Mnp>(|c| c.sleep_enabled = false);
     assert_eq!(fingerprint(&no_sleep_1), fingerprint(&no_sleep_2));
     assert_ne!(with_sleep.art_s, no_sleep_1.art_s);
 }
@@ -88,7 +88,7 @@ fn identical_seeds_give_byte_identical_event_logs() {
         let out = GridExperiment::new(4, 4, 10.0)
             .segments(1)
             .seed(seed)
-            .run_mnp_observed(|_| {}, vec![Box::new(log.clone())]);
+            .run_observed::<Mnp>(|_| {}, Instruments::observing(log.clone()));
         assert!(out.completed);
         let text = log.borrow().as_str().to_owned();
         text
@@ -111,7 +111,7 @@ fn deluge_event_logs_are_also_byte_identical() {
         let out = GridExperiment::new(4, 4, 10.0)
             .segments(1)
             .seed(seed)
-            .run_deluge_observed(|_| {}, vec![Box::new(log.clone())]);
+            .run_observed::<Deluge>(|_| {}, Instruments::observing(log.clone()));
         assert!(out.completed);
         let text = log.borrow().as_str().to_owned();
         text
@@ -135,7 +135,7 @@ fn coded_event_logs_are_byte_identical() {
         let out = GridExperiment::new(4, 4, 10.0)
             .segments(1)
             .seed(seed)
-            .run_rlnc_observed(|_| {}, vec![Box::new(log.clone())]);
+            .run_observed::<Rlnc>(|_| {}, Instruments::observing(log.clone()));
         assert!(out.completed);
         let text = log.borrow().as_str().to_owned();
         text
@@ -145,7 +145,7 @@ fn coded_event_logs_are_byte_identical() {
         let out = GridExperiment::new(4, 4, 10.0)
             .segments(1)
             .seed(seed)
-            .run_xor_observed(|_| {}, vec![Box::new(log.clone())]);
+            .run_observed::<Xor>(|_| {}, Instruments::observing(log.clone()));
         assert!(out.completed);
         let text = log.borrow().as_str().to_owned();
         text
@@ -173,9 +173,9 @@ fn sharded_coded_runs_give_byte_identical_event_logs() {
             .seed(77)
             .shards(shards);
         let out = if xor {
-            scenario.run_xor_observed(|_| {}, vec![Box::new(log.clone())])
+            scenario.run_observed::<Xor>(|_| {}, Instruments::observing(log.clone()))
         } else {
-            scenario.run_rlnc_observed(|_| {}, vec![Box::new(log.clone())])
+            scenario.run_observed::<Rlnc>(|_| {}, Instruments::observing(log.clone()))
         };
         assert!(out.completed, "{shards}-shard run did not complete");
         let text = log.borrow().as_str().to_owned();
@@ -206,7 +206,7 @@ fn capture_enabled_event_logs_are_byte_identical() {
             .segments(1)
             .seed(seed)
             .capture(true)
-            .run_mnp_observed(|_| {}, vec![Box::new(log.clone())]);
+            .run_observed::<Mnp>(|_| {}, Instruments::observing(log.clone()));
         assert!(out.completed);
         let text = log.borrow().as_str().to_owned();
         text
@@ -247,7 +247,7 @@ fn faulted_runs_replay_byte_identically() {
         if let Some(p) = faults {
             scenario = scenario.faults(p);
         }
-        let out = scenario.run_mnp_observed(|_| {}, vec![Box::new(log.clone())]);
+        let out = scenario.run_observed::<Mnp>(|_| {}, Instruments::observing(log.clone()));
         assert!(out.completed, "transient faults must not cost completion");
         let text = log.borrow().as_str().to_owned();
         text
@@ -289,7 +289,7 @@ fn sharded_runs_give_byte_identical_event_logs() {
             .seed(77)
             .faults(plan)
             .shards(shards)
-            .run_mnp_observed(|_| {}, vec![Box::new(log.clone())]);
+            .run_observed::<Mnp>(|_| {}, Instruments::observing(log.clone()));
         assert!(out.completed, "{shards}-shard run did not complete");
         let text = log.borrow().as_str().to_owned();
         (text, out.events, out.completion)
@@ -330,7 +330,7 @@ fn mobile_runs_replay_byte_identically_at_any_shard_count() {
             .speed(2.0)
             .churn(1)
             .shards(shards)
-            .run_mnp_observed(|_| {}, vec![Box::new(log.clone())]);
+            .run_observed::<Mnp>(|_| {}, Instruments::observing(log.clone()));
         assert!(out.completed, "{shards}-shard mobile run did not complete");
         let text = log.borrow().as_str().to_owned();
         text
@@ -360,7 +360,7 @@ fn seed_sweep_always_completes() {
         let out = GridExperiment::new(4, 4, 10.0)
             .segments(1)
             .seed(seed)
-            .run_mnp(|_| {});
+            .run::<Mnp>(|_| {});
         assert!(out.completed, "seed {seed} failed: {out}");
     }
 }

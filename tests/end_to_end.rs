@@ -11,7 +11,7 @@ fn run_grid(rows: usize, cols: usize, spacing: f64, segments: u16, seed: u64) ->
         .segments(segments)
         .seed(seed)
         .check_invariants(true)
-        .run_mnp(|_| {})
+        .run::<Mnp>(|_| {})
 }
 
 #[test]

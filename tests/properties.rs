@@ -91,7 +91,7 @@ proptest! {
         cols in 3usize..6,
         seed in 0u64..500,
     ) {
-        let out = GridExperiment::new(rows, cols, 10.0).segments(1).seed(seed).run_mnp(|_| {});
+        let out = GridExperiment::new(rows, cols, 10.0).segments(1).seed(seed).run::<Mnp>(|_| {});
         prop_assert!(out.completed);
         let completion = out.completion_s();
         for (total, noidle) in out.art_s.iter().zip(&out.art_noidle_s) {
@@ -190,7 +190,7 @@ proptest! {
     /// cannot receive more copies than neighbours × transmissions.
     #[test]
     fn prop_reception_counts_are_bounded(seed in 0u64..500) {
-        let out = GridExperiment::new(4, 4, 10.0).segments(1).seed(seed).run_mnp(|_| {});
+        let out = GridExperiment::new(4, 4, 10.0).segments(1).seed(seed).run::<Mnp>(|_| {});
         prop_assert!(out.completed);
         let sent = out.total_sent();
         let received: f64 = out.received.iter().sum();

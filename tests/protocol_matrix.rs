@@ -8,7 +8,7 @@ fn run_combo(query_update: bool, pipelining: bool, sleep_enabled: bool, seed: u6
         .segments(2)
         .seed(seed)
         .check_invariants(true)
-        .run_mnp(|c| {
+        .run::<Mnp>(|c| {
             c.query_update = query_update;
             c.pipelining = pipelining;
             c.sleep_enabled = sleep_enabled;
@@ -42,9 +42,9 @@ fn coded_protocols_preserve_reliability_on_a_lossy_multihop_grid() {
         .seed(610)
         .extra_loss(0.10)
         .check_invariants(true);
-    let rlnc = scenario.run_rlnc(|_| {});
+    let rlnc = scenario.run::<Rlnc>(|_| {});
     assert!(rlnc.completed, "rlnc: {rlnc}");
-    let xor = scenario.run_xor(|_| {});
+    let xor = scenario.run::<Xor>(|_| {});
     assert!(xor.completed, "xor: {xor}");
 }
 
@@ -57,11 +57,11 @@ fn coded_config_knobs_change_behaviour_without_costing_reliability() {
         .seed(620)
         .check_invariants(true);
     for extra in [0, 6] {
-        let out = scenario.run_rlnc(|c| c.extra_coded = extra);
+        let out = scenario.run::<Rlnc>(|c| c.extra_coded = extra);
         assert!(out.completed, "rlnc extra_coded={extra}: {out}");
     }
     for degree in [1, 3] {
-        let out = scenario.run_xor(|c| c.max_degree = degree);
+        let out = scenario.run::<Xor>(|c| c.max_degree = degree);
         assert!(out.completed, "xor max_degree={degree}: {out}");
     }
 }
@@ -72,7 +72,7 @@ fn smaller_segments_work_too() {
     let out = GridExperiment::new(4, 4, 10.0)
         .seed(700)
         .check_invariants(true)
-        .run_mnp(|c| {
+        .run::<Mnp>(|c| {
             // Keep the default image; only the protocol features vary here.
             c.adv_count = 4;
         });
@@ -84,7 +84,7 @@ fn single_node_network_is_trivially_complete() {
     let out = GridExperiment::new(1, 1, 10.0)
         .seed(701)
         .check_invariants(true)
-        .run_mnp(|_| {});
+        .run::<Mnp>(|_| {});
     assert!(out.completed);
     assert_eq!(out.completion, SimTime::ZERO, "the base is born complete");
 }
@@ -94,7 +94,7 @@ fn two_node_network_completes_quickly() {
     let out = GridExperiment::new(1, 2, 10.0)
         .seed(702)
         .check_invariants(true)
-        .run_mnp(|_| {});
+        .run::<Mnp>(|_| {});
     assert!(out.completed);
     assert!(out.completion_s() < 60.0, "{out}");
 }
@@ -110,7 +110,7 @@ fn widely_spaced_grid_with_marginal_links_still_completes() {
         if !scenario.is_viable() {
             continue; // this sample was partitioned; viability is checked
         }
-        let out = scenario.run_mnp(|_| {});
+        let out = scenario.run::<Mnp>(|_| {});
         assert!(out.completed, "seed {seed}: {out}");
     }
 }
@@ -121,7 +121,7 @@ fn dense_cheap_grid_completes_fast() {
     let out = GridExperiment::new(4, 4, 5.0)
         .seed(730)
         .check_invariants(true)
-        .run_mnp(|_| {});
+        .run::<Mnp>(|_| {});
     assert!(out.completed);
     assert!(out.completion_s() < 120.0, "{out}");
 }
