@@ -9,33 +9,39 @@
 //! carries a `(generation, u32 seed)` pair and both ends derive the same
 //! coefficients from a [`SimRng`] stream ([`derive_coeffs`]).
 //!
-//! The decoder keeps the received combinations in reduced row-echelon
-//! form: each absorbed row is forward-eliminated against the existing
-//! pivots, normalised, then back-eliminated from them. At full rank the
-//! coefficient matrix is the identity, so row `i`'s data *is* source
-//! packet `i` — no separate back-substitution pass. Memory bound: at most
-//! `gen_size` rows of `gen_size + payload_len` bytes (≤ 128 × 151 ≈ 19 KB
-//! for the paper layout), freed when the generation commits to flash.
+//! The decoder keeps the received combinations in *triangular* echelon
+//! form. [`GenDecoder::absorb`] forward-eliminates the incoming row
+//! against the held pivot rows in ascending pivot order and stops at the
+//! first nonzero column no row owns: that column is the new pivot, the
+//! row is normalised to a leading 1 and stored from the pivot on
+//! (`coeffs[pivot..]` followed by the data, one exact-sized buffer, so a
+//! row operation is a single [`gf256::mul_add_assign`]). Held rows are
+//! never touched again until the rank reaches `gen_size`; then one
+//! bottom-up back-substitution over the *data* columns alone recovers the
+//! source packets and the coefficient tails are released. Memory bound:
+//! `gen_size` rows of `gen_size − pivot + payload_len` bytes
+//! (≤ 128·129/2 + 128·23 ≈ 11 KB for the paper layout), allocated as
+//! rows arrive and freed when the generation commits to flash.
 
 use mnp_sim::SimRng;
 
 use super::gf256;
 
-/// One RREF row: its coefficient vector and combined payload.
-#[derive(Clone, Debug)]
-struct Row {
-    coeffs: Vec<u8>,
-    data: Vec<u8>,
-}
-
-/// Incremental RREF decoder for a single generation.
+/// Incremental triangular-echelon decoder for a single generation.
 #[derive(Clone, Debug)]
 pub struct GenDecoder {
     gen_size: usize,
     payload_len: usize,
-    /// `rows[c]` holds the row whose pivot is column `c`.
-    rows: Vec<Option<Row>>,
+    /// `rows[c]` holds the row whose pivot is column `c`: its normalised
+    /// coefficients from column `c` on (leading 1), then its data.
+    /// Emptied once the generation is decoded.
+    rows: Vec<Option<Vec<u8>>>,
     rank: usize,
+    /// The incoming row while it is being eliminated: `gen_size`
+    /// coefficients, then the data.
+    work: Vec<u8>,
+    /// The `gen_size` source packets back to back; empty before full rank.
+    decoded: Vec<u8>,
 }
 
 impl GenDecoder {
@@ -48,6 +54,8 @@ impl GenDecoder {
             payload_len,
             rows: vec![None; gen_size],
             rank: 0,
+            work: vec![0; gen_size + payload_len],
+            decoded: Vec::new(),
         }
     }
 
@@ -69,7 +77,8 @@ impl GenDecoder {
 
     /// Absorbs one coded packet. Returns `true` when the combination was
     /// innovative (the rank rose), `false` when it was linearly dependent
-    /// on what is already held.
+    /// on what is already held — which every combination is once the
+    /// decoder is full.
     ///
     /// # Panics
     ///
@@ -77,57 +86,77 @@ impl GenDecoder {
     pub fn absorb(&mut self, coeffs: &[u8], payload: &[u8]) -> bool {
         assert_eq!(coeffs.len(), self.gen_size, "coefficient width mismatch");
         assert_eq!(payload.len(), self.payload_len, "payload width mismatch");
-        let mut coeffs = coeffs.to_vec();
-        let mut data = payload.to_vec();
+        if self.is_full() {
+            return false;
+        }
+        let n = self.gen_size;
+        self.work[..n].copy_from_slice(coeffs);
+        self.work[n..].copy_from_slice(payload);
 
-        // Forward-eliminate against existing pivots. Each pivot row has a
-        // leading 1 at its column, so the factor is the raw coefficient.
-        for c in 0..self.gen_size {
-            if coeffs[c] == 0 {
+        // Forward-eliminate in ascending pivot order. Each pivot row has
+        // a leading 1 at its column and nothing before it, so the factor
+        // is the raw coefficient and columns below `c` stay untouched.
+        // The first nonzero column without a row is the new pivot.
+        let mut pivot = None;
+        for c in 0..n {
+            let factor = self.work[c];
+            if factor == 0 {
                 continue;
             }
-            if let Some(row) = &self.rows[c] {
-                let factor = coeffs[c];
-                gf256::mul_add_assign(&mut coeffs, &row.coeffs, factor);
-                gf256::mul_add_assign(&mut data, &row.data, factor);
-            }
-        }
-
-        // The first surviving nonzero column is the new pivot.
-        let Some(pivot) = coeffs.iter().position(|&c| c != 0) else {
-            return false; // reduced to zero: linearly dependent
-        };
-
-        // Normalise to a leading 1.
-        let scale = gf256::inv(coeffs[pivot]);
-        gf256::scale_assign(&mut coeffs, scale);
-        gf256::scale_assign(&mut data, scale);
-
-        // Back-eliminate the new pivot from every existing row so the
-        // matrix stays in *reduced* echelon form.
-        for c in 0..self.gen_size {
-            if let Some(row) = &mut self.rows[c] {
-                let factor = row.coeffs[pivot];
-                if factor != 0 {
-                    gf256::mul_add_assign(&mut row.coeffs, &coeffs, factor);
-                    gf256::mul_add_assign(&mut row.data, &data, factor);
+            match &self.rows[c] {
+                Some(row) => gf256::mul_add_assign(&mut self.work[c..], row, factor),
+                None => {
+                    pivot = Some(c);
+                    break;
                 }
             }
         }
+        let Some(pivot) = pivot else {
+            return false; // reduced to zero: linearly dependent
+        };
 
-        self.rows[pivot] = Some(Row { coeffs, data });
+        // Normalise to a leading 1 and keep the row from its pivot on.
+        let mut row = self.work[pivot..].to_vec();
+        let scale = gf256::inv(row[0]);
+        gf256::scale_assign(&mut row, scale);
+        self.rows[pivot] = Some(row);
         self.rank += 1;
+        if self.is_full() {
+            self.back_substitute();
+        }
         true
     }
 
-    /// Source packet `i`, available once the generation is fully decoded
-    /// (the RREF matrix is then the identity, so row `i`'s data is the
-    /// packet). `None` before full rank.
+    /// At full rank the coefficient matrix is unit upper triangular:
+    /// source packet `p` is row `p`'s data minus its coefficients times
+    /// the packets above `p`, which a bottom-up sweep has already
+    /// recovered. Only data columns are combined; the coefficient tails
+    /// are dropped with the rows.
+    fn back_substitute(&mut self) {
+        let (n, w) = (self.gen_size, self.payload_len);
+        let mut decoded = vec![0u8; n * w];
+        for p in (0..n).rev() {
+            let row = self.rows[p].take().expect("full rank: every pivot held");
+            let (tail, data) = row.split_at(n - p);
+            let (head, solved) = decoded.split_at_mut((p + 1) * w);
+            let packet = &mut head[p * w..];
+            packet.copy_from_slice(data);
+            for (j, factor) in tail[1..].iter().enumerate() {
+                gf256::mul_add_assign(packet, &solved[j * w..(j + 1) * w], *factor);
+            }
+        }
+        self.rows = Vec::new();
+        self.decoded = decoded;
+    }
+
+    /// Source packet `i`, available once the generation is fully decoded.
+    /// `None` before full rank and for `i` outside the generation.
     pub fn packet(&self, i: usize) -> Option<&[u8]> {
-        if !self.is_full() {
+        if !self.is_full() || i >= self.gen_size {
             return None;
         }
-        self.rows[i].as_ref().map(|r| r.data.as_slice())
+        let w = self.payload_len;
+        Some(&self.decoded[i * w..(i + 1) * w])
     }
 }
 
@@ -136,14 +165,23 @@ impl GenDecoder {
 /// stands in for the full coefficient vector.
 ///
 /// An all-zero draw (likely only for tiny generations) is patched to the
-/// unit vector on packet 0 so every header names a usable combination.
+/// unit vector on packet 0 so every header names a usable combination;
+/// `n == 0` yields the empty vector.
 pub fn derive_coeffs(gen: u16, seed: u32, n: usize) -> Vec<u8> {
+    let mut coeffs = Vec::new();
+    derive_coeffs_into(gen, seed, n, &mut coeffs);
+    coeffs
+}
+
+/// [`derive_coeffs`] into a caller-owned buffer, so a node expanding one
+/// header per received packet allocates nothing.
+pub(crate) fn derive_coeffs_into(gen: u16, seed: u32, n: usize, coeffs: &mut Vec<u8>) {
     let mut rng = SimRng::new((u64::from(gen) << 32) | u64::from(seed));
-    let mut coeffs: Vec<u8> = (0..n).map(|_| (rng.next_u64() & 0xff) as u8).collect();
-    if coeffs.iter().all(|&c| c == 0) {
+    coeffs.clear();
+    coeffs.extend((0..n).map(|_| (rng.next_u64() & 0xff) as u8));
+    if n > 0 && coeffs.iter().all(|&c| c == 0) {
         coeffs[0] = 1;
     }
-    coeffs
 }
 
 /// The encoder side: the GF(256) linear combination
@@ -154,6 +192,16 @@ pub fn derive_coeffs(gen: u16, seed: u32, n: usize) -> Vec<u8> {
 /// Panics when `coeffs` and `packets` disagree in length or the packets
 /// are not all `payload_len` wide.
 pub fn encode(coeffs: &[u8], packets: &[Vec<u8>], payload_len: usize) -> Vec<u8> {
+    combine(coeffs, packets.iter().map(Vec::as_slice), payload_len)
+}
+
+/// [`encode`] over any source of packet slices — the flat per-round cache
+/// [`Rlnc`](super::rlnc::Rlnc) encodes from.
+pub(crate) fn combine<'a>(
+    coeffs: &[u8],
+    packets: impl ExactSizeIterator<Item = &'a [u8]>,
+    payload_len: usize,
+) -> Vec<u8> {
     assert_eq!(coeffs.len(), packets.len(), "coefficient/packet mismatch");
     let mut out = vec![0u8; payload_len];
     for (c, p) in coeffs.iter().zip(packets) {
@@ -223,6 +271,43 @@ mod tests {
         assert!(!dec.absorb(&scaled_c, &scaled_d));
         assert_eq!(dec.rank(), 1);
         assert!(dec.packet(0).is_none(), "no read-out before full rank");
+    }
+
+    #[test]
+    fn a_full_decoder_refuses_rows_and_keeps_its_packets() {
+        // After a flash write fault the protocol keeps a full decoder
+        // alive and coded frames keep arriving; its rows are gone by then.
+        let src = sources(5, 23);
+        let mut dec = GenDecoder::new(5, 23);
+        let mut seed = 0u32;
+        while !dec.is_full() {
+            seed += 1;
+            let coeffs = derive_coeffs(1, seed, 5);
+            dec.absorb(&coeffs, &encode(&coeffs, &src, 23));
+        }
+        for seed in 1000..1010 {
+            let coeffs = derive_coeffs(1, seed, 5);
+            assert!(!dec.absorb(&coeffs, &encode(&coeffs, &src, 23)));
+        }
+        assert_eq!(dec.rank(), 5);
+        for (i, s) in src.iter().enumerate() {
+            assert_eq!(dec.packet(i).unwrap(), s.as_slice());
+        }
+    }
+
+    #[test]
+    fn packet_outside_the_generation_is_none() {
+        let mut dec = GenDecoder::new(1, 4);
+        assert!(dec.packet(1).is_none());
+        assert!(dec.absorb(&[3], &[1, 2, 3, 4]));
+        assert!(dec.packet(0).is_some());
+        assert!(dec.packet(1).is_none());
+        assert!(dec.packet(usize::MAX).is_none());
+    }
+
+    #[test]
+    fn deriving_zero_coefficients_yields_the_empty_vector() {
+        assert!(derive_coeffs(0, 7, 0).is_empty());
     }
 
     #[test]

@@ -29,8 +29,8 @@ use mnp::engine::{self, TimerMux};
 
 use crate::trickle::{Trickle, TrickleConfig};
 
-use super::decoder::{derive_coeffs, encode, GenDecoder};
-use super::{packet_len, padded_packet};
+use super::decoder::{combine, derive_coeffs_into, GenDecoder};
+use super::packet_len;
 
 /// RLNC parameters.
 #[derive(Clone, Debug)]
@@ -101,7 +101,7 @@ pub enum RlncMsg {
     },
     /// One coded packet: a random linear combination of the generation's
     /// sources, its coefficient vector compressed to the RNG seed both
-    /// ends expand with [`derive_coeffs`].
+    /// ends expand with [`derive_coeffs`](super::decoder::derive_coeffs).
     Coded {
         /// Generation the combination is drawn from.
         gen: u16,
@@ -235,10 +235,15 @@ pub struct Rlnc {
     pending_suppressed: bool,
 
     // Tx: the generation's padded packets are read from flash once per
-    // round and encoded from RAM.
+    // round and encoded from RAM — one flat buffer, `payload_bytes()` per
+    // packet, whose capacity outlives the round.
     tx_gen: u16,
     tx_budget: u32,
-    tx_cache: Vec<Vec<u8>>,
+    tx_cache: Vec<u8>,
+
+    /// Scratch for the coefficient vector a `Coded` header expands to, on
+    /// both the receive and the transmit side.
+    coeffs: Vec<u8>,
 
     /// Counters for the harness.
     pub stats: RlncStats,
@@ -298,6 +303,7 @@ impl Rlnc {
             tx_gen: 0,
             tx_budget: 0,
             tx_cache: Vec::new(),
+            coeffs: Vec::new(),
             stats: RlncStats::default(),
         }
     }
@@ -406,8 +412,8 @@ impl Rlnc {
         if gen != self.decode_gen || payload.len() != self.cfg.layout.payload_bytes() {
             return;
         }
-        let coeffs = derive_coeffs(gen, seed, self.decoder.gen_size());
-        if self.decoder.absorb(&coeffs, payload) {
+        derive_coeffs_into(gen, seed, self.decoder.gen_size(), &mut self.coeffs);
+        if self.decoder.absorb(&self.coeffs, payload) {
             self.stats.innovative += 1;
             ctx.note_parent(from);
             if self.state == State::Rx && self.rx_gen == gen {
@@ -475,12 +481,13 @@ impl Rlnc {
         let n = self.cfg.layout.packets_in_segment(gen);
         let width = self.cfg.layout.payload_bytes();
         self.tx_cache.clear();
-        for pkt in 0..n {
+        self.tx_cache.resize(usize::from(n) * width, 0);
+        for (pkt, padded) in (0..n).zip(self.tx_cache.chunks_exact_mut(width)) {
             let raw = self
                 .store
                 .read_packet(gen, pkt)
                 .expect("Tx node holds the generation");
-            self.tx_cache.push(padded_packet(raw, width));
+            padded[..raw.len()].copy_from_slice(raw);
         }
     }
 }
@@ -647,8 +654,10 @@ impl Protocol for Rlnc {
                 }
                 self.tx_budget -= 1;
                 let seed = ctx.rng.next_u32();
-                let coeffs = derive_coeffs(self.tx_gen, seed, self.tx_cache.len());
-                let payload = encode(&coeffs, &self.tx_cache, self.cfg.layout.payload_bytes());
+                let width = self.cfg.layout.payload_bytes();
+                let packets = self.tx_cache.chunks_exact(width);
+                derive_coeffs_into(self.tx_gen, seed, packets.len(), &mut self.coeffs);
+                let payload = combine(&self.coeffs, packets, width);
                 ctx.send(RlncMsg::Coded {
                     gen: self.tx_gen,
                     seed,

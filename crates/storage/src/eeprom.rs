@@ -78,9 +78,7 @@ impl std::error::Error for StorageError {}
 pub struct PacketStore {
     program: ProgramId,
     layout: ImageLayout,
-    /// `segments[s][p]` is `Some(payload)` once packet `p` of segment `s`
-    /// has been written.
-    segments: Vec<Vec<Option<Vec<u8>>>>,
+    segments: Vec<Segment>,
     /// EEPROM line writes performed (for the energy meter).
     pub line_writes: u64,
     /// EEPROM line reads performed (for the energy meter).
@@ -90,11 +88,25 @@ pub struct PacketStore {
     pending_write_faults: u32,
 }
 
+/// One segment's packet slots.
+#[derive(Clone, Debug)]
+struct Segment {
+    /// `slots[p]` is `Some(payload)` once packet `p` has been written.
+    slots: Vec<Option<Vec<u8>>>,
+    /// How many slots are `Some`: the completeness checks run on every
+    /// advertisement a protocol hears, so they compare this count instead
+    /// of scanning every slot. Moves only when a write commits.
+    stored: u16,
+}
+
 impl PacketStore {
     /// Creates an empty store for `program` with `layout`.
     pub fn new(program: ProgramId, layout: ImageLayout) -> Self {
         let segments = (0..layout.segment_count())
-            .map(|s| vec![None; usize::from(layout.packets_in_segment(s))])
+            .map(|s| Segment {
+                slots: vec![None; usize::from(layout.packets_in_segment(s))],
+                stored: 0,
+            })
             .collect();
         PacketStore {
             program,
@@ -152,7 +164,8 @@ impl PacketStore {
                 got: payload.len(),
             });
         }
-        let slot = &mut self.segments[usize::from(seg)][usize::from(pkt)];
+        let segment = &mut self.segments[usize::from(seg)];
+        let slot = &mut segment.slots[usize::from(pkt)];
         if slot.is_some() {
             return Err(StorageError::DuplicateWrite { seg, pkt });
         }
@@ -161,6 +174,7 @@ impl PacketStore {
             return Err(StorageError::WriteFault { seg, pkt });
         }
         *slot = Some(payload.to_vec());
+        segment.stored += 1;
         self.line_writes += payload.len().div_ceil(EEPROM_LINE_BYTES) as u64;
         Ok(())
     }
@@ -172,7 +186,7 @@ impl PacketStore {
     ///
     /// Panics if `seg`/`pkt` are outside the layout.
     pub fn read_packet(&mut self, seg: u16, pkt: u16) -> Option<&[u8]> {
-        let slot = self.segments[usize::from(seg)][usize::from(pkt)].as_deref();
+        let slot = self.segments[usize::from(seg)].slots[usize::from(pkt)].as_deref();
         if slot.is_some() {
             self.line_reads += self.expected_len(seg, pkt).div_ceil(EEPROM_LINE_BYTES) as u64;
         }
@@ -181,12 +195,13 @@ impl PacketStore {
 
     /// Whether packet `pkt` of segment `seg` has been stored.
     pub fn has_packet(&self, seg: u16, pkt: u16) -> bool {
-        self.segments[usize::from(seg)][usize::from(pkt)].is_some()
+        self.segments[usize::from(seg)].slots[usize::from(pkt)].is_some()
     }
 
     /// Whether every packet of `seg` has been stored.
     pub fn segment_complete(&self, seg: u16) -> bool {
-        self.segments[usize::from(seg)].iter().all(Option::is_some)
+        let segment = &self.segments[usize::from(seg)];
+        usize::from(segment.stored) == segment.slots.len()
     }
 
     /// The number of fully received segments counting up from segment 0
@@ -207,10 +222,7 @@ impl PacketStore {
 
     /// Packets stored so far.
     pub fn packets_received(&self) -> u32 {
-        self.segments
-            .iter()
-            .map(|s| s.iter().filter(|p| p.is_some()).count() as u32)
-            .sum()
+        self.segments.iter().map(|s| u32::from(s.stored)).sum()
     }
 
     /// FNV-1a checksum of the assembled image.
@@ -222,7 +234,7 @@ impl PacketStore {
         assert!(self.is_complete(), "image incomplete");
         let mut data = Vec::with_capacity(self.layout.total_bytes() as usize);
         for seg in &self.segments {
-            for pkt in seg {
+            for pkt in &seg.slots {
                 data.extend_from_slice(pkt.as_deref().expect("complete"));
             }
         }
@@ -366,6 +378,50 @@ mod tests {
         let err = store.write_packet(0, 1, &[0u8; 3]).unwrap_err();
         assert!(matches!(err, StorageError::WrongLength { .. }));
         assert_eq!(store.pending_write_faults(), 1);
+    }
+
+    proptest::proptest! {
+        /// The per-segment stored count against the slot-scanning
+        /// definitions it replaced, after every step of an arbitrary mix
+        /// of first, duplicate, wrong-length and fault-injected writes:
+        /// only a committed write may move it.
+        #[test]
+        fn prop_stored_counts_match_a_slot_scan(
+            ops in proptest::collection::vec((0u16..3, 0u16..6, 0u8..6), 0..120),
+        ) {
+            // Segments of 6, 6 and 4 packets; the last packet is short.
+            let layout = ImageLayout::new(78, 6, 5);
+            let img = ProgramImage::synthetic(ProgramId(7), layout);
+            let mut store = PacketStore::new(img.id(), layout);
+            for (seg, pkt, kind) in ops {
+                let pkt = pkt % layout.packets_in_segment(seg);
+                let payload = img.packet_payload(seg, pkt);
+                let held = store.has_packet(seg, pkt);
+                let result = match kind {
+                    0 => store.write_packet(seg, pkt, &payload[1..]),
+                    1 => {
+                        store.inject_write_faults(1);
+                        store.write_packet(seg, pkt, payload)
+                    }
+                    _ => store.write_packet(seg, pkt, payload),
+                };
+                proptest::prop_assert_eq!(store.has_packet(seg, pkt), held || result.is_ok());
+
+                let scan = |s: u16| (0..layout.packets_in_segment(s)).all(|p| store.has_packet(s, p));
+                let segs = layout.segment_count();
+                for s in 0..segs {
+                    proptest::prop_assert_eq!(store.segment_complete(s), scan(s));
+                }
+                let prefix = (0..segs).take_while(|&s| scan(s)).count();
+                proptest::prop_assert_eq!(usize::from(store.segments_received_prefix()), prefix);
+                proptest::prop_assert_eq!(store.is_complete(), (0..segs).all(scan));
+                let stored = (0..segs)
+                    .flat_map(|s| (0..layout.packets_in_segment(s)).map(move |p| (s, p)))
+                    .filter(|&(s, p)| store.has_packet(s, p))
+                    .count();
+                proptest::prop_assert_eq!(store.packets_received() as usize, stored);
+            }
+        }
     }
 
     #[test]
