@@ -14,11 +14,12 @@
 //! merge exact.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::{Barrier, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 
 use mnp_obs::{EventKind, ObsEvent, Observer, Shared, TimeSeriesSampler};
 use mnp_radio::{
-    CsmaBank, CsmaConfig, LinkTable, Medium, MediumStats, NodeId, TxOutcome, PERCEPTION_LATENCY,
+    CsmaBank, CsmaConfig, FlatLinks, LinkTable, Medium, MediumStats, NodeId, TxOutcome,
+    PERCEPTION_LATENCY,
 };
 use mnp_sim::profile::{self, Phase};
 use mnp_sim::{EventQueue, SimDuration, SimRng, SimTime, TieBreak};
@@ -27,7 +28,7 @@ use mnp_trace::RunTrace;
 use crate::fault::{FaultPlan, FaultPlanError, PlannedFault};
 use crate::nodes::NodeArena;
 use crate::protocol::Protocol;
-use crate::shard::{Boundary, Chunk, Event, LinkEventKind, Outbound, SetLinkEvent, Shard};
+use crate::shard::{Boundary, Chunk, Event, LinkEventKind, LinkRow, Outbound, Shard};
 
 /// One scheduled base-quality change of a directed link: at `at`, the
 /// edge `from -> to` takes bit-error rate `ber`.
@@ -101,8 +102,10 @@ impl NetworkBuilder {
         self
     }
 
-    /// Attaches a [`FaultPlan`]: every planned fault is expanded into
-    /// ordinary queue events at build time, so the run — faults included —
+    /// Attaches a [`FaultPlan`]: every planned fault gets its place in the
+    /// event order at build time — node-level faults as queue events, link
+    /// flaps as rows of the link timeline (see
+    /// [`NetworkBuilder::link_schedule`]) — so the run, faults included,
     /// replays byte-for-byte under the same seed and plan.
     ///
     /// The plan is validated against the link graph when the network is
@@ -115,10 +118,12 @@ impl NetworkBuilder {
     }
 
     /// Attaches a link schedule: deterministic base-quality changes of
-    /// existing edges, expanded into replicated owner-keyed queue events
-    /// at build time exactly like link-flap faults — so a mobile run
-    /// replays byte-for-byte under the same seed and schedule, at any
-    /// shard count.
+    /// existing edges. The build resolves schedule and link flaps into one
+    /// time-ordered link timeline whose rows carry their owner-keyed queue
+    /// rank from then on; every shard streams the shared rows into its
+    /// queue as they come due, so the queue's size follows the events in
+    /// flight, not the length of the schedule — and a mobile run replays
+    /// byte-for-byte under the same seed and schedule, at any shard count.
     ///
     /// Changes compose with [`FaultPlan`] link flaps: a scheduled change
     /// while a flap holds the edge updates the rate the flap will
@@ -256,7 +261,7 @@ impl NetworkBuilder {
                 Event::Start(node),
             );
         }
-        {
+        let timeline = {
             let _span = profile::span(Phase::FaultExpand);
             let push = |at: SimTime,
                         owner: NodeId,
@@ -265,26 +270,9 @@ impl NetworkBuilder {
                         queues: &mut Vec<EventQueue<Event>>| {
                 queues[shard_of(owner.index())].push_owned(at, owner.0, nodes.next_seq(owner), ev);
             };
-            // Every shard holds a full copy of the link graph, so a link
-            // mutation replicates into every queue under ONE (owner, seq)
-            // identity: each shard mutates its own copy at the same
-            // instant, and only the owning shard's dispatch is observable
-            // (see `Shard::dispatch`).
-            let push_all = |at: SimTime,
-                            ev: SetLinkEvent,
-                            nodes: &mut NodeArena,
-                            queues: &mut Vec<EventQueue<Event>>| {
-                let seq = nodes.next_seq(ev.from);
-                for q in queues.iter_mut() {
-                    q.push_owned(at, ev.from.0, seq, Event::SetLink(Box::new(ev)));
-                }
-            };
-            // Link flaps and scheduled (mobility) changes of one edge
-            // interact — overlapping flaps must not end each other early,
-            // and a flap must restore to the base rate as of its *end*,
-            // not the pristine rate — so they are collected here and
-            // resolved edge by edge in the sweep below.
-            let mut flaps: Vec<(NodeId, NodeId, SimTime, SimTime, f64)> = Vec::new();
+            // Link flaps do not become queue events here: they interact
+            // with the link schedule, so `link_timeline` resolves both.
+            let mut flaps: Vec<Flap> = Vec::new();
             if let Some(plan) = &self.faults {
                 for fault in plan.faults() {
                     match *fault {
@@ -320,94 +308,8 @@ impl NetworkBuilder {
                     }
                 }
             }
-            // Per-edge marks, swept in time order to resolve the BER each
-            // edge actually carries at each instant. The sort class makes
-            // same-instant resolution well-defined: base moves apply
-            // first, then flap starts, then flap ends — so a flap
-            // starting exactly as another ends keeps the edge faulted,
-            // and a flap ending at the instant of a base change restores
-            // to the new base.
-            #[derive(Clone, Copy)]
-            enum Mark {
-                /// A scheduled change of the edge's base rate.
-                Move(f64),
-                /// Flap `id` starts degrading the edge.
-                FlapStart(u32, f64),
-                /// Flap `id` expires.
-                FlapEnd(u32),
-            }
-            /// Marks on one edge: `(instant, sort class, mark)`.
-            type EdgeMarks = Vec<(SimTime, u8, Mark)>;
-            let mut timelines: BTreeMap<(u32, u32), EdgeMarks> = BTreeMap::new();
-            for c in &self.link_schedule {
-                timelines
-                    .entry((c.from.0, c.to.0))
-                    .or_default()
-                    .push((c.at, 0, Mark::Move(c.ber)));
-            }
-            for (id, &(from, to, start, end, ber)) in flaps.iter().enumerate() {
-                let marks = timelines.entry((from.0, to.0)).or_default();
-                marks.push((start, 1, Mark::FlapStart(id as u32, ber)));
-                marks.push((end, 2, Mark::FlapEnd(id as u32)));
-            }
-            for ((from, to), mut marks) in timelines {
-                let (from, to) = (NodeId(from), NodeId(to));
-                marks.sort_by_key(|&(at, class, _)| (at, class));
-                let mut base = self
-                    .links
-                    .ber(from, to)
-                    .expect("schedule and plan validated against this graph");
-                // Still-active flaps in start order: the most recently
-                // started one is the rate the edge carries.
-                let mut active: Vec<(u32, f64)> = Vec::new();
-                let mut applied = base;
-                let mut i = 0;
-                while i < marks.len() {
-                    let at = marks[i].0;
-                    let (mut started, mut ended) = (false, false);
-                    while i < marks.len() && marks[i].0 == at {
-                        match marks[i].2 {
-                            Mark::Move(ber) => base = ber,
-                            Mark::FlapStart(id, ber) => {
-                                active.push((id, ber));
-                                started = true;
-                            }
-                            Mark::FlapEnd(id) => {
-                                active.retain(|&(a, _)| a != id);
-                                ended = true;
-                            }
-                        }
-                        i += 1;
-                    }
-                    let now = active.last().map_or(base, |&(_, ber)| ber);
-                    // Emit when the applied rate changes; flap starts
-                    // always emit (the degradation is observable even
-                    // when the rate happens not to move), interior flap
-                    // ends only when the surviving flap's rate differs.
-                    if now != applied || started {
-                        let kind = if !active.is_empty() {
-                            LinkEventKind::Fault
-                        } else if ended {
-                            LinkEventKind::Restore
-                        } else {
-                            LinkEventKind::Motion
-                        };
-                        push_all(
-                            at,
-                            SetLinkEvent {
-                                from,
-                                to,
-                                ber: now,
-                                kind,
-                            },
-                            &mut nodes,
-                            &mut queues,
-                        );
-                        applied = now;
-                    }
-                }
-            }
-        }
+            link_timeline(&self.links, self.link_schedule, &flaps, &mut nodes)
+        };
         // Which *other* shards can hear each node: bit k set when shard k
         // holds at least one out-neighbour. All-zero masks (the one-shard
         // case, or an interior node) keep the boundary machinery off the
@@ -449,6 +351,8 @@ impl NetworkBuilder {
                 n_local: nk,
                 now: SimTime::ZERO,
                 queue,
+                timeline: timeline.clone(),
+                fed: 0,
                 medium,
                 protocols: protocols.by_ref().take(nk).collect(),
                 macs: CsmaBank::new(self.csma, nk),
@@ -509,6 +413,155 @@ impl NetworkBuilder {
         }
         Ok(net)
     }
+}
+
+/// A planned link flap: `(from, to, start, end, degraded BER)`.
+type Flap = (NodeId, NodeId, SimTime, SimTime, f64);
+
+/// One mark on an edge's timeline.
+#[derive(Clone, Copy)]
+enum Mark {
+    /// A scheduled change of the edge's base rate.
+    Move(f64),
+    /// Flap `id` starts degrading the edge.
+    FlapStart(u32, f64),
+    /// Flap `id` expires.
+    FlapEnd(u32),
+}
+
+/// A mark with its sort key: `(instant, from, to, class, mark)`. The
+/// class makes same-instant resolution on one edge well-defined: base
+/// moves apply first, then flap starts, then flap ends — so a flap
+/// starting exactly as another ends keeps the edge faulted, and a flap
+/// ending at the instant of a base change restores to the new base.
+type Placed = (SimTime, NodeId, NodeId, u8, Mark);
+
+fn placed_key(&(at, from, to, class, _): &Placed) -> (SimTime, NodeId, NodeId, u8) {
+    (at, from, to, class)
+}
+
+/// A flap-carrying edge during the timeline sweep.
+struct Flapped {
+    /// The rate the edge returns to when no flap holds it: the pristine
+    /// rate, or the latest scheduled change.
+    base: f64,
+    /// Still-active flaps in start order: the most recently started one
+    /// is the rate the edge carries.
+    active: Vec<(u32, f64)>,
+}
+
+/// Resolves the link schedule and the plan's flaps into the run's link
+/// timeline: the BER each edge actually carries at each instant, one
+/// [`LinkRow`] per applied change, in `(instant, from, to)` order.
+///
+/// Flaps and scheduled (mobility) changes of one edge interact —
+/// overlapping flaps must not end each other early, and a flap must
+/// restore to the base rate as of its *end*, not the pristine rate — so
+/// all marks of one edge at one instant are resolved together. Each row
+/// draws `from`'s next owner sequence number here, which fixes its queue
+/// rank before the run, whenever a shard feeds it.
+fn link_timeline(
+    links: &LinkTable,
+    mut schedule: Vec<LinkChange>,
+    flaps: &[Flap],
+    nodes: &mut NodeArena,
+) -> Arc<[LinkRow]> {
+    if schedule.is_empty() && flaps.is_empty() {
+        // A static run: skip the per-edge rate table below.
+        return Arc::new([]);
+    }
+    // Stable, so same-instant moves of one edge keep their schedule order
+    // (the last one wins). A mobility schedule arrives in this order
+    // already, which the sort detects in one pass.
+    schedule.sort_by_key(|c| (c.at, c.from, c.to));
+    let mut moves = schedule
+        .iter()
+        .map(|c| (c.at, c.from, c.to, 0, Mark::Move(c.ber)))
+        .peekable();
+    let mut flap_marks: Vec<Placed> = Vec::with_capacity(2 * flaps.len());
+    let mut flapped: BTreeMap<(NodeId, NodeId), Flapped> = BTreeMap::new();
+    for (id, &(from, to, start, end, ber)) in flaps.iter().enumerate() {
+        flap_marks.push((start, from, to, 1, Mark::FlapStart(id as u32, ber)));
+        flap_marks.push((end, from, to, 2, Mark::FlapEnd(id as u32)));
+        flapped.entry((from, to)).or_insert_with(|| Flapped {
+            base: links
+                .ber(from, to)
+                .expect("plan validated against this graph"),
+            active: Vec::new(),
+        });
+    }
+    flap_marks.sort_by_key(placed_key);
+    let mut flap_marks = flap_marks.into_iter().peekable();
+    // The two sorted streams merged (classes keep their keys distinct).
+    let mut marks = std::iter::from_fn(|| match (moves.peek(), flap_marks.peek()) {
+        (Some(m), Some(f)) if placed_key(f) < placed_key(m) => flap_marks.next(),
+        (Some(_), _) => moves.next(),
+        (None, _) => flap_marks.next(),
+    })
+    .peekable();
+    // The rate every edge carries as the sweep advances.
+    let mut applied = FlatLinks::from_table(links);
+    let mut rows = Vec::with_capacity(schedule.len() + 2 * flaps.len());
+    while let Some(&(at, from, to, ..)) = marks.peek() {
+        let mut edge = flapped.get_mut(&(from, to));
+        let (mut moved, mut started, mut ended) = (None, false, false);
+        while let Some((.., mark)) = marks.next_if(|m| (m.0, m.1, m.2) == (at, from, to)) {
+            match (mark, &mut edge) {
+                (Mark::Move(ber), _) => moved = Some(ber),
+                (Mark::FlapStart(id, ber), Some(edge)) => {
+                    edge.active.push((id, ber));
+                    started = true;
+                }
+                (Mark::FlapEnd(id), Some(edge)) => {
+                    edge.active.retain(|&(a, _)| a != id);
+                    ended = true;
+                }
+                (_, None) => unreachable!("every flap's edge is in `flapped`"),
+            }
+        }
+        let was = applied
+            .ber(from, to)
+            .expect("schedule and plan validated against this graph");
+        let (now, faulted) = match edge {
+            // A move-only edge carries its base rate.
+            None => (moved.unwrap_or(was), false),
+            Some(edge) => {
+                edge.base = moved.unwrap_or(edge.base);
+                let now = edge.active.last().map_or(edge.base, |&(_, ber)| ber);
+                (now, !edge.active.is_empty())
+            }
+        };
+        // Emit when the applied rate changes; flap starts always emit (the
+        // degradation is observable even when the rate happens not to
+        // move), interior flap ends only when the surviving flap's rate
+        // differs.
+        if now != was || started {
+            let kind = if faulted {
+                LinkEventKind::Fault
+            } else if ended {
+                LinkEventKind::Restore
+            } else {
+                LinkEventKind::Motion
+            };
+            rows.push(LinkRow {
+                at,
+                seq: nodes.next_seq(from),
+                from,
+                to,
+                ber: now,
+                kind,
+            });
+            applied.set_ber(from, to, now);
+        }
+    }
+    assert!(
+        u32::try_from(rows.len()).is_ok(),
+        "link timeline rows are indexed by u32"
+    );
+    // The conversion copies the rows; do not hold the schedule across it.
+    drop(marks);
+    drop(schedule);
+    rows.into()
 }
 
 /// One merged, not-yet-delivered dispatched event replica: its timestamp,
@@ -681,10 +734,11 @@ impl<P: Protocol> Network<P> {
         self.events_processed
     }
 
-    /// Events still queued across all shards, plus any merged but not yet
-    /// delivered. Zero means the simulation has nothing left to do.
+    /// Events still pending across all shards — queued, or link-timeline
+    /// rows not yet due — plus any merged but not yet delivered. Zero
+    /// means the simulation has nothing left to do.
     pub fn pending_events(&self) -> usize {
-        self.shards.iter().map(|s| s.queue.len()).sum::<usize>() + self.merged.cells.len()
+        self.shards.iter().map(Shard::pending).sum::<usize>() + self.merged.cells.len()
     }
 
     /// Schedules a permanent fail-stop of `node` at time `at` (battery
@@ -753,7 +807,7 @@ impl<P: Protocol> Network<P> {
                 return true;
             }
             let shard = &mut self.shards[0];
-            let Some(next) = shard.queue.peek_time() else {
+            let Some(next) = shard.peek_time() else {
                 return pred(self);
             };
             if next > deadline {
@@ -803,10 +857,8 @@ impl<P: Protocol> Network<P> {
         let Some(sampler) = &self.sampler else {
             return;
         };
-        let depth =
-            self.shards.iter().map(|sh| sh.queue.len()).sum::<usize>() + self.merged.cells.len();
         let mut s = sampler.borrow_mut();
-        s.record(self.now, depth, self.events_processed);
+        s.record(self.now, self.pending_events(), self.events_processed);
         let interval = s.interval();
         drop(s);
         while self.next_sample_at <= self.now {
@@ -858,7 +910,7 @@ impl<P: Protocol> Network<P> {
         let s = shards.len();
         // Replay anything a previous call merged but did not deliver (an
         // early completion exit stops mid-window).
-        let pending: usize = shards.iter().map(|sh| sh.queue.len()).sum();
+        let pending: usize = shards.iter().map(Shard::pending).sum();
         if drain_replay(
             merged,
             trace,
@@ -875,9 +927,8 @@ impl<P: Protocol> Network<P> {
         if stop_on_complete && trace.all_complete() {
             return true;
         }
-        let mut peeks: Vec<Option<SimTime>> =
-            shards.iter().map(|sh| sh.queue.peek_time()).collect();
-        let mut qlens: Vec<usize> = shards.iter().map(|sh| sh.queue.len()).collect();
+        let mut peeks: Vec<Option<SimTime>> = shards.iter_mut().map(Shard::peek_time).collect();
+        let mut qlens: Vec<usize> = shards.iter().map(Shard::pending).collect();
         let slots: Vec<Mutex<WindowSlot<P::Msg>>> =
             (0..s).map(|_| Mutex::new(WindowSlot::default())).collect();
         let inboxes: Vec<Mutex<Vec<Boundary<P::Msg>>>> =
@@ -913,8 +964,8 @@ impl<P: Protocol> Network<P> {
                             std::mem::swap(&mut sl.chunks, &mut shard.chunks);
                             std::mem::swap(&mut sl.obs, &mut shard.obs_buf);
                             std::mem::swap(&mut sl.outbox, &mut shard.outbox);
-                            sl.peek = shard.queue.peek_time();
-                            sl.qlen = shard.queue.len();
+                            sl.peek = shard.peek_time();
+                            sl.qlen = shard.pending();
                         }
                         barrier.wait();
                     }
@@ -1360,6 +1411,35 @@ mod tests {
         let done = net.run_until(|_| false, SimTime::from_secs(1));
         assert!(!done);
         assert!(net.now() <= SimTime::from_secs(1) + SimDuration::from_millis(200));
+    }
+
+    /// Parks one timer at the end of time, the idiom for "never".
+    struct Parked {
+        fired_at: Option<SimTime>,
+    }
+
+    impl Protocol for Parked {
+        type Msg = Tick;
+        fn on_start(&mut self, ctx: &mut Context<'_, Tick>) {
+            ctx.set_timer(SimDuration::MAX, 0);
+        }
+        fn on_message(&mut self, _: &mut Context<'_, Tick>, _: NodeId, _: &Tick) {}
+        fn on_timer(&mut self, ctx: &mut Context<'_, Tick>, _: u64) {
+            self.fired_at = Some(ctx.now);
+        }
+    }
+
+    #[test]
+    fn an_open_ended_run_survives_a_timer_parked_at_the_end_of_time() {
+        // The queue used to panic maturing an event at `SimTime::MAX`.
+        let mut net: Network<Parked> =
+            NetworkBuilder::new(pair(), 7).build(|_, _| Parked { fired_at: None });
+        net.run_to_deadline(SimTime::from_secs(3_600));
+        assert_eq!(net.pending_events(), 2, "both timers still parked");
+        net.run_to_deadline(SimTime::MAX);
+        assert_eq!(net.pending_events(), 0);
+        assert_eq!(net.now(), SimTime::MAX);
+        assert_eq!(net.protocol(NodeId(1)).fired_at, Some(SimTime::MAX));
     }
 
     #[test]
@@ -1989,5 +2069,441 @@ mod shard_tests {
                 });
         assert_eq!(net.shard_count(), 12, "one shard per node at most");
         assert!(net.run_until_all_complete(SimTime::from_secs(30)));
+    }
+}
+
+/// The streamed link timeline: rows enter the queue only when due, and
+/// nothing observable — pop order, pending counts, the sampler's depth
+/// gauge — can tell.
+#[cfg(test)]
+mod timeline_tests {
+    use super::*;
+    use crate::context::Context;
+    use crate::protocol::WireMsg;
+    use mnp_radio::PowerLevel;
+    use mnp_topology::mobility::{materialize, Field, MobilityModel};
+    use mnp_topology::Placement;
+    use mnp_trace::MsgClass;
+    use std::cell::Cell;
+
+    #[derive(Clone, Debug)]
+    struct Word;
+
+    impl WireMsg for Word {
+        fn wire_bytes(&self) -> usize {
+            4
+        }
+        fn class(&self) -> MsgClass {
+            MsgClass::Data
+        }
+    }
+
+    /// Records every observable event verbatim.
+    #[derive(Debug, Default)]
+    struct Rec(Vec<ObsEvent>);
+
+    impl Observer for Rec {
+        fn on_event(&mut self, ev: &ObsEvent) {
+            self.0.push(*ev);
+        }
+    }
+
+    impl<P: Protocol> Network<P> {
+        /// Events actually sitting in each shard's queue (unfed timeline
+        /// rows excluded).
+        fn queued(&self) -> Vec<usize> {
+            self.shards.iter().map(|sh| sh.queue.len()).collect()
+        }
+    }
+
+    /// A bidirectional line of `n` nodes, loss-free.
+    fn line(n: usize) -> LinkTable {
+        let mut links = LinkTable::new(n);
+        for i in 0..n - 1 {
+            let (a, b) = (NodeId::from_index(i), NodeId::from_index(i + 1));
+            links.connect(a, b, 0.0);
+            links.connect(b, a, 0.0);
+        }
+        links
+    }
+
+    /// Keeps one timer pending per node (first at `first`, then every
+    /// `every`), never transmits.
+    struct Heartbeat {
+        first: SimDuration,
+        every: SimDuration,
+    }
+
+    impl Protocol for Heartbeat {
+        type Msg = Word;
+        fn on_start(&mut self, ctx: &mut Context<'_, Word>) {
+            ctx.set_timer(self.first, 0);
+        }
+        fn on_message(&mut self, _: &mut Context<'_, Word>, _: NodeId, _: &Word) {}
+        fn on_timer(&mut self, ctx: &mut Context<'_, Word>, _: u64) {
+            ctx.set_timer(self.every, 0);
+        }
+    }
+
+    /// Schedules nothing at all.
+    struct Inert;
+
+    impl Protocol for Inert {
+        type Msg = Word;
+        fn on_start(&mut self, _: &mut Context<'_, Word>) {}
+        fn on_message(&mut self, _: &mut Context<'_, Word>, _: NodeId, _: &Word) {}
+        fn on_timer(&mut self, _: &mut Context<'_, Word>, _: u64) {}
+    }
+
+    #[test]
+    fn event_stays_two_words() {
+        // `SetLink` carries a row index where it carried a `Box`; the
+        // variant swap must not widen the entries the queue moves around.
+        assert_eq!(std::mem::size_of::<Event>(), 16);
+    }
+
+    #[test]
+    fn the_queue_holds_only_due_rows_and_pending_counts_the_rest() {
+        const N: usize = 6;
+        // 40 scheduled changes on the forward edges, one per 100 ms, each a
+        // real change; two flaps on reverse edges (a start and a restore
+        // row each) off the 100 ms grid; five node-level fault events.
+        let schedule: Vec<LinkChange> = (0..40u32)
+            .map(|i| LinkChange {
+                at: SimTime::from_millis(100 * (u64::from(i) + 1)),
+                from: NodeId(i % 5),
+                to: NodeId(i % 5 + 1),
+                ber: 0.01 * f64::from(i + 1),
+            })
+            .collect();
+        let plan = || {
+            FaultPlan::seeded(1)
+                .link_flap(
+                    NodeId(3),
+                    NodeId(2),
+                    SimTime::from_millis(1_050),
+                    SimDuration::from_millis(500),
+                    1.0,
+                )
+                .link_flap(
+                    NodeId(1),
+                    NodeId(0),
+                    SimTime::from_millis(2_050),
+                    SimDuration::from_millis(700),
+                    0.5,
+                )
+                .crash_restart(
+                    NodeId(4),
+                    SimTime::from_millis(500),
+                    SimDuration::from_secs(1),
+                )
+                .crash_restart(
+                    NodeId(1),
+                    SimTime::from_secs(2),
+                    SimDuration::from_millis(500),
+                )
+                .storage_faults(NodeId(5), SimTime::from_secs(3), 2)
+        };
+        const ROWS: usize = 44;
+        const NODE_FAULTS: usize = 5;
+        let build = |shards: usize| -> Network<Inert> {
+            NetworkBuilder::new(line(N), 3)
+                .shards(shards)
+                .link_schedule(schedule.clone())
+                .faults(plan())
+                .build(|_, _| Inert)
+        };
+        let mut processed = Vec::new();
+        for shards in [1, 2, 3] {
+            let mut net = build(shards);
+            // What every queue held when each row was pre-loaded into each.
+            let total = N + NODE_FAULTS + shards * ROWS;
+            assert_eq!(net.pending_events(), total, "{shards} shards");
+            for (k, queued) in net.queued().into_iter().enumerate() {
+                let owned = net.bounds[k + 1] - net.bounds[k];
+                assert!(
+                    queued <= owned + NODE_FAULTS,
+                    "shard {k} of {shards} queues {queued} events before the run"
+                );
+            }
+            if shards == 1 {
+                // Nothing schedules anything, so every dispatch — timeline
+                // rows included — takes the pending count down by one, and
+                // the queue never holds more than one (due) row.
+                let steps = Cell::new(0u64);
+                net.run_until(
+                    |n| {
+                        assert_eq!(
+                            n.pending_events() as u64 + n.events_processed(),
+                            total as u64
+                        );
+                        assert!(n.queued()[0] <= N + NODE_FAULTS + 1);
+                        steps.set(steps.get() + 1);
+                        false
+                    },
+                    SimTime::from_secs(10),
+                );
+                assert_eq!(steps.get(), total as u64 + 2, "checked around every event");
+            } else {
+                net.run_to_deadline(SimTime::from_secs(10));
+            }
+            assert_eq!(net.pending_events(), 0);
+            assert_eq!(net.queued().into_iter().sum::<usize>(), 0);
+            processed.push(net.events_processed());
+        }
+        assert_eq!(processed, [(N + NODE_FAULTS + ROWS) as u64; 3]);
+    }
+
+    /// A small random-waypoint field resolved over `horizon`: the
+    /// potential-edge link table and its link schedule.
+    fn mobile(nodes: usize, horizon: SimDuration, seed: u64) -> (LinkTable, Vec<LinkChange>) {
+        let rng = SimRng::new(seed);
+        let side = (nodes as f64).sqrt() * 12.0;
+        let initial = Placement::random(nodes, side, side, &mut rng.derive(0));
+        let model = MobilityModel::RandomWaypoint {
+            speed_ft_s: 2.0,
+            pause_s: 30.0,
+        };
+        let plan = model.plan(
+            &initial,
+            Field::new(side, side),
+            horizon,
+            SimDuration::from_secs(10),
+            &rng.derive(1),
+        );
+        let topo = materialize(&initial, &plan, PowerLevel::FULL, &mut rng.derive(2));
+        let schedule = topo
+            .updates
+            .iter()
+            .map(|u| LinkChange {
+                at: u.at,
+                from: u.from,
+                to: u.to,
+                ber: u.ber,
+            })
+            .collect();
+        (topo.topology.links, schedule)
+    }
+
+    #[test]
+    fn the_sampled_depth_counts_rows_that_are_not_queued_yet() {
+        const N: usize = 8;
+        let (links, schedule) = mobile(N, SimDuration::from_secs(600), 9);
+        let rows = schedule.len();
+        assert!(rows > 500, "the field moves: {rows} link changes");
+        let sampler = Shared::new(TimeSeriesSampler::new(SimDuration::from_secs(1), 4096));
+        let rec = Shared::new(Rec::default());
+        let mut net: Network<Heartbeat> = NetworkBuilder::new(links, 5)
+            .link_schedule(schedule)
+            .timeseries(sampler.clone())
+            .observer(rec.clone())
+            .build(|_, _| Heartbeat {
+                first: SimDuration::from_millis(130),
+                every: SimDuration::from_millis(250),
+            });
+        net.run_to_deadline(SimTime::from_secs(300));
+        // The kernel's events, in dispatch order: N starts, then one
+        // `TimerFire` per timer and one `LinkChanged` per row. A queue with
+        // every row pre-loaded holds one timer per node plus the rows not
+        // dispatched yet — whatever share of them the feed has moved.
+        let rec = rec.borrow();
+        let dispatched: Vec<bool> = rec
+            .0
+            .iter()
+            .filter_map(|ev| match ev.kind {
+                EventKind::TimerFire { .. } => Some(false),
+                EventKind::LinkChanged { .. } => Some(true),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(dispatched.len() as u64, net.events_processed() - N as u64);
+        let sampler = sampler.borrow();
+        assert!(sampler.len() > 250);
+        let mut rows_done = 0;
+        let mut seen = 0;
+        for s in sampler.samples() {
+            let upto = s.events as usize - N;
+            rows_done += dispatched[seen..upto].iter().filter(|&&row| row).count();
+            seen = upto;
+            assert_eq!(
+                s.queue_depth as usize,
+                N + rows - rows_done,
+                "depth at t = {} us",
+                s.t_us
+            );
+        }
+        assert!(rows_done > 100 && rows_done < rows, "sampled mid-schedule");
+    }
+
+    #[test]
+    fn same_instant_rows_flaps_and_timers_keep_their_order() {
+        // At t = 1 s node 1 owns a motion row (1 -> 2), a flap start
+        // (1 -> 0) and a timer; node 2 owns a motion row (2 -> 1); every
+        // node's timer fires. Rows carry build-time sequence numbers, so on
+        // their owner they precede anything the run scheduled; among
+        // themselves they go by edge.
+        let at = SimTime::from_secs(1);
+        let run = |shards: usize, tie: TieBreak| {
+            let change = |from: u32, to: u32| LinkChange {
+                at,
+                from: NodeId(from),
+                to: NodeId(to),
+                ber: 0.25,
+            };
+            let rec = Shared::new(Rec::default());
+            let mut net: Network<Heartbeat> = NetworkBuilder::new(line(4), 11)
+                .shards(shards)
+                .tie_break(tie)
+                .observer(rec.clone())
+                .link_schedule(vec![change(2, 1), change(1, 2)])
+                .faults(FaultPlan::seeded(2).link_flap(
+                    NodeId(1),
+                    NodeId(0),
+                    at,
+                    SimDuration::from_secs(1),
+                    1.0,
+                ))
+                .build(|_, _| Heartbeat {
+                    first: SimDuration::from_secs(1),
+                    every: SimDuration::from_secs(5),
+                });
+            net.run_to_deadline(SimTime::from_secs(3));
+            let rec = rec.borrow();
+            rec.0
+                .iter()
+                .filter(|ev| ev.t == at)
+                .filter_map(|ev| match ev.kind {
+                    EventKind::TimerFire { .. } => Some(format!("{} timer", ev.node.0)),
+                    EventKind::LinkFault { to, .. } => {
+                        Some(format!("{} fault {}", ev.node.0, to.0))
+                    }
+                    EventKind::LinkChanged { to, .. } => {
+                        Some(format!("{} moved {}", ev.node.0, to.0))
+                    }
+                    _ => None,
+                })
+                .collect::<Vec<_>>()
+        };
+        let fifo = run(1, TieBreak::Fifo);
+        assert_eq!(
+            fifo,
+            [
+                "0 timer",
+                "1 fault 0",
+                "1 moved 2",
+                "1 timer",
+                "2 moved 1",
+                "2 timer",
+                "3 timer"
+            ]
+        );
+        let permuted = run(1, TieBreak::SeededPermutation(77));
+        assert_ne!(permuted, fifo, "seed 77 reorders the four owners");
+        let of_node_1: Vec<&String> = permuted.iter().filter(|e| e.starts_with('1')).collect();
+        assert_eq!(of_node_1, ["1 fault 0", "1 moved 2", "1 timer"]);
+        for shards in [2, 4] {
+            assert_eq!(run(shards, TieBreak::Fifo), fifo, "{shards} shards");
+            assert_eq!(
+                run(shards, TieBreak::SeededPermutation(77)),
+                permuted,
+                "{shards} shards"
+            );
+        }
+    }
+
+    /// Epidemic: a node holding the word broadcasts it every second until
+    /// the run ends; hearing it once completes a node.
+    struct Spread {
+        has: bool,
+    }
+
+    impl Protocol for Spread {
+        type Msg = Word;
+        fn on_start(&mut self, ctx: &mut Context<'_, Word>) {
+            if self.has {
+                ctx.note_completion();
+                ctx.set_timer(SimDuration::from_millis(500), 0);
+            }
+        }
+        fn on_message(&mut self, ctx: &mut Context<'_, Word>, _: NodeId, _: &Word) {
+            if !self.has {
+                self.has = true;
+                ctx.note_completion();
+                let jitter = ctx.rng.range_u64(100, 900);
+                ctx.set_timer(SimDuration::from_millis(jitter), 0);
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_, Word>, _: u64) {
+            ctx.send(Word);
+            ctx.set_timer(SimDuration::from_secs(1), 0);
+        }
+        fn on_restart(&mut self, ctx: &mut Context<'_, Word>) {
+            if self.has {
+                ctx.set_timer(SimDuration::from_millis(500), 0);
+            }
+        }
+    }
+
+    #[test]
+    fn a_four_hour_motion_horizon_costs_the_run_nothing() {
+        // The horizon ISSUE 11 had to cut: 36 random-waypoint nodes, 4 h of
+        // motion at a 10 s tick, over a million link changes — for a run
+        // that is over in simulated seconds.
+        const N: usize = 36;
+        const CHURN: usize = 3;
+        let (links, schedule) = mobile(N, SimDuration::from_secs(4 * 3_600), 42);
+        assert!(
+            schedule.len() > 1_000_000,
+            "{} link changes",
+            schedule.len()
+        );
+        let mut per_instant = 0;
+        for run in schedule.chunk_by(|a, b| a.at == b.at) {
+            per_instant = per_instant.max(run.len());
+        }
+        let candidates: Vec<NodeId> = (1..N).map(NodeId::from_index).collect();
+        let run = |shards: usize| {
+            let plan = FaultPlan::seeded(42).random_crash_restarts(
+                CHURN,
+                &candidates,
+                (SimTime::from_secs(30), SimTime::from_secs(4 * 3_600)),
+                (SimDuration::from_secs(60), SimDuration::from_secs(600)),
+            );
+            let mut net: Network<Spread> = NetworkBuilder::new(links.clone(), 42)
+                .shards(shards)
+                .link_schedule(schedule.clone())
+                .faults(plan)
+                .build(|id, _| Spread {
+                    has: id == NodeId(0),
+                });
+            let deadline = SimTime::from_secs(4 * 3_600);
+            let peak = Cell::new(0);
+            let done = if shards == 1 {
+                // A node has at most a timer, a MAC attempt and one frame's
+                // three lifecycle events outstanding; the timeline adds the
+                // rows of one instant, never the horizon's.
+                net.run_until(
+                    |n| {
+                        peak.set(peak.get().max(n.queued()[0]));
+                        n.trace().all_complete()
+                    },
+                    deadline,
+                )
+            } else {
+                net.run_until_all_complete(deadline)
+            };
+            assert!(done, "{shards} shards: the word reaches every node");
+            assert!(
+                peak.get() <= 5 * N + 2 * CHURN + per_instant,
+                "live queue peaked at {} events",
+                peak.get()
+            );
+            assert!(net.pending_events() > shards * 1_000_000, "rows left unfed");
+            let completions: Vec<Option<SimTime>> = (0..N)
+                .map(|i| net.trace().node(NodeId::from_index(i)).completion)
+                .collect();
+            (net.now(), net.events_processed(), completions)
+        };
+        assert_eq!(run(1), run(2));
     }
 }

@@ -22,6 +22,7 @@
 //! identical to the single-queue run's.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use mnp_obs::{EventKind, LossCause, ObsEvent};
 use mnp_radio::{CsmaAction, CsmaBank, Frame, Medium, NodeId, TxId, TxOutcome, PERCEPTION_LATENCY};
@@ -64,11 +65,11 @@ pub(crate) enum Event {
     Kill(NodeId),
     /// Reboot of a crashed node: fresh RAM state, persistent EEPROM.
     Restart(NodeId),
-    /// Fault-model link mutation: replace the BER of `from -> to`.
-    /// Boxed so this cold, fault-plan-only variant does not widen the
-    /// whole enum — millions of `Event`s sit in the queue, and every
-    /// byte of entry size is queue memory traffic.
-    SetLink(Box<SetLinkEvent>),
+    /// Link mutation (fault flap, flap restore or node motion): apply row
+    /// `.0` of the shard's link timeline. The row's rank was fixed at
+    /// build time; the event only enters the queue once it is due (see
+    /// [`Shard::peek_time`]).
+    SetLink(u32),
     /// Fault-model storage fault: arm `failures` transient EEPROM write
     /// failures on `node`.
     InjectStorage {
@@ -77,15 +78,21 @@ pub(crate) enum Event {
     },
 }
 
-/// Payload of [`Event::SetLink`] (see there for why it is boxed).
+/// One row of the resolved link timeline: at `at`, the edge `from -> to`
+/// takes bit-error rate `ber`.
 ///
-/// Every shard holds a full copy of the link graph, so the builder
-/// replicates each `SetLink` event — same `(owner, seq)` identity — into
-/// every shard's queue; each applies the BER change to its own copy, and
-/// only the shard owning `from` emits the observer event or counts the
-/// dispatch.
+/// The builder resolves every scheduled change and link flap into these
+/// rows once, sorted by instant, and all shards share the one slice.
+/// Every shard holds a full copy of the link graph, so each shard feeds
+/// every row into its own queue under the same `(from, seq)` identity
+/// and applies the BER change to its own copy; only the shard owning
+/// `from` emits the observer event or counts the dispatch.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct SetLinkEvent {
+pub(crate) struct LinkRow {
+    pub at: SimTime,
+    /// `from`'s owner sequence number, drawn at build time: with `at` and
+    /// `from` it is the row's queue rank, whenever the row is fed.
+    pub seq: u32,
     pub from: NodeId,
     pub to: NodeId,
     pub ber: f64,
@@ -93,7 +100,7 @@ pub(crate) struct SetLinkEvent {
     pub kind: LinkEventKind,
 }
 
-/// Why a [`SetLinkEvent`] fires; selects the observer event only — the
+/// Why a [`LinkRow`] fires; selects the observer event only — the
 /// medium mutation is identical for all three.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum LinkEventKind {
@@ -187,6 +194,10 @@ pub(crate) struct Shard<P: Protocol> {
     pub n_local: usize,
     pub now: SimTime,
     pub queue: EventQueue<Event>,
+    /// The run's resolved link mutations in time order, shared by every
+    /// shard; rows `fed..` have not entered `queue` yet.
+    pub timeline: Arc<[LinkRow]>,
+    pub fed: usize,
     pub medium: Medium<P::Msg>,
     pub protocols: Vec<P>,
     /// Every local node's MAC, in struct-of-arrays columns.
@@ -265,11 +276,38 @@ impl<P: Protocol> Shard<P> {
         }
     }
 
-    /// Runs every queued event strictly before `end` (and not past
+    /// The earliest pending instant, queued or still on the link timeline.
+    /// Both drivers peek through here before every pop: it moves every
+    /// timeline row due at or before that instant into the queue, so an
+    /// unfed row is always strictly later than anything that can pop and
+    /// the pop order is the one a fully pre-loaded queue would produce.
+    /// With no rows left (any static run) it costs one integer compare.
+    #[inline]
+    pub fn peek_time(&mut self) -> Option<SimTime> {
+        let mut next = self.queue.peek_time();
+        while let Some(row) = self.timeline.get(self.fed) {
+            if next.is_some_and(|t| t < row.at) {
+                break;
+            }
+            let ev = Event::SetLink(self.fed as u32);
+            self.queue.push_owned(row.at, row.from.0, row.seq, ev);
+            self.fed += 1;
+            next = Some(row.at);
+        }
+        next
+    }
+
+    /// Events pending on this shard: queued plus timeline rows not yet
+    /// fed — what the queue alone held when every row was pre-loaded.
+    pub fn pending(&self) -> usize {
+        self.queue.len() + (self.timeline.len() - self.fed)
+    }
+
+    /// Runs every pending event strictly before `end` (and not past
     /// `deadline`), recording one [`Chunk`] per dispatched event for the
     /// facade's merge.
     pub fn run_window(&mut self, end: SimTime, deadline: SimTime) {
-        while let Some(t) = self.queue.peek_time() {
+        while let Some(t) = self.peek_time() {
             if t >= end || t > deadline {
                 break;
             }
@@ -352,13 +390,14 @@ impl<P: Protocol> Shard<P> {
         match ev {
             Event::Kill(node) => self.kill(node),
             Event::Restart(node) => self.restart(node),
-            Event::SetLink(ev) => {
-                let SetLinkEvent {
+            Event::SetLink(row) => {
+                let LinkRow {
                     from,
                     to,
                     ber,
                     kind,
-                } = *ev;
+                    ..
+                } = self.timeline[row as usize];
                 self.medium.set_link_ber(from, to, ber);
                 // Replicas on shards not owning `from` mutate their graph
                 // copy silently; the owner emits and counts.

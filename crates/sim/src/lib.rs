@@ -2,7 +2,7 @@
 //!
 //! This crate is the substrate under every experiment in the MNP
 //! reproduction: a virtual clock, an event queue with deterministic
-//! tie-breaking, cancellable timers, and seedable random-number streams.
+//! tie-breaking, and seedable random-number streams.
 //!
 //! The original paper evaluated MNP inside TOSSIM, TinyOS's discrete-event
 //! simulator. TOSSIM is not available here, so this crate reimplements the
@@ -15,7 +15,6 @@
 //!   ([`EventQueue`]); a seeded-permutation tie-break ([`TieBreak`]) lets
 //!   the fuzz harness explore alternative same-instant schedules without
 //!   giving up replayability.
-//! * **Cancellable timers** keyed by opaque handles ([`TimerQueue`]).
 //! * **Reproducible randomness** — independent per-node streams derived from
 //!   one experiment seed ([`SimRng`]).
 //! * **Self-profiling** — span-based wall-clock accounting of the kernel's
@@ -41,9 +40,7 @@ pub mod profile;
 mod queue;
 mod rng;
 mod time;
-mod timer;
 
 pub use queue::{EventQueue, TieBreak};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
-pub use timer::{TimerHandle, TimerQueue};

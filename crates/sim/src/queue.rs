@@ -233,15 +233,22 @@ impl<E> EventQueue<E> {
             owner_key,
             event,
         };
-        if time < self.horizon {
-            self.heap.push(entry);
-            self.sift_up(self.heap.len() - 1);
+        // A saturated horizon is inclusive (see `mature`): the heap already
+        // holds the end of time, so a late push at `SimTime::MAX` must rank
+        // against the entries there.
+        if time < self.horizon || self.horizon == SimTime::MAX {
+            self.push_near(entry);
         } else {
             if self.far_min.is_none_or(|m| time < m) {
                 self.far_min = Some(time);
             }
             self.far.push(entry);
         }
+    }
+
+    fn push_near(&mut self, entry: Entry<E>) {
+        self.heap.push(entry);
+        self.sift_up(self.heap.len() - 1);
     }
 
     /// Removes and returns the earliest event, or `None` if the queue is
@@ -284,12 +291,15 @@ impl<E> EventQueue<E> {
             return false;
         };
         self.horizon = (far_min + WINDOW).max(self.horizon);
+        // `far_min + WINDOW` saturates within 64 ms of `SimTime::MAX`; no
+        // time lies beyond that horizon, so it includes its own instant —
+        // otherwise an event at `SimTime::MAX` could never mature.
+        let saturated = self.horizon == SimTime::MAX;
         let mut i = 0;
         while i < self.far.len() {
-            if self.far[i].time < self.horizon {
+            if self.far[i].time < self.horizon || saturated {
                 let entry = self.far.swap_remove(i);
-                self.heap.push(entry);
-                self.sift_up(self.heap.len() - 1);
+                self.push_near(entry);
                 // The swapped-in tail entry now sits at `i`; re-check it.
             } else {
                 i += 1;
@@ -581,6 +591,30 @@ mod tests {
     }
 
     #[test]
+    fn an_event_at_the_end_of_time_pops() {
+        // `far_min + WINDOW` saturates here; the horizon must then include
+        // its own instant or the event never matures (this used to panic).
+        let mut q = EventQueue::new();
+        q.push(SimTime::MAX, 7);
+        assert_eq!(q.peek_time(), Some(SimTime::MAX));
+        assert_eq!(q.pop(), Some((SimTime::MAX, 7)));
+        assert_eq!(q.pop(), None);
+        // Pushes after the horizon saturated still rank against the
+        // end-of-time entries already matured into the heap.
+        let mut q = EventQueue::new();
+        let near_end = SimTime::from_micros(u64::MAX - 10);
+        q.push_owned(near_end, 0, 0, 0);
+        q.push_owned(SimTime::MAX, 5, 0, 50);
+        assert_eq!(q.pop(), Some((near_end, 0)));
+        q.push_owned(SimTime::MAX, 2, 0, 20);
+        q.push_owned(near_end, 3, 0, 30);
+        assert_eq!(
+            drain(&mut q),
+            vec![(u64::MAX - 10, 30), (u64::MAX, 20), (u64::MAX, 50)]
+        );
+    }
+
+    #[test]
     fn len_and_clear() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
@@ -734,7 +768,9 @@ mod proptests {
         /// tie policies. Exercises far-buffer maturation (`far_min`
         /// maintenance) from arbitrary intermediate states, including the
         /// advance-drains-the-single-smallest-far-event case the audit in
-        /// the sharding issue called out.
+        /// the sharding issue called out. Far times reach hours (a mobile
+        /// run's motion horizon) and the two last representable instants,
+        /// where the horizon saturates.
         #[test]
         fn prop_differential_vs_binary_heap_oracle(
             ops in proptest::collection::vec((0u8..10, 0u64..40, 0u32..6), 1..400),
@@ -758,6 +794,11 @@ mod proptests {
             // Oracle: a plain min-heap over the same (time, key, owner_key)
             // ranks, computed with the same policy function.
             let mut oracle: BinaryHeap<Reverse<((SimTime, u64, u64), Ev)>> = BinaryHeap::new();
+            let far_time = |t_raw: u64, scale: u64| match t_raw {
+                39 => SimTime::MAX,
+                38 => SimTime::from_micros(u64::MAX - 1),
+                t => SimTime::from_micros(t * scale),
+            };
             let mut anon_seq = 0u64;
             let mut owner_seqs = [0u32; 6];
             for (i, (op, t_raw, owner)) in ops.into_iter().enumerate() {
@@ -771,9 +812,10 @@ mod proptests {
                         oracle.push(Reverse(((t, tie.key(t, group), group), ev)));
                         anon_seq += 1;
                     }
-                    // 4–5: plain push far beyond the horizon window.
+                    // 4–5: plain push far beyond the horizon window:
+                    // seconds away (4) or up to ~4 h away (5).
                     4..=5 => {
-                        let t = SimTime::from_micros(t_raw * 97_003);
+                        let t = far_time(t_raw, if op == 4 { 97_003 } else { 367_000_013 });
                         let ev = Ev::Cold(Box::new((i, t_raw)));
                         q.push(t, ev.clone());
                         let group = ANON_OWNER_BIT | anon_seq;
@@ -782,7 +824,11 @@ mod proptests {
                     }
                     // 6–7: owner-keyed push, mixed near/far times.
                     6..=7 => {
-                        let t = SimTime::from_micros(t_raw * if op == 6 { 13 } else { 70_111 });
+                        let t = if op == 6 {
+                            SimTime::from_micros(t_raw * 13)
+                        } else {
+                            far_time(t_raw, 70_111)
+                        };
                         let seq = owner_seqs[owner as usize];
                         owner_seqs[owner as usize] += 1;
                         let ev = Ev::Hot(i);
