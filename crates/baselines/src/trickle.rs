@@ -83,11 +83,6 @@ impl Trickle {
         }
     }
 
-    /// The current interval length τ.
-    pub fn tau(&self) -> SimDuration {
-        self.tau
-    }
-
     /// Starts a new interval: clears the heard counter and returns the fire
     /// point and interval end to schedule.
     pub fn begin_interval(&mut self, rng: &mut SimRng) -> IntervalSchedule {
@@ -141,22 +136,22 @@ mod tests {
         let (mut t, mut rng) = timer();
         for _ in 0..200 {
             let s = t.begin_interval(&mut rng);
-            assert!(s.fire_in >= t.tau() / 2);
+            assert!(s.fire_in >= t.tau / 2);
             assert!(s.fire_in < s.end_in);
-            assert_eq!(s.end_in, t.tau());
+            assert_eq!(s.end_in, t.tau);
         }
     }
 
     #[test]
     fn tau_doubles_until_cap() {
         let (mut t, _) = timer();
-        let t0 = t.tau();
+        let t0 = t.tau;
         t.end_interval();
-        assert_eq!(t.tau(), t0 * 2);
+        assert_eq!(t.tau, t0 * 2);
         for _ in 0..20 {
             t.end_interval();
         }
-        assert_eq!(t.tau(), TrickleConfig::default().tau_max);
+        assert_eq!(t.tau, TrickleConfig::default().tau_max);
     }
 
     #[test]
@@ -187,7 +182,7 @@ mod tests {
         t.end_interval();
         t.end_interval();
         assert!(t.note_inconsistent());
-        assert_eq!(t.tau(), TrickleConfig::default().tau_min);
+        assert_eq!(t.tau, TrickleConfig::default().tau_min);
         // Already at τ_l: no restart needed.
         assert!(!t.note_inconsistent());
     }

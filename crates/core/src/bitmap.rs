@@ -40,7 +40,7 @@ pub struct PacketBitmap {
 
 impl PacketBitmap {
     /// Maximum packets a bitmap can describe.
-    pub const CAPACITY: u16 = 128;
+    pub(crate) const CAPACITY: u16 = 128;
 
     /// The empty bitmap.
     pub fn empty() -> Self {
@@ -125,18 +125,15 @@ impl PacketBitmap {
         }
     }
 
-    /// Iterates the indices of set bits in ascending order.
-    pub fn iter_set(&self) -> impl Iterator<Item = u16> + '_ {
-        (0..Self::CAPACITY).filter(|&i| self.get(i))
-    }
-
     /// Serializes to the 16-byte wire form (little-endian bit order).
-    pub fn to_wire(&self) -> [u8; BITMAP_WIRE_BYTES] {
+    #[cfg(test)]
+    pub(crate) fn to_wire(&self) -> [u8; BITMAP_WIRE_BYTES] {
         self.bits.to_le_bytes()
     }
 
     /// Deserializes from the 16-byte wire form.
-    pub fn from_wire(bytes: [u8; BITMAP_WIRE_BYTES]) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_wire(bytes: [u8; BITMAP_WIRE_BYTES]) -> Self {
         PacketBitmap {
             bits: u128::from_le_bytes(bytes),
         }
@@ -200,7 +197,8 @@ mod tests {
         b.set(2);
         fwd.union_with(&a);
         fwd.union_with(&b);
-        assert_eq!(fwd.iter_set().collect::<Vec<_>>(), vec![1, 2]);
+        assert!(fwd.get(1) && fwd.get(2));
+        assert_eq!(fwd.count(), 2);
     }
 
     #[test]

@@ -125,11 +125,6 @@ impl AdvertiseScheduler {
         self.advs_in_round = 0;
     }
 
-    /// The current between-round backoff gap.
-    pub fn quiet_gap(&self) -> SimDuration {
-        self.quiet_gap
-    }
-
     /// Resets the backoff to its eager initial value (network activity:
     /// a new requester, fresh content to serve, a fast wake).
     pub fn reset_quiet_gap(&mut self, initial: SimDuration) {
@@ -319,12 +314,12 @@ mod tests {
         let mut a = AdvertiseScheduler::new();
         a.ensure_quiet_gap(SimDuration::from_secs(2));
         a.ensure_quiet_gap(SimDuration::from_secs(99)); // already set: no-op
-        assert_eq!(a.quiet_gap(), SimDuration::from_secs(2));
+        assert_eq!(a.quiet_gap, SimDuration::from_secs(2));
         let cap = SimDuration::from_secs(10);
         assert_eq!(a.grow_quiet_gap(cap), SimDuration::from_secs(4));
         assert_eq!(a.grow_quiet_gap(cap), SimDuration::from_secs(8));
         assert_eq!(a.grow_quiet_gap(cap), cap, "capped");
         a.reset_quiet_gap(SimDuration::from_secs(2));
-        assert_eq!(a.quiet_gap(), SimDuration::from_secs(2));
+        assert_eq!(a.quiet_gap, SimDuration::from_secs(2));
     }
 }

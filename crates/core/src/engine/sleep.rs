@@ -23,11 +23,6 @@ impl SleepController {
         SleepController { radio_off }
     }
 
-    /// Whether rests actually power the radio down.
-    pub fn radio_off(&self) -> bool {
-        self.radio_off
-    }
-
     /// Rests for `span`: a real sleep when the radio may go down,
     /// otherwise an awake idle ended by a timer carrying `rest_token`.
     pub fn rest<M>(&self, ctx: &mut Context<'_, M>, span: SimDuration, rest_token: u64) {

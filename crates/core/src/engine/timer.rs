@@ -74,11 +74,6 @@ impl TimerMux {
             self.epoch += 1;
         }
     }
-
-    /// The current epoch (for diagnostics).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
 }
 
 #[cfg(test)]
@@ -89,7 +84,7 @@ mod tests {
     fn token_round_trips_every_kind() {
         let mut mux = TimerMux::new();
         for epoch in 0..4 {
-            assert_eq!(mux.epoch(), epoch);
+            assert_eq!(mux.epoch, epoch);
             for kind in 0..=0xff {
                 assert_eq!(mux.decode(mux.token(kind)), Some(kind));
             }
@@ -143,10 +138,10 @@ mod tests {
             epoch: MAX_EPOCH - 1,
         };
         mux.invalidate();
-        assert_eq!(mux.epoch(), MAX_EPOCH);
+        assert_eq!(mux.epoch, MAX_EPOCH);
         // At saturation the epoch no longer advances...
         mux.invalidate();
-        assert_eq!(mux.epoch(), MAX_EPOCH);
+        assert_eq!(mux.epoch, MAX_EPOCH);
         // ...and tokens still round-trip their kind exactly: nothing is
         // shifted out of the 64-bit word.
         for kind in [0, 1, 0x7f, 0xff] {

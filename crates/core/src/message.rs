@@ -107,22 +107,6 @@ pub enum MnpMsg {
     },
 }
 
-impl MnpMsg {
-    /// The variant's name, stable across runs (used as the observability
-    /// `kind` label).
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            MnpMsg::Advertisement(_) => "Advertisement",
-            MnpMsg::DownloadRequest(_) => "DownloadRequest",
-            MnpMsg::StartDownload { .. } => "StartDownload",
-            MnpMsg::Data(_) => "Data",
-            MnpMsg::EndDownload { .. } => "EndDownload",
-            MnpMsg::Query { .. } => "Query",
-            MnpMsg::Repair { .. } => "Repair",
-        }
-    }
-}
-
 impl fmt::Display for MnpMsg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -184,8 +168,17 @@ impl WireMsg for MnpMsg {
         }
     }
 
+    /// The variant's name, stable across runs.
     fn kind_label(&self) -> &'static str {
-        self.kind_name()
+        match self {
+            MnpMsg::Advertisement(_) => "Advertisement",
+            MnpMsg::DownloadRequest(_) => "DownloadRequest",
+            MnpMsg::StartDownload { .. } => "StartDownload",
+            MnpMsg::Data(_) => "Data",
+            MnpMsg::EndDownload { .. } => "EndDownload",
+            MnpMsg::Query { .. } => "Query",
+            MnpMsg::Repair { .. } => "Repair",
+        }
     }
 
     fn detail(&self) -> MsgDetail {

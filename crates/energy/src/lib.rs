@@ -107,7 +107,8 @@ impl EnergyMeter {
     }
 
     /// Records one EEPROM line read.
-    pub fn record_eeprom_read(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn record_eeprom_read(&mut self) {
         self.eeprom_reads += 1;
     }
 
@@ -123,7 +124,7 @@ impl EnergyMeter {
     }
 
     /// Time the radio was on but neither transmitting nor receiving.
-    pub fn idle_listen_time(&self) -> SimDuration {
+    pub(crate) fn idle_listen_time(&self) -> SimDuration {
         self.active_radio
             .saturating_sub(self.tx_airtime)
             .saturating_sub(self.rx_airtime)

@@ -45,33 +45,18 @@
 //! with debug assertions (the default dev profile), so run the fuzz
 //! subcommand *without* `--release`.
 //!
-//! `mnp-run scale` instead runs the large-grid scale benchmark
-//! (wall-time, events/sec, heap allocations; see `mnp_experiments::scale`)
-//! and writes `BENCH_scale.json`. This binary installs a counting global
-//! allocator so the benchmark can prove the radio hot path allocates
-//! nothing in steady state; the counting is two relaxed atomic increments
-//! per allocation and does not perturb the measured wall times
-//! meaningfully. Each grid is measured once per `--shards` entry
-//! (default: sequential and 8-way sharded; a `RxC@S` grid spec pins that
-//! grid to a single shard count instead). With `--history PATH` each row
-//! is also appended to a JSONL history file — refused from a dirty
-//! working tree unless `--allow-dirty` is passed, so every history row's
-//! git stamp identifies the exact measured commit — and `--compare`
-//! first checks the fresh rows against the last matching history row,
-//! exiting non-zero when throughput regressed by more than 10%, the
-//! steady-state hot path started allocating, or the largest grid's
-//! throughput fell below [`scale::SCALING_FLOOR`] of the smallest's at
-//! the highest shard count (DESIGN.md §12, §14).
-//!
 //! `mnp-run profile` runs one seeded dissemination with the kernel span
 //! profiler enabled (`mnp_sim::profile`) and a time-series sampler
 //! attached, then prints the self-time table naming the hottest phases.
 //! `--out` writes the schema-versioned profile JSON, `--series` the
 //! sampler's JSONL rows, and `--timeline` a Chrome trace with the
-//! sampler's gauges merged in as Perfetto counter tracks.
+//! sampler's gauges merged in as Perfetto counter tracks. This binary
+//! installs a counting global allocator (two relaxed atomic increments
+//! per allocation) so the sampler can record allocation gauges.
 //!
-//! `mnp-run report` diffs two such JSON documents — two `BENCH_scale.json`
-//! files or two profile files — pairing rows by grid or by phase.
+//! `mnp-run report` diffs two JSON documents of one kind — two benchmark
+//! `results.json` files (`benchmark/README.md`) or two profile files —
+//! pairing rows by `(workload, mode)` or by phase.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Display;
@@ -83,7 +68,7 @@ use mnp::Mnp;
 use mnp_experiments::registry::{FAULT_TESTED, NAMES};
 use mnp_experiments::sweep::{self, Sweep};
 use mnp_experiments::{
-    fuzz, report, resilience, scale, GridExperiment, Instruments, ProtocolId, RunOutcome,
+    fuzz, report, resilience, GridExperiment, Instruments, ProtocolId, RunOutcome,
 };
 use mnp_net::Observer;
 use mnp_obs::{
@@ -94,7 +79,8 @@ use mnp_radio::{NodeId, PowerLevel};
 use mnp_sim::{profile, SimDuration};
 use mnp_trace::{render_heatmap, render_parent_map};
 
-/// [`System`] plus cumulative allocation counters, for `mnp-run scale`.
+/// [`System`] plus cumulative allocation counters, for `mnp-run profile`'s
+/// sampler.
 ///
 /// Lives here rather than in the library because a global allocator is
 /// `unsafe` and the library crates `#![forbid(unsafe_code)]`.
@@ -210,9 +196,6 @@ fn usage() -> String {
                [--capture] [--heatmap] [--parents]
                [--events PATH] [--metrics PATH] [--timeline PATH]
                [--check-invariants]
-       mnp-run scale [--seed N] [--segments N] [--out PATH]
-                     [--grids RxC[@SHARDS],...] [--shards A,B,...]
-                     [--history PATH] [--allow-dirty] [--compare]
        mnp-run profile [--rows N] [--cols N] [--segments N] [--seed N]
                        [--stride N] [--sample-ms MS] [--top N]
                        [--out PATH] [--series PATH] [--timeline PATH]
@@ -257,6 +240,14 @@ fn arg_list<T: FromStr<Err: Display>>(it: ArgIter, flag: &str) -> Result<Vec<T>,
         .filter(|part| !part.is_empty())
         .map(parse)
         .collect()
+}
+
+/// Exactly `N` positional arguments; fewer or more is the usage error
+/// `complaint`.
+fn positionals<const N: usize>(it: ArgIter, complaint: &str) -> Result<[String; N], String> {
+    it.collect::<Vec<_>>()
+        .try_into()
+        .map_err(|_| format!("{complaint}\n{}", usage()))
 }
 
 /// The error for a flag no arm matched: the usage text, preceded by a
@@ -308,7 +299,6 @@ type Subcommand = fn(ArgIter) -> Result<ExitCode, String>;
 
 /// Subcommands by name; anything else is the default single-run mode.
 const SUBCOMMANDS: &[(&str, Subcommand)] = &[
-    ("scale", run_scale),
     ("profile", run_profile),
     ("report", run_report),
     ("coded", run_coded),
@@ -417,162 +407,6 @@ fn completion_code(ok: bool, complaint: &str) -> ExitCode {
     }
 }
 
-/// `mnp-run scale`: the large-grid benchmark behind `BENCH_scale.json`.
-fn run_scale(it: ArgIter) -> Result<ExitCode, String> {
-    let mut seed = 42u64;
-    let mut segments = 1u16;
-    let mut out_path = String::from("BENCH_scale.json");
-    let mut history_path: Option<String> = None;
-    let mut compare = false;
-    let mut allow_dirty = false;
-    let mut shard_counts: Vec<usize> = scale::DEFAULT_SHARD_COUNTS.to_vec();
-    // A `None` shard override means "measure at every --shards count".
-    let mut grids: Vec<(usize, usize, Option<usize>)> = scale::DEFAULT_GRIDS
-        .iter()
-        .map(|&(r, c)| (r, c, None))
-        .collect();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--seed" => seed = arg(it, &flag)?,
-            "--segments" => segments = arg(it, &flag)?,
-            "--out" => out_path = value(it, &flag)?,
-            "--history" => history_path = Some(value(it, &flag)?),
-            "--allow-dirty" => allow_dirty = true,
-            "--compare" => compare = true,
-            "--shards" => shard_counts = arg_list(it, &flag)?,
-            "--grids" => {
-                grids = value(it, &flag)?
-                    .split(',')
-                    .map(|g| {
-                        let (g, s) = match g.split_once('@') {
-                            Some((g, s)) => (g, Some(parse(s)?)),
-                            None => (g, None),
-                        };
-                        let (r, c) = g
-                            .split_once('x')
-                            .ok_or_else(|| format!("bad grid {g:?}: want RxC or RxC@SHARDS"))?;
-                        Ok((parse(r)?, parse(c)?, s))
-                    })
-                    .collect::<Result<_, String>>()?;
-            }
-            other => return Err(bad_flag(other)),
-        }
-    }
-    if grids.is_empty() {
-        return Err("--grids needs at least one grid".into());
-    }
-    if shard_counts.is_empty() {
-        return Err("--shards needs at least one shard count".into());
-    }
-    // Check provenance before spending minutes measuring: a history row
-    // is append-only forever, and one stamped `<hash>-dirty` names code
-    // that can never be checked out again.
-    if history_path.is_some() && !allow_dirty && scale::git_is_dirty() {
-        return Err(
-            "refusing --history append from a dirty working tree: the recorded git \
-             stamp would not identify the measured code. Commit first, or pass \
-             --allow-dirty to record the row anyway."
-                .into(),
-        );
-    }
-
-    let mut measurements = Vec::with_capacity(grids.len() * shard_counts.len());
-    for &(rows, cols, pinned) in &grids {
-        let counts: &[usize] = match &pinned {
-            Some(s) => std::slice::from_ref(s),
-            None => &shard_counts,
-        };
-        for &shards in counts {
-            let m = scale::measure(rows, cols, segments, seed, shards, &alloc_counters);
-            print!("{m}");
-            measurements.push(m);
-        }
-    }
-    let steady_clean = measurements.iter().all(|m| m.steady_state_allocs == 0);
-    if !steady_clean {
-        eprintln!("warning: the medium hot path allocated in steady state");
-    }
-    written(
-        &out_path,
-        std::fs::write(&out_path, scale::render_json(&measurements)),
-    )?;
-    println!("wrote {out_path}");
-
-    // Compare against the history *before* appending the fresh rows, so
-    // the baseline is the previous run, not this one.
-    let mut regressed = false;
-    if compare {
-        let path = history_path.as_deref().unwrap_or("BENCH_history.jsonl");
-        let history = std::fs::read_to_string(path).unwrap_or_default();
-        for m in &measurements {
-            let msgs = report::history_regressions(&history, m, report::REGRESSION_THRESHOLD_PCT);
-            for msg in &msgs {
-                eprintln!("regression: {msg}");
-            }
-            regressed |= !msgs.is_empty();
-        }
-        // Within-run gate: throughput on the largest grid must hold at
-        // least SCALING_FLOOR of the base grid's, or the kernel stopped
-        // scaling and --compare fails even with no history to diff.
-        if let Some(sc) = scale::scaling_summary(&measurements) {
-            if !sc.flat_or_rising {
-                eprintln!(
-                    "regression: events/s fell {:.0}% from {}x{} to {}x{} at {} shard(s) \
-                     (ratio {:.3} < floor {:.2})",
-                    (1.0 - sc.events_per_sec_ratio) * 100.0,
-                    sc.base.0,
-                    sc.base.1,
-                    sc.top.0,
-                    sc.top.1,
-                    sc.shards,
-                    sc.events_per_sec_ratio,
-                    scale::SCALING_FLOOR,
-                );
-                regressed = true;
-            } else {
-                println!(
-                    "scaling: {}x{} holds {:.0}% of {}x{} events/s at {} shard(s) \
-                     (ratio {:.3}, floor {:.2})",
-                    sc.top.0,
-                    sc.top.1,
-                    sc.events_per_sec_ratio * 100.0,
-                    sc.base.0,
-                    sc.base.1,
-                    sc.shards,
-                    sc.events_per_sec_ratio,
-                    scale::SCALING_FLOOR,
-                );
-            }
-        }
-        if !regressed {
-            println!(
-                "compare: no regression vs {path} (threshold {:.0}% events/s)",
-                report::REGRESSION_THRESHOLD_PCT
-            );
-        }
-    }
-    if let Some(path) = &history_path {
-        use std::io::Write as _;
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .map_err(|e| format!("cannot open {path}: {e}"))?;
-        for m in &measurements {
-            file.write_all(scale::render_history_row(m).as_bytes())
-                .map_err(|e| format!("cannot append to {path}: {e}"))?;
-        }
-        println!("appended {} rows -> {path}", measurements.len());
-    }
-    Ok(
-        if measurements.iter().all(|m| m.completed) && steady_clean && !regressed {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        },
-    )
-}
-
 /// `mnp-run profile`: one seeded run with the kernel span profiler and
 /// the time-series sampler attached (DESIGN.md §12).
 fn run_profile(it: ArgIter) -> Result<ExitCode, String> {
@@ -665,14 +499,9 @@ fn run_profile(it: ArgIter) -> Result<ExitCode, String> {
     ))
 }
 
-/// `mnp-run report`: diffs two bench/profile JSON documents.
+/// `mnp-run report`: diffs two benchmark-results or two profile documents.
 fn run_report(it: ArgIter) -> Result<ExitCode, String> {
-    let old_path = it
-        .next()
-        .ok_or_else(|| format!("report needs OLD NEW\n{}", usage()))?;
-    let new_path = it
-        .next()
-        .ok_or_else(|| format!("report needs OLD NEW\n{}", usage()))?;
+    let [old_path, new_path] = positionals(it, "report needs OLD NEW")?;
     print!(
         "{}",
         report::diff(&read_file(&old_path)?, &read_file(&new_path)?)?
@@ -858,9 +687,7 @@ fn run_fuzz(it: ArgIter) -> Result<ExitCode, String> {
 
 /// `mnp-run repro`: deterministically replays a shrunk `repro.json`.
 fn run_repro(it: ArgIter) -> Result<ExitCode, String> {
-    let path = it
-        .next()
-        .ok_or_else(|| format!("repro needs a PATH\n{}", usage()))?;
+    let [path] = positionals(it, "repro needs a PATH")?;
     let (sc, recorded) = fuzz::parse_repro(&read_file(&path)?)?;
     println!("repro: {sc}");
     if let Some(kind) = recorded {

@@ -46,7 +46,6 @@ use crate::mobility::{FieldLayout, MobileExperiment};
 use crate::registry::{with_protocol, Disseminator, ProtocolId, FAULT_TESTED};
 use crate::report::{escape_json, Json};
 use crate::runner::{build, finish, reaches_all, GridExperiment};
-use crate::scale::tie_break_label;
 
 /// One planned transient fault of a fuzz scenario.
 ///
@@ -255,6 +254,14 @@ impl FuzzScenario {
             };
         }
         plan
+    }
+}
+
+/// Stable label for a tie-break policy, as printed in scenario lines.
+fn tie_break_label(policy: TieBreak) -> String {
+    match policy {
+        TieBreak::Fifo => "fifo".into(),
+        TieBreak::SeededPermutation(seed) => format!("permute({seed})"),
     }
 }
 

@@ -26,7 +26,6 @@
 //! | [`ablation`] | DESIGN.md A1–A4 — design-choice ablations |
 //! | [`sweep`] | protocol-comparison sweeps: the loss campaign (`mnp-run coded`) and the mobility campaign (`mnp-run mobility`) |
 //! | [`registry`] | the `Disseminator` trait and the one protocol list every harness dispatches from |
-//! | [`scale`] | simulator scale benchmark (`mnp-run scale`, BENCH_scale.json) |
 //! | [`fuzz`] | DESIGN.md §11 — schedule-exploration fuzz harness (`mnp-run fuzz`/`repro`) |
 
 #![forbid(unsafe_code)]
@@ -51,7 +50,6 @@ pub mod registry;
 pub mod report;
 pub mod resilience;
 pub mod runner;
-pub mod scale;
 pub mod subsets;
 pub mod sweep;
 pub mod table1;

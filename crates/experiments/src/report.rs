@@ -1,4 +1,4 @@
-//! Bench/profile report diffing (`mnp-run report`) and history compare.
+//! Report diffing (`mnp-run report`) and the workspace's JSON reader.
 //!
 //! The build environment is offline, so this module carries its own small
 //! JSON reader — the workspace's only one: a recursive-descent parser
@@ -7,28 +7,18 @@
 //! null), keeps unsigned integers exact over the whole `u64` range (fuzz
 //! seeds in `repro.json` need every bit), and bounds nesting at
 //! [`MAX_DEPTH`] so hostile input yields an `Err`, not a stack overflow.
-//! It exists to *consume* the documents this workspace *produces*
-//! (`BENCH_scale.json`, `BENCH_history.jsonl`, `mnp-run profile --out`
-//! JSON, `repro.json`), not to be a general-purpose JSON library; it
-//! accepts that grammar strictly and reports positions on errors.
+//! It exists to *consume* the documents this repository *produces* (the
+//! benchmark's `results.json`, `mnp-run profile --out` JSON,
+//! `repro.json`, the `*_cmp.json` artifacts), not to be a
+//! general-purpose JSON library; it accepts that grammar strictly and
+//! reports positions on errors.
 //!
-//! On top of the parser sit the two consumers:
-//!
-//! - [`diff`] — renders a human-readable comparison of two report files,
-//!   auto-detecting the document kind (scale bench vs kernel profile) and
-//!   pairing rows by grid or by phase;
-//! - [`history_regressions`] — checks a fresh [`ScaleMeasurement`]
-//!   against the last matching `BENCH_history.jsonl` row and returns one
-//!   message per regression (throughput drop beyond a threshold, or a
-//!   previously allocation-free steady state that now allocates).
+//! On top of the parser sits [`diff`], which renders a human-readable
+//! comparison of two report files, auto-detecting the document kind
+//! (benchmark results vs kernel profile) and pairing rows by
+//! `(workload, mode)` or by phase.
 
 use std::fmt::Write as _;
-
-use crate::scale::ScaleMeasurement;
-
-/// Throughput drop (percent, vs the last history row) beyond which
-/// [`history_regressions`] reports a regression.
-pub const REGRESSION_THRESHOLD_PCT: f64 = 10.0;
 
 /// Deepest array/object nesting [`Json::parse`] accepts. The documents
 /// this workspace writes nest four levels at most.
@@ -361,11 +351,11 @@ fn pct_change(a: f64, b: f64) -> f64 {
     }
 }
 
-/// Diffs two report documents (both `BENCH_scale.json` or both
+/// Diffs two report documents (both benchmark `results.json` or both
 /// `mnp-run profile --out` JSON), rendering a per-row comparison table.
 ///
-/// The kind is auto-detected: a `"grids"` array means a scale bench, a
-/// `"phases"` array means a kernel profile.
+/// The kind is auto-detected: a `"results"` array means a benchmark
+/// results file, a `"phases"` array means a kernel profile.
 ///
 /// # Errors
 ///
@@ -374,88 +364,79 @@ fn pct_change(a: f64, b: f64) -> f64 {
 pub fn diff(old_text: &str, new_text: &str) -> Result<String, String> {
     let old = Json::parse(old_text).map_err(|e| format!("old file: {e}"))?;
     let new = Json::parse(new_text).map_err(|e| format!("new file: {e}"))?;
+    let kind = |doc: &Json| {
+        let holds = |key: &&str| doc.get(key).and_then(Json::as_arr).is_some();
+        ["results", "phases"].into_iter().find(holds)
+    };
     match (kind(&old), kind(&new)) {
-        (Some(Kind::Scale), Some(Kind::Scale)) => Ok(diff_scale(&old, &new)),
-        (Some(Kind::Profile), Some(Kind::Profile)) => Ok(diff_profile(&old, &new)),
-        (Some(a), Some(b)) if a != b => {
-            Err("documents are different kinds (scale bench vs profile)".into())
+        (Some("results"), Some("results")) => Ok(diff_results(&old, &new)),
+        (Some("phases"), Some("phases")) => Ok(diff_profile(&old, &new)),
+        (Some(_), Some(_)) => {
+            Err("documents are different kinds (benchmark results vs profile)".into())
         }
-        _ => Err("unrecognised document: expected a \"grids\" or \"phases\" array".into()),
+        _ => Err("unrecognised document: expected a \"results\" or \"phases\" array".into()),
     }
 }
 
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Kind {
-    Scale,
-    Profile,
+/// The array under `key`; empty when `doc` has none.
+fn array<'a>(doc: &'a Json, key: &str) -> &'a [Json] {
+    doc.get(key).and_then(Json::as_arr).unwrap_or(&[])
 }
 
-fn kind(doc: &Json) -> Option<Kind> {
-    if doc.get("grids").and_then(Json::as_arr).is_some() {
-        Some(Kind::Scale)
-    } else if doc.get("phases").and_then(Json::as_arr).is_some() {
-        Some(Kind::Profile)
-    } else {
-        None
+/// One row per `(workload, mode, metric)` of the new document: old and
+/// new median, their change, and whether the `[q1, q3]` intervals overlap
+/// (`-` where a side records no quartiles, as per-layer metrics do not).
+fn diff_results(old: &Json, new: &Json) -> String {
+    fn key_of(row: &Json) -> [&str; 2] {
+        ["workload", "mode"].map(|key| row.get(key).and_then(Json::as_str).unwrap_or("?"))
     }
-}
-
-fn diff_scale(old: &Json, new: &Json) -> String {
-    let empty: &[Json] = &[];
-    let old_rows = old.get("grids").and_then(Json::as_arr).unwrap_or(empty);
-    let new_rows = new.get("grids").and_then(Json::as_arr).unwrap_or(empty);
-    let mut out = String::from("scale bench diff (new vs old)\n");
+    let num = |m: &Json, key: &str| m.get(key).and_then(Json::as_f64);
+    // Counts and byte sizes whole, the rest to six decimals (the smallest
+    // medians are microseconds, in seconds).
+    let cell = |v: f64| format!("{v:.*}", if v.fract() == 0.0 { 0 } else { 6 });
+    let mut out = String::from("benchmark results diff (new vs old)\n");
     let _ = writeln!(
         out,
-        "{:<10} {:>14} {:>14} {:>8} {:>12} {:>14}",
-        "grid", "old ev/s", "new ev/s", "Δ ev/s", "Δ wall", "steady allocs"
+        "{:<10} {:<10} {:<34} {:>16} {:>16} {:>8} {:>7}",
+        "workload", "mode", "metric", "old median", "new median", "Δ", "overlap"
     );
-    for row in new_rows {
-        // Pre-v4 rows carry no "shards" key; they were sequential runs.
-        let grid_of = |r: &Json| {
-            (
-                r.get("rows").and_then(Json::as_u64).unwrap_or(0),
-                r.get("cols").and_then(Json::as_u64).unwrap_or(0),
-                r.get("shards").and_then(Json::as_u64).unwrap_or(1),
-            )
-        };
-        let (rows, cols, shards) = grid_of(row);
-        let label = if shards == 1 {
-            format!("{rows}x{cols}")
-        } else {
-            format!("{rows}x{cols}@{shards}")
-        };
-        let Some(prev) = old_rows.iter().find(|r| grid_of(r) == (rows, cols, shards)) else {
-            let _ = writeln!(out, "{label:<10} (no old row)");
+    for row in array(new, "results") {
+        let [workload, mode] = key_of(row);
+        let Some(prev) = array(old, "results")
+            .iter()
+            .find(|r| key_of(r) == [workload, mode])
+        else {
+            let _ = writeln!(out, "{workload:<10} {mode:<10} (no old row)");
             continue;
         };
-        let num = |r: &Json, key: &str| r.get(key).and_then(Json::as_f64).unwrap_or(0.0);
-        let old_eps = num(prev, "events_per_sec");
-        let new_eps = num(row, "events_per_sec");
-        let old_wall = num(prev, "wall_s");
-        let new_wall = num(row, "wall_s");
-        let steady = row
-            .get("steady_state_allocs")
-            .and_then(Json::as_u64)
-            .unwrap_or(0);
-        let _ = writeln!(
-            out,
-            "{:<10} {:>14.0} {:>14.0} {:>+7.1}% {:>+11.1}% {:>14}",
-            label,
-            old_eps,
-            new_eps,
-            pct_change(old_eps, new_eps),
-            pct_change(old_wall, new_wall),
-            steady,
-        );
+        let Some(Json::Obj(metrics)) = row.get("metrics") else {
+            continue;
+        };
+        for (name, stat) in metrics {
+            let before = prev.get("metrics").and_then(|m| m.get(name));
+            let value = num(stat, "value").unwrap_or(0.0);
+            let (was, delta) = match before.and_then(|m| num(m, "value")) {
+                Some(v) => (cell(v), format!("{:+.1}%", pct_change(v, value))),
+                None => ("-".into(), "new".into()),
+            };
+            let quartiles = |m: &Json| Some((num(m, "q1")?, num(m, "q3")?));
+            let overlap = match (before.and_then(quartiles), quartiles(stat)) {
+                (Some((a1, a3)), Some((b1, b3))) if a1 <= b3 && b1 <= a3 => "yes",
+                (Some(_), Some(_)) => "no",
+                _ => "-",
+            };
+            let _ = writeln!(
+                out,
+                "{workload:<10} {mode:<10} {name:<34} {was:>16} {:>16} {delta:>8} {overlap:>7}",
+                cell(value),
+            );
+        }
     }
     out
 }
 
 fn diff_profile(old: &Json, new: &Json) -> String {
-    let empty: &[Json] = &[];
-    let old_rows = old.get("phases").and_then(Json::as_arr).unwrap_or(empty);
-    let new_rows = new.get("phases").and_then(Json::as_arr).unwrap_or(empty);
+    let (old_rows, new_rows) = (array(old, "phases"), array(new, "phases"));
     let wall = |doc: &Json| doc.get("wall_ns").and_then(Json::as_f64).unwrap_or(0.0);
     let mut out = String::from("kernel profile diff (new vs old)\n");
     let _ = writeln!(
@@ -509,67 +490,9 @@ fn diff_profile(old: &Json, new: &Json) -> String {
     out
 }
 
-/// Checks a fresh measurement against the last `BENCH_history.jsonl` row
-/// for the same grid/seed/segments/tie-break, returning one message per
-/// regression: throughput down more than `threshold_pct` percent, or a
-/// steady state that was allocation-free before and allocates now.
-///
-/// An empty result means no regression — including the trivially-clean
-/// cases of an empty history or no comparable row (first run on this
-/// configuration). Unparseable lines are skipped, so a half-written tail
-/// row (killed CI job) cannot poison the comparison.
-pub fn history_regressions(
-    history: &str,
-    current: &ScaleMeasurement,
-    threshold_pct: f64,
-) -> Vec<String> {
-    let same_config = |row: &Json| {
-        row.get("rows").and_then(Json::as_u64) == Some(current.rows as u64)
-            && row.get("cols").and_then(Json::as_u64) == Some(current.cols as u64)
-            && row.get("seed").and_then(Json::as_u64) == Some(current.seed)
-            && row.get("segments").and_then(Json::as_u64) == Some(u64::from(current.segments))
-            // Pre-v4 history rows have no "shards" key: they ran the
-            // sequential kernel, so they stay comparable to shards=1.
-            && row.get("shards").and_then(Json::as_u64).unwrap_or(1) == current.shards as u64
-            && row.get("tie_break").and_then(Json::as_str) == Some(&current.tie_break)
-    };
-    let Some(prev) = history
-        .lines()
-        .filter_map(|line| Json::parse(line.trim()).ok())
-        .rfind(same_config)
-    else {
-        return Vec::new();
-    };
-
-    let mut regressions = Vec::new();
-    let prev_eps = prev
-        .get("events_per_sec")
-        .and_then(Json::as_f64)
-        .unwrap_or(0.0);
-    let drop_pct = -pct_change(prev_eps, current.events_per_sec);
-    if prev_eps > 0.0 && drop_pct > threshold_pct {
-        regressions.push(format!(
-            "{}x{}: events/s dropped {:.1}% ({:.0} -> {:.0}, limit {:.0}%)",
-            current.rows, current.cols, drop_pct, prev_eps, current.events_per_sec, threshold_pct,
-        ));
-    }
-    let prev_steady = prev
-        .get("steady_state_allocs")
-        .and_then(Json::as_u64)
-        .unwrap_or(0);
-    if prev_steady == 0 && current.steady_state_allocs > 0 {
-        regressions.push(format!(
-            "{}x{}: steady-state medium hot path now allocates ({} allocs / {} tx; was 0)",
-            current.rows, current.cols, current.steady_state_allocs, current.steady_state_rounds,
-        ));
-    }
-    regressions
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scale::SCALE_SCHEMA_VERSION;
 
     #[test]
     fn parser_round_trips_the_scalar_set() {
@@ -621,103 +544,52 @@ mod tests {
         assert!(Json::parse("nope").is_err());
     }
 
-    fn measurement(eps: f64, steady: u64) -> ScaleMeasurement {
-        ScaleMeasurement {
-            schema_version: SCALE_SCHEMA_VERSION,
-            git: "test".into(),
-            tie_break: "fifo".into(),
-            rows: 20,
-            cols: 20,
-            seed: 42,
-            segments: 1,
-            shards: 1,
-            completed: true,
-            completion_s: 100.0,
-            wall_s: 1.0,
-            events: 1_000_000,
-            events_per_sec: eps,
-            run_allocs: 10,
-            run_alloc_bytes: 1000,
-            steady_state_allocs: steady,
-            steady_state_rounds: 4096,
-        }
+    /// A one-row benchmark results document in the shape
+    /// `benchmark/src/report.rs` writes.
+    fn results_doc(wall: &str, events_per_s: u64) -> String {
+        format!(
+            r#"{{"provenance": {{"schema_version": 1, "seed": 42}}, "results": [
+            {{"workload": "grid20", "mode": "end_to_end", "metrics": {{
+              "wall_s": {{{wall}, "unit": "s", "n": 60}}}}}},
+            {{"workload": "grid20", "mode": "per_layer", "metrics": {{
+              "net.events_per_s": {{"value": {events_per_s}, "unit": "1/s"}}}}}}]}}"#
+        )
     }
 
-    fn history_line(eps: f64, steady: u64) -> String {
-        crate::scale::render_history_row(&measurement(eps, steady))
+    /// The table row naming `metric`, its cells single-spaced.
+    fn row_of(table: &str, metric: &str) -> String {
+        let line = table.lines().find(|l| l.contains(metric)).expect(metric);
+        line.split_whitespace().collect::<Vec<_>>().join(" ")
     }
 
     #[test]
-    fn history_compare_flags_a_throughput_drop() {
-        let history = history_line(1_000_000.0, 0);
-        let current = measurement(800_000.0, 0);
-        let msgs = history_regressions(&history, &current, 10.0);
-        assert_eq!(msgs.len(), 1, "{msgs:?}");
-        assert!(msgs[0].contains("events/s dropped 20.0%"), "{msgs:?}");
-    }
-
-    #[test]
-    fn history_compare_flags_new_steady_state_allocs() {
-        let history = history_line(1_000_000.0, 0);
-        let current = measurement(1_000_000.0, 3);
-        let msgs = history_regressions(&history, &current, 10.0);
-        assert_eq!(msgs.len(), 1, "{msgs:?}");
-        assert!(msgs[0].contains("now allocates"), "{msgs:?}");
-    }
-
-    #[test]
-    fn history_compare_accepts_noise_within_threshold() {
-        let history = history_line(1_000_000.0, 0);
-        let current = measurement(950_000.0, 0);
-        assert!(history_regressions(&history, &current, 10.0).is_empty());
-    }
-
-    #[test]
-    fn history_compare_uses_the_last_matching_row_and_skips_junk() {
-        let mut history = history_line(2_000_000.0, 0);
-        history.push_str("{\"rows\": 50, \"cols\"");
-        history.push('\n');
-        history.push_str(&history_line(1_000_000.0, 0));
-        let current = measurement(950_000.0, 0);
-        // Against the *last* row (1M) this is a 5% dip, not a 52% one.
-        assert!(history_regressions(&history, &current, 10.0).is_empty());
-    }
-
-    #[test]
-    fn history_compare_ignores_other_configurations() {
-        let mut other = measurement(4_000_000.0, 0);
-        other.rows = 50;
-        other.cols = 50;
-        let history = crate::scale::render_history_row(&other);
-        let current = measurement(100.0, 5);
-        assert!(history_regressions(&history, &current, 10.0).is_empty());
-    }
-
-    #[test]
-    fn history_compare_matches_shard_count() {
-        // A sequential row is not a baseline for a sharded run (and vice
-        // versa): only rows of the same kernel configuration compare.
-        let history = history_line(4_000_000.0, 0);
-        let mut sharded = measurement(100.0, 0);
-        sharded.shards = 8;
-        assert!(history_regressions(&history, &sharded, 10.0).is_empty());
-        // Pre-v4 rows carry no "shards" key; they were sequential runs
-        // and must keep working as the shards=1 baseline.
-        let legacy = history.replace(",\"shards\":1", "");
-        assert_ne!(legacy, history, "the row should have carried shards");
-        let current = measurement(800_000.0, 0);
-        let msgs = history_regressions(&legacy, &current, 10.0);
-        assert_eq!(msgs.len(), 1, "{msgs:?}");
-    }
-
-    #[test]
-    fn diff_pairs_scale_rows_by_grid() {
-        let old = crate::scale::render_json(&[measurement(1_000_000.0, 0)]);
-        let new = crate::scale::render_json(&[measurement(1_200_000.0, 0)]);
+    fn diff_pairs_results_rows_by_workload_and_mode() {
+        let old = results_doc(r#""value": 0.15, "q1": 0.14, "q3": 0.16"#, 3_000_000);
+        let new = results_doc(r#""value": 0.12, "q1": 0.11, "q3": 0.13"#, 3_600_000);
         let table = diff(&old, &new).unwrap();
-        assert!(table.contains("scale bench diff"), "{table}");
-        assert!(table.contains("20x20"), "{table}");
-        assert!(table.contains("+20.0%"), "{table}");
+        assert!(table.contains("benchmark results diff"), "{table}");
+        assert_eq!(
+            row_of(&table, "wall_s"),
+            "grid20 end_to_end wall_s 0.150000 0.120000 -20.0% no"
+        );
+        // Per-layer metrics carry no quartiles, so no overlap verdict.
+        assert_eq!(
+            row_of(&table, "net.events_per_s"),
+            "grid20 per_layer net.events_per_s 3000000 3600000 +20.0% -"
+        );
+        // Touching intervals overlap.
+        let near = results_doc(r#""value": 0.17, "q1": 0.16, "q3": 0.18"#, 1);
+        let table = diff(&old, &near).unwrap();
+        assert!(row_of(&table, "wall_s").ends_with("+13.3% yes"), "{table}");
+        // A row or a metric only the new file has is named, not dropped.
+        let table = diff(&old, &old.replace("grid20", "grid80")).unwrap();
+        assert_eq!(table.matches("grid80     ").count(), 2, "{table}");
+        assert_eq!(table.matches("(no old row)").count(), 2, "{table}");
+        let table = diff(&old, &old.replace("wall_s", "setup_s")).unwrap();
+        assert!(
+            row_of(&table, "setup_s").ends_with("setup_s - 0.150000 new -"),
+            "{table}"
+        );
     }
 
     #[test]
@@ -743,9 +615,11 @@ mod tests {
 
     #[test]
     fn diff_rejects_mixed_kinds() {
-        let scale = crate::scale::render_json(&[measurement(1.0, 0)]);
+        let results = results_doc(r#""value": 1"#, 1);
         let profile = r#"{"schema_version":1,"wall_ns":1,"phases":[]}"#;
-        assert!(diff(&scale, profile).is_err());
-        assert!(diff("{}", "{}").is_err());
+        let err = diff(&results, profile).unwrap_err();
+        assert!(err.contains("different kinds"), "{err}");
+        let err = diff("{}", "{}").unwrap_err();
+        assert!(err.contains("\"results\" or \"phases\""), "{err}");
     }
 }

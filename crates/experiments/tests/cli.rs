@@ -125,8 +125,12 @@ fn seeds_mode_runs_any_protocol_and_rejects_an_empty_list() {
 #[test]
 fn subcommand_failures_share_one_epilogue() {
     for (args, needle) in [
-        (&["scale", "--grids", "bogus"][..], "bad grid"),
         (&["report"][..], "report needs OLD NEW"),
+        (
+            &["report", "a.json", "b.json", "c.json"][..],
+            "report needs OLD NEW",
+        ),
+        (&["repro", "a.json", "b.json"][..], "repro needs a PATH"),
         (&["repro", "/nonexistent/repro.json"][..], "cannot read"),
         (&["coded", "--losses", "150"][..], "percentages in [0, 100]"),
         (&["fuzz", "--policy", "lifo"][..], "unknown policy"),

@@ -149,7 +149,7 @@ fn cpu_ticks() -> Option<u64> {
 
 /// The acceptance budget from DESIGN.md §12: with the default stride and
 /// the sampler attached, enabling the profiler costs at most 5% of
-/// events/s on the 50×50 scale grid. Timing-sensitive, so ignored by
+/// events/s on the 50×50 grid. Timing-sensitive, so ignored by
 /// default — run explicitly with
 /// `cargo test --release --test observability -- --ignored`.
 #[test]

@@ -316,30 +316,6 @@ impl FaultPlan {
         self
     }
 
-    /// Draws `count` storage-fault bursts over `candidates`: instants
-    /// uniform in `window`, each burst failing `1..=max_failures` writes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `candidates` is empty or `max_failures` is zero.
-    pub fn random_storage_faults(
-        mut self,
-        count: usize,
-        candidates: &[NodeId],
-        window: (SimTime, SimTime),
-        max_failures: u32,
-    ) -> Self {
-        assert!(!candidates.is_empty(), "no storage-fault candidates");
-        assert!(max_failures > 0, "max_failures must be positive");
-        for _ in 0..count {
-            let node = candidates[self.rng.index(candidates.len())];
-            let at = self.draw_instant(window);
-            let failures = self.rng.range_u64(1, max_failures as u64 + 1) as u32;
-            self = self.storage_faults(node, at, failures);
-        }
-        self
-    }
-
     fn draw_instant(&mut self, window: (SimTime, SimTime)) -> SimTime {
         SimTime::from_micros(
             self.rng
@@ -378,15 +354,9 @@ mod tests {
                     (SimTime::from_secs(1), SimTime::from_secs(30)),
                     (SimDuration::from_secs(1), SimDuration::from_secs(5)),
                 )
-                .random_storage_faults(
-                    2,
-                    &[NodeId(2)],
-                    (SimTime::from_secs(1), SimTime::from_secs(30)),
-                    5,
-                )
         };
         assert_eq!(build().faults(), build().faults());
-        assert_eq!(build().faults().len(), 7);
+        assert_eq!(build().faults().len(), 5);
     }
 
     #[test]

@@ -63,7 +63,6 @@ pub struct LinkChange {
 pub struct NetworkBuilder {
     links: LinkTable,
     seed: u64,
-    csma: CsmaConfig,
     capture: bool,
     tie_break: TieBreak,
     observers: Vec<Box<dyn Observer + Send>>,
@@ -79,7 +78,6 @@ impl NetworkBuilder {
         NetworkBuilder {
             links,
             seed,
-            csma: CsmaConfig::default(),
             capture: false,
             tie_break: TieBreak::Fifo,
             observers: Vec::new(),
@@ -177,12 +175,6 @@ impl NetworkBuilder {
     /// [`Medium::set_capture`](mnp_radio::Medium::set_capture)).
     pub fn capture(mut self, capture: bool) -> Self {
         self.capture = capture;
-        self
-    }
-
-    /// Overrides the MAC configuration.
-    pub fn csma(mut self, csma: CsmaConfig) -> Self {
-        self.csma = csma;
         self
     }
 
@@ -355,7 +347,7 @@ impl NetworkBuilder {
                 fed: 0,
                 medium,
                 protocols: protocols.by_ref().take(nk).collect(),
-                macs: CsmaBank::new(self.csma, nk),
+                macs: CsmaBank::new(CsmaConfig::default(), nk),
                 nodes: arena,
                 outcome_scratch: TxOutcome::new(),
                 ops_scratch: Vec::new(),

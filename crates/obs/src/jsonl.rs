@@ -36,11 +36,6 @@ impl JsonlLogger {
         &self.out
     }
 
-    /// Consumes the logger, returning the log content.
-    pub fn into_string(self) -> String {
-        self.out
-    }
-
     /// Writes the log to `path`.
     ///
     /// # Errors

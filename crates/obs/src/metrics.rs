@@ -172,11 +172,6 @@ impl MetricsRegistry {
         self.nodes.get(index)
     }
 
-    /// Number of node slots (highest node index seen + 1).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Aggregate transmissions across all nodes and classes.
     pub fn tx_total(&self) -> u64 {
         self.nodes.iter().map(NodeMetrics::tx_total).sum()
@@ -424,7 +419,7 @@ mod tests {
                 cause: LossCause::Collision,
             },
         ));
-        assert_eq!(m.node_count(), 3);
+        assert_eq!(m.nodes.len(), 3);
         assert_eq!(m.node(0).unwrap().tx_by_class[MsgClass::Data as usize], 1);
         assert_eq!(m.node(2).unwrap().rx, 1);
         assert_eq!(m.node(2).unwrap().drops_collision, 1);

@@ -94,11 +94,6 @@ impl ProfileReport {
         rows
     }
 
-    /// The phase with the largest estimated self time, if any phase ran.
-    pub fn top_phase(&self) -> Option<Phase> {
-        self.rows().first().map(|r| r.phase)
-    }
-
     /// Renders the report as an aligned self-time table, hottest phase
     /// first, with a top-N summary line.
     pub fn render_table(&self, top_n: usize) -> String {
@@ -202,7 +197,6 @@ mod tests {
         assert_eq!(rows.len(), 2, "idle phases are omitted");
         assert_eq!(rows[0].phase, Phase::Protocol, "hottest first");
         assert_eq!(rows[0].est_self_ns, 300_000 * 8); // ×(calls/timed)
-        assert_eq!(r.top_phase(), Some(Phase::Protocol));
     }
 
     #[test]
@@ -252,7 +246,7 @@ mod tests {
                 profile::set_enabled(false);
                 let rep = ProfileReport::capture(1_000);
                 assert_eq!(rep.phases[Phase::QueuePush as usize].calls, 1);
-                assert_eq!(rep.top_phase(), Some(Phase::QueuePush));
+                assert_eq!(rep.rows()[0].phase, Phase::QueuePush);
             });
         });
     }

@@ -24,7 +24,6 @@ pub struct TimelineExporter {
     spans: Vec<(u32, &'static str, u64, u64)>,
     /// Instant markers: (node, label, micros).
     markers: Vec<(u32, &'static str, u64)>,
-    finished: bool,
 }
 
 impl TimelineExporter {
@@ -36,11 +35,6 @@ impl TimelineExporter {
     /// Closed state spans so far, as `(node, label, start_us, dur_us)`.
     pub fn spans(&self) -> &[(u32, &'static str, u64, u64)] {
         &self.spans
-    }
-
-    /// Whether `on_run_end` has been seen.
-    pub fn finished(&self) -> bool {
-        self.finished
     }
 
     fn close_open(&mut self, index: usize, node: u32, end: u64) {
@@ -180,7 +174,6 @@ impl Observer for TimelineExporter {
             let node = index as u32;
             self.close_open(index, node, end);
         }
-        self.finished = true;
     }
 }
 
@@ -212,7 +205,6 @@ mod tests {
                 (0, "Download", 250, 150),
             ]
         );
-        assert!(tl.finished());
     }
 
     #[test]

@@ -157,14 +157,15 @@ impl<P> PayloadArena<P> {
         self.live == 0
     }
 
-    /// Total slots ever created (live + free-listed). Bounded by
-    /// [`PayloadArena::high_water`].
+    /// Total slots ever created (live + free-listed). Bounded by the
+    /// high-water mark of concurrently live payloads.
     pub fn slot_count(&self) -> usize {
         self.slots.len()
     }
 
     /// The high-water mark of concurrently live payloads.
-    pub fn high_water(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn high_water(&self) -> usize {
         self.high_water
     }
 }

@@ -243,7 +243,8 @@ impl<P> CsmaBank<P> {
     }
 
     /// Whether `node`'s MAC holds no frames (idle and empty queue).
-    pub fn is_idle(&self, node: usize) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_idle(&self, node: usize) -> bool {
         self.states[node] == State::Idle
             && self.currents[node].is_none()
             && self.queues[node].is_empty()
@@ -265,7 +266,8 @@ impl<P> CsmaBank<P> {
     }
 
     /// Carrier-sense attempts by `node` that found the channel busy.
-    pub fn busy_retries(&self, node: usize) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn busy_retries(&self, node: usize) -> u64 {
         self.busy_retries[node]
     }
 
@@ -345,7 +347,8 @@ impl<P> Csma<P> {
     }
 
     /// Whether the MAC holds no frames (idle and empty queue).
-    pub fn is_idle(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_idle(&self) -> bool {
         self.bank.is_idle(0)
     }
 
@@ -365,7 +368,8 @@ impl<P> Csma<P> {
     }
 
     /// Carrier-sense attempts that found the channel busy.
-    pub fn busy_retries(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn busy_retries(&self) -> u64 {
         self.bank.busy_retries(0)
     }
 }

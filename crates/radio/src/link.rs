@@ -231,7 +231,8 @@ impl FlatLinks {
 
     /// Every transmitter `to` can hear, sorted — the reverse adjacency the
     /// carrier-sense scan walks.
-    pub fn incoming_sources(&self, to: NodeId) -> &[NodeId] {
+    #[cfg(test)]
+    pub(crate) fn incoming_sources(&self, to: NodeId) -> &[NodeId] {
         let i = to.index();
         debug_assert!(i + 1 < self.in_off.len(), "unknown node {to}");
         let lo = self.in_off[i] as usize;

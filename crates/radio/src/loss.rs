@@ -55,7 +55,7 @@ pub fn packet_error_rate(x: f64) -> f64 {
 /// per-bit error probability.
 ///
 /// Solves `per = 1 - (1 - ber)^REFERENCE_BITS` for `ber`.
-pub fn per_to_ber(per: f64) -> f64 {
+pub(crate) fn per_to_ber(per: f64) -> f64 {
     let per = per.clamp(0.0, 1.0 - 1e-12);
     1.0 - (1.0 - per).powf(1.0 / REFERENCE_BITS)
 }

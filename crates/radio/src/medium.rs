@@ -39,7 +39,7 @@ pub enum RadioState {
 
 impl RadioState {
     /// Whether the radio is powered at all.
-    pub fn is_on(self) -> bool {
+    pub(crate) fn is_on(self) -> bool {
         self != RadioState::Off
     }
 }
@@ -504,7 +504,8 @@ impl<P> Medium<P> {
 
     /// The payload arena holding every in-flight (and not yet released)
     /// frame payload.
-    pub fn payload_arena(&self) -> &PayloadArena<P> {
+    #[cfg(test)]
+    pub(crate) fn payload_arena(&self) -> &PayloadArena<P> {
         &self.payloads
     }
 
@@ -536,19 +537,6 @@ impl<P> Medium<P> {
     /// Panics if `id` is unknown or already resolved.
     pub fn tx_src(&self, id: TxId) -> NodeId {
         self.txs.src[self.txs.index_of(id)]
-    }
-
-    /// The payload of an in-flight transmission (e.g. to replicate a
-    /// boundary frame to a neighbouring shard).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is unknown, already resolved, or aborted (the
-    /// payload is dropped at abort time).
-    pub fn tx_payload(&self, id: TxId) -> &P {
-        let slot = self.txs.index_of(id);
-        assert!(!self.txs.aborted[slot], "aborted frame has no payload");
-        self.payload(self.txs.payload[slot])
     }
 
     /// Translates a global node id to this medium's local index.
@@ -598,7 +586,8 @@ impl<P> Medium<P> {
     }
 
     /// The radio state of `node`.
-    pub fn radio_state(&self, node: NodeId) -> RadioState {
+    #[cfg(test)]
+    pub(crate) fn radio_state(&self, node: NodeId) -> RadioState {
         self.radios.states[self.local(node)]
     }
 

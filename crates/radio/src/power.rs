@@ -37,7 +37,7 @@ impl PowerLevel {
     /// reported hop structure: the 20×20 grid at 10 ft spacing is
     /// multihop (range ≈ 3.5 cells), while the indoor 5×5 grid at 3 ft
     /// needs relaying only at the lowest power levels.
-    pub const MAX_RANGE_FT: f64 = 35.0;
+    pub(crate) const MAX_RANGE_FT: f64 = 35.0;
 
     /// Creates a power level.
     ///

@@ -289,11 +289,6 @@ pub fn set_enabled(enabled: bool) {
     STATE.with(|s| s.enabled.set(enabled));
 }
 
-/// Whether profiling is currently enabled on this thread.
-pub fn is_enabled() -> bool {
-    STATE.with(|s| s.enabled.get())
-}
-
 /// Sets the sampling stride: 1 in `stride` top-level spans is timed.
 /// Rounded up to the next power of two; `1` times everything. Call with
 /// no spans open — the new stride takes effect at top level.

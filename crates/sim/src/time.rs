@@ -66,11 +66,6 @@ impl SimTime {
         self.0 / 1_000
     }
 
-    /// Whole seconds since the start of the run.
-    pub const fn as_secs(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// Seconds since the start of the run, as a float (for reporting).
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
@@ -128,7 +123,8 @@ impl SimDuration {
     /// # Panics
     ///
     /// Panics if `secs` is negative or not finite.
-    pub fn from_secs_f64(secs: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_secs_f64(secs: f64) -> Self {
         assert!(
             secs.is_finite() && secs >= 0.0,
             "duration seconds must be finite and non-negative, got {secs}"
@@ -146,11 +142,6 @@ impl SimDuration {
         self.0 / 1_000
     }
 
-    /// Length in whole seconds.
-    pub const fn as_secs(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// Length in seconds, as a float (for reporting).
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
@@ -164,19 +155,6 @@ impl SimDuration {
     /// Saturating subtraction.
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
-    }
-
-    /// Multiplies by a float factor, rounding to the nearest microsecond.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is negative or not finite.
-    pub fn mul_f64(self, factor: f64) -> SimDuration {
-        assert!(
-            factor.is_finite() && factor >= 0.0,
-            "duration factor must be finite and non-negative, got {factor}"
-        );
-        SimDuration((self.0 as f64 * factor).round() as u64)
     }
 
     /// The minimum of two durations.
@@ -316,8 +294,8 @@ mod tests {
     fn time_arithmetic() {
         let t = SimTime::from_secs(10);
         let d = SimDuration::from_secs(4);
-        assert_eq!((t + d).as_secs(), 14);
-        assert_eq!((t - d).as_secs(), 6);
+        assert_eq!(t + d, SimTime::from_secs(14));
+        assert_eq!(t - d, SimTime::from_secs(6));
         assert_eq!(t + d - t, d);
     }
 
@@ -334,13 +312,12 @@ mod tests {
         let d = SimDuration::from_millis(10);
         assert_eq!((d * 3).as_millis(), 30);
         assert_eq!((d / 2).as_millis(), 5);
-        assert_eq!(d.mul_f64(2.5).as_millis(), 25);
     }
 
     #[test]
     fn duration_sum() {
         let total: SimDuration = (1..=4).map(SimDuration::from_secs).sum();
-        assert_eq!(total.as_secs(), 10);
+        assert_eq!(total, SimDuration::from_secs(10));
     }
 
     #[test]

@@ -127,11 +127,6 @@ impl PacketStore {
         self.pending_write_faults = self.pending_write_faults.saturating_add(n);
     }
 
-    /// Injected write faults not yet consumed.
-    pub fn pending_write_faults(&self) -> u32 {
-        self.pending_write_faults
-    }
-
     /// The program being received.
     pub fn program(&self) -> ProgramId {
         self.program
@@ -347,7 +342,7 @@ mod tests {
         let img = image(1);
         let mut store = PacketStore::new(img.id(), img.layout());
         store.inject_write_faults(2);
-        assert_eq!(store.pending_write_faults(), 2);
+        assert_eq!(store.pending_write_faults, 2);
         for _ in 0..2 {
             let err = store
                 .write_packet(0, 9, img.packet_payload(0, 9))
@@ -357,7 +352,7 @@ mod tests {
         }
         // Nothing was committed and no line writes were charged.
         assert_eq!(store.line_writes, 0);
-        assert_eq!(store.pending_write_faults(), 0);
+        assert_eq!(store.pending_write_faults, 0);
         // The retry after the faults drain succeeds normally.
         store.write_packet(0, 9, img.packet_payload(0, 9)).unwrap();
         assert!(store.has_packet(0, 9));
@@ -377,7 +372,7 @@ mod tests {
         // A wrong-length write is rejected before the fault check too.
         let err = store.write_packet(0, 1, &[0u8; 3]).unwrap_err();
         assert!(matches!(err, StorageError::WrongLength { .. }));
-        assert_eq!(store.pending_write_faults(), 1);
+        assert_eq!(store.pending_write_faults, 1);
     }
 
     proptest::proptest! {

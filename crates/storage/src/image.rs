@@ -30,9 +30,9 @@ pub struct ImageLayout {
 
 impl ImageLayout {
     /// The paper's segment length: 128 packets.
-    pub const PAPER_PACKETS_PER_SEGMENT: u16 = 128;
+    pub(crate) const PAPER_PACKETS_PER_SEGMENT: u16 = 128;
     /// The paper's data payload: 23 bytes of code per packet.
-    pub const PAPER_PAYLOAD_BYTES: u8 = 23;
+    pub(crate) const PAPER_PAYLOAD_BYTES: u8 = 23;
 
     /// Creates a layout.
     ///

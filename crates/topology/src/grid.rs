@@ -119,13 +119,6 @@ impl GridSpec {
         r == 0 || c == 0 || r == self.rows - 1 || c == self.cols - 1
     }
 
-    /// Whether `node` lies on the main diagonal from the corner (requires a
-    /// square grid for the classic diagonal-vs-edge comparison).
-    pub fn is_diagonal(&self, node: NodeId) -> bool {
-        let (r, c) = self.coords(node);
-        r == c
-    }
-
     /// The node positions of this grid.
     pub fn placement(&self) -> Placement {
         let mut positions = Vec::with_capacity(self.len());
@@ -195,8 +188,6 @@ mod tests {
         assert!(g.is_edge(g.node_at(0, 3)));
         assert!(g.is_edge(g.node_at(4, 4)));
         assert!(!g.is_edge(g.node_at(2, 2)));
-        assert!(g.is_diagonal(g.node_at(2, 2)));
-        assert!(!g.is_diagonal(g.node_at(1, 2)));
     }
 
     #[test]

@@ -98,15 +98,10 @@ impl RunTrace {
     /// Creates a trace for `n` nodes with the paper's one-minute message
     /// window.
     pub fn new(n: usize) -> Self {
-        RunTrace::with_window(n, SimDuration::from_secs(60))
-    }
-
-    /// Creates a trace with a custom message-count window.
-    pub fn with_window(n: usize, window: SimDuration) -> Self {
         RunTrace {
             nodes: vec![NodeSummary::default(); n],
             sender_order: Vec::new(),
-            windows: WindowedCounts::new(window),
+            windows: WindowedCounts::new(SimDuration::from_secs(60)),
             incomplete: n,
         }
     }
@@ -245,24 +240,12 @@ impl RunTrace {
     }
 
     /// Mean active radio time across nodes.
-    pub fn mean_active_radio(&self) -> SimDuration {
+    #[cfg(test)]
+    pub(crate) fn mean_active_radio(&self) -> SimDuration {
         if self.nodes.is_empty() {
             return SimDuration::ZERO;
         }
         let total: SimDuration = self.nodes.iter().map(|n| n.active_radio).sum();
-        total / self.nodes.len() as u64
-    }
-
-    /// Mean active radio time excluding initial idle listening (Fig. 9).
-    pub fn mean_active_radio_after_first_adv(&self, end: SimTime) -> SimDuration {
-        if self.nodes.is_empty() {
-            return SimDuration::ZERO;
-        }
-        let total: SimDuration = self
-            .nodes
-            .iter()
-            .map(|n| n.active_radio_after_first_adv(end))
-            .sum();
         total / self.nodes.len() as u64
     }
 }
