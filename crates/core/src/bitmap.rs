@@ -124,20 +124,6 @@ impl PacketBitmap {
             Some(masked.trailing_zeros() as u16)
         }
     }
-
-    /// Serializes to the 16-byte wire form (little-endian bit order).
-    #[cfg(test)]
-    pub(crate) fn to_wire(&self) -> [u8; BITMAP_WIRE_BYTES] {
-        self.bits.to_le_bytes()
-    }
-
-    /// Deserializes from the 16-byte wire form.
-    #[cfg(test)]
-    pub(crate) fn from_wire(bytes: [u8; BITMAP_WIRE_BYTES]) -> Self {
-        PacketBitmap {
-            bits: u128::from_le_bytes(bytes),
-        }
-    }
 }
 
 impl Default for PacketBitmap {
@@ -202,14 +188,6 @@ mod tests {
     }
 
     #[test]
-    fn wire_round_trip() {
-        let mut b = PacketBitmap::all_set(77);
-        b.clear(3);
-        let back = PacketBitmap::from_wire(b.to_wire());
-        assert_eq!(back, b);
-    }
-
-    #[test]
     #[should_panic(expected = "exceeds bitmap")]
     fn oversized_segment_rejected() {
         let _ = PacketBitmap::all_set(129);
@@ -233,13 +211,6 @@ mod tests {
                 b.clear(*i);
             }
             prop_assert!(b.is_empty());
-        }
-
-        /// Wire form round-trips arbitrary bit patterns.
-        #[test]
-        fn prop_wire_round_trip(bits in any::<u128>()) {
-            let b = PacketBitmap { bits };
-            prop_assert_eq!(PacketBitmap::from_wire(b.to_wire()), b);
         }
 
         /// `first_set_at_or_after` agrees with a linear scan.

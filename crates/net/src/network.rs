@@ -13,7 +13,7 @@
 //! module docs of [`crate::shard`] for why the window width makes that
 //! merge exact.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Barrier, Mutex};
 
 use mnp_obs::{EventKind, ObsEvent, Observer, Shared, TimeSeriesSampler};
@@ -220,7 +220,14 @@ impl NetworkBuilder {
                 });
             }
         }
-        let n = self.links.len();
+        // Validated: freeze the graph and drop the table *before* anything
+        // else allocates. This CSR is the only form the run holds; freeing
+        // the table's rows after the protocols were built left holes among
+        // them that the run's small allocations landed in (`grid80`
+        // `wall_s` +3 %).
+        let links = FlatLinks::from_table(&self.links);
+        drop(self.links);
+        let n = links.len();
         // At most one shard per node, at most 64 (destination masks are
         // one u64 bit per shard).
         let s = self.shards.clamp(1, 64).min(n.max(1));
@@ -300,7 +307,7 @@ impl NetworkBuilder {
                     }
                 }
             }
-            link_timeline(&self.links, self.link_schedule, &flaps, &mut nodes)
+            link_timeline(&links, self.link_schedule, &flaps, &mut nodes)
         };
         // Which *other* shards can hear each node: bit k set when shard k
         // holds at least one out-neighbour. All-zero masks (the one-shard
@@ -310,7 +317,7 @@ impl NetworkBuilder {
         if s > 1 {
             for (i, mask) in remote_mask.iter_mut().enumerate() {
                 let home = shard_of(i);
-                for (to, _) in self.links.neighbors(NodeId::from_index(i)) {
+                for to in links.neighbors(NodeId::from_index(i)).0 {
                     let d = shard_of(to.index());
                     if d != home {
                         *mask |= 1 << d;
@@ -320,11 +327,9 @@ impl NetworkBuilder {
         }
         let watched = !self.observers.is_empty();
         let arenas = nodes.split(&bounds);
-        let mut link_copies: Vec<LinkTable> = Vec::with_capacity(s);
-        for _ in 1..s {
-            link_copies.push(self.links.clone());
-        }
-        link_copies.push(self.links);
+        // Every shard holds the full graph: `s - 1` clones of three flat
+        // arrays and the original.
+        let link_copies = vec![links; s];
         let mut protocols = protocols.into_iter();
         let mut shards: Vec<Shard<P>> = Vec::with_capacity(s);
         for (((w, queue), arena), links) in
@@ -356,8 +361,7 @@ impl NetworkBuilder {
                 chunks: Vec::new(),
                 outbox: Vec::new(),
                 remote_mask: remote_mask[lo..hi].to_vec(),
-                ghosts: HashMap::new(),
-                ghost_keys: HashMap::new(),
+                ghosts: Vec::new(),
             });
         }
         // One branch per event decides whether to sample; SimTime::MAX
@@ -453,7 +457,7 @@ struct Flapped {
 /// draws `from`'s next owner sequence number here, which fixes its queue
 /// rank before the run, whenever a shard feeds it.
 fn link_timeline(
-    links: &LinkTable,
+    links: &FlatLinks,
     mut schedule: Vec<LinkChange>,
     flaps: &[Flap],
     nodes: &mut NodeArena,
@@ -492,7 +496,7 @@ fn link_timeline(
     })
     .peekable();
     // The rate every edge carries as the sweep advances.
-    let mut applied = FlatLinks::from_table(links);
+    let mut applied = links.clone();
     let mut rows = Vec::with_capacity(schedule.len() + 2 * flaps.len());
     while let Some(&(at, from, to, ..)) = marks.peek() {
         let mut edge = flapped.get_mut(&(from, to));
@@ -2206,7 +2210,9 @@ mod timeline_tests {
                 .build(|_, _| Inert)
         };
         let mut processed = Vec::new();
-        for shards in [1, 2, 3] {
+        // Every shard's copy of the link graph after the run, row by row.
+        let mut graphs = Vec::new();
+        for shards in [1, 2, 3, 4] {
             let mut net = build(shards);
             // What every queue held when each row was pre-loaded into each.
             let total = N + NODE_FAULTS + shards * ROWS;
@@ -2242,8 +2248,26 @@ mod timeline_tests {
             assert_eq!(net.pending_events(), 0);
             assert_eq!(net.queued().into_iter().sum::<usize>(), 0);
             processed.push(net.events_processed());
+            for sh in &net.shards {
+                let rows: Vec<(Vec<NodeId>, Vec<f64>)> = (0..N)
+                    .map(|i| sh.medium.links().neighbors(NodeId::from_index(i)))
+                    .map(|(dst, ber)| (dst.to_vec(), ber.to_vec()))
+                    .collect();
+                graphs.push(rows);
+            }
         }
-        assert_eq!(processed, [(N + NODE_FAULTS + ROWS) as u64; 3]);
+        assert_eq!(processed, [(N + NODE_FAULTS + ROWS) as u64; 4]);
+        // The shards' copies are clones of one frozen graph, each fed the
+        // same timeline: they end identical, at the last scheduled rates
+        // with both flaps restored.
+        assert_eq!(graphs.len(), 1 + 2 + 3 + 4);
+        assert!(graphs.iter().all(|g| g == &graphs[0]));
+        let last = schedule.last().expect("forty changes");
+        assert_eq!(
+            graphs[0][4],
+            (vec![NodeId(3), last.to], vec![0.0, last.ber])
+        );
+        assert_eq!(graphs[0][1], (vec![NodeId(0), NodeId(2)], vec![0.0, 0.37]));
     }
 
     /// A small random-waypoint field resolved over `horizon`: the

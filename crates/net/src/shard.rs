@@ -21,7 +21,6 @@
 //! every event's queue rank — and with it the merged event order — is
 //! identical to the single-queue run's.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use mnp_obs::{EventKind, LossCause, ObsEvent};
@@ -227,11 +226,11 @@ pub(crate) struct Shard<P: Protocol> {
     /// out-neighbour (all zero in a one-shard network — the boundary
     /// machinery costs one load per transmission).
     pub remote_mask: Vec<u64>,
-    /// Ghost transmissions by `(src, rx_start_seq)` identity, so a later
-    /// `Abort` boundary message finds the `TxId` this shard allocated.
-    pub ghosts: HashMap<(u32, u32), TxId>,
-    /// Reverse map for cleanup when a ghost's `RxEnd` retires it.
-    pub ghost_keys: HashMap<TxId, (u32, u32)>,
+    /// In-flight ghost transmissions as `(src, rx_start_seq, tx)`, so a
+    /// later `Abort` boundary message finds the `TxId` this shard
+    /// allocated; the ghost's `RxEnd` retires its entry. A few tens at
+    /// most, so a scan beats a map — and has no hasher to vary by process.
+    pub ghosts: Vec<(u32, u32, TxId)>,
 }
 
 impl<P: Protocol> Shard<P> {
@@ -353,8 +352,7 @@ impl<P: Protocol> Shard<P> {
                     rx_end_seq,
                     Event::RxEnd(tx),
                 );
-                self.ghosts.insert((src.0, rx_start_seq), tx);
-                self.ghost_keys.insert(tx, (src.0, rx_start_seq));
+                self.ghosts.push((src.0, rx_start_seq, tx));
             }
             Boundary::Abort {
                 src,
@@ -362,7 +360,11 @@ impl<P: Protocol> Shard<P> {
                 rx_start_seq,
                 rx_abort_seq,
             } => {
-                let tx = self.ghosts[&(src.0, rx_start_seq)];
+                let &(.., tx) = self
+                    .ghosts
+                    .iter()
+                    .find(|g| (g.0, g.1) == (src.0, rx_start_seq))
+                    .expect("every Begin is routed before its Abort");
                 self.medium.mark_remote_abort(tx);
                 self.queue.push_owned(
                     at + PERCEPTION_LATENCY,
@@ -436,9 +438,7 @@ impl<P: Protocol> Shard<P> {
                 let local = self.is_local(self.medium.tx_src(tx));
                 self.rx_end(tx);
                 if !local {
-                    if let Some(key) = self.ghost_keys.remove(&tx) {
-                        self.ghosts.remove(&key);
-                    }
+                    self.ghosts.retain(|g| g.2 != tx);
                 }
                 return local;
             }

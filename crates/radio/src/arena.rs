@@ -63,7 +63,6 @@ pub struct PayloadArena<P> {
     slots: Vec<PayloadSlot<P>>,
     free: Vec<u32>,
     live: usize,
-    high_water: usize,
 }
 
 impl<P> PayloadArena<P> {
@@ -73,7 +72,6 @@ impl<P> PayloadArena<P> {
             slots: Vec::new(),
             free: Vec::new(),
             live: 0,
-            high_water: 0,
         }
     }
 
@@ -81,7 +79,6 @@ impl<P> PayloadArena<P> {
     pub fn insert(&mut self, payload: P) -> PayloadHandle {
         let _span = profile::span(Phase::ArenaAlloc);
         self.live += 1;
-        self.high_water = self.high_water.max(self.live);
         match self.free.pop() {
             Some(index) => {
                 let slot = &mut self.slots[index as usize];
@@ -162,12 +159,6 @@ impl<P> PayloadArena<P> {
     pub fn slot_count(&self) -> usize {
         self.slots.len()
     }
-
-    /// The high-water mark of concurrently live payloads.
-    #[cfg(test)]
-    pub(crate) fn high_water(&self) -> usize {
-        self.high_water
-    }
 }
 
 #[cfg(test)]
@@ -218,8 +209,7 @@ mod tests {
             a.take(h1);
             a.take(h2);
         }
-        assert_eq!(a.high_water(), 2);
-        assert!(a.slot_count() <= a.high_water());
+        assert_eq!(a.slot_count(), 2);
     }
 
     #[test]
@@ -291,12 +281,11 @@ mod proptests {
                     prop_assert_eq!(arena.get(h), Some(&expect));
                 }
                 prop_assert_eq!(arena.live(), live.len());
-                prop_assert_eq!(arena.high_water(), max_live);
                 prop_assert!(
-                    arena.slot_count() <= arena.high_water(),
+                    arena.slot_count() <= max_live,
                     "slots {} exceed high water {}",
                     arena.slot_count(),
-                    arena.high_water()
+                    max_live
                 );
             }
         }

@@ -8,12 +8,8 @@
 //!
 //! The machine is driven externally (by `mnp-net`'s event loop): it never
 //! sets timers itself, it *returns* the delay after which the caller should
-//! invoke [`Csma::attempt`].
-//!
-//! Two views exist over the same state machine: [`CsmaBank`] holds the MAC
-//! state of *every* node in struct-of-arrays columns (what the network
-//! kernel drives), and [`Csma`] is the single-node wrapper (a one-row bank)
-//! for tests and direct use.
+//! invoke [`CsmaBank::attempt`]. [`CsmaBank`] holds the MAC state of
+//! *every* node in struct-of-arrays columns; a single MAC is a one-row bank.
 
 use std::collections::VecDeque;
 
@@ -61,9 +57,9 @@ impl Default for CsmaConfig {
 pub enum CsmaAction<P> {
     /// Nothing to schedule.
     Idle,
-    /// Call [`Csma::attempt`] after this delay.
+    /// Call [`CsmaBank::attempt`] after this delay.
     Backoff(SimDuration),
-    /// Put this frame on the air now and call [`Csma::tx_done`] when the
+    /// Put this frame on the air now and call [`CsmaBank::tx_done`] when the
     /// transmission completes.
     Transmit(Frame<P>),
 }
@@ -82,9 +78,28 @@ enum State {
 ///
 /// The hot column (`states`, one byte per node) is what the event loop
 /// touches on every MAC decision; the frame storage (`currents`, `queues`)
-/// and the diagnostic counters live in their own arrays. All nodes share
-/// one [`CsmaConfig`] — exactly what the old one-`Csma`-per-node layout
-/// stored `n` copies of.
+/// and the drop counters live in their own arrays. All nodes share one
+/// [`CsmaConfig`].
+///
+/// # Example
+///
+/// ```
+/// use mnp_radio::{CsmaAction, CsmaBank, CsmaConfig, Frame, NodeId};
+/// use mnp_sim::SimRng;
+///
+/// let mut macs: CsmaBank<&str> = CsmaBank::new(CsmaConfig::default(), 1);
+/// let mut rng = SimRng::new(1);
+/// // Enqueue: the MAC asks us to wait out an initial backoff.
+/// let a = macs.enqueue(0, Frame::new(NodeId(0), 4, "adv"), &mut rng);
+/// let delay = match a { CsmaAction::Backoff(d) => d, _ => unreachable!() };
+/// assert!(!delay.is_zero());
+/// // Backoff expired, channel clear: transmit.
+/// match macs.attempt(0, false, &mut rng) {
+///     CsmaAction::Transmit(f) => assert_eq!(f.payload, "adv"),
+///     other => panic!("{other:?}"),
+/// }
+/// assert_eq!(macs.tx_done(0, &mut rng), CsmaAction::Idle);
+/// ```
 #[derive(Clone, Debug)]
 pub struct CsmaBank<P> {
     config: CsmaConfig,
@@ -92,7 +107,6 @@ pub struct CsmaBank<P> {
     currents: Vec<Option<Frame<P>>>,
     queues: Vec<VecDeque<Frame<P>>>,
     drops: Vec<u64>,
-    busy_retries: Vec<u64>,
 }
 
 impl<P> CsmaBank<P> {
@@ -110,7 +124,6 @@ impl<P> CsmaBank<P> {
             currents: (0..nodes).map(|_| None).collect(),
             queues: (0..nodes).map(|_| VecDeque::new()).collect(),
             drops: vec![0; nodes],
-            busy_retries: vec![0; nodes],
         }
     }
 
@@ -172,7 +185,6 @@ impl<P> CsmaBank<P> {
             "attempt without pending frame"
         );
         if channel_busy {
-            self.busy_retries[node] += 1;
             CsmaAction::Backoff(self.congestion_backoff(rng))
         } else {
             self.states[node] = State::Transmitting;
@@ -239,7 +251,6 @@ impl<P> CsmaBank<P> {
     pub fn reset(&mut self, node: usize) {
         self.flush(node);
         self.drops[node] = 0;
-        self.busy_retries[node] = 0;
     }
 
     /// Whether `node`'s MAC holds no frames (idle and empty queue).
@@ -265,12 +276,6 @@ impl<P> CsmaBank<P> {
         self.drops[node]
     }
 
-    /// Carrier-sense attempts by `node` that found the channel busy.
-    #[cfg(test)]
-    pub(crate) fn busy_retries(&self, node: usize) -> u64 {
-        self.busy_retries[node]
-    }
-
     fn initial_backoff(&self, rng: &mut SimRng) -> SimDuration {
         rng.duration_between(
             self.config.initial_backoff_min,
@@ -286,94 +291,6 @@ impl<P> CsmaBank<P> {
     }
 }
 
-/// The CSMA MAC state machine for one node: a one-row [`CsmaBank`].
-///
-/// # Example
-///
-/// ```
-/// use mnp_radio::{Csma, CsmaAction, CsmaConfig, Frame, NodeId};
-/// use mnp_sim::SimRng;
-///
-/// let mut mac: Csma<&str> = Csma::new(CsmaConfig::default());
-/// let mut rng = SimRng::new(1);
-/// // Enqueue: the MAC asks us to wait out an initial backoff.
-/// let a = mac.enqueue(Frame::new(NodeId(0), 4, "adv"), &mut rng);
-/// let delay = match a { CsmaAction::Backoff(d) => d, _ => unreachable!() };
-/// assert!(!delay.is_zero());
-/// // Backoff expired, channel clear: transmit.
-/// match mac.attempt(false, &mut rng) {
-///     CsmaAction::Transmit(f) => assert_eq!(f.payload, "adv"),
-///     other => panic!("{other:?}"),
-/// }
-/// assert_eq!(mac.tx_done(&mut rng), CsmaAction::Idle);
-/// ```
-#[derive(Clone, Debug)]
-pub struct Csma<P> {
-    bank: CsmaBank<P>,
-}
-
-impl<P> Csma<P> {
-    /// Creates an idle MAC.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the backoff ranges are inverted.
-    pub fn new(config: CsmaConfig) -> Self {
-        Csma {
-            bank: CsmaBank::new(config, 1),
-        }
-    }
-
-    /// Hands a frame to the MAC; see [`CsmaBank::enqueue`].
-    pub fn enqueue(&mut self, frame: Frame<P>, rng: &mut SimRng) -> CsmaAction<P> {
-        self.bank.enqueue(0, frame, rng)
-    }
-
-    /// Carrier-sense attempt when a backoff timer fires; see
-    /// [`CsmaBank::attempt`].
-    pub fn attempt(&mut self, channel_busy: bool, rng: &mut SimRng) -> CsmaAction<P> {
-        self.bank.attempt(0, channel_busy, rng)
-    }
-
-    /// Notifies the MAC that its frame finished transmitting; see
-    /// [`CsmaBank::tx_done`].
-    pub fn tx_done(&mut self, rng: &mut SimRng) -> CsmaAction<P> {
-        self.bank.tx_done(0, rng)
-    }
-
-    /// Discards the pending frame and queue; see [`CsmaBank::flush`].
-    pub fn flush(&mut self) -> usize {
-        self.bank.flush(0)
-    }
-
-    /// Whether the MAC holds no frames (idle and empty queue).
-    #[cfg(test)]
-    pub(crate) fn is_idle(&self) -> bool {
-        self.bank.is_idle(0)
-    }
-
-    /// Whether a frame is currently on the air.
-    pub fn is_transmitting(&self) -> bool {
-        self.bank.is_transmitting(0)
-    }
-
-    /// Frames waiting behind the current one.
-    pub fn queued(&self) -> usize {
-        self.bank.queued(0)
-    }
-
-    /// Frames dropped because the queue was full.
-    pub fn drops(&self) -> u64 {
-        self.bank.drops(0)
-    }
-
-    /// Carrier-sense attempts that found the channel busy.
-    #[cfg(test)]
-    pub(crate) fn busy_retries(&self) -> u64 {
-        self.bank.busy_retries(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,36 +300,39 @@ mod tests {
         Frame::new(NodeId(0), 8, tag)
     }
 
-    fn mac() -> (Csma<u32>, SimRng) {
-        (Csma::new(CsmaConfig::default()), SimRng::new(42))
+    /// A one-row bank: the single MAC most tests drive.
+    fn mac() -> (CsmaBank<u32>, SimRng) {
+        (CsmaBank::new(CsmaConfig::default(), 1), SimRng::new(42))
     }
 
     #[test]
     fn single_frame_lifecycle() {
         let (mut m, mut rng) = mac();
-        assert!(m.is_idle());
-        let a = m.enqueue(frame(1), &mut rng);
+        assert!(m.is_idle(0));
+        let a = m.enqueue(0, frame(1), &mut rng);
         assert!(matches!(a, CsmaAction::Backoff(_)));
-        let a = m.attempt(false, &mut rng);
+        let a = m.attempt(0, false, &mut rng);
         match a {
             CsmaAction::Transmit(f) => assert_eq!(f.payload, 1),
             other => panic!("expected transmit, got {other:?}"),
         }
-        assert!(m.is_transmitting());
-        assert_eq!(m.tx_done(&mut rng), CsmaAction::Idle);
-        assert!(m.is_idle());
+        assert!(m.is_transmitting(0));
+        assert_eq!(m.tx_done(0, &mut rng), CsmaAction::Idle);
+        assert!(m.is_idle(0));
     }
 
     #[test]
-    fn busy_channel_backs_off_and_counts() {
+    fn busy_channel_backs_off() {
         let (mut m, mut rng) = mac();
-        m.enqueue(frame(1), &mut rng);
+        m.enqueue(0, frame(1), &mut rng);
         for _ in 0..3 {
-            assert!(matches!(m.attempt(true, &mut rng), CsmaAction::Backoff(_)));
+            assert!(matches!(
+                m.attempt(0, true, &mut rng),
+                CsmaAction::Backoff(_)
+            ));
         }
-        assert_eq!(m.busy_retries(), 3);
         assert!(matches!(
-            m.attempt(false, &mut rng),
+            m.attempt(0, false, &mut rng),
             CsmaAction::Transmit(_)
         ));
     }
@@ -420,13 +340,13 @@ mod tests {
     #[test]
     fn frames_queue_behind_current() {
         let (mut m, mut rng) = mac();
-        m.enqueue(frame(1), &mut rng);
-        assert_eq!(m.enqueue(frame(2), &mut rng), CsmaAction::Idle);
-        assert_eq!(m.queued(), 1);
-        let _ = m.attempt(false, &mut rng);
+        m.enqueue(0, frame(1), &mut rng);
+        assert_eq!(m.enqueue(0, frame(2), &mut rng), CsmaAction::Idle);
+        assert_eq!(m.queued(0), 1);
+        let _ = m.attempt(0, false, &mut rng);
         // Completing frame 1 starts contention for frame 2.
-        assert!(matches!(m.tx_done(&mut rng), CsmaAction::Backoff(_)));
-        match m.attempt(false, &mut rng) {
+        assert!(matches!(m.tx_done(0, &mut rng), CsmaAction::Backoff(_)));
+        match m.attempt(0, false, &mut rng) {
             CsmaAction::Transmit(f) => assert_eq!(f.payload, 2),
             other => panic!("{other:?}"),
         }
@@ -438,26 +358,26 @@ mod tests {
             queue_capacity: 2,
             ..CsmaConfig::default()
         };
-        let mut m = Csma::new(cfg);
+        let mut m = CsmaBank::new(cfg, 1);
         let mut rng = SimRng::new(1);
-        m.enqueue(frame(0), &mut rng);
-        m.enqueue(frame(1), &mut rng);
-        m.enqueue(frame(2), &mut rng);
-        m.enqueue(frame(3), &mut rng);
-        assert_eq!(m.queued(), 2);
-        assert_eq!(m.drops(), 1);
+        m.enqueue(0, frame(0), &mut rng);
+        m.enqueue(0, frame(1), &mut rng);
+        m.enqueue(0, frame(2), &mut rng);
+        m.enqueue(0, frame(3), &mut rng);
+        assert_eq!(m.queued(0), 2);
+        assert_eq!(m.drops(0), 1);
     }
 
     #[test]
     fn flush_clears_everything() {
         let (mut m, mut rng) = mac();
-        m.enqueue(frame(1), &mut rng);
-        m.enqueue(frame(2), &mut rng);
-        assert_eq!(m.flush(), 2);
-        assert!(m.is_idle());
+        m.enqueue(0, frame(1), &mut rng);
+        m.enqueue(0, frame(2), &mut rng);
+        assert_eq!(m.flush(0), 2);
+        assert!(m.is_idle(0));
         // A fresh enqueue starts a new round.
         assert!(matches!(
-            m.enqueue(frame(3), &mut rng),
+            m.enqueue(0, frame(3), &mut rng),
             CsmaAction::Backoff(_)
         ));
     }
@@ -489,10 +409,8 @@ mod tests {
         bank.enqueue(1, frame(1), &mut rng);
         bank.enqueue(1, frame(2), &mut rng);
         let _ = bank.attempt(1, true, &mut rng);
-        assert_eq!(bank.busy_retries(1), 1);
         bank.reset(1);
         assert!(bank.is_idle(1));
-        assert_eq!(bank.busy_retries(1), 0);
         assert_eq!(bank.drops(1), 0);
         // A reset row starts a fresh contention round like a new MAC.
         assert!(matches!(
@@ -505,7 +423,7 @@ mod tests {
     fn backoffs_fall_within_configured_bounds() {
         let (mut m, mut rng) = mac();
         for _ in 0..200 {
-            match m.enqueue(frame(1), &mut rng) {
+            match m.enqueue(0, frame(1), &mut rng) {
                 CsmaAction::Backoff(d) => {
                     assert!(
                         d >= SimDuration::from_micros(400) && d < SimDuration::from_micros(12_800)
@@ -513,7 +431,7 @@ mod tests {
                 }
                 other => panic!("{other:?}"),
             }
-            match m.attempt(true, &mut rng) {
+            match m.attempt(0, true, &mut rng) {
                 CsmaAction::Backoff(d) => {
                     assert!(
                         d >= SimDuration::from_micros(400) && d < SimDuration::from_micros(51_200)
@@ -521,8 +439,8 @@ mod tests {
                 }
                 other => panic!("{other:?}"),
             }
-            let _ = m.attempt(false, &mut rng);
-            let _ = m.tx_done(&mut rng);
+            let _ = m.attempt(0, false, &mut rng);
+            let _ = m.tx_done(0, &mut rng);
         }
     }
 
@@ -530,23 +448,23 @@ mod tests {
     #[should_panic(expected = "attempt without pending frame")]
     fn attempt_when_idle_panics() {
         let (mut m, mut rng) = mac();
-        let _ = m.attempt(false, &mut rng);
+        let _ = m.attempt(0, false, &mut rng);
     }
 
     #[test]
     #[should_panic(expected = "tx_done without transmission")]
     fn tx_done_when_idle_panics() {
         let (mut m, mut rng) = mac();
-        let _ = m.tx_done(&mut rng);
+        let _ = m.tx_done(0, &mut rng);
     }
 
     #[test]
     #[should_panic(expected = "flush mid-transmission")]
     fn flush_mid_tx_panics() {
         let (mut m, mut rng) = mac();
-        m.enqueue(frame(1), &mut rng);
-        let _ = m.attempt(false, &mut rng);
-        let _ = m.flush();
+        m.enqueue(0, frame(1), &mut rng);
+        let _ = m.attempt(0, false, &mut rng);
+        let _ = m.flush(0);
     }
 }
 
@@ -580,7 +498,7 @@ mod proptests {
         /// transmitting.
         #[test]
         fn prop_csma_state_machine_is_total(ops in proptest::collection::vec(op_strategy(), 1..300)) {
-            let mut mac: Csma<u32> = Csma::new(CsmaConfig::default());
+            let mut mac: CsmaBank<u32> = CsmaBank::new(CsmaConfig::default(), 1);
             let mut rng = SimRng::new(9);
             #[derive(PartialEq)]
             enum Model { Idle, Backing, Tx }
@@ -590,7 +508,7 @@ mod proptests {
                 match op {
                     Op::Enqueue => {
                         tag += 1;
-                        let action = mac.enqueue(Frame::new(NodeId(0), 4, tag), &mut rng);
+                        let action = mac.enqueue(0, Frame::new(NodeId(0), 4, tag), &mut rng);
                         match (&model, &action) {
                             (Model::Idle, CsmaAction::Backoff(_)) => model = Model::Backing,
                             (Model::Backing | Model::Tx, CsmaAction::Idle) => {}
@@ -599,7 +517,7 @@ mod proptests {
                     }
                     Op::Attempt { busy } => {
                         if model != Model::Backing { continue; }
-                        match mac.attempt(busy, &mut rng) {
+                        match mac.attempt(0, busy, &mut rng) {
                             CsmaAction::Backoff(_) => prop_assert!(busy),
                             CsmaAction::Transmit(_) => {
                                 prop_assert!(!busy);
@@ -610,7 +528,7 @@ mod proptests {
                     }
                     Op::TxDone => {
                         if model != Model::Tx { continue; }
-                        match mac.tx_done(&mut rng) {
+                        match mac.tx_done(0, &mut rng) {
                             CsmaAction::Backoff(_) => model = Model::Backing,
                             CsmaAction::Idle => model = Model::Idle,
                             CsmaAction::Transmit(_) => prop_assert!(false, "tx_done yielded Transmit"),
@@ -618,9 +536,9 @@ mod proptests {
                     }
                     Op::Flush => {
                         if model == Model::Tx { continue; }
-                        mac.flush();
+                        mac.flush(0);
                         model = Model::Idle;
-                        prop_assert!(mac.is_idle());
+                        prop_assert!(mac.is_idle(0));
                     }
                 }
             }
@@ -629,19 +547,19 @@ mod proptests {
         /// Frames come out in FIFO order across a drain.
         #[test]
         fn prop_csma_is_fifo(n in 1usize..8) {
-            let mut mac: Csma<u32> = Csma::new(CsmaConfig::default());
+            let mut mac: CsmaBank<u32> = CsmaBank::new(CsmaConfig::default(), 1);
             let mut rng = SimRng::new(4);
             for tag in 0..n as u32 {
-                let _ = mac.enqueue(Frame::new(NodeId(0), 4, tag), &mut rng);
+                let _ = mac.enqueue(0, Frame::new(NodeId(0), 4, tag), &mut rng);
             }
             let mut seen = Vec::new();
             #[allow(clippy::while_let_loop)]
             loop {
-                match mac.attempt(false, &mut rng) {
+                match mac.attempt(0, false, &mut rng) {
                     CsmaAction::Transmit(f) => seen.push(f.payload),
                     _ => break,
                 }
-                match mac.tx_done(&mut rng) {
+                match mac.tx_done(0, &mut rng) {
                     CsmaAction::Backoff(_) => continue,
                     _ => break,
                 }

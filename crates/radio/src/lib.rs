@@ -14,7 +14,7 @@
 //!   collide at a common receiver exactly as in the paper's §5 discussion
 //!   ([`Medium`]).
 //! * **CSMA MAC** — random initial backoff, carrier sense, congestion
-//!   backoff ([`Csma`]), modelled on the TinyOS B-MAC default.
+//!   backoff ([`CsmaBank`]), modelled on the TinyOS B-MAC default.
 //! * **Radio power states** — Off/Listening/Receiving/Transmitting, with
 //!   active-radio-time accounting, because *active radio time* is the
 //!   paper's primary energy metric ([`RadioState`]).
@@ -65,7 +65,7 @@ mod packet;
 mod power;
 
 pub use arena::{PayloadArena, PayloadHandle};
-pub use csma::{Csma, CsmaAction, CsmaBank, CsmaConfig};
+pub use csma::{CsmaAction, CsmaBank, CsmaConfig};
 pub use ids::NodeId;
 pub use link::{FlatLinks, LinkTable};
 pub use medium::{Medium, MediumStats, RadioState, TxError, TxId, TxOutcome, TxStart};

@@ -26,11 +26,6 @@ use crate::ids::NodeId;
 pub struct LinkTable {
     /// `out[a]` lists `(b, ber)` for every edge `a → b`, sorted by `b`.
     out: Vec<Vec<(NodeId, f64)>>,
-    /// Reverse adjacency: `inn[b]` lists `(a, ber)` for every edge
-    /// `a → b`, sorted by `a`. Maintained by [`LinkTable::connect`] so
-    /// in-degree and "whom can I hear" queries cost `O(degree)` instead of
-    /// scanning every row.
-    inn: Vec<Vec<(NodeId, f64)>>,
 }
 
 impl LinkTable {
@@ -38,7 +33,6 @@ impl LinkTable {
     pub fn new(n: usize) -> Self {
         LinkTable {
             out: vec![Vec::new(); n],
-            inn: vec![Vec::new(); n],
         }
     }
 
@@ -69,11 +63,6 @@ impl LinkTable {
             Ok(i) => row[i].1 = ber,
             Err(i) => row.insert(i, (to, ber)),
         }
-        let rev = &mut self.inn[to.index()];
-        match rev.binary_search_by_key(&from, |&(a, _)| a) {
-            Ok(i) => rev[i].1 = ber,
-            Err(i) => rev.insert(i, (from, ber)),
-        }
     }
 
     /// The bit error rate of `from → to`, or `None` if `to` cannot hear
@@ -97,23 +86,6 @@ impl LinkTable {
     /// Number of directed edges.
     pub fn edge_count(&self) -> usize {
         self.out.iter().map(Vec::len).sum()
-    }
-
-    /// In-degree of `node` (how many transmitters it can hear). `O(1)` via
-    /// the precomputed reverse-adjacency index.
-    pub fn in_degree(&self, node: NodeId) -> usize {
-        self.inn.get(node.index()).map_or(0, Vec::len)
-    }
-
-    /// Iterates over `(source, ber)` for every transmitter `to` can hear —
-    /// the reverse of [`LinkTable::neighbors`], in `O(in-degree)` via the
-    /// index maintained by [`LinkTable::connect`].
-    pub fn incoming(&self, to: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_ {
-        self.inn
-            .get(to.index())
-            .map(|r| r.iter().copied())
-            .into_iter()
-            .flatten()
     }
 
     /// Whether every node can reach every other node along directed edges
@@ -158,18 +130,17 @@ impl LinkTable {
     }
 }
 
-/// The link graph flattened into compressed-sparse-row form for the
-/// medium's hot path.
+/// The link graph frozen into compressed-sparse-row form: the only graph
+/// a run holds.
 ///
-/// [`LinkTable`] is the build/mutation structure: per-node `Vec`s that are
-/// cheap to grow edge by edge. `FlatLinks` is its read-optimised shadow:
-/// each direction's adjacency packed into three dense arrays (row offsets,
-/// targets, bit error rates), so a neighbour walk touches two contiguous
-/// slices instead of chasing a `Vec<Vec<_>>` spine, and the carrier-sense
-/// scan over incoming sources reads a pure `NodeId` array with no
-/// interleaved `f64`s. Rows keep [`LinkTable`]'s sorted order, so walks
-/// over either structure visit edges identically — load-bearing for
-/// byte-identical replays.
+/// [`LinkTable`] is the build structure: per-node `Vec`s that are cheap
+/// to grow edge by edge, dropped once frozen. `FlatLinks` packs the same
+/// adjacency into three dense arrays (row offsets, targets, bit error
+/// rates), so a neighbour walk touches two contiguous slices instead of
+/// chasing a `Vec<Vec<_>>` spine. Rows keep [`LinkTable`]'s sorted order,
+/// so walks over either structure visit edges identically — load-bearing
+/// for byte-identical replays. The edge set is fixed from here on; only
+/// rates change ([`FlatLinks::set_ber`]).
 #[derive(Clone, Debug, Default)]
 pub struct FlatLinks {
     /// `out_dst[out_off[a]..out_off[a+1]]` lists every `b` with `a → b`.
@@ -177,14 +148,10 @@ pub struct FlatLinks {
     out_dst: Vec<NodeId>,
     /// `out_ber[i]` is the BER of the edge at `out_dst[i]`.
     out_ber: Vec<f64>,
-    /// Reverse direction: `in_src[in_off[b]..in_off[b+1]]` lists every `a`
-    /// with `a → b`.
-    in_off: Vec<u32>,
-    in_src: Vec<NodeId>,
 }
 
 impl FlatLinks {
-    /// Flattens `table` into CSR form (both directions).
+    /// Flattens `table` into CSR form.
     pub fn from_table(table: &LinkTable) -> Self {
         let n = table.len();
         let edges = table.edge_count();
@@ -192,22 +159,14 @@ impl FlatLinks {
             out_off: Vec::with_capacity(n + 1),
             out_dst: Vec::with_capacity(edges),
             out_ber: Vec::with_capacity(edges),
-            in_off: Vec::with_capacity(n + 1),
-            in_src: Vec::with_capacity(edges),
         };
         flat.out_off.push(0);
-        flat.in_off.push(0);
         for i in 0..n {
-            let node = NodeId::from_index(i);
-            for (dst, ber) in table.neighbors(node) {
+            for (dst, ber) in table.neighbors(NodeId::from_index(i)) {
                 flat.out_dst.push(dst);
                 flat.out_ber.push(ber);
             }
             flat.out_off.push(flat.out_dst.len() as u32);
-            for (src, _) in table.incoming(node) {
-                flat.in_src.push(src);
-            }
-            flat.in_off.push(flat.in_src.len() as u32);
         }
         flat
     }
@@ -227,17 +186,6 @@ impl FlatLinks {
     pub fn neighbors(&self, from: NodeId) -> (&[NodeId], &[f64]) {
         let (lo, hi) = self.out_range(from);
         (&self.out_dst[lo..hi], &self.out_ber[lo..hi])
-    }
-
-    /// Every transmitter `to` can hear, sorted — the reverse adjacency the
-    /// carrier-sense scan walks.
-    #[cfg(test)]
-    pub(crate) fn incoming_sources(&self, to: NodeId) -> &[NodeId] {
-        let i = to.index();
-        debug_assert!(i + 1 < self.in_off.len(), "unknown node {to}");
-        let lo = self.in_off[i] as usize;
-        let hi = self.in_off[i + 1] as usize;
-        &self.in_src[lo..hi]
     }
 
     /// The bit error rate of `from → to`, or `None` when `to` cannot hear
@@ -311,39 +259,6 @@ mod tests {
     }
 
     #[test]
-    fn in_degree_counts_incoming() {
-        let mut t = LinkTable::new(3);
-        t.connect(NodeId(0), NodeId(2), 0.0);
-        t.connect(NodeId(1), NodeId(2), 0.0);
-        assert_eq!(t.in_degree(NodeId(2)), 2);
-        assert_eq!(t.in_degree(NodeId(0)), 0);
-    }
-
-    #[test]
-    fn incoming_lists_audible_sources_sorted() {
-        let mut t = LinkTable::new(5);
-        t.connect(NodeId(4), NodeId(1), 0.3);
-        t.connect(NodeId(0), NodeId(1), 0.1);
-        t.connect(NodeId(2), NodeId(1), 0.2);
-        let inc: Vec<(NodeId, f64)> = t.incoming(NodeId(1)).collect();
-        assert_eq!(
-            inc,
-            vec![(NodeId(0), 0.1), (NodeId(2), 0.2), (NodeId(4), 0.3)]
-        );
-        assert_eq!(t.incoming(NodeId(0)).count(), 0);
-    }
-
-    #[test]
-    fn connect_replacement_updates_reverse_index() {
-        let mut t = LinkTable::new(2);
-        t.connect(NodeId(0), NodeId(1), 0.1);
-        t.connect(NodeId(0), NodeId(1), 0.4);
-        assert_eq!(t.in_degree(NodeId(1)), 1);
-        let inc: Vec<(NodeId, f64)> = t.incoming(NodeId(1)).collect();
-        assert_eq!(inc, vec![(NodeId(0), 0.4)]);
-    }
-
-    #[test]
     fn reaches_all_on_chain() {
         let t = chain(10);
         assert!(t.reaches_all(NodeId(0)));
@@ -380,20 +295,33 @@ mod tests {
         t.connect(NodeId(1), NodeId(0), 0.1);
         t.connect(NodeId(3), NodeId(1), 0.2);
         t.connect(NodeId(0), NodeId(1), 0.3);
-        let flat = FlatLinks::from_table(&t);
+        let mut flat = FlatLinks::from_table(&t);
         assert_eq!(flat.len(), 5);
-        for i in 0..5 {
-            let node = NodeId::from_index(i);
-            let expect: Vec<(NodeId, f64)> = t.neighbors(node).collect();
-            let (dst, ber) = flat.neighbors(node);
-            let got: Vec<(NodeId, f64)> = dst.iter().copied().zip(ber.iter().copied()).collect();
-            assert_eq!(got, expect, "out row of {node}");
-            let expect_in: Vec<NodeId> = t.incoming(node).map(|(s, _)| s).collect();
-            assert_eq!(flat.incoming_sources(node), expect_in.as_slice());
-            for j in 0..5 {
-                let other = NodeId::from_index(j);
-                assert_eq!(flat.ber(node, other), t.ber(node, other));
+        let assert_mirrors = |flat: &FlatLinks, t: &LinkTable| {
+            for i in 0..5 {
+                let node = NodeId::from_index(i);
+                let expect: Vec<(NodeId, f64)> = t.neighbors(node).collect();
+                let (dst, ber) = flat.neighbors(node);
+                let got: Vec<(NodeId, f64)> =
+                    dst.iter().copied().zip(ber.iter().copied()).collect();
+                assert_eq!(got, expect, "out row of {node}");
+                for j in 0..5 {
+                    let other = NodeId::from_index(j);
+                    assert_eq!(flat.ber(node, other), t.ber(node, other));
+                }
             }
+        };
+        assert_mirrors(&flat, &t);
+        // Rewriting every edge's rate in both keeps them row-for-row equal.
+        let edges: Vec<(NodeId, NodeId)> = (0..5)
+            .map(NodeId::from_index)
+            .flat_map(|a| t.neighbors(a).map(move |(b, _)| (a, b)))
+            .collect();
+        for (k, &(a, b)) in edges.iter().enumerate() {
+            let ber = 0.05 * (k + 1) as f64;
+            t.connect(a, b, ber);
+            assert!(flat.set_ber(a, b, ber));
+            assert_mirrors(&flat, &t);
         }
     }
 

@@ -363,7 +363,7 @@ impl TxBank {
     }
 }
 
-/// The shared wireless medium over a [`LinkTable`].
+/// The shared wireless medium over a frozen link graph.
 ///
 /// `Medium` owns the radio state of every node and adjudicates every
 /// transmission: who locks on, who collides, who loses the frame to bit
@@ -406,11 +406,9 @@ impl TxBank {
 /// See the crate-level example.
 #[derive(Debug)]
 pub struct Medium<P> {
-    /// The build/mutation view of the link graph (kept for queries).
-    /// Always the *full* graph, even for a sharded medium.
-    links: LinkTable,
-    /// The CSR shadow of `links` the hot path walks; kept in sync by
-    /// [`Medium::set_link_ber`].
+    /// The link graph: always the *full* graph, even for a sharded
+    /// medium. Its edge set is frozen; [`Medium::set_link_ber`] rewrites
+    /// rates in place.
     flat: FlatLinks,
     /// First global node index this medium owns (0 for a full-range
     /// medium).
@@ -436,21 +434,19 @@ impl<P> Medium<P> {
     pub fn new(links: LinkTable, rng: SimRng) -> Self {
         let n = links.len();
         let rx_rngs = (0..n).map(|i| rng.derive(i as u64)).collect();
-        Medium::sharded(links, 0, n, rx_rngs)
+        Medium::sharded(FlatLinks::from_table(&links), 0, n, rx_rngs)
     }
 
     /// Creates a medium owning the contiguous node range
-    /// `base .. base + rx_rngs.len()` of the full graph `links`.
+    /// `base .. base + rx_rngs.len()` of the full frozen graph `flat`.
     ///
     /// Sender-side calls must only be made for owned nodes; reception
     /// walks silently skip receivers outside the range (their own shard's
     /// medium handles them).
-    pub fn sharded(links: LinkTable, base: usize, n_local: usize, rx_rngs: Vec<SimRng>) -> Self {
+    pub fn sharded(flat: FlatLinks, base: usize, n_local: usize, rx_rngs: Vec<SimRng>) -> Self {
         assert_eq!(rx_rngs.len(), n_local, "one bit-error stream per node");
-        assert!(base + n_local <= links.len(), "range exceeds the graph");
-        let flat = FlatLinks::from_table(&links);
+        assert!(base + n_local <= flat.len(), "range exceeds the graph");
         Medium {
-            links,
             flat,
             base,
             n_local,
@@ -498,8 +494,8 @@ impl<P> Medium<P> {
     }
 
     /// The link graph (always full-range).
-    pub fn links(&self) -> &LinkTable {
-        &self.links
+    pub fn links(&self) -> &FlatLinks {
+        &self.flat
     }
 
     /// The payload arena holding every in-flight (and not yet released)
@@ -573,16 +569,16 @@ impl<P> Medium<P> {
     ///
     /// # Panics
     ///
-    /// Panics if the edge does not already exist, if `ber` is outside
-    /// `[0, 1]`, or on a self-loop (see [`LinkTable::connect`]).
+    /// Panics on a self-loop, if `ber` is outside `[0, 1]`, or if the edge
+    /// does not already exist (the same input checks as
+    /// [`LinkTable::connect`], which cannot add edges once frozen).
     pub fn set_link_ber(&mut self, from: NodeId, to: NodeId, ber: f64) {
+        assert_ne!(from, to, "self loop on {from}");
+        assert!((0.0..=1.0).contains(&ber), "ber {ber} out of [0,1]");
         assert!(
-            self.links.ber(from, to).is_some(),
+            self.flat.set_ber(from, to, ber),
             "link fault on a non-existent edge {from:?} -> {to:?}"
         );
-        self.links.connect(from, to, ber);
-        let updated = self.flat.set_ber(from, to, ber);
-        debug_assert!(updated, "flat links out of sync with the table");
     }
 
     /// The radio state of `node`.
@@ -1053,6 +1049,20 @@ mod tests {
         let mut links = LinkTable::new(3);
         links.connect(NodeId(0), NodeId(1), 0.0);
         let mut m = Medium::<u32>::new(links, SimRng::new(1));
+        // The other two input checks, made by the medium itself now that
+        // no `LinkTable::connect` sits behind it.
+        for (from, to, ber, expect) in [
+            (NodeId(0), NodeId(1), 1.5, "out of [0,1]"),
+            (NodeId(1), NodeId(1), 0.5, "self loop"),
+        ] {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                m.set_link_ber(from, to, ber)
+            }))
+            .expect_err("bad input must panic");
+            let msg = err.downcast_ref::<String>().expect("formatted panic");
+            assert!(msg.contains(expect), "{msg}");
+            assert_eq!(m.links().ber(NodeId(0), NodeId(1)), Some(0.0));
+        }
         m.set_link_ber(NodeId(0), NodeId(2), 0.5);
     }
 
@@ -1700,10 +1710,11 @@ mod shard_tests {
             links.connect(NodeId(a), NodeId(b), 0.0);
             links.connect(NodeId(b), NodeId(a), 0.0);
         }
+        let flat = FlatLinks::from_table(&links);
         let root = SimRng::new(11);
         let rngs = |r: std::ops::Range<usize>| r.map(|i| root.derive(i as u64)).collect();
-        let left = Medium::sharded(links.clone(), 0, 2, rngs(0..2));
-        let right = Medium::sharded(links, 2, 2, rngs(2..4));
+        let left = Medium::sharded(flat.clone(), 0, 2, rngs(0..2));
+        let right = Medium::sharded(flat, 2, 2, rngs(2..4));
         (left, right)
     }
 
@@ -1767,10 +1778,11 @@ mod shard_tests {
         let ber = 1.0 - 0.5f64.powf(1.0 / bits);
         let mut links = LinkTable::new(2);
         links.connect(NodeId(0), NodeId(1), ber);
+        let flat = FlatLinks::from_table(&links);
         let root = SimRng::new(5);
-        let mut full: Medium<u32> = Medium::new(links.clone(), root.clone());
-        let mut owner: Medium<u32> = Medium::sharded(links.clone(), 0, 1, vec![root.derive(0)]);
-        let mut ghost_side: Medium<u32> = Medium::sharded(links, 1, 1, vec![root.derive(1)]);
+        let mut full: Medium<u32> = Medium::new(links, root.clone());
+        let mut owner: Medium<u32> = Medium::sharded(flat.clone(), 0, 1, vec![root.derive(0)]);
+        let mut ghost_side: Medium<u32> = Medium::sharded(flat, 1, 1, vec![root.derive(1)]);
 
         let mut full_pattern = Vec::new();
         let mut shard_pattern = Vec::new();

@@ -117,21 +117,6 @@ impl SimDuration {
         SimDuration(secs * 1_000_000)
     }
 
-    /// Creates a duration from fractional seconds, rounding to the nearest
-    /// microsecond.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `secs` is negative or not finite.
-    #[cfg(test)]
-    pub(crate) fn from_secs_f64(secs: f64) -> Self {
-        assert!(
-            secs.is_finite() && secs >= 0.0,
-            "duration seconds must be finite and non-negative, got {secs}"
-        );
-        SimDuration((secs * 1e6).round() as u64)
-    }
-
     /// Length in microseconds.
     pub const fn as_micros(self) -> u64 {
         self.0
@@ -318,18 +303,6 @@ mod tests {
     fn duration_sum() {
         let total: SimDuration = (1..=4).map(SimDuration::from_secs).sum();
         assert_eq!(total, SimDuration::from_secs(10));
-    }
-
-    #[test]
-    fn from_secs_f64_rounds_to_micros() {
-        assert_eq!(SimDuration::from_secs_f64(0.0000015).as_micros(), 2);
-        assert_eq!(SimDuration::from_secs_f64(1.5).as_millis(), 1_500);
-    }
-
-    #[test]
-    #[should_panic(expected = "finite and non-negative")]
-    fn from_secs_f64_rejects_negative() {
-        let _ = SimDuration::from_secs_f64(-1.0);
     }
 
     #[test]

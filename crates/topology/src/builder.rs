@@ -143,9 +143,12 @@ mod tests {
             .is_none());
         // Centre nodes hear more transmitters than corner nodes (the paper's
         // reception-distribution observation).
-        let centre = grid.node_at(10, 10);
-        let corner = grid.node_at(0, 0);
-        assert!(topo.links.in_degree(centre) > topo.links.in_degree(corner));
+        let audible_at = |to: NodeId| {
+            grid.nodes()
+                .filter(|&a| topo.links.ber(a, to).is_some())
+                .count()
+        };
+        assert!(audible_at(grid.node_at(10, 10)) > audible_at(grid.node_at(0, 0)));
     }
 
     #[test]

@@ -238,16 +238,6 @@ impl RunTrace {
             .map(|n| n.completion.is_some_and(|c| c <= t))
             .collect()
     }
-
-    /// Mean active radio time across nodes.
-    #[cfg(test)]
-    pub(crate) fn mean_active_radio(&self) -> SimDuration {
-        if self.nodes.is_empty() {
-            return SimDuration::ZERO;
-        }
-        let total: SimDuration = self.nodes.iter().map(|n| n.active_radio).sum();
-        total / self.nodes.len() as u64
-    }
 }
 
 #[cfg(test)]
@@ -334,13 +324,5 @@ mod tests {
         t.note_parent(NodeId(1), NodeId(0));
         t.note_parent(NodeId(1), NodeId(1));
         assert_eq!(t.node(NodeId(1)).parent, Some(NodeId(0)));
-    }
-
-    #[test]
-    fn mean_active_radio() {
-        let mut t = RunTrace::new(2);
-        t.set_active_radio(NodeId(0), SimDuration::from_secs(10));
-        t.set_active_radio(NodeId(1), SimDuration::from_secs(20));
-        assert_eq!(t.mean_active_radio(), SimDuration::from_secs(15));
     }
 }

@@ -56,13 +56,13 @@ fn benchmark_baselines_go_through_the_report_diff() {
 }
 
 /// Whether `token` is an upper-case root artifact name:
-/// `[A-Z][A-Z0-9_]*(_[a-z]+)?\.(json|jsonl|md)`.
+/// `[A-Z][A-Z0-9_]*(_[a-z]+)?\.(json|jsonl|md|txt)`.
 fn is_root_artifact_name(token: &str) -> bool {
     let Some((stem, ext)) = token.rsplit_once('.') else {
         return false;
     };
     let head = stem.trim_end_matches(|c: char| c.is_ascii_lowercase());
-    matches!(ext, "json" | "jsonl" | "md")
+    matches!(ext, "json" | "jsonl" | "md" | "txt")
         && (head.len() == stem.len() || head.ends_with('_'))
         && head.starts_with(|c: char| c.is_ascii_uppercase())
         && head
@@ -115,4 +115,46 @@ fn documents_cite_only_paths_that_exist() {
         "documents name paths the tree does not contain:\n{}",
         missing.join("\n")
     );
+}
+
+/// Every `*.rs` file under `dir`, recursively.
+fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            rust_sources(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn the_simulation_path_names_no_hash_container_and_no_wall_clock() {
+    // A seeded run must replay byte for byte in any process: `std`'s hash
+    // containers iterate in a per-process random order and the wall clock
+    // differs per run, so neither may be named where simulation state
+    // lives. The self-profiler is the one module that reads the clock, and
+    // nothing it measures feeds back into a run.
+    const FORBIDDEN: [&str; 4] = ["HashMap", "HashSet", "Instant", "SystemTime"];
+    let mut sources = Vec::new();
+    for krate in "sim radio net core baselines storage topology".split(' ') {
+        rust_sources(&root().join("crates").join(krate).join("src"), &mut sources);
+    }
+    assert!(sources.len() > 30, "only {} sources scanned", sources.len());
+    let ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let mut hits = Vec::new();
+    for path in sources {
+        if path.ends_with("sim/src/profile.rs") {
+            continue;
+        }
+        for (n, line) in read(&path).lines().enumerate() {
+            for word in line.split(|c| !ident(c)) {
+                if FORBIDDEN.contains(&word) {
+                    hits.push(format!("{}:{}: {word}", path.display(), n + 1));
+                }
+            }
+        }
+    }
+    assert!(hits.is_empty(), "{}", hits.join("\n"));
 }

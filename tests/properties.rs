@@ -153,39 +153,6 @@ proptest! {
         prop_assert!(fwd.is_empty());
     }
 
-    /// The link table's precomputed reverse-adjacency index stays an exact
-    /// mirror of the forward edges under any connect sequence, including
-    /// edge replacement: `in_degree` and `incoming` must match a naive
-    /// O(V+E) recomputation from `neighbors`.
-    #[test]
-    fn prop_reverse_adjacency_matches_naive_recomputation(
-        n in 2usize..12,
-        edges in proptest::collection::vec((0usize..12, 0usize..12, 0.0f64..=1.0), 0..64),
-    ) {
-        let mut links = LinkTable::new(n);
-        for &(from, to, ber) in &edges {
-            let (from, to) = (from % n, to % n);
-            if from == to {
-                continue;
-            }
-            links.connect(NodeId::from_index(from), NodeId::from_index(to), ber);
-        }
-        // Naive reverse index: scan every forward row.
-        let mut naive: Vec<Vec<(NodeId, f64)>> = vec![Vec::new(); n];
-        for from in 0..n {
-            for (to, ber) in links.neighbors(NodeId::from_index(from)) {
-                naive[to.index()].push((NodeId::from_index(from), ber));
-            }
-        }
-        for to in 0..n {
-            naive[to].sort_by_key(|&(a, _)| a);
-            let node = NodeId::from_index(to);
-            prop_assert_eq!(links.in_degree(node), naive[to].len());
-            let indexed: Vec<(NodeId, f64)> = links.incoming(node).collect();
-            prop_assert_eq!(&indexed, &naive[to]);
-        }
-    }
-
     /// The trace's message accounting matches the medium's: a network
     /// cannot receive more copies than neighbours × transmissions.
     #[test]
