@@ -26,20 +26,6 @@ pub use decoder::GenDecoder;
 pub use rlnc::{Rlnc, RlncConfig, RlncMsg, RlncStats};
 pub use xor::{Xor, XorConfig, XorMsg, XorStats};
 
-use mnp_storage::ImageLayout;
-
-/// The true (unpadded) byte length of packet `(seg, pkt)` under `layout`
-/// — every packet is `payload_bytes()` wide except the image's last,
-/// which carries the remainder. Coded payloads are always padded to the
-/// full width; this recovers the length to write to flash.
-pub(crate) fn packet_len(layout: &ImageLayout, seg: u16, pkt: u16) -> usize {
-    let width = layout.payload_bytes() as u32;
-    let index = u32::from(seg) * u32::from(layout.packets_per_segment()) + u32::from(pkt);
-    let offset = index * width;
-    debug_assert!(offset < layout.total_bytes(), "packet out of image");
-    (layout.total_bytes() - offset).min(width) as usize
-}
-
 /// A copy of `raw` zero-padded to `width` bytes (the coding width).
 pub(crate) fn padded_packet(raw: &[u8], width: usize) -> Vec<u8> {
     let mut out = vec![0u8; width];
@@ -50,25 +36,6 @@ pub(crate) fn padded_packet(raw: &[u8], width: usize) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn packet_len_matches_layout_tail() {
-        // 3 packets of up to 23 bytes covering 50 bytes: 23 + 23 + 4.
-        let layout = ImageLayout::new(50, 128, 23);
-        assert_eq!(packet_len(&layout, 0, 0), 23);
-        assert_eq!(packet_len(&layout, 0, 1), 23);
-        assert_eq!(packet_len(&layout, 0, 2), 4);
-    }
-
-    #[test]
-    fn paper_layout_packets_are_all_full_width() {
-        let layout = ImageLayout::paper_default(2);
-        for seg in 0..layout.segment_count() {
-            for pkt in 0..layout.packets_in_segment(seg) {
-                assert_eq!(packet_len(&layout, seg, pkt), layout.payload_bytes());
-            }
-        }
-    }
 
     #[test]
     fn padding_preserves_prefix_and_zero_fills() {

@@ -30,7 +30,6 @@ use mnp::engine::{self, TimerMux};
 use crate::trickle::{Trickle, TrickleConfig};
 
 use super::decoder::{combine, derive_coeffs_into, GenDecoder};
-use super::packet_len;
 
 /// RLNC parameters.
 #[derive(Clone, Debug)]
@@ -258,15 +257,7 @@ impl Rlnc {
     pub fn base_station(cfg: RlncConfig, image: &ProgramImage) -> Self {
         assert_eq!(image.id(), cfg.program, "image/program mismatch");
         assert_eq!(image.layout(), cfg.layout, "image/layout mismatch");
-        let mut store = PacketStore::new(cfg.program, cfg.layout);
-        for seg in 0..cfg.layout.segment_count() {
-            for pkt in 0..cfg.layout.packets_in_segment(seg) {
-                store
-                    .write_packet(seg, pkt, image.packet_payload(seg, pkt))
-                    .expect("fresh store");
-            }
-        }
-        store.line_writes = 0;
+        let store = PacketStore::preloaded(image, cfg.layout.segment_count());
         let mut r = Rlnc::with_store(cfg, store);
         r.is_base = true;
         r.completed = true;
@@ -439,7 +430,7 @@ impl Rlnc {
                 continue;
             }
             let data = self.decoder.packet(pkt as usize).expect("full rank");
-            let len = packet_len(&self.cfg.layout, gen, pkt);
+            let len = self.cfg.layout.packet_len(gen, pkt);
             if engine::store_packet_once(&mut self.store, gen, pkt, &data[..len]) {
                 ctx.note_eeprom_write(gen, pkt);
             } else {
@@ -460,12 +451,7 @@ impl Rlnc {
         self.stats.decodes += 1;
         ctx.note_segment_complete(gen);
         self.sync_decoder();
-        if self.store.is_complete() {
-            assert_eq!(
-                self.store.assembled_checksum(),
-                self.cfg.expected_checksum,
-                "accuracy violation in RLNC transfer"
-            );
+        if self.store.verify_complete(self.cfg.expected_checksum) {
             self.completed = true;
             ctx.note_completion();
         }

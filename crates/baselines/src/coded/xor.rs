@@ -25,7 +25,7 @@ use mnp::PacketBitmap;
 
 use crate::trickle::{Trickle, TrickleConfig};
 
-use super::{packet_len, padded_packet};
+use super::padded_packet;
 
 /// XOR-recoding parameters.
 #[derive(Clone, Debug)]
@@ -236,15 +236,7 @@ impl Xor {
     pub fn base_station(cfg: XorConfig, image: &ProgramImage) -> Self {
         assert_eq!(image.id(), cfg.program, "image/program mismatch");
         assert_eq!(image.layout(), cfg.layout, "image/layout mismatch");
-        let mut store = PacketStore::new(cfg.program, cfg.layout);
-        for seg in 0..cfg.layout.segment_count() {
-            for pkt in 0..cfg.layout.packets_in_segment(seg) {
-                store
-                    .write_packet(seg, pkt, image.packet_payload(seg, pkt))
-                    .expect("fresh store");
-            }
-        }
-        store.line_writes = 0;
+        let store = PacketStore::preloaded(image, cfg.layout.segment_count());
         let mut x = Xor::with_store(cfg, store);
         x.is_base = true;
         x.completed = true;
@@ -421,7 +413,7 @@ impl Xor {
                 *d ^= s;
             }
         }
-        let len = packet_len(&self.cfg.layout, page, target);
+        let len = self.cfg.layout.packet_len(page, target);
         if !engine::store_packet_once(&mut self.store, page, target, &data[..len]) {
             // Not a duplicate (checked above), so a transient write
             // fault: the packet stays missing and the next request round
@@ -440,12 +432,7 @@ impl Xor {
         }
         if self.store.segment_complete(page) {
             ctx.note_segment_complete(page);
-            if self.store.is_complete() {
-                assert_eq!(
-                    self.store.assembled_checksum(),
-                    self.cfg.expected_checksum,
-                    "accuracy violation in XOR transfer"
-                );
+            if self.store.verify_complete(self.cfg.expected_checksum) {
                 self.completed = true;
                 ctx.note_completion();
             }

@@ -224,15 +224,7 @@ impl Deluge {
     pub fn base_station(cfg: DelugeConfig, image: &ProgramImage) -> Self {
         assert_eq!(image.id(), cfg.program, "image/program mismatch");
         assert_eq!(image.layout(), cfg.layout, "image/layout mismatch");
-        let mut store = PacketStore::new(cfg.program, cfg.layout);
-        for seg in 0..cfg.layout.segment_count() {
-            for pkt in 0..cfg.layout.packets_in_segment(seg) {
-                store
-                    .write_packet(seg, pkt, image.packet_payload(seg, pkt))
-                    .expect("fresh store");
-            }
-        }
-        store.line_writes = 0;
+        let store = PacketStore::preloaded(image, cfg.layout.segment_count());
         let mut d = Deluge::with_store(cfg, store);
         d.is_base = true;
         d.completed = true;
@@ -343,12 +335,7 @@ impl Deluge {
             ctx.set_timer(self.cfg.rx_timeout, self.token(T_RX_TIMEOUT));
         }
         if self.store.segment_complete(page) {
-            if self.store.is_complete() {
-                assert_eq!(
-                    self.store.assembled_checksum(),
-                    self.cfg.expected_checksum,
-                    "accuracy violation in Deluge transfer"
-                );
+            if self.store.verify_complete(self.cfg.expected_checksum) {
                 self.completed = true;
                 ctx.note_completion();
             }

@@ -144,15 +144,7 @@ impl Flood {
     pub fn base_station(cfg: FloodConfig, image: &ProgramImage) -> Self {
         assert_eq!(image.id(), cfg.program, "image/program mismatch");
         assert_eq!(image.layout(), cfg.layout, "image/layout mismatch");
-        let mut store = PacketStore::new(cfg.program, cfg.layout);
-        for seg in 0..cfg.layout.segment_count() {
-            for pkt in 0..cfg.layout.packets_in_segment(seg) {
-                store
-                    .write_packet(seg, pkt, image.packet_payload(seg, pkt))
-                    .expect("fresh store");
-            }
-        }
-        store.line_writes = 0;
+        let store = PacketStore::preloaded(image, cfg.layout.segment_count());
         Flood {
             cfg,
             store,
@@ -228,12 +220,7 @@ impl Protocol for Flood {
         }
         ctx.note_eeprom_write(*seg, *pkt);
         ctx.note_parent(from);
-        if !self.completed && self.store.is_complete() {
-            assert_eq!(
-                self.store.assembled_checksum(),
-                self.cfg.expected_checksum,
-                "accuracy violation in flood transfer"
-            );
+        if !self.completed && self.store.verify_complete(self.cfg.expected_checksum) {
             self.completed = true;
             self.state = FloodState::Complete;
             ctx.note_completion();

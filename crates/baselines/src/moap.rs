@@ -216,15 +216,7 @@ impl Moap {
     pub fn base_station(cfg: MoapConfig, image: &ProgramImage) -> Self {
         assert_eq!(image.id(), cfg.program, "image/program mismatch");
         assert_eq!(image.layout(), cfg.layout, "image/layout mismatch");
-        let mut store = PacketStore::new(cfg.program, cfg.layout);
-        for seg in 0..cfg.layout.segment_count() {
-            for pkt in 0..cfg.layout.packets_in_segment(seg) {
-                store
-                    .write_packet(seg, pkt, image.packet_payload(seg, pkt))
-                    .expect("fresh store");
-            }
-        }
-        store.line_writes = 0;
+        let store = PacketStore::preloaded(image, cfg.layout.segment_count());
         let mut m = Moap::with_store(cfg, store);
         m.is_base = true;
         m.completed = true;
@@ -308,12 +300,7 @@ impl Moap {
             self.rx_deadline = ctx.now + self.cfg.rx_timeout;
             ctx.set_timer(self.cfg.rx_timeout, self.timers.token(T_RX_TIMEOUT));
         }
-        if self.store.is_complete() {
-            assert_eq!(
-                self.store.assembled_checksum(),
-                self.cfg.expected_checksum,
-                "accuracy violation in MOAP transfer"
-            );
+        if self.store.verify_complete(self.cfg.expected_checksum) {
             self.completed = true;
             ctx.note_completion();
             self.publisher = None;

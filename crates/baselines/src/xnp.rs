@@ -147,15 +147,7 @@ impl Xnp {
     pub fn base_station(cfg: XnpConfig, image: &ProgramImage) -> Self {
         assert_eq!(image.id(), cfg.program, "image/program mismatch");
         assert_eq!(image.layout(), cfg.layout, "image/layout mismatch");
-        let mut store = PacketStore::new(cfg.program, cfg.layout);
-        for seg in 0..cfg.layout.segment_count() {
-            for pkt in 0..cfg.layout.packets_in_segment(seg) {
-                store
-                    .write_packet(seg, pkt, image.packet_payload(seg, pkt))
-                    .expect("fresh store");
-            }
-        }
-        store.line_writes = 0;
+        let store = PacketStore::preloaded(image, cfg.layout.segment_count());
         let state = if cfg.max_passes == 0 {
             XnpState::Done
         } else {
@@ -225,12 +217,7 @@ impl Protocol for Xnp {
         if engine::store_packet_once(&mut self.store, *seg, *pkt, payload) {
             ctx.note_eeprom_write(*seg, *pkt);
             ctx.note_parent(from);
-            if self.store.is_complete() {
-                assert_eq!(
-                    self.store.assembled_checksum(),
-                    self.cfg.expected_checksum,
-                    "accuracy violation in XNP transfer"
-                );
+            if self.store.verify_complete(self.cfg.expected_checksum) {
                 self.completed = true;
                 self.state = XnpState::Complete;
                 ctx.note_completion();

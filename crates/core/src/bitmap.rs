@@ -47,6 +47,11 @@ impl PacketBitmap {
         PacketBitmap { bits: 0 }
     }
 
+    /// The bitmap whose bit `i` is bit `i` of `bits`.
+    pub(crate) fn from_bits(bits: u128) -> Self {
+        PacketBitmap { bits }
+    }
+
     /// A bitmap with the first `n` bits set (a fresh `MissingVector` for an
     /// `n`-packet segment).
     ///

@@ -6,16 +6,9 @@ use mnp_storage::{ImageLayout, PacketStore};
 use crate::bitmap::PacketBitmap;
 
 /// The receiver's "MissingVector": a fresh bitmap of the packets of `seg`
-/// that `store` does not yet hold.
+/// that `store` does not yet hold — the store's own mask, in wire form.
 pub fn missing_vector(store: &PacketStore, seg: u16) -> PacketBitmap {
-    let n = store.layout().packets_in_segment(seg);
-    let mut bm = PacketBitmap::empty();
-    for pkt in 0..n {
-        if !store.has_packet(seg, pkt) {
-            bm.set(pkt);
-        }
-    }
-    bm
+    PacketBitmap::from_bits(store.missing_mask(seg))
 }
 
 /// The write-once EEPROM discipline: stores `payload` only if the packet

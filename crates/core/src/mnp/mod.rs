@@ -125,17 +125,9 @@ impl Mnp {
         cfg.validate();
         assert_eq!(image.id(), cfg.program, "image/program mismatch");
         assert_eq!(image.layout(), cfg.layout, "image/layout mismatch");
-        let mut store = PacketStore::new(cfg.program, cfg.layout);
-        for seg in 0..cfg.layout.segment_count() {
-            for pkt in 0..cfg.layout.packets_in_segment(seg) {
-                store
-                    .write_packet(seg, pkt, image.packet_payload(seg, pkt))
-                    .expect("fresh store accepts every packet");
-            }
-        }
         // The base's image arrived over the programming board, not the
-        // radio; don't bill those writes to reprogramming.
-        store.line_writes = 0;
+        // radio, so it is preloaded rather than written.
+        let store = PacketStore::preloaded(image, cfg.layout.segment_count());
         let mut node = Mnp::with_store(cfg, store);
         node.is_base = true;
         node.completed = true;
@@ -161,26 +153,15 @@ impl Mnp {
     ///
     /// # Panics
     ///
-    /// Panics if the config is inconsistent or `prefix_segments` exceeds
-    /// the image.
+    /// Panics if `image` does not match the config's program/layout, if
+    /// the config is inconsistent, or if `prefix_segments` exceeds the
+    /// image.
     pub fn node_with_prefix(cfg: MnpConfig, image: &ProgramImage, prefix_segments: u16) -> Self {
         cfg.validate();
         assert_eq!(image.id(), cfg.program, "image/program mismatch");
-        assert!(
-            prefix_segments <= cfg.layout.segment_count(),
-            "prefix exceeds the image"
-        );
-        let mut store = PacketStore::new(cfg.program, cfg.layout);
-        for seg in 0..prefix_segments {
-            for pkt in 0..cfg.layout.packets_in_segment(seg) {
-                store
-                    .write_packet(seg, pkt, image.packet_payload(seg, pkt))
-                    .expect("fresh store accepts every packet");
-            }
-        }
-        // The prefix survived from the previous version on flash; don't
-        // bill those writes to this reprogramming.
-        store.line_writes = 0;
+        assert_eq!(image.layout(), cfg.layout, "image/layout mismatch");
+        // The prefix survived from the previous version on flash.
+        let store = PacketStore::preloaded(image, prefix_segments);
         Mnp::with_store(cfg, store)
     }
 
@@ -296,12 +277,7 @@ impl Mnp {
         debug_assert!(self.store.segment_complete(self.dl_seg));
         ctx.note_segment_complete(self.dl_seg);
         self.requested_from.clear();
-        if !self.completed && self.store.is_complete() {
-            assert_eq!(
-                self.store.assembled_checksum(),
-                self.cfg.expected_checksum,
-                "accuracy violation: assembled image differs from the source"
-            );
+        if !self.completed && self.store.verify_complete(self.cfg.expected_checksum) {
             self.completed = true;
             ctx.note_completion();
         }

@@ -353,6 +353,15 @@ fn prefix_holding_node_serves_its_prefix() {
 }
 
 #[test]
+#[should_panic(expected = "image/layout mismatch")]
+fn prefix_image_with_another_layout_is_rejected() {
+    // Same program ID, but the image on flash is cut differently from
+    // the one the config describes.
+    let cfg = MnpConfig::for_image(&image(2));
+    let _ = Mnp::node_with_prefix(cfg, &image(3), 1);
+}
+
+#[test]
 fn state_time_accounting_covers_the_run() {
     let img = image(1);
     let mut net = build(line_links(3, 0.0), &img, 73, |_| {});

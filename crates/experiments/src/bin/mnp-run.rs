@@ -165,10 +165,10 @@ impl Args {
         };
         while let Some(flag) = it.next() {
             match flag.as_str() {
-                "--rows" => args.rows = arg(it, &flag)?,
-                "--cols" => args.cols = arg(it, &flag)?,
-                "--spacing" => args.spacing = arg(it, &flag)?,
-                "--segments" => args.segments = arg(it, &flag)?,
+                "--rows" => args.rows = positive(it, &flag)?,
+                "--cols" => args.cols = positive(it, &flag)?,
+                "--spacing" => args.spacing = positive(it, &flag)?,
+                "--segments" => args.segments = positive(it, &flag)?,
                 "--power" => args.power = arg(it, &flag)?,
                 "--seed" => args.seed = arg(it, &flag)?,
                 "--seeds" => args.seeds = Some(arg_list(it, &flag)?),
@@ -230,6 +230,21 @@ fn value(it: ArgIter, flag: &str) -> Result<String, String> {
 /// The parsed value following `flag`.
 fn arg<T: FromStr<Err: Display>>(it: ArgIter, flag: &str) -> Result<T, String> {
     parse(&value(it, flag)?)
+}
+
+/// The parsed value following `flag`, which must be above zero (a NaN is
+/// not): a dimension, a count or a length that the scenario builders
+/// would otherwise reject by panicking.
+fn positive<T>(it: ArgIter, flag: &str) -> Result<T, String>
+where
+    T: FromStr<Err: Display> + PartialOrd + Default,
+{
+    let v: T = arg(it, flag)?;
+    if v > T::default() {
+        Ok(v)
+    } else {
+        Err(format!("{flag} must be positive"))
+    }
 }
 
 /// The comma-separated list following `flag`; an empty value ("--flaps ''")
@@ -422,21 +437,18 @@ fn run_profile(it: ArgIter) -> Result<ExitCode, String> {
     let mut timeline_path: Option<String> = None;
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--rows" => rows = arg(it, &flag)?,
-            "--cols" => cols = arg(it, &flag)?,
-            "--segments" => segments = arg(it, &flag)?,
+            "--rows" => rows = positive(it, &flag)?,
+            "--cols" => cols = positive(it, &flag)?,
+            "--segments" => segments = positive(it, &flag)?,
             "--seed" => seed = arg(it, &flag)?,
             "--stride" => stride = arg(it, &flag)?,
-            "--sample-ms" => sample_ms = arg(it, &flag)?,
+            "--sample-ms" => sample_ms = positive(it, &flag)?,
             "--top" => top = arg(it, &flag)?,
             "--out" => out_path = Some(value(it, &flag)?),
             "--series" => series_path = Some(value(it, &flag)?),
             "--timeline" => timeline_path = Some(value(it, &flag)?),
             other => return Err(bad_flag(other)),
         }
-    }
-    if sample_ms == 0 {
-        return Err("--sample-ms must be positive".into());
     }
 
     let scenario = GridExperiment::new(rows, cols, 10.0)
@@ -520,9 +532,9 @@ fn run_coded(it: ArgIter) -> Result<ExitCode, String> {
     let mut out_path = String::from("CODED_cmp.json");
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--rows" => rows = arg(it, &flag)?,
-            "--cols" => cols = arg(it, &flag)?,
-            "--segments" => segments = arg(it, &flag)?,
+            "--rows" => rows = positive(it, &flag)?,
+            "--cols" => cols = positive(it, &flag)?,
+            "--segments" => segments = positive(it, &flag)?,
             "--seed" => seed = arg(it, &flag)?,
             "--losses" => losses = arg_list(it, &flag)?,
             "--out" => out_path = value(it, &flag)?,
@@ -566,16 +578,13 @@ fn run_mobility(it: ArgIter) -> Result<ExitCode, String> {
     let mut out_path = String::from("MOBILITY_cmp.json");
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--nodes" => nodes = arg(it, &flag)?,
-            "--segments" => segments = arg(it, &flag)?,
+            "--nodes" => nodes = positive(it, &flag)?,
+            "--segments" => segments = positive(it, &flag)?,
             "--seed" => seed = arg(it, &flag)?,
             "--speeds" => speeds = arg_list(it, &flag)?,
             "--out" => out_path = value(it, &flag)?,
             other => return Err(bad_flag(other)),
         }
-    }
-    if nodes == 0 {
-        return Err("--nodes must be positive".into());
     }
     if speeds.is_empty() {
         return Err("--speeds needs at least one speed".into());
@@ -599,7 +608,7 @@ fn run_chaos(it: ArgIter) -> Result<ExitCode, String> {
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--seed" => seed = arg(it, &flag)?,
-            "--grid" => grid = arg(it, &flag)?,
+            "--grid" => grid = positive(it, &flag)?,
             "--protocol" => protocol = ProtocolId::parse(&value(it, &flag)?, FAULT_TESTED)?,
             // An empty value ("--flaps ''") disables that sweep entirely.
             "--crashes" => crashes = arg_list(it, &flag)?,

@@ -135,6 +135,36 @@ fn subcommand_failures_share_one_epilogue() {
         (&["coded", "--losses", "150"][..], "percentages in [0, 100]"),
         (&["fuzz", "--policy", "lifo"][..], "unknown policy"),
         (&["mobility", "--bogus"][..], "unknown flag --bogus"),
+        // Empty images, grids and spacings are typed errors from the
+        // argument layer, not panics from the scenario builders.
+        (&["--segments", "0"][..], "--segments must be positive"),
+        (&["--rows", "0"][..], "--rows must be positive"),
+        (&["--cols", "0"][..], "--cols must be positive"),
+        (&["--spacing", "0"][..], "--spacing must be positive"),
+        (&["--spacing", "-5"][..], "--spacing must be positive"),
+        (&["--spacing", "nan"][..], "--spacing must be positive"),
+        (
+            &["coded", "--segments", "0"][..],
+            "--segments must be positive",
+        ),
+        (&["coded", "--rows", "0"][..], "--rows must be positive"),
+        (
+            &["mobility", "--segments", "0"][..],
+            "--segments must be positive",
+        ),
+        (
+            &["mobility", "--nodes", "0"][..],
+            "--nodes must be positive",
+        ),
+        (
+            &["profile", "--segments", "0"][..],
+            "--segments must be positive",
+        ),
+        (
+            &["profile", "--sample-ms", "0"][..],
+            "--sample-ms must be positive",
+        ),
+        (&["chaos", "--grid", "0"][..], "--grid must be positive"),
     ] {
         let out = mnp_run(args);
         assert_eq!(out.status.code(), Some(1), "{args:?}");

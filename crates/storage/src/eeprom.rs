@@ -4,7 +4,7 @@ use std::fmt;
 
 use mnp_sim::SimDuration;
 
-use crate::image::{fnv1a, ImageLayout, ProgramId};
+use crate::image::{fnv1a, ImageLayout, ProgramId, ProgramImage};
 
 /// Size of one EEPROM line: reads and writes are charged per 16-byte line
 /// (Table 1 of the paper).
@@ -68,8 +68,11 @@ impl std::error::Error for StorageError {}
 
 /// One node's external flash holding a partially received program image.
 ///
-/// Tracks line-granular read/write counts for the energy model and
-/// enforces the write-once invariant.
+/// The flash is one byte buffer the size of the image, allocated once, and
+/// one 128-bit mask per segment that *is* the paper's MissingVector: bit
+/// `p` is set while packet `p` is not yet on flash. Tracks line-granular
+/// read/write counts for the energy model and enforces the write-once
+/// invariant.
 ///
 /// # Example
 ///
@@ -78,7 +81,15 @@ impl std::error::Error for StorageError {}
 pub struct PacketStore {
     program: ProgramId,
     layout: ImageLayout,
-    segments: Vec<Segment>,
+    /// The image bytes, packet `(seg, pkt)` at its offset in the image.
+    data: Vec<u8>,
+    /// `missing[seg]`: the packets of `seg` not yet written. The
+    /// completeness checks run on every advertisement a protocol hears, so
+    /// they are one compare against this mask.
+    missing: Vec<u128>,
+    /// Packets in the last segment (every other segment is full), so the
+    /// per-packet range check needs no division.
+    last_segment_packets: u16,
     /// EEPROM line writes performed (for the energy meter).
     pub line_writes: u64,
     /// EEPROM line reads performed (for the energy meter).
@@ -88,34 +99,53 @@ pub struct PacketStore {
     pending_write_faults: u32,
 }
 
-/// One segment's packet slots.
-#[derive(Clone, Debug)]
-struct Segment {
-    /// `slots[p]` is `Some(payload)` once packet `p` has been written.
-    slots: Vec<Option<Vec<u8>>>,
-    /// How many slots are `Some`: the completeness checks run on every
-    /// advertisement a protocol hears, so they compare this count instead
-    /// of scanning every slot. Moves only when a write commits.
-    stored: u16,
+/// A mask with the low `n` bits set (`n <= 128`).
+fn low_bits(n: u16) -> u128 {
+    u128::MAX >> (128 - u32::from(n))
 }
 
 impl PacketStore {
     /// Creates an empty store for `program` with `layout`.
     pub fn new(program: ProgramId, layout: ImageLayout) -> Self {
-        let segments = (0..layout.segment_count())
-            .map(|s| Segment {
-                slots: vec![None; usize::from(layout.packets_in_segment(s))],
-                stored: 0,
-            })
-            .collect();
+        let segments = layout.segment_count();
+        let last_segment_packets = layout.packets_in_segment(segments - 1);
+        let mut missing = vec![low_bits(layout.packets_per_segment()); usize::from(segments)];
+        missing[usize::from(segments) - 1] = low_bits(last_segment_packets);
         PacketStore {
             program,
             layout,
-            segments,
+            data: vec![0; layout.total_bytes() as usize],
+            missing,
+            last_segment_packets,
             line_writes: 0,
             line_reads: 0,
             pending_write_faults: 0,
         }
+    }
+
+    /// Creates a store for `image` that already holds its first `segments`
+    /// segments: a base station's full image (which arrived over the
+    /// programming board, not the radio) or a prefix that survived from the
+    /// previous version. No line writes are billed for them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `segments` exceeds the image.
+    pub fn preloaded(image: &ProgramImage, segments: u16) -> Self {
+        let layout = image.layout();
+        assert!(
+            segments <= layout.segment_count(),
+            "prefix exceeds the image"
+        );
+        let mut store = PacketStore::new(image.id(), layout);
+        let bytes = if segments < layout.segment_count() {
+            layout.packet_span(segments, 0).0
+        } else {
+            store.data.len()
+        };
+        store.missing[..usize::from(segments)].fill(0);
+        store.data[..bytes].copy_from_slice(&image.bytes()[..bytes]);
+        store
     }
 
     /// Arms `n` transient write faults: the next `n` otherwise-valid calls
@@ -152,25 +182,24 @@ impl PacketStore {
     ///
     /// Panics if `seg`/`pkt` are outside the layout.
     pub fn write_packet(&mut self, seg: u16, pkt: u16, payload: &[u8]) -> Result<(), StorageError> {
-        let expected = self.expected_len(seg, pkt);
+        let held = self.has_packet(seg, pkt);
+        let (offset, expected) = self.layout.packet_span(seg, pkt);
         if payload.len() != expected {
             return Err(StorageError::WrongLength {
                 expected,
                 got: payload.len(),
             });
         }
-        let segment = &mut self.segments[usize::from(seg)];
-        let slot = &mut segment.slots[usize::from(pkt)];
-        if slot.is_some() {
+        if held {
             return Err(StorageError::DuplicateWrite { seg, pkt });
         }
         if self.pending_write_faults > 0 {
             self.pending_write_faults -= 1;
             return Err(StorageError::WriteFault { seg, pkt });
         }
-        *slot = Some(payload.to_vec());
-        segment.stored += 1;
-        self.line_writes += payload.len().div_ceil(EEPROM_LINE_BYTES) as u64;
+        self.data[offset..offset + expected].copy_from_slice(payload);
+        self.missing[usize::from(seg)] &= !(1 << pkt);
+        self.line_writes += expected.div_ceil(EEPROM_LINE_BYTES) as u64;
         Ok(())
     }
 
@@ -181,43 +210,61 @@ impl PacketStore {
     ///
     /// Panics if `seg`/`pkt` are outside the layout.
     pub fn read_packet(&mut self, seg: u16, pkt: u16) -> Option<&[u8]> {
-        let slot = self.segments[usize::from(seg)].slots[usize::from(pkt)].as_deref();
-        if slot.is_some() {
-            self.line_reads += self.expected_len(seg, pkt).div_ceil(EEPROM_LINE_BYTES) as u64;
+        if !self.has_packet(seg, pkt) {
+            return None;
         }
-        slot
+        let (offset, len) = self.layout.packet_span(seg, pkt);
+        self.line_reads += len.div_ceil(EEPROM_LINE_BYTES) as u64;
+        Some(&self.data[offset..offset + len])
     }
 
     /// Whether packet `pkt` of segment `seg` has been stored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seg`/`pkt` are outside the layout.
     pub fn has_packet(&self, seg: u16, pkt: u16) -> bool {
-        self.segments[usize::from(seg)].slots[usize::from(pkt)].is_some()
+        let missing = self.missing_mask(seg);
+        let packets = if usize::from(seg) + 1 == self.missing.len() {
+            self.last_segment_packets
+        } else {
+            self.layout.packets_per_segment()
+        };
+        assert!(pkt < packets, "packet {pkt} out of range");
+        missing & (1 << pkt) == 0
+    }
+
+    /// The paper's MissingVector for `seg`: bit `p` is set while packet `p`
+    /// is not yet on flash.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seg` is outside the layout.
+    pub fn missing_mask(&self, seg: u16) -> u128 {
+        self.missing[usize::from(seg)]
     }
 
     /// Whether every packet of `seg` has been stored.
     pub fn segment_complete(&self, seg: u16) -> bool {
-        let segment = &self.segments[usize::from(seg)];
-        usize::from(segment.stored) == segment.slots.len()
+        self.missing_mask(seg) == 0
     }
 
     /// The number of fully received segments counting up from segment 0
     /// (MNP receives segments strictly in order, so this is also "the
     /// highest received segment ID plus one").
     pub fn segments_received_prefix(&self) -> u16 {
-        let mut n = 0;
-        while n < self.layout.segment_count() && self.segment_complete(n) {
-            n += 1;
-        }
-        n
+        self.missing.iter().take_while(|&&m| m == 0).count() as u16
     }
 
     /// Whether the entire image has been stored.
     pub fn is_complete(&self) -> bool {
-        (0..self.layout.segment_count()).all(|s| self.segment_complete(s))
+        self.missing.iter().all(|&m| m == 0)
     }
 
     /// Packets stored so far.
     pub fn packets_received(&self) -> u32 {
-        self.segments.iter().map(|s| u32::from(s.stored)).sum()
+        let missing: u32 = self.missing.iter().map(|m| m.count_ones()).sum();
+        self.layout.total_packets() - missing
     }
 
     /// FNV-1a checksum of the assembled image.
@@ -227,28 +274,32 @@ impl PacketStore {
     /// Panics if the image is not complete; check [`PacketStore::is_complete`].
     pub fn assembled_checksum(&self) -> u64 {
         assert!(self.is_complete(), "image incomplete");
-        let mut data = Vec::with_capacity(self.layout.total_bytes() as usize);
-        for seg in &self.segments {
-            for pkt in &seg.slots {
-                data.extend_from_slice(pkt.as_deref().expect("complete"));
-            }
-        }
-        fnv1a(&data)
+        fnv1a(&self.data)
     }
 
-    fn expected_len(&self, seg: u16, pkt: u16) -> usize {
-        let index = u32::from(seg) * u32::from(self.layout.packets_per_segment()) + u32::from(pkt);
-        let offset = index as usize * self.layout.payload_bytes();
-        self.layout
-            .payload_bytes()
-            .min(self.layout.total_bytes() as usize - offset)
+    /// Whether the entire image has been stored — and if it has, checks the
+    /// paper's *accuracy* requirement ("the exact program image is
+    /// received") against the source's checksum.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the image is complete but differs from the source.
+    pub fn verify_complete(&self, expected_checksum: u64) -> bool {
+        if !self.is_complete() {
+            return false;
+        }
+        assert_eq!(
+            fnv1a(&self.data),
+            expected_checksum,
+            "accuracy violation: assembled image differs from the source"
+        );
+        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::image::ProgramImage;
 
     fn image(segs: u16) -> ProgramImage {
         ProgramImage::synthetic(ProgramId(7), ImageLayout::paper_default(segs))
@@ -375,48 +426,211 @@ mod tests {
         assert_eq!(store.pending_write_faults, 1);
     }
 
+    /// The representation the flat store replaced, kept here as the
+    /// reference: a slot per packet, `Some(payload)` once written.
+    struct SlotStore {
+        layout: ImageLayout,
+        slots: Vec<Vec<Option<Vec<u8>>>>,
+        line_writes: u64,
+        line_reads: u64,
+        pending_write_faults: u32,
+    }
+
+    impl SlotStore {
+        fn new(layout: ImageLayout) -> Self {
+            let slots = (0..layout.segment_count())
+                .map(|s| vec![None; usize::from(layout.packets_in_segment(s))])
+                .collect();
+            SlotStore {
+                layout,
+                slots,
+                line_writes: 0,
+                line_reads: 0,
+                pending_write_faults: 0,
+            }
+        }
+
+        fn write_packet(&mut self, seg: u16, pkt: u16, payload: &[u8]) -> Result<(), StorageError> {
+            let expected = self.layout.packet_len(seg, pkt);
+            if payload.len() != expected {
+                return Err(StorageError::WrongLength {
+                    expected,
+                    got: payload.len(),
+                });
+            }
+            let slot = &mut self.slots[usize::from(seg)][usize::from(pkt)];
+            if slot.is_some() {
+                return Err(StorageError::DuplicateWrite { seg, pkt });
+            }
+            if self.pending_write_faults > 0 {
+                self.pending_write_faults -= 1;
+                return Err(StorageError::WriteFault { seg, pkt });
+            }
+            *slot = Some(payload.to_vec());
+            self.line_writes += payload.len().div_ceil(EEPROM_LINE_BYTES) as u64;
+            Ok(())
+        }
+
+        fn read_packet(&mut self, seg: u16, pkt: u16) -> Option<&[u8]> {
+            let slot = self.slots[usize::from(seg)][usize::from(pkt)].as_deref();
+            if let Some(payload) = slot {
+                self.line_reads += payload.len().div_ceil(EEPROM_LINE_BYTES) as u64;
+            }
+            slot
+        }
+
+        fn segment_complete(&self, seg: u16) -> bool {
+            self.slots[usize::from(seg)].iter().all(Option::is_some)
+        }
+
+        fn missing_mask(&self, seg: u16) -> u128 {
+            let slots = self.slots[usize::from(seg)].iter().enumerate();
+            slots
+                .filter(|(_, slot)| slot.is_none())
+                .fold(0, |mask, (p, _)| mask | 1 << p)
+        }
+
+        fn assembled_checksum(&self) -> u64 {
+            let image: Vec<u8> = self
+                .slots
+                .iter()
+                .flatten()
+                .flatten()
+                .flatten()
+                .copied()
+                .collect();
+            fnv1a(&image)
+        }
+    }
+
     proptest::proptest! {
-        /// The per-segment stored count against the slot-scanning
-        /// definitions it replaced, after every step of an arbitrary mix
-        /// of first, duplicate, wrong-length and fault-injected writes:
-        /// only a committed write may move it.
+        /// The flat store against the slot representation it replaced,
+        /// after every step of an arbitrary mix of first, duplicate,
+        /// wrong-length and fault-injected writes and reads: results, bytes,
+        /// line counts, masks and the derived completeness answers agree.
         #[test]
         fn prop_stored_counts_match_a_slot_scan(
-            ops in proptest::collection::vec((0u16..3, 0u16..6, 0u8..6), 0..120),
+            ops in proptest::collection::vec((0u16..3, 0u16..6, 0u8..8), 0..160),
         ) {
             // Segments of 6, 6 and 4 packets; the last packet is short.
             let layout = ImageLayout::new(78, 6, 5);
             let img = ProgramImage::synthetic(ProgramId(7), layout);
             let mut store = PacketStore::new(img.id(), layout);
+            let mut slots = SlotStore::new(layout);
             for (seg, pkt, kind) in ops {
                 let pkt = pkt % layout.packets_in_segment(seg);
                 let payload = img.packet_payload(seg, pkt);
-                let held = store.has_packet(seg, pkt);
-                let result = match kind {
-                    0 => store.write_packet(seg, pkt, &payload[1..]),
+                match kind {
+                    0 => proptest::prop_assert_eq!(
+                        store.write_packet(seg, pkt, &payload[1..]),
+                        slots.write_packet(seg, pkt, &payload[1..])
+                    ),
                     1 => {
                         store.inject_write_faults(1);
-                        store.write_packet(seg, pkt, payload)
+                        slots.pending_write_faults += 1;
+                        proptest::prop_assert_eq!(
+                            store.write_packet(seg, pkt, payload),
+                            slots.write_packet(seg, pkt, payload)
+                        );
                     }
-                    _ => store.write_packet(seg, pkt, payload),
-                };
-                proptest::prop_assert_eq!(store.has_packet(seg, pkt), held || result.is_ok());
+                    2 | 3 => proptest::prop_assert_eq!(
+                        store.read_packet(seg, pkt),
+                        slots.read_packet(seg, pkt)
+                    ),
+                    _ => proptest::prop_assert_eq!(
+                        store.write_packet(seg, pkt, payload),
+                        slots.write_packet(seg, pkt, payload)
+                    ),
+                }
+                proptest::prop_assert_eq!(store.line_writes, slots.line_writes);
+                proptest::prop_assert_eq!(store.line_reads, slots.line_reads);
+                proptest::prop_assert_eq!(store.pending_write_faults, slots.pending_write_faults);
 
-                let scan = |s: u16| (0..layout.packets_in_segment(s)).all(|p| store.has_packet(s, p));
                 let segs = layout.segment_count();
                 for s in 0..segs {
-                    proptest::prop_assert_eq!(store.segment_complete(s), scan(s));
+                    proptest::prop_assert_eq!(store.missing_mask(s), slots.missing_mask(s));
+                    proptest::prop_assert_eq!(store.segment_complete(s), slots.segment_complete(s));
+                    for p in 0..layout.packets_in_segment(s) {
+                        let held = slots.slots[usize::from(s)][usize::from(p)].is_some();
+                        proptest::prop_assert_eq!(store.has_packet(s, p), held);
+                    }
                 }
-                let prefix = (0..segs).take_while(|&s| scan(s)).count();
+                let prefix = (0..segs).take_while(|&s| slots.segment_complete(s)).count();
                 proptest::prop_assert_eq!(usize::from(store.segments_received_prefix()), prefix);
-                proptest::prop_assert_eq!(store.is_complete(), (0..segs).all(scan));
-                let stored = (0..segs)
-                    .flat_map(|s| (0..layout.packets_in_segment(s)).map(move |p| (s, p)))
-                    .filter(|&(s, p)| store.has_packet(s, p))
-                    .count();
+                let complete = (0..segs).all(|s| slots.segment_complete(s));
+                proptest::prop_assert_eq!(store.is_complete(), complete);
+                let stored = slots.slots.iter().flatten().flatten().count();
                 proptest::prop_assert_eq!(store.packets_received() as usize, stored);
+                if complete {
+                    proptest::prop_assert_eq!(store.assembled_checksum(), slots.assembled_checksum());
+                    proptest::prop_assert!(store.verify_complete(img.checksum()));
+                }
             }
         }
+    }
+
+    #[test]
+    fn preloaded_prefix_is_held_and_unbilled() {
+        // Segments of 6, 6 and 4 packets; the last packet is short.
+        let img = ProgramImage::synthetic(ProgramId(7), ImageLayout::new(78, 6, 5));
+        for prefix in 0..=3 {
+            let mut store = PacketStore::preloaded(&img, prefix);
+            assert_eq!(store.program(), img.id());
+            assert_eq!(store.segments_received_prefix(), prefix);
+            assert_eq!(store.line_writes, 0);
+            for seg in 0..3 {
+                for pkt in 0..img.layout().packets_in_segment(seg) {
+                    let held = (seg < prefix).then(|| img.packet_payload(seg, pkt));
+                    assert_eq!(store.read_packet(seg, pkt), held);
+                }
+            }
+        }
+        assert!(PacketStore::preloaded(&img, 3).verify_complete(img.checksum()));
+    }
+
+    #[test]
+    #[should_panic(expected = "prefix exceeds the image")]
+    fn preloading_more_segments_than_the_image_panics() {
+        let _ = PacketStore::preloaded(&image(1), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "assembled image differs from the source")]
+    fn complete_image_with_the_wrong_checksum_panics() {
+        let img = image(1);
+        let _ = PacketStore::preloaded(&img, 1).verify_complete(img.checksum() ^ 1);
+    }
+
+    /// A layout whose last segment holds 44 of 128 packets: `pkt` 44..128
+    /// passes a bitmap-width check but lies past the end of the image.
+    fn short_tail_store() -> PacketStore {
+        PacketStore::new(ProgramId(7), ImageLayout::new(300 * 23, 128, 23))
+    }
+
+    #[test]
+    #[should_panic(expected = "packet 44 out of range")]
+    fn has_packet_past_a_short_last_segment_panics() {
+        let _ = short_tail_store().has_packet(2, 44);
+    }
+
+    #[test]
+    #[should_panic(expected = "packet 100 out of range")]
+    fn read_packet_past_a_short_last_segment_panics() {
+        let _ = short_tail_store().read_packet(2, 100);
+    }
+
+    #[test]
+    #[should_panic(expected = "packet 127 out of range")]
+    fn write_packet_past_a_short_last_segment_panics() {
+        let _ = short_tail_store().write_packet(2, 127, &[0; 23]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn has_packet_past_a_full_segment_panics() {
+        // Segments of 6, 6 and 4: packet 6 of segment 0 is packet 0 of
+        // segment 1 in a flat buffer and must not alias it.
+        let _ = PacketStore::new(ProgramId(7), ImageLayout::new(78, 6, 5)).has_packet(0, 6);
     }
 
     #[test]

@@ -118,16 +118,30 @@ impl ImageLayout {
         u16::try_from(remaining.min(u32::from(self.packets_per_segment))).expect("fits")
     }
 
-    /// Byte range of packet `pkt` in segment `seg`: `(offset, len)`.
-    fn packet_span(&self, seg: u16, pkt: u16) -> (usize, usize) {
+    /// Byte length of packet `pkt` of segment `seg`: every packet is
+    /// [`payload_bytes`](Self::payload_bytes) wide except the image's last,
+    /// which carries the remainder.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seg`/`pkt` are out of range.
+    pub fn packet_len(&self, seg: u16, pkt: u16) -> usize {
         assert!(
             pkt < self.packets_in_segment(seg),
             "packet {pkt} out of range"
         );
-        let index = u32::from(seg) * u32::from(self.packets_per_segment) + u32::from(pkt);
-        let offset = index as usize * self.payload_bytes();
-        let len = self.payload_bytes().min(self.total_bytes as usize - offset);
-        (offset, len)
+        self.packet_span(seg, pkt).1
+    }
+
+    /// Byte range of packet `pkt` in segment `seg`: `(offset, len)`. Only
+    /// the image's end is checked here; the caller vouches that `pkt` lies
+    /// inside its segment.
+    pub(crate) fn packet_span(&self, seg: u16, pkt: u16) -> (usize, usize) {
+        let index = usize::from(seg) * usize::from(self.packets_per_segment) + usize::from(pkt);
+        let offset = index * self.payload_bytes();
+        let total = self.total_bytes as usize;
+        assert!(offset < total, "packet {pkt} out of range");
+        (offset, self.payload_bytes().min(total - offset))
     }
 }
 
@@ -186,6 +200,10 @@ impl ProgramImage {
     ///
     /// Panics if `seg`/`pkt` are out of range.
     pub fn packet_payload(&self, seg: u16, pkt: u16) -> &[u8] {
+        assert!(
+            pkt < self.layout.packets_in_segment(seg),
+            "packet {pkt} out of range"
+        );
         let (offset, len) = self.layout.packet_span(seg, pkt);
         &self.data[offset..offset + len]
     }
@@ -258,6 +276,25 @@ mod tests {
         let img = ProgramImage::synthetic(ProgramId(2), l);
         assert_eq!(img.packet_payload(0, 0).len(), 23);
         assert_eq!(img.packet_payload(0, 2).len(), 4);
+    }
+
+    #[test]
+    fn packet_len_matches_layout_tail() {
+        // 3 packets of up to 23 bytes covering 50 bytes: 23 + 23 + 4.
+        let layout = ImageLayout::new(50, 128, 23);
+        assert_eq!(layout.packet_len(0, 0), 23);
+        assert_eq!(layout.packet_len(0, 1), 23);
+        assert_eq!(layout.packet_len(0, 2), 4);
+    }
+
+    #[test]
+    fn paper_layout_packets_are_all_full_width() {
+        let layout = ImageLayout::paper_default(2);
+        for seg in 0..layout.segment_count() {
+            for pkt in 0..layout.packets_in_segment(seg) {
+                assert_eq!(layout.packet_len(seg, pkt), layout.payload_bytes());
+            }
+        }
     }
 
     #[test]
