@@ -43,13 +43,9 @@ pub struct Ablation {
     pub rows: Vec<AblationRow>,
 }
 
-/// Runs the paper-scale ablation: 10×10 grid, 2 segments.
-pub fn run(seed: u64) -> Ablation {
-    run_with(10, 2, seed)
-}
-
-/// Runs on an `n×n` grid with `segments` segments.
-pub fn run_with(n: usize, segments: u16, seed: u64) -> Ablation {
+/// Runs every variant on an `n×n` grid with `segments` segments (the
+/// paper-scale ablation: 10×10, 2 segments).
+pub fn run(n: usize, segments: u16, seed: u64) -> Ablation {
     let scenario = GridExperiment::new(n, n, 10.0)
         .segments(segments)
         .seed(seed)
@@ -83,20 +79,6 @@ pub fn run_with(n: usize, segments: u16, seed: u64) -> Ablation {
     }
 }
 
-impl Ablation {
-    /// The row for a variant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the variant is unknown.
-    pub fn row(&self, variant: &str) -> &AblationRow {
-        self.rows
-            .iter()
-            .find(|r| r.variant == variant)
-            .expect("known variant")
-    }
-}
-
 impl fmt::Display for Ablation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "=== A1-A4: design-choice ablations, {} ===", self.label)?;
@@ -117,25 +99,8 @@ impl fmt::Display for Ablation {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    #[test]
-    fn all_variants_complete_on_a_small_grid() {
-        let a = run_with(4, 1, 81);
-        for r in &a.rows {
-            assert!(r.completed, "{} failed: {a}", r.variant);
-        }
-    }
-
-    #[test]
-    fn no_sleep_raises_art_to_completion() {
-        let a = run_with(4, 1, 82);
-        let full = a.row("full");
-        let nosleep = a.row("no-sleep");
-        assert!(
-            (nosleep.art_s - nosleep.completion_s).abs() < 1.0,
-            "without sleep ART == completion: {nosleep:?}"
-        );
-        assert!(full.art_s <= nosleep.art_s + 1e-9);
+    crate::claims::claim_tests! {
+        all_variants_complete_on_a_small_grid => "R-reliable",
+        no_sleep_raises_art_to_completion => "A2-sleep",
     }
 }

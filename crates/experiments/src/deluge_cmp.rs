@@ -24,13 +24,9 @@ pub struct DelugeCmp {
     pub rows: Vec<CmpRow>,
 }
 
-/// Runs the paper-sized comparison: 20×20 grid, 2-segment (5.75 KB) image.
-pub fn run(seed: u64) -> DelugeCmp {
-    run_with(20, 20, 2, seed)
-}
-
-/// Runs a scaled variant.
-pub fn run_with(rows: usize, cols: usize, segments: u16, seed: u64) -> DelugeCmp {
+/// Runs MNP and Deluge-like over one `rows × cols` grid with a
+/// `segments`-segment image (the paper: 20×20, 2 segments = 5.75 KB).
+pub fn run(rows: usize, cols: usize, segments: u16, seed: u64) -> DelugeCmp {
     let scenario = GridExperiment::new(rows, cols, 10.0)
         .segments(segments)
         .seed(seed)
@@ -65,25 +61,8 @@ impl fmt::Display for DelugeCmp {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    #[test]
-    fn mnp_spends_far_less_radio_time_than_deluge() {
-        let cmp = run_with(6, 6, 1, 51);
-        assert!(cmp.rows.iter().all(|r| r.completed), "{cmp}");
-        assert!(
-            cmp.art_ratio() > 1.5,
-            "MNP must beat always-on Deluge on ART: {cmp}"
-        );
-    }
-
-    #[test]
-    fn deluge_art_equals_its_completion_time() {
-        let cmp = run_with(5, 5, 1, 52);
-        let deluge = &cmp.rows[1];
-        assert!(
-            (deluge.art_s - deluge.completion_s).abs() < 1.0,
-            "always-on radio: {deluge:?}"
-        );
+    crate::claims::claim_tests! {
+        mnp_spends_far_less_radio_time_than_deluge => "C1-art",
+        deluge_art_equals_its_completion_time => "C1-always-on",
     }
 }

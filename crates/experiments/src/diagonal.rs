@@ -31,14 +31,15 @@ impl DiagonalRow {
     /// normalised by the √2 geometric factor (the node `(d, d)` is √2
     /// farther in feet than `(0, d)`). 1.0 = the diagonal propagates at
     /// the same speed per foot; larger = a genuine interior slowdown of
-    /// the kind Hui & Culler report for Deluge.
+    /// the kind Hui & Culler report for Deluge. Only distances where both
+    /// nodes completed count (an unfinished node's time is `NaN`).
     pub fn slowdown(&self) -> f64 {
         let ratios: Vec<f64> = self
             .edge_s
             .iter()
             .zip(&self.diagonal_s)
             .skip(2)
-            .filter(|(e, _)| **e > 0.0)
+            .filter(|(e, d)| **e > 0.0 && d.is_finite())
             .map(|(e, d)| (d / e) / std::f64::consts::SQRT_2)
             .collect();
         mnp_trace::mean(&ratios)
@@ -54,13 +55,9 @@ pub struct Diagonal {
     pub rows: Vec<DiagonalRow>,
 }
 
-/// Runs the paper-sized experiment: 20×20 grid, 1 segment.
-pub fn run(seed: u64) -> Diagonal {
-    run_with(20, seed)
-}
-
-/// Runs on an `n×n` grid.
-pub fn run_with(n: usize, seed: u64) -> Diagonal {
+/// Runs MNP and Deluge-like over an `n×n` grid with a 1-segment image
+/// (the paper: 20×20).
+pub fn run(n: usize, seed: u64) -> Diagonal {
     let scenario = GridExperiment::new(n, n, 10.0)
         .segments(1)
         .seed(seed)
@@ -115,25 +112,20 @@ impl fmt::Display for Diagonal {
 mod tests {
     use super::*;
 
-    #[test]
-    fn mnp_shows_no_large_diagonal_penalty() {
-        let diag = run_with(7, 62);
-        let mnp = &diag.rows[0];
-        let slow = mnp.slowdown();
-        assert!(
-            slow < 1.6,
-            "MNP's sender selection should kill the diagonal penalty, got {slow:.2}x"
-        );
+    crate::claims::claim_tests! {
+        mnp_shows_no_large_diagonal_penalty => "C2-diagonal",
+        completion_times_grow_with_distance => "C2-diagonal",
     }
 
     #[test]
-    fn completion_times_grow_with_distance() {
-        let diag = run_with(6, 62);
-        let mnp = &diag.rows[0];
-        assert!(
-            mnp.edge_s.last().unwrap() > &mnp.edge_s[1],
-            "farther nodes finish later: {:?}",
-            mnp.edge_s
-        );
+    fn an_unfinished_node_does_not_turn_the_slowdown_into_nan() {
+        let sqrt2 = std::f64::consts::SQRT_2;
+        let row = DiagonalRow {
+            protocol: "MNP",
+            edge_s: vec![0.0, 5.0, 10.0, 20.0, f64::NAN],
+            diagonal_s: vec![0.0, 5.0, 10.0 * sqrt2, f64::NAN, 30.0],
+        };
+        // Only distance 2 has both ends finished: exactly the √2 geometry.
+        assert!((row.slowdown() - 1.0).abs() < 1e-12, "{}", row.slowdown());
     }
 }

@@ -26,37 +26,8 @@ pub fn run(seed: u64) -> MoteFigure {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    #[test]
-    fn both_power_levels_complete_and_low_power_needs_more_senders() {
-        let fig = run(7);
-        assert_eq!(fig.runs.len(), 2);
-        for (_, out) in &fig.runs {
-            assert!(out.completed, "{out}");
-        }
-        let senders_p9 = fig.runs[0].1.trace.sender_order().len();
-        let senders_p3 = fig.runs[1].1.trace.sender_order().len();
-        // "When nodes are working at a lower power level, more nodes become
-        // senders, and each sender has a smaller group of followers."
-        assert!(
-            senders_p3 > senders_p9,
-            "power 3 should need more senders: {senders_p3} vs {senders_p9}"
-        );
-    }
-
-    #[test]
-    fn high_power_serves_most_nodes_directly_from_base() {
-        let fig = run(7);
-        let out = &fig.runs[0].1;
-        let direct = out
-            .trace
-            .iter()
-            .filter(|(_, s)| s.parent == Some(mnp_radio::NodeId(0)))
-            .count();
-        assert!(
-            direct >= 12,
-            "most of 24 non-base nodes should download from the base, got {direct}"
-        );
+    crate::claims::claim_tests! {
+        both_power_levels_complete_and_low_power_needs_more_senders => "F5-senders",
+        high_power_serves_most_nodes_directly_from_base => "F5-direct",
     }
 }

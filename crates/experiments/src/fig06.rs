@@ -25,37 +25,8 @@ pub fn run(seed: u64) -> MoteFigure {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    #[test]
-    fn lower_power_means_more_senders() {
-        let fig = run(12);
-        for (_, out) in &fig.runs {
-            assert!(out.completed, "{out}");
-        }
-        let full = fig.runs[0].1.trace.sender_order().len();
-        let low = fig.runs[1].1.trace.sender_order().len();
-        assert!(
-            low > full,
-            "power 50 should need more senders: {low} vs {full}"
-        );
-    }
-
-    #[test]
-    fn senders_sit_away_from_the_base() {
-        // At full power the first non-base sender should not be adjacent to
-        // the base: greedy selection favours nodes covering fresh area.
-        // (Seed-pinned demonstration; about half of all seeds show it.)
-        let fig = run(13);
-        let out = &fig.runs[0].1;
-        let order = out.trace.sender_order();
-        if order.len() > 1 {
-            let second = order[1];
-            let dist = out.grid.chebyshev(out.grid.corner(), second);
-            assert!(
-                dist >= 2,
-                "greedy sender should be far out, got distance {dist}"
-            );
-        }
+    crate::claims::claim_tests! {
+        lower_power_means_more_senders => "F6-senders",
+        senders_sit_away_from_the_base => "F6-far",
     }
 }

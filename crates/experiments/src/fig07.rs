@@ -21,37 +21,8 @@ pub fn run(seed: u64) -> MoteFigure {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    #[test]
-    fn long_strip_is_multihop_at_both_powers() {
-        let fig = run(13);
-        for (power, out) in &fig.runs {
-            assert!(out.completed, "{power}: {out}");
-            // The far end of the strip (column 9, 90 ft out) cannot hear
-            // the base directly even at full power (35 ft range), so at
-            // least one relay must have forwarded.
-            assert!(
-                !out.trace.sender_order().is_empty(),
-                "{power}: nobody forwarded"
-            );
-            let far = out.grid.node_at(1, 9);
-            assert_ne!(
-                out.trace.node(far).parent,
-                Some(out.grid.corner()),
-                "{power}: far end cannot download from the base directly"
-            );
-        }
-    }
-
-    #[test]
-    fn completion_propagates_down_the_strip() {
-        let fig = run(13);
-        let out = &fig.runs[0].1;
-        let near = out.grid.node_at(0, 1);
-        let far = out.grid.node_at(0, 9);
-        let t_near = out.trace.node(near).completion.unwrap();
-        let t_far = out.trace.node(far).completion.unwrap();
-        assert!(t_near < t_far, "wavefront moves outward");
+    crate::claims::claim_tests! {
+        long_strip_is_multihop_at_both_powers => "F7-multihop",
+        completion_propagates_down_the_strip => "F7-multihop",
     }
 }

@@ -22,13 +22,9 @@ pub struct Fig08 {
     pub outcome: RunOutcome,
 }
 
-/// Runs the paper-sized experiment: 20×20 grid at 10 ft, 4 segments.
-pub fn run(seed: u64) -> Fig08 {
-    run_with(20, 20, 4, seed)
-}
-
-/// Runs a scaled variant (tests use small grids).
-pub fn run_with(rows: usize, cols: usize, segments: u16, seed: u64) -> Fig08 {
+/// Runs MNP over a `rows × cols` grid at 10 ft with a `segments`-segment
+/// image (the paper: 20×20, 4 segments).
+pub fn run(rows: usize, cols: usize, segments: u16, seed: u64) -> Fig08 {
     let outcome = GridExperiment::new(rows, cols, 10.0)
         .segments(segments)
         .seed(seed)
@@ -40,16 +36,7 @@ pub fn run_with(rows: usize, cols: usize, segments: u16, seed: u64) -> Fig08 {
 impl Fig08 {
     /// Mean ART of nodes in the interior vs nodes on the grid edge.
     pub fn centre_vs_edge_art(&self) -> (f64, f64) {
-        let (mut centre, mut edge) = (Vec::new(), Vec::new());
-        for (id, _) in self.outcome.trace.iter() {
-            let v = self.outcome.art_s[id.index()];
-            if self.outcome.grid.is_edge(id) {
-                edge.push(v);
-            } else {
-                centre.push(v);
-            }
-        }
-        (mean(&centre), mean(&edge))
+        self.outcome.centre_vs_edge(&self.outcome.art_s)
     }
 }
 
@@ -82,29 +69,14 @@ impl fmt::Display for Fig08 {
 mod tests {
     use super::*;
 
-    #[test]
-    fn art_is_a_fraction_of_completion_time() {
-        let fig = run_with(6, 6, 1, 3);
-        assert!(fig.outcome.completed);
-        let mean_art = fig.outcome.mean_art_s();
-        let completion = fig.outcome.completion_s();
-        assert!(
-            mean_art < completion,
-            "sleeping must save radio time: {mean_art} vs {completion}"
-        );
-    }
-
-    #[test]
-    fn noidle_art_is_never_larger() {
-        let fig = run_with(5, 5, 1, 4);
-        for (a, b) in fig.outcome.art_s.iter().zip(&fig.outcome.art_noidle_s) {
-            assert!(b <= a, "w/o-initial-idle ART must not exceed total ART");
-        }
+    crate::claims::claim_tests! {
+        art_is_a_fraction_of_completion_time => "F8-sleep",
+        noidle_art_is_never_larger => "F9-noidle",
     }
 
     #[test]
     fn report_renders_heatmap() {
-        let fig = run_with(4, 4, 1, 5);
+        let fig = run(4, 4, 1, 5);
         let s = fig.to_string();
         assert!(s.contains("ART by location"));
         assert!(s.lines().count() > 6);

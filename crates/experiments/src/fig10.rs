@@ -32,17 +32,13 @@ pub struct Fig10 {
     pub rows: Vec<Fig10Row>,
 }
 
-/// Runs the paper-sized sweep: 20×20, 1..=10 segments.
-pub fn run(seed: u64) -> Fig10 {
-    run_with(20, 20, &[1, 2, 4, 6, 8, 10], seed)
-}
-
-/// Runs a scaled variant.
-pub fn run_with(rows: usize, cols: usize, sizes: &[u16], seed: u64) -> Fig10 {
+/// Runs the Fig. 8 scenario once per program size in `sizes` (the paper:
+/// 20×20, 1–10 segments).
+pub fn run(rows: usize, cols: usize, sizes: &[u16], seed: u64) -> Fig10 {
     let out_rows = sizes
         .iter()
         .map(|&segments| {
-            let fig = fig08::run_with(rows, cols, segments, seed);
+            let fig = fig08::run(rows, cols, segments, seed);
             assert!(fig.outcome.completed, "size {segments}: {}", fig.outcome);
             Fig10Row {
                 segments,
@@ -79,26 +75,8 @@ impl fmt::Display for Fig10 {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    #[test]
-    fn completion_grows_roughly_linearly_with_size() {
-        let fig = run_with(4, 4, &[1, 2, 4], 9);
-        let c: Vec<f64> = fig.rows.iter().map(|r| r.completion_s).collect();
-        assert!(c[1] > c[0] && c[2] > c[1], "monotone growth: {c:?}");
-        // Quadrupling the image should not even triple... it should grow by
-        // at least 2x and at most ~8x (linearity with slack for protocol
-        // overhead amortisation).
-        let ratio = c[2] / c[0];
-        assert!((1.8..8.0).contains(&ratio), "4x size gave {ratio:.2}x time");
-    }
-
-    #[test]
-    fn art_stays_below_completion() {
-        let fig = run_with(4, 4, &[1, 2], 10);
-        for r in &fig.rows {
-            assert!(r.art_s < r.completion_s);
-            assert!(r.art_noidle_s <= r.art_s + 1e-9);
-        }
+    crate::claims::claim_tests! {
+        completion_grows_roughly_linearly_with_size => "F10-linear",
+        art_stays_below_completion => "F10-art",
     }
 }

@@ -44,16 +44,7 @@ impl Fig11<'_> {
 
     /// Mean receptions for interior vs edge nodes.
     pub fn centre_vs_edge_received(&self) -> (f64, f64) {
-        let (mut centre, mut edge) = (Vec::new(), Vec::new());
-        for (id, _) in self.outcome.trace.iter() {
-            let v = self.outcome.received[id.index()];
-            if self.outcome.grid.is_edge(id) {
-                edge.push(v);
-            } else {
-                centre.push(v);
-            }
-        }
-        (mean(&centre), mean(&edge))
+        self.outcome.centre_vs_edge(&self.outcome.received)
     }
 }
 
@@ -87,25 +78,8 @@ impl fmt::Display for Fig11<'_> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::fig08;
-
-    #[test]
-    fn base_station_sends_the_most() {
-        let fig = fig08::run_with(5, 5, 1, 22);
-        let r = report(&fig.outcome);
-        let (top, _) = r.top_sender();
-        assert_eq!(top, 0, "all data originates at the base station");
-    }
-
-    #[test]
-    fn centre_receives_more_than_edge() {
-        let fig = fig08::run_with(6, 6, 1, 22);
-        let r = report(&fig.outcome);
-        let (centre, edge) = r.centre_vs_edge_received();
-        assert!(
-            centre > edge,
-            "interior nodes hear more transmitters: centre {centre} vs edge {edge}"
-        );
+    crate::claims::claim_tests! {
+        base_station_sends_the_most => "F11-top",
+        centre_receives_more_than_edge => "F11-centre",
     }
 }

@@ -70,20 +70,13 @@ mod tests {
     use super::*;
     use crate::fig08;
 
-    #[test]
-    fn all_three_classes_flow() {
-        let fig = fig08::run_with(5, 5, 2, 31);
-        let r = report(&fig.outcome);
-        assert!(r.adv.iter().sum::<u64>() > 0);
-        assert!(r.req.iter().sum::<u64>() > 0);
-        assert!(r.data.iter().sum::<u64>() > 0);
-        // Data dominates advertisements in volume over the whole run.
-        assert!(r.data.iter().sum::<u64>() > r.adv.iter().sum::<u64>());
+    crate::claims::claim_tests! {
+        all_three_classes_flow => "F12-flow",
     }
 
     #[test]
     fn series_share_a_length() {
-        let fig = fig08::run_with(4, 4, 1, 32);
+        let fig = fig08::run(4, 4, 1, 32);
         let r = report(&fig.outcome);
         assert_eq!(r.adv.len(), r.req.len());
         assert_eq!(r.adv.len(), r.data.len());

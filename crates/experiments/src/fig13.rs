@@ -22,14 +22,9 @@ pub struct Fig13 {
     pub snapshots: Vec<(f64, f64, String)>,
 }
 
-/// Runs the paper-style experiment on a 14×14 grid (the OCR dropped the
-/// paper's exact grid size; any mid-size square shows the wave).
-pub fn run(seed: u64) -> Fig13 {
-    run_with(14, 14, seed)
-}
-
-/// Runs a scaled variant.
-pub fn run_with(rows: usize, cols: usize, seed: u64) -> Fig13 {
+/// Runs a 1-segment dissemination over a `rows × cols` grid (the paper's
+/// size is lost to the OCR; 14×14 — any mid-size square shows the wave).
+pub fn run(rows: usize, cols: usize, seed: u64) -> Fig13 {
     let outcome = GridExperiment::new(rows, cols, 10.0)
         .segments(1)
         .seed(seed)
@@ -75,32 +70,9 @@ impl fmt::Display for Fig13 {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    #[test]
-    fn coverage_grows_monotonically() {
-        let fig = run_with(6, 6, 41);
-        let c: Vec<f64> = fig.snapshots.iter().map(|(_, c, _)| *c).collect();
-        assert!(c[0] <= c[1] && c[1] <= c[2], "wave must advance: {c:?}");
-        assert!(c[2] > 0.5, "90% of time should cover most nodes: {c:?}");
-    }
-
-    #[test]
-    fn wave_starts_near_the_base() {
-        let fig = run_with(6, 6, 41);
-        let (_, _, first) = &fig.snapshots[0];
-        // The top-left corner (base) must be covered in the first snapshot.
-        assert!(first.starts_with('#'), "base holds the segment:\n{first}");
-    }
-
-    #[test]
-    fn propagation_rate_is_roughly_constant() {
-        // "Data is propagated at a fairly constant rate": coverage at 60%
-        // of time should be far beyond coverage at 30%, not saturated
-        // early or all at the end.
-        let fig = run_with(8, 8, 43);
-        let c30 = fig.snapshots[0].1;
-        let c60 = fig.snapshots[1].1;
-        assert!(c60 > c30, "wave advances between snapshots");
+    crate::claims::claim_tests! {
+        coverage_grows_monotonically => "F13-wave",
+        wave_starts_near_the_base => "F13-wave",
+        propagation_rate_is_roughly_constant => "F13-wave",
     }
 }

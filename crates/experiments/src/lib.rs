@@ -2,11 +2,14 @@
 //!
 //! Every module exposes a `run*` function returning a typed result and a
 //! `Display` implementation that prints the same rows/series the paper
-//! reports. `examples/reproduce_all.rs` at the workspace root executes the
-//! full set; EXPERIMENTS.md records paper-vs-measured values.
+//! reports. [`claims`] runs the full set at the paper's scale or a reduced
+//! one and states each paper claim once, as a predicate over the results;
+//! `examples/reproduce_all.rs` prints the paper-scale set and checks every
+//! claim, and EXPERIMENTS.md quotes its output.
 //!
 //! | Module | Paper artefact |
 //! |---|---|
+//! | [`claims`] | every claim of the evaluation, checked at two scales |
 //! | [`table1`] | Table 1 — power required by Mica operations |
 //! | [`fig05`] | Fig. 5 — indoor 5×5 grid, power levels 3 and 9 |
 //! | [`fig06`] | Fig. 6 — outdoor 7×7 grid, power 255 and 50 |
@@ -34,6 +37,7 @@
 pub mod ablation;
 pub mod battery;
 pub mod capture;
+pub mod claims;
 pub mod deluge_cmp;
 pub mod diagonal;
 pub mod fig05;

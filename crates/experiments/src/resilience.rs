@@ -7,7 +7,7 @@
 //! instants during reprogramming and measure survivor coverage and the
 //! completion-time penalty.
 //!
-//! The chaos sweeps ([`run_chaos`]) use the deterministic
+//! The chaos sweeps ([`run_chaos_matrix`]) use the deterministic
 //! [`FaultPlan`] instead of permanent kills: nodes crash and reboot with
 //! their EEPROM intact, and links flap to total loss and recover. Both are
 //! transient, so full coverage is still expected — the interesting output
@@ -47,13 +47,9 @@ pub struct Resilience {
     pub rows: Vec<ResilienceRow>,
 }
 
-/// Runs the paper-scale sweep: 10×10 grid, killing 0–20 % of nodes.
-pub fn run(seed: u64) -> Resilience {
-    run_with(10, &[0.0, 0.05, 0.10, 0.20], seed)
-}
-
-/// Runs on an `n×n` grid for each kill fraction.
-pub fn run_with(n: usize, fractions: &[f64], seed: u64) -> Resilience {
+/// Runs on an `n×n` grid for each kill fraction (the paper-scale sweep:
+/// 10×10, killing 0–20 % of nodes).
+pub fn run(n: usize, fractions: &[f64], seed: u64) -> Resilience {
     let grid = GridSpec::new(n, n, 10.0);
     let image = ProgramImage::synthetic(ProgramId(1), ImageLayout::paper_default(1));
     let links = GridExperiment::new(n, n, 10.0).seed(seed).sample_links();
@@ -147,13 +143,6 @@ impl Chaos {
             .chain(&self.flap_rows)
             .chain(&self.storage_rows)
     }
-}
-
-/// Runs the default chaos sweep: MNP on an 8×8 grid under 0–8
-/// crash–restarts and 0–32 link flaps.
-pub fn run_chaos(seed: u64) -> Chaos {
-    let mnp = ProtocolId::of::<Mnp>();
-    run_chaos_matrix(mnp, 8, &[0, 2, 4, 8], &[0, 8, 16, 32], &[], seed)
 }
 
 /// A seeded plan injecting `count` transient EEPROM write-fault bursts at
@@ -311,20 +300,9 @@ mod tests {
     use super::*;
     use crate::registry::FAULT_TESTED;
 
-    #[test]
-    fn no_failures_baseline_is_full_coverage() {
-        let r = run_with(5, &[0.0], 501);
-        assert_eq!(r.rows[0].killed, 0);
-        assert!((r.rows[0].survivor_coverage - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn minority_failures_keep_survivor_coverage_high() {
-        let r = run_with(6, &[0.1], 502);
-        assert!(
-            r.rows[0].survivor_coverage > 0.9,
-            "a dense grid should route around 10% failures: {r}"
-        );
+    crate::claims::claim_tests! {
+        no_failures_baseline_is_full_coverage => "X3-failstop",
+        minority_failures_keep_survivor_coverage_high => "X3-failstop",
     }
 
     #[test]

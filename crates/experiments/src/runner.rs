@@ -9,7 +9,7 @@ use mnp_radio::{LinkTable, NodeId, PowerLevel};
 use mnp_sim::{SimRng, SimTime, TieBreak};
 use mnp_storage::{ImageLayout, ProgramId, ProgramImage};
 use mnp_topology::{GridSpec, TopologyBuilder};
-use mnp_trace::{MsgClass, RunTrace};
+use mnp_trace::RunTrace;
 
 use crate::registry::{with_protocol, Disseminator, ProtocolId};
 
@@ -482,9 +482,17 @@ impl RunOutcome {
         self.sent.iter().sum()
     }
 
-    /// Totals per message class.
-    pub fn class_total(&self, class: MsgClass) -> u64 {
-        self.trace.windows().total(class)
+    /// Means of a per-node series over interior and over edge nodes.
+    pub(crate) fn centre_vs_edge(&self, per_node: &[f64]) -> (f64, f64) {
+        let (mut centre, mut edge) = (Vec::new(), Vec::new());
+        for (i, &v) in per_node.iter().enumerate() {
+            if self.grid.is_edge(NodeId::from_index(i)) {
+                edge.push(v);
+            } else {
+                centre.push(v);
+            }
+        }
+        (mnp_trace::mean(&centre), mnp_trace::mean(&edge))
     }
 }
 

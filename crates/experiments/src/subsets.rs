@@ -43,13 +43,9 @@ pub struct Subsets {
     pub outsider_sent: u64,
 }
 
-/// Runs the paper-scale experiment: 12×12 grid, left half targeted.
-pub fn run(seed: u64) -> Subsets {
-    run_with(12, seed)
-}
-
-/// Runs on an `n×n` grid, targeting columns `< n/2`.
-pub fn run_with(n: usize, seed: u64) -> Subsets {
+/// Runs on an `n×n` grid, targeting columns `< n/2` (the paper-scale
+/// run: 12×12).
+pub fn run(n: usize, seed: u64) -> Subsets {
     let grid = GridSpec::new(n, n, 10.0);
     let links = GridExperiment::new(n, n, 10.0).seed(seed).sample_links();
     let image = ProgramImage::synthetic(ProgramId(1), ImageLayout::paper_default(2));
@@ -128,26 +124,8 @@ impl fmt::Display for Subsets {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    #[test]
-    fn members_complete_and_outsiders_stay_clean() {
-        let s = run_with(6, 301);
-        assert!(s.members_complete, "{s}");
-        assert_eq!(s.outsider_packets, 0);
-        assert_eq!(s.outsider_sent, 0);
-    }
-
-    #[test]
-    fn outsiders_sleep_through_the_transfers_they_overhear() {
-        // Outsiders far from the subset mostly idle (nothing to hear), but
-        // the ones in earshot sleep out every transfer, so the outsider
-        // mean must land clearly below the always-on baseline.
-        let s = run_with(8, 302);
-        assert!(s.members_complete);
-        assert!(
-            s.outsider_art_s < 0.9 * s.completion_s,
-            "outsiders should sleep through overheard transfers: {s}"
-        );
+    crate::claims::claim_tests! {
+        members_complete_and_outsiders_stay_clean => "X2-clean",
+        outsiders_sleep_through_the_transfers_they_overhear => "X2-sleep",
     }
 }

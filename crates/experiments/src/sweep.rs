@@ -27,6 +27,8 @@ pub struct CmpRow {
     pub completion_s: f64,
     /// Mean active radio time (s).
     pub art_s: f64,
+    /// Least per-node active radio time (s).
+    pub(crate) min_art_s: f64,
     /// Total messages sent.
     pub messages: f64,
     /// Whether the run completed.
@@ -49,6 +51,7 @@ pub(crate) fn measure(protocols: &[&str], run: impl Fn(ProtocolId) -> RunOutcome
                 protocol: id.label(),
                 completion_s: out.completion_s(),
                 art_s: out.mean_art_s(),
+                min_art_s: out.art_s.iter().copied().fold(f64::INFINITY, f64::min),
                 messages: out.total_sent(),
                 completed: out.completed,
             }

@@ -1,40 +1,34 @@
-//! Regenerates every table and figure of the paper's evaluation section.
+//! Regenerates every table and figure of the paper's evaluation and
+//! checks every claim it rests on.
 //!
-//! This is the harness behind EXPERIMENTS.md: each block prints the same
+//! This is the harness behind EXPERIMENTS.md: stdout is the same
 //! rows/series the paper reports (Table 1, Figs. 5–13), plus the §5
-//! Deluge comparison, the diagonal-propagation check, the §6 battery
-//! extension, and the design-choice ablations.
+//! Deluge comparison, the diagonal-propagation check, the §6 extensions,
+//! the resilience sweeps and the design-choice ablations. stderr gets one
+//! verdict line per claim of `mnp_experiments::claims::CLAIMS`, and the
+//! exit status is non-zero if any claim misses.
 //!
 //! Run with: `cargo run --release --example reproduce_all`
-//! (About ten seconds; the 20×20 simulations dominate. The output is
-//! checked in as `EXPERIMENTS.txt` and compared in CI.)
+//! (About ten seconds; the 20×20 simulations dominate. stdout is checked
+//! in as `EXPERIMENTS.txt` and compared in CI.)
 
-use mnp_experiments as exp;
+use mnp_experiments::claims::{Results, CLAIMS};
 
 fn main() {
-    let seed = 42;
-
-    println!("{}", exp::table1::run());
-
-    println!("{}", exp::fig05::run(seed));
-    println!("{}", exp::fig06::run(seed));
-    println!("{}", exp::fig07::run(seed));
-
-    // Figs. 8, 9, 11 and 12 share one 20×20 / 4-segment run.
-    let fig8 = exp::fig08::run(seed);
-    println!("{fig8}");
-    println!("{}", exp::fig11::report(&fig8.outcome));
-    println!("{}", exp::fig12::report(&fig8.outcome));
-
-    println!("{}", exp::fig10::run(seed));
-    println!("{}", exp::fig13::run(seed));
-
-    println!("{}", exp::deluge_cmp::run(seed));
-    println!("{}", exp::diagonal::run(seed));
-    println!("{}", exp::battery::run(seed));
-    println!("{}", exp::subsets::run(seed));
-    println!("{}", exp::resilience::run(seed));
-    println!("{}", exp::resilience::run_chaos(seed));
-    println!("{}", exp::capture::run(seed));
-    println!("{}", exp::ablation::run(seed));
+    let results = Results::paper(42);
+    print!("{results}");
+    let mut missed = 0;
+    for claim in CLAIMS {
+        match (claim.holds)(&results) {
+            Ok(()) => eprintln!("holds   {}", claim.id),
+            Err(why) => {
+                missed += 1;
+                eprintln!("MISSED  {}: {why}", claim.id);
+            }
+        }
+    }
+    if missed > 0 {
+        eprintln!("{missed} of {} claims missed", CLAIMS.len());
+        std::process::exit(1);
+    }
 }

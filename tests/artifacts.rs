@@ -1,12 +1,16 @@
 //! Checked-in artifacts and the documents that cite them stay in step:
 //! every root-level JSON artifact parses with the workspace's one JSON
-//! reader, the benchmark baselines go through `mnp-run report`'s diff, and
-//! no document names a repository path that does not exist. Read-only:
-//! `BENCHMARK.json` and `benchmark/` belong to the benchmark.
+//! reader, the benchmark baselines go through `mnp-run report`'s diff,
+//! EXPERIMENTS.md quotes the golden `EXPERIMENTS.txt` and cites exactly
+//! the claims table, and no document names a repository path that does
+//! not exist. Read-only: `BENCHMARK.json` and `benchmark/` belong to the
+//! benchmark.
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use mnp_experiments::claims::CLAIMS;
 use mnp_experiments::report::{self, Json};
 
 fn root() -> PathBuf {
@@ -53,6 +57,29 @@ fn benchmark_baselines_go_through_the_report_diff() {
             assert!(rows >= 6, "{workload}/{mode}: {rows} rows");
         }
     }
+}
+
+#[test]
+fn experiments_md_quotes_the_golden_and_cites_every_claim() {
+    let md = read(&root().join("EXPERIMENTS.md"));
+    let golden = read(&root().join("EXPERIMENTS.txt"));
+    let mut excerpts = 0;
+    for block in md.split("```text\n").skip(1) {
+        let excerpt = &block[..block.find("```").expect("an unclosed ```text block")];
+        assert!(
+            golden.contains(excerpt),
+            "not a contiguous excerpt of EXPERIMENTS.txt:\n{excerpt}"
+        );
+        excerpts += 1;
+    }
+    assert!(excerpts >= 17, "only {excerpts} excerpts of the golden");
+    let cited: BTreeSet<&str> = md
+        .lines()
+        .filter_map(|line| line.strip_prefix("Claims: "))
+        .flat_map(|ids| ids.split('`').skip(1).step_by(2))
+        .collect();
+    let table: BTreeSet<&str> = CLAIMS.iter().map(|c| c.id).collect();
+    assert_eq!(cited, table, "claim ids cited in EXPERIMENTS.md vs CLAIMS");
 }
 
 /// Whether `token` is an upper-case root artifact name:

@@ -1,37 +1,13 @@
-//! The paper's §5 comparisons, asserted as properties rather than
-//! eyeballed: MNP vs Deluge/XNP/MOAP/flood on shared deployments.
+//! The paper's §5 comparisons: MNP vs Deluge as claims of
+//! `mnp_experiments::claims::CLAIMS` at the reduced scale, and the
+//! baseline behaviours the comparison takes as given — XNP is single-hop,
+//! MOAP never sleeps, an unsuppressed flood fails — on shared deployments.
 
 use mnp_repro::prelude::*;
 
-#[test]
-fn mnp_saves_active_radio_time_over_deluge() {
-    let cmp = mnp_experiments::deluge_cmp::run_with(8, 8, 1, 200);
-    assert!(cmp.rows.iter().all(|r| r.completed));
-    assert!(
-        cmp.art_ratio() > 1.3,
-        "expected a clear ART advantage, got {:.2}x\n{cmp}",
-        cmp.art_ratio()
-    );
-}
-
-#[test]
-fn deluge_radio_is_always_on_mnp_is_not() {
-    let scenario = GridExperiment::new(6, 6, 10.0).segments(1).seed(201);
-    let mnp = scenario.run::<Mnp>(|_| {});
-    let deluge = scenario.run::<Deluge>(|_| {});
-    assert!(mnp.completed && deluge.completed);
-    for (i, art) in deluge.art_s.iter().enumerate() {
-        assert!(
-            (art - deluge.completion_s()).abs() < 1.0,
-            "Deluge node {i}: ART {art:.1} != completion {:.1}",
-            deluge.completion_s()
-        );
-    }
-    let min_mnp_art = mnp.art_s.iter().cloned().fold(f64::INFINITY, f64::min);
-    assert!(
-        min_mnp_art < mnp.completion_s() * 0.9,
-        "at least some MNP node must sleep substantially"
-    );
+mnp_experiments::claims::claim_tests! {
+    mnp_saves_active_radio_time_over_deluge => "C1-art",
+    deluge_radio_is_always_on_mnp_is_not => "C1-always-on",
 }
 
 #[test]

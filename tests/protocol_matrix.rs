@@ -116,6 +116,37 @@ fn widely_spaced_grid_with_marginal_links_still_completes() {
 }
 
 #[test]
+fn non_grid_random_field_works_too() {
+    let seed = 9;
+    let mut rng = SimRng::new(seed);
+    let (links, n) = loop {
+        let placement = Placement::random(60, 100.0, 60.0, &mut rng);
+        let topo = TopologyBuilder::new(placement).build(&mut rng);
+        if topo
+            .links
+            .reaches_all_usable(NodeId(0), mnp_repro::radio::loss::usable_ber_threshold())
+        {
+            break (topo.links, 60);
+        }
+    };
+    let image = ProgramImage::synthetic(ProgramId(1), ImageLayout::paper_default(1));
+    let cfg = MnpConfig::for_image(&image);
+    let mut net: Network<Mnp> = NetworkBuilder::new(links, seed)
+        .observer(InvariantMonitor::new())
+        .build(|id, _| {
+            if id == NodeId(0) {
+                Mnp::base_station(cfg.clone(), &image)
+            } else {
+                Mnp::node(cfg.clone())
+            }
+        });
+    assert!(net.run_until_all_complete(SimTime::from_secs(3_600)));
+    for i in 0..n {
+        assert!(net.protocol(NodeId::from_index(i)).is_complete());
+    }
+}
+
+#[test]
 fn dense_cheap_grid_completes_fast() {
     // 5 ft spacing: effectively one radio cell.
     let out = GridExperiment::new(4, 4, 5.0)
