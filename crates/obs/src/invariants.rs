@@ -2,7 +2,6 @@
 
 use crate::event::{EventKind, MsgDetail, ObsEvent};
 use crate::observer::Observer;
-use std::collections::{HashMap, HashSet};
 
 /// An observer that checks protocol safety properties while the simulation
 /// runs and fails fast (panics) with the offending event's context.
@@ -28,15 +27,59 @@ pub struct InvariantMonitor {
     lenient: bool,
     checks: u64,
     violations: Vec<String>,
-    /// (node, seg, pkt) triples already written.
-    written: HashSet<(u32, u16, u16)>,
-    /// Next expected segment per node.
-    next_seg: HashMap<u32, u16>,
-    /// Nodes whose radio is currently off.
-    asleep: HashSet<u32>,
-    /// 256-bit set of ReqCtr values `listener` has heard `source`
-    /// advertise, keyed by `(listener, source)`.
-    heard_req_ctr: HashMap<(u32, u32), [u64; 4]>,
+    /// Per-node state, indexed by node index.
+    nodes: Vec<NodeState>,
+}
+
+/// What the monitor remembers about one node.
+#[derive(Clone, Debug, Default)]
+struct NodeState {
+    /// Packets already written: one bit set per segment, bit `pkt`.
+    written: Vec<Vec<u64>>,
+    /// Next expected segment.
+    next_seg: u16,
+    /// Whether the radio is currently off.
+    asleep: bool,
+    /// 256-bit set of ReqCtr values this node has heard each source
+    /// advertise, one entry per source.
+    heard_req_ctr: Vec<(u32, [u64; 4])>,
+}
+
+impl NodeState {
+    /// Marks `(seg, pkt)` written; false if it already was.
+    fn write(&mut self, seg: u16, pkt: u16) -> bool {
+        let seg = seg as usize;
+        if seg >= self.written.len() {
+            self.written.resize(seg + 1, Vec::new());
+        }
+        let bits = &mut self.written[seg];
+        let word = pkt as usize / 64;
+        if word >= bits.len() {
+            bits.resize(word + 1, 0);
+        }
+        let mask = 1 << (pkt % 64);
+        let fresh = bits[word] & mask == 0;
+        bits[word] |= mask;
+        fresh
+    }
+
+    fn heard_from(&self, source: u32) -> Option<&[u64; 4]> {
+        self.heard_req_ctr
+            .iter()
+            .find(|(s, _)| *s == source)
+            .map(|(_, bits)| bits)
+    }
+
+    fn heard_from_mut(&mut self, source: u32) -> &mut [u64; 4] {
+        let at = match self.heard_req_ctr.iter().position(|(s, _)| *s == source) {
+            Some(at) => at,
+            None => {
+                self.heard_req_ctr.push((source, [0; 4]));
+                self.heard_req_ctr.len() - 1
+            }
+        };
+        &mut self.heard_req_ctr[at].1
+    }
 }
 
 impl InvariantMonitor {
@@ -69,6 +112,13 @@ impl InvariantMonitor {
         self.violations.is_empty()
     }
 
+    fn node(&mut self, index: usize) -> &mut NodeState {
+        if index >= self.nodes.len() {
+            self.nodes.resize(index + 1, NodeState::default());
+        }
+        &mut self.nodes[index]
+    }
+
     fn violate(&mut self, msg: String, ev: &ObsEvent) {
         let full = format!("protocol invariant violated: {msg} — offending event: {ev}");
         if self.lenient {
@@ -90,10 +140,11 @@ fn bit_get(bits: &[u64; 4], v: u8) -> bool {
 impl Observer for InvariantMonitor {
     fn on_event(&mut self, ev: &ObsEvent) {
         let node = ev.node.0;
+        let index = ev.node.index();
         match ev.kind {
             EventKind::EepromWrite { seg, pkt } => {
                 self.checks += 1;
-                if !self.written.insert((node, seg, pkt)) {
+                if !self.node(index).write(seg, pkt) {
                     self.violate(
                         format!("node {node} wrote EEPROM packet ({seg},{pkt}) twice"),
                         ev,
@@ -102,7 +153,7 @@ impl Observer for InvariantMonitor {
             }
             EventKind::SegmentDone { seg } => {
                 self.checks += 1;
-                let expect = *self.next_seg.entry(node).or_insert(0);
+                let expect = self.node(index).next_seg;
                 if seg != expect {
                     self.violate(
                         format!(
@@ -112,24 +163,24 @@ impl Observer for InvariantMonitor {
                         ev,
                     );
                 }
-                self.next_seg.insert(node, seg + 1);
+                self.node(index).next_seg = seg + 1;
             }
             EventKind::SleepStart { .. } => {
-                self.asleep.insert(node);
+                self.node(index).asleep = true;
             }
             EventKind::Wake | EventKind::NodeFailed | EventKind::NodeRestarted => {
-                self.asleep.remove(&node);
+                self.node(index).asleep = false;
             }
             EventKind::MsgTx { detail, .. } => {
                 self.checks += 1;
-                if self.asleep.contains(&node) {
+                if self.node(index).asleep {
                     self.violate(format!("node {node} transmitted while asleep"), ev);
                 }
                 if let MsgDetail::Request { dest, req_ctr, .. } = detail {
                     self.checks += 1;
                     let heard = self
-                        .heard_req_ctr
-                        .get(&(node, dest.0))
+                        .node(index)
+                        .heard_from(dest.0)
                         .is_some_and(|bits| bit_get(bits, req_ctr));
                     if !heard {
                         self.violate(
@@ -145,17 +196,14 @@ impl Observer for InvariantMonitor {
             }
             EventKind::MsgRx { detail, .. } => {
                 self.checks += 1;
-                if self.asleep.contains(&node) {
+                if self.node(index).asleep {
                     self.violate(format!("node {node} received while asleep"), ev);
                 }
                 if let MsgDetail::Advertisement {
                     source, req_ctr, ..
                 } = detail
                 {
-                    bit_set(
-                        self.heard_req_ctr.entry((node, source.0)).or_insert([0; 4]),
-                        req_ctr,
-                    );
+                    bit_set(self.node(index).heard_from_mut(source.0), req_ctr);
                 }
             }
             _ => {}

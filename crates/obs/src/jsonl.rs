@@ -49,8 +49,7 @@ impl JsonlLogger {
         let mut o = Obj::new(&mut self.out);
         o.u("t", ev.t.as_micros()).u("node", ev.node.0 as u64);
         f(&mut o);
-        o.end();
-        self.out.push('\n');
+        o.end_line();
         self.events += 1;
     }
 }
@@ -192,8 +191,7 @@ impl Observer for JsonlLogger {
     fn on_run_end(&mut self, at: SimTime) {
         let mut o = Obj::new(&mut self.out);
         o.u("t", at.as_micros()).s("ev", "run_end");
-        o.end();
-        self.out.push('\n');
+        o.end_line();
     }
 }
 
@@ -298,9 +296,40 @@ mod tests {
             log.on_event(&ev(k));
         }
         assert_eq!(log.events(), 18);
-        for line in log.as_str().lines() {
-            assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-            assert!(line.contains(r#""ev":"#), "{line}");
+        // The exact bytes the log has always carried: the JSON writer may
+        // change how it renders, never what.
+        let expected = [
+            r#"{"t":1500,"node":3,"ev":"rx","from":1,"class":"req","kind":"DownloadRequest","bytes":40,"dest":2,"seg":1,"req_ctr":7}"#,
+            r#"{"t":1500,"node":3,"ev":"timer_set","token":4,"fire_at":9}"#,
+            r#"{"t":1500,"node":3,"ev":"timer_fire","token":4}"#,
+            r#"{"t":1500,"node":3,"ev":"sleep","until":8000000}"#,
+            r#"{"t":1500,"node":3,"ev":"wake"}"#,
+            r#"{"t":1500,"node":3,"ev":"eeprom_write","seg":1,"pkt":17}"#,
+            r#"{"t":1500,"node":3,"ev":"eeprom_write_failed","seg":1,"pkt":18}"#,
+            r#"{"t":1500,"node":3,"ev":"segment_done","seg":1}"#,
+            r#"{"t":1500,"node":3,"ev":"complete"}"#,
+            r#"{"t":1500,"node":3,"ev":"parent","parent":0}"#,
+            r#"{"t":1500,"node":3,"ev":"sender"}"#,
+            r#"{"t":1500,"node":3,"ev":"first_heard"}"#,
+            r#"{"t":1500,"node":3,"ev":"failed"}"#,
+            r#"{"t":1500,"node":3,"ev":"restarted"}"#,
+            r#"{"t":1500,"node":3,"ev":"link_fault","to":5,"ber_ppb":1000000000}"#,
+            r#"{"t":1500,"node":3,"ev":"link_restored","to":5,"ber_ppb":1000000}"#,
+            r#"{"t":1500,"node":3,"ev":"link_change","to":5,"ber_ppb":500000000}"#,
+            r#"{"t":1500,"node":3,"ev":"storage_fault","failures":2}"#,
+        ];
+        assert_eq!(log.as_str().lines().collect::<Vec<_>>(), expected);
+    }
+
+    #[test]
+    fn log_capacity_grows_in_powers_of_two() {
+        // A doubling that started from a line's length instead would leave
+        // up to half the log buffer unused: `peak_heap_bytes` is the log.
+        let mut log = JsonlLogger::new();
+        for token in 0..20_000 {
+            log.on_event(&ev(EventKind::TimerFire { token }));
+            let cap = log.as_str().len().next_power_of_two().max(8);
+            assert_eq!(log.out.capacity(), cap, "after {token} lines");
         }
     }
 }

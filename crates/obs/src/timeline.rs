@@ -22,7 +22,7 @@ pub struct TimelineExporter {
     open: Vec<Option<(u64, &'static str)>>,
     /// Closed spans: (node, label, start micros, duration micros).
     spans: Vec<(u32, &'static str, u64, u64)>,
-    /// Instant markers: (node, label, micros).
+    /// Point-in-time markers: (node, label, micros).
     markers: Vec<(u32, &'static str, u64)>,
 }
 

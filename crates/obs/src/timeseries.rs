@@ -175,16 +175,19 @@ impl TimeSeriesSampler {
                 .u("events", s.events)
                 .u("events_per_sec", s.events_per_sec);
             for class in MsgClass::ALL {
-                let mut key = String::from("tx_");
-                key.push_str(class.label());
-                o.u(&key, s.tx_by_class[class as usize]);
+                let key = match class {
+                    MsgClass::Advertisement => "tx_adv",
+                    MsgClass::Request => "tx_req",
+                    MsgClass::Data => "tx_data",
+                    MsgClass::Control => "tx_ctl",
+                };
+                o.u(key, s.tx_by_class[class as usize]);
             }
             o.u("rx", s.rx)
                 .u("drops", s.drops)
                 .u("allocs", s.allocs)
                 .u("alloc_bytes", s.alloc_bytes);
-            o.end();
-            out.push('\n');
+            o.end_line();
         }
         out
     }

@@ -161,11 +161,11 @@ fn the_simulation_path_names_no_hash_container_and_no_wall_clock() {
     // A seeded run must replay byte for byte in any process: `std`'s hash
     // containers iterate in a per-process random order and the wall clock
     // differs per run, so neither may be named where simulation state
-    // lives. The self-profiler is the one module that reads the clock, and
+    // lives or where the observers render its logs. The self-profiler is the one module that reads the clock, and
     // nothing it measures feeds back into a run.
     const FORBIDDEN: [&str; 4] = ["HashMap", "HashSet", "Instant", "SystemTime"];
     let mut sources = Vec::new();
-    for krate in "sim radio net core baselines storage topology".split(' ') {
+    for krate in "sim radio net core baselines storage topology obs".split(' ') {
         rust_sources(&root().join("crates").join(krate).join("src"), &mut sources);
     }
     assert!(sources.len() > 30, "only {} sources scanned", sources.len());

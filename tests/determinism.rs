@@ -5,6 +5,16 @@
 
 use mnp_repro::prelude::*;
 
+/// FNV-1a 64 of a JSONL log: the frozen digests below pin its bytes as
+/// they were before the JSON writer was rewritten for speed, so a formatter
+/// change that shifted every line alike would still fail here. Only
+/// ROADMAP item 11's determinism-epoch bump re-records them.
+fn log_digest(log: &str) -> u64 {
+    log.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 fn fingerprint(out: &RunOutcome) -> Vec<(Option<u64>, Option<u32>, u64, u64)> {
     out.trace
         .iter()
@@ -97,6 +107,11 @@ fn identical_seeds_give_byte_identical_event_logs() {
     let b = log_for(77);
     assert!(!a.is_empty());
     assert_eq!(a, b, "same seed must replay the same event log");
+    assert_eq!(
+        log_digest(&a),
+        0x3296_448d_46a5_4f3c,
+        "seed 77 log bytes moved"
+    );
 
     let c = log_for(78);
     assert_ne!(a, c, "different seeds should produce different logs");
@@ -256,6 +271,11 @@ fn faulted_runs_replay_byte_identically() {
     let b = log_for(Some(plan()));
     assert!(!a.is_empty());
     assert_eq!(a, b, "same seed + same plan must replay the same log");
+    assert_eq!(
+        log_digest(&a),
+        0x0c03_7794_333e_4ec4,
+        "faulted log bytes moved"
+    );
 
     let clean = log_for(None);
     assert_ne!(a, clean, "the faults must actually perturb the run");
@@ -342,6 +362,11 @@ fn mobile_runs_replay_byte_identically_at_any_shard_count() {
         "motion must surface as link_change events"
     );
     assert_eq!(log_for(2, 1), seq, "same seed must replay the same log");
+    assert_eq!(
+        log_digest(&seq),
+        0xdfc1_3a92_dc52_512a,
+        "mobile log bytes moved"
+    );
     for shards in [2, 4] {
         assert_eq!(
             log_for(2, shards),
