@@ -28,6 +28,18 @@ const GREY_CENTRE: f64 = 0.85;
 const GREY_WIDTH: f64 = 0.10;
 /// Standard deviation of the per-edge shadowing factor.
 const SHADOWING_SIGMA: f64 = 0.12;
+/// Lower clamp of the shadowing factor, so a lucky draw cannot make an edge
+/// arbitrarily long-range.
+const SHADOW_FLOOR: f64 = 0.25;
+/// Audible cutoff on the shadowed normalised distance `x`.
+const AUDIBLE_X: f64 = 1.4;
+/// Relative slack on the audibility prefilter of [`sample_edge_ber`]: a
+/// pair within this of a bound takes the full path. It dwarfs the full
+/// path's rounding error (~1e-15), which keeps the prefilter exact.
+const PREFILTER_MARGIN: f64 = 1e-9;
+/// Normalised distance beyond which no shadowing draw is audible:
+/// `x >= q · SHADOW_FLOOR > AUDIBLE_X`.
+const PREFILTER_REACH: f64 = AUDIBLE_X * (1.0 + PREFILTER_MARGIN) / SHADOW_FLOOR;
 /// Frame length (bits) at which the empirical packet error rate is defined.
 const REFERENCE_BITS: f64 = ((FRAME_OVERHEAD_BYTES + MAX_PAYLOAD_BYTES) * 8) as f64;
 
@@ -72,7 +84,36 @@ pub(crate) fn per_to_ber(per: f64) -> f64 {
 /// nominal range the sigmoid is ≈1 and the edge would only waste simulator
 /// work; dropping it also defines the carrier-sense audibility set).
 pub fn sample_edge_ber(distance_ft: f64, range_ft: f64, rng: &mut SimRng) -> Option<f64> {
-    edge_ber_with_shadow(distance_ft, range_ft, sample_shadow(rng))
+    assert!(distance_ft >= 0.0 && range_ft > 0.0, "bad geometry");
+    let (u1, u2) = box_muller_draws(rng);
+    edge_ber_from_draws(distance_ft, range_ft, u1, u2)
+}
+
+/// [`sample_edge_ber`] after its two draws: exactly
+/// `edge_ber_with_shadow(d, range, shadow_of(gaussian((u1, u2))))`, but
+/// decides most inaudible pairs without any transcendental maths.
+///
+/// With `q = d / range`, the edge is audible only if the shadow factor is
+/// at most `AUDIBLE_X / q`. Two exact bounds rule that out early:
+/// - *reach*: the factor is at least `SHADOW_FLOOR`, so `q > 5.6` is never
+///   audible, whatever the draws;
+/// - *draw*: for `q > 1.4` the Gaussian must be at most
+///   `g_max = (AUDIBLE_X / q − 1) / σ < 0`, and Box–Muller's variate is at
+///   least `−√(−2 ln u1)`; as `−ln u ≤ (1 − u) / u`, the edge is inaudible
+///   whenever `2 (1 − u1) / u1 < g_max²`.
+///
+/// Both bounds carry [`PREFILTER_MARGIN`]; every other pair runs the full
+/// path bit for bit.
+fn edge_ber_from_draws(distance_ft: f64, range_ft: f64, u1: f64, u2: f64) -> Option<f64> {
+    let q = distance_ft / range_ft;
+    if q > PREFILTER_REACH {
+        return None;
+    }
+    let g_max = (AUDIBLE_X * (1.0 + PREFILTER_MARGIN) / q - 1.0) / SHADOWING_SIGMA;
+    if g_max < 0.0 && 2.0 * (1.0 - u1) / u1 < g_max * g_max {
+        return None;
+    }
+    edge_ber_with_shadow(distance_ft, range_ft, shadow_of(gaussian((u1, u2))))
 }
 
 /// Draws the per-edge shadowing factor [`sample_edge_ber`] perturbs
@@ -85,17 +126,22 @@ pub fn sample_edge_ber(distance_ft: f64, range_ft: f64, rng: &mut SimRng) -> Opt
 /// flickering with fresh noise every re-link tick, and a zero-speed
 /// mobile scenario degenerates to a static one.
 pub fn sample_shadow(rng: &mut SimRng) -> f64 {
-    (1.0 + SHADOWING_SIGMA * gaussian(rng)).max(0.25)
+    shadow_of(gaussian(box_muller_draws(rng)))
+}
+
+/// The shadowing factor for a standard normal variate `g`.
+fn shadow_of(g: f64) -> f64 {
+    (1.0 + SHADOWING_SIGMA * g).max(SHADOW_FLOOR)
 }
 
 /// The bit error rate of an edge at `distance_ft` under a fixed,
 /// already-drawn shadowing factor; `None` beyond the audible cutoff.
-/// [`sample_edge_ber`] is exactly `edge_ber_with_shadow(d, range,
-/// sample_shadow(rng))`.
+/// [`sample_edge_ber`] returns exactly `edge_ber_with_shadow(d, range,
+/// sample_shadow(rng))` and leaves `rng` in the same state.
 pub fn edge_ber_with_shadow(distance_ft: f64, range_ft: f64, shadow: f64) -> Option<f64> {
     assert!(distance_ft >= 0.0 && range_ft > 0.0, "bad geometry");
     let x = (distance_ft / range_ft) * shadow;
-    if x > 1.4 {
+    if x > AUDIBLE_X {
         return None;
     }
     Some(per_to_ber(packet_error_rate(x)))
@@ -105,7 +151,7 @@ pub fn edge_ber_with_shadow(distance_ft: f64, range_ft: f64, shadow: f64) -> Opt
 /// `range_ft` under shadowing factor `shadow`: the largest distance at
 /// which [`edge_ber_with_shadow`] still returns `Some`.
 pub fn audible_limit_ft(range_ft: f64, shadow: f64) -> f64 {
-    1.4 * range_ft / shadow
+    AUDIBLE_X * range_ft / shadow
 }
 
 /// The bit error rate at which a full-length data frame still gets
@@ -121,10 +167,15 @@ pub fn frame_success_probability(ber: f64, bits: u32) -> f64 {
     (1.0 - ber.clamp(0.0, 1.0)).powi(bits as i32)
 }
 
-/// A standard normal variate via Box–Muller (polar-free form is fine here).
-fn gaussian(rng: &mut SimRng) -> f64 {
+/// The two uniforms one Box–Muller variate consumes, in draw order; `u1`
+/// is clamped away from zero so its logarithm is finite.
+fn box_muller_draws(rng: &mut SimRng) -> (f64, f64) {
     let u1 = rng.unit().max(1e-12);
-    let u2 = rng.unit();
+    (u1, rng.unit())
+}
+
+/// A standard normal variate via Box–Muller (polar-free form is fine here).
+fn gaussian((u1, u2): (f64, f64)) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
@@ -209,8 +260,93 @@ mod tests {
     fn gaussian_is_centred() {
         let mut rng = SimRng::new(5);
         let n = 20_000;
-        let mean = (0..n).map(|_| gaussian(&mut rng)).sum::<f64>() / n as f64;
+        let mean = (0..n)
+            .map(|_| gaussian(box_muller_draws(&mut rng)))
+            .sum::<f64>()
+            / n as f64;
         assert!(mean.abs() < 0.05, "gaussian mean {mean}");
+    }
+
+    /// The sampler before the prefilter: the full path for every pair.
+    fn reference_edge_ber(d: f64, range: f64, rng: &mut SimRng) -> Option<f64> {
+        edge_ber_with_shadow(d, range, sample_shadow(rng))
+    }
+
+    fn same(a: Option<f64>, b: Option<f64>) -> bool {
+        a.map(f64::to_bits) == b.map(f64::to_bits)
+    }
+
+    #[test]
+    fn prefilter_matches_the_full_path_bit_for_bit() {
+        let reach = 5.6_f64;
+        let mut qs = vec![
+            0.0,
+            1.4,
+            reach,
+            f64::from_bits(reach.to_bits() - 1),
+            f64::from_bits(reach.to_bits() + 1),
+        ];
+        qs.extend((0..=8_000).map(|i| i as f64 * 1e-3));
+        let range = 35.0;
+        let mut rng = SimRng::new(11);
+        let mut reference = rng.clone();
+        let mut audible = 0;
+        for round in 0..15 {
+            for &q in &qs {
+                let d = q * range;
+                let got = sample_edge_ber(d, range, &mut rng);
+                let want = reference_edge_ber(d, range, &mut reference);
+                assert!(same(got, want), "q {q} round {round}: {got:?} vs {want:?}");
+                audible += usize::from(got.is_some());
+            }
+        }
+        assert_eq!(rng.next_u64(), reference.next_u64(), "RNG streams diverged");
+        assert!(audible > 10_000, "only {audible} audible pairs");
+    }
+
+    #[test]
+    fn prefilter_is_exact_at_its_bounds() {
+        // The draw bound is tightest at u2 = 0.5 (cos = -1) and u1 just
+        // where -2 ln u1 = g_max²; walk u1 across that point ulp by ulp,
+        // and include u1 at the 1e-12 clamp.
+        let range = 35.0;
+        let full = |d: f64, u1: f64, u2: f64| {
+            edge_ber_with_shadow(d, range, shadow_of(gaussian((u1, u2))))
+        };
+        let mut checked = 0;
+        for i in 0..=2_000 {
+            let q = 1.4 + i as f64 * (4.3 / 2_000.0);
+            let d = q * range;
+            let g_max = (AUDIBLE_X / q - 1.0) / SHADOWING_SIGMA;
+            let edge = (-0.5 * g_max * g_max).exp();
+            let mut u1s = vec![1e-12, 0.5, 1.0 - f64::EPSILON];
+            for k in 0..40_u64 {
+                u1s.push(f64::from_bits(edge.to_bits().saturating_sub(k)));
+                u1s.push(f64::from_bits(edge.to_bits() + k).min(1.0 - f64::EPSILON));
+            }
+            for u1 in u1s {
+                for u2 in [0.5, 0.5 - 1e-9, 0.5 + 1e-9, 0.0, 0.25] {
+                    let got = edge_ber_from_draws(d, range, u1, u2);
+                    assert!(same(got, full(d, u1, u2)), "q {q} u1 {u1} u2 {u2}");
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 100_000);
+    }
+
+    #[test]
+    #[should_panic(expected = "bad geometry")]
+    fn far_pair_with_zero_range_still_rejected() {
+        let mut rng = SimRng::new(7);
+        let _ = sample_edge_ber(1e6, 0.0, &mut rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "bad geometry")]
+    fn negative_distance_rejected() {
+        let mut rng = SimRng::new(8);
+        let _ = sample_edge_ber(-1.0, 35.0, &mut rng);
     }
 
     #[test]

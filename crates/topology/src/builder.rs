@@ -183,6 +183,28 @@ mod tests {
     }
 
     #[test]
+    fn link_table_digest_is_frozen() {
+        // FNV-1a 64 over `(from, to, ber.to_bits())` of every edge of a
+        // 30×30 grid at seed 42. The value was recorded before the
+        // audibility prefilter went into `loss::sample_edge_ber`: any
+        // change to the sampler that moves one link or one BER bit fails
+        // here.
+        let grid = GridSpec::new(30, 30, 10.0);
+        let topo = TopologyBuilder::new(grid.placement()).build(&mut SimRng::new(42));
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for (from, _) in topo.placement.iter() {
+            for (to, ber) in topo.links.neighbors(from) {
+                let record = [u64::from(from.0), u64::from(to.0), ber.to_bits()];
+                for byte in record.iter().flat_map(|w| w.to_le_bytes()) {
+                    h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(topo.links.edge_count(), 60_337);
+        assert_eq!(h, 0xf1ac_20f3_1cee_3568);
+    }
+
+    #[test]
     fn build_is_deterministic_per_seed() {
         let grid = GridSpec::new(4, 4, 10.0);
         let a = TopologyBuilder::new(grid.placement()).build(&mut SimRng::new(9));

@@ -166,3 +166,88 @@ proptest! {
         prop_assert!(received > 0.0);
     }
 }
+
+/// A complete `repro.json`: every field, both optional objects, every fault
+/// kind. Single-byte mutations of it reach deep into `parse_repro`.
+const VALID_REPRO: &str = r#"{
+  "version": 1,
+  "protocol": "mnp",
+  "rows": 3,
+  "cols": 4,
+  "segments": 1,
+  "seed": 5,
+  "tie_seed": 9,
+  "deadline_us": 600000000,
+  "shards": 2,
+  "mobility": {"layout": "uniform", "speed_tenths": 10},
+  "faults": [
+    {"kind": "crash_restart", "node": 1, "at_us": 5000000, "down_us": 2000000},
+    {"kind": "link_flap", "from": 0, "to": 2, "at_us": 1000, "down_us": 30, "ber_ppb": 700},
+    {"kind": "storage_faults", "node": 3, "at_us": 7000, "failures": 2}
+  ],
+  "failure": {"kind": "panic", "message": "a \"quoted\" \\ line\n"}
+}
+"#;
+
+#[test]
+fn valid_repro_fixture_parses() {
+    let (sc, recorded) = mnp_experiments::fuzz::parse_repro(VALID_REPRO).expect("fixture parses");
+    assert_eq!((sc.faults.len(), sc.shards), (3, 2));
+    assert!(sc.mobility.is_some() && recorded.is_some());
+}
+
+/// Bytes biased towards JSON's alphabet, so random documents get past the
+/// first token more often than uniform bytes would.
+fn json_ish_bytes() -> impl Strategy<Value = Vec<u8>> {
+    const ALPHABET: &[u8] = b"{}[]\":,.-+eE0123456789 \n\\tfnrulsaxu";
+    proptest::collection::vec(any::<u8>(), 0..96).prop_map(|bytes| {
+        bytes
+            .into_iter()
+            .map(|b| {
+                if b < 160 {
+                    ALPHABET[b as usize % ALPHABET.len()]
+                } else {
+                    b
+                }
+            })
+            .collect()
+    })
+}
+
+/// Feeds `text` to both parsers; either may return `Err`, neither may panic.
+fn parse_both(text: &str) {
+    let _ = mnp_experiments::fuzz::parse_repro(text);
+    let _ = mnp_experiments::report::Json::parse(text);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 2_000, // a parse takes microseconds
+    })]
+
+    /// Arbitrary bytes (read as lossy UTF-8) are a typed result from
+    /// `fuzz::parse_repro` and `report::Json::parse`, never a panic.
+    #[test]
+    fn prop_parsers_never_panic_on_arbitrary_bytes(bytes in json_ish_bytes()) {
+        parse_both(&String::from_utf8_lossy(&bytes));
+    }
+
+    /// The same for one-byte edits (replace, insert or delete) of a valid
+    /// repro document, which keep most of its structure intact.
+    #[test]
+    fn prop_parsers_never_panic_on_one_byte_mutations(
+        pos in 0..VALID_REPRO.len(),
+        byte in any::<u8>(),
+        op in 0u8..3,
+    ) {
+        let mut bytes = VALID_REPRO.as_bytes().to_vec();
+        match op {
+            0 => bytes[pos] = byte,
+            1 => bytes.insert(pos, byte),
+            _ => {
+                bytes.remove(pos);
+            }
+        }
+        parse_both(&String::from_utf8_lossy(&bytes));
+    }
+}
