@@ -1,9 +1,10 @@
 //! Network-coded dissemination: the protocol family that replaces MNP's
 //! MissingVector/ForwardVector retransmission dance with coding.
 //!
-//! Two points on the cost/power spectrum, both built on the same
-//! `core/src/engine` components (TimerMux, store_packet_once, Trickle
-//! maintenance) as the Deluge baseline:
+//! Two points on the cost/power spectrum. Each is the
+//! [`Paged`](crate::paged::Paged) skeleton Deluge runs on, with its own
+//! data [`Plane`](crate::paged::Plane); the plane is the only difference
+//! between the three:
 //!
 //! * [`Rlnc`] — random-linear coding over GF(256) ([`gf256`]): one
 //!   generation per segment, requests carry a rank deficit instead of a

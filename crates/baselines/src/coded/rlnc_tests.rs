@@ -4,6 +4,8 @@
 use super::*;
 use mnp_net::{Network, NetworkBuilder};
 use mnp_radio::LinkTable;
+use mnp_sim::SimTime;
+use mnp_storage::{ImageLayout, ProgramId, ProgramImage};
 
 fn image(segments: u16) -> ProgramImage {
     ProgramImage::synthetic(ProgramId(1), ImageLayout::paper_default(segments))

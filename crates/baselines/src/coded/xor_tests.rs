@@ -5,6 +5,8 @@
 use super::*;
 use mnp_net::{Network, NetworkBuilder};
 use mnp_radio::LinkTable;
+use mnp_sim::SimTime;
+use mnp_storage::{ImageLayout, ProgramId, ProgramImage};
 
 fn image(segments: u16) -> ProgramImage {
     ProgramImage::synthetic(ProgramId(1), ImageLayout::paper_default(segments))
@@ -93,11 +95,8 @@ fn recoder_mixes_for_disjoint_losses() {
 
 #[test]
 fn plan_mix_groups_disjoint_targets() {
-    let img = image(1);
-    let cfg = XorConfig::for_image(&img);
-    let mut x = Xor::base_station(cfg, &img);
-    x.state = State::Tx;
-    x.tx_page = 0;
+    let limit = image(1).layout().packets_in_segment(0);
+    let mut x = XorPlane::default();
     // A misses {0}, B misses {1}, C misses {0, 2} (conflicts with A).
     let mut a = PacketBitmap::empty();
     a.set(0);
@@ -109,7 +108,7 @@ fn plan_mix_groups_disjoint_targets() {
     x.reqs = vec![(NodeId(1), a), (NodeId(2), b), (NodeId(3), c)];
     // C misses 0 (already mixed for A), so it cannot join the group with
     // its own target — the mix serves A and B.
-    assert_eq!(x.plan_mix(), vec![0, 1]);
+    assert_eq!(x.plan_mix(limit, 3), vec![0, 1]);
     x.clear_served(&[0, 1]);
     // A and B are fully served. C, missing exactly one constituent (0),
     // decodes it from the same broadcast, leaving only packet 2.

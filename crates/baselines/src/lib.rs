@@ -25,6 +25,11 @@
 //! network-coded family — [`Rlnc`] (random-linear coding over GF(256))
 //! and [`Xor`] (single-hop XOR recoding) — which replaces the
 //! MissingVector/ForwardVector retransmission dance entirely.
+//!
+//! Deluge, RLNC and XOR are one state machine: the [`paged`] skeleton
+//! ([`Paged`](paged::Paged)) runs each protocol's data
+//! [`Plane`](paged::Plane), and the plane is the only difference between
+//! them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,6 +38,7 @@ pub mod coded;
 pub mod deluge;
 pub mod flood;
 pub mod moap;
+pub mod paged;
 pub mod trickle;
 pub mod xnp;
 

@@ -7,6 +7,7 @@ use std::path::PathBuf;
 use std::process::{Command, Output};
 
 use mnp_experiments::registry::{FAULT_TESTED, NAMES};
+use mnp_experiments::report::Json;
 
 fn mnp_run(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_mnp-run"))
@@ -213,6 +214,47 @@ fn exploration_subcommands_write_no_file() {
         let written: Vec<_> = std::fs::read_dir(&dir).expect("list temp dir").collect();
         assert!(written.is_empty(), "{args:?} wrote {written:?}");
     }
+}
+
+#[test]
+fn profile_writes_its_three_artifacts() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("profile");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let (p, s, t) = (
+        dir.join("profile.json"),
+        dir.join("series.jsonl"),
+        dir.join("trace.json"),
+    );
+    let out = mnp_run(&[
+        "profile",
+        "--rows",
+        "4",
+        "--cols",
+        "4",
+        "--segments",
+        "1",
+        "--out",
+        p.to_str().unwrap(),
+        "--series",
+        s.to_str().unwrap(),
+        "--timeline",
+        t.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let read = |path: &PathBuf| std::fs::read_to_string(path).expect("artifact written");
+    let profile = Json::parse(&read(&p)).expect("profile is JSON");
+    assert!(
+        matches!(profile.get("phases"), Some(Json::Arr(_))),
+        "no phases array: {profile:?}"
+    );
+    let series = read(&s);
+    assert!(!series.is_empty());
+    for line in series.lines() {
+        Json::parse(line).expect("series is JSONL");
+    }
+    let timeline = Json::parse(&read(&t)).expect("timeline is JSON");
+    assert!(timeline.get("traceEvents").is_some(), "no traceEvents");
 }
 
 #[test]

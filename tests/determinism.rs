@@ -15,6 +15,42 @@ fn log_digest(log: &str) -> u64 {
     })
 }
 
+/// The fault plan of `examples/dump_logs.rs`: a scheduled and two random
+/// crash-restarts, a link flap and two storage write faults.
+fn fault_plan() -> FaultPlan {
+    FaultPlan::seeded(5)
+        .crash_restart(NodeId(5), SimTime::from_secs(12), SimDuration::from_secs(9))
+        .link_flap(
+            NodeId(0),
+            NodeId(1),
+            SimTime::from_secs(6),
+            SimDuration::from_secs(4),
+            1.0,
+        )
+        .storage_faults(NodeId(3), SimTime::from_secs(4), 2)
+        .random_crash_restarts(
+            2,
+            &[NodeId(2), NodeId(7), NodeId(11)],
+            (SimTime::from_secs(5), SimTime::from_secs(60)),
+            (SimDuration::from_secs(3), SimDuration::from_secs(12)),
+        )
+}
+
+/// The 4×4, one-segment grid every event-log test runs.
+fn grid(seed: u64) -> GridExperiment {
+    GridExperiment::new(4, 4, 10.0).segments(1).seed(seed)
+}
+
+/// The JSONL event log of one run of `P` on `scenario`, which must
+/// complete.
+fn event_log<P: Disseminator>(scenario: &GridExperiment) -> String {
+    let log = Shared::new(JsonlLogger::new());
+    let out = scenario.run_observed::<P>(|_| {}, Instruments::observing(log.clone()));
+    assert!(out.completed, "{} run did not complete: {out}", P::NAME);
+    let text = log.borrow().as_str().to_owned();
+    text
+}
+
 fn fingerprint(out: &RunOutcome) -> Vec<(Option<u64>, Option<u32>, u64, u64)> {
     out.trace
         .iter()
@@ -93,51 +129,76 @@ fn identical_seeds_give_byte_identical_event_logs() {
     // JSONL event log — every state transition, transmission, reception,
     // drop, timer, and sleep interval — must be byte-for-byte identical
     // across runs of the same seed.
-    let log_for = |seed: u64| {
-        let log = Shared::new(JsonlLogger::new());
-        let out = GridExperiment::new(4, 4, 10.0)
-            .segments(1)
-            .seed(seed)
-            .run_observed::<Mnp>(|_| {}, Instruments::observing(log.clone()));
-        assert!(out.completed);
-        let text = log.borrow().as_str().to_owned();
-        text
-    };
-    let a = log_for(77);
-    let b = log_for(77);
+    let a = event_log::<Mnp>(&grid(77));
     assert!(!a.is_empty());
-    assert_eq!(a, b, "same seed must replay the same event log");
+    assert_eq!(
+        a,
+        event_log::<Mnp>(&grid(77)),
+        "same seed must replay the same event log"
+    );
     assert_eq!(
         log_digest(&a),
         0x3296_448d_46a5_4f3c,
         "seed 77 log bytes moved"
     );
-
-    let c = log_for(78);
-    assert_ne!(a, c, "different seeds should produce different logs");
+    assert_ne!(
+        a,
+        event_log::<Mnp>(&grid(78)),
+        "different seeds should produce different logs"
+    );
 }
+
+// The baseline digests below (Deluge clean, RLNC and XOR clean and
+// faulted) were recorded at the last commit before the three protocols
+// were folded onto the one page-transfer skeleton (`paged.rs`): that
+// refactor had to leave every byte of these logs where it was.
 
 #[test]
 fn deluge_event_logs_are_also_byte_identical() {
     // The engine components under Deluge (timer muxes, forward vector)
     // must not perturb its schedule either.
-    let log_for = |seed: u64| {
-        let log = Shared::new(JsonlLogger::new());
-        let out = GridExperiment::new(4, 4, 10.0)
-            .segments(1)
-            .seed(seed)
-            .run_observed::<Deluge>(|_| {}, Instruments::observing(log.clone()));
-        assert!(out.completed);
-        let text = log.borrow().as_str().to_owned();
-        text
-    };
-    let a = log_for(77);
-    let b = log_for(77);
+    let a = event_log::<Deluge>(&grid(77));
     assert!(!a.is_empty());
-    assert_eq!(a, b, "same seed must replay the same event log");
+    assert_eq!(
+        a,
+        event_log::<Deluge>(&grid(77)),
+        "same seed must replay the same event log"
+    );
+    assert_eq!(
+        log_digest(&a),
+        0x417b_5a6f_4a1c_f561,
+        "Deluge seed 77 log bytes moved"
+    );
+    assert_ne!(
+        a,
+        event_log::<Deluge>(&grid(78)),
+        "different seeds should produce different logs"
+    );
+}
 
-    let c = log_for(78);
-    assert_ne!(a, c, "different seeds should produce different logs");
+#[test]
+fn deluge_recovers_from_crash_restarts_and_write_faults() {
+    // Deluge runs the skeleton's crash-restart (RAM wiped, flash kept,
+    // stale timers filtered) and takes injected write faults like the
+    // coded protocols. Its faulted digest was recorded when it got them:
+    // before, a reboot re-ran `on_start` over the pre-crash RAM state
+    // and write faults were ignored.
+    let faulted = grid(77).faults(fault_plan()).check_invariants(true);
+    let a = event_log::<Deluge>(&faulted);
+    assert!(
+        a.contains("\"ev\":\"restarted\""),
+        "the crash-restarts must surface in the event log"
+    );
+    assert_eq!(
+        a,
+        event_log::<Deluge>(&faulted),
+        "same seed + same plan must replay the same log"
+    );
+    assert_eq!(
+        log_digest(&a),
+        0x4774_9146_fddf_51a7,
+        "Deluge faulted seed 77 log bytes moved"
+    );
 }
 
 #[test]
@@ -145,35 +206,44 @@ fn coded_event_logs_are_byte_identical() {
     // The coded protocols draw extra randomness (coefficient seeds from
     // the node RNG) — that randomness must come from the seeded stream,
     // never from ambient state, so same-seed replays stay byte-identical.
-    let log_rlnc = |seed: u64| {
-        let log = Shared::new(JsonlLogger::new());
-        let out = GridExperiment::new(4, 4, 10.0)
-            .segments(1)
-            .seed(seed)
-            .run_observed::<Rlnc>(|_| {}, Instruments::observing(log.clone()));
-        assert!(out.completed);
-        let text = log.borrow().as_str().to_owned();
-        text
-    };
-    let log_xor = |seed: u64| {
-        let log = Shared::new(JsonlLogger::new());
-        let out = GridExperiment::new(4, 4, 10.0)
-            .segments(1)
-            .seed(seed)
-            .run_observed::<Xor>(|_| {}, Instruments::observing(log.clone()));
-        assert!(out.completed);
-        let text = log.borrow().as_str().to_owned();
-        text
-    };
-    let a = log_rlnc(77);
+    let a = event_log::<Rlnc>(&grid(77));
     assert!(!a.is_empty());
-    assert_eq!(a, log_rlnc(77), "same seed must replay the same RLNC log");
-    assert_ne!(a, log_rlnc(78), "different seeds should differ");
+    assert_eq!(
+        a,
+        event_log::<Rlnc>(&grid(77)),
+        "same seed must replay the same RLNC log"
+    );
+    assert_ne!(
+        a,
+        event_log::<Rlnc>(&grid(78)),
+        "different seeds should differ"
+    );
 
-    let x = log_xor(77);
+    let x = event_log::<Xor>(&grid(77));
     assert!(!x.is_empty());
-    assert_eq!(x, log_xor(77), "same seed must replay the same XOR log");
+    assert_eq!(
+        x,
+        event_log::<Xor>(&grid(77)),
+        "same seed must replay the same XOR log"
+    );
     assert_ne!(x, a, "the two coded protocols produce different schedules");
+
+    for (name, log, digest) in [
+        ("RLNC", a, 0x21f4_9cd5_778a_ab57),
+        ("XOR", x, 0x6461_0ca2_bfc1_b96d),
+        (
+            "RLNC faulted",
+            event_log::<Rlnc>(&grid(77).faults(fault_plan())),
+            0xa09b_6c85_b108_6236,
+        ),
+        (
+            "XOR faulted",
+            event_log::<Xor>(&grid(77).faults(fault_plan())),
+            0x3cbd_8d49_acef_b99c,
+        ),
+    ] {
+        assert_eq!(log_digest(&log), digest, "{name} seed 77 log bytes moved");
+    }
 }
 
 #[test]
@@ -238,47 +308,24 @@ fn faulted_runs_replay_byte_identically() {
     // before the run and delivered through the event queue, so the same
     // network seed plus the same plan replays the same JSONL event log
     // byte for byte — crashes, reboots, flaps, write faults and all.
-    let plan = || {
-        FaultPlan::seeded(5)
-            .crash_restart(NodeId(5), SimTime::from_secs(12), SimDuration::from_secs(9))
-            .link_flap(
-                NodeId(0),
-                NodeId(1),
-                SimTime::from_secs(6),
-                SimDuration::from_secs(4),
-                1.0,
-            )
-            .storage_faults(NodeId(3), SimTime::from_secs(4), 2)
-            .random_crash_restarts(
-                2,
-                &[NodeId(2), NodeId(7), NodeId(11)],
-                (SimTime::from_secs(5), SimTime::from_secs(60)),
-                (SimDuration::from_secs(3), SimDuration::from_secs(12)),
-            )
-    };
-    let log_for = |faults: Option<FaultPlan>| {
-        let log = Shared::new(JsonlLogger::new());
-        let mut scenario = GridExperiment::new(4, 4, 10.0).segments(1).seed(77);
-        if let Some(p) = faults {
-            scenario = scenario.faults(p);
-        }
-        let out = scenario.run_observed::<Mnp>(|_| {}, Instruments::observing(log.clone()));
-        assert!(out.completed, "transient faults must not cost completion");
-        let text = log.borrow().as_str().to_owned();
-        text
-    };
-    let a = log_for(Some(plan()));
-    let b = log_for(Some(plan()));
+    let faulted = grid(77).faults(fault_plan());
+    let a = event_log::<Mnp>(&faulted);
     assert!(!a.is_empty());
-    assert_eq!(a, b, "same seed + same plan must replay the same log");
+    assert_eq!(
+        a,
+        event_log::<Mnp>(&faulted),
+        "same seed + same plan must replay the same log"
+    );
     assert_eq!(
         log_digest(&a),
         0x0c03_7794_333e_4ec4,
         "faulted log bytes moved"
     );
-
-    let clean = log_for(None);
-    assert_ne!(a, clean, "the faults must actually perturb the run");
+    assert_ne!(
+        a,
+        event_log::<Mnp>(&grid(77)),
+        "the faults must actually perturb the run"
+    );
     assert!(
         a.contains("\"ev\":\"restarted\""),
         "the crash-restart must surface in the event log"
