@@ -231,8 +231,8 @@ mod tests {
             assert_eq!(dec.rank(), i + 1);
         }
         assert!(dec.is_full());
-        for i in 0..4 {
-            assert_eq!(dec.packet(i).unwrap(), src[i].as_slice());
+        for (i, s) in src.iter().enumerate() {
+            assert_eq!(dec.packet(i).unwrap(), s.as_slice());
         }
     }
 

@@ -21,7 +21,7 @@ use mnp_sim::{SimDuration, SimTime};
 use mnp_storage::{ImageLayout, PacketStore, ProgramId, ProgramImage};
 use mnp_trace::MsgClass;
 
-use mnp::engine::{self, ImageCursor, TimerMux};
+use mnp::engine::{self, Deadline, ImageCursor, TimerMux};
 use mnp::PacketBitmap;
 
 /// MOAP parameters.
@@ -204,7 +204,7 @@ pub struct Moap {
 
     // Subscriber
     publisher: Option<NodeId>,
-    rx_deadline: SimTime,
+    rx_deadline: Deadline,
 }
 
 impl Moap {
@@ -244,7 +244,7 @@ impl Moap {
             nak_deadline: SimTime::ZERO,
             repair_queue: Vec::new(),
             publisher: None,
-            rx_deadline: SimTime::ZERO,
+            rx_deadline: Deadline::new(),
         }
     }
 
@@ -283,6 +283,11 @@ impl Moap {
         ctx.set_timer(delay, self.timers.token(T_TX_TICK));
     }
 
+    fn arm_rx_timeout(&mut self, ctx: &mut Context<'_, MoapMsg>) {
+        let token = self.timers.token(T_RX_TIMEOUT);
+        self.rx_deadline.arm(ctx, self.cfg.rx_timeout, token);
+    }
+
     fn store_data(
         &mut self,
         ctx: &mut Context<'_, MoapMsg>,
@@ -297,8 +302,7 @@ impl Moap {
         ctx.note_eeprom_write(seg, pkt);
         ctx.note_parent(from);
         if self.state == State::Rx {
-            self.rx_deadline = ctx.now + self.cfg.rx_timeout;
-            ctx.set_timer(self.cfg.rx_timeout, self.timers.token(T_RX_TIMEOUT));
+            self.arm_rx_timeout(ctx);
         }
         if self.store.verify_complete(self.cfg.expected_checksum) {
             self.completed = true;
@@ -334,8 +338,7 @@ impl Protocol for Moap {
                     self.timers.invalidate();
                     self.state = State::Rx;
                     self.publisher = Some(*source);
-                    self.rx_deadline = ctx.now + self.cfg.rx_timeout;
-                    ctx.set_timer(self.cfg.rx_timeout, self.timers.token(T_RX_TIMEOUT));
+                    self.arm_rx_timeout(ctx);
                 }
             }
             MoapMsg::Subscribe { dest, .. } => {
@@ -362,8 +365,7 @@ impl Protocol for Moap {
                             seg,
                             missing: self.missing_for(seg),
                         });
-                        self.rx_deadline = ctx.now + self.cfg.rx_timeout;
-                        ctx.set_timer(self.cfg.rx_timeout, self.timers.token(T_RX_TIMEOUT));
+                        self.arm_rx_timeout(ctx);
                     }
                 }
             }
@@ -470,12 +472,8 @@ impl Protocol for Moap {
                 self.enter_publish(ctx);
             }
             T_RX_TIMEOUT => {
-                if self.state != State::Rx {
-                    return;
-                }
-                if ctx.now < self.rx_deadline {
-                    let remaining = self.rx_deadline.saturating_since(ctx.now);
-                    ctx.set_timer(remaining, self.timers.token(T_RX_TIMEOUT));
+                let token = self.timers.token(T_RX_TIMEOUT);
+                if self.state != State::Rx || !self.rx_deadline.expired(ctx, token) {
                     return;
                 }
                 // Publisher went quiet: unsubscribe and wait for the next

@@ -23,11 +23,11 @@ use std::ops::{Deref, DerefMut};
 
 use mnp_net::{Context, EepromOps, Protocol, StateLabel, WireMsg};
 use mnp_radio::NodeId;
-use mnp_sim::{SimDuration, SimTime};
+use mnp_sim::SimDuration;
 use mnp_storage::{ImageLayout, PacketStore, ProgramId, ProgramImage};
 use mnp_trace::MsgClass;
 
-use mnp::engine::TimerMux;
+use mnp::engine::{Deadline, TimerMux};
 use mnp::PacketBitmap;
 
 use crate::trickle::{Trickle, TrickleConfig};
@@ -313,7 +313,7 @@ pub struct Paged<D: Plane> {
 
     // Rx
     rx_page: u16,
-    rx_deadline: SimTime,
+    rx_deadline: Deadline,
     pending_req: Option<(NodeId, u16)>,
     pending_suppressed: bool,
 
@@ -361,7 +361,7 @@ impl<D: Plane> Paged<D> {
             transfer_timers: TimerMux::new(),
             maintain_timers: TimerMux::new(),
             rx_page: 0,
-            rx_deadline: SimTime::ZERO,
+            rx_deadline: Deadline::new(),
             pending_req: None,
             pending_suppressed: false,
             tx_page: 0,
@@ -440,8 +440,8 @@ impl<D: Plane> Paged<D> {
     }
 
     fn arm_rx_timeout(&mut self, ctx: &mut Context<'_, MsgOf<D>>) {
-        self.rx_deadline = ctx.now + self.cfg.rx_timeout;
-        ctx.set_timer(self.cfg.rx_timeout, self.token(T_RX_TIMEOUT));
+        let token = self.token(T_RX_TIMEOUT);
+        self.rx_deadline.arm(ctx, self.cfg.rx_timeout, token);
     }
 
     fn schedule_tick(&mut self, ctx: &mut Context<'_, MsgOf<D>>) {
@@ -627,15 +627,10 @@ impl<D: Plane> Protocol for Paged<D> {
             }
             T_REQ_SEND => self.send_request(ctx),
             T_RX_TIMEOUT => {
-                if self.state != State::Rx {
-                    return;
+                let token = self.token(T_RX_TIMEOUT);
+                if self.state == State::Rx && self.rx_deadline.expired(ctx, token) {
+                    self.enter_maintain(ctx);
                 }
-                if ctx.now < self.rx_deadline {
-                    let remaining = self.rx_deadline.saturating_since(ctx.now);
-                    ctx.set_timer(remaining, self.token(T_RX_TIMEOUT));
-                    return;
-                }
-                self.enter_maintain(ctx);
             }
             T_TX_TICK => {
                 if self.state != State::Tx {

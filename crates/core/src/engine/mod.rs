@@ -8,7 +8,9 @@
 //!
 //! * [`TimerMux`] — epoch-scoped timer tokens, replacing each protocol's
 //!   hand-rolled `token`/`decode` pair (timers are not cancellable; stale
-//!   firings from torn-down states must be filtered in the handler).
+//!   firings from torn-down states must be filtered in the handler), and
+//!   [`Deadline`] — a timeout refreshed on every packet, kept on at most
+//!   one kernel timer.
 //! * [`AdvertiseScheduler`] — the advertise-round bookkeeping behind the
 //!   paper's sender selection: randomized advertisement backoff, the
 //!   distinct-requester counter (`ReqCtr`), and the lose/win comparison
@@ -33,5 +35,5 @@ pub mod transfer;
 
 pub use advertise::{AdvertiseScheduler, Offer};
 pub use sleep::{SleepController, StateClock};
-pub use timer::{TimerMux, MAX_EPOCH};
+pub use timer::{Deadline, TimerMux, MAX_EPOCH};
 pub use transfer::{missing_vector, store_packet_once, ForwardVector, ImageCursor};

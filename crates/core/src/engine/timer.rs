@@ -1,4 +1,7 @@
-//! Epoch-scoped timer tokens.
+//! Epoch-scoped timer tokens, and refreshable timeouts on one kernel timer.
+
+use mnp_net::Context;
+use mnp_sim::{SimDuration, SimTime};
 
 /// Epoch bits available above the kind byte: `64 - 8 = 56`.
 const EPOCH_BITS: u32 = 56;
@@ -76,9 +79,87 @@ impl TimerMux {
     }
 }
 
+/// A timeout that is refreshed far more often than it expires, kept on at
+/// most one kernel timer.
+///
+/// MNP's download and update states, and a Deluge-style receiver, push
+/// their timeout out on every data packet. Queuing a fresh timer per
+/// packet leaves a trail of kernel events that fire only to re-arm or to
+/// find themselves stale. A `Deadline` instead moves its instant and
+/// queues a timer only when none with the caller's current token is
+/// pending. When that timer fires early it re-arms once for the remainder,
+/// so the expiry lands exactly on the last refreshed instant — the same
+/// instant a timer per refresh would have reported.
+///
+/// The pending mark is the token itself: after [`TimerMux::invalidate`]
+/// the caller's token changes, so the next [`arm`](Deadline::arm) queues a
+/// fresh timer and the old one fires stale.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Deadline {
+    at: SimTime,
+    /// The token of the queued, not yet fired kernel timer, if any.
+    pending: Option<u64>,
+}
+
+impl Deadline {
+    /// An unarmed deadline.
+    pub const fn new() -> Self {
+        Deadline {
+            at: SimTime::ZERO,
+            pending: None,
+        }
+    }
+
+    /// Moves the deadline to `now + span`, queuing a kernel timer for
+    /// `token` only if none with that token is pending. While one is, the
+    /// span must not shrink: the pending timer would fire after the new
+    /// deadline.
+    pub fn arm<M>(&mut self, ctx: &mut Context<'_, M>, span: SimDuration, token: u64) {
+        let at = ctx.now + span;
+        if self.pending == Some(token) {
+            debug_assert!(at >= self.at, "a pending deadline only moves later");
+        } else {
+            self.pending = Some(token);
+            ctx.set_timer(span, token);
+        }
+        self.at = at;
+    }
+
+    /// Handles a live firing of the pending timer `token`. Before the
+    /// deadline it re-arms for the remainder and returns `false`; at or
+    /// after it, it clears the pending mark and returns `true`.
+    pub fn expired<M>(&mut self, ctx: &mut Context<'_, M>, token: u64) -> bool {
+        debug_assert_eq!(self.pending, Some(token), "not the pending timer");
+        match self.remaining(ctx.now) {
+            Some(rest) => {
+                ctx.set_timer(rest, token);
+                false
+            }
+            None => {
+                self.pending = None;
+                true
+            }
+        }
+    }
+
+    /// Time left until the deadline, or `None` once it has come.
+    pub fn remaining(&self, now: SimTime) -> Option<SimDuration> {
+        (now < self.at).then(|| self.at.saturating_since(now))
+    }
+
+    /// Moves the deadline to `at` without queuing anything, for a caller
+    /// that keeps its own timers and asks [`remaining`](Deadline::remaining).
+    pub fn move_to(&mut self, at: SimTime) {
+        self.at = at;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mnp_net::{NetworkBuilder, Protocol, WireMsg};
+    use mnp_radio::{LinkTable, NodeId};
+    use mnp_trace::MsgClass;
 
     #[test]
     fn token_round_trips_every_kind() {
@@ -149,5 +230,131 @@ mod tests {
             assert_eq!(t >> 8, MAX_EPOCH);
             assert_eq!(mux.decode(t), Some(kind));
         }
+    }
+
+    const SPAN: SimDuration = SimDuration::from_secs(10);
+    const T_TIMEOUT: u64 = 1;
+    /// A raw token the mux never mints (kind 0xff): re-arms the deadline.
+    const POKE: u64 = 0xff;
+
+    #[derive(Clone, Debug)]
+    struct Silent;
+
+    impl WireMsg for Silent {
+        fn wire_bytes(&self) -> usize {
+            0
+        }
+        fn class(&self) -> MsgClass {
+            MsgClass::Control
+        }
+    }
+
+    /// One node that arms its deadline `arms` times at start and once
+    /// more at each poke, invalidating its mux first if asked. Every
+    /// deadline-timer firing is recorded by outcome, so the three lists
+    /// together count the kernel timers the deadline queued.
+    #[derive(Default)]
+    struct Probe {
+        timers: TimerMux,
+        deadline: Deadline,
+        arms: usize,
+        /// `(seconds after start, invalidate first)`.
+        pokes: Vec<(u64, bool)>,
+        early: Vec<u64>,
+        expired: Vec<u64>,
+        stale: Vec<u64>,
+    }
+
+    impl Probe {
+        fn arm(&mut self, ctx: &mut Context<'_, Silent>) {
+            let token = self.timers.token(T_TIMEOUT);
+            self.deadline.arm(ctx, SPAN, token);
+        }
+    }
+
+    impl Protocol for Probe {
+        type Msg = Silent;
+
+        fn on_start(&mut self, ctx: &mut Context<'_, Silent>) {
+            for _ in 0..self.arms {
+                self.arm(ctx);
+            }
+            for &(secs, _) in &self.pokes {
+                ctx.set_timer(SimDuration::from_secs(secs), POKE);
+            }
+        }
+
+        fn on_message(&mut self, _: &mut Context<'_, Silent>, _: NodeId, _: &Silent) {}
+
+        fn on_timer(&mut self, ctx: &mut Context<'_, Silent>, token: u64) {
+            let secs = ctx.now.as_micros() / 1_000_000;
+            if token == POKE {
+                let (_, invalidate) = self.pokes.iter().find(|p| p.0 == secs).copied().unwrap();
+                if invalidate {
+                    self.timers.invalidate();
+                }
+                self.arm(ctx);
+            } else if self.timers.decode(token).is_none() {
+                self.stale.push(secs);
+            } else if self.deadline.expired(ctx, token) {
+                self.expired.push(secs);
+            } else {
+                self.early.push(secs);
+            }
+        }
+    }
+
+    /// Runs `probe` to quiescence; returns `(early, expired, stale)`.
+    fn run(probe: Probe) -> (Vec<u64>, Vec<u64>, Vec<u64>) {
+        let mut probe = Some(probe);
+        let mut net = NetworkBuilder::new(LinkTable::new(1), 1).build(|_, _| probe.take().unwrap());
+        net.run_to_deadline(SimTime::from_secs(3_600));
+        let p = net.protocol(NodeId(0));
+        (p.early.clone(), p.expired.clone(), p.stale.clone())
+    }
+
+    #[test]
+    fn a_hundred_arms_queue_one_timer() {
+        let (early, expired, stale) = run(Probe {
+            arms: 100,
+            ..Probe::default()
+        });
+        assert_eq!((early, expired, stale), (vec![], vec![10], vec![]));
+    }
+
+    #[test]
+    fn an_early_firing_rearms_once_and_expires_exactly_at_the_deadline() {
+        // Armed at 0 s and refreshed at 4 s: the one timer fires at 10 s,
+        // re-arms once for the remaining 4 s, and reports expiry at 14 s.
+        let (early, expired, stale) = run(Probe {
+            arms: 1,
+            pokes: vec![(4, false)],
+            ..Probe::default()
+        });
+        assert_eq!((early, expired, stale), (vec![10], vec![14], vec![]));
+    }
+
+    #[test]
+    fn an_expired_deadline_arms_afresh() {
+        // The pending mark clears at expiry: arming again at 20 s in the
+        // same epoch queues a new timer.
+        let (early, expired, stale) = run(Probe {
+            arms: 1,
+            pokes: vec![(20, false)],
+            ..Probe::default()
+        });
+        assert_eq!((early, expired, stale), (vec![], vec![10, 30], vec![]));
+    }
+
+    #[test]
+    fn invalidate_makes_the_next_arm_queue_a_fresh_timer() {
+        // The 0 s timer carries the old epoch and fires stale at 10 s; the
+        // 4 s arm queued its own, which expires at 14 s without re-arming.
+        let (early, expired, stale) = run(Probe {
+            arms: 1,
+            pokes: vec![(4, true)],
+            ..Probe::default()
+        });
+        assert_eq!((early, expired, stale), (vec![], vec![14], vec![10]));
     }
 }

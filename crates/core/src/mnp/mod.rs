@@ -36,7 +36,7 @@ use mnp_storage::{PacketStore, ProgramImage};
 use crate::bitmap::PacketBitmap;
 use crate::config::MnpConfig;
 use crate::engine::{
-    self, AdvertiseScheduler, ForwardVector, SleepController, StateClock, TimerMux,
+    self, AdvertiseScheduler, Deadline, ForwardVector, SleepController, StateClock, TimerMux,
 };
 use crate::message::MnpMsg;
 
@@ -95,13 +95,13 @@ pub struct Mnp {
     /// The receiver's "MissingVector" for the segment in flight.
     missing: PacketBitmap,
     awaiting_query: bool,
-    dl_deadline: SimTime,
-    update_deadline: SimTime,
+    /// The Download, Update or Query timeout. One suffices: the three
+    /// states are exclusive and entering each invalidates the timer epoch.
+    deadline: Deadline,
     update_retries: u8,
 
     // --- Forward / Query state ---
     fwd_seg: u16,
-    query_deadline: SimTime,
     /// Whether the query-state retransmission loop is running.
     repair_ticking: bool,
 
@@ -201,11 +201,9 @@ impl Mnp {
             dl_seg: 0,
             missing: PacketBitmap::empty(),
             awaiting_query: false,
-            dl_deadline: SimTime::ZERO,
-            update_deadline: SimTime::ZERO,
+            deadline: Deadline::new(),
             update_retries: 0,
             fwd_seg: 0,
-            query_deadline: SimTime::ZERO,
             repair_ticking: false,
             sleeper,
             stats: MnpStats::default(),
@@ -369,11 +367,9 @@ impl Protocol for Mnp {
         self.dl_seg = 0;
         self.missing = PacketBitmap::empty();
         self.awaiting_query = false;
-        self.dl_deadline = SimTime::ZERO;
-        self.update_deadline = SimTime::ZERO;
+        self.deadline = Deadline::new();
         self.update_retries = 0;
         self.fwd_seg = 0;
-        self.query_deadline = SimTime::ZERO;
         self.repair_ticking = false;
         self.sleeper = SleepController::new(self.cfg.sleep_enabled);
         // The outage bills to no state: restart the state clock at now.

@@ -22,7 +22,7 @@ impl Mnp {
             source: ctx.id,
             seg: self.fwd_seg,
         });
-        self.query_deadline = ctx.now + self.cfg.query_idle_timeout;
+        self.deadline.move_to(ctx.now + self.cfg.query_idle_timeout);
         ctx.set_timer(self.cfg.query_idle_timeout, self.timers.token(T_QUERY_IDLE));
     }
 
@@ -71,8 +71,8 @@ impl Mnp {
     }
 
     pub(super) fn arm_update_timeout(&mut self, ctx: &mut Context<'_, MnpMsg>) {
-        self.update_deadline = ctx.now + self.cfg.update_timeout;
-        ctx.set_timer(self.cfg.update_timeout, self.timers.token(T_UPDATE));
+        let token = self.timers.token(T_UPDATE);
+        self.deadline.arm(ctx, self.cfg.update_timeout, token);
     }
 
     pub(super) fn on_repair(
@@ -86,7 +86,7 @@ impl Mnp {
             return;
         }
         self.fwd.union_with(missing);
-        self.query_deadline = ctx.now + self.cfg.query_idle_timeout;
+        self.deadline.move_to(ctx.now + self.cfg.query_idle_timeout);
         ctx.set_timer(self.cfg.query_idle_timeout, self.timers.token(T_QUERY_IDLE));
         if !self.repair_ticking {
             self.repair_ticking = true;
@@ -110,7 +110,7 @@ impl Mnp {
                     payload,
                 }));
                 self.stats.retransmissions += 1;
-                self.query_deadline = ctx.now + self.cfg.query_idle_timeout;
+                self.deadline.move_to(ctx.now + self.cfg.query_idle_timeout);
                 self.schedule_fwd(ctx);
             }
             None => {
@@ -125,8 +125,10 @@ impl Mnp {
         if self.repair_ticking {
             return; // the retransmission loop re-arms the idle timer
         }
-        if ctx.now < self.query_deadline {
-            let remaining = self.query_deadline.saturating_since(ctx.now);
+        // Not `Deadline::arm`/`expired`: the idle timer is re-set when the
+        // loop drains without moving the deadline, and firings while it
+        // ticks are dropped, so its expiry instant is not the deadline's.
+        if let Some(remaining) = self.deadline.remaining(ctx.now) {
             ctx.set_timer(remaining, self.timers.token(T_QUERY_IDLE));
             return;
         }
@@ -137,9 +139,7 @@ impl Mnp {
 
     pub(super) fn on_update_timeout(&mut self, ctx: &mut Context<'_, MnpMsg>) {
         debug_assert_eq!(self.state, MnpState::Update);
-        if ctx.now < self.update_deadline {
-            let remaining = self.update_deadline.saturating_since(ctx.now);
-            ctx.set_timer(remaining, self.timers.token(T_UPDATE));
+        if !self.deadline.expired(ctx, self.timers.token(T_UPDATE)) {
             return;
         }
         // The repair request or its answer was lost (or the parent is

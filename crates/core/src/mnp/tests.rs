@@ -466,3 +466,11 @@ fn deterministic_replay() {
         assert_eq!(a.trace().node(id).completion, b.trace().node(id).completion);
     }
 }
+
+#[test]
+fn one_deadline_keeps_mnp_within_its_footprint() {
+    // Download, Update and Query are exclusive states, so they share one
+    // `Deadline`; a field per state would grow every node of a run.
+    let size = std::mem::size_of::<Mnp>();
+    assert!(size <= 496, "Mnp grew to {size} B");
+}

@@ -23,8 +23,8 @@ impl Mnp {
     }
 
     fn arm_dl_timeout(&mut self, ctx: &mut Context<'_, MnpMsg>) {
-        self.dl_deadline = ctx.now + self.cfg.download_timeout;
-        ctx.set_timer(self.cfg.download_timeout, self.timers.token(T_DL_TIMEOUT));
+        let token = self.timers.token(T_DL_TIMEOUT);
+        self.deadline.arm(ctx, self.cfg.download_timeout, token);
     }
 
     pub(super) fn enter_forward(&mut self, ctx: &mut Context<'_, MnpMsg>) {
@@ -218,10 +218,9 @@ impl Mnp {
 
     pub(super) fn on_dl_timeout(&mut self, ctx: &mut Context<'_, MnpMsg>) {
         debug_assert_eq!(self.state, MnpState::Download);
-        if ctx.now < self.dl_deadline {
-            // A packet arrival pushed the deadline; re-arm for the rest.
-            let remaining = self.dl_deadline.saturating_since(ctx.now);
-            ctx.set_timer(remaining, self.timers.token(T_DL_TIMEOUT));
+        // A packet arrival may have pushed the deadline; if so this re-arms
+        // for the rest.
+        if !self.deadline.expired(ctx, self.timers.token(T_DL_TIMEOUT)) {
             return;
         }
         if self.missing.is_empty() {

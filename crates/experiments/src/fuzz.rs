@@ -1322,4 +1322,39 @@ mod tests {
         }
         assert_eq!(FailureKind::from_name("nonsense"), None);
     }
+
+    /// One fixed-seed campaign through every oracle (the panic oracle
+    /// included: tests build with debug assertions). A failure prints the
+    /// shrunk repro for `mnp-run repro`.
+    fn campaign(runs: u64, permute: bool, mobile: bool) {
+        let cfg = FuzzConfig {
+            runs,
+            permute,
+            mobile,
+            ..FuzzConfig::default()
+        };
+        if let Err(report) = fuzz(&cfg, |_, _, _| {}) {
+            panic!(
+                "scenario {} failed: {}\nrepro.json:\n{}",
+                report.index,
+                report.failure,
+                emit_repro(&report.shrunk, &report.failure)
+            );
+        }
+    }
+
+    #[test]
+    fn fuzz_batch_fifo() {
+        campaign(5, false, false);
+    }
+
+    #[test]
+    fn fuzz_batch_permute() {
+        campaign(5, true, false);
+    }
+
+    #[test]
+    fn fuzz_batch_mobile() {
+        campaign(5, true, true);
+    }
 }

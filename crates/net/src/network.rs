@@ -1902,7 +1902,7 @@ mod shard_tests {
         fn on_timer(&mut self, ctx: &mut Context<'_, Word>, _token: u64) {
             self.ticks += 1;
             ctx.send(Word(self.best + self.id.0 % 3));
-            if self.ticks % 9 == 0 {
+            if self.ticks.is_multiple_of(9) {
                 // Naps leave no pending timer behind (the chain restarts
                 // in on_wake), so no send can race a sleeping radio.
                 ctx.sleep_for(SimDuration::from_millis(350));

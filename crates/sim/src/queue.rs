@@ -481,7 +481,7 @@ mod tests {
             }));
             // Each shard stream is already rank-sorted (pop order), so a
             // stable sort by rank is exactly the k-way merge.
-            merged.sort_by(|a, b| a.0.cmp(&b.0));
+            merged.sort_by_key(|m| m.0);
             assert_eq!(merged, seq_order, "tie policy {tie:?}");
         }
     }
@@ -793,7 +793,8 @@ mod proptests {
             let mut q: EventQueue<Ev> = EventQueue::with_tie_break(tie);
             // Oracle: a plain min-heap over the same (time, key, owner_key)
             // ranks, computed with the same policy function.
-            let mut oracle: BinaryHeap<Reverse<((SimTime, u64, u64), Ev)>> = BinaryHeap::new();
+            type Rank = (SimTime, u64, u64);
+            let mut oracle: BinaryHeap<Reverse<(Rank, Ev)>> = BinaryHeap::new();
             let far_time = |t_raw: u64, scale: u64| match t_raw {
                 39 => SimTime::MAX,
                 38 => SimTime::from_micros(u64::MAX - 1),

@@ -5,10 +5,13 @@
 
 use mnp_repro::prelude::*;
 
-/// FNV-1a 64 of a JSONL log: the frozen digests below pin its bytes as
-/// they were before the JSON writer was rewritten for speed, so a formatter
-/// change that shifted every line alike would still fail here. Only
-/// ROADMAP item 11's determinism-epoch bump re-records them.
+/// FNV-1a 64 of a JSONL log: the frozen digests below pin its bytes, so a
+/// formatter change that shifted every line alike would still fail here.
+/// Only ROADMAP item 11's determinism-epoch bump re-records them, with one
+/// exception already taken: when refreshed timeouts moved onto one kernel
+/// timer (`engine::Deadline`), each log lost only `timer_set` and
+/// `timer_fire` lines, every other line kept in order, and the digests
+/// were re-recorded (old → new in CHANGES.md).
 fn log_digest(log: &str) -> u64 {
     log.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
@@ -138,7 +141,7 @@ fn identical_seeds_give_byte_identical_event_logs() {
     );
     assert_eq!(
         log_digest(&a),
-        0x3296_448d_46a5_4f3c,
+        0x4dd0_aaff_0778_72bb,
         "seed 77 log bytes moved"
     );
     assert_ne!(
@@ -149,9 +152,9 @@ fn identical_seeds_give_byte_identical_event_logs() {
 }
 
 // The baseline digests below (Deluge clean, RLNC and XOR clean and
-// faulted) were recorded at the last commit before the three protocols
-// were folded onto the one page-transfer skeleton (`paged.rs`): that
-// refactor had to leave every byte of these logs where it was.
+// faulted) were first recorded before the three protocols were folded
+// onto the one page-transfer skeleton (`paged.rs`), which left every byte
+// of these logs where it was.
 
 #[test]
 fn deluge_event_logs_are_also_byte_identical() {
@@ -166,7 +169,7 @@ fn deluge_event_logs_are_also_byte_identical() {
     );
     assert_eq!(
         log_digest(&a),
-        0x417b_5a6f_4a1c_f561,
+        0x8d3c_abe8_0907_5be1,
         "Deluge seed 77 log bytes moved"
     );
     assert_ne!(
@@ -196,7 +199,7 @@ fn deluge_recovers_from_crash_restarts_and_write_faults() {
     );
     assert_eq!(
         log_digest(&a),
-        0x4774_9146_fddf_51a7,
+        0x7d16_3ce6_2013_6447,
         "Deluge faulted seed 77 log bytes moved"
     );
 }
@@ -229,17 +232,17 @@ fn coded_event_logs_are_byte_identical() {
     assert_ne!(x, a, "the two coded protocols produce different schedules");
 
     for (name, log, digest) in [
-        ("RLNC", a, 0x21f4_9cd5_778a_ab57),
-        ("XOR", x, 0x6461_0ca2_bfc1_b96d),
+        ("RLNC", a, 0xcb8d_cfe2_1419_4c5a),
+        ("XOR", x, 0xcd68_95be_96e9_48a2),
         (
             "RLNC faulted",
             event_log::<Rlnc>(&grid(77).faults(fault_plan())),
-            0xa09b_6c85_b108_6236,
+            0xd6c1_4fb5_b922_5557,
         ),
         (
             "XOR faulted",
             event_log::<Xor>(&grid(77).faults(fault_plan())),
-            0x3cbd_8d49_acef_b99c,
+            0x3d29_e60c_5dd2_a7de,
         ),
     ] {
         assert_eq!(log_digest(&log), digest, "{name} seed 77 log bytes moved");
@@ -318,7 +321,7 @@ fn faulted_runs_replay_byte_identically() {
     );
     assert_eq!(
         log_digest(&a),
-        0x0c03_7794_333e_4ec4,
+        0x5fdb_9b43_8db6_ccf4,
         "faulted log bytes moved"
     );
     assert_ne!(
@@ -411,7 +414,7 @@ fn mobile_runs_replay_byte_identically_at_any_shard_count() {
     assert_eq!(log_for(2, 1), seq, "same seed must replay the same log");
     assert_eq!(
         log_digest(&seq),
-        0xdfc1_3a92_dc52_512a,
+        0x347f_b02a_549a_1fa2,
         "mobile log bytes moved"
     );
     for shards in [2, 4] {
@@ -422,6 +425,24 @@ fn mobile_runs_replay_byte_identically_at_any_shard_count() {
         );
     }
     assert_ne!(log_for(3, 1), seq, "different seeds should differ");
+}
+
+#[test]
+fn refreshed_timeouts_queue_no_event_per_packet() {
+    // A receiver refreshes its timeout on every data packet. With one
+    // kernel timer per deadline those refreshes queue nothing, so the
+    // kernel's event count stays near the frame count. A timer per
+    // refresh gave the counts quoted in the messages.
+    let mnp = grid(77).run::<Mnp>(|_| {});
+    assert_eq!(
+        mnp.events, 3_922,
+        "MNP 4x4 seed 77 (timer per refresh: 10 043)"
+    );
+    let rlnc = grid(77).run::<Rlnc>(|_| {});
+    assert_eq!(
+        rlnc.events, 7_689,
+        "RLNC 4x4 seed 77 (timer per refresh: 11 522)"
+    );
 }
 
 #[test]
