@@ -149,7 +149,7 @@ impl RlncPlane {
     /// RAM and arm a short retry timer.
     fn commit(&mut self, node: Node<'_, '_, Self>) -> bool {
         let gen = self.decode_gen;
-        let layout = node.cfg.layout;
+        let layout = node.cfg.image.layout();
         let mut faulted = false;
         for pkt in 0..layout.packets_in_segment(gen) {
             if node.store.has_packet(gen, pkt) {
@@ -191,7 +191,7 @@ impl Plane for RlncPlane {
         let decode_gen = store.segments_received_prefix();
         RlncPlane {
             decode_gen,
-            decoder: RlncPlane::decoder_for(&cfg.layout, decode_gen),
+            decoder: RlncPlane::decoder_for(&cfg.image.layout(), decode_gen),
             commit_pending: false,
             tx_budget: 0,
             tx_cache: Vec::new(),
@@ -208,8 +208,8 @@ impl Plane for RlncPlane {
     /// per packet.
     fn start_round(&mut self, node: Node<'_, '_, Self>, gen: u16, _: NodeId, need: &u16) {
         self.tx_budget = u32::from(*need) + node.cfg.extra_coded;
-        let n = node.cfg.layout.packets_in_segment(gen);
-        let width = node.cfg.layout.payload_bytes();
+        let n = node.cfg.image.layout().packets_in_segment(gen);
+        let width = node.cfg.image.layout().payload_bytes();
         self.tx_cache.clear();
         self.tx_cache.resize(usize::from(n) * width, 0);
         for (pkt, padded) in (0..n).zip(self.tx_cache.chunks_exact_mut(width)) {
@@ -232,7 +232,7 @@ impl Plane for RlncPlane {
         }
         self.tx_budget -= 1;
         let seed = node.ctx.rng.next_u32();
-        let width = node.cfg.layout.payload_bytes();
+        let width = node.cfg.image.layout().payload_bytes();
         let packets = self.tx_cache.chunks_exact(width);
         derive_coeffs_into(gen, seed, packets.len(), &mut self.coeffs);
         let payload = combine(&self.coeffs, packets, width);
@@ -246,7 +246,7 @@ impl Plane for RlncPlane {
 
     /// Absorbs a coded packet into the decode plane, from any state.
     fn absorb(&mut self, node: Node<'_, '_, Self>, from: NodeId, c: &Coded) -> bool {
-        if c.payload.len() != node.cfg.layout.payload_bytes() {
+        if c.payload.len() != node.cfg.image.layout().payload_bytes() {
             return false;
         }
         derive_coeffs_into(c.gen, c.seed, self.decoder.gen_size(), &mut self.coeffs);

@@ -183,7 +183,7 @@ impl Plane for XorPlane {
     }
 
     fn next_frame(&mut self, node: Node<'_, '_, Self>, page: u16) -> Option<Xored> {
-        let layout = node.cfg.layout;
+        let layout = node.cfg.image.layout();
         let ids = self.plan_mix(layout.packets_in_segment(page), node.cfg.max_degree);
         if ids.is_empty() {
             return None;
@@ -215,7 +215,7 @@ impl Plane for XorPlane {
     /// Decodes an overheard XOR broadcast against our own flash: usable
     /// exactly when we are missing one constituent.
     fn absorb(&mut self, node: Node<'_, '_, Self>, from: NodeId, x: &Xored) -> bool {
-        let width = node.cfg.layout.payload_bytes();
+        let width = node.cfg.image.layout().payload_bytes();
         if x.ids.is_empty() || x.payload.len() != width {
             return false;
         }
@@ -248,7 +248,7 @@ impl Plane for XorPlane {
                 *d ^= s;
             }
         }
-        let len = node.cfg.layout.packet_len(page, target);
+        let len = node.cfg.image.layout().packet_len(page, target);
         if !engine::store_packet_once(node.store, page, target, &data[..len]) {
             // Not a duplicate (checked above), so a transient write
             // fault: the packet stays missing and the next request round

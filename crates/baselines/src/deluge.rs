@@ -90,7 +90,7 @@ impl Plane for DelugePlane {
     }
 
     fn next_frame(&mut self, node: Node<'_, '_, Self>, page: u16) -> Option<Packet> {
-        let limit = node.cfg.layout.packets_in_segment(page);
+        let limit = node.cfg.image.layout().packets_in_segment(page);
         let pkt = self.fwd.pop_round_robin(limit)?;
         let payload = node
             .store

@@ -14,7 +14,7 @@
 use mnp_net::{Context, EepromOps, Protocol, StateLabel, WireMsg};
 use mnp_radio::NodeId;
 use mnp_sim::SimDuration;
-use mnp_storage::{ImageLayout, PacketStore, ProgramId, ProgramImage};
+use mnp_storage::{PacketStore, ProgramImage};
 use mnp_trace::MsgClass;
 
 use mnp::engine::{self, ImageCursor, TimerMux};
@@ -22,12 +22,9 @@ use mnp::engine::{self, ImageCursor, TimerMux};
 /// Flood parameters.
 #[derive(Clone, Debug)]
 pub struct FloodConfig {
-    /// The program being disseminated.
-    pub program: ProgramId,
-    /// Image layout.
-    pub layout: ImageLayout,
-    /// Checksum of the authoritative image.
-    pub expected_checksum: u64,
+    /// The program being disseminated: one handle shared by every node,
+    /// which checks each flash write against it.
+    pub image: ProgramImage,
     /// Base-station pacing between fresh packets.
     pub data_packet_period: SimDuration,
     /// Maximum random delay before a node rebroadcasts a packet (tiny, to
@@ -40,9 +37,7 @@ impl FloodConfig {
     /// Defaults matched to the MNP data pacing.
     pub fn for_image(image: &ProgramImage) -> Self {
         FloodConfig {
-            program: image.id(),
-            layout: image.layout(),
-            expected_checksum: image.checksum(),
+            image: image.clone(),
             data_packet_period: SimDuration::from_millis(60),
             rebroadcast_jitter: SimDuration::from_millis(25),
         }
@@ -85,7 +80,7 @@ enum FloodState {
     Broadcast,
     /// Relay without the full image yet.
     Listen,
-    /// Relay holding the checksum-verified image.
+    /// Relay holding the write-verified image.
     Complete,
 }
 
@@ -142,9 +137,9 @@ impl Flood {
     ///
     /// Panics if `image` does not match the config.
     pub fn base_station(cfg: FloodConfig, image: &ProgramImage) -> Self {
-        assert_eq!(image.id(), cfg.program, "image/program mismatch");
-        assert_eq!(image.layout(), cfg.layout, "image/layout mismatch");
-        let store = PacketStore::preloaded(image, cfg.layout.segment_count());
+        assert_eq!(image.id(), cfg.image.id(), "image/program mismatch");
+        assert_eq!(image.layout(), cfg.image.layout(), "image/layout mismatch");
+        let store = PacketStore::preloaded(&cfg.image, cfg.image.layout().segment_count());
         Flood {
             cfg,
             store,
@@ -160,7 +155,7 @@ impl Flood {
 
     /// Creates a flooding relay node.
     pub fn node(cfg: FloodConfig) -> Self {
-        let store = PacketStore::new(cfg.program, cfg.layout);
+        let store = PacketStore::new(&cfg.image);
         Flood {
             cfg,
             store,
@@ -174,7 +169,7 @@ impl Flood {
         }
     }
 
-    /// Whether the node holds the complete, checksum-verified image.
+    /// Whether the node holds the complete, write-verified image.
     pub fn is_complete(&self) -> bool {
         self.completed
     }
@@ -220,7 +215,7 @@ impl Protocol for Flood {
         }
         ctx.note_eeprom_write(*seg, *pkt);
         ctx.note_parent(from);
-        if !self.completed && self.store.verify_complete(self.cfg.expected_checksum) {
+        if !self.completed && self.store.is_complete() {
             self.completed = true;
             self.state = FloodState::Complete;
             ctx.note_completion();
@@ -248,7 +243,7 @@ impl Protocol for Flood {
                     .to_vec();
                 ctx.send(FloodMsg::Data { seg, pkt, payload });
                 // One pass only: the tick stops at the end of the image.
-                if !self.cursor.step(self.cfg.layout) {
+                if !self.cursor.step(self.cfg.image.layout()) {
                     ctx.set_timer(
                         self.cfg.data_packet_period,
                         self.timers.token(T_SOURCE_TICK),
@@ -288,6 +283,7 @@ mod tests {
     use mnp_net::{Network, NetworkBuilder};
     use mnp_radio::LinkTable;
     use mnp_sim::SimTime;
+    use mnp_storage::{ImageLayout, ProgramId};
 
     fn image() -> ProgramImage {
         ProgramImage::synthetic(ProgramId(1), ImageLayout::paper_default(1))

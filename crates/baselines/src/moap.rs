@@ -18,7 +18,7 @@
 use mnp_net::{Context, EepromOps, Protocol, StateLabel, WireMsg};
 use mnp_radio::NodeId;
 use mnp_sim::{SimDuration, SimTime};
-use mnp_storage::{ImageLayout, PacketStore, ProgramId, ProgramImage};
+use mnp_storage::{PacketStore, ProgramImage};
 use mnp_trace::MsgClass;
 
 use mnp::engine::{self, Deadline, ImageCursor, TimerMux};
@@ -27,12 +27,9 @@ use mnp::PacketBitmap;
 /// MOAP parameters.
 #[derive(Clone, Debug)]
 pub struct MoapConfig {
-    /// The program being disseminated.
-    pub program: ProgramId,
-    /// Image layout.
-    pub layout: ImageLayout,
-    /// Checksum of the authoritative image.
-    pub expected_checksum: u64,
+    /// The program being disseminated: one handle shared by every node,
+    /// which checks each flash write against it.
+    pub image: ProgramImage,
     /// Publish (advertisement) interval bounds.
     pub publish_interval_min: SimDuration,
     /// Upper bound of the publish interval.
@@ -53,9 +50,7 @@ impl MoapConfig {
     /// Defaults matched to the MNP data pacing.
     pub fn for_image(image: &ProgramImage) -> Self {
         MoapConfig {
-            program: image.id(),
-            layout: image.layout(),
-            expected_checksum: image.checksum(),
+            image: image.clone(),
             publish_interval_min: SimDuration::from_millis(1_000),
             publish_interval_max: SimDuration::from_millis(3_000),
             data_packet_period: SimDuration::from_millis(60),
@@ -214,9 +209,9 @@ impl Moap {
     ///
     /// Panics if `image` does not match the config.
     pub fn base_station(cfg: MoapConfig, image: &ProgramImage) -> Self {
-        assert_eq!(image.id(), cfg.program, "image/program mismatch");
-        assert_eq!(image.layout(), cfg.layout, "image/layout mismatch");
-        let store = PacketStore::preloaded(image, cfg.layout.segment_count());
+        assert_eq!(image.id(), cfg.image.id(), "image/program mismatch");
+        assert_eq!(image.layout(), cfg.image.layout(), "image/layout mismatch");
+        let store = PacketStore::preloaded(&cfg.image, cfg.image.layout().segment_count());
         let mut m = Moap::with_store(cfg, store);
         m.is_base = true;
         m.completed = true;
@@ -226,7 +221,7 @@ impl Moap {
 
     /// Creates an ordinary node with empty flash.
     pub fn node(cfg: MoapConfig) -> Self {
-        let store = PacketStore::new(cfg.program, cfg.layout);
+        let store = PacketStore::new(&cfg.image);
         Moap::with_store(cfg, store)
     }
 
@@ -248,7 +243,7 @@ impl Moap {
         }
     }
 
-    /// Whether the node holds the complete, checksum-verified image.
+    /// Whether the node holds the complete, write-verified image.
     pub fn is_complete(&self) -> bool {
         self.completed
     }
@@ -304,7 +299,7 @@ impl Moap {
         if self.state == State::Rx {
             self.arm_rx_timeout(ctx);
         }
-        if self.store.verify_complete(self.cfg.expected_checksum) {
+        if self.store.is_complete() {
             self.completed = true;
             ctx.note_completion();
             self.publisher = None;
@@ -358,7 +353,7 @@ impl Protocol for Moap {
                 if self.state == State::Rx && self.publisher == Some(*source) && !self.completed {
                     // NAK the first incomplete segment.
                     let seg = self.store.segments_received_prefix();
-                    if seg < self.cfg.layout.segment_count() {
+                    if seg < self.cfg.image.layout().segment_count() {
                         ctx.send(MoapMsg::Nak {
                             dest: *source,
                             requester: ctx.id,
@@ -417,7 +412,7 @@ impl Protocol for Moap {
                             .expect("publisher holds the image")
                             .to_vec();
                         ctx.send(MoapMsg::Data { seg, pkt, payload });
-                        if self.cursor.step(self.cfg.layout) {
+                        if self.cursor.step(self.cfg.image.layout()) {
                             ctx.send(MoapMsg::EndOfImage { source: ctx.id });
                             self.timers.invalidate();
                             self.state = State::Repair;
@@ -503,6 +498,7 @@ mod tests {
     use super::*;
     use mnp_net::{Network, NetworkBuilder};
     use mnp_radio::LinkTable;
+    use mnp_storage::{ImageLayout, ProgramId};
 
     fn image(segments: u16) -> ProgramImage {
         ProgramImage::synthetic(ProgramId(1), ImageLayout::paper_default(segments))
@@ -533,10 +529,7 @@ mod tests {
         let img = image(1);
         let mut net = build(line_links(2, 0.0), &img, 1);
         assert!(net.run_until_all_complete(SimTime::from_secs(900)));
-        assert_eq!(
-            net.protocol(NodeId(1)).store().assembled_checksum(),
-            img.checksum()
-        );
+        assert!(net.protocol(NodeId(1)).store().is_complete());
     }
 
     #[test]

@@ -24,7 +24,7 @@ use std::ops::{Deref, DerefMut};
 use mnp_net::{Context, EepromOps, Protocol, StateLabel, WireMsg};
 use mnp_radio::NodeId;
 use mnp_sim::SimDuration;
-use mnp_storage::{ImageLayout, PacketStore, ProgramId, ProgramImage};
+use mnp_storage::{PacketStore, ProgramImage};
 use mnp_trace::MsgClass;
 
 use mnp::engine::{Deadline, TimerMux};
@@ -37,12 +37,9 @@ use crate::trickle::{Trickle, TrickleConfig};
 /// through `Deref`, e.g. `cfg.extra_coded`).
 #[derive(Clone, Debug)]
 pub struct PagedConfig<T> {
-    /// The program being disseminated.
-    pub program: ProgramId,
-    /// Image layout (pages = segments).
-    pub layout: ImageLayout,
-    /// Checksum of the authoritative image, asserted on completion.
-    pub expected_checksum: u64,
+    /// The program being disseminated: one handle shared by every node,
+    /// which checks each flash write against it.
+    pub image: ProgramImage,
     /// Maintenance-plane Trickle parameters.
     pub trickle: TrickleConfig,
     /// Pacing between data frames.
@@ -65,9 +62,7 @@ impl<T: Default> PagedConfig<T> {
     /// defaults.
     pub fn for_image(image: &ProgramImage) -> Self {
         PagedConfig {
-            program: image.id(),
-            layout: image.layout(),
-            expected_checksum: image.checksum(),
+            image: image.clone(),
             trickle: TrickleConfig::default(),
             data_packet_period: SimDuration::from_millis(60),
             data_packet_jitter: SimDuration::from_millis(20),
@@ -333,9 +328,9 @@ impl<D: Plane> Paged<D> {
     ///
     /// Panics if `image` does not match the config.
     pub fn base_station(cfg: PagedConfig<D::Tunables>, image: &ProgramImage) -> Self {
-        assert_eq!(image.id(), cfg.program, "image/program mismatch");
-        assert_eq!(image.layout(), cfg.layout, "image/layout mismatch");
-        let store = PacketStore::preloaded(image, cfg.layout.segment_count());
+        assert_eq!(image.id(), cfg.image.id(), "image/program mismatch");
+        assert_eq!(image.layout(), cfg.image.layout(), "image/layout mismatch");
+        let store = PacketStore::preloaded(&cfg.image, cfg.image.layout().segment_count());
         let mut node = Paged::with_store(cfg, store);
         node.is_base = true;
         node.completed = true;
@@ -344,7 +339,7 @@ impl<D: Plane> Paged<D> {
 
     /// Creates an ordinary node with empty flash.
     pub fn node(cfg: PagedConfig<D::Tunables>) -> Self {
-        let store = PacketStore::new(cfg.program, cfg.layout);
+        let store = PacketStore::new(&cfg.image);
         Paged::with_store(cfg, store)
     }
 
@@ -369,7 +364,7 @@ impl<D: Plane> Paged<D> {
         }
     }
 
-    /// Whether the node holds the complete, checksum-verified image.
+    /// Whether the node holds the complete, write-verified image.
     pub fn is_complete(&self) -> bool {
         self.completed
     }
@@ -534,7 +529,7 @@ impl<D: Plane> Paged<D> {
     /// maintenance — the new summary is an inconsistency for neighbours
     /// still behind.
     fn finish_page(&mut self, ctx: &mut Context<'_, MsgOf<D>>) {
-        if self.store.verify_complete(self.cfg.expected_checksum) {
+        if self.store.is_complete() {
             self.completed = true;
             ctx.note_completion();
         }

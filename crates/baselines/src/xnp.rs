@@ -13,7 +13,7 @@
 use mnp_net::{Context, EepromOps, Protocol, StateLabel, WireMsg};
 use mnp_radio::NodeId;
 use mnp_sim::SimDuration;
-use mnp_storage::{ImageLayout, PacketStore, ProgramId, ProgramImage};
+use mnp_storage::{PacketStore, ProgramImage};
 use mnp_trace::MsgClass;
 
 use mnp::engine::{self, ImageCursor, TimerMux};
@@ -21,12 +21,9 @@ use mnp::engine::{self, ImageCursor, TimerMux};
 /// XNP parameters.
 #[derive(Clone, Debug)]
 pub struct XnpConfig {
-    /// The program being disseminated.
-    pub program: ProgramId,
-    /// Image layout.
-    pub layout: ImageLayout,
-    /// Checksum of the authoritative image.
-    pub expected_checksum: u64,
+    /// The program being disseminated: one handle shared by every node,
+    /// which checks each flash write against it.
+    pub image: ProgramImage,
     /// Pacing between packets.
     pub data_packet_period: SimDuration,
     /// Jitter on the pacing.
@@ -42,9 +39,7 @@ impl XnpConfig {
     /// Defaults matched to the MNP data pacing.
     pub fn for_image(image: &ProgramImage) -> Self {
         XnpConfig {
-            program: image.id(),
-            layout: image.layout(),
-            expected_checksum: image.checksum(),
+            image: image.clone(),
             data_packet_period: SimDuration::from_millis(60),
             data_packet_jitter: SimDuration::from_millis(20),
             inter_pass_gap: SimDuration::from_secs(2),
@@ -145,9 +140,9 @@ impl Xnp {
     ///
     /// Panics if `image` does not match the config.
     pub fn base_station(cfg: XnpConfig, image: &ProgramImage) -> Self {
-        assert_eq!(image.id(), cfg.program, "image/program mismatch");
-        assert_eq!(image.layout(), cfg.layout, "image/layout mismatch");
-        let store = PacketStore::preloaded(image, cfg.layout.segment_count());
+        assert_eq!(image.id(), cfg.image.id(), "image/program mismatch");
+        assert_eq!(image.layout(), cfg.image.layout(), "image/layout mismatch");
+        let store = PacketStore::preloaded(&cfg.image, cfg.image.layout().segment_count());
         let state = if cfg.max_passes == 0 {
             XnpState::Done
         } else {
@@ -167,7 +162,7 @@ impl Xnp {
 
     /// Creates a passive receiver.
     pub fn node(cfg: XnpConfig) -> Self {
-        let store = PacketStore::new(cfg.program, cfg.layout);
+        let store = PacketStore::new(&cfg.image);
         Xnp {
             cfg,
             store,
@@ -180,7 +175,7 @@ impl Xnp {
         }
     }
 
-    /// Whether the node holds the complete, checksum-verified image.
+    /// Whether the node holds the complete, write-verified image.
     pub fn is_complete(&self) -> bool {
         self.completed
     }
@@ -217,7 +212,7 @@ impl Protocol for Xnp {
         if engine::store_packet_once(&mut self.store, *seg, *pkt, payload) {
             ctx.note_eeprom_write(*seg, *pkt);
             ctx.note_parent(from);
-            if self.store.verify_complete(self.cfg.expected_checksum) {
+            if self.store.is_complete() {
                 self.completed = true;
                 self.state = XnpState::Complete;
                 ctx.note_completion();
@@ -237,7 +232,7 @@ impl Protocol for Xnp {
             .to_vec();
         ctx.send(XnpMsg::Data { seg, pkt, payload });
         // Advance the cursor, wrapping per pass.
-        if self.cursor.step(self.cfg.layout) {
+        if self.cursor.step(self.cfg.image.layout()) {
             self.pass += 1;
             if self.pass < u64::from(self.cfg.max_passes) {
                 self.schedule_tick(ctx, self.cfg.inter_pass_gap);
@@ -267,6 +262,7 @@ mod tests {
     use mnp_net::{Network, NetworkBuilder};
     use mnp_radio::LinkTable;
     use mnp_sim::SimTime;
+    use mnp_storage::{ImageLayout, ProgramId};
 
     fn image() -> ProgramImage {
         ProgramImage::synthetic(ProgramId(1), ImageLayout::paper_default(1))
@@ -291,10 +287,7 @@ mod tests {
         links.connect(NodeId(1), NodeId(0), 0.0);
         let mut net = build(links, &img, 1);
         assert!(net.run_until_all_complete(SimTime::from_secs(600)));
-        assert_eq!(
-            net.protocol(NodeId(1)).store().assembled_checksum(),
-            img.checksum()
-        );
+        assert!(net.protocol(NodeId(1)).store().is_complete());
     }
 
     #[test]

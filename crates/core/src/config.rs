@@ -2,7 +2,7 @@
 
 use mnp_radio::airtime;
 use mnp_sim::SimDuration;
-use mnp_storage::{ImageLayout, ProgramId};
+use mnp_storage::ProgramImage;
 
 /// MNP protocol parameters.
 ///
@@ -23,13 +23,11 @@ use mnp_storage::{ImageLayout, ProgramId};
 /// ```
 #[derive(Clone, Debug)]
 pub struct MnpConfig {
-    /// The program being disseminated.
-    pub program: ProgramId,
-    /// Image layout (all nodes know the packet geometry; the program ID and
-    /// segment count still travel in advertisements).
-    pub layout: ImageLayout,
-    /// Checksum of the authoritative image, asserted on completion.
-    pub expected_checksum: u64,
+    /// The program being disseminated: one handle shared by every node,
+    /// which checks each flash write against it. All nodes know the packet
+    /// geometry; the program ID and segment count still travel in
+    /// advertisements.
+    pub image: ProgramImage,
 
     /// Number of advertisements a source sends before deciding whether it
     /// has requesters ("after advertising K times", Fig. 2).
@@ -90,11 +88,9 @@ pub struct MnpConfig {
 
 impl MnpConfig {
     /// The paper's configuration for a given image.
-    pub fn for_image(image: &mnp_storage::ProgramImage) -> Self {
+    pub fn for_image(image: &ProgramImage) -> Self {
         MnpConfig {
-            program: image.id(),
-            layout: image.layout(),
-            expected_checksum: image.checksum(),
+            image: image.clone(),
             adv_count: 2,
             adv_interval_min: SimDuration::from_millis(200),
             adv_interval_max: SimDuration::from_millis(600),
@@ -118,10 +114,11 @@ impl MnpConfig {
     /// "approximately the expected code transmission time" of what the
     /// winning neighbour is sending.
     pub fn segment_tx_time(&self) -> SimDuration {
+        let layout = self.image.layout();
         let per_packet = self.data_packet_period
             + self.data_packet_jitter / 2
-            + airtime(3 + self.layout.payload_bytes());
-        per_packet * u64::from(self.layout.packets_per_segment())
+            + airtime(3 + layout.payload_bytes());
+        per_packet * u64::from(layout.packets_per_segment())
     }
 
     /// Validates internal consistency.
@@ -153,7 +150,7 @@ impl MnpConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mnp_storage::ProgramImage;
+    use mnp_storage::{ImageLayout, ProgramId};
 
     fn cfg() -> MnpConfig {
         let image = ProgramImage::synthetic(ProgramId(1), ImageLayout::paper_default(1));
@@ -179,9 +176,13 @@ mod tests {
     fn config_carries_image_identity() {
         let image = ProgramImage::synthetic(ProgramId(9), ImageLayout::paper_default(3));
         let c = MnpConfig::for_image(&image);
-        assert_eq!(c.program, ProgramId(9));
-        assert_eq!(c.layout.segment_count(), 3);
-        assert_eq!(c.expected_checksum, image.checksum());
+        assert_eq!(c.image.id(), ProgramId(9));
+        assert_eq!(c.image.layout().segment_count(), 3);
+        assert_eq!(
+            c.image.bytes().as_ptr(),
+            image.bytes().as_ptr(),
+            "shared, not copied"
+        );
     }
 
     #[test]

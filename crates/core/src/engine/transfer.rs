@@ -23,7 +23,15 @@ pub fn missing_vector(store: &PacketStore, seg: u16) -> PacketBitmap {
 /// also returns `false`: the packet stays missing, so the protocol's
 /// normal loss recovery re-requests and retries it later.
 ///
+/// # Panics
+///
+/// Panics with the error's text on any other rejection: a duplicate is
+/// excluded above, so a wrong-length or [`StorageError::Corrupt`] payload
+/// means the protocol mangled the image — a simulator bug that must fail
+/// loudly at the packet it names.
+///
 /// [`StorageError::WriteFault`]: mnp_storage::StorageError::WriteFault
+/// [`StorageError::Corrupt`]: mnp_storage::StorageError::Corrupt
 pub fn store_packet_once(store: &mut PacketStore, seg: u16, pkt: u16, payload: &[u8]) -> bool {
     if store.has_packet(seg, pkt) {
         return false;
@@ -31,7 +39,7 @@ pub fn store_packet_once(store: &mut PacketStore, seg: u16, pkt: u16, payload: &
     match store.write_packet(seg, pkt, payload) {
         Ok(()) => true,
         Err(mnp_storage::StorageError::WriteFault { .. }) => false,
-        Err(e) => panic!("has_packet checked, payload from a valid image: {e}"),
+        Err(e) => panic!("{e}"),
     }
 }
 
@@ -231,7 +239,7 @@ mod tests {
     #[test]
     fn missing_vector_is_the_store_complement() {
         let image = ProgramImage::synthetic(ProgramId(1), ImageLayout::paper_default(1));
-        let mut store = PacketStore::new(ProgramId(1), image.layout());
+        let mut store = PacketStore::new(&image);
         let held = [0u16, 2, 17];
         for &pkt in &held {
             store
@@ -249,7 +257,7 @@ mod tests {
     #[test]
     fn store_packet_once_rejects_duplicates() {
         let image = ProgramImage::synthetic(ProgramId(1), ImageLayout::paper_default(1));
-        let mut store = PacketStore::new(ProgramId(1), image.layout());
+        let mut store = PacketStore::new(&image);
         let payload = image.packet_payload(0, 3);
         assert!(store_packet_once(&mut store, 0, 3, payload));
         let lines_after_first = store.line_writes;
@@ -260,7 +268,7 @@ mod tests {
     #[test]
     fn store_packet_once_survives_transient_write_faults() {
         let image = ProgramImage::synthetic(ProgramId(1), ImageLayout::paper_default(1));
-        let mut store = PacketStore::new(ProgramId(1), image.layout());
+        let mut store = PacketStore::new(&image);
         store.inject_write_faults(1);
         let payload = image.packet_payload(0, 3);
         assert!(
@@ -269,6 +277,18 @@ mod tests {
         );
         assert!(!store.has_packet(0, 3), "packet stays missing for retry");
         assert!(store_packet_once(&mut store, 0, 3, payload), "retry lands");
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "accuracy violation: segment 0 packet 3 differs from the source image"
+    )]
+    fn store_packet_once_panics_on_a_corrupt_payload() {
+        let image = ProgramImage::synthetic(ProgramId(1), ImageLayout::paper_default(1));
+        let mut store = PacketStore::new(&image);
+        let mut payload = image.packet_payload(0, 3).to_vec();
+        payload[0] ^= 1;
+        store_packet_once(&mut store, 0, 3, &payload);
     }
 
     #[test]

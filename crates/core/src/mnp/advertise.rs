@@ -52,7 +52,7 @@ impl Mnp {
     }
 
     pub(super) fn on_advertisement(&mut self, ctx: &mut Context<'_, MnpMsg>, adv: &Advertisement) {
-        if adv.program != self.cfg.program {
+        if adv.program != self.cfg.image.id() {
             return;
         }
         if !self.heard_any_adv {
@@ -139,7 +139,7 @@ impl Mnp {
         debug_assert_eq!(self.state, MnpState::Advertise);
         if self.adv.should_send(self.cfg.adv_count) {
             ctx.send(MnpMsg::Advertisement(Advertisement {
-                program: self.cfg.program,
+                program: self.cfg.image.id(),
                 total_segments: self.total_segments(),
                 source: ctx.id,
                 req_ctr: self.adv.req_ctr(),

@@ -123,11 +123,11 @@ impl Mnp {
     /// the config is inconsistent.
     pub fn base_station(cfg: MnpConfig, image: &ProgramImage) -> Self {
         cfg.validate();
-        assert_eq!(image.id(), cfg.program, "image/program mismatch");
-        assert_eq!(image.layout(), cfg.layout, "image/layout mismatch");
+        assert_eq!(image.id(), cfg.image.id(), "image/program mismatch");
+        assert_eq!(image.layout(), cfg.image.layout(), "image/layout mismatch");
         // The base's image arrived over the programming board, not the
         // radio, so it is preloaded rather than written.
-        let store = PacketStore::preloaded(image, cfg.layout.segment_count());
+        let store = PacketStore::preloaded(&cfg.image, cfg.image.layout().segment_count());
         let mut node = Mnp::with_store(cfg, store);
         node.is_base = true;
         node.completed = true;
@@ -141,7 +141,7 @@ impl Mnp {
     /// Panics if the config is inconsistent.
     pub fn node(cfg: MnpConfig) -> Self {
         cfg.validate();
-        let store = PacketStore::new(cfg.program, cfg.layout);
+        let store = PacketStore::new(&cfg.image);
         Mnp::with_store(cfg, store)
     }
 
@@ -158,10 +158,10 @@ impl Mnp {
     /// image.
     pub fn node_with_prefix(cfg: MnpConfig, image: &ProgramImage, prefix_segments: u16) -> Self {
         cfg.validate();
-        assert_eq!(image.id(), cfg.program, "image/program mismatch");
-        assert_eq!(image.layout(), cfg.layout, "image/layout mismatch");
+        assert_eq!(image.id(), cfg.image.id(), "image/program mismatch");
+        assert_eq!(image.layout(), cfg.image.layout(), "image/layout mismatch");
         // The prefix survived from the previous version on flash.
-        let store = PacketStore::preloaded(image, prefix_segments);
+        let store = PacketStore::preloaded(&cfg.image, prefix_segments);
         Mnp::with_store(cfg, store)
     }
 
@@ -217,7 +217,7 @@ impl Mnp {
         self.state
     }
 
-    /// Whether the node holds the complete, checksum-verified image.
+    /// Whether the node holds the complete, write-verified image.
     pub fn is_complete(&self) -> bool {
         self.completed
     }
@@ -246,7 +246,7 @@ impl Mnp {
     }
 
     fn total_segments(&self) -> u16 {
-        self.cfg.layout.segment_count()
+        self.cfg.image.layout().segment_count()
     }
 
     /// A fresh `MissingVector` for `seg` given what flash already holds.
@@ -275,7 +275,7 @@ impl Mnp {
         debug_assert!(self.store.segment_complete(self.dl_seg));
         ctx.note_segment_complete(self.dl_seg);
         self.requested_from.clear();
-        if !self.completed && self.store.verify_complete(self.cfg.expected_checksum) {
+        if !self.completed && self.store.is_complete() {
             self.completed = true;
             ctx.note_completion();
         }

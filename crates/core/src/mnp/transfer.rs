@@ -35,7 +35,7 @@ impl Mnp {
         if self.fwd.is_empty() {
             // Defensive: a requester exists but its bitmap was empty.
             self.fwd
-                .fill(self.cfg.layout.packets_in_segment(self.fwd_seg));
+                .fill(self.cfg.image.layout().packets_in_segment(self.fwd_seg));
         }
         self.stats.forward_rounds += 1;
         ctx.note_became_sender();
@@ -184,7 +184,7 @@ impl Mnp {
 
     pub(super) fn on_fwd_timer(&mut self, ctx: &mut Context<'_, MnpMsg>) {
         debug_assert_eq!(self.state, MnpState::Forward);
-        let limit = self.cfg.layout.packets_in_segment(self.fwd_seg);
+        let limit = self.cfg.image.layout().packets_in_segment(self.fwd_seg);
         match self.fwd.next_in_order(limit) {
             Some(pkt) => {
                 let payload = self

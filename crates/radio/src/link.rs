@@ -65,6 +65,16 @@ impl LinkTable {
         }
     }
 
+    /// Drops every row's spare capacity. Rows grow edge by edge, so a
+    /// finished table sits at up to twice its size; a builder calls this
+    /// once the edge set is complete, before the table is frozen beside
+    /// its CSR copy.
+    pub fn shrink_to_fit(&mut self) {
+        for row in &mut self.out {
+            row.shrink_to_fit();
+        }
+    }
+
     /// The bit error rate of `from → to`, or `None` if `to` cannot hear
     /// `from`.
     pub fn ber(&self, from: NodeId, to: NodeId) -> Option<f64> {
@@ -246,6 +256,20 @@ mod tests {
         t.connect(NodeId(0), NodeId(1), 0.2);
         assert_eq!(t.ber(NodeId(0), NodeId(1)), Some(0.2));
         assert_eq!(t.edge_count(), 1);
+    }
+
+    #[test]
+    fn shrink_to_fit_keeps_every_edge_and_drops_spare_rows() {
+        let mut t = chain(9);
+        let before: Vec<Vec<_>> = (0..9)
+            .map(|i| t.neighbors(NodeId::from_index(i)).collect())
+            .collect();
+        t.shrink_to_fit();
+        for (i, row) in before.iter().enumerate() {
+            let after: Vec<_> = t.neighbors(NodeId::from_index(i)).collect();
+            assert_eq!(&after, row);
+        }
+        assert!(t.out.iter().all(|row| row.capacity() == row.len()));
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::fmt;
 
 use mnp_sim::SimDuration;
 
-use crate::image::{fnv1a, ImageLayout, ProgramId, ProgramImage};
+use crate::image::{ImageLayout, ProgramId, ProgramImage};
 
 /// Size of one EEPROM line: reads and writes are charged per 16-byte line
 /// (Table 1 of the paper).
@@ -33,6 +33,16 @@ pub enum StorageError {
         /// Received payload length.
         got: usize,
     },
+    /// The payload differs from the source image at that packet: the
+    /// paper's *accuracy* requirement ("the exact program image is
+    /// received") is broken. Nothing in the model corrupts a byte, so this
+    /// is a simulator bug.
+    Corrupt {
+        /// Segment of the offending packet.
+        seg: u16,
+        /// Packet index within the segment.
+        pkt: u16,
+    },
     /// A transient write failure injected by the fault model: nothing was
     /// committed, the slot stays empty, and retrying the same write later
     /// can succeed. Protocols recover through their normal loss-recovery
@@ -54,6 +64,12 @@ impl fmt::Display for StorageError {
             StorageError::WrongLength { expected, got } => {
                 write!(f, "payload length {got} does not match layout ({expected})")
             }
+            StorageError::Corrupt { seg, pkt } => {
+                write!(
+                    f,
+                    "accuracy violation: segment {seg} packet {pkt} differs from the source image"
+                )
+            }
             StorageError::WriteFault { seg, pkt } => {
                 write!(
                     f,
@@ -68,21 +84,22 @@ impl std::error::Error for StorageError {}
 
 /// One node's external flash holding a partially received program image.
 ///
-/// The flash is one byte buffer the size of the image, allocated once, and
-/// one 128-bit mask per segment that *is* the paper's MissingVector: bit
-/// `p` is set while packet `p` is not yet on flash. Tracks line-granular
-/// read/write counts for the energy model and enforces the write-once
-/// invariant.
+/// The store keeps a record of writes, not a copy of the image: one
+/// 128-bit mask per segment that *is* the paper's MissingVector (bit `p`
+/// is set while packet `p` is not yet on flash), beside a handle to the
+/// one shared source image. A write is checked against that image, so a
+/// packet the mask marks as held reads back as exactly the source's bytes.
+/// Tracks line-granular read/write counts for the energy model and
+/// enforces the write-once invariant.
 ///
 /// # Example
 ///
 /// See the crate-level example.
 #[derive(Clone, Debug)]
 pub struct PacketStore {
-    program: ProgramId,
-    layout: ImageLayout,
-    /// The image bytes, packet `(seg, pkt)` at its offset in the image.
-    data: Vec<u8>,
+    /// The source image every write is checked against and every read
+    /// served from.
+    image: ProgramImage,
     /// `missing[seg]`: the packets of `seg` not yet written. The
     /// completeness checks run on every advertisement a protocol hears, so
     /// they are one compare against this mask.
@@ -105,16 +122,16 @@ fn low_bits(n: u16) -> u128 {
 }
 
 impl PacketStore {
-    /// Creates an empty store for `program` with `layout`.
-    pub fn new(program: ProgramId, layout: ImageLayout) -> Self {
+    /// Creates an empty store that receives `image`. The mask vector is its
+    /// only allocation.
+    pub fn new(image: &ProgramImage) -> Self {
+        let layout = image.layout();
         let segments = layout.segment_count();
         let last_segment_packets = layout.packets_in_segment(segments - 1);
         let mut missing = vec![low_bits(layout.packets_per_segment()); usize::from(segments)];
         missing[usize::from(segments) - 1] = low_bits(last_segment_packets);
         PacketStore {
-            program,
-            layout,
-            data: vec![0; layout.total_bytes() as usize],
+            image: image.clone(),
             missing,
             last_segment_packets,
             line_writes: 0,
@@ -132,48 +149,46 @@ impl PacketStore {
     ///
     /// Panics if `segments` exceeds the image.
     pub fn preloaded(image: &ProgramImage, segments: u16) -> Self {
-        let layout = image.layout();
         assert!(
-            segments <= layout.segment_count(),
+            segments <= image.layout().segment_count(),
             "prefix exceeds the image"
         );
-        let mut store = PacketStore::new(image.id(), layout);
-        let bytes = if segments < layout.segment_count() {
-            layout.packet_span(segments, 0).0
-        } else {
-            store.data.len()
-        };
+        let mut store = PacketStore::new(image);
         store.missing[..usize::from(segments)].fill(0);
-        store.data[..bytes].copy_from_slice(&image.bytes()[..bytes]);
         store
     }
 
     /// Arms `n` transient write faults: the next `n` otherwise-valid calls
     /// to [`PacketStore::write_packet`] fail with
-    /// [`StorageError::WriteFault`] without committing anything. Duplicate
-    /// and wrong-length writes are rejected as usual and do not consume a
-    /// fault. Used by the deterministic fault-injection subsystem.
+    /// [`StorageError::WriteFault`] without committing anything. Duplicate,
+    /// wrong-length and corrupt writes are rejected as usual and do not
+    /// consume a fault. Used by the deterministic fault-injection
+    /// subsystem.
     pub fn inject_write_faults(&mut self, n: u32) {
         self.pending_write_faults = self.pending_write_faults.saturating_add(n);
     }
 
     /// The program being received.
     pub fn program(&self) -> ProgramId {
-        self.program
+        self.image.id()
     }
 
     /// The image layout.
     pub fn layout(&self) -> ImageLayout {
-        self.layout
+        self.image.layout()
     }
 
     /// Writes one packet.
     ///
     /// # Errors
     ///
-    /// [`StorageError::DuplicateWrite`] if the packet was already stored;
+    /// Checked in this order, each rejecting the write without committing
+    /// or billing anything:
     /// [`StorageError::WrongLength`] if `payload` does not match the layout
     /// (the last packet of the image may be short);
+    /// [`StorageError::DuplicateWrite`] if the packet was already stored;
+    /// [`StorageError::Corrupt`] if `payload` differs from the source
+    /// image;
     /// [`StorageError::WriteFault`] if an injected transient fault consumed
     /// this write (see [`PacketStore::inject_write_faults`]) — the slot is
     /// left empty and a later retry can succeed.
@@ -183,7 +198,7 @@ impl PacketStore {
     /// Panics if `seg`/`pkt` are outside the layout.
     pub fn write_packet(&mut self, seg: u16, pkt: u16, payload: &[u8]) -> Result<(), StorageError> {
         let held = self.has_packet(seg, pkt);
-        let (offset, expected) = self.layout.packet_span(seg, pkt);
+        let (offset, expected) = self.image.layout().packet_span(seg, pkt);
         if payload.len() != expected {
             return Err(StorageError::WrongLength {
                 expected,
@@ -193,11 +208,13 @@ impl PacketStore {
         if held {
             return Err(StorageError::DuplicateWrite { seg, pkt });
         }
+        if payload != &self.image.bytes()[offset..offset + expected] {
+            return Err(StorageError::Corrupt { seg, pkt });
+        }
         if self.pending_write_faults > 0 {
             self.pending_write_faults -= 1;
             return Err(StorageError::WriteFault { seg, pkt });
         }
-        self.data[offset..offset + expected].copy_from_slice(payload);
         self.missing[usize::from(seg)] &= !(1 << pkt);
         self.line_writes += expected.div_ceil(EEPROM_LINE_BYTES) as u64;
         Ok(())
@@ -213,9 +230,9 @@ impl PacketStore {
         if !self.has_packet(seg, pkt) {
             return None;
         }
-        let (offset, len) = self.layout.packet_span(seg, pkt);
+        let (offset, len) = self.image.layout().packet_span(seg, pkt);
         self.line_reads += len.div_ceil(EEPROM_LINE_BYTES) as u64;
-        Some(&self.data[offset..offset + len])
+        Some(&self.image.bytes()[offset..offset + len])
     }
 
     /// Whether packet `pkt` of segment `seg` has been stored.
@@ -228,7 +245,7 @@ impl PacketStore {
         let packets = if usize::from(seg) + 1 == self.missing.len() {
             self.last_segment_packets
         } else {
-            self.layout.packets_per_segment()
+            self.image.layout().packets_per_segment()
         };
         assert!(pkt < packets, "packet {pkt} out of range");
         missing & (1 << pkt) == 0
@@ -256,7 +273,9 @@ impl PacketStore {
         self.missing.iter().take_while(|&&m| m == 0).count() as u16
     }
 
-    /// Whether the entire image has been stored.
+    /// Whether the entire image has been stored. Every write was checked
+    /// against the source, so a complete store holds exactly the source
+    /// image.
     pub fn is_complete(&self) -> bool {
         self.missing.iter().all(|&m| m == 0)
     }
@@ -264,36 +283,7 @@ impl PacketStore {
     /// Packets stored so far.
     pub fn packets_received(&self) -> u32 {
         let missing: u32 = self.missing.iter().map(|m| m.count_ones()).sum();
-        self.layout.total_packets() - missing
-    }
-
-    /// FNV-1a checksum of the assembled image.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the image is not complete; check [`PacketStore::is_complete`].
-    pub fn assembled_checksum(&self) -> u64 {
-        assert!(self.is_complete(), "image incomplete");
-        fnv1a(&self.data)
-    }
-
-    /// Whether the entire image has been stored — and if it has, checks the
-    /// paper's *accuracy* requirement ("the exact program image is
-    /// received") against the source's checksum.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the image is complete but differs from the source.
-    pub fn verify_complete(&self, expected_checksum: u64) -> bool {
-        if !self.is_complete() {
-            return false;
-        }
-        assert_eq!(
-            fnv1a(&self.data),
-            expected_checksum,
-            "accuracy violation: assembled image differs from the source"
-        );
-        true
+        self.image.layout().total_packets() - missing
     }
 }
 
@@ -308,7 +298,7 @@ mod tests {
     #[test]
     fn out_of_order_writes_complete_a_segment() {
         let img = image(1);
-        let mut store = PacketStore::new(img.id(), img.layout());
+        let mut store = PacketStore::new(&img);
         // "A sensor node can receive packets in any order and from any node."
         let mut order: Vec<u16> = (0..128).collect();
         order.reverse();
@@ -319,13 +309,12 @@ mod tests {
         }
         assert!(store.segment_complete(0));
         assert!(store.is_complete());
-        assert_eq!(store.assembled_checksum(), img.checksum());
     }
 
     #[test]
     fn duplicate_write_is_rejected() {
         let img = image(1);
-        let mut store = PacketStore::new(img.id(), img.layout());
+        let mut store = PacketStore::new(&img);
         store.write_packet(0, 5, img.packet_payload(0, 5)).unwrap();
         let err = store
             .write_packet(0, 5, img.packet_payload(0, 5))
@@ -338,7 +327,7 @@ mod tests {
     #[test]
     fn wrong_length_is_rejected() {
         let img = image(1);
-        let mut store = PacketStore::new(img.id(), img.layout());
+        let mut store = PacketStore::new(&img);
         let err = store.write_packet(0, 0, &[0u8; 5]).unwrap_err();
         assert_eq!(
             err,
@@ -353,7 +342,7 @@ mod tests {
     #[test]
     fn prefix_counting_matches_in_order_reception() {
         let img = image(3);
-        let mut store = PacketStore::new(img.id(), img.layout());
+        let mut store = PacketStore::new(&img);
         assert_eq!(store.segments_received_prefix(), 0);
         for seg in 0..2 {
             for pkt in 0..128 {
@@ -369,7 +358,7 @@ mod tests {
     #[test]
     fn read_back_matches_and_counts_lines() {
         let img = image(1);
-        let mut store = PacketStore::new(img.id(), img.layout());
+        let mut store = PacketStore::new(&img);
         store.write_packet(0, 3, img.packet_payload(0, 3)).unwrap();
         assert_eq!(store.read_packet(0, 3), Some(img.packet_payload(0, 3)));
         assert_eq!(store.read_packet(0, 4), None);
@@ -379,7 +368,7 @@ mod tests {
     #[test]
     fn packets_received_counts() {
         let img = image(2);
-        let mut store = PacketStore::new(img.id(), img.layout());
+        let mut store = PacketStore::new(&img);
         for pkt in 0..10 {
             store
                 .write_packet(1, pkt, img.packet_payload(1, pkt))
@@ -391,7 +380,7 @@ mod tests {
     #[test]
     fn injected_write_faults_are_transient_and_retry_succeeds() {
         let img = image(1);
-        let mut store = PacketStore::new(img.id(), img.layout());
+        let mut store = PacketStore::new(&img);
         store.inject_write_faults(2);
         assert_eq!(store.pending_write_faults, 2);
         for _ in 0..2 {
@@ -412,7 +401,7 @@ mod tests {
     #[test]
     fn duplicate_and_short_writes_do_not_consume_injected_faults() {
         let img = image(1);
-        let mut store = PacketStore::new(img.id(), img.layout());
+        let mut store = PacketStore::new(&img);
         store.write_packet(0, 0, img.packet_payload(0, 0)).unwrap();
         store.inject_write_faults(1);
         // A duplicate write is rejected as a duplicate, not as a fault.
@@ -426,10 +415,31 @@ mod tests {
         assert_eq!(store.pending_write_faults, 1);
     }
 
-    /// The representation the flat store replaced, kept here as the
-    /// reference: a slot per packet, `Some(payload)` once written.
+    #[test]
+    fn corrupt_write_is_rejected_without_side_effects() {
+        let img = image(1);
+        let mut store = PacketStore::new(&img);
+        store.inject_write_faults(1);
+        let mut payload = img.packet_payload(0, 4).to_vec();
+        payload[7] ^= 0x20;
+        let err = store.write_packet(0, 4, &payload).unwrap_err();
+        assert_eq!(err, StorageError::Corrupt { seg: 0, pkt: 4 });
+        assert_eq!(store.missing_mask(0), u128::MAX);
+        assert_eq!(store.line_writes, 0);
+        assert_eq!(store.pending_write_faults, 1, "the fault is still armed");
+        // The armed fault takes the next valid write; the retry lands.
+        let valid = img.packet_payload(0, 4);
+        let err = store.write_packet(0, 4, valid).unwrap_err();
+        assert_eq!(err, StorageError::WriteFault { seg: 0, pkt: 4 });
+        store.write_packet(0, 4, valid).unwrap();
+        assert_eq!(store.read_packet(0, 4), Some(valid));
+    }
+
+    /// A slot per packet, `Some(payload)` once written: the representation
+    /// the mask-and-shared-image store replaced, kept here as the
+    /// reference.
     struct SlotStore {
-        layout: ImageLayout,
+        source: ProgramImage,
         slots: Vec<Vec<Option<Vec<u8>>>>,
         line_writes: u64,
         line_reads: u64,
@@ -437,12 +447,13 @@ mod tests {
     }
 
     impl SlotStore {
-        fn new(layout: ImageLayout) -> Self {
+        fn new(source: &ProgramImage) -> Self {
+            let layout = source.layout();
             let slots = (0..layout.segment_count())
                 .map(|s| vec![None; usize::from(layout.packets_in_segment(s))])
                 .collect();
             SlotStore {
-                layout,
+                source: source.clone(),
                 slots,
                 line_writes: 0,
                 line_reads: 0,
@@ -451,7 +462,7 @@ mod tests {
         }
 
         fn write_packet(&mut self, seg: u16, pkt: u16, payload: &[u8]) -> Result<(), StorageError> {
-            let expected = self.layout.packet_len(seg, pkt);
+            let expected = self.source.layout().packet_len(seg, pkt);
             if payload.len() != expected {
                 return Err(StorageError::WrongLength {
                     expected,
@@ -461,6 +472,9 @@ mod tests {
             let slot = &mut self.slots[usize::from(seg)][usize::from(pkt)];
             if slot.is_some() {
                 return Err(StorageError::DuplicateWrite { seg, pkt });
+            }
+            if payload != self.source.packet_payload(seg, pkt) {
+                return Err(StorageError::Corrupt { seg, pkt });
             }
             if self.pending_write_faults > 0 {
                 self.pending_write_faults -= 1;
@@ -490,24 +504,17 @@ mod tests {
                 .fold(0, |mask, (p, _)| mask | 1 << p)
         }
 
-        fn assembled_checksum(&self) -> u64 {
-            let image: Vec<u8> = self
-                .slots
-                .iter()
-                .flatten()
-                .flatten()
-                .flatten()
-                .copied()
-                .collect();
-            fnv1a(&image)
+        fn assembled(&self) -> Vec<u8> {
+            let slots = self.slots.iter().flatten().flatten();
+            slots.flatten().copied().collect()
         }
     }
 
     proptest::proptest! {
-        /// The flat store against the slot representation it replaced,
-        /// after every step of an arbitrary mix of first, duplicate,
-        /// wrong-length and fault-injected writes and reads: results, bytes,
-        /// line counts, masks and the derived completeness answers agree.
+        /// The store against the slot representation it replaced, after
+        /// every step of an arbitrary mix of first, duplicate, wrong-length,
+        /// corrupt and fault-injected writes and reads: results, bytes, line
+        /// counts, masks and the derived completeness answers agree.
         #[test]
         fn prop_stored_counts_match_a_slot_scan(
             ops in proptest::collection::vec((0u16..3, 0u16..6, 0u8..8), 0..160),
@@ -515,8 +522,8 @@ mod tests {
             // Segments of 6, 6 and 4 packets; the last packet is short.
             let layout = ImageLayout::new(78, 6, 5);
             let img = ProgramImage::synthetic(ProgramId(7), layout);
-            let mut store = PacketStore::new(img.id(), layout);
-            let mut slots = SlotStore::new(layout);
+            let mut store = PacketStore::new(&img);
+            let mut slots = SlotStore::new(&img);
             for (seg, pkt, kind) in ops {
                 let pkt = pkt % layout.packets_in_segment(seg);
                 let payload = img.packet_payload(seg, pkt);
@@ -537,6 +544,14 @@ mod tests {
                         store.read_packet(seg, pkt),
                         slots.read_packet(seg, pkt)
                     ),
+                    4 => {
+                        let mut flipped = payload.to_vec();
+                        flipped[0] ^= 1;
+                        proptest::prop_assert_eq!(
+                            store.write_packet(seg, pkt, &flipped),
+                            slots.write_packet(seg, pkt, &flipped)
+                        );
+                    }
                     _ => proptest::prop_assert_eq!(
                         store.write_packet(seg, pkt, payload),
                         slots.write_packet(seg, pkt, payload)
@@ -562,8 +577,7 @@ mod tests {
                 let stored = slots.slots.iter().flatten().flatten().count();
                 proptest::prop_assert_eq!(store.packets_received() as usize, stored);
                 if complete {
-                    proptest::prop_assert_eq!(store.assembled_checksum(), slots.assembled_checksum());
-                    proptest::prop_assert!(store.verify_complete(img.checksum()));
+                    proptest::prop_assert_eq!(slots.assembled(), img.bytes());
                 }
             }
         }
@@ -585,7 +599,7 @@ mod tests {
                 }
             }
         }
-        assert!(PacketStore::preloaded(&img, 3).verify_complete(img.checksum()));
+        assert!(PacketStore::preloaded(&img, 3).is_complete());
     }
 
     #[test]
@@ -594,17 +608,13 @@ mod tests {
         let _ = PacketStore::preloaded(&image(1), 2);
     }
 
-    #[test]
-    #[should_panic(expected = "assembled image differs from the source")]
-    fn complete_image_with_the_wrong_checksum_panics() {
-        let img = image(1);
-        let _ = PacketStore::preloaded(&img, 1).verify_complete(img.checksum() ^ 1);
-    }
-
     /// A layout whose last segment holds 44 of 128 packets: `pkt` 44..128
     /// passes a bitmap-width check but lies past the end of the image.
     fn short_tail_store() -> PacketStore {
-        PacketStore::new(ProgramId(7), ImageLayout::new(300 * 23, 128, 23))
+        PacketStore::new(&ProgramImage::synthetic(
+            ProgramId(7),
+            ImageLayout::new(300 * 23, 128, 23),
+        ))
     }
 
     #[test]
@@ -630,14 +640,7 @@ mod tests {
     fn has_packet_past_a_full_segment_panics() {
         // Segments of 6, 6 and 4: packet 6 of segment 0 is packet 0 of
         // segment 1 in a flat buffer and must not alias it.
-        let _ = PacketStore::new(ProgramId(7), ImageLayout::new(78, 6, 5)).has_packet(0, 6);
-    }
-
-    #[test]
-    #[should_panic(expected = "image incomplete")]
-    fn checksum_of_incomplete_image_panics() {
-        let img = image(1);
-        let store = PacketStore::new(img.id(), img.layout());
-        let _ = store.assembled_checksum();
+        let img = ProgramImage::synthetic(ProgramId(7), ImageLayout::new(78, 6, 5));
+        let _ = PacketStore::new(&img).has_packet(0, 6);
     }
 }

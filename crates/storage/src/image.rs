@@ -1,6 +1,7 @@
 //! Program images and their segment/packet layout.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier (version) of a program image.
 ///
@@ -161,14 +162,19 @@ impl fmt::Display for ImageLayout {
 /// reprogramming, by every node).
 ///
 /// Contents are deterministic pseudo-random bytes derived from the program
-/// ID, so any corruption anywhere in the pipeline shows up as a checksum
-/// mismatch — the paper's *accuracy* requirement ("the exact program image
-/// is received").
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ProgramImage {
+/// ID. The image is a cheap handle: every clone shares one read-only copy
+/// of the bytes, so a network of any size holds the image once, and every
+/// [`PacketStore`](crate::PacketStore) checks its writes against it — the
+/// paper's *accuracy* requirement ("the exact program image is received").
+#[derive(Clone, PartialEq, Eq)]
+pub struct ProgramImage(Arc<Image>);
+
+#[derive(PartialEq, Eq)]
+struct Image {
     id: ProgramId,
     layout: ImageLayout,
-    data: Vec<u8>,
+    checksum: u64,
+    bytes: Box<[u8]>,
 }
 
 impl ProgramImage {
@@ -181,17 +187,22 @@ impl ProgramImage {
             data.extend_from_slice(&state.to_le_bytes());
         }
         data.truncate(layout.total_bytes as usize);
-        ProgramImage { id, layout, data }
+        ProgramImage(Arc::new(Image {
+            id,
+            layout,
+            checksum: fnv1a(&data),
+            bytes: data.into_boxed_slice(),
+        }))
     }
 
     /// The program ID.
     pub fn id(&self) -> ProgramId {
-        self.id
+        self.0.id
     }
 
     /// The layout.
     pub fn layout(&self) -> ImageLayout {
-        self.layout
+        self.0.layout
     }
 
     /// The code bytes of one packet.
@@ -201,25 +212,36 @@ impl ProgramImage {
     /// Panics if `seg`/`pkt` are out of range.
     pub fn packet_payload(&self, seg: u16, pkt: u16) -> &[u8] {
         assert!(
-            pkt < self.layout.packets_in_segment(seg),
+            pkt < self.0.layout.packets_in_segment(seg),
             "packet {pkt} out of range"
         );
-        let (offset, len) = self.layout.packet_span(seg, pkt);
-        &self.data[offset..offset + len]
+        let (offset, len) = self.0.layout.packet_span(seg, pkt);
+        &self.0.bytes[offset..offset + len]
     }
 
     /// FNV-1a checksum over the whole image.
     pub fn checksum(&self) -> u64 {
-        fnv1a(&self.data)
+        self.0.checksum
     }
 
     /// The raw bytes.
     pub fn bytes(&self) -> &[u8] {
-        &self.data
+        &self.0.bytes
     }
 }
 
-pub(crate) fn fnv1a(data: &[u8]) -> u64 {
+/// The image's identity, not its kilobytes of payload.
+impl fmt::Debug for ProgramImage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ProgramImage")
+            .field("id", &self.0.id)
+            .field("layout", &self.0.layout)
+            .field("checksum", &format_args!("{:#018x}", self.0.checksum))
+            .finish()
+    }
+}
+
+fn fnv1a(data: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in data {
         h ^= u64::from(b);
@@ -318,6 +340,17 @@ mod tests {
         let c = ProgramImage::synthetic(ProgramId(2), l);
         assert_eq!(a.checksum(), b.checksum());
         assert_ne!(a.checksum(), c.checksum());
+    }
+
+    #[test]
+    fn clones_share_one_copy_of_the_bytes() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<ProgramImage>();
+        assert_eq!(std::mem::size_of::<ProgramImage>(), 8);
+        let a = ProgramImage::synthetic(ProgramId(1), ImageLayout::paper_default(2));
+        let b = a.clone();
+        assert_eq!(a.bytes().as_ptr(), b.bytes().as_ptr());
+        assert_eq!(a.checksum(), fnv1a(b.bytes()));
     }
 
     #[test]

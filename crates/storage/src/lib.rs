@@ -6,11 +6,13 @@
 //! * [`ImageLayout`] / [`ProgramImage`] — the image, divided into segments
 //!   of at most 128 packets of 23 bytes each, exactly as MNP transmits it
 //!   (Deluge's "pages" reuse the same layout).
-//! * [`PacketStore`] — the receiving side's EEPROM: one byte buffer the
-//!   size of the image plus the paper's MissingVector per segment, with
+//! * [`PacketStore`] — the receiving side's EEPROM: the paper's
+//!   MissingVector per segment over one image shared by every node, with
 //!   the invariant "each packet in a segment is written to EEPROM only
 //!   once" *enforced* (a duplicate write is an error, so any protocol bug
-//!   that would burn flash energy fails tests loudly).
+//!   that would burn flash energy fails tests loudly) and every write
+//!   checked against the source, so "the exact program image is received"
+//!   holds packet by packet.
 //!
 //! # Example
 //!
@@ -26,7 +28,7 @@
 //!     store.write_packet(1, pkt, image.packet_payload(1, pkt)).unwrap();
 //! }
 //! assert!(store.write_packet(1, 0, image.packet_payload(1, 0)).is_err()); // write-once
-//! assert!(store.verify_complete(image.checksum()));
+//! assert!(store.is_complete());
 //! assert_eq!(store.line_writes, 128 * 2); // the preloaded segment is not billed
 //! ```
 

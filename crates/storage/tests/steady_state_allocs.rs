@@ -1,7 +1,8 @@
-//! A store allocates its flash once, at construction: after
-//! `PacketStore::new`, writing a whole 2-segment image and reading it back
-//! must touch the heap **zero** times (the slot-per-packet representation
-//! this replaced allocated once per stored packet, 256 here).
+//! A store is a record of writes over a shared image: `PacketStore::new`
+//! allocates exactly once (the mask vector, never a copy of the image),
+//! and writing a whole 2-segment image and reading it back must then touch
+//! the heap **zero** times (the slot-per-packet representation this
+//! replaced allocated once per stored packet, 256 here).
 //!
 //! An integration test is its own crate, so the counting allocator's
 //! `unsafe` lives here and the library keeps `#![forbid(unsafe_code)]`.
@@ -45,7 +46,9 @@ static ALLOC: CountingAlloc = CountingAlloc;
 fn store_allocates_nothing_after_construction() {
     let image = ProgramImage::synthetic(ProgramId(1), ImageLayout::paper_default(2));
     let layout = image.layout();
-    let mut store = PacketStore::new(image.id(), layout);
+    let before = ALLOCS.with(Cell::get);
+    let mut store = PacketStore::new(&image);
+    let construction = ALLOCS.with(Cell::get) - before;
 
     let before = ALLOCS.with(Cell::get);
     let mut bytes_read = 0;
@@ -60,8 +63,9 @@ fn store_allocates_nothing_after_construction() {
     }
     let allocs = ALLOCS.with(Cell::get) - before;
 
-    assert!(store.verify_complete(image.checksum()));
+    assert!(store.is_complete());
     assert_eq!(bytes_read, layout.total_bytes() as usize);
+    assert_eq!(construction, 1, "allocations in PacketStore::new");
     assert_eq!(
         allocs, 0,
         "allocations over a 2-segment write and read-back"

@@ -94,6 +94,7 @@ impl TopologyBuilder {
                 }
             }
         }
+        links.shrink_to_fit();
         Topology {
             placement: self.placement,
             links,

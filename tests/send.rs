@@ -7,7 +7,7 @@
 //! or raw pointer into the kernel's state.
 
 use mnp::Mnp;
-use mnp_baselines::Deluge;
+use mnp_baselines::{Deluge, Rlnc};
 use mnp_net::Network;
 
 fn assert_send<T: Send>() {}
@@ -20,4 +20,11 @@ fn network_of_mnp_is_send() {
 #[test]
 fn network_of_a_baseline_protocol_is_send() {
     assert_send::<Network<Deluge>>();
+}
+
+#[test]
+fn network_of_a_coded_protocol_is_send() {
+    // The coded plane's decoder state and the shared image handle both
+    // travel with the shard.
+    assert_send::<Network<Rlnc>>();
 }
