@@ -48,7 +48,8 @@
 //!
 //! `mnp-run profile` runs one seeded dissemination with the kernel span
 //! profiler enabled (`mnp_sim::profile`) and a time-series sampler
-//! attached, then prints the self-time table naming the hottest phases.
+//! attached, then prints the self-time table naming the hottest phases,
+//! with its coverage (the phases' estimated self times over the wall).
 //! `--out` writes the schema-versioned profile JSON, `--series` the
 //! sampler's JSONL rows, and `--timeline` a Chrome trace with the
 //! sampler's gauges merged in as Perfetto counter tracks. This binary
@@ -168,9 +169,9 @@ impl Args {
             match flag.as_str() {
                 "--rows" => args.rows = positive(it, &flag)?,
                 "--cols" => args.cols = positive(it, &flag)?,
-                "--spacing" => args.spacing = positive(it, &flag)?,
+                "--spacing" => args.spacing = finite(positive(it, &flag)?, &flag)?,
                 "--segments" => args.segments = positive(it, &flag)?,
-                "--power" => args.power = arg(it, &flag)?,
+                "--power" => args.power = positive(it, &flag)?,
                 "--seed" => args.seed = arg(it, &flag)?,
                 "--seeds" => args.seeds = Some(arg_list(it, &flag)?),
                 "--protocol" => args.protocol = ProtocolId::parse(&value(it, &flag)?, NAMES)?,
@@ -198,7 +199,7 @@ fn usage() -> String {
                [--events PATH] [--metrics PATH] [--timeline PATH]
                [--check-invariants]
        mnp-run profile [--rows N] [--cols N] [--segments N] [--seed N]
-                       [--stride N] [--sample-ms MS] [--top N]
+                       [--sample-ms MS] [--top N]
                        [--out PATH] [--series PATH] [--timeline PATH]
        mnp-run report OLD NEW
        mnp-run coded [--rows N] [--cols N] [--segments N] [--seed N]
@@ -245,6 +246,15 @@ where
         Ok(v)
     } else {
         Err(format!("{flag} must be positive"))
+    }
+}
+
+/// `v` if it is finite: an infinite spacing has no grid to lay out.
+fn finite(v: f64, flag: &str) -> Result<f64, String> {
+    if v.is_finite() {
+        Ok(v)
+    } else {
+        Err(format!("{flag} must be finite"))
     }
 }
 
@@ -349,6 +359,14 @@ fn run_single(it: ArgIter) -> Result<ExitCode, String> {
         .power(PowerLevel::new(args.power))
         .seed(args.seed)
         .capture(args.capture);
+    for &seed in args.seeds.as_deref().unwrap_or(&[args.seed]) {
+        if !scenario.clone().seed(seed).is_viable() {
+            return Err(format!(
+                "seed {seed}: some node has no usable path to the base station \
+                 (try a smaller --spacing, a higher --power or another seed)"
+            ));
+        }
+    }
 
     println!(
         "{} | image {} | {} | seed {} | capture {}",
@@ -423,6 +441,10 @@ fn completion_code(ok: bool, complaint: &str) -> ExitCode {
     }
 }
 
+/// The longest `mnp-run profile --sample-ms`: one day of sim time, far
+/// past any run's deadline and far from overflowing the microsecond clock.
+const MAX_SAMPLE_MS: u64 = 86_400_000;
+
 /// `mnp-run profile`: one seeded run with the kernel span profiler and
 /// the time-series sampler attached (DESIGN.md §12).
 fn run_profile(it: ArgIter) -> Result<ExitCode, String> {
@@ -430,7 +452,6 @@ fn run_profile(it: ArgIter) -> Result<ExitCode, String> {
     let mut cols = 20usize;
     let mut segments = 1u16;
     let mut seed = 42u64;
-    let mut stride = mnp_sim::profile::DEFAULT_STRIDE;
     let mut sample_ms = 500u64;
     let mut top = 5usize;
     let mut out_path: Option<String> = None;
@@ -442,7 +463,6 @@ fn run_profile(it: ArgIter) -> Result<ExitCode, String> {
             "--cols" => cols = positive(it, &flag)?,
             "--segments" => segments = positive(it, &flag)?,
             "--seed" => seed = arg(it, &flag)?,
-            "--stride" => stride = arg(it, &flag)?,
             "--sample-ms" => sample_ms = positive(it, &flag)?,
             "--top" => top = arg(it, &flag)?,
             "--out" => out_path = Some(value(it, &flag)?),
@@ -450,6 +470,11 @@ fn run_profile(it: ArgIter) -> Result<ExitCode, String> {
             "--timeline" => timeline_path = Some(value(it, &flag)?),
             other => return Err(bad_flag(other)),
         }
+    }
+    if sample_ms > MAX_SAMPLE_MS {
+        return Err(format!(
+            "--sample-ms must be at most {MAX_SAMPLE_MS} (one day)"
+        ));
     }
 
     let scenario = GridExperiment::new(rows, cols, 10.0)
@@ -459,7 +484,7 @@ fn run_profile(it: ArgIter) -> Result<ExitCode, String> {
         "{} | image {} | profile stride {} | sample every {} ms",
         scenario.grid(),
         scenario.image().layout(),
-        stride,
+        profile::DEFAULT_STRIDE,
         sample_ms
     );
 
@@ -475,7 +500,6 @@ fn run_profile(it: ArgIter) -> Result<ExitCode, String> {
     );
 
     profile::reset();
-    profile::set_stride(stride);
     profile::set_enabled(true);
     let start = std::time::Instant::now();
     let out = scenario.run_observed::<Mnp>(

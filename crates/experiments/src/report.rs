@@ -434,6 +434,9 @@ fn diff_results(old: &Json, new: &Json) -> String {
     out
 }
 
+/// One row per phase of the new profile, after the wall clock and, when
+/// either side records one (schema 2 on), the coverage: `-` for a side
+/// without it.
 fn diff_profile(old: &Json, new: &Json) -> String {
     let (old_rows, new_rows) = (array(old, "phases"), array(new, "phases"));
     let wall = |doc: &Json| doc.get("wall_ns").and_then(Json::as_f64).unwrap_or(0.0);
@@ -445,6 +448,11 @@ fn diff_profile(old: &Json, new: &Json) -> String {
         wall(new) / 1e6,
         pct_change(wall(old), wall(new)),
     );
+    let coverage = [old, new].map(|doc| doc.get("coverage").and_then(Json::as_f64));
+    if coverage.iter().any(Option::is_some) {
+        let [was, now] = coverage.map(|c| c.map_or("-".into(), |c| format!("{c:.3}")));
+        let _ = writeln!(out, "coverage: {was} -> {now}");
+    }
     let _ = writeln!(
         out,
         "{:<14} {:>14} {:>14} {:>8} {:>9} {:>9}",
@@ -610,6 +618,31 @@ mod tests {
         assert!(table.contains("+100.0%"), "{table}");
         assert!(table.contains("protocol"), "{table}");
         assert!(table.contains("new"), "{table}");
+    }
+
+    #[test]
+    fn schema_1_profiles_diff_as_before_and_coverage_joins_from_schema_2() {
+        let old = r#"{"schema_version":1,"wall_ns":1000000,"phases":[
+            {"phase":"dispatch","est_self_ns":200000,"self_pct":20.0}]}"#;
+        let new = r#"{"schema_version":1,"wall_ns":2000000,"phases":[
+            {"phase":"dispatch","est_self_ns":400000,"self_pct":20.0},
+            {"phase":"protocol","est_self_ns":100000,"self_pct":5.0}]}"#;
+        assert_eq!(
+            diff(old, new).unwrap(),
+            "kernel profile diff (new vs old)\n\
+             wall: 1.000 ms -> 2.000 ms (+100.0%)\n\
+             phase             old self ms    new self ms   Δ self     old %     new %\n\
+             dispatch                0.200          0.400  +100.0%    20.00%    20.00%\n\
+             protocol                    -          0.100      new         -     5.00%\n"
+        );
+        let v2 = new.replace(
+            r#""schema_version":1,"#,
+            r#""schema_version":2,"coverage":0.25,"#,
+        );
+        let table = diff(old, &v2).unwrap();
+        assert!(table.contains("\ncoverage: - -> 0.250\n"), "{table}");
+        let table = diff(&v2, &v2).unwrap();
+        assert!(table.contains("\ncoverage: 0.250 -> 0.250\n"), "{table}");
     }
 
     #[test]

@@ -165,6 +165,36 @@ fn subcommand_failures_share_one_epilogue() {
             &["profile", "--sample-ms", "0"][..],
             "--sample-ms must be positive",
         ),
+        (
+            &["profile", "--sample-ms", "18446744073709552"][..],
+            "--sample-ms must be at most 86400000",
+        ),
+        (&["profile", "--stride", "1"][..], "unknown flag --stride"),
+        (&["--spacing", "inf"][..], "--spacing must be finite"),
+        (&["--power", "0"][..], "--power must be positive"),
+        // A disconnected topology is a typed error naming the seed, not
+        // the runner's assert.
+        (
+            &["--rows", "3", "--cols", "3", "--spacing", "100"][..],
+            "seed 42: some node has no usable path to the base station",
+        ),
+        (
+            &["--rows", "3", "--cols", "3", "--power", "1"][..],
+            "seed 42: some node has no usable path",
+        ),
+        (
+            &[
+                "--rows",
+                "3",
+                "--cols",
+                "3",
+                "--spacing",
+                "100",
+                "--seeds",
+                "7,8",
+            ][..],
+            "seed 7: some node has no usable path",
+        ),
         (&["chaos", "--grid", "0"][..], "--grid must be positive"),
         // A 1×1 grid has nothing to fault: a typed error, not a panic.
         (
@@ -191,8 +221,10 @@ fn subcommand_failures_share_one_epilogue() {
         ),
     ] {
         let out = mnp_run(args);
-        assert_eq!(out.status.code(), Some(1), "{args:?}");
-        assert!(stderr(&out).contains(needle), "{args:?}: {}", stderr(&out));
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.contains(needle), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
     }
 }
 
@@ -242,11 +274,20 @@ fn profile_writes_its_three_artifacts() {
         t.to_str().unwrap(),
     ]);
     assert!(out.status.success(), "{}", stderr(&out));
+    assert!(stdout(&out).contains("\ncoverage "), "{}", stdout(&out));
     let read = |path: &PathBuf| std::fs::read_to_string(path).expect("artifact written");
     let profile = Json::parse(&read(&p)).expect("profile is JSON");
     assert!(
         matches!(profile.get("phases"), Some(Json::Arr(_))),
         "no phases array: {profile:?}"
+    );
+    assert_eq!(
+        profile.get("schema_version").and_then(Json::as_u64),
+        Some(2)
+    );
+    assert!(
+        profile.get("coverage").and_then(Json::as_f64).is_some(),
+        "no numeric coverage: {profile:?}"
     );
     let series = read(&s);
     assert!(!series.is_empty());

@@ -8,16 +8,17 @@
 //!
 //! Because only 1-in-stride top-level spans carry timestamps, reported
 //! times are estimates: the timed subset scaled up by the call count.
-//! Percentages are taken against the larger of the measured wall clock
-//! and the estimated phase sum, so self-time percentages always sum to
-//! at most 100.
+//! Self time is exclusive, so the phases' estimated self times add up to
+//! the instrumented share of the run. Their sum over the wall clock is the
+//! report's *coverage*, the instrument's own accuracy check: time outside
+//! every span lowers it, the cost of being sampled raises it.
 
 use crate::json::Obj;
 use mnp_sim::profile::{self, Phase, PhaseStat, PHASE_COUNT};
 use std::fmt::Write;
 
 /// Version of the profile JSON schema emitted by [`ProfileReport::dump_json`].
-pub const PROFILE_SCHEMA_VERSION: u64 = 1;
+pub const PROFILE_SCHEMA_VERSION: u64 = 2;
 
 /// One phase's derived report line.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -57,22 +58,16 @@ impl ProfileReport {
         }
     }
 
-    /// The denominator percentages are taken against: the wall clock, or
-    /// the estimated phase-self sum when sampling error pushes that sum
-    /// above it. Guarantees self percentages total ≤ 100.
-    fn pct_denominator(&self) -> u64 {
-        let est_sum: u64 = self
-            .phases
-            .iter()
-            .map(PhaseStat::est_self_ns)
-            .fold(0, u64::saturating_add);
-        self.wall_ns.max(est_sum).max(1)
+    /// The estimated phase self times summed, over the wall clock.
+    pub fn coverage(&self) -> f64 {
+        let est: f64 = self.phases.iter().map(|st| st.est_self_ns() as f64).sum();
+        est / self.wall_ns.max(1) as f64
     }
 
     /// Report rows for every phase with at least one call, sorted by
     /// estimated self time, hottest first.
     pub fn rows(&self) -> Vec<ProfileRow> {
-        let denom = self.pct_denominator();
+        let wall = self.wall_ns.max(1) as f64;
         let mut rows: Vec<ProfileRow> = Phase::ALL
             .iter()
             .map(|&phase| {
@@ -85,7 +80,7 @@ impl ProfileReport {
                     est_total_ns: st.est_total_ns(),
                     est_self_ns: est_self,
                     self_ns_per_call: st.self_ns.checked_div(st.timed).unwrap_or(0),
-                    self_pct: est_self as f64 * 100.0 / denom as f64,
+                    self_pct: est_self as f64 * 100.0 / wall,
                 }
             })
             .filter(|r| r.calls > 0)
@@ -95,7 +90,7 @@ impl ProfileReport {
     }
 
     /// Renders the report as an aligned self-time table, hottest phase
-    /// first, with a top-N summary line.
+    /// first, with the coverage and a top-N summary line.
     pub fn render_table(&self, top_n: usize) -> String {
         let rows = self.rows();
         let mut out = String::new();
@@ -123,6 +118,7 @@ impl ProfileReport {
                 r.self_pct
             );
         }
+        let _ = writeln!(out, "coverage {:.3} (sum of self / wall)", self.coverage());
         let hot: Vec<String> = rows
             .iter()
             .take(top_n)
@@ -159,6 +155,7 @@ impl ProfileReport {
         let mut o = Obj::new(&mut out);
         o.u("schema_version", PROFILE_SCHEMA_VERSION)
             .u("wall_ns", self.wall_ns)
+            .raw("coverage", &format!("{:.4}", self.coverage()))
             .raw("phases", &phases);
         o.end();
         out.push('\n');
@@ -200,21 +197,21 @@ mod tests {
     }
 
     #[test]
-    fn self_percentages_sum_to_at_most_100() {
-        // Wall clock much smaller than the phase sum: the denominator
-        // switches to the sum, clamping the total at 100.
-        let mut r = report();
-        r.wall_ns = 1;
-        let total: f64 = r.rows().iter().map(|row| row.self_pct).sum();
-        assert!(total <= 100.0 + 1e-9, "sum {total} > 100");
-        // Normal case: percentages are against the wall clock.
+    fn self_percentages_are_wall_shares_summing_to_coverage() {
+        // 2.4 ms + 1.0 ms of estimated self time in a 10 ms run.
         let r = report();
-        let total: f64 = r.rows().iter().map(|row| row.self_pct).sum();
-        assert!(total < 100.0, "sum {total}");
+        assert!((r.coverage() - 0.34).abs() < 1e-9, "{}", r.coverage());
         assert!(
             (r.rows()[0].self_pct - 24.0).abs() < 1e-9,
             "2.4 ms of 10 ms"
         );
+        let total: f64 = r.rows().iter().map(|row| row.self_pct).sum();
+        assert!((total - 100.0 * r.coverage()).abs() < 1e-9, "sum {total}");
+        // Nothing is clamped: an estimate above the wall clock shows as
+        // coverage above 1.
+        let mut r = report();
+        r.wall_ns = 1_700_000;
+        assert!((r.coverage() - 2.0).abs() < 1e-9, "{}", r.coverage());
     }
 
     #[test]
@@ -222,12 +219,14 @@ mod tests {
         let table = report().render_table(3);
         assert!(table.contains("protocol"), "{table}");
         assert!(table.contains("top 2 hot: protocol"), "{table}");
+        assert!(table.contains("coverage 0.340"), "{table}");
     }
 
     #[test]
     fn json_is_versioned_and_balanced() {
         let json = report().dump_json();
-        assert!(json.contains("\"schema_version\":1"), "{json}");
+        assert!(json.contains("\"schema_version\":2"), "{json}");
+        assert!(json.contains("\"coverage\":0.3400"), "{json}");
         assert!(json.contains("\"phase\":\"protocol\""), "{json}");
         assert!(json.contains("\"self_pct\":"), "{json}");
         assert_eq!(json.matches('{').count(), json.matches('}').count());

@@ -2,24 +2,21 @@
 //!
 //! The kernel's hot phases (queue operations, medium propagation, protocol
 //! dispatch) are bracketed with [`span`] guards. When profiling is disabled
-//! — the default — a guard is a single thread-local flag check and the
-//! simulation's observable behaviour is untouched: profiling never reads
-//! sim state and sim state never reads the profiler, so seeded runs stay
-//! byte-identical with profiling on, off, or absent.
+//! — the default — opening a guard is one thread-local flag check and
+//! dropping it does nothing. Profiling never reads sim state and sim state
+//! never reads the profiler, so seeded runs stay byte-identical with
+//! profiling on, off, or absent.
 //!
-//! When enabled, every span increments a per-phase call counter, and a
-//! 1-in-*stride* subset of top-level spans is timed with wall-clock
-//! timestamps. Anything nested inside a timed span is also timed, which is
-//! what makes *self time* (total minus time spent in enclosed spans) exact
-//! within each sampled transaction. Timing only a stride keeps the
-//! measured overhead within the ≤5 % events/s budget: at ~600 ns per
-//! kernel event, unconditional `Instant::now()` pairs on six spans per
-//! event would cost more than the work being measured.
-//!
-//! All accumulation happens in fixed-size thread-local slots ([`Cell`]
-//! arrays) — no allocation after startup, no locks, no atomics on the hot
-//! path. The reporting layer (in `mnp-obs`) scales the timed totals back
-//! up by `calls / timed` to estimate full-run phase costs.
+//! When enabled, every span counts a call and one counter samples 1 in
+//! *stride* top-level spans. Inside a sampled span one phase register
+//! names the phase being billed: each span entry and exit reads the clock
+//! once and bills the interval since the last reading, less the profiler's
+//! own cost per transition (calibrated by [`set_enabled`]), to the phase
+//! being left. Self time is thus exclusive: the phases' self times
+//! partition each sampled transaction. Spans under an unsampled top-level
+//! span are counted, never timed. Accumulation uses fixed thread-local
+//! [`Cell`] slots — no allocation, locks or atomics — and `mnp-obs` scales
+//! the timed totals up by `calls / timed` to estimate full-run phase costs.
 //!
 //! # Example
 //!
@@ -45,11 +42,12 @@ use std::time::Instant;
 /// Number of instrumented phases (length of [`Phase::ALL`]).
 pub const PHASE_COUNT: usize = 13;
 
-/// Deepest span nesting for which self-time is tracked exactly. Spans
-/// nested deeper still accumulate calls and total time, but their parents
-/// stop subtracting child time (self degrades toward total). Kernel
-/// nesting is at most four deep in practice.
-const MAX_DEPTH: usize = 16;
+/// Phase register outside every span.
+const IDLE: u8 = PHASE_COUNT as u8;
+/// Phase register inside a top-level span that was not sampled.
+const UNSAMPLED: u8 = IDLE + 1;
+/// [`Span::outer`] of a span opened while profiling was disabled.
+const OFF: u8 = UNSAMPLED + 1;
 
 /// A kernel phase instrumented with [`span`] guards.
 ///
@@ -134,7 +132,8 @@ pub struct PhaseStat {
     pub timed: u64,
     /// Wall-clock nanoseconds inside timed spans, children included.
     pub total_ns: u64,
-    /// Wall-clock nanoseconds inside timed spans, children excluded.
+    /// Nanoseconds billed to the phase itself: the intervals of timed
+    /// spans outside any child, each less the profiler's own cost.
     pub self_ns: u64,
 }
 
@@ -161,45 +160,84 @@ fn scale(ns: u64, calls: u64, timed: u64) -> u64 {
 
 struct State {
     enabled: Cell<bool>,
-    /// The live sampling mask: a span is timed when `calls & mask == 0`.
-    /// Holds `stride_mask` at top level and `0` while a timed span is
-    /// open, so the hot path decides with a single load — no depth read.
-    mask: Cell<u64>,
-    /// Configured stride minus one, restored into `mask` when the last
-    /// timed span closes.
-    stride_mask: Cell<u64>,
-    /// Number of *timed* spans currently open on this thread.
-    depth: Cell<usize>,
-    /// Per-depth accumulator of child span time, reset on span entry.
-    child_ns: [Cell<u64>; MAX_DEPTH],
-    calls: [Cell<u64>; PHASE_COUNT],
-    timed: [Cell<u64>; PHASE_COUNT],
-    total_ns: [Cell<u64>; PHASE_COUNT],
-    self_ns: [Cell<u64>; PHASE_COUNT],
+    /// The phase register: the phase being billed inside a sampled
+    /// transaction, else `IDLE` or `UNSAMPLED`.
+    current: Cell<u8>,
+    /// Clock reading at the last transition of a sampled transaction.
+    last: Cell<Option<Instant>>,
+    /// Top-level spans opened since [`reset`]; 1 in `stride` is sampled.
+    top: Cell<u64>,
+    /// The sampling stride, a power of two.
+    stride: Cell<u64>,
+    /// The profiler's calibrated cost per transition, off each interval.
+    cost_ns: Cell<u64>,
+    stats: [Cell<PhaseStat>; PHASE_COUNT],
 }
 
-/// Default sampling stride: time 1 in 256 top-level spans.
-///
-/// Sized so the clock reads on timed transactions stay well under the
-/// ≤5 % overhead budget: a timed kernel event costs ~15 extra clock
-/// reads, which at 1-in-256 amortises to well under 1 % of events/s
-/// while still timing tens of thousands of transactions per bench run.
+/// Default sampling stride: time 1 in 256 top-level spans. A timed kernel
+/// event costs ~15 extra clock reads, well under 1 % of events/s at this
+/// stride, while tens of thousands of transactions are still timed.
 pub const DEFAULT_STRIDE: u64 = 256;
 
 thread_local! {
     static STATE: State = const {
         State {
             enabled: Cell::new(false),
-            mask: Cell::new(DEFAULT_STRIDE - 1),
-            stride_mask: Cell::new(DEFAULT_STRIDE - 1),
-            depth: Cell::new(0),
-            child_ns: [const { Cell::new(0) }; MAX_DEPTH],
-            calls: [const { Cell::new(0) }; PHASE_COUNT],
-            timed: [const { Cell::new(0) }; PHASE_COUNT],
-            total_ns: [const { Cell::new(0) }; PHASE_COUNT],
-            self_ns: [const { Cell::new(0) }; PHASE_COUNT],
+            current: Cell::new(IDLE),
+            last: Cell::new(None),
+            top: Cell::new(0),
+            stride: Cell::new(DEFAULT_STRIDE),
+            cost_ns: Cell::new(0),
+            stats: [const {
+                Cell::new(PhaseStat { calls: 0, timed: 0, total_ns: 0, self_ns: 0 })
+            }; PHASE_COUNT],
         }
     };
+}
+
+impl State {
+    /// Applies `f` to the counters of phase index `i`, if there is one.
+    fn update(&self, i: u8, f: impl FnOnce(&mut PhaseStat)) {
+        if let Some(slot) = self.stats.get(usize::from(i)) {
+            let mut st = slot.get();
+            f(&mut st);
+            slot.set(st);
+        }
+    }
+
+    /// Reads the clock at a transition of a sampled transaction and bills
+    /// the interval since the previous one, less the calibrated cost, to
+    /// the register value `left` if it names a phase. Out of line: one warm
+    /// copy serves every call site, and untimed spans inline less code.
+    #[inline(never)]
+    fn transition(&self, left: u8) -> Instant {
+        let now = Instant::now();
+        if let Some(last) = self.last.replace(Some(now)) {
+            let ns = ((now - last).as_nanos() as u64).saturating_sub(self.cost_ns.get());
+            self.update(left, |st| st.self_ns = st.self_ns.saturating_add(ns));
+        }
+        now
+    }
+
+    /// The cost of one transition, a clock read and its bookkeeping: the
+    /// cheapest of four timings of 64 empty spans billed to `Sample`, every
+    /// interval then being that cost alone. Leaves the slot and the
+    /// register as it found them.
+    fn calibrate(&self) -> u64 {
+        let slot = &self.stats[Phase::Sample as usize];
+        let (saved, current) = (slot.get(), self.current.replace(Phase::Sample as u8));
+        self.cost_ns.set(0);
+        let cost = (0..4).map(|_| {
+            slot.set(PhaseStat::default());
+            self.transition(IDLE);
+            (0..64).for_each(|_| drop(span(Phase::Sample)));
+            slot.get().self_ns / 128
+        });
+        let cost = cost.min().unwrap_or(0);
+        slot.set(saved);
+        self.current.set(current);
+        cost
+    }
 }
 
 /// A RAII guard accumulating into its phase's slot when dropped.
@@ -210,9 +248,11 @@ thread_local! {
 #[must_use = "a profiling span measures nothing unless held"]
 #[derive(Debug)]
 pub struct Span {
-    /// `Some` iff this span is timed (and therefore incremented `depth`).
+    /// Clock reading at entry; `Some` iff this span is timed.
     start: Option<Instant>,
-    phase: Phase,
+    /// The phase register this span interrupted, restored on drop; `OFF`
+    /// if it was opened with profiling disabled.
+    outer: u8,
 }
 
 /// Opens a span for `phase`. A no-op flag check when profiling is
@@ -221,120 +261,81 @@ pub struct Span {
 pub fn span(phase: Phase) -> Span {
     STATE.with(|s| {
         if !s.enabled.get() {
-            return Span { start: None, phase };
+            return Span {
+                start: None,
+                outer: OFF,
+            };
         }
-        let i = phase as usize;
-        let calls = s.calls[i].get();
-        s.calls[i].set(calls + 1);
-        // Inside a timed span everything is timed (exact self-time); at
-        // top level only every stride-th call is. `mask` encodes both: it
-        // drops to 0 while a timed span is open, so one load decides.
-        if calls & s.mask.get() == 0 {
-            let d = s.depth.get();
-            if d == 0 {
-                s.mask.set(0); // time everything nested under this span
+        s.update(phase as u8, |st| st.calls += 1);
+        let outer = s.current.get();
+        let sampled = match outer {
+            IDLE => s.top.replace(s.top.get() + 1) & (s.stride.get() - 1) == 0,
+            UNSAMPLED => false,
+            _ => true,
+        };
+        let start = sampled.then(|| {
+            if outer == IDLE {
+                // A transaction's first reading bills nothing; a throwaway
+                // one before it warms the clock for the readings that do.
+                s.transition(IDLE);
             }
-            if d < MAX_DEPTH {
-                s.child_ns[d].set(0);
-            }
-            s.depth.set(d + 1);
-            Span {
-                start: Some(Instant::now()),
-                phase,
-            }
-        } else {
-            Span { start: None, phase }
-        }
+            s.transition(outer)
+        });
+        s.current.set(if sampled { phase as u8 } else { UNSAMPLED });
+        Span { start, outer }
     })
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let Some(start) = self.start else { return };
-        let elapsed = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        if self.outer == OFF {
+            return;
+        }
         STATE.with(|s| {
-            let d = s.depth.get();
-            if d == 0 {
-                return; // reset() while the span was open
-            }
-            let d = d - 1;
-            s.depth.set(d);
-            if d == 0 {
-                s.mask.set(s.stride_mask.get()); // resume striding at top level
-            }
-            let child = if d < MAX_DEPTH {
-                s.child_ns[d].get()
-            } else {
-                0
-            };
-            let i = self.phase as usize;
-            s.timed[i].set(s.timed[i].get() + 1);
-            s.total_ns[i].set(s.total_ns[i].get().saturating_add(elapsed));
-            s.self_ns[i].set(
-                s.self_ns[i]
-                    .get()
-                    .saturating_add(elapsed.saturating_sub(child)),
-            );
-            if d > 0 && d - 1 < MAX_DEPTH {
-                let p = &s.child_ns[d - 1];
-                p.set(p.get().saturating_add(elapsed));
+            let phase = s.current.replace(self.outer);
+            if let Some(start) = self.start {
+                let ns = (s.transition(phase) - start).as_nanos() as u64;
+                s.update(phase, |st| {
+                    st.timed += 1;
+                    st.total_ns = st.total_ns.saturating_add(ns);
+                });
             }
         });
     }
 }
 
-/// Turns profiling on or off for the current thread. Off by default;
+/// Turns profiling on or off for the current thread, calibrating the
+/// profiler's cost per transition when turning it on. Off by default;
 /// spans opened while disabled record nothing even if enabled later.
 pub fn set_enabled(enabled: bool) {
-    STATE.with(|s| s.enabled.set(enabled));
-}
-
-/// Sets the sampling stride: 1 in `stride` top-level spans is timed.
-/// Rounded up to the next power of two; `1` times everything. Call with
-/// no spans open — the new stride takes effect at top level.
-pub fn set_stride(stride: u64) {
-    let stride = stride.max(1).next_power_of_two();
     STATE.with(|s| {
-        s.stride_mask.set(stride - 1);
-        if s.depth.get() == 0 {
-            s.mask.set(stride - 1);
+        s.enabled.set(enabled);
+        if enabled {
+            s.cost_ns.set(s.calibrate());
         }
     });
 }
 
-/// Clears all accumulated counters (and any open-span nesting state) on
-/// the current thread. Leaves the enabled flag and stride unchanged.
+/// Sets the sampling stride: 1 in `stride` top-level spans is timed.
+/// Rounded up to a power of two, at most 2^63; `1` times everything.
+pub fn set_stride(stride: u64) {
+    let stride = stride.clamp(1, 1 << 63).next_power_of_two();
+    STATE.with(|s| s.stride.set(stride));
+}
+
+/// Clears the current thread's counters and restarts the sampling count;
+/// call it with no spans open. Leaves the enabled flag and stride as set.
 pub fn reset() {
     STATE.with(|s| {
-        s.depth.set(0);
-        s.mask.set(s.stride_mask.get());
-        for c in &s.child_ns {
-            c.set(0);
-        }
-        for i in 0..PHASE_COUNT {
-            s.calls[i].set(0);
-            s.timed[i].set(0);
-            s.total_ns[i].set(0);
-            s.self_ns[i].set(0);
-        }
+        s.top.set(0);
+        s.stats.iter().for_each(|st| st.set(PhaseStat::default()));
     });
 }
 
 /// Copies out the current thread's per-phase counters, indexed by
 /// `Phase as usize`.
 pub fn snapshot() -> [PhaseStat; PHASE_COUNT] {
-    STATE.with(|s| {
-        let mut out = [PhaseStat::default(); PHASE_COUNT];
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = PhaseStat {
-                calls: s.calls[i].get(),
-                timed: s.timed[i].get(),
-                total_ns: s.total_ns[i].get(),
-                self_ns: s.self_ns[i].get(),
-            };
-        }
-        out
-    })
+    STATE.with(|s| s.stats.each_ref().map(Cell::get))
 }
 
 #[cfg(test)]
@@ -363,6 +364,11 @@ mod tests {
         });
     }
 
+    /// The calibrated cost per transition on this thread.
+    fn cost_ns() -> u64 {
+        STATE.with(|s| s.cost_ns.get())
+    }
+
     #[test]
     fn nested_spans_split_self_and_total() {
         with_clean_state(|| {
@@ -371,10 +377,10 @@ mod tests {
             set_stride(1);
             {
                 let _outer = span(Phase::Dispatch);
-                std::hint::black_box(busy(200));
+                std::hint::black_box(busy(2000));
                 {
                     let _inner = span(Phase::Protocol);
-                    std::hint::black_box(busy(200));
+                    std::hint::black_box(busy(2000));
                 }
             }
             set_enabled(false);
@@ -392,9 +398,51 @@ mod tests {
                 outer.total_ns,
                 inner.total_ns
             );
-            // Outer self excludes inner's total exactly.
-            assert_eq!(outer.self_ns, outer.total_ns - inner.total_ns);
-            assert_eq!(inner.self_ns, inner.total_ns);
+            // Each billed interval gives up one transition's cost: the outer span
+            // bills two (before and after the inner one), the inner one.
+            let c = cost_ns();
+            assert_eq!(outer.self_ns, outer.total_ns - inner.total_ns - 2 * c);
+            assert_eq!(inner.self_ns, inner.total_ns - c);
+        });
+    }
+
+    #[test]
+    fn self_times_partition_each_sampled_transaction() {
+        with_clean_state(|| {
+            reset();
+            set_enabled(true);
+            set_stride(1);
+            {
+                let _dispatch = span(Phase::Dispatch);
+                std::hint::black_box(busy(2000));
+                {
+                    let _protocol = span(Phase::Protocol);
+                    std::hint::black_box(busy(2000));
+                    {
+                        let _observe = span(Phase::Observe);
+                        std::hint::black_box(busy(2000));
+                    }
+                    std::hint::black_box(busy(2000));
+                }
+                {
+                    let _tx = span(Phase::MediumTx);
+                    std::hint::black_box(busy(2000));
+                }
+                std::hint::black_box(busy(2000));
+            }
+            {
+                let _pop = span(Phase::QueuePop);
+                std::hint::black_box(busy(2000));
+            }
+            set_enabled(false);
+            let stats = snapshot();
+            let self_sum: u64 = stats.iter().map(|st| st.self_ns).sum();
+            let top =
+                stats[Phase::Dispatch as usize].total_ns + stats[Phase::QueuePop as usize].total_ns;
+            // Eight transitions bill seven intervals in the first
+            // transaction, two bill one in the second: each interval less
+            // one transition's cost, and nothing billed twice.
+            assert_eq!(self_sum, top - 8 * cost_ns());
         });
     }
 
@@ -420,8 +468,8 @@ mod tests {
             reset();
             set_enabled(true);
             set_stride(64);
-            // First Dispatch call is timed (calls=0 matches the stride);
-            // its nested Protocol span must be timed too.
+            // The first top-level span after a reset is sampled; the
+            // Protocol span nested in it must be timed too.
             let outer = span(Phase::Dispatch);
             {
                 let _inner = span(Phase::Protocol);
@@ -430,6 +478,59 @@ mod tests {
             set_enabled(false);
             let st = snapshot();
             assert_eq!(st[Phase::Protocol as usize].timed, 1);
+        });
+    }
+
+    #[test]
+    fn a_span_under_an_unsampled_parent_is_never_timed() {
+        with_clean_state(|| {
+            reset();
+            set_enabled(true);
+            set_stride(8);
+            for _ in 0..64 {
+                let _outer = span(Phase::Dispatch);
+                let _inner = span(Phase::Protocol);
+            }
+            set_enabled(false);
+            let st = snapshot();
+            for phase in [Phase::Dispatch, Phase::Protocol] {
+                assert_eq!(st[phase as usize].calls, 64, "{phase:?}");
+                assert_eq!(st[phase as usize].timed, 8, "{phase:?}");
+            }
+        });
+    }
+
+    #[test]
+    fn a_span_opened_while_disabled_records_nothing_once_enabled() {
+        with_clean_state(|| {
+            reset();
+            set_stride(1);
+            let early = span(Phase::Dispatch);
+            set_enabled(true);
+            {
+                let _inner = span(Phase::Protocol);
+            }
+            drop(early);
+            set_enabled(false);
+            let st = snapshot();
+            assert_eq!(st[Phase::Dispatch as usize], PhaseStat::default());
+            // The span opened after enabling is top level, not nested.
+            assert_eq!(st[Phase::Protocol as usize].timed, 1);
+        });
+    }
+
+    #[test]
+    fn the_largest_stride_does_not_overflow() {
+        with_clean_state(|| {
+            reset();
+            set_enabled(true);
+            set_stride(u64::MAX);
+            for _ in 0..3 {
+                let _g = span(Phase::QueuePush);
+            }
+            set_enabled(false);
+            let st = snapshot()[Phase::QueuePush as usize];
+            assert_eq!((st.calls, st.timed), (3, 1), "stride 2^63: only the first");
         });
     }
 
