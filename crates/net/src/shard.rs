@@ -667,58 +667,62 @@ impl<P: Protocol> Shard<P> {
         );
         let class = msg.class();
         let kind = msg.kind_label();
-        // Per-listener effects run in ascending NodeId order, merged
-        // across the outcome's three columns (each ascending by
-        // construction: the reception walk follows the sorted adjacency
-        // row). A shard only sees its own contiguous slice of the
-        // listeners, so concatenating shard streams in shard order —
-        // which is ascending node-range order — reproduces the
-        // sequential per-listener order exactly.
-        let (mut c, mut m, mut d) = (0, 0, 0);
-        loop {
-            let nc = outcome.corrupted.get(c).copied();
-            let nm = outcome.missed.get(m).copied();
-            let nd = outcome.delivered.get(d).copied();
-            let Some(recv) = [nc, nm, nd].into_iter().flatten().min() else {
-                break;
-            };
-            if nc == Some(recv) {
-                c += 1;
-                self.emit_obs(
-                    recv,
-                    EventKind::MsgDrop {
-                        from: src,
-                        class,
-                        kind,
-                        cause: LossCause::Collision,
-                    },
-                );
-            } else if nm == Some(recv) {
-                m += 1;
-                self.emit_obs(
-                    recv,
-                    EventKind::MsgDrop {
-                        from: src,
-                        class,
-                        kind,
-                        cause: LossCause::BitError,
-                    },
-                );
-            } else {
-                d += 1;
-                self.nodes.meter_mut(recv).record_rx(airtime);
+        let bytes = msg.wire_bytes();
+        let detail = msg.detail();
+        // Per-listener effects run in ascending NodeId order. Each of the
+        // outcome's three columns is ascending by construction (the
+        // reception walk follows the sorted adjacency row), so one pass
+        // over the deliveries suffices: when observers are attached, the
+        // drops that sort before each delivered receiver (and, after the
+        // last one, the rest) are merged in ahead of it. Unwatched, the
+        // drop columns are never read. A shard only sees its own
+        // contiguous slice of the listeners, so concatenating shard
+        // streams in shard order — ascending node-range order — reproduces
+        // the sequential per-listener order exactly.
+        let (mut c, mut m) = (0, 0);
+        // The trailing `None` flushes the drops after the last delivery.
+        for next in outcome.delivered.iter().copied().map(Some).chain([None]) {
+            while self.watched {
+                let nc = outcome.corrupted.get(c).copied();
+                let nm = outcome.missed.get(m).copied();
+                let (recv, cause) = match (nc, nm) {
+                    (Some(a), Some(b)) if b < a => (b, LossCause::BitError),
+                    (Some(a), _) => (a, LossCause::Collision),
+                    (None, Some(b)) => (b, LossCause::BitError),
+                    (None, None) => break,
+                };
+                if next.is_some_and(|d| d < recv) {
+                    break;
+                }
+                match cause {
+                    LossCause::Collision => c += 1,
+                    LossCause::BitError => m += 1,
+                }
                 self.emit(
                     recv,
-                    EventKind::MsgRx {
+                    EventKind::MsgDrop {
                         from: src,
                         class,
                         kind,
-                        bytes: msg.wire_bytes(),
-                        detail: msg.detail(),
+                        cause,
                     },
                 );
-                self.callback(recv, |p, ctx| p.on_message(ctx, src, &msg));
             }
+            let Some(recv) = next else {
+                break;
+            };
+            self.nodes.meter_mut(recv).record_rx(airtime);
+            self.emit(
+                recv,
+                EventKind::MsgRx {
+                    from: src,
+                    class,
+                    kind,
+                    bytes,
+                    detail,
+                },
+            );
+            self.callback(recv, |p, ctx| p.on_message(ctx, src, &msg));
         }
         // Hand the cleared buffer back for the next finished frame.
         outcome.clear();

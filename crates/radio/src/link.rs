@@ -206,6 +206,28 @@ impl FlatLinks {
         row.binary_search(&to).ok().map(|i| self.out_ber[lo + i])
     }
 
+    /// The CSR index of the first edge in `from`'s row: the edge at
+    /// position `k` of [`FlatLinks::neighbors`] has index
+    /// `row_start(from) + k`. The edge set is frozen at flattening, so an
+    /// index names the same edge for the life of the graph.
+    #[inline]
+    pub fn row_start(&self, from: NodeId) -> u32 {
+        self.out_off[from.index()]
+    }
+
+    /// The receiving end of the edge with CSR index `edge`.
+    #[inline]
+    pub fn edge_dst(&self, edge: u32) -> NodeId {
+        self.out_dst[edge as usize]
+    }
+
+    /// The current bit error rate of the edge with CSR index `edge` —
+    /// what [`FlatLinks::ber`] returns for it, without the search.
+    #[inline]
+    pub fn edge_ber(&self, edge: u32) -> f64 {
+        self.out_ber[edge as usize]
+    }
+
     /// Updates the BER of the existing edge `from → to` (the
     /// fault-injection path; new edges cannot be added after flattening).
     /// Returns whether the edge was found.
@@ -347,6 +369,47 @@ mod tests {
             assert!(flat.set_ber(a, b, ber));
             assert_mirrors(&flat, &t);
         }
+    }
+
+    #[test]
+    fn edge_index_accessors_agree_with_rows_and_search() {
+        // A random directed graph: every index `row_start(a) + k` must name
+        // the `k`-th entry of `a`'s row, at the rate the search reports,
+        // before and after rates are rewritten in place.
+        let n = 12;
+        let mut rng = mnp_sim::SimRng::new(31);
+        let mut t = LinkTable::new(n);
+        for a in 0..n {
+            for b in 0..n {
+                if a != b && rng.chance(0.4) {
+                    t.connect(NodeId::from_index(a), NodeId::from_index(b), rng.unit());
+                }
+            }
+        }
+        let mut flat = FlatLinks::from_table(&t);
+        let check = |flat: &FlatLinks| {
+            let mut next = 0;
+            for a in (0..n).map(NodeId::from_index) {
+                let start = flat.row_start(a);
+                assert_eq!(start, next, "rows tile the edge array");
+                let (dst, ber) = flat.neighbors(a);
+                for (k, (&b, &rate)) in dst.iter().zip(ber).enumerate() {
+                    let e = start + k as u32;
+                    assert_eq!(flat.edge_dst(e), b);
+                    assert_eq!(flat.edge_ber(e), rate);
+                    assert_eq!(Some(flat.edge_ber(e)), flat.ber(a, b));
+                }
+                next = start + dst.len() as u32;
+            }
+            assert_eq!(next as usize, t.edge_count());
+        };
+        check(&flat);
+        for a in (0..n).map(NodeId::from_index) {
+            for (b, _) in t.neighbors(a) {
+                assert!(flat.set_ber(a, b, rng.unit()));
+            }
+        }
+        check(&flat);
     }
 
     #[test]

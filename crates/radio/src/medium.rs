@@ -277,9 +277,11 @@ struct TxBank {
     /// `last_wake` against.
     heard_at: Vec<SimTime>,
     payload: Vec<PayloadHandle>,
-    /// Nodes that locked onto the slot's frame when its preamble arrived;
-    /// cleared (with capacity retained) when the slot is released.
-    listeners: Vec<Vec<NodeId>>,
+    /// The CSR edge index ([`FlatLinks::row_start`]) of every `src → node`
+    /// edge whose node locked onto the slot's frame when its preamble
+    /// arrived, so resolution reads the receiver and its rate without a
+    /// search; cleared (with capacity retained) when the slot is released.
+    listeners: Vec<Vec<u32>>,
     /// Reception-side events still pending on the slot: 1 for the rx-end,
     /// +1 if an abort is in flight. The slot releases when it hits zero.
     pending: Vec<u8>,
@@ -759,9 +761,10 @@ impl<P> Medium<P> {
             capture,
             ..
         } = &mut *self;
-        let (dsts, _) = flat.neighbors(src);
+        let (dsts, bers) = flat.neighbors(src);
+        let row = flat.row_start(src);
         let mut listeners = std::mem::take(&mut txs.listeners[slot]);
-        for &n in dsts {
+        for (k, &n) in dsts.iter().enumerate() {
             let i = n.index().wrapping_sub(*base);
             if i >= *n_local {
                 continue; // another shard's receiver
@@ -776,7 +779,7 @@ impl<P> Medium<P> {
                         corrupted: false,
                     });
                     stats[i].rx_locks += 1;
-                    listeners.push(n);
+                    listeners.push(row + k as u32);
                 }
                 RadioState::Receiving => {
                     // Overlap. Without capture the ongoing reception is
@@ -786,7 +789,7 @@ impl<P> Medium<P> {
                         && radios.current_rx[i].is_some_and(|lock| match txs.src_of(lock.tx) {
                             Some(ls) => {
                                 let cur = flat.ber(ls, n).unwrap_or(1.0);
-                                let new = flat.ber(src, n).unwrap_or(1.0);
+                                let new = bers[k];
                                 // Order-of-magnitude BER advantage ≈
                                 // the ~6 dB power ratio real radios
                                 // need to capture.
@@ -841,7 +844,8 @@ impl<P> Medium<P> {
             out.payload = Some(self.txs.payload[slot]);
             self.drop_perception(slot);
             let listeners = std::mem::take(&mut self.txs.listeners[slot]);
-            for &l in &listeners {
+            for &edge in &listeners {
+                let l = self.flat.edge_dst(edge);
                 let i = self.local(l);
                 let lock = match self.radios.current_rx[i] {
                     Some(lock) if lock.tx == id => lock,
@@ -858,7 +862,9 @@ impl<P> Medium<P> {
                     out.corrupted.push(l);
                     continue;
                 }
-                let ber = self.flat.ber(src, l).expect("listener implies audible");
+                // The rate in force now, read by index: `set_link_ber`
+                // rewrites it in place, so mid-frame faults still count.
+                let ber = self.flat.edge_ber(edge);
                 if self.rx_rngs[i].chance(frame_success_probability(ber, bits)) {
                     self.stats[i].frames_received += 1;
                     out.delivered.push(l);
@@ -941,8 +947,8 @@ impl<P> Medium<P> {
         debug_assert!(self.txs.aborted[slot], "rx_abort without abort mark");
         self.drop_perception(slot);
         let listeners = std::mem::take(&mut self.txs.listeners[slot]);
-        for &l in &listeners {
-            let i = self.local(l);
+        for &edge in &listeners {
+            let i = self.local(self.flat.edge_dst(edge));
             if matches!(self.radios.current_rx[i], Some(lock) if lock.tx == id) {
                 self.radios.current_rx[i] = None;
                 self.radios.states[i] = RadioState::Listening;
@@ -1041,6 +1047,31 @@ mod tests {
         m.set_link_ber(NodeId(0), NodeId(1), 0.0);
         let out = transmit(&mut m, NodeId(0), 2, SimTime::from_secs(1));
         assert_eq!(out.delivered.len(), 1, "restored link delivers again");
+    }
+
+    #[test]
+    fn the_rate_in_force_at_rx_end_decides_the_frame() {
+        // Listeners hold edge indices, and resolution reads the rate by
+        // index; a fault landing between the header and the tail must
+        // still decide the frame, as it did when the rate was searched.
+        for (before, after, delivered) in [(0.0, 1.0, false), (1.0, 0.0, true)] {
+            let mut m = clique(2);
+            m.set_link_ber(NodeId(0), NodeId(1), before);
+            let t0 = SimTime::ZERO;
+            let tx = m.begin_transmission(NodeId(0), frame(0, 1), t0).unwrap();
+            m.rx_start(tx.id, t0 + L);
+            m.set_link_ber(NodeId(0), NodeId(1), after);
+            m.end_transmission(tx.id);
+            let mut out = TxOutcome::new();
+            assert!(m.rx_end_into(tx.id, t0 + tx.airtime + L, &mut out));
+            let (hit, lost) = if delivered {
+                (&out.delivered, &out.missed)
+            } else {
+                (&out.missed, &out.delivered)
+            };
+            assert_eq!(hit, &vec![NodeId(1)], "ber {before} -> {after}");
+            assert!(lost.is_empty() && out.corrupted.is_empty());
+        }
     }
 
     #[test]
@@ -1677,6 +1708,40 @@ mod capture_tests {
         let out0 = overlap(&mut m);
         assert_eq!(out0.delivered.len(), 1, "capture keeps the clean frame");
         assert_eq!(out0.delivered[0], NodeId(2));
+    }
+
+    #[test]
+    fn capture_reads_the_rival_rate_in_force_at_its_header() {
+        // The rival's rate is read by edge index when its header arrives;
+        // a rewrite before then decides capture, one after does not.
+        let ms = SimDuration::from_millis;
+        for (rate, corrupted) in [(1e-7, true), (1e-3, false)] {
+            let mut m = asymmetric();
+            m.set_capture(true);
+            // 1 -> 2 starts as clean as the held signal: a collision...
+            m.set_link_ber(NodeId(1), NodeId(2), 1e-7);
+            let t0 = SimTime::ZERO;
+            let tx0 = m
+                .begin_transmission(NodeId(0), Frame::new(NodeId(0), 20, 1u32), t0)
+                .unwrap();
+            m.rx_start(tx0.id, t0 + L);
+            let tx1 = m
+                .begin_transmission(NodeId(1), Frame::new(NodeId(1), 20, 2u32), t0 + ms(1))
+                .unwrap();
+            // ...unless the rate is rewritten before the rival's header.
+            m.set_link_ber(NodeId(1), NodeId(2), rate);
+            m.rx_start(tx1.id, t0 + ms(1) + L);
+            m.set_link_ber(NodeId(1), NodeId(2), 1e-7);
+            m.end_transmission(tx0.id);
+            let mut out0 = TxOutcome::new();
+            assert!(m.rx_end_into(tx0.id, t0 + tx0.airtime + L, &mut out0));
+            let expect = vec![NodeId(2)];
+            if corrupted {
+                assert_eq!(out0.corrupted, expect, "rival at {rate}");
+            } else {
+                assert_eq!(out0.delivered, expect, "rival at {rate} is captured");
+            }
+        }
     }
 
     #[test]

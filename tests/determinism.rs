@@ -428,6 +428,34 @@ fn mobile_runs_replay_byte_identically_at_any_shard_count() {
 }
 
 #[test]
+fn attaching_observers_never_changes_delivery() {
+    // The kernel reads the outcome's drop columns and the protocols' state
+    // labels only when observers are attached. That guard must never steer
+    // a run: each protocol, and MNP under the fault plan, runs once bare
+    // and once with every observer attached, and the two runs must agree.
+    fn check<P: Disseminator>(scenario: &GridExperiment, name: &str) {
+        let bare = scenario.run::<P>(|_| {});
+        assert!(bare.completed, "{name} run did not complete: {bare}");
+        let instruments = Instruments {
+            observers: vec![
+                Box::new(JsonlLogger::new()),
+                Box::new(MetricsRegistry::new()),
+                Box::new(InvariantMonitor::new()),
+            ],
+            sampler: None,
+        };
+        let watched = scenario.run_observed::<P>(|_| {}, instruments);
+        assert_eq!(fingerprint(&watched), fingerprint(&bare), "{name}");
+        assert_eq!(watched.events, bare.events, "{name} events_processed");
+    }
+    check::<Mnp>(&grid(77), "MNP");
+    check::<Deluge>(&grid(77), "Deluge");
+    check::<Rlnc>(&grid(77), "RLNC");
+    check::<Xor>(&grid(77), "XOR");
+    check::<Mnp>(&grid(77).faults(fault_plan()), "MNP faulted");
+}
+
+#[test]
 fn refreshed_timeouts_queue_no_event_per_packet() {
     // A receiver refreshes its timeout on every data packet. With one
     // kernel timer per deadline those refreshes queue nothing, so the
