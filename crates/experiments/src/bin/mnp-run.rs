@@ -185,6 +185,7 @@ impl Args {
                 other => return Err(bad_flag(other)),
             }
         }
+        node_count(args.rows, args.cols, "--rows × --cols")?;
         Ok(args)
     }
 }
@@ -247,6 +248,19 @@ where
     } else {
         Err(format!("{flag} must be positive"))
     }
+}
+
+/// The most nodes a run can hold: `NodeId::from_index` takes no index
+/// above `i32::MAX`.
+const MAX_NODES: usize = i32::MAX as usize;
+
+/// `a × b` if every node of that many can be named: a larger count is a
+/// typed error here, not an allocation abort in the scenario builders.
+/// `flags` names the flags that set the count.
+fn node_count(a: usize, b: usize, flags: &str) -> Result<usize, String> {
+    a.checked_mul(b)
+        .filter(|&n| n <= MAX_NODES)
+        .ok_or_else(|| format!("{flags} must be at most {MAX_NODES} nodes"))
 }
 
 /// `v` if it is finite: an infinite spacing has no grid to lay out.
@@ -471,6 +485,7 @@ fn run_profile(it: ArgIter) -> Result<ExitCode, String> {
             other => return Err(bad_flag(other)),
         }
     }
+    node_count(rows, cols, "--rows × --cols")?;
     if sample_ms > MAX_SAMPLE_MS {
         return Err(format!(
             "--sample-ms must be at most {MAX_SAMPLE_MS} (one day)"
@@ -564,6 +579,7 @@ fn run_coded(it: ArgIter) -> Result<ExitCode, String> {
             other => return Err(bad_flag(other)),
         }
     }
+    node_count(rows, cols, "--rows × --cols")?;
     if losses.is_empty() {
         return Err("--losses needs at least one rate".into());
     }
@@ -604,6 +620,7 @@ fn run_mobility(it: ArgIter) -> Result<ExitCode, String> {
             other => return Err(bad_flag(other)),
         }
     }
+    node_count(nodes, 1, "--nodes")?;
     if speeds.is_empty() {
         return Err("--speeds needs at least one speed".into());
     }
@@ -635,6 +652,7 @@ fn run_chaos(it: ArgIter) -> Result<ExitCode, String> {
             other => return Err(bad_flag(other)),
         }
     }
+    node_count(grid, grid, "--grid × --grid")?;
     // A 1×1 grid is the base station alone: the fault-plan samplers would
     // find no node to crash or fault and no link to flap.
     let sweeps = [

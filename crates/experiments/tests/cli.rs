@@ -196,6 +196,32 @@ fn subcommand_failures_share_one_epilogue() {
             "seed 7: some node has no usable path",
         ),
         (&["chaos", "--grid", "0"][..], "--grid must be positive"),
+        // A node count no `NodeId` can name is a typed error, not an
+        // allocation abort.
+        (
+            &["--rows", "70000", "--cols", "70000"][..],
+            "--rows × --cols must be at most 2147483647 nodes",
+        ),
+        (
+            &["--rows", "18446744073709551615", "--cols", "2"][..],
+            "--rows × --cols must be at most 2147483647 nodes",
+        ),
+        (
+            &["profile", "--rows", "70000", "--cols", "70000"][..],
+            "--rows × --cols must be at most 2147483647 nodes",
+        ),
+        (
+            &["coded", "--rows", "70000", "--cols", "70000"][..],
+            "--rows × --cols must be at most 2147483647 nodes",
+        ),
+        (
+            &["chaos", "--grid", "70000"][..],
+            "--grid × --grid must be at most 2147483647 nodes",
+        ),
+        (
+            &["mobility", "--nodes", "2147483648"][..],
+            "--nodes must be at most 2147483647 nodes",
+        ),
         // A 1×1 grid has nothing to fault: a typed error, not a panic.
         (
             &["chaos", "--grid", "1", "--crashes", "2", "--flaps", ""][..],

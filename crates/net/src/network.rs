@@ -240,7 +240,7 @@ impl NetworkBuilder {
         let mut node_rngs: Vec<SimRng> = (0..n).map(|i| root.derive(i as u64)).collect();
         let mac_rngs: Vec<SimRng> = (0..n).map(|i| root.derive(1_000_000 + i as u64)).collect();
         let medium_rng = root.derive(u64::MAX);
-        let protocols: Vec<P> = (0..n)
+        let mut protocols: Vec<P> = (0..n)
             .map(|i| make(NodeId::from_index(i), &mut node_rngs[i]))
             .collect();
         // The arena exists before the first event is scheduled: every
@@ -330,10 +330,22 @@ impl NetworkBuilder {
         // Every shard holds the full graph: `s - 1` clones of three flat
         // arrays and the original.
         let link_copies = vec![links; s];
-        let mut protocols = protocols.into_iter();
+        // Each shard's protocols, split off the back so shard 0 keeps the
+        // original vector: a one-shard build holds no second copy.
+        let mut slices: Vec<Vec<P>> = bounds[1..s]
+            .iter()
+            .rev()
+            .map(|&lo| protocols.split_off(lo))
+            .collect();
+        protocols.shrink_to_fit();
+        slices.push(protocols);
         let mut shards: Vec<Shard<P>> = Vec::with_capacity(s);
-        for (((w, queue), arena), links) in
-            bounds.windows(2).zip(queues).zip(arenas).zip(link_copies)
+        for ((((w, queue), arena), links), protocols) in bounds
+            .windows(2)
+            .zip(queues)
+            .zip(arenas)
+            .zip(link_copies)
+            .zip(slices.into_iter().rev())
         {
             let (lo, hi) = (w[0], w[1]);
             let nk = hi - lo;
@@ -351,7 +363,7 @@ impl NetworkBuilder {
                 timeline: timeline.clone(),
                 fed: 0,
                 medium,
-                protocols: protocols.by_ref().take(nk).collect(),
+                protocols,
                 macs: CsmaBank::new(CsmaConfig::default(), nk),
                 nodes: arena,
                 outcome_scratch: TxOutcome::new(),

@@ -37,9 +37,12 @@ const AUDIBLE_X: f64 = 1.4;
 /// pair within this of a bound takes the full path. It dwarfs the full
 /// path's rounding error (~1e-15), which keeps the prefilter exact.
 const PREFILTER_MARGIN: f64 = 1e-9;
+/// [`AUDIBLE_X`] widened by [`PREFILTER_MARGIN`]: the cutoff the
+/// prefilter's bounds are drawn against.
+const PREFILTER_X: f64 = AUDIBLE_X * (1.0 + PREFILTER_MARGIN);
 /// Normalised distance beyond which no shadowing draw is audible:
 /// `x >= q · SHADOW_FLOOR > AUDIBLE_X`.
-const PREFILTER_REACH: f64 = AUDIBLE_X * (1.0 + PREFILTER_MARGIN) / SHADOW_FLOOR;
+const PREFILTER_REACH: f64 = PREFILTER_X / SHADOW_FLOOR;
 /// Frame length (bits) at which the empirical packet error rate is defined.
 const REFERENCE_BITS: f64 = ((FRAME_OVERHEAD_BYTES + MAX_PAYLOAD_BYTES) * 8) as f64;
 
@@ -83,6 +86,7 @@ pub(crate) fn per_to_ber(per: f64) -> f64 {
 /// Returns `None` when the edge is out of audible range (beyond 1.4× the
 /// nominal range the sigmoid is ≈1 and the edge would only waste simulator
 /// work; dropping it also defines the carrier-sense audibility set).
+#[inline]
 pub fn sample_edge_ber(distance_ft: f64, range_ft: f64, rng: &mut SimRng) -> Option<f64> {
     assert!(distance_ft >= 0.0 && range_ft > 0.0, "bad geometry");
     let (u1, u2) = box_muller_draws(rng);
@@ -94,26 +98,57 @@ pub fn sample_edge_ber(distance_ft: f64, range_ft: f64, rng: &mut SimRng) -> Opt
 /// decides most inaudible pairs without any transcendental maths.
 ///
 /// With `q = d / range`, the edge is audible only if the shadow factor is
-/// at most `AUDIBLE_X / q`. Two exact bounds rule that out early:
+/// at most `AUDIBLE_X / q`. Three exact bounds rule that out early:
 /// - *reach*: the factor is at least `SHADOW_FLOOR`, so `q > 5.6` is never
 ///   audible, whatever the draws;
-/// - *draw*: for `q > 1.4` the Gaussian must be at most
+/// - *sign*: for `q > 1.4` the Gaussian must be negative, and its sign is
+///   that of `cos(2π u2)`, so `u2` outside `(¼, ¾)` is never audible;
+/// - *draw*: for `q > 1.4` the Gaussian must also be at most
 ///   `g_max = (AUDIBLE_X / q − 1) / σ < 0`, and Box–Muller's variate is at
 ///   least `−√(−2 ln u1)`; as `−ln u ≤ (1 − u) / u`, the edge is inaudible
 ///   whenever `2 (1 − u1) / u1 < g_max²`.
 ///
-/// Both bounds carry [`PREFILTER_MARGIN`]; every other pair runs the full
+/// The bounds are tested multiplied out by `range`, `u1` and `(σ d)²`, so
+/// they divide nothing. Each carries [`PREFILTER_MARGIN`], far above the
+/// few ulps of rounding in that arithmetic; every other pair runs the full
 /// path bit for bit.
+#[inline]
 fn edge_ber_from_draws(distance_ft: f64, range_ft: f64, u1: f64, u2: f64) -> Option<f64> {
-    let q = distance_ft / range_ft;
-    if q > PREFILTER_REACH {
+    let d = distance_ft;
+    if d > reach_ft(range_ft) {
         return None;
     }
-    let g_max = (AUDIBLE_X * (1.0 + PREFILTER_MARGIN) / q - 1.0) / SHADOWING_SIGMA;
-    if g_max < 0.0 && 2.0 * (1.0 - u1) / u1 < g_max * g_max {
-        return None;
+    // The distance at which `g_max` reaches zero.
+    let cutoff = PREFILTER_X * range_ft;
+    if d > cutoff {
+        let non_negative = u2 <= 0.25 - PREFILTER_MARGIN || u2 >= 0.75 + PREFILTER_MARGIN;
+        // `g_max = slack / (σ d)`.
+        let slack = cutoff - d;
+        let sigma_d = SHADOWING_SIGMA * d;
+        let too_short = 2.0 * (1.0 - u1) * sigma_d * sigma_d < slack * slack * u1;
+        if non_negative | too_short {
+            return None;
+        }
     }
+    full_path(d, range_ft, u1, u2)
+}
+
+/// What [`edge_ber_from_draws`] computes for a pair no bound decides:
+/// out of line, so callers inline only the cheap bounds.
+#[inline(never)]
+fn full_path(distance_ft: f64, range_ft: f64, u1: f64, u2: f64) -> Option<f64> {
     edge_ber_with_shadow(distance_ft, range_ft, shadow_of(gaussian((u1, u2))))
+}
+
+/// How many draws one [`sample_edge_ber`] call takes from its stream,
+/// whatever it returns.
+pub const EDGE_DRAWS: u64 = 2;
+
+/// The distance, in feet, beyond which no shadowing draw makes an edge
+/// from a transmitter of nominal range `range_ft` audible:
+/// [`sample_edge_ber`] returns `None` there without looking at its draws.
+pub fn reach_ft(range_ft: f64) -> f64 {
+    PREFILTER_REACH * range_ft
 }
 
 /// Draws the per-edge shadowing factor [`sample_edge_ber`] perturbs
@@ -333,6 +368,59 @@ mod tests {
             }
         }
         assert!(checked > 100_000);
+    }
+
+    #[test]
+    fn sign_bound_is_exact_at_its_edges() {
+        // The sign bound rules out u2 outside (¼ − m, ¾ + m); cos(2π u2)
+        // changes sign at ¼ and ¾. Walk u2 ulp by ulp across all four
+        // points, and out from ¼ and ¾ in decades, with u1 at the clamp
+        // (the largest |g|, so even a tiny negative cosine is audible
+        // just above q = 1.4) and elsewhere.
+        let range = 35.0;
+        let full = |d: f64, u1: f64, u2: f64| {
+            edge_ber_with_shadow(d, range, shadow_of(gaussian((u1, u2))))
+        };
+        let near = |x: f64, k: u64| {
+            [
+                f64::from_bits(x.to_bits() - k),
+                f64::from_bits(x.to_bits() + k),
+            ]
+        };
+        let m = PREFILTER_MARGIN;
+        let mut u2s = Vec::new();
+        for edge in [0.25 - m, 0.25, 0.75, 0.75 + m] {
+            for k in 0..64 {
+                u2s.extend(near(edge, k));
+            }
+        }
+        for e in 1..=15 {
+            let step = 10f64.powi(-e);
+            u2s.extend([0.25 - step, 0.25 + step, 0.75 - step, 0.75 + step]);
+        }
+        let mut qs = Vec::new();
+        for k in 1..16 {
+            qs.push(f64::from_bits(AUDIBLE_X.to_bits() + k));
+            qs.extend(near(PREFILTER_X, k));
+        }
+        qs.extend((4..=15).map(|e| PREFILTER_X * (1.0 + 10f64.powi(-e))));
+        qs.extend((1..=420).map(|i| AUDIBLE_X + i as f64 * 0.01));
+        let mut checked = 0;
+        let mut audible = 0;
+        for &q in &qs {
+            let d = q * range;
+            for u1 in [1e-12, 1e-6, 0.3, 0.9, 1.0 - f64::EPSILON] {
+                for &u2 in &u2s {
+                    let want = full(d, u1, u2);
+                    let got = edge_ber_from_draws(d, range, u1, u2);
+                    assert!(same(got, want), "q {q} u1 {u1} u2 {u2}");
+                    checked += 1;
+                    audible += usize::from(want.is_some());
+                }
+            }
+        }
+        assert!(checked > 500_000);
+        assert!(audible > 0, "the walk never crossed into the audible set");
     }
 
     #[test]

@@ -71,6 +71,29 @@ impl SimRng {
         result
     }
 
+    /// Advances the stream past `n` draws, leaving it exactly where `n`
+    /// calls of [`SimRng::next_u64`] would: for callers that must keep
+    /// the stream's position but have no use for the values.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use mnp_sim::SimRng;
+    ///
+    /// let mut a = SimRng::new(3);
+    /// let mut b = a.clone();
+    /// a.skip(2);
+    /// b.next_u64();
+    /// b.next_u64();
+    /// assert_eq!(a.next_u64(), b.next_u64());
+    /// ```
+    #[inline]
+    pub fn skip(&mut self, n: u64) {
+        for _ in 0..n {
+            self.next_u64();
+        }
+    }
+
     /// A uniformly random `u32`.
     pub fn next_u32(&mut self) -> u32 {
         (self.next_u64() >> 32) as u32
@@ -210,6 +233,23 @@ mod tests {
         let mut b = root.derive(2);
         let same = (0..32).filter(|_| a.next_u64() == b.next_u64()).count();
         assert!(same < 2);
+    }
+
+    #[test]
+    fn skip_equals_that_many_draws() {
+        for k in [0, 1, 2, 7, 1_000] {
+            let mut skipped = SimRng::new(13);
+            let mut drawn = skipped.clone();
+            skipped.skip(k);
+            for _ in 0..k {
+                drawn.next_u64();
+            }
+            assert_eq!(skipped.next_u64(), drawn.next_u64(), "skip({k})");
+        }
+        let mut r = SimRng::new(14);
+        let before = r.clone();
+        r.skip(0);
+        assert_eq!(r.state, before.state, "skip(0) is a no-op");
     }
 
     #[test]

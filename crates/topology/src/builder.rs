@@ -3,7 +3,7 @@
 use mnp_radio::{loss, LinkTable, NodeId, PowerLevel};
 use mnp_sim::SimRng;
 
-use crate::placement::Placement;
+use crate::placement::{Placement, Position};
 
 /// A fully generated topology: positions plus the sampled link graph.
 #[derive(Clone, Debug)]
@@ -72,7 +72,9 @@ impl TopologyBuilder {
     /// Samples the link graph.
     ///
     /// Edges are visited in `(from, to)` ID order so the result is a pure
-    /// function of placement, power, and the RNG state.
+    /// function of placement, power, and the RNG state: exactly what
+    /// [`loss::sample_edge_ber`] called on every ordered pair in that
+    /// order returns, with the stream left where those calls leave it.
     pub fn build(self, rng: &mut SimRng) -> Topology {
         let n = self.placement.len();
         let mut power = vec![self.default_power; n];
@@ -80,25 +82,131 @@ impl TopologyBuilder {
             power[node.index()] = *p;
         }
         let mut links = LinkTable::new(n);
+        let positions = self.placement.positions();
+        let boxes: Vec<Bounds> = positions.chunks(BLOCK).map(Bounds::of).collect();
+        let mut owed = 0;
         for (from, from_power) in power.iter().enumerate() {
-            let from_id = NodeId::from_index(from);
             let range = from_power.range_ft();
-            for to in 0..n {
-                if from == to {
-                    continue;
-                }
-                let to_id = NodeId::from_index(to);
-                let d = self.placement.distance_ft(from_id, to_id);
-                if let Some(ber) = loss::sample_edge_ber(d, range, rng) {
-                    links.connect(from_id, to_id, ber);
-                }
-            }
+            sample_row(positions, &boxes, from, range, rng, &mut owed, &mut links);
         }
+        rng.skip(owed);
         links.shrink_to_fit();
         Topology {
             placement: self.placement,
             links,
             power,
+        }
+    }
+}
+
+/// Relative slack on [`loss::reach_ft`] when a pair is decided from its
+/// squared distance: far above the rounding of the root the sampler
+/// would have taken, so a pair skipped here is one it rejects too.
+const REACH_SLACK: f64 = 1e-6;
+
+/// The squared distance beyond which [`sample_row`] skips a pair.
+fn skip_beyond_sq(range_ft: f64) -> f64 {
+    let reach = loss::reach_ft(range_ft) * (1.0 + REACH_SLACK);
+    reach * reach
+}
+
+/// Consecutive node IDs per [`Bounds`] box.
+const BLOCK: usize = 32;
+
+/// The bounding box of a block of [`BLOCK`] consecutive nodes: a row whose
+/// reach falls short of the box skips the whole block without looking at
+/// its nodes.
+#[derive(Clone, Copy, Debug)]
+struct Bounds {
+    /// Least `[x, y]` in feet.
+    lo: [f64; 2],
+    /// Greatest `[x, y]` in feet.
+    hi: [f64; 2],
+}
+
+impl Bounds {
+    /// The box around `block`; unbounded if a coordinate is not finite,
+    /// so such a block is never skipped whole.
+    fn of(block: &[Position]) -> Bounds {
+        let mut b = Bounds {
+            lo: [f64::INFINITY; 2],
+            hi: [f64::NEG_INFINITY; 2],
+        };
+        for p in block {
+            let xy = [p.x_ft, p.y_ft];
+            if !xy.iter().all(|v| v.is_finite()) {
+                return Bounds {
+                    lo: [f64::NEG_INFINITY; 2],
+                    hi: [f64::INFINITY; 2],
+                };
+            }
+            for ((lo, hi), v) in b.lo.iter_mut().zip(&mut b.hi).zip(xy) {
+                *lo = lo.min(v);
+                *hi = hi.max(v);
+            }
+        }
+        b
+    }
+
+    /// At most `at.distance_sq_ft(p)` for every `p` in the box: the same
+    /// float operations on the box's nearest coordinates, and rounding is
+    /// monotone.
+    fn distance_sq_below(&self, at: Position) -> f64 {
+        let gap = |i: usize, a: f64| {
+            if a < self.lo[i] {
+                self.lo[i] - a
+            } else if a > self.hi[i] {
+                a - self.hi[i]
+            } else {
+                0.0
+            }
+        };
+        let (dx, dy) = (gap(0, at.x_ft), gap(1, at.y_ft));
+        dx * dx + dy * dy
+    }
+}
+
+/// Samples every edge out of `from`, whose transmitter has nominal range
+/// `range_ft`, in `to` order; `boxes` bound the [`BLOCK`]s of `positions`.
+///
+/// A pair beyond the sampler's reach is inaudible whatever its draws, so
+/// it only adds its [`loss::EDGE_DRAWS`] to `owed`. The debt is paid with
+/// one [`SimRng::skip`] before the next pair that samples (and by the
+/// caller after the last row), which puts every draw where the
+/// pair-by-pair loop put it.
+fn sample_row(
+    positions: &[Position],
+    boxes: &[Bounds],
+    from: usize,
+    range_ft: f64,
+    rng: &mut SimRng,
+    owed: &mut u64,
+    links: &mut LinkTable,
+) {
+    // The sampler's own check, made once per row: a skipped pair never
+    // reaches it.
+    assert!(range_ft > 0.0, "bad geometry");
+    let reach_sq = skip_beyond_sq(range_ft);
+    let at = positions[from];
+    for (k, (block, bounds)) in positions.chunks(BLOCK).zip(boxes).enumerate() {
+        // `from`'s own block is never skipped: its box is at distance 0.
+        if bounds.distance_sq_below(at) > reach_sq {
+            *owed += loss::EDGE_DRAWS * block.len() as u64;
+            continue;
+        }
+        for (to, &other) in (k * BLOCK..).zip(block) {
+            if to == from {
+                continue;
+            }
+            let d_sq = at.distance_sq_ft(other);
+            if d_sq > reach_sq {
+                *owed += loss::EDGE_DRAWS;
+                continue;
+            }
+            rng.skip(std::mem::take(owed));
+            if let Some(ber) = loss::sample_edge_ber(d_sq.sqrt(), range_ft, rng) {
+                links.connect(NodeId::from_index(from), NodeId::from_index(to), ber);
+            }
         }
     }
 }
@@ -203,6 +311,61 @@ mod tests {
         }
         assert_eq!(topo.links.edge_count(), 60_337);
         assert_eq!(h, 0xf1ac_20f3_1cee_3568);
+    }
+
+    #[test]
+    #[should_panic(expected = "bad geometry")]
+    fn zero_range_row_still_rejected() {
+        // Both pairs lie beyond a zero reach, so neither would reach the
+        // sampler's own check.
+        let positions = [Position::new(0.0, 0.0), Position::new(500.0, 0.0)];
+        let boxes = [Bounds::of(&positions)];
+        let mut links = LinkTable::new(2);
+        let mut owed = 0;
+        let rng = &mut SimRng::new(1);
+        sample_row(&positions, &boxes, 0, 0.0, rng, &mut owed, &mut links);
+    }
+
+    #[test]
+    fn skipped_pairs_are_beyond_the_samplers_reach() {
+        // Walk the squared distance up from the skip bound ulp by ulp: the
+        // distance the sampler would see must already be past its reach.
+        for level in 1..=255 {
+            let range = PowerLevel::new(level).range_ft();
+            let bound = skip_beyond_sq(range);
+            for k in 1..=64 {
+                let d_sq = f64::from_bits(bound.to_bits() + k);
+                assert!(d_sq.sqrt() > loss::reach_ft(range), "power {level}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_box_is_never_farther_than_its_nearest_node() {
+        let mut rng = SimRng::new(5);
+        for _ in 0..200 {
+            let block = Placement::random(1 + rng.index(BLOCK), 300.0, 200.0, &mut rng);
+            let bounds = Bounds::of(block.positions());
+            for _ in 0..50 {
+                // Points inside, on and around the box.
+                let at = Position::new(rng.range_f64(-50.0, 350.0), rng.range_f64(-50.0, 250.0));
+                let ([x0, y0], [x1, y1]) = (bounds.lo, bounds.hi);
+                let corners = [(x0, y0), (x1, y1), (x0, y1)].map(|(x, y)| Position::new(x, y));
+                for at in std::iter::once(at).chain(corners) {
+                    let nearest = block
+                        .positions()
+                        .iter()
+                        .map(|&p| at.distance_sq_ft(p))
+                        .fold(f64::INFINITY, f64::min);
+                    assert!(bounds.distance_sq_below(at) <= nearest);
+                }
+            }
+        }
+        // A non-finite coordinate unbounds the box.
+        let mut odd = [Position::new(1.0, 1.0); 2];
+        odd[1].x_ft = f64::INFINITY;
+        let far = Position::new(1e9, -1e9);
+        assert_eq!(Bounds::of(&odd).distance_sq_below(far), 0.0);
     }
 
     #[test]

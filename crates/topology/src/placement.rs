@@ -37,9 +37,15 @@ impl Position {
 
     /// Euclidean distance to `other` in feet.
     pub fn distance_ft(self, other: Position) -> f64 {
+        self.distance_sq_ft(other).sqrt()
+    }
+
+    /// The square of [`Position::distance_ft`], before its root: square
+    /// feet.
+    pub(crate) fn distance_sq_ft(self, other: Position) -> f64 {
         let dx = self.x_ft - other.x_ft;
         let dy = self.y_ft - other.y_ft;
-        (dx * dx + dy * dy).sqrt()
+        dx * dx + dy * dy
     }
 }
 
@@ -111,6 +117,11 @@ impl Placement {
     /// Distance between two nodes in feet.
     pub fn distance_ft(&self, a: NodeId, b: NodeId) -> f64 {
         self.position(a).distance_ft(self.position(b))
+    }
+
+    /// Every position, indexed by [`NodeId`].
+    pub(crate) fn positions(&self) -> &[Position] {
+        &self.positions
     }
 
     /// Iterates `(NodeId, Position)` in ID order.

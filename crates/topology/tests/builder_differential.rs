@@ -1,0 +1,119 @@
+//! `TopologyBuilder::build` decides pairs beyond the loss model's reach
+//! from their squared distance and skips their draws. It must return
+//! exactly what the plain loop does — `loss::sample_edge_ber` on every
+//! ordered pair in `(from, to)` order — edge for edge, BER bit for BER
+//! bit, and leave the stream at the same position.
+
+use mnp_radio::{loss, NodeId, PowerLevel};
+use mnp_sim::SimRng;
+use mnp_topology::{GridSpec, Placement, TopologyBuilder};
+
+/// One edge as `(from, to, ber.to_bits())`.
+type Row = (u32, u32, u64);
+
+/// The loop the builder replaces: every ordered pair through the sampler.
+fn reference(placement: &Placement, power: &[PowerLevel], rng: &mut SimRng) -> Vec<Row> {
+    let mut rows = Vec::new();
+    for (from, from_power) in power.iter().enumerate() {
+        let from_id = NodeId::from_index(from);
+        for to in (0..placement.len()).filter(|&to| to != from) {
+            let to_id = NodeId::from_index(to);
+            let d = placement.distance_ft(from_id, to_id);
+            if let Some(ber) = loss::sample_edge_ber(d, from_power.range_ft(), rng) {
+                rows.push((from_id.0, to_id.0, ber.to_bits()));
+            }
+        }
+    }
+    rows
+}
+
+/// Builds `placement` with `overrides` on top of `default` power both
+/// ways from the same seed and checks rows and stream position.
+fn check(
+    label: &str,
+    placement: Placement,
+    default: PowerLevel,
+    overrides: &[(NodeId, PowerLevel)],
+    seed: u64,
+) -> usize {
+    let mut power = vec![default; placement.len()];
+    for &(node, p) in overrides {
+        power[node.index()] = p;
+    }
+    let mut want_rng = SimRng::new(seed);
+    let want = reference(&placement, &power, &mut want_rng);
+
+    let mut builder = TopologyBuilder::new(placement).power(default);
+    for &(node, p) in overrides {
+        builder = builder.node_power(node, p);
+    }
+    let mut got_rng = SimRng::new(seed);
+    let topo = builder.build(&mut got_rng);
+    let got: Vec<Row> = topo
+        .placement
+        .iter()
+        .flat_map(|(from, _)| {
+            topo.links
+                .neighbors(from)
+                .map(move |(to, ber)| (from.0, to.0, ber.to_bits()))
+        })
+        .collect();
+
+    assert_eq!(got.len(), want.len(), "{label}: edge count");
+    assert!(got == want, "{label}: rows differ");
+    assert_eq!(
+        got_rng.next_u64(),
+        want_rng.next_u64(),
+        "{label}: stream position after build"
+    );
+    got.len()
+}
+
+#[test]
+fn grids_of_every_side_match_the_pair_by_pair_loop() {
+    // Spacings and power levels put the reach (5.6 × range) anywhere from
+    // inside one cell to past the whole grid.
+    let spacings = [3.0, 10.0, 25.0];
+    let levels = [1, 3, 50, 255];
+    let mut edges = 0;
+    for side in 1..=40_usize {
+        let spacing = spacings[side % spacings.len()];
+        let level = levels[side % levels.len()];
+        let grid = GridSpec::new(side, side, spacing);
+        edges += check(
+            &format!("{side}x{side} @ {spacing} ft, power {level}"),
+            grid.placement(),
+            PowerLevel::new(level),
+            &[],
+            side as u64,
+        );
+    }
+    assert!(edges > 100_000, "only {edges} edges");
+}
+
+#[test]
+fn random_placements_with_power_overrides_match() {
+    let mut scenario = SimRng::new(2024);
+    for case in 0..24_u64 {
+        let n = 2 + scenario.index(250);
+        let side = scenario.range_f64(20.0, 600.0);
+        let placement = Placement::random(n, side, side * 0.7, &mut scenario);
+        // A third of the nodes get their own power, so the reach changes
+        // from row to row.
+        let mut overrides = Vec::new();
+        for i in 0..n {
+            if scenario.chance(0.33) {
+                let level = 1 + scenario.index(255) as u8;
+                overrides.push((NodeId::from_index(i), PowerLevel::new(level)));
+            }
+        }
+        let default = PowerLevel::new(1 + scenario.index(255) as u8);
+        check(
+            &format!("random case {case}: {n} nodes in {side:.0} ft"),
+            placement,
+            default,
+            &overrides,
+            case,
+        );
+    }
+}
