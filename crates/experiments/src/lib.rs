@@ -61,3 +61,63 @@ pub mod table1;
 pub use mobility::{FieldLayout, MobileExperiment};
 pub use registry::{Disseminator, ProtocolId};
 pub use runner::{GridExperiment, Instruments, RunOutcome};
+
+/// Table 1's pricing function, [`table1::OperationCosts::charge_nah`]: the
+/// constants, each charge class, and idle listening as radio-on time minus
+/// on-air time.
+#[cfg(test)]
+mod tests {
+    use mnp_sim::SimDuration;
+
+    use crate::table1::{OperationCosts, OperationCounts};
+
+    /// Prices `tx` and `rx` packets, `on_ms` of radio-on time of which
+    /// `air_ms` on air, and `reads` and `writes` EEPROM lines.
+    fn price(tx: u64, rx: u64, on_ms: u64, air_ms: u64, reads: u64, writes: u64) -> f64 {
+        OperationCosts::MICA2.charge_nah(&OperationCounts {
+            tx,
+            rx,
+            radio_on: SimDuration::from_millis(on_ms),
+            on_air: SimDuration::from_millis(air_ms),
+            eeprom_reads: reads,
+            eeprom_writes: writes,
+        })
+    }
+
+    #[test]
+    fn table1_constants_match_paper() {
+        let c = OperationCosts::MICA2;
+        assert_eq!(c.tx_packet_nah, 20.000);
+        assert_eq!(c.rx_packet_nah, 8.000);
+        assert_eq!(c.idle_listen_ms_nah, 1.250);
+        assert_eq!(c.eeprom_read_nah, 1.111);
+        assert_eq!(c.eeprom_write_nah, 83.333);
+    }
+
+    #[test]
+    fn breakdown_accumulates_counts() {
+        assert_eq!(price(10, 0, 0, 0, 0, 0), 200.0);
+        assert_eq!(price(0, 5, 0, 0, 0, 0), 40.0);
+        assert!((price(0, 0, 0, 0, 1, 1) - 84.444).abs() < 1e-9);
+        assert!((price(10, 5, 0, 0, 1, 1) - 324.444).abs() < 1e-9);
+    }
+
+    #[test]
+    fn idle_time_excludes_on_air_time() {
+        assert!((price(0, 0, 1_000, 500, 0, 0) - 500.0 * 1.25).abs() < 1e-9);
+    }
+
+    #[test]
+    fn idle_time_saturates_when_airtime_exceeds_radio_time() {
+        assert_eq!(price(1, 0, 1_000, 2_000, 0, 0), 20.0, "only the packet");
+    }
+
+    #[test]
+    fn idle_listening_dominates_an_always_on_minute() {
+        // The paper's motivation: "if a node keeps its radio on at all time,
+        // the vast majority of energy is wasted in idle-listening".
+        let idle = price(0, 0, 60_000, 4_000, 0, 0);
+        let total = price(100, 100, 60_000, 4_000, 0, 0);
+        assert!(idle > 0.8 * total, "idle {idle} of {total} nAh");
+    }
+}

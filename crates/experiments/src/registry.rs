@@ -232,8 +232,36 @@ impl ProtocolId {
 
 #[cfg(test)]
 mod tests {
+    use mnp_obs::{MetricsRegistry, Shared};
+
     use super::*;
+    use crate::resilience::grid4_fault_plan;
     use crate::runner::{GridExperiment, Instruments};
+
+    /// Runs `P` on `scenario` with a metrics registry attached and checks
+    /// that each count Table 1 prices is one fact: per node, the trace's
+    /// frames sent and received are the medium's and the registry's, and
+    /// its active radio time is the medium's at completion.
+    fn assert_one_count_per_fact<P: Disseminator>(scenario: &GridExperiment, what: &str) {
+        let metrics = Shared::new(MetricsRegistry::new());
+        let (net, out) = scenario.run_network::<P>(Instruments::observing(metrics.clone()));
+        let metrics = metrics.borrow();
+        for i in 0..net.len() {
+            let node = NodeId::from_index(i);
+            let t = net.trace().node(node);
+            let m = metrics
+                .node(i)
+                .expect("every node reports its radio counters");
+            let art = net.medium().active_radio_time(node, out.completion);
+            let medium = (m.medium.frames_sent, m.medium.frames_received, art);
+            assert_eq!(
+                (t.sent, t.received, t.active_radio),
+                medium,
+                "{what}, {node}"
+            );
+            assert_eq!((t.sent, t.received), (m.tx_total(), m.rx), "{what}, {node}");
+        }
+    }
 
     #[test]
     fn every_registered_protocol_runs_through_the_one_path() {
@@ -259,6 +287,17 @@ mod tests {
                 assert!(out.completed, "{name} did not complete: {out}");
                 assert_eq!(out.complete_nodes, 9, "{name}");
             }
+            with_protocol!(id, P => assert_one_count_per_fact::<P>(&scenario, name));
+        }
+        let faulted = GridExperiment::new(4, 4, 10.0)
+            .segments(1)
+            .seed(77)
+            .faults(grid4_fault_plan());
+        for id in FAULT_TESTED
+            .iter()
+            .filter_map(|name| ProtocolId::lookup(name))
+        {
+            with_protocol!(id, P => assert_one_count_per_fact::<P>(&faulted, id.name()));
         }
         assert_eq!(ProtocolId::lookup("fountain"), None);
     }

@@ -330,6 +330,20 @@ impl GridExperiment {
         with_protocol!(protocol, P => self.run_observed::<P>(|_| {}, instruments))
     }
 
+    /// Runs `P` at its default config, as [`GridExperiment::run_named`]
+    /// does, and hands back the finished network beside the outcome.
+    #[cfg(test)]
+    pub(crate) fn run_network<P: Disseminator>(
+        &self,
+        instruments: Instruments,
+    ) -> (Network<P>, RunOutcome) {
+        let cfg = P::config_for(&self.image);
+        let mut net = build::<P>(self.builder(instruments), &self.image, cfg)
+            .unwrap_or_else(|e| panic!("{e}"));
+        let out = finish(&mut net, self.grid(), self.deadline);
+        (net, out)
+    }
+
     /// Runs `run` over a per-seed copy of this scenario, one thread per
     /// seed ([`std::thread::scope`]); outcomes come back in `seeds` order.
     ///

@@ -2,10 +2,10 @@
 //! event-loop runner.
 //!
 //! This crate wires the substrates together — discrete-event kernel
-//! (`mnp-sim`), lossy medium and CSMA MAC (`mnp-radio`), energy meters
-//! (`mnp-energy`), and the run trace (`mnp-trace`) — into the execution
-//! environment that MNP and the baseline protocols run in, playing the
-//! role TOSSIM + TinyOS played for the paper.
+//! (`mnp-sim`), lossy medium and CSMA MAC (`mnp-radio`), and the run
+//! trace (`mnp-trace`) — into the execution environment that MNP and the
+//! baseline protocols run in, playing the role TOSSIM + TinyOS played for
+//! the paper.
 //!
 //! A protocol is a per-node state machine reacting to three stimuli:
 //! start-of-world, an incoming message, and a timer. It acts through a

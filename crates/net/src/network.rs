@@ -22,7 +22,7 @@ use mnp_radio::{
     PERCEPTION_LATENCY,
 };
 use mnp_sim::profile::{self, Phase};
-use mnp_sim::{EventQueue, SimDuration, SimRng, SimTime, TieBreak};
+use mnp_sim::{EventQueue, SimRng, SimTime, TieBreak};
 use mnp_trace::RunTrace;
 
 use crate::fault::{FaultPlan, FaultPlanError, PlannedFault};
@@ -93,7 +93,7 @@ impl NetworkBuilder {
     ///
     /// Sharding changes *how* the schedule is executed, never the
     /// schedule itself: a seeded run produces the same events, traces,
-    /// meters and protocol state at every shard count. Values are
+    /// radio counters and protocol state at every shard count. Values are
     /// clamped to `1..=64` and to the node count.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
@@ -705,14 +705,14 @@ impl<P: Protocol> Network<P> {
     /// # Panics
     ///
     /// Panics on a sharded network — no single medium sees every node;
-    /// use [`Network::medium_stats`] / [`Network::active_radio_time`]
-    /// there.
+    /// use [`Network::medium_stats`] there, and read active radio time
+    /// from the trace after [`Network::finalize_meters`].
     pub fn medium(&self) -> &Medium<P::Msg> {
         assert_eq!(
             self.shards.len(),
             1,
             "medium() is the whole-network view; on a sharded run query \
-             medium_stats()/active_radio_time() per node instead"
+             medium_stats() per node instead"
         );
         &self.shards[0].medium
     }
@@ -720,20 +720,6 @@ impl<P: Protocol> Network<P> {
     /// One node's physical-layer counters, whichever shard owns it.
     pub fn medium_stats(&self, node: NodeId) -> MediumStats {
         self.shards[self.shard_of(node)].medium.stats(node)
-    }
-
-    /// One node's cumulative radio-on time as of `at`, whichever shard
-    /// owns it.
-    pub fn active_radio_time(&self, node: NodeId, at: SimTime) -> SimDuration {
-        self.shards[self.shard_of(node)]
-            .medium
-            .active_radio_time(node, at)
-    }
-
-    /// One node's energy meter. Call [`Network::finalize_meters`] first to
-    /// fold in active radio time and EEPROM counts.
-    pub fn meter(&self, node: NodeId) -> &mnp_energy::EnergyMeter {
-        self.shards[self.shard_of(node)].nodes.meter(node)
     }
 
     /// Total events processed (a proxy for simulation effort; identical
@@ -1062,8 +1048,9 @@ impl<P: Protocol> Network<P> {
     }
 
     /// Folds the medium's active-radio-time readings (as of `at`, typically
-    /// the completion time) and the protocols' EEPROM counters into the
-    /// energy meters and trace.
+    /// the completion time) into the trace, hands each observer every
+    /// node's physical-layer counters, and ends the run for the trace and
+    /// the observers on the first call.
     pub fn finalize_meters(&mut self, at: SimTime) {
         let Network {
             shards,
@@ -1076,15 +1063,9 @@ impl<P: Protocol> Network<P> {
             for i in 0..shard.n_local {
                 let node = NodeId::from_index(shard.base + i);
                 let art = shard.medium.active_radio_time(node, at);
-                let ops = shard.protocols[i].eeprom_ops();
-                let meter = shard.nodes.meter_mut(node);
-                meter.set_active_radio(art);
-                meter.eeprom_reads = ops.line_reads;
-                meter.eeprom_writes = ops.line_writes;
                 trace.set_active_radio(node, art);
                 // Physical-layer counters never flow through the event
-                // stream; hand each observer a snapshot alongside the
-                // meters.
+                // stream; hand each observer a snapshot of them.
                 let stats = shard.medium.stats(node);
                 for obs in observers.iter_mut() {
                     obs.on_medium_stats(node, &stats);
@@ -1092,7 +1073,8 @@ impl<P: Protocol> Network<P> {
             }
         }
         // Close the run exactly once: pads windowed series, flushes
-        // timelines, snapshots gauges. Later calls only refresh meters.
+        // timelines, snapshots gauges. Later calls only refresh the
+        // trace's radio time and the observers' counters.
         if !*run_ended {
             *run_ended = true;
             Observer::on_run_end(trace, at);
@@ -1342,9 +1324,8 @@ mod tests {
     #[test]
     fn energy_meters_record_traffic() {
         let net = run_pair(None);
-        assert_eq!(net.meter(NodeId(0)).transmissions, 10);
-        assert_eq!(net.meter(NodeId(1)).receptions, 10);
-        assert!(net.meter(NodeId(1)).rx_airtime > SimDuration::ZERO);
+        assert_eq!(net.medium_stats(NodeId(0)).frames_sent, 10);
+        assert_eq!(net.medium_stats(NodeId(1)).frames_received, 10);
     }
 
     #[test]
@@ -1352,14 +1333,12 @@ mod tests {
         let mut net = run_pair(None);
         let at = net.now();
         net.finalize_meters(at);
-        assert_eq!(
-            net.meter(NodeId(0)).active_radio,
-            net.medium().active_radio_time(NodeId(0), at)
-        );
-        assert_eq!(
-            net.trace().node(NodeId(0)).active_radio,
-            net.meter(NodeId(0)).active_radio
-        );
+        for node in [NodeId(0), NodeId(1)] {
+            assert_eq!(
+                net.trace().node(node).active_radio,
+                net.medium().active_radio_time(node, at)
+            );
+        }
     }
 
     #[test]
@@ -1466,7 +1445,7 @@ mod tests {
 mod failure_tests {
     use super::*;
     use crate::context::Context;
-    use crate::protocol::{EepromOps, WireMsg};
+    use crate::protocol::WireMsg;
     use mnp_sim::SimDuration;
     use mnp_trace::MsgClass;
 
@@ -1622,7 +1601,7 @@ mod failure_tests {
         // `finalize_meters` folds exactly this frozen reading in.
         let now = net.now();
         net.finalize_meters(now);
-        assert_eq!(net.meter(NodeId(1)).active_radio, at_end);
+        assert_eq!(net.trace().node(NodeId(1)).active_radio, at_end);
     }
 
     #[test]
@@ -1819,31 +1798,6 @@ mod failure_tests {
             .faults(plan)
             .build(|_, _| Chatty { heard: 0 });
     }
-
-    impl Protocol for Chatty2 {
-        type Msg = Beacon;
-        fn on_start(&mut self, _: &mut Context<'_, Beacon>) {}
-        fn on_message(&mut self, _: &mut Context<'_, Beacon>, _: NodeId, _: &Beacon) {}
-        fn on_timer(&mut self, _: &mut Context<'_, Beacon>, _: u64) {}
-        fn eeprom_ops(&self) -> EepromOps {
-            EepromOps {
-                line_reads: 1,
-                line_writes: 2,
-            }
-        }
-    }
-
-    struct Chatty2;
-
-    #[test]
-    fn finalize_meters_polls_eeprom_ops() {
-        let mut net: Network<Chatty2> = NetworkBuilder::new(pair(), 9).build(|_, _| Chatty2);
-        net.run_until(|_| false, SimTime::from_secs(1));
-        let now = net.now();
-        net.finalize_meters(now);
-        assert_eq!(net.meter(NodeId(0)).eeprom_reads, 1);
-        assert_eq!(net.meter(NodeId(0)).eeprom_writes, 2);
-    }
 }
 
 #[cfg(test)]
@@ -1980,17 +1934,17 @@ mod shard_tests {
         net.run_to_deadline(deadline);
         let at = net.now();
         net.finalize_meters(at);
-        let meters = (0..net.len())
+        let frames = (0..net.len())
             .map(|i| {
-                let m = net.meter(NodeId::from_index(i));
-                (m.transmissions, m.receptions)
+                let stats = net.medium_stats(NodeId::from_index(i));
+                (stats.frames_sent, stats.frames_received)
             })
             .collect();
         let bests = (0..net.len())
             .map(|i| net.protocol(NodeId::from_index(i)).best)
             .collect();
         let events = rec.borrow().0.clone();
-        (events, net.events_processed(), net.now(), meters, bests)
+        (events, net.events_processed(), net.now(), frames, bests)
     }
 
     #[test]
@@ -2013,7 +1967,7 @@ mod shard_tests {
             );
             assert_eq!(base.1, run.1, "events_processed diverged at {s} shards");
             assert_eq!(base.2, run.2, "final clock diverged at {s} shards");
-            assert_eq!(base.3, run.3, "meters diverged at {s} shards");
+            assert_eq!(base.3, run.3, "frame counts diverged at {s} shards");
             assert_eq!(base.4, run.4, "protocol state diverged at {s} shards");
         }
     }
@@ -2089,6 +2043,7 @@ mod timeline_tests {
     use crate::context::Context;
     use crate::protocol::WireMsg;
     use mnp_radio::PowerLevel;
+    use mnp_sim::SimDuration;
     use mnp_topology::mobility::{materialize, Field, MobilityModel};
     use mnp_topology::Placement;
     use mnp_trace::MsgClass;

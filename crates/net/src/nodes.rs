@@ -5,7 +5,7 @@
 //! split. The *hot* column ([`NodeHot`]) is the handful of flags and
 //! epochs the dispatcher consults on every event — liveness, wakefulness,
 //! the epoch counters that stale-filter queued events, and the in-flight
-//! transmission. The *cold* columns (RNGs, energy meters, deferred sleep)
+//! transmission. The *cold* columns (RNGs, deferred sleep)
 //! are touched once per MAC decision or per run at most, so they live in
 //! separate allocations and stay out of the dispatch cache lines.
 //!
@@ -15,7 +15,6 @@
 //! which is why every accessor takes a `NodeId` and translates it rather
 //! than exposing raw vector indexing.
 
-use mnp_energy::EnergyMeter;
 use mnp_radio::{NodeId, TxId};
 use mnp_sim::{SimRng, SimTime};
 
@@ -67,7 +66,6 @@ pub(crate) struct NodeArena {
     // per dispatched event.
     node_rngs: Vec<SimRng>,
     mac_rngs: Vec<SimRng>,
-    meters: Vec<EnergyMeter>,
     pending_sleep: Vec<Option<(SimTime, u64)>>,
     /// Per-node event-scheduling sequence numbers: every event a node
     /// schedules gets the next value, making `(node, seq)` a globally
@@ -90,7 +88,6 @@ impl NodeArena {
             hot: vec![NodeHot::new(); n],
             node_rngs,
             mac_rngs,
-            meters: vec![EnergyMeter::new(); n],
             pending_sleep: vec![None; n],
             push_seqs: vec![0; n],
         }
@@ -135,17 +132,6 @@ impl NodeArena {
         &mut self.mac_rngs[i]
     }
 
-    /// `node`'s energy meter.
-    pub fn meter(&self, node: NodeId) -> &EnergyMeter {
-        &self.meters[self.idx(node)]
-    }
-
-    /// Mutable access to `node`'s energy meter.
-    pub fn meter_mut(&mut self, node: NodeId) -> &mut EnergyMeter {
-        let i = self.idx(node);
-        &mut self.meters[i]
-    }
-
     /// Defers `node`'s sleep until its in-flight frame ends.
     pub fn set_pending_sleep(&mut self, node: NodeId, wake_at: SimTime, epoch: u64) {
         let i = self.idx(node);
@@ -186,14 +172,12 @@ impl NodeArena {
             hot,
             node_rngs,
             mac_rngs,
-            meters,
             pending_sleep,
             push_seqs,
         } = self;
         let mut hot = hot.into_iter();
         let mut node_rngs = node_rngs.into_iter();
         let mut mac_rngs = mac_rngs.into_iter();
-        let mut meters = meters.into_iter();
         let mut pending_sleep = pending_sleep.into_iter();
         let mut push_seqs = push_seqs.into_iter();
         bounds
@@ -205,7 +189,6 @@ impl NodeArena {
                     hot: hot.by_ref().take(n).collect(),
                     node_rngs: node_rngs.by_ref().take(n).collect(),
                     mac_rngs: mac_rngs.by_ref().take(n).collect(),
-                    meters: meters.by_ref().take(n).collect(),
                     pending_sleep: pending_sleep.by_ref().take(n).collect(),
                     push_seqs: push_seqs.by_ref().take(n).collect(),
                 }

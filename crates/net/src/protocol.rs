@@ -43,8 +43,8 @@ pub trait WireMsg: Send {
     }
 }
 
-/// EEPROM operation counts a protocol has performed, polled by the network
-/// layer into the energy meters.
+/// EEPROM line operations a protocol has performed: the counts Table 1's
+/// EEPROM rows price.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EepromOps {
     /// 16-byte line reads.
@@ -157,7 +157,7 @@ pub trait Protocol: Sized + Send {
         let _ = failures;
     }
 
-    /// Cumulative EEPROM line operations, polled for energy accounting.
+    /// Cumulative EEPROM line operations, for callers to read after a run.
     fn eeprom_ops(&self) -> EepromOps {
         EepromOps::default()
     }

@@ -202,8 +202,8 @@ pub(crate) struct Shard<P: Protocol> {
     /// Every local node's MAC, in struct-of-arrays columns.
     pub macs: CsmaBank<P::Msg>,
     /// Per-node kernel state, hot fields (liveness, epochs, in-flight
-    /// transmission) packed separately from cold ones (RNGs, meters,
-    /// deferred sleep).
+    /// transmission) packed separately from cold ones (RNGs, deferred
+    /// sleep).
     pub nodes: NodeArena,
     /// Reused delivery buffer: `rx_end` borrows it for the duration of one
     /// finished transmission and returns it cleared, so the steady-state
@@ -339,7 +339,7 @@ impl<P: Protocol> Shard<P> {
                 rx_end_seq,
                 payload,
             } => {
-                let tx = self.medium.insert_remote(src, bits, airtime, at, payload);
+                let tx = self.medium.insert_remote(src, bits, at, payload);
                 self.queue.push_owned(
                     at + PERCEPTION_LATENCY,
                     src.0,
@@ -567,7 +567,6 @@ impl<P: Protocol> Shard<P> {
                         detail,
                     },
                 );
-                self.nodes.meter_mut(node).record_tx(start.airtime);
                 // The frame's whole lifecycle is scheduled up front, in a
                 // fixed sequence order: sender done at t+air, receivers
                 // perceive the header at t+L and resolve at t+air+L. The
@@ -655,7 +654,6 @@ impl<P: Protocol> Shard<P> {
             return;
         }
         let src = outcome.src;
-        let airtime = outcome.airtime;
         // Move the payload out of the arena (recycling its slot) and
         // re-derive the frame metadata the slim RxEnd event no longer
         // carries.
@@ -711,7 +709,6 @@ impl<P: Protocol> Shard<P> {
             let Some(recv) = next else {
                 break;
             };
-            self.nodes.meter_mut(recv).record_rx(airtime);
             self.emit(
                 recv,
                 EventKind::MsgRx {

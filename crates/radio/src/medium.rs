@@ -100,9 +100,6 @@ pub struct TxStart {
 pub struct TxOutcome {
     /// The transmitter.
     pub src: NodeId,
-    /// On-air duration of the finished frame (for receive-energy
-    /// accounting).
-    pub airtime: SimDuration,
     /// Arena handle of the frame's payload. `Some` after a resolving
     /// [`Medium::rx_end_into`]; the caller releases it. `None` when the
     /// transmission was aborted (the medium already dropped the payload).
@@ -122,7 +119,6 @@ impl TxOutcome {
     pub fn new() -> Self {
         TxOutcome {
             src: NodeId(0),
-            airtime: SimDuration::ZERO,
             payload: None,
             delivered: Vec::new(),
             corrupted: Vec::new(),
@@ -220,7 +216,7 @@ struct RxLock {
 /// The hot arrays (`states`, `current_rx`, `perceived_busy`) are what the
 /// reception walks and carrier sense touch per event; the power-accounting
 /// arrays (`on_since`, `active_time`, `last_wake`) are only read when a
-/// radio toggles or a meter is finalised, so they live in separate
+/// radio toggles or active radio time is read, so they live in separate
 /// allocations and stay out of the hot cache lines.
 #[derive(Debug, Default)]
 struct RadioBank {
@@ -270,7 +266,6 @@ struct TxBank {
     generations: Vec<u32>,
     src: Vec<NodeId>,
     bits: Vec<u32>,
-    airtime: Vec<SimDuration>,
     /// When the frame's preamble+sync finished arriving at the receivers
     /// (start + [`PERCEPTION_LATENCY`]): the instant perception counters
     /// were incremented, and the reference the decrement guard compares
@@ -292,21 +287,13 @@ struct TxBank {
 
 impl TxBank {
     /// Opens a slot for a new transmission and returns its id.
-    fn alloc(
-        &mut self,
-        src: NodeId,
-        bits: u32,
-        airtime: SimDuration,
-        heard_at: SimTime,
-        payload: PayloadHandle,
-    ) -> TxId {
+    fn alloc(&mut self, src: NodeId, bits: u32, heard_at: SimTime, payload: PayloadHandle) -> TxId {
         match self.free.pop() {
             Some(index) => {
                 let i = index as usize;
                 debug_assert!(self.listeners[i].is_empty());
                 self.src[i] = src;
                 self.bits[i] = bits;
-                self.airtime[i] = airtime;
                 self.heard_at[i] = heard_at;
                 self.payload[i] = payload;
                 self.pending[i] = 1;
@@ -322,7 +309,6 @@ impl TxBank {
                 self.generations.push(0);
                 self.src.push(src);
                 self.bits.push(bits);
-                self.airtime.push(airtime);
                 self.heard_at.push(heard_at);
                 self.payload.push(payload);
                 self.listeners.push(Vec::new());
@@ -691,9 +677,7 @@ impl<P> Medium<P> {
         let bits = frame.bits();
         self.stats[i].frames_sent += 1;
         let payload = self.payloads.insert(frame.payload);
-        let id = self
-            .txs
-            .alloc(src, bits, airtime, now + PERCEPTION_LATENCY, payload);
+        let id = self.txs.alloc(src, bits, now + PERCEPTION_LATENCY, payload);
         Ok(TxStart { id, airtime })
     }
 
@@ -705,18 +689,11 @@ impl<P> Medium<P> {
     /// [`Medium::rx_end_into`] pair as for a local frame (and
     /// [`Medium::mark_remote_abort`] if the owner reports a mid-frame
     /// death).
-    pub fn insert_remote(
-        &mut self,
-        src: NodeId,
-        bits: u32,
-        airtime: SimDuration,
-        started: SimTime,
-        payload: P,
-    ) -> TxId {
+    pub fn insert_remote(&mut self, src: NodeId, bits: u32, started: SimTime, payload: P) -> TxId {
         debug_assert!(self.local_checked(src).is_none(), "src is local");
         let payload = self.payloads.insert(payload);
         self.txs
-            .alloc(src, bits, airtime, started + PERCEPTION_LATENCY, payload)
+            .alloc(src, bits, started + PERCEPTION_LATENCY, payload)
     }
 
     /// Completes the sender side of transmission `id` at `now + airtime`:
@@ -840,7 +817,6 @@ impl<P> Medium<P> {
             let src = self.txs.src[slot];
             let bits = self.txs.bits[slot];
             out.src = src;
-            out.airtime = self.txs.airtime[slot];
             out.payload = Some(self.txs.payload[slot]);
             self.drop_perception(slot);
             let listeners = std::mem::take(&mut self.txs.listeners[slot]);
@@ -1792,7 +1768,7 @@ mod shard_tests {
         let f = Frame::new(NodeId(1), 20, 42u32);
         let (bits, airtime) = (f.bits(), f.airtime());
         let tx = left.begin_transmission(NodeId(1), f, t0).unwrap();
-        let ghost = right.insert_remote(NodeId(1), bits, airtime, t0, 42u32);
+        let ghost = right.insert_remote(NodeId(1), bits, t0, 42u32);
 
         left.rx_start(tx.id, t0 + L);
         right.rx_start(ghost, t0 + L);
@@ -1816,7 +1792,7 @@ mod shard_tests {
         let f = Frame::new(NodeId(1), 20, 7u32);
         let (bits, airtime) = (f.bits(), f.airtime());
         let tx = left.begin_transmission(NodeId(1), f, t0).unwrap();
-        let ghost = right.insert_remote(NodeId(1), bits, airtime, t0, 7u32);
+        let ghost = right.insert_remote(NodeId(1), bits, t0, 7u32);
         left.rx_start(tx.id, t0 + L);
         right.rx_start(ghost, t0 + L);
         assert_eq!(right.radio_state(NodeId(2)), RadioState::Receiving);
@@ -1866,7 +1842,7 @@ mod shard_tests {
             let tx = owner
                 .begin_transmission(NodeId(0), Frame::new(NodeId(0), 20, i), t)
                 .unwrap();
-            let ghost = ghost_side.insert_remote(NodeId(0), fb, fa, t, i);
+            let ghost = ghost_side.insert_remote(NodeId(0), fb, t, i);
             owner.rx_start(tx.id, t + L);
             ghost_side.rx_start(ghost, t + L);
             owner.end_transmission(tx.id);

@@ -107,9 +107,9 @@ pub struct PacketStore {
     /// Packets in the last segment (every other segment is full), so the
     /// per-packet range check needs no division.
     last_segment_packets: u16,
-    /// EEPROM line writes performed (for the energy meter).
+    /// EEPROM line writes performed (priced by Table 1).
     pub line_writes: u64,
-    /// EEPROM line reads performed (for the energy meter).
+    /// EEPROM line reads performed (priced by Table 1).
     pub line_reads: u64,
     /// Pending injected write faults: the next `pending_write_faults`
     /// otherwise-valid writes fail with [`StorageError::WriteFault`].

@@ -3,8 +3,8 @@
 //! The paper closes by noting that "although MNP was designed as a code
 //! dissemination protocol, it can be used to disseminate any sort of
 //! data". This example shows the other direction: the execution
-//! environment built for MNP (lossy radio, CSMA MAC, energy meters, run
-//! trace) is protocol-agnostic. We implement a tiny gossip protocol from
+//! environment built for MNP (lossy radio, CSMA MAC, active radio time,
+//! run trace) is protocol-agnostic. We implement a tiny gossip protocol from
 //! scratch — about 80 lines — and run it on the same simulated field.
 //!
 //! Run with: `cargo run --release --example custom_protocol`

@@ -24,26 +24,8 @@
 //! plan, plus the capture-effect variant and a mobile (random-waypoint
 //! with churn) field.
 
+use mnp_repro::experiments::resilience::grid4_fault_plan;
 use mnp_repro::prelude::*;
-
-fn fault_plan() -> FaultPlan {
-    FaultPlan::seeded(5)
-        .crash_restart(NodeId(5), SimTime::from_secs(12), SimDuration::from_secs(9))
-        .link_flap(
-            NodeId(0),
-            NodeId(1),
-            SimTime::from_secs(6),
-            SimDuration::from_secs(4),
-            1.0,
-        )
-        .storage_faults(NodeId(3), SimTime::from_secs(4), 2)
-        .random_crash_restarts(
-            2,
-            &[NodeId(2), NodeId(7), NodeId(11)],
-            (SimTime::from_secs(5), SimTime::from_secs(60)),
-            (SimDuration::from_secs(3), SimDuration::from_secs(12)),
-        )
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -83,7 +65,7 @@ fn main() {
             .shards(shards)
             .capture(capture);
         if faulted {
-            scenario = scenario.faults(fault_plan());
+            scenario = scenario.faults(grid4_fault_plan());
         }
         // Scenario names start with the protocol's registry name.
         let protocol = name.split('_').next().and_then(ProtocolId::lookup);

@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --release --example energy_budget`
 
-use mnp_repro::energy::OperationCosts;
+use mnp_repro::experiments::table1::{OperationCosts, OperationCounts};
 use mnp_repro::prelude::*;
 
 const BATTERY_MAH: f64 = 2_500.0;
@@ -28,22 +28,19 @@ fn main() {
         (Deluge::LABEL, scenario.run::<Deluge>(|_| {})),
     ] {
         assert!(outcome.completed, "{name} failed: {outcome}");
-        // Reconstruct per-node charge from the trace: the harness folded
-        // meters into the trace already; recompute the breakdown from the
-        // observable counters.
+        // Price each node's counts from the trace, taking 20 ms on air per
+        // packet sent or received.
         let costs = OperationCosts::MICA2;
         let mut total_nah = 0.0;
         let mut worst_nah = 0.0f64;
         for (_, s) in outcome.trace.iter() {
-            let mut meter = mnp_repro::energy::EnergyMeter::new();
-            for _ in 0..s.sent {
-                meter.record_tx(SimDuration::from_millis(20));
-            }
-            for _ in 0..s.received {
-                meter.record_rx(SimDuration::from_millis(20));
-            }
-            meter.set_active_radio(s.active_radio);
-            let nah = meter.breakdown(&costs).total_nah();
+            let nah = costs.charge_nah(&OperationCounts {
+                tx: s.sent,
+                rx: s.received,
+                radio_on: s.active_radio,
+                on_air: SimDuration::from_millis(20) * (s.sent + s.received),
+                ..OperationCounts::default()
+            });
             total_nah += nah;
             worst_nah = worst_nah.max(nah);
         }

@@ -17,14 +17,13 @@
 //! | Discrete-event kernel | [`sim`] |
 //! | Lossy radio, CSMA MAC | [`radio`] |
 //! | Placement & link sampling | [`topology`] |
-//! | Mica energy model (Table 1) | [`energy`] |
 //! | EEPROM / program images | [`storage`] |
 //! | Protocol runtime | [`net`] |
 //! | Observability (events, invariants, timelines) | [`obs`] |
 //! | Metrics & figures | [`trace`] |
 //! | **MNP itself** | [`protocol`] |
 //! | Deluge/XNP/MOAP/flood, coded (RLNC, XOR) | [`baselines`] |
-//! | Table/figure harness | [`experiments`] |
+//! | Table/figure harness, Mica energy pricing (Table 1) | [`experiments`] |
 //!
 //! ## Quickstart
 //!
@@ -41,7 +40,6 @@
 
 pub use mnp as protocol;
 pub use mnp_baselines as baselines;
-pub use mnp_energy as energy;
 pub use mnp_experiments as experiments;
 pub use mnp_net as net;
 pub use mnp_obs as obs;

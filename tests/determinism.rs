@@ -3,6 +3,7 @@
 //! Every figure in EXPERIMENTS.md depends on this property — a reviewer
 //! rerunning `reproduce_all` must get byte-identical tables.
 
+use mnp_repro::experiments::resilience::grid4_fault_plan;
 use mnp_repro::prelude::*;
 
 /// FNV-1a 64 of a JSONL log: the frozen digests below pin its bytes, so a
@@ -16,27 +17,6 @@ fn log_digest(log: &str) -> u64 {
     log.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
-}
-
-/// The fault plan of `examples/dump_logs.rs`: a scheduled and two random
-/// crash-restarts, a link flap and two storage write faults.
-fn fault_plan() -> FaultPlan {
-    FaultPlan::seeded(5)
-        .crash_restart(NodeId(5), SimTime::from_secs(12), SimDuration::from_secs(9))
-        .link_flap(
-            NodeId(0),
-            NodeId(1),
-            SimTime::from_secs(6),
-            SimDuration::from_secs(4),
-            1.0,
-        )
-        .storage_faults(NodeId(3), SimTime::from_secs(4), 2)
-        .random_crash_restarts(
-            2,
-            &[NodeId(2), NodeId(7), NodeId(11)],
-            (SimTime::from_secs(5), SimTime::from_secs(60)),
-            (SimDuration::from_secs(3), SimDuration::from_secs(12)),
-        )
 }
 
 /// The 4×4, one-segment grid every event-log test runs.
@@ -186,7 +166,7 @@ fn deluge_recovers_from_crash_restarts_and_write_faults() {
     // coded protocols. Its faulted digest was recorded when it got them:
     // before, a reboot re-ran `on_start` over the pre-crash RAM state
     // and write faults were ignored.
-    let faulted = grid(77).faults(fault_plan()).check_invariants(true);
+    let faulted = grid(77).faults(grid4_fault_plan()).check_invariants(true);
     let a = event_log::<Deluge>(&faulted);
     assert!(
         a.contains("\"ev\":\"restarted\""),
@@ -236,12 +216,12 @@ fn coded_event_logs_are_byte_identical() {
         ("XOR", x, 0xcd68_95be_96e9_48a2),
         (
             "RLNC faulted",
-            event_log::<Rlnc>(&grid(77).faults(fault_plan())),
+            event_log::<Rlnc>(&grid(77).faults(grid4_fault_plan())),
             0xd6c1_4fb5_b922_5557,
         ),
         (
             "XOR faulted",
-            event_log::<Xor>(&grid(77).faults(fault_plan())),
+            event_log::<Xor>(&grid(77).faults(grid4_fault_plan())),
             0x3d29_e60c_5dd2_a7de,
         ),
     ] {
@@ -311,7 +291,7 @@ fn faulted_runs_replay_byte_identically() {
     // before the run and delivered through the event queue, so the same
     // network seed plus the same plan replays the same JSONL event log
     // byte for byte — crashes, reboots, flaps, write faults and all.
-    let faulted = grid(77).faults(fault_plan());
+    let faulted = grid(77).faults(grid4_fault_plan());
     let a = event_log::<Mnp>(&faulted);
     assert!(!a.is_empty());
     assert_eq!(
@@ -452,7 +432,7 @@ fn attaching_observers_never_changes_delivery() {
     check::<Deluge>(&grid(77), "Deluge");
     check::<Rlnc>(&grid(77), "RLNC");
     check::<Xor>(&grid(77), "XOR");
-    check::<Mnp>(&grid(77).faults(fault_plan()), "MNP faulted");
+    check::<Mnp>(&grid(77).faults(grid4_fault_plan()), "MNP faulted");
 }
 
 #[test]
