@@ -211,17 +211,7 @@ impl MobileExperiment {
     /// a network of this scenario is built from.
     pub(crate) fn links_and_schedule(&self) -> (LinkTable, Vec<LinkChange>) {
         let mobile = self.mobile_topology();
-        let schedule = mobile
-            .updates
-            .iter()
-            .map(|u| LinkChange {
-                at: u.at,
-                from: u.from,
-                to: u.to,
-                ber: u.ber,
-            })
-            .collect();
-        (mobile.topology.links, schedule)
+        (mobile.topology.links, mobile.updates)
     }
 
     /// Whether the `t = 0` topology has a usable bidirectional path from

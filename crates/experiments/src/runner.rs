@@ -386,7 +386,7 @@ impl GridExperiment {
                 let from = NodeId::from_index(from);
                 let edges: Vec<(NodeId, f64)> = links.neighbors(from).collect();
                 for (to, ber) in edges {
-                    links.connect(from, to, 1.0 - (1.0 - ber) * (1.0 - q));
+                    links.set_ber(from, to, 1.0 - (1.0 - ber) * (1.0 - q));
                 }
             }
         }

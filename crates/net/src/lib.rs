@@ -70,7 +70,8 @@ mod shard;
 
 pub use context::Context;
 pub use fault::{FaultPlan, FaultPlanError, PlannedFault};
-pub use network::{LinkChange, Network, NetworkBuilder};
+pub use mnp_radio::LinkChange;
+pub use network::{Network, NetworkBuilder};
 pub use protocol::{EepromOps, Protocol, WireMsg};
 
 // Re-exported so protocol crates can implement `WireMsg::detail`, derive

@@ -18,7 +18,7 @@ use std::sync::{Arc, Barrier, Mutex};
 
 use mnp_obs::{EventKind, ObsEvent, Observer, Shared, TimeSeriesSampler};
 use mnp_radio::{
-    CsmaBank, CsmaConfig, FlatLinks, LinkTable, Medium, MediumStats, NodeId, TxOutcome,
+    CsmaBank, CsmaConfig, LinkChange, LinkTable, Medium, MediumStats, NodeId, TxOutcome,
     PERCEPTION_LATENCY,
 };
 use mnp_sim::profile::{self, Phase};
@@ -29,30 +29,6 @@ use crate::fault::{FaultPlan, FaultPlanError, PlannedFault};
 use crate::nodes::NodeArena;
 use crate::protocol::Protocol;
 use crate::shard::{Boundary, Chunk, Event, LinkEventKind, LinkRow, Outbound, Shard};
-
-/// One scheduled base-quality change of a directed link: at `at`, the
-/// edge `from -> to` takes bit-error rate `ber`.
-///
-/// A link schedule is how mobility reaches the kernel: node motion is
-/// resolved into per-edge BER changes before the run starts (see
-/// `mnp-topology`'s mobility module) and attached through
-/// [`NetworkBuilder::link_schedule`]. Every named edge must exist in the
-/// builder's link graph — a mobile topology pre-materializes its
-/// *potential-edge set* (every pair that ever comes within audible range
-/// over the motion envelope, held at BER 1.0 while disconnected)
-/// precisely so that every future change lands on a known edge and the
-/// frozen CSR link storage never has to grow mid-run.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct LinkChange {
-    /// When the change applies.
-    pub at: SimTime,
-    /// Transmitting end of the changed edge.
-    pub from: NodeId,
-    /// Receiving end of the changed edge.
-    pub to: NodeId,
-    /// The new base bit-error rate (1.0 = out of range).
-    pub ber: f64,
-}
 
 /// Configures and constructs a [`Network`].
 ///
@@ -220,13 +196,7 @@ impl NetworkBuilder {
                 });
             }
         }
-        // Validated: freeze the graph and drop the table *before* anything
-        // else allocates. This CSR is the only form the run holds; freeing
-        // the table's rows after the protocols were built left holes among
-        // them that the run's small allocations landed in (`grid80`
-        // `wall_s` +3 %).
-        let links = FlatLinks::from_table(&self.links);
-        drop(self.links);
+        let links = self.links;
         let n = links.len();
         // At most one shard per node, at most 64 (destination masks are
         // one u64 bit per shard).
@@ -317,7 +287,7 @@ impl NetworkBuilder {
         if s > 1 {
             for (i, mask) in remote_mask.iter_mut().enumerate() {
                 let home = shard_of(i);
-                for to in links.neighbors(NodeId::from_index(i)).0 {
+                for (to, _) in links.neighbors(NodeId::from_index(i)) {
                     let d = shard_of(to.index());
                     if d != home {
                         *mask |= 1 << d;
@@ -469,7 +439,7 @@ struct Flapped {
 /// draws `from`'s next owner sequence number here, which fixes its queue
 /// rank before the run, whenever a shard feeds it.
 fn link_timeline(
-    links: &FlatLinks,
+    links: &LinkTable,
     mut schedule: Vec<LinkChange>,
     flaps: &[Flap],
     nodes: &mut NodeArena,
@@ -755,10 +725,9 @@ impl<P: Protocol> Network<P> {
     /// [`Network::schedule_failure`] (or use
     /// [`FaultPlan::crash_restart`](crate::FaultPlan::crash_restart), which
     /// schedules both). The rebooted node keeps its persistent state (the
-    /// protocol decides what survives in
-    /// [`Protocol::on_restart`](crate::Protocol::on_restart) — for MNP the
-    /// EEPROM [`PacketStore`](mnp_storage::PacketStore)) but loses all RAM
-    /// state: MAC, queued frames, pending timers.
+    /// protocol decides what survives in [`Protocol::on_restart`] — for
+    /// MNP the EEPROM [`PacketStore`](mnp_storage::PacketStore)) but loses
+    /// all RAM state: MAC, queued frames, pending timers.
     ///
     /// # Panics
     ///
@@ -2217,14 +2186,13 @@ mod timeline_tests {
             processed.push(net.events_processed());
             for sh in &net.shards {
                 let rows: Vec<(Vec<NodeId>, Vec<f64>)> = (0..N)
-                    .map(|i| sh.medium.links().neighbors(NodeId::from_index(i)))
-                    .map(|(dst, ber)| (dst.to_vec(), ber.to_vec()))
+                    .map(|i| sh.medium.links().neighbors(NodeId::from_index(i)).unzip())
                     .collect();
                 graphs.push(rows);
             }
         }
         assert_eq!(processed, [(N + NODE_FAULTS + ROWS) as u64; 4]);
-        // The shards' copies are clones of one frozen graph, each fed the
+        // The shards' copies are clones of one graph, each fed the
         // same timeline: they end identical, at the last scheduled rates
         // with both flaps restored.
         assert_eq!(graphs.len(), 1 + 2 + 3 + 4);
@@ -2255,17 +2223,7 @@ mod timeline_tests {
             &rng.derive(1),
         );
         let topo = materialize(&initial, &plan, PowerLevel::FULL, &mut rng.derive(2));
-        let schedule = topo
-            .updates
-            .iter()
-            .map(|u| LinkChange {
-                at: u.at,
-                from: u.from,
-                to: u.to,
-                ber: u.ber,
-            })
-            .collect();
-        (topo.topology.links, schedule)
+        (topo.topology.links, topo.updates)
     }
 
     #[test]

@@ -513,8 +513,8 @@ impl<P: Protocol> Shard<P> {
     /// Reboots a dead node: everything RAM-resident is rebuilt from
     /// scratch (fresh MAC, no queued frames, every pre-crash timer and
     /// wake event stale), the radio comes back up, and the protocol's
-    /// [`Protocol::on_restart`](crate::Protocol::on_restart) hook decides
-    /// what persistent state survives. A no-op on a live node.
+    /// [`Protocol::on_restart`] hook decides what persistent state
+    /// survives. A no-op on a live node.
     fn restart(&mut self, node: NodeId) {
         let i = self.li(node);
         if !self.nodes.hot(node).dead {

@@ -1,7 +1,8 @@
-//! `NetworkBuilder::build` hands each shard its protocols without a
-//! second copy of the protocol vector: the heap's high-water mark during
-//! build exceeds what the built network keeps by less than one protocol
-//! vector.
+//! `NetworkBuilder::build` holds one copy of what it builds: the heap's
+//! high-water mark during build exceeds what the built network keeps by
+//! less than one protocol vector — each shard gets its protocols without
+//! a second copy of the vector — and by less than one link graph — the
+//! builder's `LinkTable` is the graph the run holds, never copied.
 //!
 //! An integration test is its own crate, so the counting allocator's
 //! `unsafe` lives here and the library keeps `#![forbid(unsafe_code)]`.
@@ -65,36 +66,57 @@ impl WireMsg for Nothing {
     }
 }
 
-/// A protocol whose state is mostly inline ballast, so the protocol
-/// vector dwarfs everything else build allocates.
-struct Ballast {
-    _state: [u8; 4096],
+/// A protocol whose state is `B` bytes of inline ballast.
+struct Ballast<const B: usize> {
+    _state: [u8; B],
 }
 
-impl Protocol for Ballast {
+impl<const B: usize> Protocol for Ballast<B> {
     type Msg = Nothing;
     fn on_start(&mut self, _ctx: &mut Context<'_, Nothing>) {}
     fn on_message(&mut self, _ctx: &mut Context<'_, Nothing>, _from: NodeId, _msg: &Nothing) {}
 }
 
-const NODES: usize = 64;
+/// The graph over `n` nodes in which `a` hears `b` whenever `linked(a, b)`.
+fn graph(n: usize, linked: impl Fn(usize, usize) -> bool) -> LinkTable {
+    LinkTable::from_rows(n, |from, row| {
+        let a = from.index();
+        row.extend(
+            (0..n)
+                .filter(|&b| b != a && linked(a, b))
+                .map(|b| (NodeId::from_index(b), 0.0)),
+        );
+    })
+}
+
+/// How far build's high-water mark rises above what the network it
+/// returns keeps, in bytes.
+fn build_excess<const B: usize>(links: LinkTable) -> i64 {
+    let builder = NetworkBuilder::new(links, 7);
+    PEAK.with(|peak| peak.set(LIVE.with(Cell::get)));
+    let net = builder.build(|_, _| Ballast::<B> { _state: [0; B] });
+    let excess = PEAK.with(Cell::get) - LIVE.with(Cell::get);
+    drop(net);
+    excess
+}
 
 #[test]
 fn build_holds_one_protocol_vector() {
-    let mut links = LinkTable::new(NODES);
-    for i in 1..NODES {
-        let (a, b) = (NodeId::from_index(i - 1), NodeId::from_index(i));
-        links.connect(a, b, 0.0);
-        links.connect(b, a, 0.0);
-    }
-    let builder = NetworkBuilder::new(links, 7);
-    PEAK.with(|peak| peak.set(LIVE.with(Cell::get)));
-    let net = builder.build(|_, _| Ballast { _state: [0; 4096] });
-    let excess = PEAK.with(Cell::get) - LIVE.with(Cell::get);
-    let vector = (NODES * std::mem::size_of::<Ballast>()) as i64;
+    // A chain under heavy protocols: the protocol vector dwarfs the rest.
+    const CHAIN: usize = 64;
+    let excess = build_excess::<4096>(graph(CHAIN, |a, b| a.abs_diff(b) == 1));
+    let vector = (CHAIN * std::mem::size_of::<Ballast<4096>>()) as i64;
     assert!(
         excess < vector,
         "build peaked {excess} B above what it keeps; one protocol vector is {vector} B"
     );
-    drop(net);
+    // A clique under light protocols: the link graph dwarfs the rest.
+    const CLIQUE: usize = 300;
+    let links = graph(CLIQUE, |_, _| true);
+    let table = (links.edge_count() * (4 + 8) + (CLIQUE + 1) * 4) as i64;
+    let excess = build_excess::<8>(links);
+    assert!(
+        excess < table,
+        "build peaked {excess} B above what it keeps; one link graph is {table} B"
+    );
 }

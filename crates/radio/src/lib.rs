@@ -67,7 +67,7 @@ mod power;
 pub use arena::{PayloadArena, PayloadHandle};
 pub use csma::{CsmaAction, CsmaBank, CsmaConfig};
 pub use ids::NodeId;
-pub use link::{FlatLinks, LinkTable};
+pub use link::{LinkChange, LinkTable};
 pub use medium::{Medium, MediumStats, RadioState, TxError, TxId, TxOutcome, TxStart};
 pub use packet::{
     airtime, Frame, FRAME_OVERHEAD_BYTES, MAX_PAYLOAD_BYTES, PERCEPTION_HEADER_BYTES,

@@ -7,7 +7,7 @@ use mnp_sim::{SimDuration, SimRng, SimTime};
 
 use crate::arena::{PayloadArena, PayloadHandle};
 use crate::ids::NodeId;
-use crate::link::{FlatLinks, LinkTable};
+use crate::link::LinkTable;
 use crate::loss::frame_success_probability;
 use crate::packet::{Frame, PERCEPTION_LATENCY};
 
@@ -272,7 +272,7 @@ struct TxBank {
     /// `last_wake` against.
     heard_at: Vec<SimTime>,
     payload: Vec<PayloadHandle>,
-    /// The CSR edge index ([`FlatLinks::row_start`]) of every `src → node`
+    /// The CSR edge index ([`LinkTable::row_start`]) of every `src → node`
     /// edge whose node locked onto the slot's frame when its preamble
     /// arrived, so resolution reads the receiver and its rate without a
     /// search; cleared (with capacity retained) when the slot is released.
@@ -351,7 +351,7 @@ impl TxBank {
     }
 }
 
-/// The shared wireless medium over a frozen link graph.
+/// The shared wireless medium over a link graph whose edge set is fixed.
 ///
 /// `Medium` owns the radio state of every node and adjudicates every
 /// transmission: who locks on, who collides, who loses the frame to bit
@@ -395,9 +395,10 @@ impl TxBank {
 #[derive(Debug)]
 pub struct Medium<P> {
     /// The link graph: always the *full* graph, even for a sharded
-    /// medium. Its edge set is frozen; [`Medium::set_link_ber`] rewrites
-    /// rates in place.
-    flat: FlatLinks,
+    /// medium, and the only copy of it the medium holds. No edge is added
+    /// once it is here, so a CSR edge index names one edge for the whole
+    /// run; [`Medium::set_link_ber`] rewrites rates in place.
+    links: LinkTable,
     /// First global node index this medium owns (0 for a full-range
     /// medium).
     base: usize,
@@ -422,20 +423,20 @@ impl<P> Medium<P> {
     pub fn new(links: LinkTable, rng: SimRng) -> Self {
         let n = links.len();
         let rx_rngs = (0..n).map(|i| rng.derive(i as u64)).collect();
-        Medium::sharded(FlatLinks::from_table(&links), 0, n, rx_rngs)
+        Medium::sharded(links, 0, n, rx_rngs)
     }
 
     /// Creates a medium owning the contiguous node range
-    /// `base .. base + rx_rngs.len()` of the full frozen graph `flat`.
+    /// `base .. base + rx_rngs.len()` of the full graph `links`.
     ///
     /// Sender-side calls must only be made for owned nodes; reception
     /// walks silently skip receivers outside the range (their own shard's
     /// medium handles them).
-    pub fn sharded(flat: FlatLinks, base: usize, n_local: usize, rx_rngs: Vec<SimRng>) -> Self {
+    pub fn sharded(links: LinkTable, base: usize, n_local: usize, rx_rngs: Vec<SimRng>) -> Self {
         assert_eq!(rx_rngs.len(), n_local, "one bit-error stream per node");
-        assert!(base + n_local <= flat.len(), "range exceeds the graph");
+        assert!(base + n_local <= links.len(), "range exceeds the graph");
         Medium {
-            flat,
+            links,
             base,
             n_local,
             radios: RadioBank::new(n_local),
@@ -482,8 +483,8 @@ impl<P> Medium<P> {
     }
 
     /// The link graph (always full-range).
-    pub fn links(&self) -> &FlatLinks {
-        &self.flat
+    pub fn links(&self) -> &LinkTable {
+        &self.links
     }
 
     /// The payload arena holding every in-flight (and not yet released)
@@ -558,13 +559,13 @@ impl<P> Medium<P> {
     /// # Panics
     ///
     /// Panics on a self-loop, if `ber` is outside `[0, 1]`, or if the edge
-    /// does not already exist (the same input checks as
-    /// [`LinkTable::connect`], which cannot add edges once frozen).
+    /// does not already exist (the input checks of [`LinkTable::connect`];
+    /// a medium never adds an edge).
     pub fn set_link_ber(&mut self, from: NodeId, to: NodeId, ber: f64) {
         assert_ne!(from, to, "self loop on {from}");
         assert!((0.0..=1.0).contains(&ber), "ber {ber} out of [0,1]");
         assert!(
-            self.flat.set_ber(from, to, ber),
+            self.links.set_ber(from, to, ber),
             "link fault on a non-existent edge {from:?} -> {to:?}"
         );
     }
@@ -729,7 +730,7 @@ impl<P> Medium<P> {
         // this slot's listener buffer are written, so the neighbour walk
         // needs no temporary collection.
         let Medium {
-            flat,
+            links,
             base,
             n_local,
             radios,
@@ -738,10 +739,9 @@ impl<P> Medium<P> {
             capture,
             ..
         } = &mut *self;
-        let (dsts, bers) = flat.neighbors(src);
-        let row = flat.row_start(src);
+        let row = links.row_start(src);
         let mut listeners = std::mem::take(&mut txs.listeners[slot]);
-        for (k, &n) in dsts.iter().enumerate() {
+        for (k, (n, ber)) in links.neighbors(src).enumerate() {
             let i = n.index().wrapping_sub(*base);
             if i >= *n_local {
                 continue; // another shard's receiver
@@ -765,12 +765,11 @@ impl<P> Medium<P> {
                     let survives = *capture
                         && radios.current_rx[i].is_some_and(|lock| match txs.src_of(lock.tx) {
                             Some(ls) => {
-                                let cur = flat.ber(ls, n).unwrap_or(1.0);
-                                let new = bers[k];
+                                let cur = links.ber(ls, n).unwrap_or(1.0);
                                 // Order-of-magnitude BER advantage ≈
                                 // the ~6 dB power ratio real radios
                                 // need to capture.
-                                cur.max(1e-9) * 10.0 <= new.max(1e-9)
+                                cur.max(1e-9) * 10.0 <= ber.max(1e-9)
                             }
                             None => false,
                         });
@@ -821,7 +820,7 @@ impl<P> Medium<P> {
             self.drop_perception(slot);
             let listeners = std::mem::take(&mut self.txs.listeners[slot]);
             for &edge in &listeners {
-                let l = self.flat.edge_dst(edge);
+                let l = self.links.edge_dst(edge);
                 let i = self.local(l);
                 let lock = match self.radios.current_rx[i] {
                     Some(lock) if lock.tx == id => lock,
@@ -840,7 +839,7 @@ impl<P> Medium<P> {
                 }
                 // The rate in force now, read by index: `set_link_ber`
                 // rewrites it in place, so mid-frame faults still count.
-                let ber = self.flat.edge_ber(edge);
+                let ber = self.links.edge_ber(edge);
                 if self.rx_rngs[i].chance(frame_success_probability(ber, bits)) {
                     self.stats[i].frames_received += 1;
                     out.delivered.push(l);
@@ -924,7 +923,7 @@ impl<P> Medium<P> {
         self.drop_perception(slot);
         let listeners = std::mem::take(&mut self.txs.listeners[slot]);
         for &edge in &listeners {
-            let i = self.local(self.flat.edge_dst(edge));
+            let i = self.local(self.links.edge_dst(edge));
             if matches!(self.radios.current_rx[i], Some(lock) if lock.tx == id) {
                 self.radios.current_rx[i] = None;
                 self.radios.states[i] = RadioState::Listening;
@@ -948,14 +947,13 @@ impl<P> Medium<P> {
         let heard_at = self.txs.heard_at[slot];
         let src = self.txs.src[slot];
         let Medium {
-            flat,
+            links,
             base,
             n_local,
             radios,
             ..
         } = &mut *self;
-        let (dsts, _) = flat.neighbors(src);
-        for &n in dsts {
+        for (n, _) in links.neighbors(src) {
             let i = n.index().wrapping_sub(*base);
             if i >= *n_local {
                 continue;
@@ -1751,11 +1749,10 @@ mod shard_tests {
             links.connect(NodeId(a), NodeId(b), 0.0);
             links.connect(NodeId(b), NodeId(a), 0.0);
         }
-        let flat = FlatLinks::from_table(&links);
         let root = SimRng::new(11);
         let rngs = |r: std::ops::Range<usize>| r.map(|i| root.derive(i as u64)).collect();
-        let left = Medium::sharded(flat.clone(), 0, 2, rngs(0..2));
-        let right = Medium::sharded(flat, 2, 2, rngs(2..4));
+        let left = Medium::sharded(links.clone(), 0, 2, rngs(0..2));
+        let right = Medium::sharded(links, 2, 2, rngs(2..4));
         (left, right)
     }
 
@@ -1819,11 +1816,10 @@ mod shard_tests {
         let ber = 1.0 - 0.5f64.powf(1.0 / bits);
         let mut links = LinkTable::new(2);
         links.connect(NodeId(0), NodeId(1), ber);
-        let flat = FlatLinks::from_table(&links);
         let root = SimRng::new(5);
-        let mut full: Medium<u32> = Medium::new(links, root.clone());
-        let mut owner: Medium<u32> = Medium::sharded(flat.clone(), 0, 1, vec![root.derive(0)]);
-        let mut ghost_side: Medium<u32> = Medium::sharded(flat, 1, 1, vec![root.derive(1)]);
+        let mut full: Medium<u32> = Medium::new(links.clone(), root.clone());
+        let mut owner: Medium<u32> = Medium::sharded(links.clone(), 0, 1, vec![root.derive(0)]);
+        let mut ghost_side: Medium<u32> = Medium::sharded(links, 1, 1, vec![root.derive(1)]);
 
         let mut full_pattern = Vec::new();
         let mut shard_pattern = Vec::new();

@@ -81,16 +81,14 @@ impl TopologyBuilder {
         for (node, p) in &self.overrides {
             power[node.index()] = *p;
         }
-        let mut links = LinkTable::new(n);
         let positions = self.placement.positions();
         let boxes: Vec<Bounds> = positions.chunks(BLOCK).map(Bounds::of).collect();
         let mut owed = 0;
-        for (from, from_power) in power.iter().enumerate() {
-            let range = from_power.range_ft();
-            sample_row(positions, &boxes, from, range, rng, &mut owed, &mut links);
-        }
+        let links = LinkTable::from_rows(n, |from, row| {
+            let range = power[from.index()].range_ft();
+            sample_row(positions, &boxes, from.index(), range, rng, &mut owed, row);
+        });
         rng.skip(owed);
-        links.shrink_to_fit();
         Topology {
             placement: self.placement,
             links,
@@ -167,7 +165,8 @@ impl Bounds {
 }
 
 /// Samples every edge out of `from`, whose transmitter has nominal range
-/// `range_ft`, in `to` order; `boxes` bound the [`BLOCK`]s of `positions`.
+/// `range_ft`, onto `row` in `to` order; `boxes` bound the [`BLOCK`]s of
+/// `positions`.
 ///
 /// A pair beyond the sampler's reach is inaudible whatever its draws, so
 /// it only adds its [`loss::EDGE_DRAWS`] to `owed`. The debt is paid with
@@ -181,7 +180,7 @@ fn sample_row(
     range_ft: f64,
     rng: &mut SimRng,
     owed: &mut u64,
-    links: &mut LinkTable,
+    row: &mut Vec<(NodeId, f64)>,
 ) {
     // The sampler's own check, made once per row: a skipped pair never
     // reaches it.
@@ -205,7 +204,7 @@ fn sample_row(
             }
             rng.skip(std::mem::take(owed));
             if let Some(ber) = loss::sample_edge_ber(d_sq.sqrt(), range_ft, rng) {
-                links.connect(NodeId::from_index(from), NodeId::from_index(to), ber);
+                row.push((NodeId::from_index(to), ber));
             }
         }
     }
@@ -320,10 +319,9 @@ mod tests {
         // sampler's own check.
         let positions = [Position::new(0.0, 0.0), Position::new(500.0, 0.0)];
         let boxes = [Bounds::of(&positions)];
-        let mut links = LinkTable::new(2);
         let mut owed = 0;
         let rng = &mut SimRng::new(1);
-        sample_row(&positions, &boxes, 0, 0.0, rng, &mut owed, &mut links);
+        sample_row(&positions, &boxes, 0, 0.0, rng, &mut owed, &mut Vec::new());
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //!
 //! The paper evaluates MNP on static grids only; this module supplies the
 //! dynamic-topology workload — mobility models advanced on a fixed tick
-//! cadence, and the *potential-edge* materialization that lets a frozen
-//! link graph host a moving deployment.
+//! cadence, and the *potential-edge* materialization that lets a link
+//! graph with a fixed edge set host a moving deployment.
 //!
 //! # The potential-edge set
 //!
-//! The kernel's link storage is a frozen CSR: edges can change quality
+//! The run's [`LinkTable`] keeps its edge set: edges can change quality
 //! but never appear or disappear mid-run. Mobility therefore cannot
 //! "add" a link when two nodes walk into range. Instead,
 //! [`materialize`] pre-computes every ordered pair that ever comes
@@ -26,7 +26,7 @@
 //! with fresh noise every tick — and a zero-speed plan induces an empty
 //! schedule, degenerating exactly to a static topology.
 
-use mnp_radio::{loss, LinkTable, NodeId, PowerLevel};
+use mnp_radio::{loss, LinkChange, LinkTable, NodeId, PowerLevel};
 use mnp_sim::{SimDuration, SimRng, SimTime};
 
 use crate::builder::Topology;
@@ -283,21 +283,6 @@ impl Walker {
     }
 }
 
-/// One scheduled base-quality change: at `at`, the directed edge
-/// `from -> to` takes bit-error rate `ber` (1.0 = out of range). The
-/// harness mirrors these into the kernel's `LinkChange` events.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct LinkUpdate {
-    /// When the change applies.
-    pub at: SimTime,
-    /// Transmitting end.
-    pub from: NodeId,
-    /// Receiving end.
-    pub to: NodeId,
-    /// The new bit-error rate.
-    pub ber: f64,
-}
-
 /// A topology whose link set covers the whole motion envelope, plus the
 /// schedule of quality changes the motion induces.
 #[derive(Clone, Debug)]
@@ -308,7 +293,7 @@ pub struct MobileTopology {
     pub topology: Topology,
     /// Base-quality changes in time order (ticks ascending, edges in
     /// `(from, to)` ID order within a tick), no-op changes suppressed.
-    pub updates: Vec<LinkUpdate>,
+    pub updates: Vec<LinkChange>,
 }
 
 /// Materializes the potential-edge set of `initial` moved by `plan`, and
@@ -318,7 +303,7 @@ pub struct MobileTopology {
 /// ID order, then membership is exact: a pair is in the potential set
 /// iff its distance drops below its audible limit
 /// ([`loss::audible_limit_ft`]) in at least one frame — so a scheduled
-/// update can never touch a missing edge, and the kernel's frozen CSR
+/// update can never touch a missing edge, and the run's [`LinkTable`]
 /// never needs to grow. The whole construction is a pure function of
 /// `(initial, plan, power, rng seed)`.
 pub fn materialize(
@@ -339,16 +324,15 @@ pub fn materialize(
             }
         }
     }
-    let mut links = LinkTable::new(n);
     let mut edges: Vec<(NodeId, NodeId, f64)> = Vec::new();
     let mut last_ber: Vec<f64> = Vec::new();
-    for from in 0..n {
+    let links = LinkTable::from_rows(n, |f, row| {
         for to in 0..n {
-            if from == to {
+            if f.index() == to {
                 continue;
             }
-            let (f, t) = (NodeId::from_index(from), NodeId::from_index(to));
-            let shadow = shadows[from * n + to];
+            let t = NodeId::from_index(to);
+            let shadow = shadows[f.index() * n + to];
             let limit = loss::audible_limit_ft(range, shadow);
             let ever = initial.distance_ft(f, t) <= limit
                 || plan.frames.iter().any(|p| p.distance_ft(f, t) <= limit);
@@ -357,11 +341,11 @@ pub fn materialize(
             }
             let ber =
                 loss::edge_ber_with_shadow(initial.distance_ft(f, t), range, shadow).unwrap_or(1.0);
-            links.connect(f, t, ber);
+            row.push((t, ber));
             edges.push((f, t, shadow));
             last_ber.push(ber);
         }
-    }
+    });
     let mut updates = Vec::new();
     for (k, frame) in plan.frames.iter().enumerate() {
         let at = SimTime::from_micros(plan.tick.as_micros() * (k as u64 + 1));
@@ -369,7 +353,7 @@ pub fn materialize(
             let ber =
                 loss::edge_ber_with_shadow(frame.distance_ft(f, t), range, shadow).unwrap_or(1.0);
             if ber != last_ber[e] {
-                updates.push(LinkUpdate {
+                updates.push(LinkChange {
                     at,
                     from: f,
                     to: t,

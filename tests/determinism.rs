@@ -27,11 +27,18 @@ fn grid(seed: u64) -> GridExperiment {
 /// The JSONL event log of one run of `P` on `scenario`, which must
 /// complete.
 fn event_log<P: Disseminator>(scenario: &GridExperiment) -> String {
+    let (log, out) = run_log::<P>(scenario);
+    assert!(out.completed, "{} run did not complete: {out}", P::NAME);
+    log
+}
+
+/// The JSONL event log of one run of `P` on `scenario`, up to completion
+/// or the deadline, and the run's outcome.
+fn run_log<P: Disseminator>(scenario: &GridExperiment) -> (String, RunOutcome) {
     let log = Shared::new(JsonlLogger::new());
     let out = scenario.run_observed::<P>(|_| {}, Instruments::observing(log.clone()));
-    assert!(out.completed, "{} run did not complete: {out}", P::NAME);
     let text = log.borrow().as_str().to_owned();
-    text
+    (text, out)
 }
 
 fn fingerprint(out: &RunOutcome) -> Vec<(Option<u64>, Option<u32>, u64, u64)> {
@@ -227,6 +234,22 @@ fn coded_event_logs_are_byte_identical() {
     ] {
         assert_eq!(log_digest(&log), digest, "{name} seed 77 log bytes moved");
     }
+}
+
+#[test]
+fn moap_xnp_and_flood_event_logs_are_frozen() {
+    // The three protocols without a frozen log elsewhere. On this grid
+    // only MOAP completes; XNP and flood are pinned up to the deadline,
+    // and their `completed` flag is pinned too, so a digest that starts
+    // to mean "completed" fails here instead of drifting.
+    fn check<P: Disseminator>(completes: bool, digest: u64) {
+        let (log, out) = run_log::<P>(&grid(77));
+        assert_eq!(out.completed, completes, "{} completion moved", P::NAME);
+        assert_eq!(log_digest(&log), digest, "{} log bytes moved", P::NAME);
+    }
+    check::<Moap>(true, 0x1e24_e2e5_1411_f8b4);
+    check::<Xnp>(false, 0x7ce2_ffaf_bb46_8c09);
+    check::<Flood>(false, 0x3cad_3664_ef15_d78a);
 }
 
 #[test]
