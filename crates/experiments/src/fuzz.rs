@@ -964,6 +964,7 @@ pub fn fuzz(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::seeded_logs::log_digest;
     use mnp::Mnp;
 
     fn sample_scenario() -> FuzzScenario {
@@ -1325,15 +1326,21 @@ mod tests {
 
     /// One fixed-seed campaign through every oracle (the panic oracle
     /// included: tests build with debug assertions). A failure prints the
-    /// shrunk repro for `mnp-run repro`.
-    fn campaign(runs: u64, permute: bool, mobile: bool) {
+    /// shrunk repro for `mnp-run repro`. Returns the [`log_digest`] of the
+    /// scenario lines and their verdicts, which freezes the stream: a
+    /// change to generation or to a scenario's `Display` line moves it.
+    fn campaign(runs: u64, permute: bool, mobile: bool) -> u64 {
         let cfg = FuzzConfig {
             runs,
             permute,
             mobile,
             ..FuzzConfig::default()
         };
-        if let Err(report) = fuzz(&cfg, |_, _, _| {}) {
+        let mut lines = String::new();
+        let result = fuzz(&cfg, |_, sc, verdict| {
+            lines.push_str(&format!("{sc} {verdict:?}\n"));
+        });
+        if let Err(report) = result {
             panic!(
                 "scenario {} failed: {}\nrepro.json:\n{}",
                 report.index,
@@ -1341,20 +1348,21 @@ mod tests {
                 emit_repro(&report.shrunk, &report.failure)
             );
         }
+        log_digest(&lines)
     }
 
     #[test]
     fn fuzz_batch_fifo() {
-        campaign(5, false, false);
+        assert_eq!(campaign(5, false, false), 0xcf0a_5d13_56ad_4103);
     }
 
     #[test]
     fn fuzz_batch_permute() {
-        campaign(5, true, false);
+        assert_eq!(campaign(5, true, false), 0x84c6_6aeb_fdf3_87ac);
     }
 
     #[test]
     fn fuzz_batch_mobile() {
-        campaign(5, true, true);
+        assert_eq!(campaign(5, true, true), 0xc227_46f8_0f6d_3999);
     }
 }

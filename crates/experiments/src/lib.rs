@@ -29,6 +29,7 @@
 //! | [`ablation`] | DESIGN.md A1–A4 — design-choice ablations |
 //! | [`sweep`] | protocol-comparison sweeps: the loss campaign (`mnp-run coded`) and the mobility campaign (`mnp-run mobility`) |
 //! | [`registry`] | the `Disseminator` trait and the one protocol list every harness dispatches from |
+//! | [`seeded_logs`] | the seeded event logs whose frozen digests license refactors (`dump_logs`, `tests/determinism.rs`) |
 //! | [`fuzz`] | DESIGN.md §11 — schedule-exploration fuzz harness (`mnp-run fuzz`/`repro`) |
 
 #![forbid(unsafe_code)]
@@ -54,6 +55,7 @@ pub mod registry;
 pub mod report;
 pub mod resilience;
 pub mod runner;
+pub mod seeded_logs;
 pub mod subsets;
 pub mod sweep;
 pub mod table1;

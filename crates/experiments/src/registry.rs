@@ -189,7 +189,7 @@ pub const FAULT_TESTED: &[&str] = &["mnp", "rlnc", "xor"];
 
 /// A handle naming one registered protocol.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ProtocolId(&'static str);
+pub struct ProtocolId(pub(crate) &'static str);
 
 impl ProtocolId {
     /// The registered protocol called `name`, if any.
@@ -235,8 +235,8 @@ mod tests {
     use mnp_obs::{MetricsRegistry, Shared};
 
     use super::*;
-    use crate::resilience::grid4_fault_plan;
     use crate::runner::{GridExperiment, Instruments};
+    use crate::seeded_logs::{LogScenario, SEEDED_LOGS};
 
     /// Runs `P` on `scenario` with a metrics registry attached and checks
     /// that each count Table 1 prices is one fact: per node, the trace's
@@ -289,15 +289,12 @@ mod tests {
             }
             with_protocol!(id, P => assert_one_count_per_fact::<P>(&scenario, name));
         }
-        let faulted = GridExperiment::new(4, 4, 10.0)
-            .segments(1)
-            .seed(77)
-            .faults(grid4_fault_plan());
-        for id in FAULT_TESTED
+        let faulted = SEEDED_LOGS
             .iter()
-            .filter_map(|name| ProtocolId::lookup(name))
-        {
-            with_protocol!(id, P => assert_one_count_per_fact::<P>(&faulted, id.name()));
+            .filter(|row| matches!(row.scenario, LogScenario::Faulted(_)));
+        for row in faulted {
+            let scenario = row.grid().expect("a faulted row runs on the grid");
+            with_protocol!(row.protocol, P => assert_one_count_per_fact::<P>(&scenario, row.name));
         }
         assert_eq!(ProtocolId::lookup("fountain"), None);
     }

@@ -145,28 +145,6 @@ impl Chaos {
     }
 }
 
-/// The fault plan of the 4×4 event-log scenarios (`examples/dump_logs.rs`,
-/// `tests/determinism.rs`): a scheduled and two random crash-restarts, a
-/// link flap and two storage write faults.
-pub fn grid4_fault_plan() -> FaultPlan {
-    FaultPlan::seeded(5)
-        .crash_restart(NodeId(5), SimTime::from_secs(12), SimDuration::from_secs(9))
-        .link_flap(
-            NodeId(0),
-            NodeId(1),
-            SimTime::from_secs(6),
-            SimDuration::from_secs(4),
-            1.0,
-        )
-        .storage_faults(NodeId(3), SimTime::from_secs(4), 2)
-        .random_crash_restarts(
-            2,
-            &[NodeId(2), NodeId(7), NodeId(11)],
-            (SimTime::from_secs(5), SimTime::from_secs(60)),
-            (SimDuration::from_secs(3), SimDuration::from_secs(12)),
-        )
-}
-
 /// A seeded plan injecting `count` transient EEPROM write-fault bursts at
 /// random victims and instants. [`FaultPlan`] has seeded helpers for
 /// crashes and flaps but not storage, so the sampling lives here.

@@ -1,6 +1,8 @@
-//! Dumps the seeded JSONL event logs of the determinism seed set to a
-//! directory, so a refactor can prove wire behaviour unchanged by diffing
-//! the files produced before and after:
+//! Dumps the seeded JSONL event logs of the seeded-log table
+//! (`mnp_experiments::seeded_logs::SEEDED_LOGS`) to a directory, one file
+//! per row, so a refactor can locate a moved byte by diffing the files
+//! produced before and after (`cargo test --test determinism` is the
+//! quicker first check: it compares every row's digest):
 //!
 //! ```text
 //! cargo run --release --example dump_logs -- /tmp/logs_before
@@ -18,13 +20,8 @@
 //! cargo run --release --example dump_logs -- /tmp/logs_s4 --shards 4
 //! diff -r /tmp/logs_s1 /tmp/logs_s4
 //! ```
-//!
-//! The scenarios mirror `tests/determinism.rs`: MNP, Deluge, and the
-//! coded protocols (RLNC, XOR) on a 4×4 grid, with and without a fault
-//! plan, plus the capture-effect variant and a mobile (random-waypoint
-//! with churn) field.
 
-use mnp_repro::experiments::resilience::grid4_fault_plan;
+use mnp_repro::experiments::seeded_logs::SEEDED_LOGS;
 use mnp_repro::prelude::*;
 
 fn main() {
@@ -45,54 +42,11 @@ fn main() {
     let dir = dir.expect("usage: dump_logs OUT_DIR [--shards N]");
     std::fs::create_dir_all(&dir).expect("create output directory");
 
-    let scenarios: [(&str, u64, bool, bool); 10] = [
-        ("mnp_seed77", 77, false, false),
-        ("mnp_seed78", 78, false, false),
-        ("mnp_seed77_faults", 77, true, false),
-        ("mnp_seed77_capture", 77, false, true),
-        ("deluge_seed77", 77, false, false),
-        ("deluge_seed78", 78, false, false),
-        ("rlnc_seed77", 77, false, false),
-        ("rlnc_seed77_faults", 77, true, false),
-        ("xor_seed77", 77, false, false),
-        ("xor_seed77_faults", 77, true, false),
-    ];
-    for (name, seed, faulted, capture) in scenarios {
-        let log = Shared::new(JsonlLogger::new());
-        let mut scenario = GridExperiment::new(4, 4, 10.0)
-            .segments(1)
-            .seed(seed)
-            .shards(shards)
-            .capture(capture);
-        if faulted {
-            scenario = scenario.faults(grid4_fault_plan());
-        }
-        // Scenario names start with the protocol's registry name.
-        let protocol = name.split('_').next().and_then(ProtocolId::lookup);
-        let out = scenario.run_named(
-            protocol.expect("scenario names a registered protocol"),
-            Instruments::observing(log.clone()),
-        );
-        assert!(out.completed, "{name} did not complete");
-        let path = format!("{dir}/{name}.jsonl");
-        std::fs::write(&path, log.borrow().as_str()).expect("write log");
-        println!("wrote {path}");
-    }
-
-    // Mobile scenarios: motion (and churn) arrive through the same
-    // owner-keyed event path as faults, so the sharded merge must replay
-    // them byte-identically too.
-    for (name, seed) in [("mobile_seed2", 2), ("mobile_seed3", 3)] {
-        let log = Shared::new(JsonlLogger::new());
-        let out = MobileExperiment::new(9)
-            .seed(seed)
-            .speed(2.0)
-            .churn(1)
-            .shards(shards)
-            .run_observed::<Mnp>(|_| {}, Instruments::observing(log.clone()));
-        assert!(out.completed, "{name} did not complete");
-        let path = format!("{dir}/{name}.jsonl");
-        std::fs::write(&path, log.borrow().as_str()).expect("write log");
+    for row in SEEDED_LOGS {
+        let (log, out) = row.record(shards, Instruments::default());
+        assert_eq!(out.completed, row.completes, "{} completion", row.name);
+        let path = format!("{dir}/{}.jsonl", row.name);
+        std::fs::write(&path, log).expect("write log");
         println!("wrote {path}");
     }
 }
