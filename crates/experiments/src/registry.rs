@@ -189,7 +189,7 @@ pub const FAULT_TESTED: &[&str] = &["mnp", "rlnc", "xor"];
 
 /// A handle naming one registered protocol.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ProtocolId(pub(crate) &'static str);
+pub struct ProtocolId(&'static str);
 
 impl ProtocolId {
     /// The registered protocol called `name`, if any.
@@ -294,7 +294,7 @@ mod tests {
             .filter(|row| matches!(row.scenario, LogScenario::Faulted(_)));
         for row in faulted {
             let scenario = row.grid().expect("a faulted row runs on the grid");
-            with_protocol!(row.protocol, P => assert_one_count_per_fact::<P>(&scenario, row.name));
+            with_protocol!(row.protocol(), P => assert_one_count_per_fact::<P>(&scenario, &row.name()));
         }
         assert_eq!(ProtocolId::lookup("fountain"), None);
     }

@@ -19,10 +19,8 @@ use crate::runner::{GridExperiment, Instruments, RunOutcome};
 /// One seeded run whose event log is frozen.
 #[derive(Clone, Copy, Debug)]
 pub struct SeededLog {
-    /// File stem of the dumped log.
-    pub name: &'static str,
-    /// The protocol that disseminates.
-    pub protocol: ProtocolId,
+    /// The registry name of the protocol that disseminates.
+    pub protocol: &'static str,
     /// What it runs on.
     pub scenario: LogScenario,
     /// Whether every node completes before the deadline. XNP and flood
@@ -50,15 +48,13 @@ pub enum LogScenario {
 use LogScenario::{Capture, Faulted, Grid, Mobile};
 
 const fn row(
-    name: &'static str,
     protocol: &'static str,
     scenario: LogScenario,
     completes: bool,
     digest: u64,
 ) -> SeededLog {
     SeededLog {
-        name,
-        protocol: ProtocolId(protocol),
+        protocol,
         scenario,
         completes,
         digest,
@@ -66,31 +62,52 @@ const fn row(
 }
 
 /// Every seeded log, clean and faulted for each registered protocol.
-/// Columns: file stem, protocol, scenario, completes, digest.
+/// Columns: protocol, scenario, completes, digest.
 #[rustfmt::skip]
 pub const SEEDED_LOGS: &[SeededLog] = &[
-    row("mnp_seed77", "mnp", Grid(77), true, 0x4dd0_aaff_0778_72bb),
-    row("mnp_seed78", "mnp", Grid(78), true, 0x06c5_ca74_fb52_ac67),
-    row("mnp_seed77_faults", "mnp", Faulted(77), true, 0x5fdb_9b43_8db6_ccf4),
-    row("mnp_seed77_capture", "mnp", Capture(77), true, 0x89fb_6b40_41d9_1771),
-    row("deluge_seed77", "deluge", Grid(77), true, 0x8d3c_abe8_0907_5be1),
-    row("deluge_seed78", "deluge", Grid(78), true, 0x9e1f_24d4_e926_ef21),
-    row("deluge_seed77_faults", "deluge", Faulted(77), true, 0x7d16_3ce6_2013_6447),
-    row("moap_seed77", "moap", Grid(77), true, 0x1e24_e2e5_1411_f8b4),
-    row("moap_seed77_faults", "moap", Faulted(77), true, 0xf00e_e809_50b5_dc02),
-    row("xnp_seed77", "xnp", Grid(77), false, 0x7ce2_ffaf_bb46_8c09),
-    row("xnp_seed77_faults", "xnp", Faulted(77), false, 0xf15f_966d_9cb0_629c),
-    row("flood_seed77", "flood", Grid(77), false, 0x3cad_3664_ef15_d78a),
-    row("flood_seed77_faults", "flood", Faulted(77), false, 0x12eb_fffe_fa72_b8ca),
-    row("rlnc_seed77", "rlnc", Grid(77), true, 0xcb8d_cfe2_1419_4c5a),
-    row("rlnc_seed77_faults", "rlnc", Faulted(77), true, 0xd6c1_4fb5_b922_5557),
-    row("xor_seed77", "xor", Grid(77), true, 0xcd68_95be_96e9_48a2),
-    row("xor_seed77_faults", "xor", Faulted(77), true, 0x3d29_e60c_5dd2_a7de),
-    row("mobile_seed2", "mnp", Mobile(2), true, 0x347f_b02a_549a_1fa2),
-    row("mobile_seed3", "mnp", Mobile(3), true, 0x78db_2c53_3980_3818),
+    row("mnp", Grid(77), true, 0x4dd0_aaff_0778_72bb),
+    row("mnp", Grid(78), true, 0x06c5_ca74_fb52_ac67),
+    row("mnp", Faulted(77), true, 0x5fdb_9b43_8db6_ccf4),
+    row("mnp", Capture(77), true, 0x89fb_6b40_41d9_1771),
+    row("deluge", Grid(77), true, 0x8d3c_abe8_0907_5be1),
+    row("deluge", Grid(78), true, 0x9e1f_24d4_e926_ef21),
+    row("deluge", Faulted(77), true, 0x7d16_3ce6_2013_6447),
+    row("moap", Grid(77), true, 0x1e24_e2e5_1411_f8b4),
+    row("moap", Faulted(77), true, 0xf00e_e809_50b5_dc02),
+    row("xnp", Grid(77), false, 0x7ce2_ffaf_bb46_8c09),
+    row("xnp", Faulted(77), false, 0xf15f_966d_9cb0_629c),
+    row("flood", Grid(77), false, 0x3cad_3664_ef15_d78a),
+    row("flood", Faulted(77), false, 0x12eb_fffe_fa72_b8ca),
+    row("rlnc", Grid(77), true, 0xcb8d_cfe2_1419_4c5a),
+    row("rlnc", Faulted(77), true, 0xd6c1_4fb5_b922_5557),
+    row("xor", Grid(77), true, 0xcd68_95be_96e9_48a2),
+    row("xor", Faulted(77), true, 0x3d29_e60c_5dd2_a7de),
+    row("mnp", Mobile(2), true, 0x347f_b02a_549a_1fa2),
+    row("mnp", Mobile(3), true, 0x78db_2c53_3980_3818),
 ];
 
 impl SeededLog {
+    /// File stem of the dumped log: `{protocol}_seed{seed}`, with a
+    /// `_faults` or `_capture` suffix, or `mobile_seed{seed}`.
+    pub fn name(&self) -> String {
+        let p = self.protocol;
+        match self.scenario {
+            Grid(seed) => format!("{p}_seed{seed}"),
+            Faulted(seed) => format!("{p}_seed{seed}_faults"),
+            Capture(seed) => format!("{p}_seed{seed}_capture"),
+            Mobile(seed) => format!("mobile_seed{seed}"),
+        }
+    }
+
+    /// The registered protocol the row runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row names no registered protocol.
+    pub fn protocol(&self) -> ProtocolId {
+        ProtocolId::lookup(self.protocol).expect("a seeded log names a registered protocol")
+    }
+
     /// The grid scenario of a grid row; `None` for a mobile one.
     pub fn grid(&self) -> Option<GridExperiment> {
         match self.scenario {
@@ -109,12 +126,12 @@ impl SeededLog {
                 .speed(2.0)
                 .churn(1)
                 .shards(shards)
-                .run_named(self.protocol, instruments),
+                .run_named(self.protocol(), instruments),
             _ => self
                 .grid()
                 .expect("every other scenario is a grid")
                 .shards(shards)
-                .run_named(self.protocol, instruments),
+                .run_named(self.protocol(), instruments),
         }
     }
 
@@ -171,28 +188,15 @@ mod tests {
     #[test]
     fn the_table_covers_every_registered_protocol() {
         for (i, row) in SEEDED_LOGS.iter().enumerate() {
+            let name = row.name();
             assert!(
-                SEEDED_LOGS[..i].iter().all(|r| r.name != row.name),
-                "duplicate row {}",
-                row.name
+                SEEDED_LOGS[..i].iter().all(|r| r.name() != name),
+                "duplicate row {name}"
             );
-            assert_eq!(
-                ProtocolId::lookup(row.protocol.name()),
-                Some(row.protocol),
-                "{}",
-                row.name
-            );
-            // The file name says what the row runs.
-            let name = match row.scenario {
-                Grid(seed) => format!("{}_seed{seed}", row.protocol.name()),
-                Faulted(seed) => format!("{}_seed{seed}_faults", row.protocol.name()),
-                Capture(seed) => format!("{}_seed{seed}_capture", row.protocol.name()),
-                Mobile(seed) => format!("mobile_seed{seed}"),
-            };
-            assert_eq!(row.name, name);
+            assert!(ProtocolId::lookup(row.protocol).is_some(), "{name}");
         }
         for name in NAMES {
-            let rows = || SEEDED_LOGS.iter().filter(|r| r.protocol.name() == *name);
+            let rows = || SEEDED_LOGS.iter().filter(|r| r.protocol == *name);
             assert!(
                 rows().any(|r| matches!(r.scenario, Grid(_))),
                 "{name} has no clean row"

@@ -44,8 +44,9 @@ fn main() {
 
     for row in SEEDED_LOGS {
         let (log, out) = row.record(shards, Instruments::default());
-        assert_eq!(out.completed, row.completes, "{} completion", row.name);
-        let path = format!("{dir}/{}.jsonl", row.name);
+        let name = row.name();
+        assert_eq!(out.completed, row.completes, "{name} completion");
+        let path = format!("{dir}/{name}.jsonl");
         std::fs::write(&path, log).expect("write log");
         println!("wrote {path}");
     }

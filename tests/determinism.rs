@@ -40,7 +40,7 @@ fn recorded() -> &'static [(String, RunOutcome)] {
 fn seeded(name: &str) -> (&'static SeededLog, &'static str, &'static RunOutcome) {
     let i = SEEDED_LOGS
         .iter()
-        .position(|r| r.name == name)
+        .position(|r| r.name() == name)
         .unwrap_or_else(|| panic!("no seeded log {name}"));
     let (log, out) = &recorded()[i];
     (&SEEDED_LOGS[i], log, out)
@@ -109,7 +109,7 @@ fn every_seeded_log_matches_its_frozen_digest() {
         .filter_map(|(row, (log, out))| {
             let (done, digest) = (out.completed, log_digest(log));
             (done != row.completes || digest != row.digest)
-                .then(|| format!("{}: completed {done} digest {digest:#018x}", row.name))
+                .then(|| format!("{}: completed {done} digest {digest:#018x}", row.name()))
         })
         .collect();
     assert!(moved.is_empty(), "seeded logs moved:\n{}", moved.join("\n"));
@@ -187,6 +187,13 @@ fn deluge_recovers_from_crash_restarts_and_write_faults() {
 fn coded_event_logs_are_byte_identical() {
     // The coded protocols draw extra randomness (coefficient seeds from
     // the node RNG) from the seeded stream; their digests are frozen.
+    let seed78 = Shared::new(JsonlLogger::new());
+    grid4(78).run_observed::<Rlnc>(|_| {}, Instruments::observing(seed78.clone()));
+    assert_ne!(
+        seed78.borrow().as_str(),
+        log("rlnc_seed77"),
+        "different seeds should differ"
+    );
     assert_ne!(
         log("rlnc_seed77"),
         log("xor_seed77"),
@@ -288,7 +295,7 @@ fn attaching_observers_never_changes_delivery() {
     // run, which had every observer attached.
     for (row, (_, watched)) in SEEDED_LOGS.iter().zip(recorded()) {
         let bare = row.run(1, Instruments::default());
-        let name = row.name;
+        let name = row.name();
         assert_eq!(bare.completed, watched.completed, "{name}");
         assert_eq!(fingerprint(watched), fingerprint(&bare), "{name}");
         assert_eq!(watched.events, bare.events, "{name} events_processed");
