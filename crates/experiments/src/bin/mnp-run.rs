@@ -22,8 +22,8 @@
 //! (`mnp_experiments::sweep::speed_sweep`): MNP vs Deluge vs RLNC over a
 //! random-waypoint field at each swept node speed. Motion is
 //! pre-materialized into a potential-edge topology plus a deterministic
-//! link-quality schedule, so runs replay byte-identically at any shard
-//! count. Both campaigns are exploration tools: their default arguments
+//! link-quality schedule, so runs replay byte-identically per seed. Both
+//! campaigns are exploration tools: their default arguments
 //! are the paper-scale blocks of the golden `EXPERIMENTS.txt`, which
 //! `reproduce_all` prints and checks.
 //!

@@ -188,10 +188,6 @@ pub struct FuzzScenario {
     pub tie_seed: Option<u64>,
     /// Simulation deadline.
     pub deadline: SimTime,
-    /// Shard count of the simulation kernel. The schedule is identical at
-    /// any value — fuzzing it exercises the sharded lockstep merge under
-    /// schedules (permuted tie-breaks, faults) the unit tests never draw.
-    pub shards: usize,
     /// `Some` makes this a mobile scenario: `rows × cols` nodes in an
     /// irregular moving field instead of a static grid; link flaps then
     /// draw from the potential-edge set (pairs that ever come within
@@ -269,14 +265,13 @@ impl fmt::Display for FuzzScenario {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}: {}x{} grid, {} seg, seed {}, {}, {} shard(s), {} fault(s), deadline {:.0}s",
+            "{}: {}x{} grid, {} seg, seed {}, {}, {} fault(s), deadline {:.0}s",
             self.protocol.name(),
             self.rows,
             self.cols,
             self.segments,
             self.seed,
             tie_break_label(self.tie_break()),
-            self.shards,
             self.faults.len(),
             self.deadline.as_secs_f64(),
         )?;
@@ -411,7 +406,6 @@ fn check<P: Disseminator>(sc: &FuzzScenario) -> Result<Option<FuzzFailure>, Stri
     let builder = NetworkBuilder::new(links, sc.seed)
         .tie_break(sc.tie_break())
         .faults(sc.fault_plan())
-        .shards(sc.shards)
         .link_schedule(schedule)
         .observer(monitor.clone());
     let mut net = build::<P>(builder, &image, P::config_for(&image)).map_err(|e| e.to_string())?;
@@ -533,9 +527,10 @@ pub fn generate_with(
     let rows = 3 + rng.index(3);
     let cols = 3 + rng.index(3);
     let segments = 1 + rng.index(2) as u16;
-    // 1 = the sequential kernel; >1 exercises the sharded lockstep merge,
-    // which must replay the sequential schedule byte for byte.
-    let shards = 1 + rng.index(4);
+    // This draw once chose a kernel option that no longer exists. It stays,
+    // its value dropped, so every later draw — and with it every scenario
+    // of a fuzz seed — is what it was.
+    let _ = rng.index(4);
     let deadline = SimTime::from_secs(4 * 3_600);
     let mobility = (force_mobile || rng.chance(1.0 / 3.0)).then(|| MobilitySpec {
         layout: FuzzLayout::ALL[rng.index(FuzzLayout::ALL.len())],
@@ -554,7 +549,6 @@ pub fn generate_with(
         seed: rng.next_u64(),
         tie_seed: None,
         deadline,
-        shards,
         mobility,
         faults: Vec::new(),
     };
@@ -665,11 +659,6 @@ pub fn shrink(
         if best.segments > 1 {
             improved |= try_accept(&mut best, &mut spent, &|c| c.segments -= 1);
         }
-        // A repro that still fails on the sequential kernel is strictly
-        // easier to debug than a sharded one.
-        if best.shards > 1 {
-            improved |= try_accept(&mut best, &mut spent, &|c| c.shards = 1);
-        }
         if kind != FailureKind::Liveness && best.deadline > SimTime::from_secs(600) {
             let half = SimTime::from_micros(best.deadline.as_micros() / 2);
             improved |= try_accept(&mut best, &mut spent, &|c| c.deadline = half);
@@ -715,7 +704,6 @@ pub fn emit_repro(sc: &FuzzScenario, failure: &FuzzFailure) -> String {
         "  \"deadline_us\": {},\n",
         sc.deadline.as_micros()
     ));
-    out.push_str(&format!("  \"shards\": {},\n", sc.shards));
     if let Some(m) = sc.mobility {
         out.push_str(&format!(
             "  \"mobility\": {{\"layout\": \"{}\", \"speed_tenths\": {}}},\n",
@@ -770,12 +758,13 @@ pub fn emit_repro(sc: &FuzzScenario, failure: &FuzzFailure) -> String {
 /// advisory recorded failure kind, if present and well-formed).
 ///
 /// Field policy: *absent* optional fields take their legacy defaults
-/// (`tie_seed` → FIFO, `shards` → 1 for pre-sharding repros, `protocol` →
-/// `"mnp"` for pre-coding repros, `mobility` → static grid for
-/// pre-mobility repros), but a field that is *present with the
-/// wrong type* is a hard error — a repro whose `"shards": "four"` silently
-/// replayed sequentially would "reproduce" a different schedule than the
-/// one that failed.
+/// (`tie_seed` → FIFO, `protocol` → `"mnp"` for pre-coding repros,
+/// `mobility` → static grid for pre-mobility repros), but a field that is
+/// *present with the wrong type* is a hard error — a repro whose
+/// `"tie_seed": "low"` silently replayed under FIFO would "reproduce" a
+/// different schedule than the one that failed. A `shards` field other
+/// than 1 is an error too: that repro was recorded on the removed
+/// multi-threaded kernel.
 pub fn parse_repro(text: &str) -> Result<(FuzzScenario, Option<FailureKind>), String> {
     let root = Json::parse(text)?;
     /// `obj.name` as an integer that fits `T`; `None` when absent.
@@ -797,6 +786,15 @@ pub fn parse_repro(text: &str) -> Result<(FuzzScenario, Option<FailureKind>), St
     let version: u64 = get(&root, "version")?;
     if version != 1 {
         return Err(format!("unsupported repro version {version}"));
+    }
+    match int::<u64>(&root, "shards")? {
+        None | Some(1) => {}
+        Some(n) => {
+            return Err(format!(
+                "field \"shards\" is {n}: the repro was recorded on the removed \
+                 multi-threaded kernel and cannot replay"
+            ))
+        }
     }
     let mut faults = Vec::new();
     if let Some(items) = root.get("faults").and_then(Json::as_arr) {
@@ -874,8 +872,6 @@ pub fn parse_repro(text: &str) -> Result<(FuzzScenario, Option<FailureKind>), St
             // Absent in FIFO repros.
             tie_seed: int(&root, "tie_seed")?,
             deadline: SimTime::from_micros(get(&root, "deadline_us")?),
-            // Absent in pre-sharding repros: those ran sequentially.
-            shards: int(&root, "shards")?.unwrap_or(1),
             mobility,
             faults,
         },
@@ -976,7 +972,6 @@ mod tests {
             seed: 77,
             tie_seed: Some(9),
             deadline: SimTime::from_secs(1234),
-            shards: 3,
             mobility: None,
             faults: vec![
                 FaultSpec::CrashRestart {
@@ -1009,7 +1004,6 @@ mod tests {
             seed: 5,
             tie_seed: None,
             deadline: SimTime::from_secs(4 * 3_600),
-            shards: 1,
             faults: Vec::new(),
             ..sample_scenario()
         }
@@ -1079,14 +1073,12 @@ mod tests {
 
     #[test]
     fn absent_optional_fields_take_legacy_defaults() {
-        // A pre-sharding, pre-coding repro: no shards, tie_seed, or
-        // protocol field. It must replay as the FIFO sequential MNP run
-        // it originally was.
+        // A pre-coding repro: no tie_seed or protocol field. It must
+        // replay as the FIFO MNP run it originally was.
         let json = r#"{"version": 1, "rows": 3, "cols": 3, "segments": 1,
                        "seed": 5, "deadline_us": 600000000, "faults": []}"#;
         let (sc, recorded) = parse_repro(json).expect("legacy repro parses");
         assert_eq!(sc.protocol, ProtocolId::of::<Mnp>());
-        assert_eq!(sc.shards, 1);
         assert_eq!(sc.tie_seed, None);
         assert_eq!(recorded, None);
     }
@@ -1105,6 +1097,8 @@ mod tests {
         for (field, needle) in [
             (r#""shards": "four""#, "shards"),
             (r#""shards": 1.5"#, "shards"),
+            // Recorded on the removed multi-threaded kernel.
+            (r#""shards": 2"#, "shards"),
             (r#""tie_seed": "low""#, "tie_seed"),
             (r#""tie_seed": -3"#, "tie_seed"),
             // One past u64::MAX only exists as a float.
@@ -1252,10 +1246,6 @@ mod tests {
         assert!(matches!(shrunk.faults[0], FaultSpec::StorageFaults { .. }));
         assert_eq!((shrunk.rows, shrunk.cols), (2, 2));
         assert_eq!(shrunk.segments, 1);
-        assert_eq!(
-            shrunk.shards, 1,
-            "repros shrink back to the sequential kernel"
-        );
         assert!(shrunk.deadline <= SimTime::from_secs(700));
         assert!(shrunk.tie_seed.unwrap() < 4, "permutation re-seeded small");
         assert!(spent <= 256);
@@ -1353,16 +1343,16 @@ mod tests {
 
     #[test]
     fn fuzz_batch_fifo() {
-        assert_eq!(campaign(5, false, false), 0xcf0a_5d13_56ad_4103);
+        assert_eq!(campaign(5, false, false), 0xd2c2_8dc9_7240_2ef5);
     }
 
     #[test]
     fn fuzz_batch_permute() {
-        assert_eq!(campaign(5, true, false), 0x84c6_6aeb_fdf3_87ac);
+        assert_eq!(campaign(5, true, false), 0x05e3_375c_9cb6_5a0a);
     }
 
     #[test]
     fn fuzz_batch_mobile() {
-        assert_eq!(campaign(5, true, true), 0xc227_46f8_0f6d_3999);
+        assert_eq!(campaign(5, true, true), 0x1d39_40b7_f534_3391);
     }
 }

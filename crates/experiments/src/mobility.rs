@@ -6,7 +6,7 @@
 //! disseminates, and optionally churn (crash–restart) throughout the
 //! run. Motion becomes a pre-materialized potential-edge topology plus a
 //! schedule of [`LinkChange`]s (`mnp_topology::mobility`), so runs stay
-//! byte-identical at any shard count.
+//! byte-identical per seed.
 
 use mnp_net::{FaultPlan, LinkChange, NetworkBuilder};
 use mnp_radio::{LinkTable, NodeId, PowerLevel};
@@ -56,7 +56,6 @@ pub struct MobileExperiment {
     image: ProgramImage,
     seed: u64,
     deadline: SimTime,
-    shards: usize,
     tie_break: TieBreak,
     churn: usize,
 }
@@ -85,7 +84,6 @@ impl MobileExperiment {
             image: ProgramImage::synthetic(ProgramId(1), ImageLayout::paper_default(1)),
             seed: 42,
             deadline: SimTime::from_secs(4 * 3_600),
-            shards: 1,
             tie_break: TieBreak::Fifo,
             churn: 0,
         }
@@ -140,13 +138,6 @@ impl MobileExperiment {
     /// Sets the simulation deadline (also the motion horizon).
     pub fn deadline(mut self, deadline: SimTime) -> Self {
         self.deadline = deadline;
-        self
-    }
-
-    /// Runs the kernel sharded over `shards` worker threads. Sharding
-    /// replays the sequential schedule byte for byte.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
         self
     }
 
@@ -261,7 +252,6 @@ impl MobileExperiment {
         );
         let mut builder = NetworkBuilder::new(links, self.seed)
             .tie_break(self.tie_break)
-            .shards(self.shards)
             .link_schedule(schedule);
         if self.churn > 0 {
             let candidates: Vec<NodeId> = (1..self.nodes).map(NodeId::from_index).collect();

@@ -144,7 +144,6 @@ pub struct GridExperiment {
     check_invariants: bool,
     faults: Option<FaultPlan>,
     tie_break: TieBreak,
-    shards: usize,
     extra_loss: f64,
 }
 
@@ -178,7 +177,6 @@ impl GridExperiment {
             check_invariants: false,
             faults: None,
             tie_break: TieBreak::Fifo,
-            shards: 1,
             extra_loss: 0.0,
         }
     }
@@ -193,15 +191,6 @@ impl GridExperiment {
     pub fn extra_loss(mut self, p: f64) -> Self {
         assert!((0.0..=1.0).contains(&p), "loss probability out of [0, 1]");
         self.extra_loss = p;
-        self
-    }
-
-    /// Runs the simulation kernel sharded over `shards` worker threads
-    /// (default 1). A sharded run replays the sequential schedule byte
-    /// for byte — same trace, meters, and completion instants — so this
-    /// only changes wall-clock time, never results.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
         self
     }
 
@@ -392,8 +381,7 @@ impl GridExperiment {
         }
         let mut builder = NetworkBuilder::new(links, self.seed)
             .capture(self.capture)
-            .tie_break(self.tie_break)
-            .shards(self.shards);
+            .tie_break(self.tie_break);
         if let Some(plan) = &self.faults {
             builder = builder.faults(plan.clone());
         }
@@ -665,20 +653,6 @@ mod tests {
             assert_eq!(out.completion, solo.completion);
             assert_eq!(out.sent, solo.sent);
         }
-    }
-
-    #[test]
-    fn sharded_mnp_run_matches_sequential() {
-        let scenario = GridExperiment::new(4, 4, 10.0).seed(9);
-        let solo = scenario.clone().run::<Mnp>(|_| {});
-        let sharded = scenario.shards(3).run::<Mnp>(|_| {});
-        assert_eq!(sharded.completed, solo.completed);
-        assert_eq!(sharded.completion, solo.completion);
-        assert_eq!(sharded.sent, solo.sent);
-        assert_eq!(sharded.received, solo.received);
-        assert_eq!(sharded.collisions, solo.collisions);
-        assert_eq!(sharded.events, solo.events);
-        assert_eq!(sharded.art_s, solo.art_s);
     }
 
     #[test]

@@ -118,19 +118,17 @@ impl SeededLog {
         }
     }
 
-    /// Runs the row on `shards` kernel shards with `instruments` attached.
-    pub fn run(&self, shards: usize, instruments: Instruments) -> RunOutcome {
+    /// Runs the row with `instruments` attached.
+    pub fn run(&self, instruments: Instruments) -> RunOutcome {
         match self.scenario {
             Mobile(seed) => MobileExperiment::new(9)
                 .seed(seed)
                 .speed(2.0)
                 .churn(1)
-                .shards(shards)
                 .run_named(self.protocol(), instruments),
             _ => self
                 .grid()
                 .expect("every other scenario is a grid")
-                .shards(shards)
                 .run_named(self.protocol(), instruments),
         }
     }
@@ -138,10 +136,10 @@ impl SeededLog {
     /// Runs the row as [`SeededLog::run`] does, with a JSONL logger
     /// attached ahead of `instruments`, and returns the log beside the
     /// outcome.
-    pub fn record(&self, shards: usize, mut instruments: Instruments) -> (String, RunOutcome) {
+    pub fn record(&self, mut instruments: Instruments) -> (String, RunOutcome) {
         let log = Shared::new(JsonlLogger::new());
         instruments.observers.insert(0, Box::new(log.clone()));
-        let out = self.run(shards, instruments);
+        let out = self.run(instruments);
         let text = log.borrow().as_str().to_owned();
         (text, out)
     }

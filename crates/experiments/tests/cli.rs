@@ -351,3 +351,43 @@ fn repro_rejects_runaway_nesting_without_overflowing_the_stack() {
         stderr(&out)
     );
 }
+
+/// `mnp-run fuzz --seed 7 --runs 8` on stdout, FIFO: the scenario line
+/// of every draw and its verdict.
+const FUZZ_SEED7_FIFO: &str = "\
+fuzz: 8 runs, stream seed 7, policy fifo
+  [  0] pass    rlnc: 3x4 grid, 2 seg, seed 14413872641362033105, fifo, 0 fault(s), deadline 14400s
+  [  1] pass    mnp: 3x5 grid, 1 seg, seed 10797742265725724925, fifo, 2 fault(s), deadline 14400s
+  [  2] pass    xor: 3x5 grid, 1 seg, seed 13591443812924477161, fifo, 0 fault(s), deadline 14400s
+  [  3] pass    mnp: 3x5 grid, 1 seg, seed 3455643455021720706, fifo, 0 fault(s), deadline 14400s, mobile(poisson, 0.7 ft/s)
+  [  4] pass    mnp: 5x5 grid, 2 seg, seed 2477356012972119351, fifo, 2 fault(s), deadline 14400s
+  [  5] pass    rlnc: 4x5 grid, 2 seg, seed 8122886937898740188, fifo, 1 fault(s), deadline 14400s
+  [  6] pass    mnp: 3x3 grid, 1 seg, seed 8322589446168463605, fifo, 0 fault(s), deadline 14400s, mobile(poisson, 2.0 ft/s)
+  [  7] pass    mnp: 5x4 grid, 2 seg, seed 10993547113367705310, fifo, 0 fault(s), deadline 14400s, mobile(poisson, 1.9 ft/s)
+fuzz: 8 scenarios, zero failures
+";
+
+/// The same draws under `--policy permute`.
+const FUZZ_SEED7_PERMUTE: &str = "\
+fuzz: 8 runs, stream seed 7, policy permute
+  [  0] pass    rlnc: 3x4 grid, 2 seg, seed 14413872641362033105, permute(5298033894998720273), 0 fault(s), deadline 14400s
+  [  1] pass    mnp: 3x5 grid, 1 seg, seed 10797742265725724925, permute(14274757091774579021), 2 fault(s), deadline 14400s
+  [  2] pass    xor: 3x5 grid, 1 seg, seed 13591443812924477161, permute(11326194280469077566), 0 fault(s), deadline 14400s
+  [  3] pass    mnp: 3x5 grid, 1 seg, seed 3455643455021720706, permute(11370833920017247047), 0 fault(s), deadline 14400s, mobile(poisson, 0.7 ft/s)
+  [  4] pass    mnp: 5x5 grid, 2 seg, seed 2477356012972119351, permute(565015682234495268), 2 fault(s), deadline 14400s
+  [  5] pass    rlnc: 4x5 grid, 2 seg, seed 8122886937898740188, permute(6118749662785589467), 1 fault(s), deadline 14400s
+  [  6] pass    mnp: 3x3 grid, 1 seg, seed 8322589446168463605, permute(3668031057566664908), 0 fault(s), deadline 14400s, mobile(poisson, 2.0 ft/s)
+  [  7] pass    mnp: 5x4 grid, 2 seg, seed 10993547113367705310, permute(11187782770336184592), 0 fault(s), deadline 14400s, mobile(poisson, 1.9 ft/s)
+fuzz: 8 scenarios, zero failures
+";
+
+#[test]
+fn fuzz_stdout_is_frozen_under_both_policies() {
+    // The fuzz stream is a pure function of its seed: a change to
+    // generation, to the scenario line or to any verdict shows here.
+    for (policy, expected) in [("fifo", FUZZ_SEED7_FIFO), ("permute", FUZZ_SEED7_PERMUTE)] {
+        let out = mnp_run(&["fuzz", "--seed", "7", "--runs", "8", "--policy", policy]);
+        assert_eq!(out.status.code(), Some(0), "{policy}: {}", stderr(&out));
+        assert_eq!(stdout(&out), expected, "{policy}");
+    }
+}

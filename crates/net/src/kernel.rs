@@ -1,32 +1,15 @@
-//! One shard of the simulation kernel: a contiguous `NodeId` range with
-//! its own event queue, medium view, MACs, protocols and RNG streams.
+//! The simulation kernel: one event queue, one medium, one MAC bank,
+//! the protocols and the per-node state, driven event by event by the
+//! [`Network`](crate::Network) facade.
 //!
-//! The unsharded kernel is the one-shard special case: the
-//! [`Network`](crate::Network) facade owns `shards.len()` of these and
-//! drives them either event-by-event (one shard) or in lockstep time
-//! windows (several shards, one worker thread each).
-//!
-//! # Why sharding preserves determinism
-//!
-//! Every cross-shard influence travels through the radio medium, and the
-//! perception model makes all receiver-side effects of a transmission lag
-//! its sender by [`PERCEPTION_LATENCY`]. A window of width one perception
-//! latency starting at the global minimum pending event time therefore
-//! cannot contain any event whose cause lives in the same window on
-//! another shard: shards replay the exact sequential schedule without
-//! ever looking at each other mid-window. Frames crossing a shard
-//! boundary are exchanged at window barriers as [`Boundary`] messages and
-//! re-enter the neighbouring shard's queue as *ghost* transmissions with
-//! the same `(owner, seq)` event identities the owning shard used, so
-//! every event's queue rank — and with it the merged event order — is
-//! identical to the single-queue run's.
-
-use std::sync::Arc;
+//! The kernel dispatches each popped event and buffers the observable
+//! events it produces; the facade delivers that buffer to the run trace
+//! and the observers after every event.
 
 use mnp_obs::{EventKind, LossCause, ObsEvent};
 use mnp_radio::{CsmaAction, CsmaBank, Frame, Medium, NodeId, TxId, TxOutcome, PERCEPTION_LATENCY};
 use mnp_sim::profile::{self, Phase};
-use mnp_sim::{EventQueue, SimDuration, SimTime};
+use mnp_sim::{EventQueue, SimTime};
 
 use crate::context::{Context, Op};
 use crate::nodes::NodeArena;
@@ -65,9 +48,9 @@ pub(crate) enum Event {
     /// Reboot of a crashed node: fresh RAM state, persistent EEPROM.
     Restart(NodeId),
     /// Link mutation (fault flap, flap restore or node motion): apply row
-    /// `.0` of the shard's link timeline. The row's rank was fixed at
-    /// build time; the event only enters the queue once it is due (see
-    /// [`Shard::peek_time`]).
+    /// `.0` of the link timeline. The row's rank was fixed at build
+    /// time; the event only enters the queue once it is due (see
+    /// [`Kernel::peek_time`]).
     SetLink(u32),
     /// Fault-model storage fault: arm `failures` transient EEPROM write
     /// failures on `node`.
@@ -81,11 +64,8 @@ pub(crate) enum Event {
 /// takes bit-error rate `ber`.
 ///
 /// The builder resolves every scheduled change and link flap into these
-/// rows once, sorted by instant, and all shards share the one slice.
-/// Every shard holds a full copy of the link graph, so each shard feeds
-/// every row into its own queue under the same `(from, seq)` identity
-/// and applies the BER change to its own copy; only the shard owning
-/// `from` emits the observer event or counts the dispatch.
+/// rows once, sorted by instant; the kernel feeds each row into its queue
+/// under its `(from, seq)` identity once it comes due.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct LinkRow {
     pub at: SimTime,
@@ -135,71 +115,19 @@ fn event_node(ev: &Event) -> Option<NodeId> {
     }
 }
 
-/// One dispatched event's merge record: its queue rank, how many
-/// observable events it appended to the shard's buffer, and whether it
-/// counts toward the global `events_processed` total (the replicated
-/// copies of a cross-shard event count exactly once, on the shard owning
-/// the causing node).
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Chunk {
-    pub time: SimTime,
-    pub key: u64,
-    pub owner_key: u64,
-    pub obs_len: u32,
-    pub counted: bool,
-}
-
-/// A cross-shard radio message exchanged at a window barrier.
-#[derive(Clone, Debug)]
-pub(crate) enum Boundary<M> {
-    /// A frame began on the owning shard whose sender is audible from
-    /// nodes of the destination shard: enough to replay the reception
-    /// side remotely. Carries the exact `(owner, seq)` identities the
-    /// owner allocated for the frame's `RxStart`/`RxEnd` events, so the
-    /// ghost copies rank identically in the destination queue.
-    Begin {
-        src: NodeId,
-        at: SimTime,
-        airtime: SimDuration,
-        bits: u32,
-        rx_start_seq: u32,
-        rx_end_seq: u32,
-        payload: M,
-    },
-    /// The sender died mid-frame: the destination shard marks its ghost
-    /// aborted and schedules the same `RxAbort` the owner scheduled.
-    Abort {
-        src: NodeId,
-        at: SimTime,
-        rx_start_seq: u32,
-        rx_abort_seq: u32,
-    },
-}
-
-/// An outgoing [`Boundary`] message plus the bitmask of destination
-/// shards (every *other* shard holding at least one out-neighbour of the
-/// sender).
-#[derive(Clone, Debug)]
-pub(crate) struct Outbound<M> {
-    pub mask: u64,
-    pub msg: Boundary<M>,
-}
-
-/// A contiguous node range of the simulation: queue, medium view, MACs,
-/// protocols and per-node state, all indexed relative to `base`.
+/// The whole simulation state below the facade: queue, medium, MACs,
+/// protocols and per-node state, all indexed by `NodeId`.
 #[derive(Debug)]
-pub(crate) struct Shard<P: Protocol> {
-    pub base: usize,
-    pub n_local: usize,
+pub(crate) struct Kernel<P: Protocol> {
     pub now: SimTime,
     pub queue: EventQueue<Event>,
-    /// The run's resolved link mutations in time order, shared by every
-    /// shard; rows `fed..` have not entered `queue` yet.
-    pub timeline: Arc<[LinkRow]>,
+    /// The run's resolved link mutations in time order; rows `fed..` have
+    /// not entered `queue` yet.
+    pub timeline: Vec<LinkRow>,
     pub fed: usize,
     pub medium: Medium<P::Msg>,
     pub protocols: Vec<P>,
-    /// Every local node's MAC, in struct-of-arrays columns.
+    /// Every node's MAC, in struct-of-arrays columns.
     pub macs: CsmaBank<P::Msg>,
     /// Per-node kernel state, hot fields (liveness, epochs, in-flight
     /// transmission) packed separately from cold ones (RNGs, deferred
@@ -214,50 +142,21 @@ pub(crate) struct Shard<P: Protocol> {
     /// Whether external observers are attached (state labels and
     /// trace-ignored event kinds are only worth emitting when watched).
     pub watched: bool,
-    /// Every observable event emitted since the facade last drained this
-    /// buffer — per event in the one-shard driver, per window otherwise.
+    /// Every observable event emitted by the event being dispatched; the
+    /// facade drains it after each event.
     pub obs_buf: Vec<ObsEvent>,
-    /// One entry per dispatched event of the current window.
-    pub chunks: Vec<Chunk>,
-    /// Boundary messages produced this window, for the coordinator to
-    /// route at the barrier.
-    pub outbox: Vec<Outbound<P::Msg>>,
-    /// Per *local* node: bitmask of other shards holding at least one
-    /// out-neighbour (all zero in a one-shard network — the boundary
-    /// machinery costs one load per transmission).
-    pub remote_mask: Vec<u64>,
-    /// In-flight ghost transmissions as `(src, rx_start_seq, tx)`, so a
-    /// later `Abort` boundary message finds the `TxId` this shard
-    /// allocated; the ghost's `RxEnd` retires its entry. A few tens at
-    /// most, so a scan beats a map — and has no hasher to vary by process.
-    pub ghosts: Vec<(u32, u32, TxId)>,
 }
 
-impl<P: Protocol> Shard<P> {
-    /// Local index of an owned node.
-    #[inline]
-    fn li(&self, node: NodeId) -> usize {
-        debug_assert!(self.is_local(node), "{node} not owned by this shard");
-        node.index() - self.base
-    }
-
-    /// Whether this shard owns `node`.
-    #[inline]
-    pub fn is_local(&self, node: NodeId) -> bool {
-        node.index().wrapping_sub(self.base) < self.n_local
-    }
-
+impl<P: Protocol> Kernel<P> {
     /// Schedules `ev` under `owner`'s next sequence number, giving it a
-    /// queue rank that is a pure function of schedule order — not of
-    /// which queue (or shard) it is pushed into.
+    /// queue rank that is a pure function of schedule order.
     pub fn push_owned(&mut self, at: SimTime, owner: NodeId, ev: Event) {
         let seq = self.nodes.next_seq(owner);
         self.queue.push_owned(at, owner.0, seq, ev);
     }
 
-    /// Buffers an observable event for the facade to deliver in merged
-    /// order. Unconditional: the run trace consumes these even with no
-    /// observer attached.
+    /// Buffers an observable event for the facade to deliver. Unconditional:
+    /// the run trace consumes these even with no observer attached.
     fn emit(&mut self, node: NodeId, kind: EventKind) {
         self.obs_buf.push(ObsEvent {
             t: self.now,
@@ -276,7 +175,7 @@ impl<P: Protocol> Shard<P> {
     }
 
     /// The earliest pending instant, queued or still on the link timeline.
-    /// Both drivers peek through here before every pop: it moves every
+    /// The run loop peeks through here before every pop: it moves every
     /// timeline row due at or before that instant into the queue, so an
     /// unfed row is always strictly later than anything that can pop and
     /// the pop order is the one a fully pre-loaded queue would produce.
@@ -296,97 +195,20 @@ impl<P: Protocol> Shard<P> {
         next
     }
 
-    /// Events pending on this shard: queued plus timeline rows not yet
-    /// fed — what the queue alone held when every row was pre-loaded.
+    /// Events pending: queued plus timeline rows not yet fed — what the
+    /// queue alone held when every row was pre-loaded.
     pub fn pending(&self) -> usize {
         self.queue.len() + (self.timeline.len() - self.fed)
     }
 
-    /// Runs every pending event strictly before `end` (and not past
-    /// `deadline`), recording one [`Chunk`] per dispatched event for the
-    /// facade's merge.
-    pub fn run_window(&mut self, end: SimTime, deadline: SimTime) {
-        while let Some(t) = self.peek_time() {
-            if t >= end || t > deadline {
-                break;
-            }
-            let p = self.queue.pop_ranked().expect("peeked event exists");
-            debug_assert!(p.time >= self.now, "time went backwards");
-            self.now = p.time;
-            let obs_before = self.obs_buf.len();
-            let counted = self.dispatch(p.event);
-            self.chunks.push(Chunk {
-                time: p.time,
-                key: p.key,
-                owner_key: p.owner_key,
-                obs_len: (self.obs_buf.len() - obs_before) as u32,
-                counted,
-            });
-        }
-    }
-
-    /// Applies one boundary message routed to this shard at a window
-    /// barrier. The coordinator routes every `Begin` before any `Abort`,
-    /// so an abort always finds its ghost.
-    pub fn apply_boundary(&mut self, msg: Boundary<P::Msg>) {
-        match msg {
-            Boundary::Begin {
-                src,
-                at,
-                airtime,
-                bits,
-                rx_start_seq,
-                rx_end_seq,
-                payload,
-            } => {
-                let tx = self.medium.insert_remote(src, bits, at, payload);
-                self.queue.push_owned(
-                    at + PERCEPTION_LATENCY,
-                    src.0,
-                    rx_start_seq,
-                    Event::RxStart(tx),
-                );
-                self.queue.push_owned(
-                    at + airtime + PERCEPTION_LATENCY,
-                    src.0,
-                    rx_end_seq,
-                    Event::RxEnd(tx),
-                );
-                self.ghosts.push((src.0, rx_start_seq, tx));
-            }
-            Boundary::Abort {
-                src,
-                at,
-                rx_start_seq,
-                rx_abort_seq,
-            } => {
-                let &(.., tx) = self
-                    .ghosts
-                    .iter()
-                    .find(|g| (g.0, g.1) == (src.0, rx_start_seq))
-                    .expect("every Begin is routed before its Abort");
-                self.medium.mark_remote_abort(tx);
-                self.queue.push_owned(
-                    at + PERCEPTION_LATENCY,
-                    src.0,
-                    rx_abort_seq,
-                    Event::RxAbort(tx),
-                );
-            }
-        }
-    }
-
-    /// Dispatches one event. Returns whether it counts toward the global
-    /// `events_processed` total: `false` only for the replicated copies
-    /// of a cross-shard event running on a shard that does not own the
-    /// causing node.
-    pub fn dispatch(&mut self, ev: Event) -> bool {
+    /// Dispatches one event.
+    pub fn dispatch(&mut self, ev: Event) {
         let _span = profile::span(Phase::Dispatch);
         if let Some(node) = event_node(&ev) {
             if self.nodes.hot(node).dead {
                 // Fail-stopped nodes are inert; their TxEnd event is the
                 // one exception handled in `kill` (the tx was aborted).
-                return true;
+                return;
             }
         }
         match ev {
@@ -401,11 +223,6 @@ impl<P: Protocol> Shard<P> {
                     ..
                 } = self.timeline[row as usize];
                 self.medium.set_link_ber(from, to, ber);
-                // Replicas on shards not owning `from` mutate their graph
-                // copy silently; the owner emits and counts.
-                if !self.is_local(from) {
-                    return false;
-                }
                 let ber_ppb = (ber * 1e9).round() as u64;
                 let kind = match kind {
                     LinkEventKind::Fault => EventKind::LinkFault { to, ber_ppb },
@@ -417,8 +234,7 @@ impl<P: Protocol> Shard<P> {
             Event::InjectStorage { node, failures } => {
                 // Dead hardware cannot fail a write it will never attempt.
                 if !self.nodes.hot(node).dead {
-                    let i = self.li(node);
-                    self.protocols[i].inject_storage_fault(failures);
+                    self.protocols[node.index()].inject_storage_fault(failures);
                     self.emit_obs(node, EventKind::StorageFault { failures });
                 }
             }
@@ -427,26 +243,9 @@ impl<P: Protocol> Shard<P> {
             }
             Event::MacAttempt(node, epoch) => self.mac_attempt(node, epoch),
             Event::TxEnd { node, tx } => self.tx_end(node, tx),
-            Event::RxStart(tx) => {
-                let local = self.is_local(self.medium.tx_src(tx));
-                self.medium.rx_start(tx, self.now);
-                return local;
-            }
-            Event::RxEnd(tx) => {
-                // Read the src before resolving: `rx_end` may release the
-                // transmission's slot.
-                let local = self.is_local(self.medium.tx_src(tx));
-                self.rx_end(tx);
-                if !local {
-                    self.ghosts.retain(|g| g.2 != tx);
-                }
-                return local;
-            }
-            Event::RxAbort(tx) => {
-                let local = self.is_local(self.medium.tx_src(tx));
-                self.medium.rx_abort(tx, self.now);
-                return local;
-            }
+            Event::RxStart(tx) => self.medium.rx_start(tx, self.now),
+            Event::RxEnd(tx) => self.rx_end(tx),
+            Event::RxAbort(tx) => self.medium.rx_abort(tx, self.now),
             Event::Timer(node, token) => {
                 self.emit_obs(node, EventKind::TimerFire { token });
                 self.callback(node, |p, ctx| p.on_timer(ctx, token));
@@ -454,7 +253,7 @@ impl<P: Protocol> Shard<P> {
             Event::Wake(node, epoch) => {
                 let hot = self.nodes.hot(node);
                 if epoch != hot.sleep_epoch || hot.awake {
-                    return true;
+                    return;
                 }
                 self.nodes.hot_mut(node).awake = true;
                 self.medium.set_radio(node, true, self.now);
@@ -462,11 +261,10 @@ impl<P: Protocol> Shard<P> {
                 self.callback(node, |p, ctx| p.on_wake(ctx));
             }
         }
-        true
     }
 
-    pub fn kill(&mut self, node: NodeId) {
-        let i = self.li(node);
+    fn kill(&mut self, node: NodeId) {
+        let i = node.index();
         if self.nodes.hot(node).dead {
             return;
         }
@@ -474,26 +272,7 @@ impl<P: Protocol> Shard<P> {
             self.medium.abort_transmission(tx, self.now);
             // Receivers keep hearing the truncated carrier for one more
             // perception latency, then give up on the frame.
-            let rx_abort_seq = self.nodes.next_seq(node);
-            self.queue.push_owned(
-                self.now + PERCEPTION_LATENCY,
-                node.0,
-                rx_abort_seq,
-                Event::RxAbort(tx),
-            );
-            let mask = self.remote_mask[i];
-            if mask != 0 {
-                let rx_start_seq = self.nodes.hot(node).inflight_seqs.0;
-                self.outbox.push(Outbound {
-                    mask,
-                    msg: Boundary::Abort {
-                        src: node,
-                        at: self.now,
-                        rx_start_seq,
-                        rx_abort_seq,
-                    },
-                });
-            }
+            self.push_owned(self.now + PERCEPTION_LATENCY, node, Event::RxAbort(tx));
         }
         if self.macs.is_transmitting(i) {
             // The MAC believed a frame was on the air; reset it so its
@@ -516,7 +295,6 @@ impl<P: Protocol> Shard<P> {
     /// [`Protocol::on_restart`] hook decides what persistent state
     /// survives. A no-op on a live node.
     fn restart(&mut self, node: NodeId) {
-        let i = self.li(node);
         if !self.nodes.hot(node).dead {
             return;
         }
@@ -527,14 +305,14 @@ impl<P: Protocol> Shard<P> {
         hot.sleep_epoch += 1;
         hot.awake = true;
         self.nodes.take_pending_sleep(node);
-        self.macs.reset(i);
+        self.macs.reset(node.index());
         self.medium.set_radio(node, true, self.now);
         self.emit_obs(node, EventKind::NodeRestarted);
         self.callback(node, |p, ctx| p.on_restart(ctx));
     }
 
     fn mac_attempt(&mut self, node: NodeId, epoch: u64) {
-        let i = self.li(node);
+        let i = node.index();
         let hot = self.nodes.hot(node);
         if !hot.awake || epoch != hot.mac_epoch {
             return; // stale attempt from before a sleep
@@ -549,11 +327,6 @@ impl<P: Protocol> Shard<P> {
                 let kind = frame.payload.kind_label();
                 let bytes = frame.payload.wire_bytes();
                 let detail = frame.payload.detail();
-                let bits = frame.bits();
-                let mask = self.remote_mask[i];
-                // Frames audible across the shard boundary replicate their
-                // payload to each shard holding listeners.
-                let ghost_payload = (mask != 0).then(|| frame.payload.clone());
                 let start = self
                     .medium
                     .begin_transmission(node, frame, self.now)
@@ -571,45 +344,13 @@ impl<P: Protocol> Shard<P> {
                 // fixed sequence order: sender done at t+air, receivers
                 // perceive the header at t+L and resolve at t+air+L. The
                 // seqs fix every lifecycle event's queue rank here, at the
-                // cause, identically on every shard that replays it.
-                let tx_end_seq = self.nodes.next_seq(node);
-                self.queue.push_owned(
-                    self.now + start.airtime,
-                    node.0,
-                    tx_end_seq,
-                    Event::TxEnd { node, tx: start.id },
-                );
-                let rx_start_seq = self.nodes.next_seq(node);
-                self.queue.push_owned(
-                    self.now + PERCEPTION_LATENCY,
-                    node.0,
-                    rx_start_seq,
-                    Event::RxStart(start.id),
-                );
-                let rx_end_seq = self.nodes.next_seq(node);
-                self.queue.push_owned(
-                    self.now + start.airtime + PERCEPTION_LATENCY,
-                    node.0,
-                    rx_end_seq,
-                    Event::RxEnd(start.id),
-                );
-                let hot = self.nodes.hot_mut(node);
-                hot.inflight = Some(start.id);
-                hot.inflight_seqs = (rx_start_seq, rx_end_seq);
-                if let Some(payload) = ghost_payload {
-                    self.outbox.push(Outbound {
-                        mask,
-                        msg: Boundary::Begin {
-                            src: node,
-                            at: self.now,
-                            airtime: start.airtime,
-                            bits,
-                            rx_start_seq,
-                            rx_end_seq,
-                            payload,
-                        },
-                    });
-                }
+                // cause.
+                let (now, tx) = (self.now, start.id);
+                self.push_owned(now + start.airtime, node, Event::TxEnd { node, tx });
+                self.push_owned(now + PERCEPTION_LATENCY, node, Event::RxStart(tx));
+                let rx_end = now + start.airtime + PERCEPTION_LATENCY;
+                self.push_owned(rx_end, node, Event::RxEnd(tx));
+                self.nodes.hot_mut(node).inflight = Some(tx);
             }
             CsmaAction::Idle => unreachable!("attempt never yields Idle"),
         }
@@ -617,7 +358,7 @@ impl<P: Protocol> Shard<P> {
 
     /// Sender side of a finished frame: radio back to listening, MAC moves
     /// on, deferred sleep (if any) is honoured. Delivery happens later, in
-    /// [`Shard::rx_end`].
+    /// [`Kernel::rx_end`].
     fn tx_end(&mut self, node: NodeId, tx: TxId) {
         if self.nodes.hot(node).inflight != Some(tx) {
             // The transmission was aborted (the node died mid-frame and
@@ -627,7 +368,7 @@ impl<P: Protocol> Shard<P> {
         }
         self.nodes.hot_mut(node).inflight = None;
         self.medium.end_transmission(tx);
-        let i = self.li(node);
+        let i = node.index();
         match self.macs.tx_done(i, self.nodes.mac_rng_mut(node)) {
             CsmaAction::Backoff(d) => {
                 let epoch = self.nodes.hot(node).mac_epoch;
@@ -644,7 +385,7 @@ impl<P: Protocol> Shard<P> {
     }
 
     /// Receiver side of a finished frame, one perception latency after the
-    /// sender's [`Shard::tx_end`]: the medium resolves every lock and
+    /// sender's [`Kernel::tx_end`]: the medium resolves every lock and
     /// intact payloads reach the protocols.
     fn rx_end(&mut self, tx: TxId) {
         let mut outcome = std::mem::take(&mut self.outcome_scratch);
@@ -673,10 +414,7 @@ impl<P: Protocol> Shard<P> {
         // over the deliveries suffices: when observers are attached, the
         // drops that sort before each delivered receiver (and, after the
         // last one, the rest) are merged in ahead of it. Unwatched, the
-        // drop columns are never read. A shard only sees its own
-        // contiguous slice of the listeners, so concatenating shard
-        // streams in shard order — ascending node-range order — reproduces
-        // the sequential per-listener order exactly.
+        // drop columns are never read.
         let (mut c, mut m) = (0, 0);
         // The trailing `None` flushes the drops after the last delivery.
         for next in outcome.delivered.iter().copied().map(Some).chain([None]) {
@@ -730,7 +468,7 @@ impl<P: Protocol> Shard<P> {
     where
         F: FnOnce(&mut P, &mut Context<'_, P::Msg>),
     {
-        let i = self.li(node);
+        let i = node.index();
         // Sampling state labels is only worth doing when someone listens.
         let before = if self.watched {
             self.protocols[i].state_label()
@@ -763,7 +501,7 @@ impl<P: Protocol> Shard<P> {
     }
 
     fn apply_ops(&mut self, node: NodeId, ops: &mut Vec<Op<P::Msg>>) {
-        let i = self.li(node);
+        let i = node.index();
         for op in ops.drain(..) {
             match op {
                 Op::Send(msg) => {
@@ -822,9 +560,8 @@ impl<P: Protocol> Shard<P> {
     }
 
     fn go_to_sleep(&mut self, node: NodeId, wake_at: SimTime, epoch: u64) {
-        let i = self.li(node);
         self.emit_obs(node, EventKind::SleepStart { until: wake_at });
-        self.macs.flush(i);
+        self.macs.flush(node.index());
         let hot = self.nodes.hot_mut(node);
         hot.mac_epoch += 1; // invalidate any scheduled MacAttempt
         hot.awake = false;

@@ -63,10 +63,10 @@
 
 mod context;
 mod fault;
+mod kernel;
 mod network;
 mod nodes;
 mod protocol;
-mod shard;
 
 pub use context::Context;
 pub use fault::{FaultPlan, FaultPlanError, PlannedFault};

@@ -1,34 +1,25 @@
-//! The deterministic event-loop runner, sequential or sharded.
+//! The deterministic event-loop runner.
 //!
-//! A [`NetworkBuilder`] partitions the node space into `shards(n)`
-//! contiguous ranges, each a self-contained `Shard` (queue, medium
-//! view, MACs, protocols, RNG streams). With one shard the [`Network`]
-//! facade dispatches events one at a time, exactly as the kernel always
-//! has; with several it drives the shards in lockstep time windows one
-//! [`PERCEPTION_LATENCY`] wide on scoped worker threads, exchanges
-//! boundary transmissions at the window barriers, and merges the
-//! per-shard event streams back into the sequential order by their
-//! placement-independent queue ranks — so a seeded run emits the same
-//! observable event stream byte for byte at every shard count. See the
-//! module docs of [`crate::shard`] for why the window width makes that
-//! merge exact.
+//! A [`NetworkBuilder`] resolves the link graph, the fault plan and the
+//! link schedule into one `Kernel` (queue, medium, MACs, protocols, RNG
+//! streams); the [`Network`] facade dispatches its events one at a time
+//! and delivers every observable event to the run trace and the
+//! observers, so a seeded run emits the same event stream byte for byte.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Barrier, Mutex};
+use std::collections::BTreeMap;
 
 use mnp_obs::{EventKind, ObsEvent, Observer, Shared, TimeSeriesSampler};
 use mnp_radio::{
     CsmaBank, CsmaConfig, LinkChange, LinkTable, Medium, MediumStats, NodeId, TxOutcome,
-    PERCEPTION_LATENCY,
 };
 use mnp_sim::profile::{self, Phase};
 use mnp_sim::{EventQueue, SimRng, SimTime, TieBreak};
 use mnp_trace::RunTrace;
 
 use crate::fault::{FaultPlan, FaultPlanError, PlannedFault};
+use crate::kernel::{Event, Kernel, LinkEventKind, LinkRow};
 use crate::nodes::NodeArena;
 use crate::protocol::Protocol;
-use crate::shard::{Boundary, Chunk, Event, LinkEventKind, LinkRow, Outbound, Shard};
 
 /// Configures and constructs a [`Network`].
 ///
@@ -45,7 +36,6 @@ pub struct NetworkBuilder {
     faults: Option<FaultPlan>,
     link_schedule: Vec<LinkChange>,
     sampler: Option<Shared<TimeSeriesSampler>>,
-    shards: usize,
 }
 
 impl NetworkBuilder {
@@ -60,19 +50,13 @@ impl NetworkBuilder {
             faults: None,
             link_schedule: Vec::new(),
             sampler: None,
-            shards: 1,
         }
     }
 
-    /// Splits the simulation into `shards` contiguous node ranges run on
-    /// one worker thread each (default 1: the classic sequential kernel).
-    ///
-    /// Sharding changes *how* the schedule is executed, never the
-    /// schedule itself: a seeded run produces the same events, traces,
-    /// radio counters and protocol state at every shard count. Values are
-    /// clamped to `1..=64` and to the node count.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
+    /// Ignored: the value is accepted and dropped, and the run is the one
+    /// sequential kernel whatever it is. Kept only so existing callers
+    /// still compile; ROADMAP item 12 removes it.
+    pub fn shards(self, _: usize) -> Self {
         self
     }
 
@@ -94,10 +78,10 @@ impl NetworkBuilder {
     /// Attaches a link schedule: deterministic base-quality changes of
     /// existing edges. The build resolves schedule and link flaps into one
     /// time-ordered link timeline whose rows carry their owner-keyed queue
-    /// rank from then on; every shard streams the shared rows into its
-    /// queue as they come due, so the queue's size follows the events in
-    /// flight, not the length of the schedule — and a mobile run replays
-    /// byte-for-byte under the same seed and schedule, at any shard count.
+    /// rank from then on; the kernel streams the rows into its queue as
+    /// they come due, so the queue's size follows the events in flight,
+    /// not the length of the schedule — and a mobile run replays
+    /// byte-for-byte under the same seed and schedule.
     ///
     /// Changes compose with [`FaultPlan`] link flaps: a scheduled change
     /// while a flap holds the edge updates the rate the flap will
@@ -137,10 +121,7 @@ impl NetworkBuilder {
     /// clone of the handle to read the series back after the run.
     ///
     /// Sampling reads simulation state but never mutates it, so a seeded
-    /// run stays byte-identical with or without a sampler attached. (The
-    /// queue-depth *gauge* is the one reading that is coarser on a
-    /// sharded run — events are counted at window granularity — while
-    /// everything observable stays identical.)
+    /// run stays byte-identical with or without a sampler attached.
     pub fn timeseries(mut self, sampler: Shared<TimeSeriesSampler>) -> Self {
         self.observers.push(Box::new(sampler.clone()));
         self.sampler = Some(sampler);
@@ -198,65 +179,37 @@ impl NetworkBuilder {
         }
         let links = self.links;
         let n = links.len();
-        // At most one shard per node, at most 64 (destination masks are
-        // one u64 bit per shard).
-        let s = self.shards.clamp(1, 64).min(n.max(1));
-        let bounds: Vec<usize> = (0..=s).map(|k| k * n / s).collect();
-        let shard_of = |i: usize| bounds.partition_point(|&b| b <= i) - 1;
-        // All RNG streams derive from the global root by *global* node
-        // index, so the draws a node sees are independent of the
-        // partition.
         let root = SimRng::new(self.seed);
         let mut node_rngs: Vec<SimRng> = (0..n).map(|i| root.derive(i as u64)).collect();
         let mac_rngs: Vec<SimRng> = (0..n).map(|i| root.derive(1_000_000 + i as u64)).collect();
-        let medium_rng = root.derive(u64::MAX);
-        let mut protocols: Vec<P> = (0..n)
+        let protocols: Vec<P> = (0..n)
             .map(|i| make(NodeId::from_index(i), &mut node_rngs[i]))
             .collect();
         // The arena exists before the first event is scheduled: every
         // push consumes an owner sequence number from it, so each event's
         // (owner, seq) identity — and therefore its queue rank — is fixed
-        // at schedule time, independent of which queue it lands in.
-        let mut nodes = NodeArena::new(0, node_rngs, mac_rngs);
-        let mut queues: Vec<EventQueue<Event>> = (0..s)
-            .map(|_| EventQueue::with_tie_break(self.tie_break))
-            .collect();
+        // at schedule time.
+        let mut nodes = NodeArena::new(node_rngs, mac_rngs);
+        let mut queue: EventQueue<Event> = EventQueue::with_tie_break(self.tie_break);
+        let mut push = |at: SimTime, owner: NodeId, ev: Event| {
+            queue.push_owned(at, owner.0, nodes.next_seq(owner), ev);
+        };
         for i in 0..n {
             let node = NodeId::from_index(i);
-            queues[shard_of(i)].push_owned(
-                SimTime::ZERO,
-                node.0,
-                nodes.next_seq(node),
-                Event::Start(node),
-            );
+            push(SimTime::ZERO, node, Event::Start(node));
         }
         let timeline = {
             let _span = profile::span(Phase::FaultExpand);
-            let push = |at: SimTime,
-                        owner: NodeId,
-                        ev: Event,
-                        nodes: &mut NodeArena,
-                        queues: &mut Vec<EventQueue<Event>>| {
-                queues[shard_of(owner.index())].push_owned(at, owner.0, nodes.next_seq(owner), ev);
-            };
             // Link flaps do not become queue events here: they interact
             // with the link schedule, so `link_timeline` resolves both.
             let mut flaps: Vec<Flap> = Vec::new();
             if let Some(plan) = &self.faults {
                 for fault in plan.faults() {
                     match *fault {
-                        PlannedFault::Kill { node, at } => {
-                            push(at, node, Event::Kill(node), &mut nodes, &mut queues);
-                        }
+                        PlannedFault::Kill { node, at } => push(at, node, Event::Kill(node)),
                         PlannedFault::CrashRestart { node, at, down_for } => {
-                            push(at, node, Event::Kill(node), &mut nodes, &mut queues);
-                            push(
-                                at + down_for,
-                                node,
-                                Event::Restart(node),
-                                &mut nodes,
-                                &mut queues,
-                            );
+                            push(at, node, Event::Kill(node));
+                            push(at + down_for, node, Event::Restart(node));
                         }
                         PlannedFault::LinkFlap {
                             from,
@@ -266,86 +219,30 @@ impl NetworkBuilder {
                             ber,
                         } => flaps.push((from, to, at, at + duration, ber)),
                         PlannedFault::StorageFaults { node, at, failures } => {
-                            push(
-                                at,
-                                node,
-                                Event::InjectStorage { node, failures },
-                                &mut nodes,
-                                &mut queues,
-                            );
+                            push(at, node, Event::InjectStorage { node, failures });
                         }
                     }
                 }
             }
             link_timeline(&links, self.link_schedule, &flaps, &mut nodes)
         };
-        // Which *other* shards can hear each node: bit k set when shard k
-        // holds at least one out-neighbour. All-zero masks (the one-shard
-        // case, or an interior node) keep the boundary machinery off the
-        // hot path.
-        let mut remote_mask = vec![0u64; n];
-        if s > 1 {
-            for (i, mask) in remote_mask.iter_mut().enumerate() {
-                let home = shard_of(i);
-                for (to, _) in links.neighbors(NodeId::from_index(i)) {
-                    let d = shard_of(to.index());
-                    if d != home {
-                        *mask |= 1 << d;
-                    }
-                }
-            }
-        }
         let watched = !self.observers.is_empty();
-        let arenas = nodes.split(&bounds);
-        // Every shard holds the full graph: `s - 1` clones of three flat
-        // arrays and the original.
-        let link_copies = vec![links; s];
-        // Each shard's protocols, split off the back so shard 0 keeps the
-        // original vector: a one-shard build holds no second copy.
-        let mut slices: Vec<Vec<P>> = bounds[1..s]
-            .iter()
-            .rev()
-            .map(|&lo| protocols.split_off(lo))
-            .collect();
-        protocols.shrink_to_fit();
-        slices.push(protocols);
-        let mut shards: Vec<Shard<P>> = Vec::with_capacity(s);
-        for ((((w, queue), arena), links), protocols) in bounds
-            .windows(2)
-            .zip(queues)
-            .zip(arenas)
-            .zip(link_copies)
-            .zip(slices.into_iter().rev())
-        {
-            let (lo, hi) = (w[0], w[1]);
-            let nk = hi - lo;
-            // The per-receiver bit-error streams derive from the medium
-            // RNG by global node index, exactly as the unsharded medium
-            // derives them.
-            let rx_rngs: Vec<SimRng> = (lo..hi).map(|i| medium_rng.derive(i as u64)).collect();
-            let mut medium = Medium::sharded(links, lo, nk, rx_rngs);
-            medium.set_capture(self.capture);
-            shards.push(Shard {
-                base: lo,
-                n_local: nk,
-                now: SimTime::ZERO,
-                queue,
-                timeline: timeline.clone(),
-                fed: 0,
-                medium,
-                protocols,
-                macs: CsmaBank::new(CsmaConfig::default(), nk),
-                nodes: arena,
-                outcome_scratch: TxOutcome::new(),
-                ops_scratch: Vec::new(),
-                watched,
-                obs_buf: Vec::new(),
-                chunks: Vec::new(),
-                outbox: Vec::new(),
-                remote_mask: remote_mask[lo..hi].to_vec(),
-                ghosts: Vec::new(),
-            });
-        }
+        let mut medium = Medium::new(links, root.derive(u64::MAX));
+        medium.set_capture(self.capture);
+        let kernel = Kernel {
+            now: SimTime::ZERO,
+            queue,
+            timeline,
+            fed: 0,
+            medium,
+            protocols,
+            macs: CsmaBank::new(CsmaConfig::default(), n),
+            nodes,
+            outcome_scratch: TxOutcome::new(),
+            ops_scratch: Vec::new(),
+            watched,
+            obs_buf: Vec::new(),
+        };
         // One branch per event decides whether to sample; SimTime::MAX
         // means "never" when no sampler is attached.
         let next_sample_at = self
@@ -353,39 +250,34 @@ impl NetworkBuilder {
             .as_ref()
             .map_or(SimTime::MAX, |s| SimTime::ZERO + s.borrow().interval());
         let mut net = Network {
-            shards,
-            bounds,
-            now: SimTime::ZERO,
+            kernel,
             trace: RunTrace::new(n),
             events_processed: 0,
             observers: self.observers,
             run_ended: false,
             sampler: self.sampler,
             next_sample_at,
-            merged: Merged::default(),
         };
         // Report each node's initial state so timelines start at t = 0.
         let Network {
-            shards,
+            kernel,
             trace,
             observers,
             ..
         } = &mut net;
         if !observers.is_empty() {
-            for shard in shards.iter() {
-                for (i, p) in shard.protocols.iter().enumerate() {
-                    let ev = ObsEvent {
-                        t: SimTime::ZERO,
-                        node: NodeId::from_index(shard.base + i),
-                        kind: EventKind::State {
-                            from: "",
-                            to: p.state_label(),
-                        },
-                    };
-                    Observer::on_event(trace, &ev);
-                    for obs in observers.iter_mut() {
-                        obs.on_event(&ev);
-                    }
+            for (i, p) in kernel.protocols.iter().enumerate() {
+                let ev = ObsEvent {
+                    t: SimTime::ZERO,
+                    node: NodeId::from_index(i),
+                    kind: EventKind::State {
+                        from: "",
+                        to: p.state_label(),
+                    },
+                };
+                Observer::on_event(trace, &ev);
+                for obs in observers.iter_mut() {
+                    obs.on_event(&ev);
                 }
             }
         }
@@ -437,16 +329,16 @@ struct Flapped {
 /// restore to the base rate as of its *end*, not the pristine rate — so
 /// all marks of one edge at one instant are resolved together. Each row
 /// draws `from`'s next owner sequence number here, which fixes its queue
-/// rank before the run, whenever a shard feeds it.
+/// rank before the run, whenever the kernel feeds it.
 fn link_timeline(
     links: &LinkTable,
     mut schedule: Vec<LinkChange>,
     flaps: &[Flap],
     nodes: &mut NodeArena,
-) -> Arc<[LinkRow]> {
+) -> Vec<LinkRow> {
     if schedule.is_empty() && flaps.is_empty() {
         // A static run: skip the per-edge rate table below.
-        return Arc::new([]);
+        return Vec::new();
     }
     // Stable, so same-instant moves of one edge keep their schedule order
     // (the last one wins). A mobility schedule arrives in this order
@@ -536,80 +428,18 @@ fn link_timeline(
         u32::try_from(rows.len()).is_ok(),
         "link timeline rows are indexed by u32"
     );
-    // The conversion copies the rows; do not hold the schedule across it.
-    drop(marks);
-    drop(schedule);
-    rows.into()
-}
-
-/// One merged, not-yet-delivered dispatched event replica: its timestamp,
-/// how many buffered [`ObsEvent`]s it produced, and whether it counts
-/// toward `events_processed`. The owner key identifies the *logical*
-/// event: a cross-shard transmission event dispatches once per involved
-/// shard, and all its replicas (adjacent in merge order — they share a
-/// full rank) carry the same owner key, exactly one of them counted.
-#[derive(Clone, Copy, Debug)]
-struct ReplayCell {
-    time: SimTime,
-    owner_key: u64,
-    obs_len: u32,
-    counted: bool,
-}
-
-/// The windowed driver's merge output, replayed in order by
-/// [`drain_replay`]. Cells (and their observable events) survive an early
-/// completion exit here, so a later run call resumes mid-window exactly
-/// where the previous one stopped.
-#[derive(Debug, Default)]
-struct Merged {
-    cells: VecDeque<ReplayCell>,
-    obs: VecDeque<ObsEvent>,
-}
-
-/// One worker's per-window output, swapped (never copied) through a
-/// mutex at the window barrier.
-#[derive(Debug)]
-struct WindowSlot<M> {
-    chunks: Vec<Chunk>,
-    obs: Vec<ObsEvent>,
-    outbox: Vec<Outbound<M>>,
-    peek: Option<SimTime>,
-    qlen: usize,
-}
-
-impl<M> Default for WindowSlot<M> {
-    fn default() -> Self {
-        WindowSlot {
-            chunks: Vec::new(),
-            obs: Vec::new(),
-            outbox: Vec::new(),
-            peek: None,
-            qlen: 0,
-        }
-    }
-}
-
-/// The coordinator's per-window command to every worker.
-#[derive(Clone, Copy, Debug)]
-struct WindowCmd {
-    end: SimTime,
-    stop: bool,
+    rows
 }
 
 /// A running simulated network of `P`-protocol nodes.
 ///
-/// This plays the role TOSSIM played for the paper: it owns the virtual
-/// clock, the run trace and the observers, and drives one or more
-/// `Shard`s — each holding its slice of the medium, MACs, protocols
-/// and per-node state — until a predicate holds or a deadline passes.
+/// This plays the role TOSSIM played for the paper: it owns the run
+/// trace and the observers, and drives the kernel — virtual clock,
+/// medium, MACs, protocols and per-node state — one event at a time until
+/// a predicate holds or a deadline passes.
 #[derive(Debug)]
 pub struct Network<P: Protocol> {
-    shards: Vec<Shard<P>>,
-    /// The node-range partition: shard `k` owns `bounds[k] .. bounds[k+1]`.
-    bounds: Vec<usize>,
-    /// The facade clock: the timestamp of the last *delivered* event. On
-    /// a sharded run individual shards run ahead of this within a window.
-    now: SimTime,
+    kernel: Kernel<P>,
     trace: RunTrace,
     events_processed: u64,
     observers: Vec<Box<dyn Observer + Send>>,
@@ -619,14 +449,12 @@ pub struct Network<P: Protocol> {
     /// Next instant to sample at; `SimTime::MAX` when no sampler is
     /// attached, so the run loop pays one comparison per event.
     next_sample_at: SimTime,
-    /// Merged-but-undelivered windowed output (empty on sequential runs).
-    merged: Merged,
 }
 
 /// Compile-time proof that the kernel is `Send` for every protocol: no
 /// `Rc`, `RefCell`, or other thread-bound type anywhere in its state, so a
-/// whole simulation — or one shard of one — can be handed to a worker
-/// thread. (`tests/send.rs` instantiates this for the real protocols.)
+/// whole simulation can be handed to a worker thread. (`tests/send.rs`
+/// instantiates this for the real protocols.)
 #[allow(dead_code)]
 fn _network_is_send<P: Protocol>() {
     fn assert_send<T: Send>() {}
@@ -636,12 +464,12 @@ fn _network_is_send<P: Protocol>() {
 impl<P: Protocol> Network<P> {
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.kernel.now
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        *self.bounds.last().expect("bounds always non-empty")
+        self.kernel.protocols.len()
     }
 
     /// Whether the network has no nodes.
@@ -649,60 +477,35 @@ impl<P: Protocol> Network<P> {
         self.len() == 0
     }
 
-    /// Number of shards the node space is partitioned into.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The run trace collected so far.
     pub fn trace(&self) -> &RunTrace {
         &self.trace
     }
 
-    /// The shard owning `node`.
-    fn shard_of(&self, node: NodeId) -> usize {
-        self.bounds.partition_point(|&b| b <= node.index()) - 1
-    }
-
     /// One node's protocol state (for assertions and experiment readouts).
     pub fn protocol(&self, node: NodeId) -> &P {
-        let shard = &self.shards[self.shard_of(node)];
-        &shard.protocols[node.index() - shard.base]
+        &self.kernel.protocols[node.index()]
     }
 
-    /// The whole-network medium (for link/stat queries).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a sharded network — no single medium sees every node;
-    /// use [`Network::medium_stats`] there, and read active radio time
-    /// from the trace after [`Network::finalize_meters`].
+    /// The medium (for link/stat queries).
     pub fn medium(&self) -> &Medium<P::Msg> {
-        assert_eq!(
-            self.shards.len(),
-            1,
-            "medium() is the whole-network view; on a sharded run query \
-             medium_stats() per node instead"
-        );
-        &self.shards[0].medium
+        &self.kernel.medium
     }
 
-    /// One node's physical-layer counters, whichever shard owns it.
+    /// One node's physical-layer counters.
     pub fn medium_stats(&self, node: NodeId) -> MediumStats {
-        self.shards[self.shard_of(node)].medium.stats(node)
+        self.kernel.medium.stats(node)
     }
 
-    /// Total events processed (a proxy for simulation effort; identical
-    /// at every shard count — replicated boundary copies count once).
+    /// Total events processed (a proxy for simulation effort).
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }
 
-    /// Events still pending across all shards — queued, or link-timeline
-    /// rows not yet due — plus any merged but not yet delivered. Zero
-    /// means the simulation has nothing left to do.
+    /// Events still pending — queued, or link-timeline rows not yet due.
+    /// Zero means the simulation has nothing left to do.
     pub fn pending_events(&self) -> usize {
-        self.shards.iter().map(Shard::pending).sum::<usize>() + self.merged.cells.len()
+        self.kernel.pending()
     }
 
     /// Schedules a permanent fail-stop of `node` at time `at` (battery
@@ -715,9 +518,8 @@ impl<P: Protocol> Network<P> {
     ///
     /// Panics if `at` is in the past.
     pub fn schedule_failure(&mut self, node: NodeId, at: SimTime) {
-        assert!(at >= self.now, "cannot schedule failure in the past");
-        let k = self.shard_of(node);
-        self.shards[k].push_owned(at, node, Event::Kill(node));
+        assert!(at >= self.now(), "cannot schedule failure in the past");
+        self.kernel.push_owned(at, node, Event::Kill(node));
     }
 
     /// Schedules a reboot of `node` at time `at`. A no-op unless the node
@@ -733,73 +535,55 @@ impl<P: Protocol> Network<P> {
     ///
     /// Panics if `at` is in the past.
     pub fn schedule_restart(&mut self, node: NodeId, at: SimTime) {
-        assert!(at >= self.now, "cannot schedule restart in the past");
-        let k = self.shard_of(node);
-        self.shards[k].push_owned(at, node, Event::Restart(node));
+        assert!(at >= self.now(), "cannot schedule restart in the past");
+        self.kernel.push_owned(at, node, Event::Restart(node));
     }
 
     /// Whether `node` has fail-stopped.
     pub fn is_dead(&self, node: NodeId) -> bool {
-        self.shards[self.shard_of(node)].nodes.hot(node).dead
+        self.kernel.nodes.hot(node).dead
     }
 
     /// Runs until `pred` holds (checked after every event), the event queue
     /// drains, or the simulation clock passes `deadline`. Returns whether
     /// `pred` held at exit.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a sharded network: an arbitrary predicate needs
-    /// whole-network state after every single event, which is exactly the
-    /// serialization sharding removes. Build with `.shards(1)` (the
-    /// default), or drive a sharded run with
-    /// [`Network::run_to_deadline`] / [`Network::run_until_all_complete`].
     pub fn run_until<F>(&mut self, pred: F, deadline: SimTime) -> bool
     where
         F: Fn(&Network<P>) -> bool,
     {
-        assert_eq!(
-            self.shards.len(),
-            1,
-            "run_until's arbitrary predicate needs whole-network state after \
-             every event; use run_to_deadline / run_until_all_complete on a \
-             sharded network"
-        );
         loop {
             if pred(self) {
                 return true;
             }
-            let shard = &mut self.shards[0];
-            let Some(next) = shard.peek_time() else {
+            let kernel = &mut self.kernel;
+            let Some(next) = kernel.peek_time() else {
                 return pred(self);
             };
             if next > deadline {
                 return pred(self);
             }
-            let p = shard.queue.pop_ranked().expect("peeked event exists");
-            debug_assert!(p.time >= shard.now, "time went backwards");
-            shard.now = p.time;
-            self.now = p.time;
-            if shard.dispatch(p.event) {
-                self.events_processed += 1;
-            }
+            let (time, event) = kernel.queue.pop().expect("peeked event exists");
+            debug_assert!(time >= kernel.now, "time went backwards");
+            kernel.now = time;
+            kernel.dispatch(event);
+            self.events_processed += 1;
             self.flush_obs();
-            if self.now >= self.next_sample_at {
+            if time >= self.next_sample_at {
                 self.take_sample();
             }
         }
     }
 
-    /// Delivers everything the single shard buffered during one dispatch
-    /// to the run trace and every attached observer.
+    /// Delivers everything the kernel buffered during one dispatch to the
+    /// run trace and every attached observer.
     fn flush_obs(&mut self) {
         let Network {
-            shards,
+            kernel,
             trace,
             observers,
             ..
         } = self;
-        let buf = &mut shards[0].obs_buf;
+        let buf = &mut kernel.obs_buf;
         if buf.is_empty() {
             return;
         }
@@ -820,200 +604,25 @@ impl<P: Protocol> Network<P> {
         let Some(sampler) = &self.sampler else {
             return;
         };
+        let now = self.now();
         let mut s = sampler.borrow_mut();
-        s.record(self.now, self.pending_events(), self.events_processed);
+        s.record(now, self.pending_events(), self.events_processed);
         let interval = s.interval();
         drop(s);
-        while self.next_sample_at <= self.now {
+        while self.next_sample_at <= now {
             self.next_sample_at += interval;
         }
     }
 
-    /// Runs until the event queues drain or the clock passes `deadline`.
-    /// Works at every shard count (this and
-    /// [`Network::run_until_all_complete`] are the sharded drivers).
+    /// Runs until the event queue drains or the clock passes `deadline`.
     pub fn run_to_deadline(&mut self, deadline: SimTime) {
-        if self.shards.len() == 1 {
-            self.run_until(|_| false, deadline);
-        } else {
-            self.run_windowed(deadline, false);
-        }
+        self.run_until(|_| false, deadline);
     }
 
     /// Convenience: runs until every node reports completion. Returns
-    /// whether that happened before `deadline`. Works at every shard
-    /// count.
+    /// whether that happened before `deadline`.
     pub fn run_until_all_complete(&mut self, deadline: SimTime) -> bool {
-        if self.shards.len() == 1 {
-            self.run_until(|n| n.trace().all_complete(), deadline)
-        } else {
-            self.run_windowed(deadline, true)
-        }
-    }
-
-    /// The lockstep windowed driver: one scoped worker thread per shard,
-    /// windows one [`PERCEPTION_LATENCY`] wide starting at the global
-    /// minimum pending time. The window width guarantees no event in a
-    /// window can cause another event in the same window on a *different*
-    /// shard (every cross-shard effect lags its cause by at least one
-    /// perception latency), so shards execute windows independently and
-    /// the per-rank merge reproduces the sequential schedule exactly.
-    fn run_windowed(&mut self, deadline: SimTime, stop_on_complete: bool) -> bool {
-        let Network {
-            shards,
-            merged,
-            trace,
-            observers,
-            sampler,
-            now,
-            events_processed,
-            next_sample_at,
-            ..
-        } = self;
-        let s = shards.len();
-        // Replay anything a previous call merged but did not deliver (an
-        // early completion exit stops mid-window).
-        let pending: usize = shards.iter().map(Shard::pending).sum();
-        if drain_replay(
-            merged,
-            trace,
-            observers,
-            sampler,
-            now,
-            events_processed,
-            next_sample_at,
-            pending,
-            stop_on_complete,
-        ) {
-            return true;
-        }
-        if stop_on_complete && trace.all_complete() {
-            return true;
-        }
-        let mut peeks: Vec<Option<SimTime>> = shards.iter_mut().map(Shard::peek_time).collect();
-        let mut qlens: Vec<usize> = shards.iter().map(Shard::pending).collect();
-        let slots: Vec<Mutex<WindowSlot<P::Msg>>> =
-            (0..s).map(|_| Mutex::new(WindowSlot::default())).collect();
-        let inboxes: Vec<Mutex<Vec<Boundary<P::Msg>>>> =
-            (0..s).map(|_| Mutex::new(Vec::new())).collect();
-        let cmd = Mutex::new(WindowCmd {
-            end: SimTime::ZERO,
-            stop: false,
-        });
-        let barrier = Barrier::new(s + 1);
-        let mut done = false;
-        std::thread::scope(|scope| {
-            for (shard, (slot, inbox)) in shards.iter_mut().zip(slots.iter().zip(inboxes.iter())) {
-                let cmd = &cmd;
-                let barrier = &barrier;
-                scope.spawn(move || {
-                    let mut local: Vec<Boundary<P::Msg>> = Vec::new();
-                    loop {
-                        barrier.wait();
-                        let WindowCmd { end, stop } = *cmd.lock().unwrap();
-                        if stop {
-                            break;
-                        }
-                        std::mem::swap(&mut *inbox.lock().unwrap(), &mut local);
-                        for msg in local.drain(..) {
-                            shard.apply_boundary(msg);
-                        }
-                        shard.run_window(end, deadline);
-                        {
-                            // Swap, never copy: the coordinator hands the
-                            // cleared buffers back next window, so the
-                            // steady state allocates nothing.
-                            let mut sl = slot.lock().unwrap();
-                            std::mem::swap(&mut sl.chunks, &mut shard.chunks);
-                            std::mem::swap(&mut sl.obs, &mut shard.obs_buf);
-                            std::mem::swap(&mut sl.outbox, &mut shard.outbox);
-                            sl.peek = shard.peek_time();
-                            sl.qlen = shard.pending();
-                        }
-                        barrier.wait();
-                    }
-                });
-            }
-            let mut parts: Vec<(Vec<Chunk>, Vec<ObsEvent>)> =
-                (0..s).map(|_| (Vec::new(), Vec::new())).collect();
-            let mut outboxes: Vec<Vec<Outbound<P::Msg>>> = (0..s).map(|_| Vec::new()).collect();
-            loop {
-                let t_min = peeks
-                    .iter()
-                    .flatten()
-                    .copied()
-                    .min()
-                    .filter(|&t| t <= deadline);
-                let Some(t_min) = t_min else { break };
-                cmd.lock().unwrap().end = t_min + PERCEPTION_LATENCY;
-                barrier.wait(); // release the workers into the window
-                barrier.wait(); // wait for every shard to finish it
-                for k in 0..s {
-                    let mut sl = slots[k].lock().unwrap();
-                    std::mem::swap(&mut parts[k].0, &mut sl.chunks);
-                    std::mem::swap(&mut parts[k].1, &mut sl.obs);
-                    std::mem::swap(&mut outboxes[k], &mut sl.outbox);
-                    peeks[k] = sl.peek;
-                    qlens[k] = sl.qlen;
-                }
-                // Route boundary messages, every Begin before any Abort so
-                // an abort always finds its ghost; fold each message's
-                // earliest receiver-side event (`at + L`) into the
-                // destination's peek so the next window starts early
-                // enough to include it.
-                for pass in 0..2 {
-                    for outbox in &outboxes {
-                        for ob in outbox {
-                            let is_begin = matches!(ob.msg, Boundary::Begin { .. });
-                            if (pass == 0) != is_begin {
-                                continue;
-                            }
-                            let at = match &ob.msg {
-                                Boundary::Begin { at, .. } | Boundary::Abort { at, .. } => *at,
-                            };
-                            let heard = at + PERCEPTION_LATENCY;
-                            let mut mask = ob.mask;
-                            while mask != 0 {
-                                let d = mask.trailing_zeros() as usize;
-                                mask &= mask - 1;
-                                inboxes[d].lock().unwrap().push(ob.msg.clone());
-                                peeks[d] = Some(peeks[d].map_or(heard, |p| p.min(heard)));
-                            }
-                        }
-                    }
-                }
-                for outbox in &mut outboxes {
-                    outbox.clear();
-                }
-                merge_window(merged, &mut parts);
-                let pending: usize = qlens.iter().sum();
-                if drain_replay(
-                    merged,
-                    trace,
-                    observers,
-                    sampler,
-                    now,
-                    events_processed,
-                    next_sample_at,
-                    pending,
-                    stop_on_complete,
-                ) {
-                    done = true;
-                    break;
-                }
-            }
-            cmd.lock().unwrap().stop = true;
-            barrier.wait();
-        });
-        // An early exit leaves routed-but-unapplied boundary frames in the
-        // inboxes; park them in the destination queues so a later run call
-        // still sees them.
-        for (shard, inbox) in shards.iter_mut().zip(inboxes) {
-            for msg in inbox.into_inner().unwrap() {
-                shard.apply_boundary(msg);
-            }
-        }
-        done || (stop_on_complete && trace.all_complete())
+        self.run_until(|n| n.trace().all_complete(), deadline)
     }
 
     /// Folds the medium's active-radio-time readings (as of `at`, typically
@@ -1022,23 +631,21 @@ impl<P: Protocol> Network<P> {
     /// the observers on the first call.
     pub fn finalize_meters(&mut self, at: SimTime) {
         let Network {
-            shards,
+            kernel,
             trace,
             observers,
             run_ended,
             ..
         } = self;
-        for shard in shards.iter_mut() {
-            for i in 0..shard.n_local {
-                let node = NodeId::from_index(shard.base + i);
-                let art = shard.medium.active_radio_time(node, at);
-                trace.set_active_radio(node, art);
-                // Physical-layer counters never flow through the event
-                // stream; hand each observer a snapshot of them.
-                let stats = shard.medium.stats(node);
-                for obs in observers.iter_mut() {
-                    obs.on_medium_stats(node, &stats);
-                }
+        for i in 0..kernel.protocols.len() {
+            let node = NodeId::from_index(i);
+            let art = kernel.medium.active_radio_time(node, at);
+            trace.set_active_radio(node, art);
+            // Physical-layer counters never flow through the event
+            // stream; hand each observer a snapshot of them.
+            let stats = kernel.medium.stats(node);
+            for obs in observers.iter_mut() {
+                obs.on_medium_stats(node, &stats);
             }
         }
         // Close the run exactly once: pads windowed series, flushes
@@ -1052,110 +659,6 @@ impl<P: Protocol> Network<P> {
             }
         }
     }
-}
-
-/// Splices one window's per-shard chunk streams into the global replay
-/// order: ascending `(time, key, owner_key)` rank, with ties — the
-/// replicated receiver-side copies of one cross-shard event — resolved
-/// toward the lowest shard index. Shard order is ascending node-range
-/// order, so tied receiver-side chunks concatenate into exactly the
-/// per-listener order the sequential kernel produces.
-fn merge_window(merged: &mut Merged, parts: &mut [(Vec<Chunk>, Vec<ObsEvent>)]) {
-    // (chunk, obs) cursors per shard.
-    let mut cursors = vec![(0usize, 0usize); parts.len()];
-    loop {
-        let mut best: Option<(usize, (SimTime, u64, u64))> = None;
-        for (k, (chunks, _)) in parts.iter().enumerate() {
-            if let Some(c) = chunks.get(cursors[k].0) {
-                let rank = (c.time, c.key, c.owner_key);
-                if best.is_none_or(|(_, b)| rank < b) {
-                    best = Some((k, rank));
-                }
-            }
-        }
-        let Some((k, _)) = best else { break };
-        let (ci, oi) = cursors[k];
-        let c = parts[k].0[ci];
-        merged.cells.push_back(ReplayCell {
-            time: c.time,
-            owner_key: c.owner_key,
-            obs_len: c.obs_len,
-            counted: c.counted,
-        });
-        let end = oi + c.obs_len as usize;
-        merged.obs.extend(parts[k].1[oi..end].iter().copied());
-        cursors[k] = (ci + 1, end);
-    }
-    for ((chunks, obs), (ci, oi)) in parts.iter_mut().zip(cursors) {
-        debug_assert_eq!(ci, chunks.len(), "merge consumed every chunk");
-        debug_assert_eq!(oi, obs.len(), "chunk obs_len sums cover the buffer");
-        chunks.clear();
-        obs.clear();
-    }
-}
-
-/// Replays merged cells in order: advances the facade clock, delivers
-/// each cell's observable events to the trace and observers, counts it,
-/// samples on cadence, and — when `stop_on_complete` — stops right after
-/// the cell that completed the last node, leaving the rest of the window
-/// buffered in `merged`. Returns whether it stopped on completion.
-#[allow(clippy::too_many_arguments)]
-fn drain_replay(
-    merged: &mut Merged,
-    trace: &mut RunTrace,
-    observers: &mut [Box<dyn Observer + Send>],
-    sampler: &Option<Shared<TimeSeriesSampler>>,
-    now: &mut SimTime,
-    events_processed: &mut u64,
-    next_sample_at: &mut SimTime,
-    pending: usize,
-    stop_on_complete: bool,
-) -> bool {
-    while let Some(cell) = merged.cells.pop_front() {
-        // Deliver the whole logical event — every replica sharing this
-        // cell's owner key — before sampling or checking completion, so a
-        // stop lands exactly where the sequential kernel's per-event
-        // predicate check would land, never between two replicas.
-        let mut cell = cell;
-        loop {
-            *now = cell.time;
-            if cell.obs_len > 0 {
-                let _span = profile::span(Phase::Observe);
-                for _ in 0..cell.obs_len {
-                    let ev = merged.obs.pop_front().expect("cell events buffered");
-                    Observer::on_event(trace, &ev);
-                    for obs in observers.iter_mut() {
-                        obs.on_event(&ev);
-                    }
-                }
-            }
-            if cell.counted {
-                *events_processed += 1;
-            }
-            match merged.cells.front() {
-                Some(next) if next.owner_key == cell.owner_key && next.time == cell.time => {
-                    cell = merged.cells.pop_front().expect("peeked cell exists");
-                }
-                _ => break,
-            }
-        }
-        if *now >= *next_sample_at {
-            if let Some(sampler) = sampler {
-                let _span = profile::span(Phase::Sample);
-                let mut s = sampler.borrow_mut();
-                s.record(*now, pending + merged.cells.len(), *events_processed);
-                let interval = s.interval();
-                drop(s);
-                while *next_sample_at <= *now {
-                    *next_sample_at += interval;
-                }
-            }
-        }
-        if stop_on_complete && trace.all_complete() {
-            return true;
-        }
-    }
-    false
 }
 
 #[cfg(test)]
@@ -1790,7 +1293,7 @@ mod shard_tests {
     }
 
     /// Records every observable event verbatim, for exact stream
-    /// comparison across shard counts.
+    /// comparison.
     #[derive(Debug, Default)]
     struct Rec(Vec<String>);
 
@@ -1803,9 +1306,9 @@ mod shard_tests {
     /// Gossip: every node beacons its best-known value on a per-node
     /// cadence, adopts (and relays) anything larger it hears, and naps
     /// every ninth beacon. Together with the fault plan this exercises
-    /// every cross-shard path: deliveries, collisions, bit errors, sleep
-    /// and wake, kills, mid-frame aborts, restarts, link flaps and
-    /// storage faults.
+    /// every kernel path: deliveries, collisions, bit errors, sleep and
+    /// wake, kills, mid-frame aborts, restarts, link flaps and storage
+    /// faults.
     struct Gossip {
         id: NodeId,
         best: u32,
@@ -1884,22 +1387,27 @@ mod shard_tests {
             .storage_faults(NodeId(6), SimTime::from_secs(3), 2)
     }
 
+    /// Runs the gossip line to `deadline`, through `.shards(n)` when
+    /// `shards` is `Some(n)`.
     #[allow(clippy::type_complexity)]
     fn run_line(
-        shards: usize,
+        shards: Option<usize>,
         deadline: SimTime,
     ) -> (Vec<String>, u64, SimTime, Vec<(u64, u64)>, Vec<u32>) {
         let rec = Shared::new(Rec::default());
-        let mut net: Network<Gossip> = NetworkBuilder::new(line(), 42)
-            .shards(shards)
-            .observer(rec.clone())
-            .faults(plan())
-            .build(|id, _| Gossip {
-                id,
-                best: 0,
-                ticks: 0,
-            });
-        assert_eq!(net.shard_count(), shards);
+        let mut builder = NetworkBuilder::new(line(), 42);
+        if let Some(n) = shards {
+            builder = builder.shards(n);
+        }
+        let mut net: Network<Gossip> =
+            builder
+                .observer(rec.clone())
+                .faults(plan())
+                .build(|id, _| Gossip {
+                    id,
+                    best: 0,
+                    ticks: 0,
+                });
         net.run_to_deadline(deadline);
         let at = net.now();
         net.finalize_meters(at);
@@ -1916,90 +1424,21 @@ mod shard_tests {
         (events, net.events_processed(), net.now(), frames, bests)
     }
 
+    /// The `.shards(n)` shim ignores its value: whatever `n`, the run is
+    /// the one sequential kernel's, event for event.
     #[test]
     fn sharded_runs_replay_the_sequential_schedule_exactly() {
         let deadline = SimTime::from_secs(6);
-        let base = run_line(1, deadline);
+        let base = run_line(None, deadline);
         assert!(base.0.len() > 1_000, "scenario produces real traffic");
-        for s in [2, 3, 5] {
-            let run = run_line(s, deadline);
-            if let Some(i) = (0..base.0.len().min(run.0.len())).find(|&i| base.0[i] != run.0[i]) {
-                panic!(
-                    "first divergence at {s} shards, event {i}:\n  sequential: {}\n  sharded:    {}",
-                    base.0[i], run.0[i]
-                );
-            }
-            assert_eq!(
-                base.0.len(),
-                run.0.len(),
-                "event count diverged at {s} shards"
-            );
-            assert_eq!(base.1, run.1, "events_processed diverged at {s} shards");
-            assert_eq!(base.2, run.2, "final clock diverged at {s} shards");
-            assert_eq!(base.3, run.3, "frame counts diverged at {s} shards");
-            assert_eq!(base.4, run.4, "protocol state diverged at {s} shards");
+        for n in [0, 2, 4, 500] {
+            let run = run_line(Some(n), deadline);
+            assert!(base.0 == run.0, "event stream diverged at .shards({n})");
+            assert_eq!(base.1, run.1, "events_processed diverged at .shards({n})");
+            assert_eq!(base.2, run.2, "final clock diverged at .shards({n})");
+            assert_eq!(base.3, run.3, "frame counts diverged at .shards({n})");
+            assert_eq!(base.4, run.4, "protocol state diverged at .shards({n})");
         }
-    }
-
-    /// Flood: the source announces once, everyone relays their first
-    /// hearing and notes completion — so `run_until_all_complete` has a
-    /// real early exit to hit on every shard count.
-    struct Flood {
-        is_source: bool,
-        heard: bool,
-    }
-
-    impl Protocol for Flood {
-        type Msg = Word;
-
-        fn on_start(&mut self, ctx: &mut Context<'_, Word>) {
-            if self.is_source {
-                ctx.send(Word(0));
-                ctx.note_completion();
-            }
-        }
-
-        fn on_message(&mut self, ctx: &mut Context<'_, Word>, _from: NodeId, msg: &Word) {
-            if !self.heard {
-                self.heard = true;
-                ctx.note_first_heard();
-                ctx.note_completion();
-                ctx.send(Word(msg.0 + 1));
-            }
-        }
-    }
-
-    #[test]
-    fn all_complete_stops_sharded_runs_at_the_sequential_instant() {
-        let run = |shards: usize| {
-            let mut net: Network<Flood> =
-                NetworkBuilder::new(line(), 11)
-                    .shards(shards)
-                    .build(|id, _| Flood {
-                        is_source: id == NodeId(0),
-                        heard: false,
-                    });
-            let done = net.run_until_all_complete(SimTime::from_secs(30));
-            (done, net.now(), net.events_processed())
-        };
-        let base = run(1);
-        assert!(base.0, "the flood completes the line");
-        for s in [2, 3, 4] {
-            assert_eq!(run(s), base, "completion instant diverged at {s} shards");
-        }
-    }
-
-    #[test]
-    fn shard_counts_are_clamped_to_the_node_count() {
-        let mut net: Network<Flood> =
-            NetworkBuilder::new(line(), 3)
-                .shards(500)
-                .build(|id, _| Flood {
-                    is_source: id == NodeId(0),
-                    heard: false,
-                });
-        assert_eq!(net.shard_count(), 12, "one shard per node at most");
-        assert!(net.run_until_all_complete(SimTime::from_secs(30)));
     }
 }
 
@@ -2041,10 +1480,10 @@ mod timeline_tests {
     }
 
     impl<P: Protocol> Network<P> {
-        /// Events actually sitting in each shard's queue (unfed timeline
-        /// rows excluded).
-        fn queued(&self) -> Vec<usize> {
-            self.shards.iter().map(|sh| sh.queue.len()).collect()
+        /// Events actually sitting in the queue (unfed timeline rows
+        /// excluded).
+        fn queued(&self) -> usize {
+            self.kernel.queue.len()
         }
     }
 
@@ -2138,71 +1577,51 @@ mod timeline_tests {
         };
         const ROWS: usize = 44;
         const NODE_FAULTS: usize = 5;
-        let build = |shards: usize| -> Network<Inert> {
-            NetworkBuilder::new(line(N), 3)
-                .shards(shards)
-                .link_schedule(schedule.clone())
-                .faults(plan())
-                .build(|_, _| Inert)
-        };
-        let mut processed = Vec::new();
-        // Every shard's copy of the link graph after the run, row by row.
-        let mut graphs = Vec::new();
-        for shards in [1, 2, 3, 4] {
-            let mut net = build(shards);
-            // What every queue held when each row was pre-loaded into each.
-            let total = N + NODE_FAULTS + shards * ROWS;
-            assert_eq!(net.pending_events(), total, "{shards} shards");
-            for (k, queued) in net.queued().into_iter().enumerate() {
-                let owned = net.bounds[k + 1] - net.bounds[k];
-                assert!(
-                    queued <= owned + NODE_FAULTS,
-                    "shard {k} of {shards} queues {queued} events before the run"
-                );
-            }
-            if shards == 1 {
-                // Nothing schedules anything, so every dispatch — timeline
-                // rows included — takes the pending count down by one, and
-                // the queue never holds more than one (due) row.
-                let steps = Cell::new(0u64);
-                net.run_until(
-                    |n| {
-                        assert_eq!(
-                            n.pending_events() as u64 + n.events_processed(),
-                            total as u64
-                        );
-                        assert!(n.queued()[0] <= N + NODE_FAULTS + 1);
-                        steps.set(steps.get() + 1);
-                        false
-                    },
-                    SimTime::from_secs(10),
-                );
-                assert_eq!(steps.get(), total as u64 + 2, "checked around every event");
-            } else {
-                net.run_to_deadline(SimTime::from_secs(10));
-            }
-            assert_eq!(net.pending_events(), 0);
-            assert_eq!(net.queued().into_iter().sum::<usize>(), 0);
-            processed.push(net.events_processed());
-            for sh in &net.shards {
-                let rows: Vec<(Vec<NodeId>, Vec<f64>)> = (0..N)
-                    .map(|i| sh.medium.links().neighbors(NodeId::from_index(i)).unzip())
-                    .collect();
-                graphs.push(rows);
-            }
-        }
-        assert_eq!(processed, [(N + NODE_FAULTS + ROWS) as u64; 4]);
-        // The shards' copies are clones of one graph, each fed the
-        // same timeline: they end identical, at the last scheduled rates
-        // with both flaps restored.
-        assert_eq!(graphs.len(), 1 + 2 + 3 + 4);
-        assert!(graphs.iter().all(|g| g == &graphs[0]));
-        let last = schedule.last().expect("forty changes");
-        assert_eq!(
-            graphs[0][4],
-            (vec![NodeId(3), last.to], vec![0.0, last.ber])
+        let mut net: Network<Inert> = NetworkBuilder::new(line(N), 3)
+            .link_schedule(schedule.clone())
+            .faults(plan())
+            .build(|_, _| Inert);
+        // What the queue held when every row was pre-loaded into it.
+        let total = N + NODE_FAULTS + ROWS;
+        assert_eq!(net.pending_events(), total);
+        assert!(
+            net.queued() <= N + NODE_FAULTS,
+            "the queue holds {} events before the run",
+            net.queued()
         );
-        assert_eq!(graphs[0][1], (vec![NodeId(0), NodeId(2)], vec![0.0, 0.37]));
+        // Nothing schedules anything, so every dispatch — timeline rows
+        // included — takes the pending count down by one, and the queue
+        // never holds more than one (due) row.
+        let steps = Cell::new(0u64);
+        net.run_until(
+            |n| {
+                assert_eq!(
+                    n.pending_events() as u64 + n.events_processed(),
+                    total as u64
+                );
+                assert!(n.queued() <= N + NODE_FAULTS + 1);
+                steps.set(steps.get() + 1);
+                false
+            },
+            SimTime::from_secs(10),
+        );
+        assert_eq!(steps.get(), total as u64 + 2, "checked around every event");
+        assert_eq!(net.pending_events(), 0);
+        assert_eq!(net.queued(), 0);
+        assert_eq!(net.events_processed(), total as u64);
+        // The graph ends at the last scheduled rates with both flaps
+        // restored.
+        let graph: Vec<(Vec<NodeId>, Vec<f64>)> = (0..N)
+            .map(|i| {
+                net.medium()
+                    .links()
+                    .neighbors(NodeId::from_index(i))
+                    .unzip()
+            })
+            .collect();
+        let last = schedule.last().expect("forty changes");
+        assert_eq!(graph[4], (vec![NodeId(3), last.to], vec![0.0, last.ber]));
+        assert_eq!(graph[1], (vec![NodeId(0), NodeId(2)], vec![0.0, 0.37]));
     }
 
     /// A small random-waypoint field resolved over `horizon`: the
@@ -2284,7 +1703,7 @@ mod timeline_tests {
         // their owner they precede anything the run scheduled; among
         // themselves they go by edge.
         let at = SimTime::from_secs(1);
-        let run = |shards: usize, tie: TieBreak| {
+        let run = |tie: TieBreak| {
             let change = |from: u32, to: u32| LinkChange {
                 at,
                 from: NodeId(from),
@@ -2293,7 +1712,6 @@ mod timeline_tests {
             };
             let rec = Shared::new(Rec::default());
             let mut net: Network<Heartbeat> = NetworkBuilder::new(line(4), 11)
-                .shards(shards)
                 .tie_break(tie)
                 .observer(rec.clone())
                 .link_schedule(vec![change(2, 1), change(1, 2)])
@@ -2325,7 +1743,7 @@ mod timeline_tests {
                 })
                 .collect::<Vec<_>>()
         };
-        let fifo = run(1, TieBreak::Fifo);
+        let fifo = run(TieBreak::Fifo);
         assert_eq!(
             fifo,
             [
@@ -2338,18 +1756,10 @@ mod timeline_tests {
                 "3 timer"
             ]
         );
-        let permuted = run(1, TieBreak::SeededPermutation(77));
+        let permuted = run(TieBreak::SeededPermutation(77));
         assert_ne!(permuted, fifo, "seed 77 reorders the four owners");
         let of_node_1: Vec<&String> = permuted.iter().filter(|e| e.starts_with('1')).collect();
         assert_eq!(of_node_1, ["1 fault 0", "1 moved 2", "1 timer"]);
-        for shards in [2, 4] {
-            assert_eq!(run(shards, TieBreak::Fifo), fifo, "{shards} shards");
-            assert_eq!(
-                run(shards, TieBreak::SeededPermutation(77)),
-                permuted,
-                "{shards} shards"
-            );
-        }
     }
 
     /// Epidemic: a node holding the word broadcasts it every second until
@@ -2403,48 +1813,35 @@ mod timeline_tests {
             per_instant = per_instant.max(run.len());
         }
         let candidates: Vec<NodeId> = (1..N).map(NodeId::from_index).collect();
-        let run = |shards: usize| {
-            let plan = FaultPlan::seeded(42).random_crash_restarts(
-                CHURN,
-                &candidates,
-                (SimTime::from_secs(30), SimTime::from_secs(4 * 3_600)),
-                (SimDuration::from_secs(60), SimDuration::from_secs(600)),
-            );
-            let mut net: Network<Spread> = NetworkBuilder::new(links.clone(), 42)
-                .shards(shards)
-                .link_schedule(schedule.clone())
-                .faults(plan)
-                .build(|id, _| Spread {
-                    has: id == NodeId(0),
-                });
-            let deadline = SimTime::from_secs(4 * 3_600);
-            let peak = Cell::new(0);
-            let done = if shards == 1 {
-                // A node has at most a timer, a MAC attempt and one frame's
-                // three lifecycle events outstanding; the timeline adds the
-                // rows of one instant, never the horizon's.
-                net.run_until(
-                    |n| {
-                        peak.set(peak.get().max(n.queued()[0]));
-                        n.trace().all_complete()
-                    },
-                    deadline,
-                )
-            } else {
-                net.run_until_all_complete(deadline)
-            };
-            assert!(done, "{shards} shards: the word reaches every node");
-            assert!(
-                peak.get() <= 5 * N + 2 * CHURN + per_instant,
-                "live queue peaked at {} events",
-                peak.get()
-            );
-            assert!(net.pending_events() > shards * 1_000_000, "rows left unfed");
-            let completions: Vec<Option<SimTime>> = (0..N)
-                .map(|i| net.trace().node(NodeId::from_index(i)).completion)
-                .collect();
-            (net.now(), net.events_processed(), completions)
-        };
-        assert_eq!(run(1), run(2));
+        let plan = FaultPlan::seeded(42).random_crash_restarts(
+            CHURN,
+            &candidates,
+            (SimTime::from_secs(30), SimTime::from_secs(4 * 3_600)),
+            (SimDuration::from_secs(60), SimDuration::from_secs(600)),
+        );
+        let mut net: Network<Spread> = NetworkBuilder::new(links, 42)
+            .link_schedule(schedule)
+            .faults(plan)
+            .build(|id, _| Spread {
+                has: id == NodeId(0),
+            });
+        // A node has at most a timer, a MAC attempt and one frame's three
+        // lifecycle events outstanding; the timeline adds the rows of one
+        // instant, never the horizon's.
+        let peak = Cell::new(0);
+        let done = net.run_until(
+            |n| {
+                peak.set(peak.get().max(n.queued()));
+                n.trace().all_complete()
+            },
+            SimTime::from_secs(4 * 3_600),
+        );
+        assert!(done, "the word reaches every node");
+        assert!(
+            peak.get() <= 5 * N + 2 * CHURN + per_instant,
+            "live queue peaked at {} events",
+            peak.get()
+        );
+        assert!(net.pending_events() > 1_000_000, "rows left unfed");
     }
 }

@@ -9,11 +9,8 @@
 //! are touched once per MAC decision or per run at most, so they live in
 //! separate allocations and stay out of the dispatch cache lines.
 //!
-//! The arena owns a contiguous `NodeId` range starting at `base`. The
-//! single-threaded kernel uses `base == 0` over all nodes; a future
-//! sharded kernel gives each shard its own arena over a disjoint range,
-//! which is why every accessor takes a `NodeId` and translates it rather
-//! than exposing raw vector indexing.
+//! Every accessor takes a `NodeId` rather than exposing raw vector
+//! indexing.
 
 use mnp_radio::{NodeId, TxId};
 use mnp_sim::{SimRng, SimTime};
@@ -36,11 +33,6 @@ pub(crate) struct NodeHot {
     pub sleep_epoch: u64,
     /// The node's in-flight transmission, for mid-frame aborts.
     pub inflight: Option<TxId>,
-    /// The `(rx_start, rx_end)` owner sequence numbers of the in-flight
-    /// transmission (meaningful only while `inflight` is `Some`). A
-    /// mid-frame abort crossing a shard boundary names the frame by its
-    /// `(src, rx_start_seq)` identity, which the ghost shard indexed.
-    pub inflight_seqs: (u32, u32),
 }
 
 impl NodeHot {
@@ -51,16 +43,13 @@ impl NodeHot {
             mac_epoch: 0,
             sleep_epoch: 0,
             inflight: None,
-            inflight_seqs: (0, 0),
         }
     }
 }
 
-/// Hot/cold split per-node state over a contiguous `NodeId` range.
+/// Hot/cold split per-node state of every node.
 #[derive(Debug)]
 pub(crate) struct NodeArena {
-    /// First `NodeId::index()` this arena owns.
-    base: usize,
     hot: Vec<NodeHot>,
     // Cold columns: read at MAC/protocol cadence or at finalisation, not
     // per dispatched event.
@@ -69,22 +58,21 @@ pub(crate) struct NodeArena {
     pending_sleep: Vec<Option<(SimTime, u64)>>,
     /// Per-node event-scheduling sequence numbers: every event a node
     /// schedules gets the next value, making `(node, seq)` a globally
-    /// unique, shard-independent event identity (the queue's owner key).
+    /// unique event identity (the queue's owner key).
     push_seqs: Vec<u32>,
 }
 
 impl NodeArena {
-    /// Builds an arena over `[base, base + node_rngs.len())`, all nodes
-    /// awake and alive.
+    /// Builds an arena over nodes `0..node_rngs.len()`, all awake and
+    /// alive.
     ///
     /// # Panics
     ///
     /// Panics if the RNG columns disagree in length.
-    pub fn new(base: usize, node_rngs: Vec<SimRng>, mac_rngs: Vec<SimRng>) -> Self {
+    pub fn new(node_rngs: Vec<SimRng>, mac_rngs: Vec<SimRng>) -> Self {
         assert_eq!(node_rngs.len(), mac_rngs.len());
         let n = node_rngs.len();
         NodeArena {
-            base,
             hot: vec![NodeHot::new(); n],
             node_rngs,
             mac_rngs,
@@ -93,107 +81,51 @@ impl NodeArena {
         }
     }
 
-    /// Number of nodes in this arena's range.
+    /// Number of nodes in the arena.
     #[cfg(test)]
     pub fn len(&self) -> usize {
         self.hot.len()
     }
 
-    fn idx(&self, node: NodeId) -> usize {
-        let i = node.index();
-        debug_assert!(
-            (self.base..self.base + self.hot.len()).contains(&i),
-            "{node} outside this arena's range"
-        );
-        i - self.base
-    }
-
     /// Reads `node`'s hot state (it is `Copy`).
     pub fn hot(&self, node: NodeId) -> NodeHot {
-        self.hot[self.idx(node)]
+        self.hot[node.index()]
     }
 
     /// Mutable access to `node`'s hot state.
     pub fn hot_mut(&mut self, node: NodeId) -> &mut NodeHot {
-        let i = self.idx(node);
-        &mut self.hot[i]
+        &mut self.hot[node.index()]
     }
 
     /// `node`'s protocol RNG.
     pub fn rng_mut(&mut self, node: NodeId) -> &mut SimRng {
-        let i = self.idx(node);
-        &mut self.node_rngs[i]
+        &mut self.node_rngs[node.index()]
     }
 
     /// `node`'s MAC RNG (a stream separate from the protocol's, so MAC
     /// backoff draws never perturb protocol randomness).
     pub fn mac_rng_mut(&mut self, node: NodeId) -> &mut SimRng {
-        let i = self.idx(node);
-        &mut self.mac_rngs[i]
+        &mut self.mac_rngs[node.index()]
     }
 
     /// Defers `node`'s sleep until its in-flight frame ends.
     pub fn set_pending_sleep(&mut self, node: NodeId, wake_at: SimTime, epoch: u64) {
-        let i = self.idx(node);
-        self.pending_sleep[i] = Some((wake_at, epoch));
+        self.pending_sleep[node.index()] = Some((wake_at, epoch));
     }
 
     /// Takes (and clears) `node`'s deferred sleep, if any.
     pub fn take_pending_sleep(&mut self, node: NodeId) -> Option<(SimTime, u64)> {
-        let i = self.idx(node);
-        self.pending_sleep[i].take()
+        self.pending_sleep[node.index()].take()
     }
 
     /// Allocates `node`'s next event sequence number. The `(node, seq)`
     /// pair identifies one scheduled event across the whole run — the
-    /// owner key that keeps event ranks independent of queue placement.
+    /// owner key that ranks same-instant events by schedule order.
     pub fn next_seq(&mut self, node: NodeId) -> u32 {
-        let i = self.idx(node);
+        let i = node.index();
         let seq = self.push_seqs[i];
         self.push_seqs[i] += 1;
         seq
-    }
-
-    /// Splits a base-0 arena into one arena per contiguous range of
-    /// `bounds` (a partition `[b0=0, b1, …, bs=len]`), preserving every
-    /// per-node column — including the sequence counters already consumed
-    /// by build-time event scheduling.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the arena is not base-0 or `bounds` is not a partition
-    /// of its range.
-    pub fn split(self, bounds: &[usize]) -> Vec<NodeArena> {
-        assert_eq!(self.base, 0, "only a whole-network arena splits");
-        assert_eq!(*bounds.first().expect("non-empty bounds"), 0);
-        assert_eq!(*bounds.last().expect("non-empty bounds"), self.hot.len());
-        let NodeArena {
-            base: _,
-            hot,
-            node_rngs,
-            mac_rngs,
-            pending_sleep,
-            push_seqs,
-        } = self;
-        let mut hot = hot.into_iter();
-        let mut node_rngs = node_rngs.into_iter();
-        let mut mac_rngs = mac_rngs.into_iter();
-        let mut pending_sleep = pending_sleep.into_iter();
-        let mut push_seqs = push_seqs.into_iter();
-        bounds
-            .windows(2)
-            .map(|w| {
-                let n = w[1] - w[0];
-                NodeArena {
-                    base: w[0],
-                    hot: hot.by_ref().take(n).collect(),
-                    node_rngs: node_rngs.by_ref().take(n).collect(),
-                    mac_rngs: mac_rngs.by_ref().take(n).collect(),
-                    pending_sleep: pending_sleep.by_ref().take(n).collect(),
-                    push_seqs: push_seqs.by_ref().take(n).collect(),
-                }
-            })
-            .collect()
     }
 }
 
@@ -201,16 +133,16 @@ impl NodeArena {
 mod tests {
     use super::*;
 
-    fn arena(base: usize, n: usize) -> NodeArena {
+    fn arena(n: usize) -> NodeArena {
         let root = SimRng::new(1);
         let node_rngs = (0..n).map(|i| root.derive(i as u64)).collect();
         let mac_rngs = (0..n).map(|i| root.derive(100 + i as u64)).collect();
-        NodeArena::new(base, node_rngs, mac_rngs)
+        NodeArena::new(node_rngs, mac_rngs)
     }
 
     #[test]
     fn nodes_start_awake_alive_and_idle() {
-        let a = arena(0, 3);
+        let a = arena(3);
         assert_eq!(a.len(), 3);
         let h = a.hot(NodeId(1));
         assert!(h.awake && !h.dead);
@@ -220,7 +152,7 @@ mod tests {
 
     #[test]
     fn mutations_land_on_the_addressed_node_only() {
-        let mut a = arena(0, 3);
+        let mut a = arena(3);
         a.hot_mut(NodeId(2)).dead = true;
         a.hot_mut(NodeId(2)).mac_epoch += 1;
         assert!(a.hot(NodeId(2)).dead);
@@ -230,8 +162,8 @@ mod tests {
 
     #[test]
     fn a_based_arena_translates_node_ids() {
-        // A shard owning NodeIds 4..7: accessors take the global id.
-        let mut a = arena(4, 3);
+        // Accessors take the NodeId, never a raw column index.
+        let mut a = arena(7);
         a.hot_mut(NodeId(5)).awake = false;
         assert!(!a.hot(NodeId(5)).awake);
         assert!(a.hot(NodeId(4)).awake && a.hot(NodeId(6)).awake);

@@ -15,7 +15,7 @@ use crate::context::Context;
 ///
 /// Messages must be `Send`: they ride through the medium's payload arena
 /// inside the network kernel, which is itself `Send` so a whole simulation
-/// (or, later, one shard of one) can run on a worker thread.
+/// can run on a worker thread.
 pub trait WireMsg: Send {
     /// Payload length in bytes as it would be laid out in a TinyOS packet.
     /// Must not exceed [`mnp_radio::MAX_PAYLOAD_BYTES`].
@@ -77,10 +77,9 @@ pub struct EepromOps {
 ///
 /// Protocols must be `Send` (and so must their messages): `Network<P>` is
 /// `Send` by construction — asserted at compile time in the network module
-/// — so a whole simulation can be handed to a worker thread, and the
-/// planned sharded kernel can own per-shard protocol state on its own
-/// thread. Protocol state is plain owned data in practice, so this costs
-/// implementations nothing.
+/// — so a whole simulation can be handed to a worker thread. Protocol
+/// state is plain owned data in practice, so this costs implementations
+/// nothing.
 pub trait Protocol: Sized + Send {
     /// The protocol's message type.
     type Msg: WireMsg + Clone + Debug;

@@ -1,6 +1,6 @@
 //! `NetworkBuilder::build` holds one copy of what it builds: the heap's
 //! high-water mark during build exceeds what the built network keeps by
-//! less than one protocol vector — each shard gets its protocols without
+//! less than one protocol vector — the kernel gets its protocols without
 //! a second copy of the vector — and by less than one link graph — the
 //! builder's `LinkTable` is the graph the run holds, never copied.
 //!

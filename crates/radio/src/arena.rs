@@ -3,8 +3,9 @@
 //! One frame on the air is one payload; however many receivers decode it,
 //! they all read the same arena slot. The arena replaces shared-ownership
 //! smart pointers on the delivery hot path with plain indices: a
-//! [`PayloadHandle`] is `Copy`, 8 bytes, and `Send`, which is what lets the
-//! kernel's per-node state move between threads for the sharded kernel.
+//! [`PayloadHandle`] is `Copy`, 8 bytes, and `Send`, so a medium over a
+//! `Send` payload type — and with it a whole simulation — can move to
+//! another thread.
 //!
 //! Slots are recycled through a free list, and every recycle bumps the
 //! slot's generation, so a handle kept past its payload's release can never
@@ -12,10 +13,7 @@
 //! `None` and [`PayloadArena::take`] panics on a stale handle.
 //!
 //! The arena is deliberately self-contained (no global state, no interior
-//! mutability): a future sharded kernel gives each shard — owning a
-//! disjoint `NodeId` range — its own arena, and handles never cross shards
-//! because a frame's transmitter and its audible receivers live on the
-//! same shard's medium.
+//! mutability): the medium owns one, and handles never leave it.
 
 use mnp_sim::profile::{self, Phase};
 

@@ -210,8 +210,8 @@ struct RxLock {
     corrupted: bool,
 }
 
-/// Per-node radio state in struct-of-arrays layout, indexed by the node's
-/// *local* index (global index minus the medium's base offset).
+/// Per-node radio state in struct-of-arrays layout, indexed by
+/// [`NodeId::index`].
 ///
 /// The hot arrays (`states`, `current_rx`, `perceived_busy`) are what the
 /// reception walks and carrier sense touch per event; the power-accounting
@@ -368,17 +368,12 @@ impl TxBank {
 /// where `L` is [`PERCEPTION_LATENCY`], the preamble+sync airtime. Nothing
 /// a transmission does is perceivable at any other node before `t + L`:
 /// carrier sense, reception locks, and collisions all lag the transmitter
-/// by the header a real radio must hear before it can react. That strictly
-/// positive cross-node latency is also the lookahead that lets a sharded
-/// kernel advance node ranges in parallel lockstep windows of width `L`.
+/// by the header a real radio must hear before it can react.
 ///
 /// Internally the per-node and per-transmission state lives in dense
 /// struct-of-arrays banks (`RadioBank`, `TxBank`) and payloads live in
 /// a generational [`PayloadArena`] — no shared-ownership pointers, so a
-/// `Medium` over a `Send` payload type is itself `Send`. A medium can
-/// cover a contiguous *slice* of the node range ([`Medium::sharded`]): it
-/// holds the full link graph but only the per-node state of its own
-/// range, and its reception walks skip receivers owned by other shards.
+/// `Medium` over a `Send` payload type is itself `Send`.
 ///
 /// # Collision model
 ///
@@ -394,56 +389,33 @@ impl TxBank {
 /// See the crate-level example.
 #[derive(Debug)]
 pub struct Medium<P> {
-    /// The link graph: always the *full* graph, even for a sharded
-    /// medium, and the only copy of it the medium holds. No edge is added
-    /// once it is here, so a CSR edge index names one edge for the whole
-    /// run; [`Medium::set_link_ber`] rewrites rates in place.
+    /// The link graph, and the only copy of it the medium holds. No edge
+    /// is added once it is here, so a CSR edge index names one edge for
+    /// the whole run; [`Medium::set_link_ber`] rewrites rates in place.
     links: LinkTable,
-    /// First global node index this medium owns (0 for a full-range
-    /// medium).
-    base: usize,
-    /// Number of nodes this medium owns.
-    n_local: usize,
     radios: RadioBank,
     txs: TxBank,
     payloads: PayloadArena<P>,
     stats: Vec<MediumStats>,
-    /// Per-receiver bit-error streams, indexed locally. Draw order is a
-    /// pure function of the receiver's own reception sequence, so the
-    /// stream a frame is judged against does not depend on how the node
-    /// range is sharded.
+    /// Per-receiver bit-error streams. Draw order is a pure function of
+    /// the receiver's own reception sequence.
     rx_rngs: Vec<SimRng>,
     capture: bool,
 }
 
 impl<P> Medium<P> {
-    /// Creates a full-range medium over `links` with every radio initially
+    /// Creates a medium over `links` with every radio initially
     /// listening. Per-receiver bit-error streams are derived from `rng` by
     /// node index.
     pub fn new(links: LinkTable, rng: SimRng) -> Self {
         let n = links.len();
-        let rx_rngs = (0..n).map(|i| rng.derive(i as u64)).collect();
-        Medium::sharded(links, 0, n, rx_rngs)
-    }
-
-    /// Creates a medium owning the contiguous node range
-    /// `base .. base + rx_rngs.len()` of the full graph `links`.
-    ///
-    /// Sender-side calls must only be made for owned nodes; reception
-    /// walks silently skip receivers outside the range (their own shard's
-    /// medium handles them).
-    pub fn sharded(links: LinkTable, base: usize, n_local: usize, rx_rngs: Vec<SimRng>) -> Self {
-        assert_eq!(rx_rngs.len(), n_local, "one bit-error stream per node");
-        assert!(base + n_local <= links.len(), "range exceeds the graph");
         Medium {
             links,
-            base,
-            n_local,
-            radios: RadioBank::new(n_local),
+            radios: RadioBank::new(n),
             txs: TxBank::default(),
             payloads: PayloadArena::new(),
-            stats: vec![MediumStats::default(); n_local],
-            rx_rngs,
+            stats: vec![MediumStats::default(); n],
+            rx_rngs: (0..n).map(|i| rng.derive(i as u64)).collect(),
             capture: false,
         }
     }
@@ -466,23 +438,17 @@ impl<P> Medium<P> {
         self.capture
     }
 
-    /// Number of nodes this medium owns (the full network for an unsharded
-    /// medium).
+    /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.n_local
+        self.links.len()
     }
 
-    /// Whether the medium owns no nodes.
+    /// Whether the medium has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.n_local == 0
+        self.len() == 0
     }
 
-    /// First global node index this medium owns.
-    pub fn base(&self) -> usize {
-        self.base
-    }
-
-    /// The link graph (always full-range).
+    /// The link graph.
     pub fn links(&self) -> &LinkTable {
         &self.links
     }
@@ -515,34 +481,6 @@ impl<P> Medium<P> {
         self.payloads.take(handle)
     }
 
-    /// The transmitter of an in-flight transmission.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is unknown or already resolved.
-    pub fn tx_src(&self, id: TxId) -> NodeId {
-        self.txs.src[self.txs.index_of(id)]
-    }
-
-    /// Translates a global node id to this medium's local index.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug) if the node is outside the owned range.
-    #[inline]
-    fn local(&self, node: NodeId) -> usize {
-        let i = node.index().wrapping_sub(self.base);
-        debug_assert!(i < self.n_local, "{node} not owned by this medium");
-        i
-    }
-
-    /// Local index of `node` if this medium owns it.
-    #[inline]
-    fn local_checked(&self, node: NodeId) -> Option<usize> {
-        let i = node.index().wrapping_sub(self.base);
-        (i < self.n_local).then_some(i)
-    }
-
     /// Replaces the bit-error rate of the directed link `from -> to`
     /// (fault injection: link degradation and restoration).
     ///
@@ -552,9 +490,6 @@ impl<P> Medium<P> {
     /// interference burst. Frames already in flight are judged against the
     /// BER in effect when they finish, matching how the medium samples
     /// link loss at delivery time.
-    ///
-    /// In a sharded run every shard's medium applies the same fault, so
-    /// the per-shard graph copies stay identical.
     ///
     /// # Panics
     ///
@@ -573,7 +508,7 @@ impl<P> Medium<P> {
     /// The radio state of `node`.
     #[cfg(test)]
     pub(crate) fn radio_state(&self, node: NodeId) -> RadioState {
-        self.radios.states[self.local(node)]
+        self.radios.states[node.index()]
     }
 
     /// Turns a node's radio on (wake) or off (sleep) at time `now`.
@@ -589,7 +524,7 @@ impl<P> Medium<P> {
     /// Panics if asked to power off a transmitting radio; the network layer
     /// defers protocol sleep requests until the MAC finishes its frame.
     pub fn set_radio(&mut self, node: NodeId, on: bool, now: SimTime) {
-        let i = self.local(node);
+        let i = node.index();
         match (self.radios.states[i].is_on(), on) {
             (false, true) => {
                 self.radios.states[i] = RadioState::Listening;
@@ -619,7 +554,7 @@ impl<P> Medium<P> {
     /// This is the paper's *active radio time* metric (§4.2): "it decides
     /// the amount of energy that a node actually consumes".
     pub fn active_radio_time(&self, node: NodeId, now: SimTime) -> SimDuration {
-        let i = self.local(node);
+        let i = node.index();
         let running = self.radios.on_since[i]
             .map(|s| now.saturating_since(s))
             .unwrap_or(SimDuration::ZERO);
@@ -634,7 +569,7 @@ impl<P> Medium<P> {
     /// `t + airtime + L`. The check is O(1) — a per-node counter
     /// maintained by the reception walks, not a neighbour scan.
     pub fn channel_busy(&self, node: NodeId) -> bool {
-        let i = self.local(node);
+        let i = node.index();
         match self.radios.states[i] {
             RadioState::Off => false,
             RadioState::Receiving | RadioState::Transmitting => true,
@@ -662,7 +597,7 @@ impl<P> Medium<P> {
     ) -> Result<TxStart, TxError> {
         let _span = profile::span(Phase::MediumTx);
         assert_eq!(frame.src, src, "frame source must match transmitter");
-        let i = self.local(src);
+        let i = src.index();
         match self.radios.states[i] {
             RadioState::Off => return Err(TxError::RadioOff(src)),
             RadioState::Transmitting => return Err(TxError::AlreadyTransmitting(src)),
@@ -682,21 +617,6 @@ impl<P> Medium<P> {
         Ok(TxStart { id, airtime })
     }
 
-    /// Registers a transmission whose sender lives on another shard: the
-    /// local reception walks need the frame's timing and payload, but the
-    /// sender-side state stays with the owning shard.
-    ///
-    /// The caller schedules the same [`Medium::rx_start`] /
-    /// [`Medium::rx_end_into`] pair as for a local frame (and
-    /// [`Medium::mark_remote_abort`] if the owner reports a mid-frame
-    /// death).
-    pub fn insert_remote(&mut self, src: NodeId, bits: u32, started: SimTime, payload: P) -> TxId {
-        debug_assert!(self.local_checked(src).is_none(), "src is local");
-        let payload = self.payloads.insert(payload);
-        self.txs
-            .alloc(src, bits, started + PERCEPTION_LATENCY, payload)
-    }
-
     /// Completes the sender side of transmission `id` at `now + airtime`:
     /// the transmitter's radio returns to listening. Receivers resolve
     /// separately at [`Medium::rx_end_into`], one perception latency
@@ -708,13 +628,13 @@ impl<P> Medium<P> {
     pub fn end_transmission(&mut self, id: TxId) {
         let slot = self.txs.index_of(id);
         let src = self.txs.src[slot];
-        let i = self.local(src);
+        let i = src.index();
         debug_assert_eq!(self.radios.states[i], RadioState::Transmitting);
         self.radios.states[i] = RadioState::Listening;
     }
 
     /// The frame's preamble+sync header reaches the receivers
-    /// (`t + PERCEPTION_LATENCY`): every owned, powered-on neighbour of
+    /// (`t + PERCEPTION_LATENCY`): every powered-on neighbour of
     /// the transmitter starts perceiving channel energy, idle listeners
     /// lock on, and busy receivers have their held locks corrupted.
     ///
@@ -731,8 +651,6 @@ impl<P> Medium<P> {
         // needs no temporary collection.
         let Medium {
             links,
-            base,
-            n_local,
             radios,
             txs,
             stats,
@@ -742,10 +660,7 @@ impl<P> Medium<P> {
         let row = links.row_start(src);
         let mut listeners = std::mem::take(&mut txs.listeners[slot]);
         for (k, (n, ber)) in links.neighbors(src).enumerate() {
-            let i = n.index().wrapping_sub(*base);
-            if i >= *n_local {
-                continue; // another shard's receiver
-            }
+            let i = n.index();
             match radios.states[i] {
                 RadioState::Off => continue,
                 RadioState::Transmitting => {}
@@ -821,7 +736,7 @@ impl<P> Medium<P> {
             let listeners = std::mem::take(&mut self.txs.listeners[slot]);
             for &edge in &listeners {
                 let l = self.links.edge_dst(edge);
-                let i = self.local(l);
+                let i = l.index();
                 let lock = match self.radios.current_rx[i] {
                     Some(lock) if lock.tx == id => lock,
                     // The listener slept, or aborted to transmit: frame
@@ -865,9 +780,7 @@ impl<P> Medium<P> {
     /// nobody will decode a truncated frame.
     ///
     /// Receivers notice one perception latency later: the caller
-    /// schedules [`Medium::rx_abort`] at `now + PERCEPTION_LATENCY` (and
-    /// forwards the abort to neighbouring shards holding the frame as a
-    /// remote entry, via [`Medium::mark_remote_abort`]).
+    /// schedules [`Medium::rx_abort`] at `now + PERCEPTION_LATENCY`.
     ///
     /// # Panics
     ///
@@ -875,29 +788,9 @@ impl<P> Medium<P> {
     pub fn abort_transmission(&mut self, id: TxId, _now: SimTime) {
         let slot = self.txs.index_of(id);
         assert!(!self.txs.aborted[slot], "transmission already aborted");
-        let src = self.txs.src[slot];
-        let i = self.local(src);
+        let i = self.txs.src[slot].index();
         debug_assert_eq!(self.radios.states[i], RadioState::Transmitting);
         self.radios.states[i] = RadioState::Listening;
-        self.mark_aborted(slot);
-    }
-
-    /// Marks a remote transmission ([`Medium::insert_remote`]) aborted by
-    /// its owning shard. The caller schedules [`Medium::rx_abort`] at
-    /// `abort time + PERCEPTION_LATENCY`, exactly like the owning shard
-    /// does for its local listeners.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is unknown, already resolved, or already aborted.
-    pub fn mark_remote_abort(&mut self, id: TxId) {
-        let slot = self.txs.index_of(id);
-        debug_assert!(self.local_checked(self.txs.src[slot]).is_none());
-        self.mark_aborted(slot);
-    }
-
-    fn mark_aborted(&mut self, slot: usize) {
-        assert!(!self.txs.aborted[slot], "transmission already aborted");
         self.txs.aborted[slot] = true;
         self.txs.pending[slot] += 1;
         // Nobody will ever read a truncated frame's payload.
@@ -923,7 +816,7 @@ impl<P> Medium<P> {
         self.drop_perception(slot);
         let listeners = std::mem::take(&mut self.txs.listeners[slot]);
         for &edge in &listeners {
-            let i = self.local(self.links.edge_dst(edge));
+            let i = self.links.edge_dst(edge).index();
             if matches!(self.radios.current_rx[i], Some(lock) if lock.tx == id) {
                 self.radios.current_rx[i] = None;
                 self.radios.states[i] = RadioState::Listening;
@@ -937,7 +830,7 @@ impl<P> Medium<P> {
         }
     }
 
-    /// Decrements the perceived-energy counter at every owned neighbour
+    /// Decrements the perceived-energy counter at every neighbour
     /// that was counted up by the slot's [`Medium::rx_start`]: powered-on
     /// nodes awake since the frame's header arrived. Nodes that slept in
     /// between had their counter zeroed at power-off, and nodes that woke
@@ -946,18 +839,9 @@ impl<P> Medium<P> {
     fn drop_perception(&mut self, slot: usize) {
         let heard_at = self.txs.heard_at[slot];
         let src = self.txs.src[slot];
-        let Medium {
-            links,
-            base,
-            n_local,
-            radios,
-            ..
-        } = &mut *self;
+        let Medium { links, radios, .. } = &mut *self;
         for (n, _) in links.neighbors(src) {
-            let i = n.index().wrapping_sub(*base);
-            if i >= *n_local {
-                continue;
-            }
+            let i = n.index();
             if radios.states[i].is_on() && radios.last_wake[i] <= heard_at {
                 radios.perceived_busy[i] -= 1;
             }
@@ -966,7 +850,7 @@ impl<P> Medium<P> {
 
     /// Per-node medium statistics.
     pub fn stats(&self, node: NodeId) -> MediumStats {
-        self.stats[self.local(node)]
+        self.stats[node.index()]
     }
 }
 
@@ -1733,122 +1617,5 @@ mod capture_tests {
         m.set_capture(true);
         let out0 = overlap(&mut m);
         assert_eq!(out0.corrupted, vec![NodeId(2)], "equal power: no capture");
-    }
-}
-
-#[cfg(test)]
-mod shard_tests {
-    use super::*;
-
-    const L: SimDuration = PERCEPTION_LATENCY;
-
-    /// A 4-node line 0—1—2—3 split into two media owning [0,1] and [2,3].
-    fn split_line() -> (Medium<u32>, Medium<u32>) {
-        let mut links = LinkTable::new(4);
-        for (a, b) in [(0u32, 1u32), (1, 2), (2, 3)] {
-            links.connect(NodeId(a), NodeId(b), 0.0);
-            links.connect(NodeId(b), NodeId(a), 0.0);
-        }
-        let root = SimRng::new(11);
-        let rngs = |r: std::ops::Range<usize>| r.map(|i| root.derive(i as u64)).collect();
-        let left = Medium::sharded(links.clone(), 0, 2, rngs(0..2));
-        let right = Medium::sharded(links, 2, 2, rngs(2..4));
-        (left, right)
-    }
-
-    #[test]
-    fn boundary_frame_delivers_through_a_remote_entry() {
-        let (mut left, mut right) = split_line();
-        let t0 = SimTime::ZERO;
-        // Node 1 (left) transmits; node 2 (right) must hear it via a
-        // remote entry mirroring the frame.
-        let f = Frame::new(NodeId(1), 20, 42u32);
-        let (bits, airtime) = (f.bits(), f.airtime());
-        let tx = left.begin_transmission(NodeId(1), f, t0).unwrap();
-        let ghost = right.insert_remote(NodeId(1), bits, t0, 42u32);
-
-        left.rx_start(tx.id, t0 + L);
-        right.rx_start(ghost, t0 + L);
-        assert!(right.channel_busy(NodeId(2)), "boundary carrier sensed");
-        left.end_transmission(tx.id);
-        let mut out = TxOutcome::new();
-        assert!(left.rx_end_into(tx.id, t0 + airtime + L, &mut out));
-        assert_eq!(out.delivered, vec![NodeId(0)], "left side: node 0 only");
-        left.release_payload(out.payload.take().unwrap());
-        assert!(right.rx_end_into(ghost, t0 + airtime + L, &mut out));
-        assert_eq!(out.delivered, vec![NodeId(2)], "right side: node 2 only");
-        assert_eq!(*right.payload(out.payload.unwrap()), 42);
-        assert_eq!(right.stats(NodeId(2)).frames_received, 1);
-        assert!(!right.channel_busy(NodeId(2)));
-    }
-
-    #[test]
-    fn remote_abort_unlocks_the_boundary_listener() {
-        let (mut left, mut right) = split_line();
-        let t0 = SimTime::ZERO;
-        let f = Frame::new(NodeId(1), 20, 7u32);
-        let (bits, airtime) = (f.bits(), f.airtime());
-        let tx = left.begin_transmission(NodeId(1), f, t0).unwrap();
-        let ghost = right.insert_remote(NodeId(1), bits, t0, 7u32);
-        left.rx_start(tx.id, t0 + L);
-        right.rx_start(ghost, t0 + L);
-        assert_eq!(right.radio_state(NodeId(2)), RadioState::Receiving);
-        // The owner kills the sender mid-frame and forwards the abort.
-        let ta = t0 + SimDuration::from_millis(8);
-        left.abort_transmission(tx.id, ta);
-        right.mark_remote_abort(ghost);
-        left.rx_abort(tx.id, ta + L);
-        right.rx_abort(ghost, ta + L);
-        assert_eq!(right.radio_state(NodeId(2)), RadioState::Listening);
-        assert_eq!(right.stats(NodeId(2)).rx_aborted, 1);
-        let mut out = TxOutcome::new();
-        assert!(!left.rx_end_into(tx.id, t0 + airtime + L, &mut out));
-        assert!(!right.rx_end_into(ghost, t0 + airtime + L, &mut out));
-        assert_eq!(right.payload_arena().live(), 0, "ghost payload dropped");
-    }
-
-    #[test]
-    fn sharded_delivery_draws_match_the_full_range_medium() {
-        // The per-receiver bit-error streams make delivery outcomes a
-        // function of (root rng, global node index, reception sequence) —
-        // independent of the shard split.
-        let bits = ((crate::packet::FRAME_OVERHEAD_BYTES + 20) * 8) as f64;
-        let ber = 1.0 - 0.5f64.powf(1.0 / bits);
-        let mut links = LinkTable::new(2);
-        links.connect(NodeId(0), NodeId(1), ber);
-        let root = SimRng::new(5);
-        let mut full: Medium<u32> = Medium::new(links.clone(), root.clone());
-        let mut owner: Medium<u32> = Medium::sharded(links.clone(), 0, 1, vec![root.derive(0)]);
-        let mut ghost_side: Medium<u32> = Medium::sharded(links, 1, 1, vec![root.derive(1)]);
-
-        let mut full_pattern = Vec::new();
-        let mut shard_pattern = Vec::new();
-        let mut out = TxOutcome::new();
-        let mut t = SimTime::ZERO;
-        for i in 0..200u32 {
-            let f = Frame::new(NodeId(0), 20, i);
-            let (fb, fa) = (f.bits(), f.airtime());
-            let tx = full.begin_transmission(NodeId(0), f, t).unwrap();
-            full.rx_start(tx.id, t + L);
-            full.end_transmission(tx.id);
-            assert!(full.rx_end_into(tx.id, t + fa + L, &mut out));
-            full_pattern.push(!out.delivered.is_empty());
-            full.release_payload(out.payload.take().unwrap());
-
-            let tx = owner
-                .begin_transmission(NodeId(0), Frame::new(NodeId(0), 20, i), t)
-                .unwrap();
-            let ghost = ghost_side.insert_remote(NodeId(0), fb, t, i);
-            owner.rx_start(tx.id, t + L);
-            ghost_side.rx_start(ghost, t + L);
-            owner.end_transmission(tx.id);
-            assert!(owner.rx_end_into(tx.id, t + fa + L, &mut out));
-            owner.release_payload(out.payload.take().unwrap());
-            assert!(ghost_side.rx_end_into(ghost, t + fa + L, &mut out));
-            shard_pattern.push(!out.delivered.is_empty());
-            ghost_side.release_payload(out.payload.take().unwrap());
-            t += SimDuration::from_millis(50);
-        }
-        assert_eq!(full_pattern, shard_pattern);
     }
 }

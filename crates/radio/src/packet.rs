@@ -27,9 +27,7 @@ pub const PERCEPTION_HEADER_BYTES: usize = 10;
 ///
 /// Until a radio has heard the preamble and sync word it cannot lock on,
 /// detect a collision, or report the channel busy — carrier sense and
-/// reception both lag the transmitter by this much. The lag also gives
-/// every cross-node radio interaction a strictly positive latency, which
-/// is the lookahead the sharded kernel's lockstep windows are bounded by.
+/// reception both lag the transmitter by this much.
 pub const PERCEPTION_LATENCY: SimDuration =
     SimDuration::from_micros((PERCEPTION_HEADER_BYTES as u64 * 8) * 1_000_000 / RADIO_BIT_RATE);
 

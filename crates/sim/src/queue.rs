@@ -55,9 +55,9 @@ const ANON_OWNER_BIT: u64 = 1 << 63;
 /// A popped event together with its canonical rank components.
 ///
 /// The rank `(time, key, owner_key)` is a total order over all events of a
-/// run (owner keys are unique), and it is *globally* canonical: a sharded
-/// kernel merging per-shard pop streams by this rank reproduces the exact
-/// pop order of the single-queue run.
+/// run (owner keys are unique), and it is canonical: it is fixed when the
+/// event is scheduled, so the pop order is a function of schedule order
+/// alone.
 #[derive(Debug, PartialEq, Eq)]
 pub struct Popped<E> {
     pub time: SimTime,
@@ -82,10 +82,8 @@ pub struct Popped<E> {
 ///
 /// The kernel schedules through [`EventQueue::push_owned`], which ranks an
 /// event by `(time, policy key, owner, per-owner seq)` — a key that does not
-/// depend on which queue the push lands in, so a sharded run (one queue per
-/// shard) pops each shard's events in exactly the relative order the
-/// single-queue run would, and a rank-ordered merge of the shard streams is
-/// byte-identical to the sequential schedule.
+/// depend on when, or into which queue, the push lands: same-instant
+/// events of one owner pop in that owner's scheduling order.
 ///
 /// # Example
 ///
@@ -205,8 +203,8 @@ impl<E> EventQueue<E> {
     ///
     /// `owner` is the node that scheduled the event and `seq` its
     /// monotonically increasing per-owner scheduling counter. The pair is
-    /// unique per run and independent of queue placement, which is what
-    /// makes per-shard pop streams mergeable into the sequential order.
+    /// unique per run and independent of queue placement, which keeps the
+    /// pop order a function of schedule order alone.
     pub fn push_owned(&mut self, time: SimTime, owner: u32, seq: u32, event: E) {
         debug_assert!(owner <= i32::MAX as u32, "owner collides with anon bit");
         self.push_with_group(time, (u64::from(owner) << 32) | u64::from(seq), event);
@@ -258,8 +256,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Like [`EventQueue::pop`], but also returns the event's canonical
-    /// rank components, which a sharded kernel records as the merge key
-    /// for its per-window event chunks.
+    /// rank components.
     pub fn pop_ranked(&mut self) -> Option<Popped<E>> {
         let _span = profile::span(Phase::QueuePop);
         if self.heap.is_empty() && !self.mature() {
@@ -479,8 +476,8 @@ mod tests {
             merged.extend(std::iter::from_fn(|| {
                 right.pop_ranked().map(|p| (p.rank_tuple(), p.event))
             }));
-            // Each shard stream is already rank-sorted (pop order), so a
-            // stable sort by rank is exactly the k-way merge.
+            // Each queue's stream is already rank-sorted (pop order), so
+            // a stable sort by rank is exactly the k-way merge.
             merged.sort_by_key(|m| m.0);
             assert_eq!(merged, seq_order, "tie policy {tie:?}");
         }
@@ -767,8 +764,8 @@ mod proptests {
         /// plain, owner-keyed, and boxed cold-variant events, under both
         /// tie policies. Exercises far-buffer maturation (`far_min`
         /// maintenance) from arbitrary intermediate states, including the
-        /// advance-drains-the-single-smallest-far-event case the audit in
-        /// the sharding issue called out. Far times reach hours (a mobile
+        /// advance-drains-the-single-smallest-far-event case an earlier
+        /// audit called out. Far times reach hours (a mobile
         /// run's motion horizon) and the two last representable instants,
         /// where the horizon saturates.
         #[test]

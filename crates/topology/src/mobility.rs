@@ -16,9 +16,8 @@
 //! (a present-but-useless edge: every frame is lost, but carrier sensing
 //! still knows the pair can interfere once they approach). Motion then
 //! only ever *changes* the quality of existing edges, which the kernel
-//! already knows how to replay deterministically at any shard count: the
-//! schedule rides the same replicated owner-keyed `SetLink` event path
-//! link-flap faults use.
+//! already knows how to replay deterministically: the schedule rides the
+//! same owner-keyed `SetLink` event path link-flap faults use.
 //!
 //! Each edge draws its shadowing factor once
 //! ([`mnp_radio::loss::sample_shadow`]) and keeps it for the whole run,

@@ -17,9 +17,9 @@ use std::sync::OnceLock;
 use mnp_repro::experiments::seeded_logs::{grid4, log_digest, SeededLog, SEEDED_LOGS};
 use mnp_repro::prelude::*;
 
-/// Runs `row` on `shards` kernel shards with its JSONL log, a metrics
-/// registry and a strict invariant monitor attached.
-fn record(row: &SeededLog, shards: usize) -> (String, RunOutcome) {
+/// Runs `row` with its JSONL log, a metrics registry and a strict
+/// invariant monitor attached.
+fn record(row: &SeededLog) -> (String, RunOutcome) {
     let instruments = Instruments {
         observers: vec![
             Box::new(MetricsRegistry::new()),
@@ -27,13 +27,13 @@ fn record(row: &SeededLog, shards: usize) -> (String, RunOutcome) {
         ],
         sampler: None,
     };
-    row.record(shards, instruments)
+    row.record(instruments)
 }
 
-/// Every row of the table, [`record`]ed once on one shard, in table order.
+/// Every row of the table, [`record`]ed once, in table order.
 fn recorded() -> &'static [(String, RunOutcome)] {
     static RUNS: OnceLock<Vec<(String, RunOutcome)>> = OnceLock::new();
-    RUNS.get_or_init(|| SEEDED_LOGS.iter().map(|row| record(row, 1)).collect())
+    RUNS.get_or_init(|| SEEDED_LOGS.iter().map(record).collect())
 }
 
 /// The row called `name` and its recorded log and outcome.
@@ -48,23 +48,6 @@ fn seeded(name: &str) -> (&'static SeededLog, &'static str, &'static RunOutcome)
 
 fn log(name: &str) -> &'static str {
     seeded(name).1
-}
-
-/// Asserts two logs equal, naming the first byte and line they part at.
-fn assert_same_log(log: &str, expected: &str, what: &str) {
-    if log != expected {
-        let byte = log
-            .bytes()
-            .zip(expected.bytes())
-            .position(|(a, b)| a != b)
-            .unwrap_or(log.len().min(expected.len()));
-        let line = expected[..byte].matches('\n').count();
-        panic!(
-            "{what} diverged at byte {byte} (line {line}): lengths {} vs {}",
-            log.len(),
-            expected.len()
-        );
-    }
 }
 
 /// Asserts that `protocol`'s faulted seed-77 log differs from its clean
@@ -214,18 +197,6 @@ fn moap_xnp_and_flood_event_logs_are_frozen() {
 }
 
 #[test]
-fn sharded_coded_runs_give_byte_identical_event_logs() {
-    // The sharded lockstep kernel must replay the coded protocols'
-    // sequential schedules byte for byte too — their extra RNG draws and
-    // multi-destination recoded frames cross shard boundaries.
-    for name in ["rlnc_seed77", "xor_seed77"] {
-        let (row, seq, _) = seeded(name);
-        let (sharded, _) = record(row, 4);
-        assert_same_log(&sharded, seq, &format!("{name}: 4-shard log"));
-    }
-}
-
-#[test]
 fn capture_enabled_event_logs_are_byte_identical() {
     // The capture-effect branch takes a different path through the
     // medium's pooled delivery (a cleaner locked signal survives an
@@ -248,42 +219,16 @@ fn faulted_runs_replay_byte_identically() {
 }
 
 #[test]
-fn sharded_runs_give_byte_identical_event_logs() {
-    // The sharded kernel is an execution strategy, not a model change:
-    // whatever the shard count, a seeded run must emit the exact JSONL
-    // event log of the sequential kernel — same events, same order, same
-    // bytes. Faults are included so kills, reboots and link flaps cross
-    // shard boundaries too.
-    let (row, seq, seq_out) = seeded("mnp_seed77_faults");
-    for shards in [2, 4] {
-        let (log, out) = record(row, shards);
-        assert_same_log(&log, seq, &format!("{shards}-shard log"));
-        assert_eq!(
-            out.events, seq_out.events,
-            "{shards}-shard events_processed"
-        );
-        assert_eq!(
-            out.completion, seq_out.completion,
-            "{shards}-shard completion instant"
-        );
-    }
-}
-
-#[test]
 fn mobile_runs_replay_byte_identically_at_any_shard_count() {
     // Motion is pre-materialized into a potential-edge topology plus a
     // deterministic SetLink schedule, so a mobile scenario inherits the
-    // full determinism guarantee: same seed → same JSONL log, whatever
-    // the shard count, churn included.
-    let (row, seq, _) = seeded("mobile_seed2");
+    // full determinism guarantee: same seed → same JSONL log (its digest
+    // is frozen), churn included.
+    let seq = log("mobile_seed2");
     assert!(
         seq.contains("\"ev\":\"link_change\""),
         "motion must surface as link_change events"
     );
-    for shards in [2, 4] {
-        let (log, _) = record(row, shards);
-        assert_same_log(&log, seq, &format!("{shards}-shard mobile log"));
-    }
     assert_ne!(log("mobile_seed3"), seq, "different seeds should differ");
 }
 
@@ -294,7 +239,7 @@ fn attaching_observers_never_changes_delivery() {
     // a run: every row runs once bare, and must agree with its recorded
     // run, which had every observer attached.
     for (row, (_, watched)) in SEEDED_LOGS.iter().zip(recorded()) {
-        let bare = row.run(1, Instruments::default());
+        let bare = row.run(Instruments::default());
         let name = row.name();
         assert_eq!(bare.completed, watched.completed, "{name}");
         assert_eq!(fingerprint(watched), fingerprint(&bare), "{name}");

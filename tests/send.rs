@@ -1,8 +1,8 @@
 //! Compile-time proof that a whole simulation can cross a thread boundary.
 //!
-//! The sharded-kernel plan (ROADMAP) hands each shard's `Network<P>` to a
-//! worker thread, so `Send` is part of the kernel's public contract — not
-//! an accident of today's field choices. These assertions fail to *compile*
+//! A whole `Network<P>` can be handed to a worker thread, so `Send` is
+//! part of the kernel's public contract — not an accident of today's field
+//! choices. These assertions fail to *compile*
 //! (rather than fail at runtime) if anyone reintroduces an `Rc`, `RefCell`,
 //! or raw pointer into the kernel's state.
 
@@ -25,6 +25,6 @@ fn network_of_a_baseline_protocol_is_send() {
 #[test]
 fn network_of_a_coded_protocol_is_send() {
     // The coded plane's decoder state and the shared image handle both
-    // travel with the shard.
+    // travel with the network.
     assert_send::<Network<Rlnc>>();
 }
