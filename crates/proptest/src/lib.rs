@@ -168,12 +168,32 @@ pub mod strategy {
 
     impl_range_strategy!(u8, u16, u32, u64, usize);
 
+    /// The point a draw `unit` in `[0, 1]` picks between `start` and
+    /// `end`: finite whenever both are.
+    fn lerp(start: f64, end: f64, unit: f64) -> f64 {
+        let width = end - start;
+        if width.is_finite() {
+            start + unit * width
+        } else {
+            // The width overflows only when start < 0 < end, so neither
+            // term does.
+            start * (1.0 - unit) + end * unit
+        }
+    }
+
     impl Strategy for Range<f64> {
         type Value = f64;
 
         fn generate(&self, rng: &mut TestRng) -> f64 {
             let unit = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-            self.start + unit * (self.end - self.start)
+            let x = lerp(self.start, self.end, unit);
+            // Rounding can carry a point at the top of a narrow range onto
+            // `end`; an empty range yields `start`.
+            if x < self.end {
+                x
+            } else {
+                self.end.next_down().max(self.start)
+            }
         }
     }
 
@@ -184,7 +204,7 @@ pub mod strategy {
             // 2^53 inclusive steps across the range; close enough to the
             // real crate's behaviour for test generation.
             let unit = (rng.next_u64() >> 11) as f64 / ((1u64 << 53) - 1) as f64;
-            self.start() + unit * (self.end() - self.start())
+            lerp(*self.start(), *self.end(), unit).min(*self.end())
         }
     }
 
@@ -425,6 +445,20 @@ mod tests {
             assert!((3..7).contains(&v));
             let w = (1u16..=128).generate(&mut rng);
             assert!((1..=128).contains(&w));
+        }
+    }
+
+    #[test]
+    fn float_ranges_stay_finite_and_in_bounds() {
+        let mut rng = crate::test_runner::TestRng::for_case("f", 0);
+        let (one, above) = (1.0, f64::next_up(1.0));
+        let (lo, hi) = (-f64::MAX, f64::MAX);
+        for _ in 0..1_000 {
+            assert_eq!((one..above).generate(&mut rng), one);
+            let x = (lo..hi).generate(&mut rng);
+            assert!(x.is_finite() && lo <= x && x < hi, "{x}");
+            let y = (lo..=hi).generate(&mut rng);
+            assert!(y.is_finite() && lo <= y && y <= hi, "{y}");
         }
     }
 

@@ -207,14 +207,20 @@ impl State {
 
     /// Reads the clock at a transition of a sampled transaction and bills
     /// the interval since the previous one, less the calibrated cost, to
-    /// the register value `left` if it names a phase. Out of line: one warm
-    /// copy serves every call site, and untimed spans inline less code.
+    /// the register value `left` if it names a phase. An interval shorter
+    /// than the cost comes off the phase's earlier self time, so a phase
+    /// bills exactly its intervals less one cost each (never below zero).
+    /// Out of line: one warm copy serves every call site, and untimed
+    /// spans inline less code.
     #[inline(never)]
     fn transition(&self, left: u8) -> Instant {
         let now = Instant::now();
         if let Some(last) = self.last.replace(Some(now)) {
-            let ns = ((now - last).as_nanos() as u64).saturating_sub(self.cost_ns.get());
-            self.update(left, |st| st.self_ns = st.self_ns.saturating_add(ns));
+            let ns = (now - last).as_nanos() as u64;
+            let cost = self.cost_ns.get();
+            self.update(left, |st| {
+                st.self_ns = st.self_ns.saturating_add(ns).saturating_sub(cost);
+            });
         }
         now
     }
@@ -369,41 +375,55 @@ mod tests {
         STATE.with(|s| s.cost_ns.get())
     }
 
+    /// One outer span around work and an inner span: the split of their
+    /// times must be exact.
+    fn check_nested_split() {
+        reset();
+        set_enabled(true);
+        set_stride(1);
+        {
+            let _outer = span(Phase::Dispatch);
+            std::hint::black_box(busy(2000));
+            {
+                let _inner = span(Phase::Protocol);
+                std::hint::black_box(busy(2000));
+            }
+        }
+        set_enabled(false);
+        let stats = snapshot();
+        let outer = stats[Phase::Dispatch as usize];
+        let inner = stats[Phase::Protocol as usize];
+        assert_eq!(outer.calls, 1);
+        assert_eq!(outer.timed, 1);
+        assert_eq!(inner.calls, 1);
+        assert_eq!(inner.timed, 1);
+        assert!(inner.total_ns > 0, "inner did measurable work");
+        assert!(
+            outer.total_ns >= inner.total_ns,
+            "outer encloses inner: {} < {}",
+            outer.total_ns,
+            inner.total_ns
+        );
+        // Each billed interval gives up one transition's cost: the outer span
+        // bills two (before and after the inner one), the inner one. The
+        // interval after the inner span closes is often shorter than that
+        // cost; its deficit still comes off the outer span's self time.
+        let c = cost_ns();
+        assert_eq!(outer.self_ns, outer.total_ns - inner.total_ns - 2 * c);
+        assert_eq!(inner.self_ns, inner.total_ns - c);
+    }
+
     #[test]
     fn nested_spans_split_self_and_total() {
-        with_clean_state(|| {
-            reset();
-            set_enabled(true);
-            set_stride(1);
-            {
-                let _outer = span(Phase::Dispatch);
-                std::hint::black_box(busy(2000));
-                {
-                    let _inner = span(Phase::Protocol);
-                    std::hint::black_box(busy(2000));
-                }
-            }
-            set_enabled(false);
-            let stats = snapshot();
-            let outer = stats[Phase::Dispatch as usize];
-            let inner = stats[Phase::Protocol as usize];
-            assert_eq!(outer.calls, 1);
-            assert_eq!(outer.timed, 1);
-            assert_eq!(inner.calls, 1);
-            assert_eq!(inner.timed, 1);
-            assert!(inner.total_ns > 0, "inner did measurable work");
-            assert!(
-                outer.total_ns >= inner.total_ns,
-                "outer encloses inner: {} < {}",
-                outer.total_ns,
-                inner.total_ns
-            );
-            // Each billed interval gives up one transition's cost: the outer span
-            // bills two (before and after the inner one), the inner one.
-            let c = cost_ns();
-            assert_eq!(outer.self_ns, outer.total_ns - inner.total_ns - 2 * c);
-            assert_eq!(inner.self_ns, inner.total_ns - c);
-        });
+        with_clean_state(check_nested_split);
+    }
+
+    #[test]
+    fn nested_spans_split_exactly_a_thousand_times_in_a_row() {
+        // The single run above fails only when the outer span's last
+        // interval happens to be shorter than the calibrated cost; a
+        // thousand runs make that near certain.
+        with_clean_state(|| (0..1000).for_each(|_| check_nested_split()));
     }
 
     #[test]

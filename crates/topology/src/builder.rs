@@ -1,5 +1,8 @@
 //! Turning geometry into a lossy link graph.
 
+use std::collections::VecDeque;
+use std::thread::ScopedJoinHandle;
+
 use mnp_radio::{loss, LinkTable, NodeId, PowerLevel};
 use mnp_sim::SimRng;
 
@@ -71,11 +74,27 @@ impl TopologyBuilder {
 
     /// Samples the link graph.
     ///
-    /// Edges are visited in `(from, to)` ID order so the result is a pure
-    /// function of placement, power, and the RNG state: exactly what
-    /// [`loss::sample_edge_ber`] called on every ordered pair in that
-    /// order returns, with the stream left where those calls leave it.
+    /// The result is a pure function of placement, power, and the RNG
+    /// state: exactly what [`loss::sample_edge_ber`] called on every
+    /// ordered pair in `(from, to)` ID order returns, with the stream left
+    /// where those calls leave it. Every row takes
+    /// `EDGE_DRAWS · (n − 1)` draws ([`loss::EDGE_DRAWS`]), so row `from`
+    /// starts at draw `EDGE_DRAWS · (n − 1) · from` whatever came before
+    /// it: blocks of 64 rows are sampled apart, each from a copy of `rng`
+    /// jumped to its first row, on every core the host offers once there
+    /// are 1 024 nodes.
     pub fn build(self, rng: &mut SimRng) -> Topology {
+        let workers = if self.placement.len() < PARALLEL_MIN_NODES {
+            1
+        } else {
+            std::thread::available_parallelism().map_or(1, usize::from)
+        };
+        self.build_on(rng, workers)
+    }
+
+    /// [`build`](Self::build) on `workers` threads, the caller included
+    /// (at least one, at most one per chunk).
+    pub(crate) fn build_on(self, rng: &mut SimRng, workers: usize) -> Topology {
         let n = self.placement.len();
         let mut power = vec![self.default_power; n];
         for (node, p) in &self.overrides {
@@ -83,17 +102,110 @@ impl TopologyBuilder {
         }
         let positions = self.placement.positions();
         let boxes: Vec<Bounds> = positions.chunks(BLOCK).map(Bounds::of).collect();
-        let mut owed = 0;
-        let links = LinkTable::from_rows(n, |from, row| {
-            let range = power[from.index()].range_ft();
-            sample_row(positions, &boxes, from.index(), range, rng, &mut owed, row);
+        let rows = Rows {
+            positions,
+            boxes: &boxes,
+            power: &power,
+            start: rng,
+        };
+        let chunks = n.div_ceil(CHUNK_ROWS);
+        let workers = workers.clamp(1, chunks.max(1));
+        let links = std::thread::scope(|scope| {
+            let rows = &rows;
+            // Rounds of `workers` chunks: the caller samples the first
+            // chunk of a round after spawning one helper thread for each
+            // of the others, then joins those in row order. At most one
+            // round is in flight, whatever `n` is. A join waits for the
+            // thread's exit, so nothing a helper allocated outlives its
+            // chunk (a channel's first blocking receive would leave a
+            // context allocated on the caller's thread for good), and a
+            // helper's panic reaches the caller as it was.
+            let mut round: VecDeque<ScopedJoinHandle<Chunk>> = VecDeque::new();
+            let mut chunk = Chunk::default();
+            LinkTable::from_rows(n, |from, row| {
+                let (c, r) = (from.index() / CHUNK_ROWS, from.index() % CHUNK_ROWS);
+                if r == 0 {
+                    chunk = match round.pop_front() {
+                        Some(helper) => helper
+                            .join()
+                            .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+                        None => {
+                            let helpers = c + 1..(c + workers).min(chunks);
+                            round.extend(helpers.map(|h| scope.spawn(move || rows.chunk(h))));
+                            rows.chunk(c)
+                        }
+                    };
+                }
+                row.extend_from_slice(chunk.row(r));
+            })
         });
-        rng.skip(owed);
+        let pairs = n as u64 * n.saturating_sub(1) as u64;
+        rng.skip(loss::EDGE_DRAWS * pairs);
         Topology {
             placement: self.placement,
             links,
             power,
         }
+    }
+}
+
+/// Consecutive rows sampled as one unit, from one stream position, on one
+/// thread.
+const CHUNK_ROWS: usize = 64;
+
+/// The least node count sampled on more than one thread. Below it a build
+/// takes a few milliseconds and a helper thread costs more than it saves:
+/// the paper's 400-node grid samples on the caller alone.
+const PARALLEL_MIN_NODES: usize = 1024;
+
+/// What every chunk of a build reads.
+struct Rows<'a> {
+    positions: &'a [Position],
+    boxes: &'a [Bounds],
+    power: &'a [PowerLevel],
+    /// The caller's stream, at draw 0 of row 0.
+    start: &'a SimRng,
+}
+
+/// The edges of [`CHUNK_ROWS`] consecutive rows, back to back.
+#[derive(Default)]
+struct Chunk {
+    edges: Vec<(NodeId, f64)>,
+    /// The end of each row in `edges`.
+    ends: Vec<usize>,
+}
+
+impl Chunk {
+    /// The edges of the chunk's row `r`.
+    fn row(&self, r: usize) -> &[(NodeId, f64)] {
+        let start = r.checked_sub(1).map_or(0, |p| self.ends[p]);
+        &self.edges[start..self.ends[r]]
+    }
+}
+
+impl Rows<'_> {
+    /// Samples chunk `c` from a copy of the stream jumped to its first row.
+    fn chunk(&self, c: usize) -> Chunk {
+        let n = self.positions.len();
+        let first = c * CHUNK_ROWS;
+        let mut rng = self.start.clone();
+        rng.skip(loss::EDGE_DRAWS * (n as u64 - 1) * first as u64);
+        let mut owed = 0;
+        let mut chunk = Chunk::default();
+        for from in first..(first + CHUNK_ROWS).min(n) {
+            let range = self.power[from].range_ft();
+            sample_row(
+                self.positions,
+                self.boxes,
+                from,
+                range,
+                &mut rng,
+                &mut owed,
+                &mut chunk.edges,
+            );
+            chunk.ends.push(chunk.edges.len());
+        }
+        chunk
     }
 }
 
@@ -170,9 +282,9 @@ impl Bounds {
 ///
 /// A pair beyond the sampler's reach is inaudible whatever its draws, so
 /// it only adds its [`loss::EDGE_DRAWS`] to `owed`. The debt is paid with
-/// one [`SimRng::skip`] before the next pair that samples (and by the
-/// caller after the last row), which puts every draw where the
-/// pair-by-pair loop put it.
+/// one [`SimRng::skip`] before the next pair that samples (a debt left
+/// after a chunk's last row is never paid: the chunk's stream is dropped),
+/// which puts every draw where the pair-by-pair loop put it.
 fn sample_row(
     positions: &[Position],
     boxes: &[Bounds],
@@ -364,6 +476,58 @@ mod tests {
         odd[1].x_ft = f64::INFINITY;
         let far = Position::new(1e9, -1e9);
         assert_eq!(Bounds::of(&odd).distance_sq_below(far), 0.0);
+    }
+
+    #[test]
+    fn every_worker_count_matches_the_pair_by_pair_loop() {
+        // 150 nodes: two full chunks and a short one, with the reach
+        // changing from row to row.
+        let mut scenario = SimRng::new(8);
+        let placement = Placement::random(150, 200.0, 140.0, &mut scenario);
+        let power: Vec<PowerLevel> = (0..150)
+            .map(|i| PowerLevel::new(1 + (i * 37 % 255) as u8))
+            .collect();
+        let mut want_rng = SimRng::new(21);
+        let mut want = Vec::new();
+        for (from, p) in power.iter().enumerate() {
+            let from = NodeId::from_index(from);
+            for to in placement.iter().map(|(to, _)| to).filter(|&to| to != from) {
+                let d = placement.distance_ft(from, to);
+                if let Some(ber) = loss::sample_edge_ber(d, p.range_ft(), &mut want_rng) {
+                    want.push((from, to, ber.to_bits()));
+                }
+            }
+        }
+        let next = want_rng.next_u64();
+        for workers in 1..=4 {
+            let mut builder = TopologyBuilder::new(placement.clone());
+            for (i, &p) in power.iter().enumerate() {
+                builder = builder.node_power(NodeId::from_index(i), p);
+            }
+            let mut rng = SimRng::new(21);
+            let links = builder.build_on(&mut rng, workers).links;
+            let got: Vec<_> = placement
+                .iter()
+                .flat_map(|(from, _)| {
+                    let row = links.neighbors(from);
+                    row.map(move |(to, ber)| (from, to, ber.to_bits()))
+                })
+                .collect();
+            assert!(got == want, "{workers} workers: rows differ");
+            assert_eq!(rng.next_u64(), next, "{workers} workers: stream position");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "bad geometry")]
+    fn a_helpers_panic_reaches_the_caller() {
+        // Two nodes at the same infinite point are a NaN apart: only their
+        // rows, 100 and 101, reach the sampler's check, and with two
+        // workers chunk 1 is the helper's.
+        let mut positions = GridSpec::new(10, 13, 10.0).placement().positions().to_vec();
+        positions[100].x_ft = f64::INFINITY;
+        positions[101] = positions[100];
+        TopologyBuilder::new(Placement::from_positions(positions)).build_on(&mut SimRng::new(1), 2);
     }
 
     #[test]

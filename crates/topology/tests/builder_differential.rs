@@ -111,6 +111,33 @@ fn large_grids_match_the_pair_by_pair_loop() {
     }
 }
 
+/// From 1 024 nodes a build samples its 64-row chunks on every core the
+/// host offers (one under `taskset -c 0`). Neither node count is a
+/// multiple of 64, so each build ends on a short chunk.
+#[test]
+fn builds_above_the_parallel_threshold_match() {
+    check(
+        "33x33 @ 10 ft, power 3",
+        GridSpec::new(33, 33, 10.0).placement(),
+        PowerLevel::new(3),
+        &[],
+        33,
+    );
+    let mut scenario = SimRng::new(41);
+    let placement = Placement::random(1_100, 600.0, 420.0, &mut scenario);
+    let overrides: Vec<_> = (0..1_100)
+        .step_by(7)
+        .map(|i| (NodeId::from_index(i), PowerLevel::new(1 + (i % 255) as u8)))
+        .collect();
+    check(
+        "1100 random nodes, every 7th at its own power",
+        placement,
+        PowerLevel::new(9),
+        &overrides,
+        41,
+    );
+}
+
 #[test]
 fn random_placements_with_power_overrides_match() {
     let mut scenario = SimRng::new(2024);
