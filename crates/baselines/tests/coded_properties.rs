@@ -3,11 +3,9 @@
 //! scalar multiply, and the decoder's rank discipline — on its own and
 //! against the incremental-RREF decoder it replaced.
 
-use proptest::prelude::*;
-
 use mnp_baselines::coded::decoder::{derive_coeffs, encode, GenDecoder};
-use mnp_baselines::coded::gf256;
-use mnp_sim::SimRng;
+use mnp_baselines::coded::gf256::{self, add, div, inv, mul};
+use mnp_sim::{check, SimRng};
 
 /// The decoder `GenDecoder` was before it went forward-only: every
 /// absorbed row is forward-eliminated, normalised and then back-eliminated
@@ -93,156 +91,151 @@ fn row_kernels_agree_with_scalar_mul_for_every_multiplier_and_length() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 256,
-    })]
-
-    /// Multiplication and division round-trip: `(a·b)/b == a` for b ≠ 0.
-    #[test]
-    fn prop_mul_div_round_trip(a in 0u8..=255, b in 1u8..=255) {
-        prop_assert_eq!(gf256::div(gf256::mul(a, b), b), a);
-        prop_assert_eq!(gf256::mul(gf256::div(a, b), b), a);
-    }
-
-    /// Multiplication distributes over addition (XOR).
-    #[test]
-    fn prop_mul_distributes_over_add(a in 0u8..=255, b in 0u8..=255, c in 0u8..=255) {
-        prop_assert_eq!(
-            gf256::mul(a, gf256::add(b, c)),
-            gf256::add(gf256::mul(a, b), gf256::mul(a, c))
-        );
-    }
-
-    /// Multiplication is commutative and associative.
-    #[test]
-    fn prop_mul_commutes_and_associates(a in 0u8..=255, b in 0u8..=255, c in 0u8..=255) {
-        prop_assert_eq!(gf256::mul(a, b), gf256::mul(b, a));
-        prop_assert_eq!(
-            gf256::mul(gf256::mul(a, b), c),
-            gf256::mul(a, gf256::mul(b, c))
-        );
-    }
-
-    /// Every nonzero byte has a two-sided multiplicative inverse.
-    #[test]
-    fn prop_every_nonzero_byte_has_an_inverse(x in 1u8..=255) {
-        let i = gf256::inv(x);
-        prop_assert_eq!(gf256::mul(x, i), 1);
-        prop_assert_eq!(gf256::mul(i, x), 1);
-        prop_assert_eq!(gf256::div(1, x), i);
-    }
+/// Multiplication and division round-trip: `(a·b)/b == a` for b ≠ 0.
+#[test]
+fn prop_mul_div_round_trip() {
+    check("prop_mul_div_round_trip", 256, |rng| {
+        let (a, b) = (rng.next_u64() as u8, rng.range_u64(1, 256) as u8);
+        assert_eq!(div(mul(a, b), b), a);
+        assert_eq!(mul(div(a, b), b), a);
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 48, // each case runs a full decode
-    })]
-
-    /// Feeding a decoder seed-derived random combinations: the rank never
-    /// decreases, `absorb` returns true exactly when the rank rose,
-    /// packets read out only at full rank (`rank == gen_size`), and the
-    /// decoded packets equal the sources.
-    #[test]
-    fn prop_decoder_rank_is_monotone_and_decode_needs_full_rank(
-        gen_size in 1usize..24,
-        width in 1usize..24,
-        gen in 0u16..4,
-        seed0 in 0u32..1_000_000,
-    ) {
-        let sources: Vec<Vec<u8>> = (0..gen_size)
-            .map(|i| (0..width).map(|j| (i * 37 + j * 11 + 3) as u8).collect())
-            .collect();
-        let mut dec = GenDecoder::new(gen_size, width);
-        let mut seed = seed0;
-        let mut absorbed = 0usize;
-        while !dec.is_full() {
-            // Dependent draws happen (~1/256 per packet); bound the loop
-            // generously rather than assuming every draw is innovative.
-            prop_assert!(absorbed < 16 * gen_size + 64, "rank stalled");
-            let before = dec.rank();
-            prop_assert!(dec.packet(0).is_none(), "no read-out below full rank");
-            let coeffs = derive_coeffs(gen, seed, gen_size);
-            let coded = encode(&coeffs, &sources, width);
-            let innovative = dec.absorb(&coeffs, &coded);
-            let after = dec.rank();
-            prop_assert!(after >= before, "rank decreased");
-            prop_assert_eq!(innovative, after == before + 1);
-            prop_assert!(after <= gen_size, "rank above generation size");
-            seed = seed.wrapping_add(1);
-            absorbed += 1;
-        }
-        prop_assert_eq!(dec.rank(), gen_size);
-        for (i, src) in sources.iter().enumerate() {
-            prop_assert_eq!(dec.packet(i).expect("full rank"), src.as_slice());
-        }
-    }
+/// Multiplication distributes over addition (XOR).
+#[test]
+fn prop_mul_distributes_over_add() {
+    check("prop_mul_distributes_over_add", 256, |rng| {
+        let [a, b, c] = [(); 3].map(|_| rng.next_u64() as u8);
+        assert_eq!(mul(a, add(b, c)), add(mul(a, b), mul(a, c)));
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 32, // each case decodes a generation twice, once per decoder
-    })]
+/// Multiplication is commutative and associative.
+#[test]
+fn prop_mul_commutes_and_associates() {
+    check("prop_mul_commutes_and_associates", 256, |rng| {
+        let [a, b, c] = [(); 3].map(|_| rng.next_u64() as u8);
+        assert_eq!(mul(a, b), mul(b, a));
+        assert_eq!(mul(mul(a, b), c), mul(a, mul(b, c)));
+    });
+}
 
-    /// Differential: the forward-only decoder and the incremental-RREF
-    /// reference see the same absorb sequence — random combinations mixed
-    /// with repeats, scalar multiples, unit vectors, the all-zero patch
-    /// (`e_0`) and the zero row — and must agree on every `absorb` result,
-    /// on the rank after each, on "no read-out below full rank", and on
-    /// the decoded packets, which are the sources. A full decoder keeps
-    /// refusing rows and keeps its packets.
-    #[test]
-    fn prop_forward_only_decoder_matches_the_rref_reference(
-        gen_size in 1usize..=128,
-        width in 1usize..=32,
-        gen in 0u16..4,
-        stream in any::<u64>(),
-    ) {
-        let mut rng = SimRng::new(stream);
-        let sources: Vec<Vec<u8>> = (0..gen_size)
-            .map(|_| (0..width).map(|_| rng.next_u64() as u8).collect())
-            .collect();
-        let mut dec = GenDecoder::new(gen_size, width);
-        let mut reference = RrefDecoder::new(gen_size);
-        let mut fed: Vec<Vec<u8>> = Vec::new();
-        let mut after_full = 0;
-        while after_full < 4 {
-            prop_assert!(fed.len() < 4 * gen_size + 64, "rank stalled");
-            let unit = |i: usize| {
-                let mut coeffs = vec![0u8; gen_size];
-                coeffs[i] = 1;
-                coeffs
-            };
-            let coeffs = match rng.index(8) {
-                0 if !fed.is_empty() => fed[rng.index(fed.len())].clone(),
-                1 if !fed.is_empty() => {
-                    let mut row = fed[rng.index(fed.len())].clone();
-                    gf256::scale_assign(&mut row, rng.next_u64() as u8 | 2);
-                    row
-                }
-                2 => unit(rng.index(gen_size)),
-                3 => unit(0), // what `derive_coeffs` patches an all-zero draw to
-                4 => vec![0u8; gen_size],
-                _ => derive_coeffs(gen, rng.next_u32(), gen_size),
-            };
-            let coded = encode(&coeffs, &sources, width);
-            let was_full = dec.is_full();
-            let innovative = dec.absorb(&coeffs, &coded);
-            prop_assert_eq!(innovative, reference.absorb(&coeffs, &coded));
-            prop_assert_eq!(dec.rank(), reference.rank);
-            prop_assert!(!(was_full && innovative), "a full decoder absorbed a row");
-            fed.push(coeffs);
-            if dec.is_full() {
-                after_full += 1;
-                for (i, src) in sources.iter().enumerate() {
-                    prop_assert_eq!(dec.packet(i), Some(src.as_slice()));
-                    prop_assert_eq!(reference.packet(i), Some(src.as_slice()));
-                }
-            } else {
-                for i in 0..gen_size {
-                    prop_assert!(dec.packet(i).is_none(), "read-out below full rank");
+/// Every nonzero byte has a two-sided multiplicative inverse.
+#[test]
+fn prop_every_nonzero_byte_has_an_inverse() {
+    check("prop_every_nonzero_byte_has_an_inverse", 256, |rng| {
+        let x = rng.range_u64(1, 256) as u8;
+        let i = inv(x);
+        assert_eq!(mul(x, i), 1);
+        assert_eq!(mul(i, x), 1);
+        assert_eq!(div(1, x), i);
+    });
+}
+
+/// Feeding a decoder seed-derived random combinations: the rank never
+/// decreases, `absorb` returns true exactly when the rank rose,
+/// packets read out only at full rank (`rank == gen_size`), and the
+/// decoded packets equal the sources.
+#[test]
+fn prop_decoder_rank_is_monotone_and_decode_needs_full_rank() {
+    // 48 cases: each runs a full decode.
+    check(
+        "prop_decoder_rank_is_monotone_and_decode_needs_full_rank",
+        48,
+        |rng| {
+            let (gen_size, width) = (rng.index(23) + 1, rng.index(23) + 1);
+            let gen = rng.range_u64(0, 4) as u16;
+            let sources: Vec<Vec<u8>> = (0..gen_size)
+                .map(|i| (0..width).map(|j| (i * 37 + j * 11 + 3) as u8).collect())
+                .collect();
+            let mut dec = GenDecoder::new(gen_size, width);
+            let mut seed = rng.range_u64(0, 1_000_000) as u32;
+            let mut absorbed = 0usize;
+            while !dec.is_full() {
+                // Dependent draws happen (~1/256 per packet); bound the loop
+                // generously rather than assuming every draw is innovative.
+                assert!(absorbed < 16 * gen_size + 64, "rank stalled");
+                let before = dec.rank();
+                assert!(dec.packet(0).is_none(), "no read-out below full rank");
+                let coeffs = derive_coeffs(gen, seed, gen_size);
+                let coded = encode(&coeffs, &sources, width);
+                let innovative = dec.absorb(&coeffs, &coded);
+                let after = dec.rank();
+                assert!(after >= before, "rank decreased");
+                assert_eq!(innovative, after == before + 1);
+                assert!(after <= gen_size, "rank above generation size");
+                seed = seed.wrapping_add(1);
+                absorbed += 1;
+            }
+            assert_eq!(dec.rank(), gen_size);
+            for (i, src) in sources.iter().enumerate() {
+                assert_eq!(dec.packet(i).expect("full rank"), src.as_slice());
+            }
+        },
+    );
+}
+
+/// Differential: the forward-only decoder and the incremental-RREF
+/// reference see the same absorb sequence — random combinations mixed
+/// with repeats, scalar multiples, unit vectors, the all-zero patch
+/// (`e_0`) and the zero row — and must agree on every `absorb` result,
+/// on the rank after each, on "no read-out below full rank", and on
+/// the decoded packets, which are the sources. A full decoder keeps
+/// refusing rows and keeps its packets.
+#[test]
+fn prop_forward_only_decoder_matches_the_rref_reference() {
+    // 32 cases: each decodes a generation twice, once per decoder.
+    check(
+        "prop_forward_only_decoder_matches_the_rref_reference",
+        32,
+        |rng| {
+            let (gen_size, width) = (rng.index(128) + 1, rng.index(32) + 1);
+            let gen = rng.range_u64(0, 4) as u16;
+            let sources: Vec<Vec<u8>> = (0..gen_size)
+                .map(|_| (0..width).map(|_| rng.next_u64() as u8).collect())
+                .collect();
+            let mut dec = GenDecoder::new(gen_size, width);
+            let mut reference = RrefDecoder::new(gen_size);
+            let mut fed: Vec<Vec<u8>> = Vec::new();
+            let mut after_full = 0;
+            while after_full < 4 {
+                assert!(fed.len() < 4 * gen_size + 64, "rank stalled");
+                let unit = |i: usize| {
+                    let mut coeffs = vec![0u8; gen_size];
+                    coeffs[i] = 1;
+                    coeffs
+                };
+                let coeffs = match rng.index(8) {
+                    0 if !fed.is_empty() => fed[rng.index(fed.len())].clone(),
+                    1 if !fed.is_empty() => {
+                        let mut row = fed[rng.index(fed.len())].clone();
+                        gf256::scale_assign(&mut row, rng.next_u64() as u8 | 2);
+                        row
+                    }
+                    2 => unit(rng.index(gen_size)),
+                    3 => unit(0), // what `derive_coeffs` patches an all-zero draw to
+                    4 => vec![0u8; gen_size],
+                    _ => derive_coeffs(gen, rng.next_u32(), gen_size),
+                };
+                let coded = encode(&coeffs, &sources, width);
+                let was_full = dec.is_full();
+                let innovative = dec.absorb(&coeffs, &coded);
+                assert_eq!(innovative, reference.absorb(&coeffs, &coded));
+                assert_eq!(dec.rank(), reference.rank);
+                assert!(!(was_full && innovative), "a full decoder absorbed a row");
+                fed.push(coeffs);
+                if dec.is_full() {
+                    after_full += 1;
+                    for (i, src) in sources.iter().enumerate() {
+                        assert_eq!(dec.packet(i), Some(src.as_slice()));
+                        assert_eq!(reference.packet(i), Some(src.as_slice()));
+                    }
+                } else {
+                    for i in 0..gen_size {
+                        assert!(dec.packet(i).is_none(), "read-out below full rank");
+                    }
                 }
             }
-        }
-    }
+        },
+    );
 }

@@ -146,7 +146,6 @@ impl fmt::Debug for PacketBitmap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn all_set_boundaries() {
@@ -198,47 +197,55 @@ mod tests {
         let _ = PacketBitmap::all_set(129);
     }
 
-    proptest! {
-        /// Clearing every initially set bit, in any order, empties the map.
-        #[test]
-        fn prop_clearing_all_bits_empties(n in 1u16..=128, seed in 0u64..1000) {
+    /// A uniformly random 128-bit word.
+    fn any_u128(rng: &mut mnp_sim::SimRng) -> u128 {
+        u128::from(rng.next_u64()) << 64 | u128::from(rng.next_u64())
+    }
+
+    /// Clearing every initially set bit, in any order, empties the map.
+    #[test]
+    fn prop_clearing_all_bits_empties() {
+        mnp_sim::check("prop_clearing_all_bits_empties", 32, |rng| {
+            let n = rng.range_u64(1, 129) as u16;
             let mut b = PacketBitmap::all_set(n);
             let mut order: Vec<u16> = (0..n).collect();
-            // Deterministic shuffle from the seed.
-            let mut s = seed;
+            // A uniform shuffle (Fisher–Yates) from the case's stream.
             for i in (1..order.len()).rev() {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
-                let j = (s >> 33) as usize % (i + 1);
-                order.swap(i, j);
+                order.swap(i, rng.index(i + 1));
             }
             for (done, i) in order.iter().enumerate() {
-                prop_assert_eq!(b.count() as usize, n as usize - done);
+                assert_eq!(b.count() as usize, n as usize - done);
                 b.clear(*i);
             }
-            prop_assert!(b.is_empty());
-        }
+            assert!(b.is_empty());
+        });
+    }
 
-        /// `first_set_at_or_after` agrees with a linear scan.
-        #[test]
-        fn prop_first_set_matches_scan(bits in any::<u128>(), from in 0u16..140) {
-            let b = PacketBitmap { bits };
+    /// `first_set_at_or_after` agrees with a linear scan.
+    #[test]
+    fn prop_first_set_matches_scan() {
+        mnp_sim::check("prop_first_set_matches_scan", 32, |rng| {
+            let b = PacketBitmap::from_bits(any_u128(rng));
+            let from = rng.range_u64(0, 140) as u16;
             let expect = (from..128).find(|&i| b.get(i));
-            prop_assert_eq!(b.first_set_at_or_after(from), expect);
-        }
+            assert_eq!(b.first_set_at_or_after(from), expect);
+        });
+    }
 
-        /// Union's set count is bounded by the sum and at least the max.
-        #[test]
-        fn prop_union_bounds(x in any::<u128>(), y in any::<u128>()) {
-            let a = PacketBitmap { bits: x };
-            let b = PacketBitmap { bits: y };
+    /// Union's set count is bounded by the sum and at least the max.
+    #[test]
+    fn prop_union_bounds() {
+        mnp_sim::check("prop_union_bounds", 32, |rng| {
+            let a = PacketBitmap::from_bits(any_u128(rng));
+            let b = PacketBitmap::from_bits(any_u128(rng));
             let mut u = a;
             u.union_with(&b);
-            prop_assert!(u.count() >= a.count().max(b.count()));
-            prop_assert!(u.count() <= a.count() + b.count());
+            assert!(u.count() >= a.count().max(b.count()));
+            assert!(u.count() <= a.count() + b.count());
             // Union is idempotent.
             let mut again = u;
             again.union_with(&b);
-            prop_assert_eq!(again, u);
-        }
+            assert_eq!(again, u);
+        });
     }
 }

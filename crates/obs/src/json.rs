@@ -149,7 +149,6 @@ impl<'a> Obj<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     fn rendered(v: u64) -> String {
         let mut out = String::new();
@@ -199,28 +198,33 @@ mod tests {
         '"', '\\', '\n', '\r', '\t', '\u{0}', '\u{1f}', 'a', ' ', '~', 'é', '🛰',
     ];
 
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 256 })]
+    #[test]
+    fn integer_writer_matches_to_string() {
+        mnp_sim::check("integer_writer_matches_to_string", 256, |rng| {
+            let (v, shift) = (rng.next_u64(), rng.range_u64(0, 64));
+            assert_eq!(rendered(v), v.to_string());
+            assert_eq!(rendered(v >> shift), (v >> shift).to_string());
+        });
+    }
 
-        #[test]
-        fn integer_writer_matches_to_string(v in any::<u64>(), shift in 0u32..64) {
-            prop_assert_eq!(rendered(v), v.to_string());
-            prop_assert_eq!(rendered(v >> shift), (v >> shift).to_string());
-        }
-
-        #[test]
-        fn string_fast_path_matches_the_reference_escaper(
-            picks in proptest::collection::vec(0usize..24, 0..12)
-        ) {
-            // Half the draws land on plain letters, so clean strings (the
-            // fast path) and dirty ones (the slow path) both come up.
-            let s: String = picks
-                .iter()
-                .map(|&i| ALPHABET.get(i).copied().unwrap_or((b'a' + i as u8) as char))
-                .collect();
-            let mut out = String::new();
-            push_str_literal(&mut out, &s);
-            prop_assert_eq!(out, reference_literal(&s));
-        }
+    #[test]
+    fn string_fast_path_matches_the_reference_escaper() {
+        mnp_sim::check(
+            "string_fast_path_matches_the_reference_escaper",
+            256,
+            |rng| {
+                // Half the draws land on plain letters, so clean strings (the
+                // fast path) and dirty ones (the slow path) both come up.
+                let s: String = (0..rng.index(12))
+                    .map(|_| {
+                        let i = rng.index(24);
+                        ALPHABET.get(i).copied().unwrap_or((b'a' + i as u8) as char)
+                    })
+                    .collect();
+                let mut out = String::new();
+                push_str_literal(&mut out, &s);
+                assert_eq!(out, reference_literal(&s));
+            },
+        );
     }
 }

@@ -223,69 +223,53 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use proptest::prelude::*;
 
-    #[derive(Clone, Debug)]
-    enum Op {
-        Insert,
-        /// Take the live handle at this (modular) position.
-        TakeLive(usize),
-        /// Re-read a handle that was already released.
-        GetStale(usize),
-    }
-
-    fn op_strategy() -> impl Strategy<Value = Op> {
-        prop_oneof![
-            4 => Just(Op::Insert),
-            3 => any::<usize>().prop_map(Op::TakeLive),
-            2 => any::<usize>().prop_map(Op::GetStale),
-        ]
-    }
-
-    proptest! {
-        /// Random alloc/free/reuse sequences never let a stale handle
-        /// dereference a recycled slot, every live handle reads back its
-        /// own value, and storage never exceeds the high-water mark of
-        /// concurrently live payloads.
-        #[test]
-        fn prop_arena_handles_never_alias(ops in proptest::collection::vec(op_strategy(), 1..400)) {
+    /// Random alloc/free/reuse sequences never let a stale handle
+    /// dereference a recycled slot, every live handle reads back its
+    /// own value, and storage never exceeds the high-water mark of
+    /// concurrently live payloads.
+    #[test]
+    fn prop_arena_handles_never_alias() {
+        mnp_sim::check("prop_arena_handles_never_alias", 32, |rng| {
             let mut arena: PayloadArena<u64> = PayloadArena::new();
             let mut live: Vec<(PayloadHandle, u64)> = Vec::new();
             let mut stale: Vec<PayloadHandle> = Vec::new();
             let mut tag = 0u64;
             let mut max_live = 0usize;
-            for op in ops {
-                match op {
-                    Op::Insert => {
+            for _ in 0..rng.range_u64(1, 400) {
+                // Weights 4 : 3 : 2 for insert, take a live handle, and
+                // re-read a released one; a take or re-read with no handle
+                // to pick is skipped.
+                match rng.index(9) {
+                    0..=3 => {
                         tag += 1;
                         let h = arena.insert(tag);
                         live.push((h, tag));
                         max_live = max_live.max(live.len());
                     }
-                    Op::TakeLive(i) => {
-                        if live.is_empty() { continue; }
-                        let (h, expect) = live.swap_remove(i % live.len());
-                        prop_assert_eq!(arena.take(h), expect);
+                    4..=6 if !live.is_empty() => {
+                        let (h, expect) = live.swap_remove(rng.index(live.len()));
+                        assert_eq!(arena.take(h), expect);
                         stale.push(h);
                     }
-                    Op::GetStale(i) => {
-                        if stale.is_empty() { continue; }
-                        let h = stale[i % stale.len()];
-                        prop_assert_eq!(arena.get(h), None, "stale handle must not read");
+                    7..=8 if !stale.is_empty() => {
+                        let h = stale[rng.index(stale.len())];
+                        assert_eq!(arena.get(h), None, "stale handle must not read");
                     }
+                    _ => continue,
                 }
                 // Every live handle still reads exactly its own payload.
                 for &(h, expect) in &live {
-                    prop_assert_eq!(arena.get(h), Some(&expect));
+                    assert_eq!(arena.get(h), Some(&expect));
                 }
-                prop_assert_eq!(arena.live(), live.len());
-                prop_assert!(
+                assert_eq!(arena.live(), live.len());
+                assert!(
                     arena.slot_count() <= max_live,
                     "slots {} exceed high water {}",
                     arena.slot_count(),
                     max_live
                 );
             }
-        }
+        });
     }
 }

@@ -472,100 +472,87 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::ids::NodeId;
-    use proptest::prelude::*;
 
-    #[derive(Clone, Debug)]
-    enum Op {
-        Enqueue,
-        Attempt { busy: bool },
-        TxDone,
-        Flush,
-    }
-
-    fn op_strategy() -> impl Strategy<Value = Op> {
-        prop_oneof![
-            3 => Just(Op::Enqueue),
-            3 => any::<bool>().prop_map(|busy| Op::Attempt { busy }),
-            2 => Just(Op::TxDone),
-            1 => Just(Op::Flush),
-        ]
-    }
-
-    proptest! {
-        /// Driving the MAC with any legal operation sequence never panics
-        /// and keeps its state model consistent: attempts only happen while
-        /// backing, tx_done only while transmitting, flush only while not
-        /// transmitting.
-        #[test]
-        fn prop_csma_state_machine_is_total(ops in proptest::collection::vec(op_strategy(), 1..300)) {
+    /// Driving the MAC with any legal operation sequence never panics
+    /// and keeps its state model consistent: attempts only happen while
+    /// backing, tx_done only while transmitting, flush only while not
+    /// transmitting.
+    #[test]
+    fn prop_csma_state_machine_is_total() {
+        mnp_sim::check("prop_csma_state_machine_is_total", 32, |rng| {
             let mut mac: CsmaBank<u32> = CsmaBank::new(CsmaConfig::default(), 1);
-            let mut rng = SimRng::new(9);
+            let mut mac_rng = SimRng::new(9);
             #[derive(PartialEq)]
-            enum Model { Idle, Backing, Tx }
+            enum Model {
+                Idle,
+                Backing,
+                Tx,
+            }
             let mut model = Model::Idle;
             let mut tag = 0u32;
-            for op in ops {
-                match op {
-                    Op::Enqueue => {
+            for _ in 0..rng.range_u64(1, 300) {
+                // Weights 3 : 3 : 2 : 1 for enqueue, attempt, tx_done, flush;
+                // an operation illegal in the model's state is skipped.
+                match rng.index(9) {
+                    0..=2 => {
                         tag += 1;
-                        let action = mac.enqueue(0, Frame::new(NodeId(0), 4, tag), &mut rng);
+                        let action = mac.enqueue(0, Frame::new(NodeId(0), 4, tag), &mut mac_rng);
                         match (&model, &action) {
                             (Model::Idle, CsmaAction::Backoff(_)) => model = Model::Backing,
                             (Model::Backing | Model::Tx, CsmaAction::Idle) => {}
-                            other => prop_assert!(false, "enqueue mismatch: {:?}", other.1),
+                            other => panic!("enqueue mismatch: {:?}", other.1),
                         }
                     }
-                    Op::Attempt { busy } => {
-                        if model != Model::Backing { continue; }
-                        match mac.attempt(0, busy, &mut rng) {
-                            CsmaAction::Backoff(_) => prop_assert!(busy),
+                    3..=5 if model == Model::Backing => {
+                        let busy = rng.next_u64() & 1 == 1;
+                        match mac.attempt(0, busy, &mut mac_rng) {
+                            CsmaAction::Backoff(_) => assert!(busy),
                             CsmaAction::Transmit(_) => {
-                                prop_assert!(!busy);
+                                assert!(!busy);
                                 model = Model::Tx;
                             }
-                            CsmaAction::Idle => prop_assert!(false, "attempt yielded Idle"),
+                            CsmaAction::Idle => panic!("attempt yielded Idle"),
                         }
                     }
-                    Op::TxDone => {
-                        if model != Model::Tx { continue; }
-                        match mac.tx_done(0, &mut rng) {
-                            CsmaAction::Backoff(_) => model = Model::Backing,
-                            CsmaAction::Idle => model = Model::Idle,
-                            CsmaAction::Transmit(_) => prop_assert!(false, "tx_done yielded Transmit"),
-                        }
-                    }
-                    Op::Flush => {
-                        if model == Model::Tx { continue; }
+                    6..=7 if model == Model::Tx => match mac.tx_done(0, &mut mac_rng) {
+                        CsmaAction::Backoff(_) => model = Model::Backing,
+                        CsmaAction::Idle => model = Model::Idle,
+                        CsmaAction::Transmit(_) => panic!("tx_done yielded Transmit"),
+                    },
+                    8 if model != Model::Tx => {
                         mac.flush(0);
                         model = Model::Idle;
-                        prop_assert!(mac.is_idle(0));
+                        assert!(mac.is_idle(0));
                     }
+                    _ => {}
                 }
             }
-        }
+        });
+    }
 
-        /// Frames come out in FIFO order across a drain.
-        #[test]
-        fn prop_csma_is_fifo(n in 1usize..8) {
+    /// Frames come out in FIFO order across a drain.
+    #[test]
+    fn prop_csma_is_fifo() {
+        mnp_sim::check("prop_csma_is_fifo", 32, |rng| {
+            let n = rng.range_u64(1, 8) as u32;
             let mut mac: CsmaBank<u32> = CsmaBank::new(CsmaConfig::default(), 1);
-            let mut rng = SimRng::new(4);
-            for tag in 0..n as u32 {
-                let _ = mac.enqueue(0, Frame::new(NodeId(0), 4, tag), &mut rng);
+            let mut mac_rng = SimRng::new(4);
+            for tag in 0..n {
+                let _ = mac.enqueue(0, Frame::new(NodeId(0), 4, tag), &mut mac_rng);
             }
             let mut seen = Vec::new();
             #[allow(clippy::while_let_loop)]
             loop {
-                match mac.attempt(0, false, &mut rng) {
+                match mac.attempt(0, false, &mut mac_rng) {
                     CsmaAction::Transmit(f) => seen.push(f.payload),
                     _ => break,
                 }
-                match mac.tx_done(0, &mut rng) {
+                match mac.tx_done(0, &mut mac_rng) {
                     CsmaAction::Backoff(_) => continue,
                     _ => break,
                 }
             }
-            let expect: Vec<u32> = (0..n as u32).collect();
-            prop_assert_eq!(seen, expect);
-        }
+            assert_eq!(seen, (0..n).collect::<Vec<u32>>());
+        });
     }
 }

@@ -17,6 +17,9 @@
 //!   giving up replayability.
 //! * **Reproducible randomness** — independent per-node streams derived from
 //!   one experiment seed ([`SimRng`]).
+//! * **Seeded property tests** — [`check`] runs a property on cases drawn
+//!   from `SimRng` streams named by the property, and [`replay`] re-runs
+//!   one failing case from its reported seed.
 //! * **Self-profiling** — span-based wall-clock accounting of the kernel's
 //!   hot phases, inert unless enabled ([`profile`]).
 //!
@@ -37,10 +40,12 @@
 #![warn(missing_docs)]
 
 pub mod profile;
+mod property;
 mod queue;
 mod rng;
 mod time;
 
+pub use property::{check, replay};
 pub use queue::{EventQueue, TieBreak};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -116,7 +116,7 @@ pub struct EventQueue<E> {
     far: Vec<Entry<E>>,
     /// Smallest timestamp in `far`; `None` exactly when `far` is empty.
     /// (This used to be a bare `SimTime` with a zero sentinel that was
-    /// only safe behind `is_empty` guards; the differential proptest
+    /// only safe behind `is_empty` guards; the differential property
     /// below now pins the behaviour and the `Option` makes it
     /// structural.)
     far_min: Option<SimTime>,
@@ -631,149 +631,146 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use proptest::prelude::*;
+    use crate::{check, SimRng};
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
-    proptest! {
-        /// Popping yields a non-decreasing time sequence, and equal-time
-        /// events keep their push order.
-        #[test]
-        fn prop_pop_order_is_stable_sort(times in proptest::collection::vec(0u64..50, 1..200)) {
-            let mut q = EventQueue::new();
-            for (i, &t) in times.iter().enumerate() {
-                q.push(SimTime::from_micros(t), i);
-            }
-            let mut expect: Vec<(u64, usize)> = times
-                .iter()
-                .enumerate()
-                .map(|(i, &t)| (t, i))
-                .collect();
-            expect.sort(); // stable on (time, insertion index)
-            let got: Vec<(u64, usize)> =
-                std::iter::from_fn(|| q.pop().map(|(t, e)| (t.as_micros(), e))).collect();
-            prop_assert_eq!(got, expect);
-        }
+    /// Between `min_len` and `max_len - 1` draws from `[0, hi)`.
+    fn draws(rng: &mut SimRng, min_len: u64, max_len: u64, hi: u64) -> Vec<u64> {
+        (0..rng.range_u64(min_len, max_len))
+            .map(|_| rng.range_u64(0, hi))
+            .collect()
+    }
 
-        /// `SeededPermutation` delivers exactly the FIFO event set — nothing
-        /// lost, nothing duplicated — and never reorders across distinct
-        /// timestamps.
-        #[test]
-        fn prop_permutation_preserves_the_event_set(
-            times in proptest::collection::vec(0u64..20, 1..200),
-            seed in any::<u64>(),
-        ) {
-            let mut fifo = EventQueue::new();
-            let mut perm = EventQueue::with_tie_break(TieBreak::SeededPermutation(seed));
-            for (i, &t) in times.iter().enumerate() {
-                fifo.push(SimTime::from_micros(t), i);
-                perm.push(SimTime::from_micros(t), i);
-            }
-            let fifo_out: Vec<(u64, usize)> =
-                std::iter::from_fn(|| fifo.pop().map(|(t, e)| (t.as_micros(), e))).collect();
-            let perm_out: Vec<(u64, usize)> =
-                std::iter::from_fn(|| perm.pop().map(|(t, e)| (t.as_micros(), e))).collect();
+    /// Pushes `times` in order, event `i` at `times[i]`, and drains the
+    /// queue as `(time, event)` pairs.
+    fn drained(mut q: EventQueue<usize>, times: &[u64]) -> Vec<(u64, usize)> {
+        for (i, &t) in times.iter().enumerate() {
+            q.push(SimTime::from_micros(t), i);
+        }
+        std::iter::from_fn(|| q.pop().map(|(t, e)| (t.as_micros(), e))).collect()
+    }
+
+    /// `times` as `(time, push index)`, stably sorted.
+    fn stable_sort(times: &[u64]) -> Vec<(u64, usize)> {
+        let mut expect: Vec<(u64, usize)> =
+            times.iter().enumerate().map(|(i, &t)| (t, i)).collect();
+        expect.sort(); // stable on (time, insertion index)
+        expect
+    }
+
+    /// Popping yields a non-decreasing time sequence, and equal-time
+    /// events keep their push order.
+    #[test]
+    fn prop_pop_order_is_stable_sort() {
+        check("prop_pop_order_is_stable_sort", 32, |rng| {
+            let times = draws(rng, 1, 200, 50);
+            assert_eq!(drained(EventQueue::new(), &times), stable_sort(&times));
+        });
+    }
+
+    /// `SeededPermutation` delivers exactly the FIFO event set — nothing
+    /// lost, nothing duplicated — and never reorders across distinct
+    /// timestamps.
+    #[test]
+    fn prop_permutation_preserves_the_event_set() {
+        check("prop_permutation_preserves_the_event_set", 32, |rng| {
+            let times = draws(rng, 1, 200, 20);
+            let seed = rng.next_u64();
+            let mut fifo = drained(EventQueue::new(), &times);
+            let perm_out = drained(
+                EventQueue::with_tie_break(TieBreak::SeededPermutation(seed)),
+                &times,
+            );
             // Same multiset of (time, event) pairs.
-            let mut fifo_sorted = fifo_out.clone();
             let mut perm_sorted = perm_out.clone();
-            fifo_sorted.sort_unstable();
+            fifo.sort_unstable();
             perm_sorted.sort_unstable();
-            prop_assert_eq!(fifo_sorted, perm_sorted);
+            assert_eq!(fifo, perm_sorted);
             // Times still pop in non-decreasing order: the permutation only
             // ever reshuffles within one instant.
             for w in perm_out.windows(2) {
-                prop_assert!(w[0].0 <= w[1].0, "time went backwards: {:?}", w);
+                assert!(w[0].0 <= w[1].0, "time went backwards: {w:?}");
             }
-        }
+        });
+    }
 
-        /// The permutation is a pure function of the seed: two queues fed
-        /// the same pushes pop identically.
-        #[test]
-        fn prop_permutation_is_deterministic_per_seed(
-            times in proptest::collection::vec(0u64..20, 1..200),
-            seed in any::<u64>(),
-        ) {
-            let drain_with = |tie: TieBreak| {
-                let mut q = EventQueue::with_tie_break(tie);
-                for (i, &t) in times.iter().enumerate() {
-                    q.push(SimTime::from_micros(t), i);
-                }
-                std::iter::from_fn(move || q.pop()).collect::<Vec<_>>()
-            };
-            prop_assert_eq!(
-                drain_with(TieBreak::SeededPermutation(seed)),
-                drain_with(TieBreak::SeededPermutation(seed))
+    /// The permutation is a pure function of the seed: two queues fed
+    /// the same pushes pop identically.
+    #[test]
+    fn prop_permutation_is_deterministic_per_seed() {
+        check("prop_permutation_is_deterministic_per_seed", 32, |rng| {
+            let times = draws(rng, 1, 200, 20);
+            let tie = TieBreak::SeededPermutation(rng.next_u64());
+            assert_eq!(
+                drained(EventQueue::with_tie_break(tie), &times),
+                drained(EventQueue::with_tie_break(tie), &times)
             );
-        }
+        });
+    }
 
-        /// Wide time ranges (spanning many 64 ms horizon windows) still pop
-        /// as a stable sort: maturation from the far buffer cannot reorder.
-        #[test]
-        fn prop_pop_order_is_stable_across_horizon_windows(
-            times in proptest::collection::vec(0u64..2_000_000, 1..300),
-        ) {
-            let mut q = EventQueue::new();
-            for (i, &t) in times.iter().enumerate() {
-                q.push(SimTime::from_micros(t), i);
-            }
-            let mut expect: Vec<(u64, usize)> = times
-                .iter()
-                .enumerate()
-                .map(|(i, &t)| (t, i))
-                .collect();
-            expect.sort(); // stable on (time, insertion index)
-            let got: Vec<(u64, usize)> =
-                std::iter::from_fn(|| q.pop().map(|(t, e)| (t.as_micros(), e))).collect();
-            prop_assert_eq!(got, expect);
-        }
+    /// Wide time ranges (spanning many 64 ms horizon windows) still pop
+    /// as a stable sort: maturation from the far buffer cannot reorder.
+    #[test]
+    fn prop_pop_order_is_stable_across_horizon_windows() {
+        check(
+            "prop_pop_order_is_stable_across_horizon_windows",
+            32,
+            |rng| {
+                let times = draws(rng, 1, 300, 2_000_000);
+                assert_eq!(drained(EventQueue::new(), &times), stable_sort(&times));
+            },
+        );
+    }
 
-        /// Interleaved pushes and pops match a linear-scan model: every pop
-        /// returns the pending event with the smallest (time, push order).
-        /// (The drain-only property above never exercises sift-down from a
-        /// partially consumed heap.)
-        #[test]
-        fn prop_interleaved_pops_return_the_pending_minimum(
-            ops in proptest::collection::vec(0u64..50, 1..300),
-        ) {
-            // Values below 30 push at that time (stretched so the pushes
-            // span multiple horizon windows); 30+ pop.
-            let mut q = EventQueue::new();
-            let mut model: Vec<(u64, usize)> = Vec::new();
-            for (i, op) in ops.into_iter().enumerate() {
-                match op {
-                    t if t < 30 => {
-                        let us = t * 97_003;
-                        q.push(SimTime::from_micros(us), i);
-                        model.push((us, i));
-                    }
-                    _ => {
-                        let popped = q.pop().map(|(t, e)| (t.as_micros(), e));
-                        let want = model
-                            .iter()
-                            .enumerate()
-                            .min_by_key(|(_, &(t, seq))| (t, seq))
-                            .map(|(pos, _)| pos);
-                        prop_assert_eq!(popped, want.map(|pos| model.remove(pos)));
+    /// Interleaved pushes and pops match a linear-scan model: every pop
+    /// returns the pending event with the smallest (time, push order).
+    /// (The drain-only property above never exercises sift-down from a
+    /// partially consumed heap.)
+    #[test]
+    fn prop_interleaved_pops_return_the_pending_minimum() {
+        check(
+            "prop_interleaved_pops_return_the_pending_minimum",
+            32,
+            |rng| {
+                // Values below 30 push at that time (stretched so the pushes
+                // span multiple horizon windows); 30+ pop.
+                let mut q = EventQueue::new();
+                let mut model: Vec<(u64, usize)> = Vec::new();
+                for (i, op) in draws(rng, 1, 300, 50).into_iter().enumerate() {
+                    match op {
+                        t if t < 30 => {
+                            let us = t * 97_003;
+                            q.push(SimTime::from_micros(us), i);
+                            model.push((us, i));
+                        }
+                        _ => {
+                            let popped = q.pop().map(|(t, e)| (t.as_micros(), e));
+                            let want = model
+                                .iter()
+                                .enumerate()
+                                .min_by_key(|(_, &(t, seq))| (t, seq))
+                                .map(|(pos, _)| pos);
+                            assert_eq!(popped, want.map(|pos| model.remove(pos)));
+                        }
                     }
                 }
-            }
-        }
+            },
+        );
+    }
 
-        /// Differential test of the horizon-split queue against a naive
-        /// `BinaryHeap` oracle over random push/pop interleavings mixing
-        /// plain, owner-keyed, and boxed cold-variant events, under both
-        /// tie policies. Exercises far-buffer maturation (`far_min`
-        /// maintenance) from arbitrary intermediate states, including the
-        /// advance-drains-the-single-smallest-far-event case an earlier
-        /// audit called out. Far times reach hours (a mobile
-        /// run's motion horizon) and the two last representable instants,
-        /// where the horizon saturates.
-        #[test]
-        fn prop_differential_vs_binary_heap_oracle(
-            ops in proptest::collection::vec((0u8..10, 0u64..40, 0u32..6), 1..400),
-            seed in any::<u64>(),
-            permute in any::<bool>(),
-        ) {
+    /// Differential test of the horizon-split queue against a naive
+    /// `BinaryHeap` oracle over random push/pop interleavings mixing
+    /// plain, owner-keyed, and boxed cold-variant events, under both
+    /// tie policies. Exercises far-buffer maturation (`far_min`
+    /// maintenance) from arbitrary intermediate states, including the
+    /// advance-drains-the-single-smallest-far-event case an earlier
+    /// audit called out. Far times reach hours (a mobile
+    /// run's motion horizon) and the two last representable instants,
+    /// where the horizon saturates.
+    #[test]
+    fn prop_differential_vs_binary_heap_oracle() {
+        check("prop_differential_vs_binary_heap_oracle", 32, |rng| {
             // A payload with a boxed variant, mirroring the kernel's cold
             // `SetLink` events: maturation must move boxes without
             // confusing ranks.
@@ -782,6 +779,17 @@ mod proptests {
                 Hot(usize),
                 Cold(Box<(usize, u64)>),
             }
+            let ops: Vec<(u64, u64, u32)> = (0..rng.range_u64(1, 400))
+                .map(|_| {
+                    (
+                        rng.range_u64(0, 10),
+                        rng.range_u64(0, 40),
+                        rng.index(6) as u32,
+                    )
+                })
+                .collect();
+            let seed = rng.next_u64();
+            let permute = rng.next_u64() & 1 == 1;
             let tie = if permute {
                 TieBreak::SeededPermutation(seed)
             } else {
@@ -837,39 +845,50 @@ mod proptests {
                     }
                     // 8–9: pop and compare against the oracle minimum.
                     _ => {
-                        let got = q.pop_ranked().map(|p| ((p.time, p.key, p.owner_key), p.event));
+                        let got = q
+                            .pop_ranked()
+                            .map(|p| ((p.time, p.key, p.owner_key), p.event));
                         let want = oracle.pop().map(|Reverse(x)| x);
-                        prop_assert_eq!(got, want);
+                        assert_eq!(got, want);
                     }
                 }
-                prop_assert_eq!(q.len(), oracle.len());
-                prop_assert_eq!(q.peek_time(), oracle.peek().map(|Reverse(((t, _, _), _))| *t));
+                assert_eq!(q.len(), oracle.len());
+                assert_eq!(
+                    q.peek_time(),
+                    oracle.peek().map(|Reverse(((t, _, _), _))| *t)
+                );
             }
             // Drain the rest: full agreement to the end.
             loop {
-                let got = q.pop_ranked().map(|p| ((p.time, p.key, p.owner_key), p.event));
+                let got = q
+                    .pop_ranked()
+                    .map(|p| ((p.time, p.key, p.owner_key), p.event));
                 let want = oracle.pop().map(|Reverse(x)| x);
                 let done = got.is_none();
-                prop_assert_eq!(got, want);
-                if done { break; }
+                assert_eq!(got, want);
+                if done {
+                    break;
+                }
             }
-        }
+        });
+    }
 
-        /// len() equals pushes minus pops at every step.
-        #[test]
-        fn prop_len_is_consistent(ops in proptest::collection::vec(any::<bool>(), 1..300)) {
+    /// len() equals pushes minus pops at every step.
+    #[test]
+    fn prop_len_is_consistent() {
+        check("prop_len_is_consistent", 32, |rng| {
             let mut q = EventQueue::new();
             let mut model = 0usize;
-            for (i, push) in ops.into_iter().enumerate() {
-                if push {
+            for i in 0..rng.range_u64(1, 300) as usize {
+                if rng.next_u64() & 1 == 1 {
                     q.push(SimTime::from_micros(i as u64 % 17), i);
                     model += 1;
                 } else if q.pop().is_some() {
                     model -= 1;
                 }
-                prop_assert_eq!(q.len(), model);
-                prop_assert_eq!(q.is_empty(), model == 0);
+                assert_eq!(q.len(), model);
+                assert_eq!(q.is_empty(), model == 0);
             }
-        }
+        });
     }
 }

@@ -345,7 +345,6 @@ fn expand_seed(seed: u64) -> [u64; 4] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn same_seed_same_sequence() {
@@ -430,19 +429,22 @@ mod tests {
         assert_ne!(r.state, [0; 4], "a jump keeps the state non-zero");
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 24 })]
-
-        #[test]
-        fn skip_equals_that_many_draws(seed in any::<u64>(), n in 0u64..=200_000) {
+    #[test]
+    fn skip_equals_that_many_draws() {
+        crate::check("skip_equals_that_many_draws", 24, |rng| {
+            let (seed, n) = (rng.next_u64(), rng.range_u64(0, 200_001));
             let start = SimRng::new(seed);
             let mut skipped = start.clone();
             skipped.skip(n);
-            prop_assert_eq!(skipped.state, stepped(&start, n), "seed {} skip({})", seed, n);
-        }
+            assert_eq!(skipped.state, stepped(&start, n), "seed {seed} skip({n})");
+        });
+    }
 
-        #[test]
-        fn skips_compose(seed in any::<u64>(), a in 0u64..=1 << 40, b in 0u64..=1 << 40) {
+    #[test]
+    fn skips_compose() {
+        crate::check("skips_compose", 24, |rng| {
+            let seed = rng.next_u64();
+            let [a, b] = [(); 2].map(|_| rng.range_u64(0, (1 << 40) + 1));
             let start = SimRng::new(seed);
             let mut ab = start.clone();
             ab.skip(a);
@@ -452,9 +454,9 @@ mod tests {
             ba.skip(a);
             let mut sum = start.clone();
             sum.skip(a + b);
-            prop_assert_eq!(ab.state, sum.state, "skip({}); skip({})", a, b);
-            prop_assert_eq!(ba.state, sum.state, "skip({}); skip({})", b, a);
-        }
+            assert_eq!(ab.state, sum.state, "skip({a}); skip({b})");
+            assert_eq!(ba.state, sum.state, "skip({b}); skip({a})");
+        });
     }
 
     /// `a(x)·b(x) mod P(x)` by shift-and-add, a different route from the
@@ -629,26 +631,26 @@ mod tests {
         }
     }
 
-    proptest! {
-        #[test]
-        fn range_f64_stays_in_adversarial_ranges(
-            seed in any::<u64>(),
-            bits in any::<u64>(),
-            wide in (0.5..1.0, 0.5..1.0),
-        ) {
+    #[test]
+    fn range_f64_stays_in_adversarial_ranges() {
+        crate::check("range_f64_stays_in_adversarial_ranges", 32, |rng| {
+            let wide = (rng.range_f64(0.5, 1.0), rng.range_f64(0.5, 1.0));
             // Any finite lo below the largest float, one ulp wide...
-            let lo = f64::from_bits(bits);
-            let lo = if lo.is_finite() { lo.min(f64::MAX.next_down()) } else { 0.5 };
+            let lo = f64::from_bits(rng.next_u64());
+            let lo = if lo.is_finite() {
+                lo.min(f64::MAX.next_down())
+            } else {
+                0.5
+            };
             // ...and ranges whose width overflows.
             let ranges = [(lo, lo.next_up()), (-f64::MAX * wide.0, f64::MAX * wide.1)];
-            let mut r = SimRng::new(seed);
             for (lo, hi) in ranges {
                 for _ in 0..64 {
-                    let x = r.range_f64(lo, hi);
-                    prop_assert!(lo <= x && x < hi, "{} not in [{}, {})", x, lo, hi);
+                    let x = rng.range_f64(lo, hi);
+                    assert!(lo <= x && x < hi, "{x} not in [{lo}, {hi})");
                 }
             }
-        }
+        });
     }
 
     #[test]

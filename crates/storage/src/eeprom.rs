@@ -510,77 +510,74 @@ mod tests {
         }
     }
 
-    proptest::proptest! {
-        /// The store against the slot representation it replaced, after
-        /// every step of an arbitrary mix of first, duplicate, wrong-length,
-        /// corrupt and fault-injected writes and reads: results, bytes, line
-        /// counts, masks and the derived completeness answers agree.
-        #[test]
-        fn prop_stored_counts_match_a_slot_scan(
-            ops in proptest::collection::vec((0u16..3, 0u16..6, 0u8..8), 0..160),
-        ) {
+    /// The store against the slot representation it replaced, after
+    /// every step of an arbitrary mix of first, duplicate, wrong-length,
+    /// corrupt and fault-injected writes and reads: results, bytes, line
+    /// counts, masks and the derived completeness answers agree.
+    #[test]
+    fn prop_stored_counts_match_a_slot_scan() {
+        mnp_sim::check("prop_stored_counts_match_a_slot_scan", 32, |rng| {
             // Segments of 6, 6 and 4 packets; the last packet is short.
             let layout = ImageLayout::new(78, 6, 5);
             let img = ProgramImage::synthetic(ProgramId(7), layout);
             let mut store = PacketStore::new(&img);
             let mut slots = SlotStore::new(&img);
-            for (seg, pkt, kind) in ops {
-                let pkt = pkt % layout.packets_in_segment(seg);
+            for _ in 0..rng.range_u64(0, 160) {
+                let seg = rng.range_u64(0, 3) as u16;
+                let pkt = rng.range_u64(0, 6) as u16 % layout.packets_in_segment(seg);
+                let kind = rng.range_u64(0, 8);
                 let payload = img.packet_payload(seg, pkt);
                 match kind {
-                    0 => proptest::prop_assert_eq!(
+                    0 => assert_eq!(
                         store.write_packet(seg, pkt, &payload[1..]),
                         slots.write_packet(seg, pkt, &payload[1..])
                     ),
                     1 => {
                         store.inject_write_faults(1);
                         slots.pending_write_faults += 1;
-                        proptest::prop_assert_eq!(
+                        assert_eq!(
                             store.write_packet(seg, pkt, payload),
                             slots.write_packet(seg, pkt, payload)
                         );
                     }
-                    2 | 3 => proptest::prop_assert_eq!(
-                        store.read_packet(seg, pkt),
-                        slots.read_packet(seg, pkt)
-                    ),
+                    2 | 3 => assert_eq!(store.read_packet(seg, pkt), slots.read_packet(seg, pkt)),
                     4 => {
                         let mut flipped = payload.to_vec();
                         flipped[0] ^= 1;
-                        proptest::prop_assert_eq!(
+                        assert_eq!(
                             store.write_packet(seg, pkt, &flipped),
                             slots.write_packet(seg, pkt, &flipped)
                         );
                     }
-                    _ => proptest::prop_assert_eq!(
+                    _ => assert_eq!(
                         store.write_packet(seg, pkt, payload),
                         slots.write_packet(seg, pkt, payload)
                     ),
                 }
-                proptest::prop_assert_eq!(store.line_writes, slots.line_writes);
-                proptest::prop_assert_eq!(store.line_reads, slots.line_reads);
-                proptest::prop_assert_eq!(store.pending_write_faults, slots.pending_write_faults);
+                assert_eq!(store.line_writes, slots.line_writes);
+                assert_eq!(store.line_reads, slots.line_reads);
+                assert_eq!(store.pending_write_faults, slots.pending_write_faults);
 
                 let segs = layout.segment_count();
                 for s in 0..segs {
-                    proptest::prop_assert_eq!(store.missing_mask(s), slots.missing_mask(s));
-                    proptest::prop_assert_eq!(store.segment_complete(s), slots.segment_complete(s));
+                    assert_eq!(store.missing_mask(s), slots.missing_mask(s));
+                    assert_eq!(store.segment_complete(s), slots.segment_complete(s));
                     for p in 0..layout.packets_in_segment(s) {
                         let held = slots.slots[usize::from(s)][usize::from(p)].is_some();
-                        proptest::prop_assert_eq!(store.has_packet(s, p), held);
+                        assert_eq!(store.has_packet(s, p), held);
                     }
                 }
                 let prefix = (0..segs).take_while(|&s| slots.segment_complete(s)).count();
-                proptest::prop_assert_eq!(usize::from(store.segments_received_prefix()), prefix);
+                assert_eq!(usize::from(store.segments_received_prefix()), prefix);
                 let complete = (0..segs).all(|s| slots.segment_complete(s));
-                proptest::prop_assert_eq!(store.is_complete(), complete);
+                assert_eq!(store.is_complete(), complete);
                 let stored = slots.slots.iter().flatten().flatten().count();
-                proptest::prop_assert_eq!(store.packets_received() as usize, stored);
+                assert_eq!(store.packets_received() as usize, stored);
                 if complete {
-                    proptest::prop_assert_eq!(slots.assembled(), img.bytes());
+                    assert_eq!(slots.assembled(), img.bytes());
                 }
             }
-        }
+        });
     }
 
     #[test]

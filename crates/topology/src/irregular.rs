@@ -119,32 +119,40 @@ impl Placement {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     fn bounded(p: &Placement, w: f64, h: f64) -> bool {
         p.iter()
             .all(|(_, pos)| (0.0..=w).contains(&pos.x_ft) && (0.0..=h).contains(&pos.y_ft))
     }
 
-    proptest! {
-        #[test]
-        fn poisson_disk_fills_the_field_deterministically(seed in 0u64..500, n in 1usize..24) {
-            let build = || Placement::poisson_disk(n, 100.0, 80.0, 12.0, &mut SimRng::new(seed));
-            let a = build();
-            prop_assert_eq!(a.len(), n);
-            prop_assert!(bounded(&a, 100.0, 80.0));
-            prop_assert_eq!(a, build());
-        }
+    #[test]
+    fn poisson_disk_fills_the_field_deterministically() {
+        mnp_sim::check(
+            "poisson_disk_fills_the_field_deterministically",
+            32,
+            |rng| {
+                let (seed, n) = (rng.range_u64(0, 500), rng.index(23) + 1);
+                let build =
+                    || Placement::poisson_disk(n, 100.0, 80.0, 12.0, &mut SimRng::new(seed));
+                let a = build();
+                assert_eq!(a.len(), n);
+                assert!(bounded(&a, 100.0, 80.0));
+                assert_eq!(a, build());
+            },
+        );
+    }
 
-        #[test]
-        fn clustered_and_corridor_stay_in_bounds(seed in 0u64..500, n in 1usize..24) {
+    #[test]
+    fn clustered_and_corridor_stay_in_bounds() {
+        mnp_sim::check("clustered_and_corridor_stay_in_bounds", 32, |rng| {
+            let (seed, n) = (rng.range_u64(0, 500), rng.index(23) + 1);
             let c = Placement::clustered(n, 100.0, 80.0, 3, 15.0, &mut SimRng::new(seed));
-            prop_assert_eq!(c.len(), n);
-            prop_assert!(bounded(&c, 100.0, 80.0));
+            assert_eq!(c.len(), n);
+            assert!(bounded(&c, 100.0, 80.0));
             let k = Placement::corridor(n, 300.0, 20.0, &mut SimRng::new(seed));
-            prop_assert_eq!(k.len(), n);
-            prop_assert!(bounded(&k, 300.0, 20.0));
-        }
+            assert_eq!(k.len(), n);
+            assert!(bounded(&k, 300.0, 20.0));
+        });
     }
 
     #[test]

@@ -375,7 +375,6 @@ pub fn materialize(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     fn in_field(p: &Placement, field: Field) -> bool {
         p.iter().all(|(_, pos)| {
@@ -384,37 +383,45 @@ mod tests {
         })
     }
 
-    proptest! {
-        #[test]
-        fn waypoint_motion_stays_inside_the_field(
-            seed in 0u64..1_000,
-            n in 1usize..12,
-            speed in 0.0f64..8.0,
-        ) {
+    #[test]
+    fn waypoint_motion_stays_inside_the_field() {
+        mnp_sim::check("waypoint_motion_stays_inside_the_field", 32, |rng| {
+            let (seed, n) = (rng.range_u64(0, 1_000), rng.index(11) + 1);
+            let waypoint = MobilityModel::RandomWaypoint {
+                speed_ft_s: rng.range_f64(0.0, 8.0),
+                pause_s: 2.0,
+            };
             let field = Field::new(80.0, 60.0);
             let root = SimRng::new(seed);
             let initial = Placement::random(n, 80.0, 60.0, &mut root.derive(1));
-            let plan = MobilityModel::RandomWaypoint { speed_ft_s: speed, pause_s: 2.0 }.plan(
+            let plan = waypoint.plan(
                 &initial,
                 field,
                 SimDuration::from_secs(120),
                 SimDuration::from_secs(10),
                 &root.derive(2),
             );
-            prop_assert_eq!(plan.frames.len(), 12);
+            assert_eq!(plan.frames.len(), 12);
             for frame in &plan.frames {
-                prop_assert_eq!(frame.len(), n);
-                prop_assert!(in_field(frame, field));
+                assert_eq!(frame.len(), n);
+                assert!(in_field(frame, field));
             }
-        }
+        });
+    }
 
-        #[test]
-        fn waypoint_motion_is_seed_deterministic(seed in 0u64..1_000) {
+    #[test]
+    fn waypoint_motion_is_seed_deterministic() {
+        mnp_sim::check("waypoint_motion_is_seed_deterministic", 32, |rng| {
+            let seed = rng.range_u64(0, 1_000);
             let field = Field::new(50.0, 50.0);
             let build = || {
                 let root = SimRng::new(seed);
                 let initial = Placement::random(6, 50.0, 50.0, &mut root.derive(1));
-                MobilityModel::RandomWaypoint { speed_ft_s: 3.0, pause_s: 1.0 }.plan(
+                MobilityModel::RandomWaypoint {
+                    speed_ft_s: 3.0,
+                    pause_s: 1.0,
+                }
+                .plan(
                     &initial,
                     field,
                     SimDuration::from_secs(60),
@@ -422,8 +429,8 @@ mod tests {
                     &root.derive(2),
                 )
             };
-            prop_assert_eq!(build(), build());
-        }
+            assert_eq!(build(), build());
+        });
     }
 
     #[test]
