@@ -13,32 +13,50 @@
 //! form. [`GenDecoder::absorb`] forward-eliminates the incoming row
 //! against the held pivot rows in ascending pivot order and stops at the
 //! first nonzero column no row owns: that column is the new pivot, the
-//! row is normalised to a leading 1 and stored from the pivot on
-//! (`coeffs[pivot..]` followed by the data, one exact-sized buffer, so a
-//! row operation is a single [`gf256::mul_add_assign`]). Held rows are
-//! never touched again until the rank reaches `gen_size`; then one
+//! row is normalised to a leading 1 and appended, from the pivot on
+//! (`coeffs[pivot..]` followed by the data), to one byte buffer of rows
+//! in arrival order; a `u16` table maps each pivot to its row's offset,
+//! so a row operation is a single [`gf256::mul_add_assign`]. Held rows
+//! are never touched again until the rank reaches `gen_size`; then one
 //! bottom-up back-substitution over the *data* columns alone recovers the
-//! source packets and the coefficient tails are released. Memory bound:
-//! `gen_size` rows of `gen_size − pivot + payload_len` bytes
-//! (≤ 128·129/2 + 128·23 ≈ 11 KB for the paper layout), allocated as
-//! rows arrive and freed when the generation commits to flash.
+//! source packets and the rows are released.
+//!
+//! Memory: nothing until the first innovative packet. From then on the
+//! row buffer, the offset table (`2·gen_size` bytes) and the work row
+//! (`gen_size + payload_len` bytes); the buffer grows by a fixed factor
+//! of 1.25, so it never holds more than 1.25 × the rows it stores, at
+//! most `gen_size` rows of `gen_size − pivot + payload_len` bytes
+//! (≤ 128·129/2 + 128·23 = 11 200 B for the paper layout). At full rank
+//! all three are freed and only the `gen_size · payload_len` decoded
+//! bytes stay until the decoder is dropped.
 
 use mnp_sim::SimRng;
 
 use super::gf256;
+
+/// How much the row buffer grows when a row does not fit: the new
+/// capacity is this factor times the bytes it must hold.
+const GROWTH_NUM: usize = 5;
+const GROWTH_DEN: usize = 4;
+
+/// Offset-table entry of a pivot no row owns yet.
+const NO_ROW: u16 = u16::MAX;
 
 /// Incremental triangular-echelon decoder for a single generation.
 #[derive(Clone, Debug)]
 pub struct GenDecoder {
     gen_size: usize,
     payload_len: usize,
-    /// `rows[c]` holds the row whose pivot is column `c`: its normalised
-    /// coefficients from column `c` on (leading 1), then its data.
-    /// Emptied once the generation is decoded.
-    rows: Vec<Option<Vec<u8>>>,
     rank: usize,
+    /// The held rows back to back in arrival order: each is its
+    /// normalised coefficients from its pivot on (leading 1), then its
+    /// data. Empty before the first innovative packet and after full rank.
+    rows: Vec<u8>,
+    /// `offsets[c]` is where the row whose pivot is column `c` starts in
+    /// `rows`, or [`NO_ROW`]. Allocated with `rows`.
+    offsets: Vec<u16>,
     /// The incoming row while it is being eliminated: `gen_size`
-    /// coefficients, then the data.
+    /// coefficients, then the data. Allocated with `rows`.
     work: Vec<u8>,
     /// The `gen_size` source packets back to back; empty before full rank.
     decoded: Vec<u8>,
@@ -46,15 +64,25 @@ pub struct GenDecoder {
 
 impl GenDecoder {
     /// An empty decoder for a generation of `gen_size` packets of
-    /// `payload_len` padded bytes each.
+    /// `payload_len` padded bytes each. Allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `gen_size` is zero, or when a full triangle of rows
+    /// would not be addressable by a `u16` offset.
     pub fn new(gen_size: usize, payload_len: usize) -> Self {
         assert!(gen_size > 0, "empty generation");
+        assert!(
+            triangle_bytes(gen_size, payload_len) < usize::from(NO_ROW),
+            "generation of {gen_size} packets of {payload_len} bytes is too large"
+        );
         GenDecoder {
             gen_size,
             payload_len,
-            rows: vec![None; gen_size],
             rank: 0,
-            work: vec![0; gen_size + payload_len],
+            rows: Vec::new(),
+            offsets: Vec::new(),
+            work: Vec::new(),
             decoded: Vec::new(),
         }
     }
@@ -90,6 +118,15 @@ impl GenDecoder {
             return false;
         }
         let n = self.gen_size;
+        if self.rank == 0 {
+            // Nothing to eliminate against: only the zero row is
+            // dependent, and any other row is the first one held.
+            if coeffs.iter().all(|&c| c == 0) {
+                return false;
+            }
+            self.offsets = vec![NO_ROW; n];
+            self.work = vec![0; n + self.payload_len];
+        }
         self.work[..n].copy_from_slice(coeffs);
         self.work[n..].copy_from_slice(payload);
 
@@ -103,11 +140,14 @@ impl GenDecoder {
             if factor == 0 {
                 continue;
             }
-            match &self.rows[c] {
-                Some(row) => gf256::mul_add_assign(&mut self.work[c..], row, factor),
-                None => {
+            match self.offsets[c] {
+                NO_ROW => {
                     pivot = Some(c);
                     break;
+                }
+                off => {
+                    let row = held_row(&self.rows, off, n - c + self.payload_len);
+                    gf256::mul_add_assign(&mut self.work[c..], row, factor);
                 }
             }
         }
@@ -116,10 +156,15 @@ impl GenDecoder {
         };
 
         // Normalise to a leading 1 and keep the row from its pivot on.
-        let mut row = self.work[pivot..].to_vec();
-        let scale = gf256::inv(row[0]);
-        gf256::scale_assign(&mut row, scale);
-        self.rows[pivot] = Some(row);
+        let row = &mut self.work[pivot..];
+        gf256::scale_assign(row, gf256::inv(row[0]));
+        let needed = self.rows.len() + row.len();
+        if needed > self.rows.capacity() {
+            let target = needed * GROWTH_NUM / GROWTH_DEN;
+            self.rows.reserve_exact(target - self.rows.len());
+        }
+        self.offsets[pivot] = self.rows.len() as u16;
+        self.rows.extend_from_slice(row);
         self.rank += 1;
         if self.is_full() {
             self.back_substitute();
@@ -130,13 +175,13 @@ impl GenDecoder {
     /// At full rank the coefficient matrix is unit upper triangular:
     /// source packet `p` is row `p`'s data minus its coefficients times
     /// the packets above `p`, which a bottom-up sweep has already
-    /// recovered. Only data columns are combined; the coefficient tails
-    /// are dropped with the rows.
+    /// recovered. Only data columns are combined; then the rows, the
+    /// offset table and the work row are freed.
     fn back_substitute(&mut self) {
         let (n, w) = (self.gen_size, self.payload_len);
         let mut decoded = vec![0u8; n * w];
         for p in (0..n).rev() {
-            let row = self.rows[p].take().expect("full rank: every pivot held");
+            let row = held_row(&self.rows, self.offsets[p], n - p + w);
             let (tail, data) = row.split_at(n - p);
             let (head, solved) = decoded.split_at_mut((p + 1) * w);
             let packet = &mut head[p * w..];
@@ -146,6 +191,8 @@ impl GenDecoder {
             }
         }
         self.rows = Vec::new();
+        self.offsets = Vec::new();
+        self.work = Vec::new();
         self.decoded = decoded;
     }
 
@@ -158,6 +205,18 @@ impl GenDecoder {
         let w = self.payload_len;
         Some(&self.decoded[i * w..(i + 1) * w])
     }
+}
+
+/// The `len` bytes of the held row starting at `off`.
+fn held_row(rows: &[u8], off: u16, len: usize) -> &[u8] {
+    let off = usize::from(off);
+    &rows[off..off + len]
+}
+
+/// Bytes of a full triangle of rows: row `p` holds `gen_size − p`
+/// coefficients and `payload_len` data bytes.
+fn triangle_bytes(gen_size: usize, payload_len: usize) -> usize {
+    gen_size * (gen_size + 1) / 2 + gen_size * payload_len
 }
 
 /// Derives the `n` coded coefficients named by a `(generation, seed)`
@@ -185,29 +244,32 @@ pub(crate) fn derive_coeffs_into(gen: u16, seed: u32, n: usize, coeffs: &mut Vec
 }
 
 /// The encoder side: the GF(256) linear combination
-/// `sum_i coeffs[i] · packets[i]` over same-width padded packets.
+/// `sum_i coeffs[i] · packets[i]` over packets zero-padded to
+/// `payload_len` bytes.
 ///
 /// # Panics
 ///
-/// Panics when `coeffs` and `packets` disagree in length or the packets
-/// are not all `payload_len` wide.
+/// Panics when `coeffs` and `packets` disagree in length or a packet is
+/// wider than `payload_len`.
 pub fn encode(coeffs: &[u8], packets: &[Vec<u8>], payload_len: usize) -> Vec<u8> {
-    combine(coeffs, packets.iter().map(Vec::as_slice), payload_len)
+    let mut out = vec![0u8; payload_len];
+    combine_into(&mut out, coeffs, packets.iter().map(Vec::as_slice));
+    out
 }
 
-/// [`encode`] over any source of packet slices — the flat per-round cache
-/// [`Rlnc`](super::rlnc::Rlnc) encodes from.
-pub(crate) fn combine<'a>(
+/// [`encode`] into `out`, over any source of packet slices, each
+/// zero-padded to `out.len()`: the unpadded image slices
+/// [`Coded`](super::rlnc::Coded) frames are encoded from.
+pub(crate) fn combine_into<'a>(
+    out: &mut [u8],
     coeffs: &[u8],
     packets: impl ExactSizeIterator<Item = &'a [u8]>,
-    payload_len: usize,
-) -> Vec<u8> {
+) {
     assert_eq!(coeffs.len(), packets.len(), "coefficient/packet mismatch");
-    let mut out = vec![0u8; payload_len];
+    out.fill(0);
     for (c, p) in coeffs.iter().zip(packets) {
-        gf256::mul_add_assign(&mut out, p, *c);
+        gf256::mul_add_assign(&mut out[..p.len()], p, *c);
     }
-    out
 }
 
 #[cfg(test)]

@@ -26,21 +26,3 @@ pub mod xor;
 pub use decoder::GenDecoder;
 pub use rlnc::{Rlnc, RlncConfig, RlncMsg, RlncStats};
 pub use xor::{Xor, XorConfig, XorMsg, XorStats};
-
-/// A copy of `raw` zero-padded to `width` bytes (the coding width).
-pub(crate) fn padded_packet(raw: &[u8], width: usize) -> Vec<u8> {
-    let mut out = vec![0u8; width];
-    out[..raw.len()].copy_from_slice(raw);
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn padding_preserves_prefix_and_zero_fills() {
-        let p = padded_packet(&[1, 2, 3], 6);
-        assert_eq!(p, vec![1, 2, 3, 0, 0, 0]);
-    }
-}

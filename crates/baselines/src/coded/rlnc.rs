@@ -22,7 +22,7 @@
 //! handshake only asks for the remaining deficit.
 
 use mnp_net::Context;
-use mnp_radio::NodeId;
+use mnp_radio::{NodeId, MAX_PAYLOAD_BYTES};
 use mnp_sim::SimDuration;
 use mnp_storage::{ImageLayout, PacketStore};
 
@@ -32,7 +32,7 @@ use crate::paged::{
     Frame, Node, Paged, PagedConfig, PagedMsg, PagedStats, Plane, Wire, FIRST_PLANE_TIMER,
 };
 
-use super::decoder::{combine, derive_coeffs_into, GenDecoder};
+use super::decoder::{combine_into, derive_coeffs_into, GenDecoder};
 
 /// RLNC's own tunable.
 #[derive(Clone, Debug)]
@@ -59,22 +59,74 @@ pub type RlncMsg = PagedMsg<u16, Coded>;
 /// Per-node RLNC counters for the harness.
 pub type RlncStats = PagedStats<RlncCounters>;
 
+/// A [`Coded`] header on the air: `gen` and `seed`.
+const CODED_HEADER_BYTES: usize = 6;
+
+/// The widest payload a [`Coded`] frame carries: what the radio frame
+/// leaves after the header.
+const CODED_PAYLOAD_MAX: usize = MAX_PAYLOAD_BYTES - CODED_HEADER_BYTES;
+
 /// One coded packet: a random linear combination of the generation's
 /// sources, its coefficient vector compressed to the RNG seed both ends
-/// expand with [`derive_coeffs`](super::decoder::derive_coeffs).
+/// expand with [`derive_coeffs`](super::decoder::derive_coeffs). The
+/// payload is carried inline, so a frame owns no heap memory.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Coded {
     /// Generation the combination is drawn from.
     pub gen: u16,
     /// Coefficient-vector seed.
     pub seed: u32,
+    len: u8,
+    /// The combined payload in `bytes[..len]`, zeros after it.
+    bytes: [u8; CODED_PAYLOAD_MAX],
+}
+
+impl Coded {
+    /// Encodes the combination the header `(gen, seed)` names over a
+    /// generation's `packets`, each zero-padded to `width` bytes; the
+    /// coefficients are expanded into `coeffs`, a caller-kept scratch, so
+    /// once that has grown to the generation size nothing is allocated.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `width` does not fit a radio frame beside the header,
+    /// or a packet is wider than `width`.
+    pub fn encode<'a>(
+        gen: u16,
+        seed: u32,
+        packets: impl ExactSizeIterator<Item = &'a [u8]>,
+        width: usize,
+        coeffs: &mut Vec<u8>,
+    ) -> Coded {
+        assert!(width <= CODED_PAYLOAD_MAX, "{}", frame_too_wide(width));
+        derive_coeffs_into(gen, seed, packets.len(), coeffs);
+        let mut bytes = [0u8; CODED_PAYLOAD_MAX];
+        combine_into(&mut bytes[..width], coeffs, packets);
+        Coded {
+            gen,
+            seed,
+            len: width as u8,
+            bytes,
+        }
+    }
+
     /// The combined payload (full padded width).
-    pub payload: Vec<u8>,
+    pub fn payload(&self) -> &[u8] {
+        &self.bytes[..usize::from(self.len)]
+    }
+}
+
+/// The panic message for a payload `width` no [`Coded`] frame can carry.
+fn frame_too_wide(width: usize) -> String {
+    format!(
+        "a coded frame of {CODED_HEADER_BYTES} + {width} bytes exceeds the \
+         {MAX_PAYLOAD_BYTES}-byte radio payload"
+    )
 }
 
 impl Wire for Coded {
     fn wire_bytes(&self) -> usize {
-        6 + self.payload.len()
+        CODED_HEADER_BYTES + usize::from(self.len)
     }
 }
 
@@ -117,11 +169,8 @@ pub struct RlncPlane {
     /// retry after a transient write fault.
     commit_pending: bool,
 
-    // Tx: the generation's padded packets are read from flash once per
-    // round and encoded from RAM — one flat buffer, `payload_bytes()` per
-    // packet, whose capacity outlives the round.
+    /// Coded frames left in the round.
     tx_budget: u32,
-    tx_cache: Vec<u8>,
 
     /// Scratch for the coefficient vector a `Coded` header expands to, on
     /// both the receive and the transmit side.
@@ -187,14 +236,19 @@ impl Plane for RlncPlane {
     type Req = u16;
     type Frame = Coded;
 
+    /// # Panics
+    ///
+    /// Panics when the layout's payload does not fit a [`Coded`] frame.
     fn new(cfg: &RlncConfig, store: &PacketStore) -> Self {
+        let layout = cfg.image.layout();
+        let width = layout.payload_bytes();
+        assert!(width <= CODED_PAYLOAD_MAX, "{}", frame_too_wide(width));
         let decode_gen = store.segments_received_prefix();
         RlncPlane {
             decode_gen,
-            decoder: RlncPlane::decoder_for(&cfg.image.layout(), decode_gen),
+            decoder: RlncPlane::decoder_for(&layout, decode_gen),
             commit_pending: false,
             tx_budget: 0,
-            tx_cache: Vec::new(),
             coeffs: Vec::new(),
         }
     }
@@ -204,20 +258,14 @@ impl Plane for RlncPlane {
     }
 
     /// Budgets the round and reads the generation's packets from flash
-    /// into RAM, padded to the full payload width, billing one line read
-    /// per packet.
+    /// once, billing their line reads. The frames are then encoded from
+    /// the shared image's slices, which flash holds verbatim.
     fn start_round(&mut self, node: Node<'_, '_, Self>, gen: u16, _: NodeId, need: &u16) {
         self.tx_budget = u32::from(*need) + node.cfg.extra_coded;
-        let n = node.cfg.image.layout().packets_in_segment(gen);
-        let width = node.cfg.image.layout().payload_bytes();
-        self.tx_cache.clear();
-        self.tx_cache.resize(usize::from(n) * width, 0);
-        for (pkt, padded) in (0..n).zip(self.tx_cache.chunks_exact_mut(width)) {
-            let raw = node
-                .store
+        for pkt in 0..node.cfg.image.layout().packets_in_segment(gen) {
+            node.store
                 .read_packet(gen, pkt)
                 .expect("Tx node holds the generation");
-            padded[..raw.len()].copy_from_slice(raw);
         }
     }
 
@@ -232,25 +280,21 @@ impl Plane for RlncPlane {
         }
         self.tx_budget -= 1;
         let seed = node.ctx.rng.next_u32();
-        let width = node.cfg.image.layout().payload_bytes();
-        let packets = self.tx_cache.chunks_exact(width);
-        derive_coeffs_into(gen, seed, packets.len(), &mut self.coeffs);
-        let payload = combine(&self.coeffs, packets, width);
+        let image = &node.cfg.image;
+        let layout = image.layout();
+        let packets = (0..layout.packets_in_segment(gen)).map(|pkt| image.packet_payload(gen, pkt));
+        let frame = Coded::encode(gen, seed, packets, layout.payload_bytes(), &mut self.coeffs);
         node.stats.coded_sent += 1;
-        Some(Coded { gen, seed, payload })
-    }
-
-    fn end_round(&mut self) {
-        self.tx_cache.clear();
+        Some(frame)
     }
 
     /// Absorbs a coded packet into the decode plane, from any state.
     fn absorb(&mut self, node: Node<'_, '_, Self>, from: NodeId, c: &Coded) -> bool {
-        if c.payload.len() != node.cfg.image.layout().payload_bytes() {
+        if c.payload().len() != node.cfg.image.layout().payload_bytes() {
             return false;
         }
         derive_coeffs_into(c.gen, c.seed, self.decoder.gen_size(), &mut self.coeffs);
-        if !self.decoder.absorb(&self.coeffs, &c.payload) {
+        if !self.decoder.absorb(&self.coeffs, c.payload()) {
             node.stats.redundant += 1;
             return false;
         }

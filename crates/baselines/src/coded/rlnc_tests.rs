@@ -103,3 +103,10 @@ fn deterministic_replay() {
     assert_eq!(a.now(), b.now());
     assert_eq!(a.events_processed(), b.events_processed());
 }
+
+#[test]
+#[should_panic(expected = "a coded frame of 6 + 24 bytes exceeds the 29-byte radio payload")]
+fn a_payload_too_wide_for_a_coded_frame_is_rejected_at_construction() {
+    let img = ProgramImage::synthetic(ProgramId(1), ImageLayout::new(24 * 128, 128, 24));
+    let _ = Rlnc::node(RlncConfig::for_image(&img));
+}

@@ -15,7 +15,7 @@
 //! recoding data plane, so the loss-sweep campaign compares recoding, not
 //! parameters.
 
-use mnp_radio::NodeId;
+use mnp_radio::{NodeId, MAX_PAYLOAD_BYTES};
 use mnp_storage::PacketStore;
 
 use mnp::engine;
@@ -23,7 +23,8 @@ use mnp::PacketBitmap;
 
 use crate::paged::{Frame, Node, Paged, PagedConfig, PagedMsg, PagedStats, Plane, Wire};
 
-use super::padded_packet;
+/// An [`Xored`] header on the air: `page`, before one byte per id.
+const XORED_HEADER_BYTES: usize = 3;
 
 /// XOR recoding's own tunable.
 #[derive(Clone, Debug)]
@@ -64,7 +65,7 @@ pub struct Xored {
 
 impl Wire for Xored {
     fn wire_bytes(&self) -> usize {
-        3 + self.ids.len() + self.payload.len()
+        XORED_HEADER_BYTES + self.ids.len() + self.payload.len()
     }
 }
 
@@ -97,6 +98,9 @@ pub struct XorCounters {
 #[derive(Clone, Debug, Default)]
 pub struct XorPlane {
     reqs: Vec<(NodeId, PacketBitmap)>,
+    /// The planner's scratch: which requesters the mix being planned
+    /// covers, as indices into `reqs`.
+    covered: Vec<usize>,
 }
 
 impl XorPlane {
@@ -105,9 +109,10 @@ impl XorPlane {
     /// holds the rest, so each decodes a different packet from the same
     /// transmission. Greedy over requesters in arrival order, capped at
     /// `max_degree`; only ids below `limit` exist in the page.
-    fn plan_mix(&self, limit: u16, max_degree: usize) -> Vec<u16> {
+    fn plan_mix(&mut self, limit: u16, max_degree: usize) -> Vec<u16> {
         let mut ids: Vec<u16> = Vec::new();
-        let mut covered: Vec<usize> = Vec::new();
+        let covered = &mut self.covered;
+        covered.clear();
         for (i, (_, bm)) in self.reqs.iter().enumerate() {
             if ids.len() >= max_degree {
                 break;
@@ -139,9 +144,9 @@ impl XorPlane {
     /// rx-timeout re-request round.
     fn clear_served(&mut self, ids: &[u16]) {
         for (_, bm) in &mut self.reqs {
-            let missing: Vec<u16> = ids.iter().copied().filter(|&p| bm.get(p)).collect();
-            if missing.len() == 1 {
-                bm.clear(missing[0]);
+            let mut missing = ids.iter().copied().filter(|&p| bm.get(p));
+            if let (Some(target), None) = (missing.next(), missing.next()) {
+                bm.clear(target);
             }
         }
         self.reqs.retain(|(_, bm)| !bm.is_empty());
@@ -154,7 +159,18 @@ impl Plane for XorPlane {
     type Req = PacketBitmap;
     type Frame = Xored;
 
-    fn new(_: &XorConfig, _: &PacketStore) -> Self {
+    /// # Panics
+    ///
+    /// Panics when `max_degree` is zero, or when a frame mixing
+    /// `max_degree` packets does not fit the radio payload.
+    fn new(cfg: &XorConfig, _: &PacketStore) -> Self {
+        let (degree, width) = (cfg.max_degree, cfg.image.layout().payload_bytes());
+        assert!(degree > 0, "XOR max_degree must be at least 1");
+        assert!(
+            XORED_HEADER_BYTES + degree + width <= MAX_PAYLOAD_BYTES,
+            "an XOR frame of {XORED_HEADER_BYTES} + {degree} + {width} bytes exceeds the \
+             {MAX_PAYLOAD_BYTES}-byte radio payload"
+        );
         XorPlane::default()
     }
 
@@ -188,17 +204,13 @@ impl Plane for XorPlane {
         if ids.is_empty() {
             return None;
         }
-        let width = layout.payload_bytes();
-        let mut payload = vec![0u8; width];
+        let mut payload = vec![0u8; layout.payload_bytes()];
         for &p in &ids {
             let held = node
                 .store
                 .read_packet(page, p)
                 .expect("Tx node holds the page");
-            let held = padded_packet(held, width);
-            for (d, s) in payload.iter_mut().zip(&held) {
-                *d ^= s;
-            }
+            xor_into(&mut payload, held);
         }
         node.stats.xored_sent += 1;
         if ids.len() > 1 {
@@ -220,33 +232,29 @@ impl Plane for XorPlane {
             return false;
         }
         let page = x.page;
-        let missing: Vec<u16> = x
+        let mut missing = x
             .ids
             .iter()
             .copied()
-            .filter(|&p| !node.store.has_packet(page, p))
-            .collect();
-        let target = match missing.len() {
-            0 => {
-                node.stats.redundant += 1;
-                return false;
-            }
-            1 => missing[0],
-            _ => {
-                node.stats.unusable += 1;
-                return false;
-            }
+            .filter(|&p| !node.store.has_packet(page, p));
+        let Some(target) = missing.next() else {
+            node.stats.redundant += 1;
+            return false;
         };
-        let mut data = x.payload.clone();
+        if missing.next().is_some() {
+            node.stats.unusable += 1;
+            return false;
+        }
+        // `new` checked that the payload fits a radio frame.
+        let mut buf = [0u8; MAX_PAYLOAD_BYTES];
+        let data = &mut buf[..width];
+        data.copy_from_slice(&x.payload);
         for &p in x.ids.iter().filter(|&&p| p != target) {
             let held = node
                 .store
                 .read_packet(page, p)
                 .expect("constituent held: only `target` is missing");
-            let held = padded_packet(held, width);
-            for (d, s) in data.iter_mut().zip(&held) {
-                *d ^= s;
-            }
+            xor_into(data, held);
         }
         let len = node.cfg.image.layout().packet_len(page, target);
         if !engine::store_packet_once(node.store, page, target, &data[..len]) {
@@ -269,6 +277,14 @@ impl Plane for XorPlane {
             node.ctx.note_segment_complete(page);
         }
         done
+    }
+}
+
+/// XORs `src` into the front of `dst`: a packet zero-padded to the
+/// coding width.
+fn xor_into(dst: &mut [u8], src: &[u8]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d ^= s;
     }
 }
 

@@ -120,3 +120,19 @@ fn deterministic_replay() {
     assert_eq!(a.now(), b.now());
     assert_eq!(a.events_processed(), b.events_processed());
 }
+
+#[test]
+#[should_panic(expected = "an XOR frame of 3 + 4 + 23 bytes exceeds the 29-byte radio payload")]
+fn a_mix_too_wide_for_a_frame_is_rejected_at_construction() {
+    let mut cfg = XorConfig::for_image(&image(1));
+    cfg.max_degree = 4;
+    let _ = Xor::node(cfg);
+}
+
+#[test]
+#[should_panic(expected = "XOR max_degree must be at least 1")]
+fn a_zero_mixing_degree_is_rejected_at_construction() {
+    let mut cfg = XorConfig::for_image(&image(1));
+    cfg.max_degree = 0;
+    let _ = Xor::node(cfg);
+}

@@ -178,10 +178,12 @@ fn prop_decoder_rank_is_monotone_and_decode_needs_full_rank() {
 /// Differential: the forward-only decoder and the incremental-RREF
 /// reference see the same absorb sequence — random combinations mixed
 /// with repeats, scalar multiples, unit vectors, the all-zero patch
-/// (`e_0`) and the zero row — and must agree on every `absorb` result,
-/// on the rank after each, on "no read-out below full rank", and on
-/// the decoded packets, which are the sources. A full decoder keeps
-/// refusing rows and keeps its packets.
+/// (`e_0`), the zero row, and once, at a random rank, a random
+/// combination of every row fed so far — and must agree on every
+/// `absorb` result, on the rank after each, on "no read-out below full
+/// rank", and on the decoded packets, which are the sources. Generations
+/// span 1..=128 packets and widths 1..=32 bytes (a `Coded` frame carries
+/// at most 23). A full decoder keeps refusing rows and keeps its packets.
 #[test]
 fn prop_forward_only_decoder_matches_the_rref_reference() {
     // 32 cases: each decodes a generation twice, once per decoder.
@@ -197,6 +199,7 @@ fn prop_forward_only_decoder_matches_the_rref_reference() {
             let mut dec = GenDecoder::new(gen_size, width);
             let mut reference = RrefDecoder::new(gen_size);
             let mut fed: Vec<Vec<u8>> = Vec::new();
+            let mut dependent_at = Some(rng.index(gen_size));
             let mut after_full = 0;
             while after_full < 4 {
                 assert!(fed.len() < 4 * gen_size + 64, "rank stalled");
@@ -205,7 +208,16 @@ fn prop_forward_only_decoder_matches_the_rref_reference() {
                     coeffs[i] = 1;
                     coeffs
                 };
+                let dependent = dependent_at == Some(dec.rank());
                 let coeffs = match rng.index(8) {
+                    _ if dependent => {
+                        dependent_at = None;
+                        let mut row = vec![0u8; gen_size];
+                        for f in &fed {
+                            gf256::mul_add_assign(&mut row, f, rng.next_u64() as u8);
+                        }
+                        row
+                    }
                     0 if !fed.is_empty() => fed[rng.index(fed.len())].clone(),
                     1 if !fed.is_empty() => {
                         let mut row = fed[rng.index(fed.len())].clone();
@@ -223,6 +235,7 @@ fn prop_forward_only_decoder_matches_the_rref_reference() {
                 assert_eq!(innovative, reference.absorb(&coeffs, &coded));
                 assert_eq!(dec.rank(), reference.rank);
                 assert!(!(was_full && innovative), "a full decoder absorbed a row");
+                assert!(!(dependent && innovative), "a dependent row was absorbed");
                 fed.push(coeffs);
                 if dec.is_full() {
                     after_full += 1;
