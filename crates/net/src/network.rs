@@ -1762,6 +1762,92 @@ mod timeline_tests {
         assert_eq!(of_node_1, ["1 fault 0", "1 moved 2", "1 timer"]);
     }
 
+    /// FNV-1a over the `Debug` form of every event an observer saw.
+    fn digest(events: &[ObsEvent]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for ev in events {
+            for b in format!("{ev:?}\n").bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn motion_flaps_and_churn_replay_their_frozen_bytes() {
+        // Every path of the timeline resolver in one run: a materialized
+        // motion schedule (many owners change links at each 10 s tick),
+        // two overlapping flaps on an edge that moves, one of them
+        // starting on a tick, a flap on a second moving edge, an unsorted
+        // second schedule that changes one edge twice at one instant
+        // (the later change wins), and crash–restart churn.
+        const N: usize = 8;
+        let run = |tie: TieBreak| {
+            let (links, schedule) = mobile(N, SimDuration::from_secs(300), 9);
+            let (a, b) = (schedule[0].from, schedule[0].to);
+            let (c, d) = (schedule[1].from, schedule[1].to);
+            let change = |ms: u64, from: NodeId, to: NodeId, ber: f64| LinkChange {
+                at: SimTime::from_millis(ms),
+                from,
+                to,
+                ber,
+            };
+            let extra = vec![
+                change(35_500, a, b, 0.3),
+                change(12_500, c, d, 0.02),
+                change(35_500, b, a, 0.1),
+                change(35_500, a, b, 0.6),
+                change(20_000, c, d, 0.05),
+            ];
+            let plan = FaultPlan::seeded(4)
+                .link_flap(
+                    a,
+                    b,
+                    SimTime::from_secs(20),
+                    SimDuration::from_secs(25),
+                    1.0,
+                )
+                .link_flap(
+                    a,
+                    b,
+                    SimTime::from_millis(30_250),
+                    SimDuration::from_secs(5),
+                    0.5,
+                )
+                .link_flap(
+                    c,
+                    d,
+                    SimTime::from_millis(15_000),
+                    SimDuration::from_millis(5_000),
+                    0.9,
+                )
+                .crash_restart(NodeId(3), SimTime::from_secs(12), SimDuration::from_secs(9))
+                .crash_restart(
+                    NodeId(5),
+                    SimTime::from_secs(30),
+                    SimDuration::from_secs(40),
+                );
+            let rec = Shared::new(Rec::default());
+            let mut net: Network<Spread> = NetworkBuilder::new(links, 17)
+                .tie_break(tie)
+                .link_schedule(schedule)
+                .link_schedule(extra)
+                .faults(plan)
+                .observer(rec.clone())
+                .build(|id, _| Spread {
+                    has: id == NodeId(0),
+                });
+            net.run_to_deadline(SimTime::from_secs(120));
+            let rec = rec.borrow();
+            (rec.0.len(), digest(&rec.0))
+        };
+        assert_eq!(run(TieBreak::Fifo), (8076, 8522425846162925958));
+        assert_eq!(
+            run(TieBreak::SeededPermutation(5)),
+            (8076, 15891128287084253816)
+        );
+    }
+
     /// Epidemic: a node holding the word broadcasts it every second until
     /// the run ends; hearing it once completes a node.
     struct Spread {
