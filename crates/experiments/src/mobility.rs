@@ -202,7 +202,7 @@ impl MobileExperiment {
     /// a network of this scenario is built from.
     pub(crate) fn links_and_schedule(&self) -> (LinkTable, Vec<LinkChange>) {
         let mobile = self.mobile_topology();
-        (mobile.topology.links, mobile.updates)
+        (mobile.topology.links, mobile.updates.iter().collect())
     }
 
     /// Whether the `t = 0` topology has a usable bidirectional path from

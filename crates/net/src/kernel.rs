@@ -7,7 +7,9 @@
 //! and the observers after every event.
 
 use mnp_obs::{EventKind, LossCause, ObsEvent};
-use mnp_radio::{CsmaAction, CsmaBank, Frame, Medium, NodeId, TxId, TxOutcome, PERCEPTION_LATENCY};
+use mnp_radio::{
+    CsmaAction, CsmaBank, Frame, LinkChange, Medium, NodeId, TxId, TxOutcome, PERCEPTION_LATENCY,
+};
 use mnp_sim::profile::{self, Phase};
 use mnp_sim::{EventQueue, SimTime};
 
@@ -48,8 +50,8 @@ pub(crate) enum Event {
     /// Reboot of a crashed node: fresh RAM state, persistent EEPROM.
     Restart(NodeId),
     /// Link mutation (fault flap, flap restore or node motion): apply row
-    /// `.0` of the link timeline. The row's rank was fixed at build
-    /// time; the event only enters the queue once it is due (see
+    /// `.0` of the link timeline. The row's rank follows from the build;
+    /// the event only enters the queue once it is due (see
     /// [`Kernel::peek_time`]).
     SetLink(u32),
     /// Fault-model storage fault: arm `failures` transient EEPROM write
@@ -60,28 +62,49 @@ pub(crate) enum Event {
     },
 }
 
-/// One row of the resolved link timeline: at `at`, the edge `from -> to`
-/// takes bit-error rate `ber`.
+/// The run's resolved link mutations: row `i` applies `rows[i]` — at
+/// `at`, the edge `from -> to` takes bit-error rate `ber` — in
+/// `(instant, from, to)` order.
 ///
 /// The builder resolves every scheduled change and link flap into these
-/// rows once, sorted by instant; the kernel feeds each row into its queue
-/// under its `(from, seq)` identity once it comes due.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct LinkRow {
-    pub at: SimTime,
-    /// `from`'s owner sequence number, drawn at build time: with `at` and
-    /// `from` it is the row's queue rank, whenever the row is fed.
-    pub seq: u32,
-    pub from: NodeId,
-    pub to: NodeId,
-    pub ber: f64,
-    /// Only selects which observer event is emitted.
-    pub kind: LinkEventKind,
+/// rows once, in the schedule's own buffer; the kernel feeds each row into
+/// its queue under its `(from, seq)` identity once it comes due. A row's
+/// `seq` is not stored: the build reserves each owner a block of sequence
+/// numbers, one per row it owns, and the feed hands them out in row order
+/// — the numbers a per-row draw in row order would give.
+#[derive(Debug, Default)]
+pub(crate) struct LinkTimeline {
+    pub rows: Vec<LinkChange>,
+    /// `(row, kind)` of every row that is not motion, by row: at most one
+    /// per flap start or end, so empty in a run without link flaps.
+    pub kinds: Vec<(u32, LinkEventKind)>,
+    /// Per owner (indexed by `NodeId`), the sequence number of its next
+    /// unfed row; empty in a static run. (The resolver leaves each owner's
+    /// row count here, and the build swaps it for the owner's block.)
+    pub seqs: Vec<u32>,
+    /// Rows `fed..` have not entered the queue yet.
+    pub fed: usize,
 }
 
-/// Why a [`LinkRow`] fires; selects the observer event only — the
+impl LinkTimeline {
+    /// Row `row` and why it fires.
+    pub fn row(&self, row: u32) -> (LinkChange, LinkEventKind) {
+        let kind = match self.kinds.binary_search_by_key(&row, |&(r, _)| r) {
+            Ok(i) => self.kinds[i].1,
+            Err(_) => LinkEventKind::Motion,
+        };
+        (self.rows[row as usize], kind)
+    }
+
+    /// Rows not fed yet.
+    fn unfed(&self) -> usize {
+        self.rows.len() - self.fed
+    }
+}
+
+/// Why a timeline row fires; selects the observer event only — the
 /// medium mutation is identical for all three.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum LinkEventKind {
     /// A fault degraded the edge (a flap started, or an overlapping flap
     /// expired leaving another one applied).
@@ -89,7 +112,7 @@ pub(crate) enum LinkEventKind {
     /// The last active flap on the edge expired: back to the base rate.
     Restore,
     /// Node motion re-derived the edge's base quality (a scheduled
-    /// [`LinkChange`](crate::LinkChange), no fault involved).
+    /// [`LinkChange`], no fault involved).
     Motion,
 }
 
@@ -121,10 +144,8 @@ fn event_node(ev: &Event) -> Option<NodeId> {
 pub(crate) struct Kernel<P: Protocol> {
     pub now: SimTime,
     pub queue: EventQueue<Event>,
-    /// The run's resolved link mutations in time order; rows `fed..` have
-    /// not entered `queue` yet.
-    pub timeline: Vec<LinkRow>,
-    pub fed: usize,
+    /// The run's resolved link mutations in time order.
+    pub timeline: LinkTimeline,
     pub medium: Medium<P::Msg>,
     pub protocols: Vec<P>,
     /// Every node's MAC, in struct-of-arrays columns.
@@ -183,13 +204,16 @@ impl<P: Protocol> Kernel<P> {
     #[inline]
     pub fn peek_time(&mut self) -> Option<SimTime> {
         let mut next = self.queue.peek_time();
-        while let Some(row) = self.timeline.get(self.fed) {
+        let tl = &mut self.timeline;
+        while let Some(&row) = tl.rows.get(tl.fed) {
             if next.is_some_and(|t| t < row.at) {
                 break;
             }
-            let ev = Event::SetLink(self.fed as u32);
-            self.queue.push_owned(row.at, row.from.0, row.seq, ev);
-            self.fed += 1;
+            let seq = &mut tl.seqs[row.from.index()];
+            let ev = Event::SetLink(tl.fed as u32);
+            self.queue.push_owned(row.at, row.from.0, *seq, ev);
+            *seq += 1;
+            tl.fed += 1;
             next = Some(row.at);
         }
         next
@@ -198,7 +222,7 @@ impl<P: Protocol> Kernel<P> {
     /// Events pending: queued plus timeline rows not yet fed — what the
     /// queue alone held when every row was pre-loaded.
     pub fn pending(&self) -> usize {
-        self.queue.len() + (self.timeline.len() - self.fed)
+        self.queue.len() + self.timeline.unfed()
     }
 
     /// Dispatches one event.
@@ -215,13 +239,7 @@ impl<P: Protocol> Kernel<P> {
             Event::Kill(node) => self.kill(node),
             Event::Restart(node) => self.restart(node),
             Event::SetLink(row) => {
-                let LinkRow {
-                    from,
-                    to,
-                    ber,
-                    kind,
-                    ..
-                } = self.timeline[row as usize];
+                let (LinkChange { from, to, ber, .. }, kind) = self.timeline.row(row);
                 self.medium.set_link_ber(from, to, ber);
                 let ber_ppb = (ber * 1e9).round() as u64;
                 let kind = match kind {

@@ -17,7 +17,7 @@ use mnp_sim::{EventQueue, SimRng, SimTime, TieBreak};
 use mnp_trace::RunTrace;
 
 use crate::fault::{FaultPlan, FaultPlanError, PlannedFault};
-use crate::kernel::{Event, Kernel, LinkEventKind, LinkRow};
+use crate::kernel::{Event, Kernel, LinkEventKind, LinkTimeline};
 use crate::nodes::NodeArena;
 use crate::protocol::Protocol;
 
@@ -90,7 +90,13 @@ impl NetworkBuilder {
     /// build time: unknown nodes and edges outside the (potential) link
     /// set are rejected with a typed [`FaultPlanError`].
     pub fn link_schedule(mut self, schedule: Vec<LinkChange>) -> Self {
-        self.link_schedule.extend(schedule);
+        if self.link_schedule.is_empty() {
+            // The first schedule is kept as it is: the build resolves the
+            // timeline in its buffer.
+            self.link_schedule = schedule;
+        } else {
+            self.link_schedule.extend(schedule);
+        }
         self
     }
 
@@ -161,22 +167,28 @@ impl NetworkBuilder {
         if let Some(plan) = &self.faults {
             plan.validate(&self.links)?;
         }
-        for c in &self.link_schedule {
-            for node in [c.from, c.to] {
-                if node.index() >= self.links.len() {
-                    return Err(FaultPlanError::UnknownNode {
-                        node,
-                        nodes: self.links.len(),
-                    });
-                }
-            }
-            if self.links.ber(c.from, c.to).is_none() {
-                return Err(FaultPlanError::MissingEdge {
-                    from: c.from,
-                    to: c.to,
-                });
-            }
-        }
+        let mut timeline = {
+            let _span = profile::span(Phase::FaultExpand);
+            // Link flaps do not become queue events: they interact with the
+            // link schedule, so `link_timeline` resolves both — and checks
+            // the schedule against the graph as it goes.
+            let flaps: Vec<Flap> = self
+                .faults
+                .iter()
+                .flat_map(FaultPlan::faults)
+                .filter_map(|fault| match *fault {
+                    PlannedFault::LinkFlap {
+                        from,
+                        to,
+                        at,
+                        duration,
+                        ber,
+                    } => Some((from, to, at, at + duration, ber)),
+                    _ => None,
+                })
+                .collect();
+            link_timeline(&self.links, self.link_schedule, &flaps)?
+        };
         let links = self.links;
         let n = links.len();
         let root = SimRng::new(self.seed);
@@ -198,34 +210,24 @@ impl NetworkBuilder {
             let node = NodeId::from_index(i);
             push(SimTime::ZERO, node, Event::Start(node));
         }
-        let timeline = {
-            let _span = profile::span(Phase::FaultExpand);
-            // Link flaps do not become queue events here: they interact
-            // with the link schedule, so `link_timeline` resolves both.
-            let mut flaps: Vec<Flap> = Vec::new();
-            if let Some(plan) = &self.faults {
-                for fault in plan.faults() {
-                    match *fault {
-                        PlannedFault::Kill { node, at } => push(at, node, Event::Kill(node)),
-                        PlannedFault::CrashRestart { node, at, down_for } => {
-                            push(at, node, Event::Kill(node));
-                            push(at + down_for, node, Event::Restart(node));
-                        }
-                        PlannedFault::LinkFlap {
-                            from,
-                            to,
-                            at,
-                            duration,
-                            ber,
-                        } => flaps.push((from, to, at, at + duration, ber)),
-                        PlannedFault::StorageFaults { node, at, failures } => {
-                            push(at, node, Event::InjectStorage { node, failures });
-                        }
-                    }
+        for fault in self.faults.iter().flat_map(FaultPlan::faults) {
+            match *fault {
+                PlannedFault::Kill { node, at } => push(at, node, Event::Kill(node)),
+                PlannedFault::CrashRestart { node, at, down_for } => {
+                    push(at, node, Event::Kill(node));
+                    push(at + down_for, node, Event::Restart(node));
+                }
+                PlannedFault::LinkFlap { .. } => {}
+                PlannedFault::StorageFaults { node, at, failures } => {
+                    push(at, node, Event::InjectStorage { node, failures });
                 }
             }
-            link_timeline(&links, self.link_schedule, &flaps, &mut nodes)
-        };
+        }
+        // Then every owner's timeline rows take its next numbers, one per
+        // row, reserved as a block and handed out as the rows are fed.
+        for (i, seq) in timeline.seqs.iter_mut().enumerate() {
+            *seq = nodes.reserve_seqs(NodeId::from_index(i), *seq);
+        }
         let watched = !self.observers.is_empty();
         let mut medium = Medium::new(links, root.derive(u64::MAX));
         medium.set_capture(self.capture);
@@ -233,7 +235,6 @@ impl NetworkBuilder {
             now: SimTime::ZERO,
             queue,
             timeline,
-            fed: 0,
             medium,
             protocols,
             macs: CsmaBank::new(CsmaConfig::default(), n),
@@ -288,27 +289,22 @@ impl NetworkBuilder {
 /// A planned link flap: `(from, to, start, end, degraded BER)`.
 type Flap = (NodeId, NodeId, SimTime, SimTime, f64);
 
-/// One mark on an edge's timeline.
+/// One flap mark on an edge's timeline.
 #[derive(Clone, Copy)]
 enum Mark {
-    /// A scheduled change of the edge's base rate.
-    Move(f64),
     /// Flap `id` starts degrading the edge.
     FlapStart(u32, f64),
     /// Flap `id` expires.
     FlapEnd(u32),
 }
 
-/// A mark with its sort key: `(instant, from, to, class, mark)`. The
+/// A flap mark with its sort key: `(instant, from, to, class, mark)`. The
 /// class makes same-instant resolution on one edge well-defined: base
-/// moves apply first, then flap starts, then flap ends — so a flap
-/// starting exactly as another ends keeps the edge faulted, and a flap
-/// ending at the instant of a base change restores to the new base.
+/// moves (class 0, the schedule's changes) apply first, then flap starts,
+/// then flap ends — so a flap starting exactly as another ends keeps the
+/// edge faulted, and a flap ending at the instant of a base change
+/// restores to the new base.
 type Placed = (SimTime, NodeId, NodeId, u8, Mark);
-
-fn placed_key(&(at, from, to, class, _): &Placed) -> (SimTime, NodeId, NodeId, u8) {
-    (at, from, to, class)
-}
 
 /// A flap-carrying edge during the timeline sweep.
 struct Flapped {
@@ -321,33 +317,39 @@ struct Flapped {
 }
 
 /// Resolves the link schedule and the plan's flaps into the run's link
-/// timeline: the BER each edge actually carries at each instant, one
-/// [`LinkRow`] per applied change, in `(instant, from, to)` order.
+/// timeline: the BER each edge actually carries at each instant, one row
+/// per applied change, in `(instant, from, to)` order, plus each owner's
+/// row count (the build turns the counts into sequence blocks).
 ///
 /// Flaps and scheduled (mobility) changes of one edge interact —
 /// overlapping flaps must not end each other early, and a flap must
 /// restore to the base rate as of its *end*, not the pristine rate — so
-/// all marks of one edge at one instant are resolved together. Each row
-/// draws `from`'s next owner sequence number here, which fixes its queue
-/// rank before the run, whenever the kernel feeds it.
+/// all marks of one edge at one instant are resolved together.
+///
+/// The rows are written over the schedule itself. Its changes move to the
+/// back of the buffer, behind one free slot per flap mark, and the rows
+/// are written from the front. Every row consumes at least one mark, so
+/// the write cursor never passes the next unread change.
+///
+/// The same pass checks the schedule against the graph, with one edge
+/// search per edge and instant: the first offending change in
+/// `(instant, from, to)` order is returned as a typed error.
 fn link_timeline(
     links: &LinkTable,
-    mut schedule: Vec<LinkChange>,
+    mut rows: Vec<LinkChange>,
     flaps: &[Flap],
-    nodes: &mut NodeArena,
-) -> Vec<LinkRow> {
-    if schedule.is_empty() && flaps.is_empty() {
-        // A static run: skip the per-edge rate table below.
-        return Vec::new();
+) -> Result<LinkTimeline, FaultPlanError> {
+    if rows.is_empty() && flaps.is_empty() {
+        // A static run: no rows, so no per-edge or per-owner columns.
+        return Ok(LinkTimeline::default());
     }
+    let key = |c: &LinkChange| (c.at, c.from, c.to);
     // Stable, so same-instant moves of one edge keep their schedule order
     // (the last one wins). A mobility schedule arrives in this order
-    // already, which the sort detects in one pass.
-    schedule.sort_by_key(|c| (c.at, c.from, c.to));
-    let mut moves = schedule
-        .iter()
-        .map(|c| (c.at, c.from, c.to, 0, Mark::Move(c.ber)))
-        .peekable();
+    // already: then it is left as it is, and no sort scratch is taken.
+    if !rows.is_sorted_by_key(key) {
+        rows.sort_by_key(key);
+    }
     let mut flap_marks: Vec<Placed> = Vec::with_capacity(2 * flaps.len());
     let mut flapped: BTreeMap<(NodeId, NodeId), Flapped> = BTreeMap::new();
     for (id, &(from, to, start, end, ber)) in flaps.iter().enumerate() {
@@ -360,38 +362,72 @@ fn link_timeline(
             active: Vec::new(),
         });
     }
-    flap_marks.sort_by_key(placed_key);
+    flap_marks.sort_by_key(|&(at, from, to, class, _)| (at, from, to, class));
+    let gap = flap_marks.len();
+    let moves = rows.len();
+    assert!(
+        u32::try_from(moves + gap).is_ok(),
+        "link timeline rows are indexed by u32"
+    );
+    if gap > 0 {
+        rows.reserve_exact(gap);
+        let filler = LinkChange {
+            at: SimTime::ZERO,
+            from: NodeId(0),
+            to: NodeId(0),
+            ber: 0.0,
+        };
+        rows.resize(moves + gap, filler);
+        rows.copy_within(0..moves, gap);
+    }
     let mut flap_marks = flap_marks.into_iter().peekable();
-    // The two sorted streams merged (classes keep their keys distinct).
-    let mut marks = std::iter::from_fn(|| match (moves.peek(), flap_marks.peek()) {
-        (Some(m), Some(f)) if placed_key(f) < placed_key(m) => flap_marks.next(),
-        (Some(_), _) => moves.next(),
-        (None, _) => flap_marks.next(),
-    })
-    .peekable();
-    // The rate every edge carries as the sweep advances.
-    let mut applied = links.clone();
-    let mut rows = Vec::with_capacity(schedule.len() + 2 * flaps.len());
-    while let Some(&(at, from, to, ..)) = marks.peek() {
+    let nodes = links.len();
+    // The rate every edge carries as the sweep advances, by CSR index.
+    let mut rates: Vec<f64> = (0..links.edge_count() as u32)
+        .map(|e| links.edge_ber(e))
+        .collect();
+    let mut kinds = Vec::with_capacity(gap);
+    let mut owned = vec![0u32; nodes];
+    let (mut read, mut write) = (gap, 0);
+    loop {
+        // The next mark: the schedule's next change or the next flap mark,
+        // whichever is earlier (a change on a tie: class 0).
+        let change = rows.get(read).map(key);
+        let flap = flap_marks.peek().map(|&(at, from, to, ..)| (at, from, to));
+        let (at, from, to) = match (change, flap) {
+            (Some(c), Some(f)) => c.min(f),
+            (Some(next), None) | (None, Some(next)) => next,
+            (None, None) => break,
+        };
+        let mut moved = None;
+        while let Some(c) = rows.get(read).filter(|c| key(c) == (at, from, to)) {
+            moved = Some(c.ber);
+            read += 1;
+        }
+        for node in [from, to] {
+            if node.index() >= nodes {
+                return Err(FaultPlanError::UnknownNode { node, nodes });
+            }
+        }
+        let Some(e) = links.edge(from, to) else {
+            return Err(FaultPlanError::MissingEdge { from, to });
+        };
         let mut edge = flapped.get_mut(&(from, to));
-        let (mut moved, mut started, mut ended) = (None, false, false);
-        while let Some((.., mark)) = marks.next_if(|m| (m.0, m.1, m.2) == (at, from, to)) {
-            match (mark, &mut edge) {
-                (Mark::Move(ber), _) => moved = Some(ber),
-                (Mark::FlapStart(id, ber), Some(edge)) => {
+        let (mut started, mut ended) = (false, false);
+        while let Some((.., mark)) = flap_marks.next_if(|m| (m.0, m.1, m.2) == (at, from, to)) {
+            let edge = edge.as_mut().expect("every flap's edge is in `flapped`");
+            match mark {
+                Mark::FlapStart(id, ber) => {
                     edge.active.push((id, ber));
                     started = true;
                 }
-                (Mark::FlapEnd(id), Some(edge)) => {
+                Mark::FlapEnd(id) => {
                     edge.active.retain(|&(a, _)| a != id);
                     ended = true;
                 }
-                (_, None) => unreachable!("every flap's edge is in `flapped`"),
             }
         }
-        let was = applied
-            .ber(from, to)
-            .expect("schedule and plan validated against this graph");
+        let was = rates[e as usize];
         let (now, faulted) = match edge {
             // A move-only edge carries its base rate.
             None => (moved.unwrap_or(was), false),
@@ -406,29 +442,29 @@ fn link_timeline(
         // move), interior flap ends only when the surviving flap's rate
         // differs.
         if now != was || started {
-            let kind = if faulted {
-                LinkEventKind::Fault
+            if faulted {
+                kinds.push((write as u32, LinkEventKind::Fault));
             } else if ended {
-                LinkEventKind::Restore
-            } else {
-                LinkEventKind::Motion
-            };
-            rows.push(LinkRow {
+                kinds.push((write as u32, LinkEventKind::Restore));
+            }
+            rows[write] = LinkChange {
                 at,
-                seq: nodes.next_seq(from),
                 from,
                 to,
                 ber: now,
-                kind,
-            });
-            applied.set_ber(from, to, now);
+            };
+            write += 1;
+            owned[from.index()] += 1;
+            rates[e as usize] = now;
         }
     }
-    assert!(
-        u32::try_from(rows.len()).is_ok(),
-        "link timeline rows are indexed by u32"
-    );
-    rows
+    rows.truncate(write);
+    Ok(LinkTimeline {
+        rows,
+        kinds,
+        seqs: owned,
+        fed: 0,
+    })
 }
 
 /// A running simulated network of `P`-protocol nodes.
@@ -1642,7 +1678,7 @@ mod timeline_tests {
             &rng.derive(1),
         );
         let topo = materialize(&initial, &plan, PowerLevel::FULL, &mut rng.derive(2));
-        (topo.topology.links, topo.updates)
+        (topo.topology.links, topo.updates.iter().collect())
     }
 
     #[test]
@@ -1846,6 +1882,227 @@ mod timeline_tests {
             run(TieBreak::SeededPermutation(5)),
             (8076, 15891128287084253816)
         );
+    }
+
+    /// A fed timeline row: `(at, owner, seq, from, to, ber, kind)`.
+    type Fed = (SimTime, NodeId, u32, NodeId, NodeId, f64, LinkEventKind);
+
+    /// The eager resolver the in-place one replaced, kept as the reference:
+    /// it sorts a copy of the schedule, sweeps the marks of the schedule and
+    /// the flaps merged, and draws each row's sequence number from `seqs`
+    /// (the owners' next numbers) as it emits the row.
+    fn eager_rows(
+        links: &LinkTable,
+        schedule: &[LinkChange],
+        flaps: &[Flap],
+        seqs: &mut [u32],
+    ) -> Vec<Fed> {
+        #[derive(Clone, Copy)]
+        enum Eager {
+            Move(f64),
+            Start(u32, f64),
+            End(u32),
+        }
+        let mut marks: Vec<(SimTime, NodeId, NodeId, u8, Eager)> = schedule
+            .iter()
+            .map(|c| (c.at, c.from, c.to, 0, Eager::Move(c.ber)))
+            .collect();
+        let mut flapped: BTreeMap<(NodeId, NodeId), Flapped> = BTreeMap::new();
+        for (id, &(from, to, start, end, ber)) in flaps.iter().enumerate() {
+            marks.push((start, from, to, 1, Eager::Start(id as u32, ber)));
+            marks.push((end, from, to, 2, Eager::End(id as u32)));
+            flapped.entry((from, to)).or_insert_with(|| Flapped {
+                base: links.ber(from, to).unwrap(),
+                active: Vec::new(),
+            });
+        }
+        marks.sort_by_key(|&(at, from, to, class, _)| (at, from, to, class));
+        let mut applied = links.clone();
+        let mut rows = Vec::new();
+        let mut marks = marks.into_iter().peekable();
+        while let Some(&(at, from, to, ..)) = marks.peek() {
+            let mut edge = flapped.get_mut(&(from, to));
+            let (mut moved, mut started, mut ended) = (None, false, false);
+            while let Some((.., mark)) = marks.next_if(|m| (m.0, m.1, m.2) == (at, from, to)) {
+                match (mark, &mut edge) {
+                    (Eager::Move(ber), _) => moved = Some(ber),
+                    (Eager::Start(id, ber), Some(edge)) => {
+                        edge.active.push((id, ber));
+                        started = true;
+                    }
+                    (Eager::End(id), Some(edge)) => {
+                        edge.active.retain(|&(a, _)| a != id);
+                        ended = true;
+                    }
+                    (_, None) => unreachable!(),
+                }
+            }
+            let was = applied.ber(from, to).unwrap();
+            let (now, faulted) = match edge {
+                None => (moved.unwrap_or(was), false),
+                Some(edge) => {
+                    edge.base = moved.unwrap_or(edge.base);
+                    let now = edge.active.last().map_or(edge.base, |&(_, ber)| ber);
+                    (now, !edge.active.is_empty())
+                }
+            };
+            if now != was || started {
+                let kind = if faulted {
+                    LinkEventKind::Fault
+                } else if ended {
+                    LinkEventKind::Restore
+                } else {
+                    LinkEventKind::Motion
+                };
+                let seq = seqs[from.index()];
+                seqs[from.index()] += 1;
+                rows.push((at, from, seq, from, to, now, kind));
+                applied.set_ber(from, to, now);
+            }
+        }
+        rows
+    }
+
+    #[test]
+    fn fed_rows_match_the_eager_resolver() {
+        mnp_sim::check("fed_rows_match_the_eager_resolver", 200, |rng| {
+            let n = rng.index(7) + 2;
+            // Few distinct rates and instants, so no-op changes, same-instant
+            // marks and coinciding flap ends all happen.
+            const RATES: [f64; 4] = [0.0, 0.01, 0.5, 1.0];
+            let mut edges = Vec::new();
+            let links = LinkTable::from_rows(n, |from, row| {
+                for to in (0..n).map(NodeId::from_index) {
+                    if to != from && (rng.chance(0.5) || (from.0, to.0) == (0, 1)) {
+                        row.push((to, RATES[rng.index(4)]));
+                        edges.push((from, to));
+                    }
+                }
+            });
+            let instant = |rng: &mut SimRng| SimTime::from_millis(250 * rng.range_u64(0, 16));
+            let mut schedule: Vec<LinkChange> = (0..rng.index(60))
+                .map(|_| {
+                    let (from, to) = edges[rng.index(edges.len())];
+                    LinkChange {
+                        at: instant(rng),
+                        from,
+                        to,
+                        ber: RATES[rng.index(4)],
+                    }
+                })
+                .collect();
+            if rng.chance(0.5) {
+                schedule.sort_by_key(|c| (c.at, c.from, c.to));
+            }
+            let mut plan = FaultPlan::seeded(rng.next_u64());
+            let mut seqs = vec![1u32; n];
+            for _ in 0..rng.index(6) {
+                let (from, to) = edges[rng.index(edges.len())];
+                let duration = SimDuration::from_millis(250 * rng.range_u64(1, 8));
+                plan = plan.link_flap(from, to, instant(rng), duration, RATES[rng.index(4)]);
+            }
+            for _ in 0..rng.index(3) {
+                let node = NodeId::from_index(rng.index(n));
+                plan = plan.crash_restart(node, instant(rng), SimDuration::from_secs(1));
+                seqs[node.index()] += 2;
+            }
+            let flaps: Vec<Flap> = plan
+                .faults()
+                .iter()
+                .filter_map(|f| match *f {
+                    PlannedFault::LinkFlap {
+                        from,
+                        to,
+                        at,
+                        duration,
+                        ber,
+                    } => Some((from, to, at, at + duration, ber)),
+                    _ => None,
+                })
+                .collect();
+            let mut want = eager_rows(&links, &schedule, &flaps, &mut seqs);
+            let tie = if rng.chance(0.5) {
+                TieBreak::Fifo
+            } else {
+                TieBreak::SeededPermutation(rng.next_u64())
+            };
+            let mut net: Network<Inert> = NetworkBuilder::new(links, 1)
+                .tie_break(tie)
+                .link_schedule(schedule)
+                .faults(plan)
+                .build(|_, _| Inert);
+            // Feed and pop without dispatching: nothing else is scheduled,
+            // and every popped `SetLink` shows the rank it was fed under.
+            let kernel = &mut net.kernel;
+            let mut fed = Vec::new();
+            while kernel.peek_time().is_some() {
+                let popped = kernel.queue.pop_ranked().expect("peeked");
+                if let Event::SetLink(row) = popped.event {
+                    let (c, kind) = kernel.timeline.row(row);
+                    let owner = NodeId((popped.owner_key >> 32) as u32);
+                    let seq = popped.owner_key as u32;
+                    fed.push((popped.time, owner, seq, c.from, c.to, c.ber, kind));
+                }
+            }
+            let rank = |r: &Fed| (r.0, r.1, r.2);
+            fed.sort_by_key(rank);
+            want.sort_by_key(rank);
+            assert_eq!(fed, want);
+            // The blocks end where the per-row draws ended.
+            for (i, &next) in seqs.iter().enumerate() {
+                assert_eq!(kernel.nodes.next_seq(NodeId::from_index(i)), next);
+            }
+        });
+    }
+
+    #[test]
+    fn only_a_run_with_rows_holds_owner_blocks_and_only_flaps_keep_kinds() {
+        let build = |schedule: Vec<LinkChange>, plan: FaultPlan| {
+            NetworkBuilder::new(line(4), 1)
+                .link_schedule(schedule)
+                .faults(plan)
+                .build(|_, _| Inert)
+                .kernel
+                .timeline
+        };
+        let change = LinkChange {
+            at: SimTime::from_secs(1),
+            from: NodeId(1),
+            to: NodeId(2),
+            ber: 0.5,
+        };
+        let churn = FaultPlan::seeded(1).crash_restart(
+            NodeId(2),
+            SimTime::from_secs(1),
+            SimDuration::from_secs(1),
+        );
+        let fixed = build(Vec::new(), churn);
+        assert_eq!(fixed.rows.capacity(), 0);
+        assert_eq!(fixed.seqs.capacity(), 0);
+        assert_eq!(fixed.kinds.capacity(), 0);
+        let moving = build(vec![change], FaultPlan::seeded(1));
+        assert_eq!(moving.rows.len(), 1);
+        assert_eq!(moving.seqs, [1, 1, 1, 1]);
+        assert_eq!(moving.kinds.capacity(), 0);
+        let flap = FaultPlan::seeded(1).link_flap(
+            NodeId(0),
+            NodeId(1),
+            SimTime::from_secs(2),
+            SimDuration::from_secs(1),
+            1.0,
+        );
+        let flapped = build(vec![change], flap);
+        assert_eq!(flapped.rows.len(), 3);
+        let kinds: Vec<LinkEventKind> = (0..3).map(|row| flapped.row(row).1).collect();
+        assert_eq!(
+            kinds,
+            [
+                LinkEventKind::Motion,
+                LinkEventKind::Fault,
+                LinkEventKind::Restore
+            ]
+        );
+        assert_eq!(flapped.kinds.len(), 2, "motion rows keep no kind");
     }
 
     /// Epidemic: a node holding the word broadcasts it every second until

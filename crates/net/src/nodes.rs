@@ -127,6 +127,16 @@ impl NodeArena {
         self.push_seqs[i] += 1;
         seq
     }
+
+    /// Allocates `count` consecutive sequence numbers of `node` at once and
+    /// returns the first: the numbers `count` calls of
+    /// [`NodeArena::next_seq`] would have returned.
+    pub fn reserve_seqs(&mut self, node: NodeId, count: u32) -> u32 {
+        let i = node.index();
+        let first = self.push_seqs[i];
+        self.push_seqs[i] += count;
+        first
+    }
 }
 
 #[cfg(test)]
@@ -173,5 +183,20 @@ mod tests {
             Some((SimTime::from_secs(1), 7))
         );
         assert_eq!(a.take_pending_sleep(NodeId(6)), None);
+    }
+
+    #[test]
+    fn a_reserved_block_is_what_single_draws_would_give() {
+        let (mut a, mut b) = (arena(3), arena(3));
+        for _ in 0..2 {
+            a.next_seq(NodeId(1));
+            b.next_seq(NodeId(1));
+        }
+        assert_eq!(a.reserve_seqs(NodeId(1), 4), 2);
+        let drawn: Vec<u32> = (0..4).map(|_| b.next_seq(NodeId(1))).collect();
+        assert_eq!(drawn, [2, 3, 4, 5]);
+        assert_eq!(a.next_seq(NodeId(1)), b.next_seq(NodeId(1)));
+        assert_eq!(a.reserve_seqs(NodeId(2), 0), 0);
+        assert_eq!(a.next_seq(NodeId(2)), 0);
     }
 }

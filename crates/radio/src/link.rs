@@ -132,14 +132,16 @@ impl LinkTable {
     /// The bit error rate of `from → to`, or `None` if `to` cannot hear
     /// `from`. Binary search within the sorted row.
     pub fn ber(&self, from: NodeId, to: NodeId) -> Option<f64> {
-        self.edge(from, to).map(|e| self.ber[e])
+        self.edge(from, to).map(|e| self.edge_ber(e))
     }
 
     /// Updates the BER of the existing edge `from → to` in place (the
     /// fault and mobility path; it never adds an edge). Returns whether the
     /// edge was found.
     pub fn set_ber(&mut self, from: NodeId, to: NodeId, ber: f64) -> bool {
-        self.edge(from, to).map(|e| self.ber[e] = ber).is_some()
+        self.edge(from, to)
+            .map(|e| self.ber[e as usize] = ber)
+            .is_some()
     }
 
     /// Iterates over `(neighbor, ber)` for every node that can hear `from`,
@@ -156,6 +158,14 @@ impl LinkTable {
     #[inline]
     pub fn row_start(&self, from: NodeId) -> u32 {
         self.off[from.index()]
+    }
+
+    /// The CSR index of the edge `from → to`, if there is one (`None`
+    /// for an unknown node too). Binary search within the sorted row.
+    pub fn edge(&self, from: NodeId, to: NodeId) -> Option<u32> {
+        let row = self.row(from);
+        let k = self.dst[row.clone()].binary_search(&to).ok()?;
+        Some((row.start + k) as u32)
     }
 
     /// The receiving end of the edge with CSR index `edge`.
@@ -224,13 +234,6 @@ impl LinkTable {
             Some(&[lo, hi]) => lo as usize..hi as usize,
             _ => 0..0,
         }
-    }
-
-    /// The CSR index of the edge `from → to`, if there is one.
-    fn edge(&self, from: NodeId, to: NodeId) -> Option<usize> {
-        let row = self.row(from);
-        let k = self.dst[row.clone()].binary_search(&to).ok()?;
-        Some(row.start + k)
     }
 }
 

@@ -32,5 +32,5 @@ mod placement;
 
 pub use builder::{Topology, TopologyBuilder};
 pub use grid::GridSpec;
-pub use mobility::{Field, MobileTopology, MobilityModel, MotionPlan};
+pub use mobility::{Field, MobileTopology, MobilityModel, MotionPlan, MotionSchedule};
 pub use placement::{Placement, Position};

@@ -292,8 +292,94 @@ pub struct MobileTopology {
     pub topology: Topology,
     /// Base-quality changes in time order (ticks ascending, edges in
     /// `(from, to)` ID order within a tick), no-op changes suppressed.
-    pub updates: Vec<LinkChange>,
+    pub updates: MotionSchedule,
 }
+
+/// The link changes a [`MotionPlan`] induces, held compactly: per change
+/// only the CSR index of its edge in [`MobileTopology::topology`]'s link
+/// table (`u32`) and the new rate (`f64`), 12 B, with the instant implied
+/// by the tick the change falls on. Every column is sized exactly.
+///
+/// [`MotionSchedule::iter`] yields the changes as [`LinkChange`] values,
+/// in time order; collect it into the `Vec` that
+/// `NetworkBuilder::link_schedule` takes.
+#[derive(Clone, Debug, PartialEq)]
+pub struct MotionSchedule {
+    tick: SimDuration,
+    /// `tick_ends[k]` is one past the last change at `(k + 1) × tick`.
+    tick_ends: Vec<u32>,
+    /// `(from, to)` of every potential edge, by CSR index.
+    ends: Vec<(NodeId, NodeId)>,
+    edge: Vec<u32>,
+    ber: Vec<f64>,
+}
+
+impl MotionSchedule {
+    /// Number of changes.
+    pub fn len(&self) -> usize {
+        self.edge.len()
+    }
+
+    /// Whether the motion changes no link at all.
+    pub fn is_empty(&self) -> bool {
+        self.edge.is_empty()
+    }
+
+    /// The changes in time order.
+    pub fn iter(&self) -> Changes<'_> {
+        Changes {
+            schedule: self,
+            tick: 0,
+            next: 0,
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a MotionSchedule {
+    type Item = LinkChange;
+    type IntoIter = Changes<'a>;
+
+    fn into_iter(self) -> Changes<'a> {
+        self.iter()
+    }
+}
+
+/// The changes of a [`MotionSchedule`], in time order.
+#[derive(Clone, Debug)]
+pub struct Changes<'a> {
+    schedule: &'a MotionSchedule,
+    /// The tick of change `next`, or an earlier one.
+    tick: usize,
+    next: usize,
+}
+
+impl Iterator for Changes<'_> {
+    type Item = LinkChange;
+
+    fn next(&mut self) -> Option<LinkChange> {
+        let s = self.schedule;
+        let i = self.next;
+        let edge = *s.edge.get(i)?;
+        while s.tick_ends[self.tick] as usize <= i {
+            self.tick += 1;
+        }
+        self.next += 1;
+        let (from, to) = s.ends[edge as usize];
+        Some(LinkChange {
+            at: SimTime::from_micros(s.tick.as_micros() * (self.tick as u64 + 1)),
+            from,
+            to,
+            ber: s.ber[i],
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.schedule.len() - self.next;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for Changes<'_> {}
 
 /// Materializes the potential-edge set of `initial` moved by `plan`, and
 /// the link-update schedule the motion induces.
@@ -323,7 +409,10 @@ pub fn materialize(
             }
         }
     }
-    let mut edges: Vec<(NodeId, NodeId, f64)> = Vec::new();
+    // Per potential edge, in CSR order: its ends, its shadow and the rate
+    // it carries as the frames advance.
+    let mut ends: Vec<(NodeId, NodeId)> = Vec::new();
+    let mut edge_shadow: Vec<f64> = Vec::new();
     let mut last_ber: Vec<f64> = Vec::new();
     let links = LinkTable::from_rows(n, |f, row| {
         for to in 0..n {
@@ -341,34 +430,41 @@ pub fn materialize(
             let ber =
                 loss::edge_ber_with_shadow(initial.distance_ft(f, t), range, shadow).unwrap_or(1.0);
             row.push((t, ber));
-            edges.push((f, t, shadow));
+            ends.push((f, t));
+            edge_shadow.push(shadow);
             last_ber.push(ber);
         }
     });
-    let mut updates = Vec::new();
-    for (k, frame) in plan.frames.iter().enumerate() {
-        let at = SimTime::from_micros(plan.tick.as_micros() * (k as u64 + 1));
-        for (e, &(f, t, shadow)) in edges.iter().enumerate() {
+    drop(shadows);
+    let mut tick_ends = Vec::with_capacity(plan.frames.len());
+    let (mut edge, mut bers) = (Vec::new(), Vec::new());
+    for frame in &plan.frames {
+        for (e, (&(f, t), &shadow)) in ends.iter().zip(&edge_shadow).enumerate() {
             let ber =
                 loss::edge_ber_with_shadow(frame.distance_ft(f, t), range, shadow).unwrap_or(1.0);
             if ber != last_ber[e] {
-                updates.push(LinkChange {
-                    at,
-                    from: f,
-                    to: t,
-                    ber,
-                });
+                edge.push(e as u32);
+                bers.push(ber);
                 last_ber[e] = ber;
             }
         }
+        tick_ends.push(u32::try_from(edge.len()).expect("at most u32::MAX link changes"));
     }
+    edge.shrink_to_fit();
+    bers.shrink_to_fit();
     MobileTopology {
         topology: Topology {
             placement: initial.clone(),
             links,
             power: vec![power; n],
         },
-        updates,
+        updates: MotionSchedule {
+            tick: plan.tick,
+            tick_ends,
+            ends,
+            edge,
+            ber: bers,
+        },
     }
 }
 
@@ -526,8 +622,48 @@ mod tests {
             .any(|u| u.from == NodeId(0) && u.to == NodeId(1) && u.ber < 1.0);
         assert!(healed, "approaching pair must pick up a usable rate");
         // Updates are in (tick, edge) order and never no-ops.
-        for w in mobile.updates.windows(2) {
+        let updates: Vec<LinkChange> = mobile.updates.iter().collect();
+        for w in updates.windows(2) {
             assert!(w[0].at <= w[1].at);
+        }
+    }
+
+    #[test]
+    fn the_schedule_holds_twelve_bytes_per_change() {
+        let root = SimRng::new(3);
+        let initial = Placement::random(10, 60.0, 60.0, &mut root.derive(1));
+        let plan = MobilityModel::RandomWaypoint {
+            speed_ft_s: 2.0,
+            pause_s: 5.0,
+        }
+        .plan(
+            &initial,
+            Field::new(60.0, 60.0),
+            SimDuration::from_secs(600),
+            SimDuration::from_secs(10),
+            &root.derive(2),
+        );
+        let mobile = materialize(&initial, &plan, PowerLevel::FULL, &mut root.derive(3));
+        let s = &mobile.updates;
+        assert!(s.len() > 1_000, "the field moves: {} changes", s.len());
+        // Per change: one edge index and one rate, with no spare capacity;
+        // besides them only one offset per tick and the edges' ends.
+        let per_change = s.edge.capacity() * 4 + s.ber.capacity() * 8;
+        assert_eq!(per_change, 12 * s.len());
+        assert_eq!(s.tick_ends.capacity(), plan.frames.len());
+        assert_eq!(s.ends.len(), mobile.topology.links.edge_count());
+        // The changes read back in time order, each on its own edge, with
+        // the instant of its tick.
+        let changes: Vec<LinkChange> = s.iter().collect();
+        assert_eq!(changes.len(), s.len());
+        assert_eq!(s.iter().len(), s.len());
+        let mut links = mobile.topology.links.clone();
+        let mut at = SimTime::ZERO;
+        for c in &changes {
+            assert!(c.at >= at && c.at.as_micros() % 10_000_000 == 0);
+            at = c.at;
+            assert_ne!(links.ber(c.from, c.to), Some(c.ber), "a no-op change");
+            assert!(links.set_ber(c.from, c.to, c.ber));
         }
     }
 
@@ -549,6 +685,7 @@ mod tests {
         let a = materialize(&initial, &plan, PowerLevel::FULL, &mut root.derive(3));
         let b = materialize(&initial, &plan, PowerLevel::FULL, &mut root.derive(3));
         assert_eq!(a.updates, b.updates);
+        assert!(!a.updates.is_empty());
         assert_eq!(a.topology.links.edge_count(), b.topology.links.edge_count());
     }
 }
