@@ -86,13 +86,14 @@ impl NetworkBuilder {
     /// Changes compose with [`FaultPlan`] link flaps: a scheduled change
     /// while a flap holds the edge updates the rate the flap will
     /// eventually restore to, without disturbing the fault. Called more
-    /// than once, schedules accumulate. Validated with the fault plan at
-    /// build time: unknown nodes and edges outside the (potential) link
-    /// set are rejected with a typed [`FaultPlanError`].
+    /// than once, schedules accumulate. The first schedule is kept, not
+    /// copied: the build resolves the timeline in its buffer, and does
+    /// not sort it again when it is already in time order. Validated with
+    /// the fault plan at build time: unknown nodes and edges outside the
+    /// (potential) link set are rejected with a typed [`FaultPlanError`]
+    /// (the first such change in time order).
     pub fn link_schedule(mut self, schedule: Vec<LinkChange>) -> Self {
         if self.link_schedule.is_empty() {
-            // The first schedule is kept as it is: the build resolves the
-            // timeline in its buffer.
             self.link_schedule = schedule;
         } else {
             self.link_schedule.extend(schedule);

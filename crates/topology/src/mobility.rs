@@ -335,15 +335,6 @@ impl MotionSchedule {
     }
 }
 
-impl<'a> IntoIterator for &'a MotionSchedule {
-    type Item = LinkChange;
-    type IntoIter = Changes<'a>;
-
-    fn into_iter(self) -> Changes<'a> {
-        self.iter()
-    }
-}
-
 /// The changes of a [`MotionSchedule`], in time order.
 #[derive(Clone, Debug)]
 pub struct Changes<'a> {
@@ -435,7 +426,6 @@ pub fn materialize(
             last_ber.push(ber);
         }
     });
-    drop(shadows);
     let mut tick_ends = Vec::with_capacity(plan.frames.len());
     let (mut edge, mut bers) = (Vec::new(), Vec::new());
     for frame in &plan.frames {
