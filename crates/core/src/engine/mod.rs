@@ -20,9 +20,8 @@
 //!   scan, the write-once EEPROM discipline, and the sender's
 //!   ForwardVector (union of requesters' losses) with its three drain
 //!   orders.
-//! * [`SleepController`] / [`StateClock`] — radio power-down with the
-//!   sleep ablation path, jittered rest spans, and event-granular
-//!   active-time billing.
+//! * [`SleepController`] — radio power-down with the sleep ablation path
+//!   and jittered rest spans.
 //!
 //! Every component is deterministic: randomness comes only from the
 //! caller's [`mnp_sim::SimRng`], so a protocol rebuilt on these parts
@@ -34,6 +33,6 @@ pub mod timer;
 pub mod transfer;
 
 pub use advertise::{AdvertiseScheduler, Offer};
-pub use sleep::{SleepController, StateClock};
+pub use sleep::SleepController;
 pub use timer::{Deadline, TimerMux, MAX_EPOCH};
 pub use transfer::{missing_vector, store_packet_once, ForwardVector, ImageCursor};

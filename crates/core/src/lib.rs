@@ -63,4 +63,4 @@ pub mod mnp;
 pub use bitmap::PacketBitmap;
 pub use config::MnpConfig;
 pub use message::{Advertisement, DataPacket, DownloadRequest, MnpMsg};
-pub use mnp::{Mnp, MnpState, MnpStats, StateTimes};
+pub use mnp::{Mnp, MnpState, MnpStats};

@@ -4,7 +4,7 @@
 //! The paper's mechanisms are separable, and the module tree mirrors that
 //! separation:
 //!
-//! * [`states`] — the Fig. 4 state enum and per-state time accounting;
+//! * [`states`] — the Fig. 4 state enum;
 //! * [`advertise`] — the advertise round and Fig. 2 sender selection,
 //!   driven by an [`crate::engine::AdvertiseScheduler`];
 //! * [`transfer`] — pipelined segment download/forward on the engine's
@@ -30,17 +30,14 @@ mod tests;
 
 use mnp_net::{Context, EepromOps, Protocol, StateLabel};
 use mnp_radio::NodeId;
-use mnp_sim::SimTime;
 use mnp_storage::{PacketStore, ProgramImage};
 
 use crate::bitmap::PacketBitmap;
 use crate::config::MnpConfig;
-use crate::engine::{
-    self, AdvertiseScheduler, Deadline, ForwardVector, SleepController, StateClock, TimerMux,
-};
+use crate::engine::{self, AdvertiseScheduler, Deadline, ForwardVector, SleepController, TimerMux};
 use crate::message::MnpMsg;
 
-pub use states::{MnpState, StateTimes};
+pub use states::MnpState;
 pub use stats::MnpStats;
 
 // Timer kinds, encoded in the low byte of the timer token; the rest of the
@@ -108,10 +105,13 @@ pub struct Mnp {
     sleeper: SleepController,
     /// Counters for the harness.
     pub stats: MnpStats,
-    /// Per-state time accounting (event-granular).
-    pub state_times: StateTimes,
-    clock: StateClock,
 }
+
+// Per-node byte budget (DESIGN §13), checked by the compiler. Download,
+// Update and Query are exclusive states, so they share one `Deadline`; the
+// image is one shared handle in the config and one in the store; state
+// residence is read off `State` events, not billed per node.
+const _: () = assert!(std::mem::size_of::<Mnp>() <= 400);
 
 impl Mnp {
     /// Creates the base station: it holds the complete image and starts in
@@ -207,8 +207,6 @@ impl Mnp {
             repair_ticking: false,
             sleeper,
             stats: MnpStats::default(),
-            state_times: StateTimes::default(),
-            clock: StateClock::new(),
         }
     }
 
@@ -230,12 +228,6 @@ impl Mnp {
     /// The protocol configuration.
     pub fn config(&self) -> &MnpConfig {
         &self.cfg
-    }
-
-    /// Bills the span since the last event to the state active across it.
-    fn bill_state_time(&mut self, now: SimTime) {
-        self.clock
-            .bill(now, &mut self.state_times.micros[self.state as usize]);
     }
 
     // ----- derived values -----
@@ -303,7 +295,6 @@ impl Protocol for Mnp {
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, MnpMsg>, from: NodeId, msg: &MnpMsg) {
-        self.bill_state_time(ctx.now);
         match msg {
             MnpMsg::Advertisement(adv) => self.on_advertisement(ctx, adv),
             MnpMsg::DownloadRequest(req) => self.on_download_request(ctx, req),
@@ -322,7 +313,6 @@ impl Protocol for Mnp {
     }
 
     fn on_timer_kind(&mut self, ctx: &mut Context<'_, MnpMsg>, kind: u64) {
-        self.bill_state_time(ctx.now);
         match kind {
             T_ADV => self.on_adv_timer(ctx),
             T_FWD => {
@@ -340,14 +330,7 @@ impl Protocol for Mnp {
         }
     }
 
-    fn on_stale_timer(&mut self, ctx: &mut Context<'_, MnpMsg>, _token: u64) {
-        // A stale firing from a torn-down state still marks the passage of
-        // active time in the current state.
-        self.bill_state_time(ctx.now);
-    }
-
     fn on_wake(&mut self, ctx: &mut Context<'_, MnpMsg>) {
-        self.bill_state_time(ctx.now);
         self.wake(ctx);
     }
 
@@ -372,8 +355,6 @@ impl Protocol for Mnp {
         self.fwd_seg = 0;
         self.repair_ticking = false;
         self.sleeper = SleepController::new(self.cfg.sleep_enabled);
-        // The outage bills to no state: restart the state clock at now.
-        self.clock.resync(ctx.now);
         // Segments verified on flash were reported before the crash;
         // re-reporting them would violate the observers' in-order segment
         // accounting, so only the protocol side re-arms here. A node that

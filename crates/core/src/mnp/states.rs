@@ -1,7 +1,6 @@
-//! The Fig. 4 protocol states and per-state time accounting.
+//! The Fig. 4 protocol states.
 
 use mnp_net::StateLabel;
-use mnp_sim::SimDuration;
 
 /// The protocol states of Fig. 4. `Fail` is transient in the paper ("a node
 /// in fail state ... switches to idle state immediately"), so it never
@@ -51,21 +50,5 @@ impl StateLabel for MnpState {
 impl std::fmt::Display for MnpState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
-    }
-}
-
-/// Approximate time spent in each [`MnpState`], accumulated at event
-/// granularity (each event bills the span since the previous event to the
-/// state that was active across it). Indexed by `state as usize`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StateTimes {
-    /// Microseconds per state, indexed by [`MnpState`] discriminant.
-    pub micros: [u64; 7],
-}
-
-impl StateTimes {
-    /// Time attributed to `state`.
-    pub fn of(&self, state: MnpState) -> SimDuration {
-        SimDuration::from_micros(self.micros[state as usize])
     }
 }

@@ -1,7 +1,9 @@
 //! Integration-style tests of the full MNP state machine (moved verbatim
 //! from the pre-split `node.rs`).
 
-use mnp_net::{Network, NetworkBuilder};
+use std::sync::{Arc, Mutex};
+
+use mnp_net::{EventKind, Network, NetworkBuilder, ObsEvent, Observer};
 use mnp_radio::{LinkTable, NodeId};
 use mnp_sim::{SimDuration, SimTime};
 use mnp_storage::{ImageLayout, ProgramId, ProgramImage};
@@ -357,26 +359,86 @@ fn prefix_image_with_another_layout_is_rejected() {
     let _ = Mnp::node_with_prefix(cfg, &image(3), 1);
 }
 
+/// Per-node state residence, read off the `State` events the kernel emits
+/// on every transition (the timeline exporter's derivation).
+#[derive(Debug, Default)]
+struct Residence {
+    /// Per node: the open state and when it was entered.
+    open: Vec<Option<(SimTime, &'static str)>>,
+    /// Closed spans: (node, state label, duration).
+    spans: Vec<(usize, &'static str, SimDuration)>,
+}
+
+impl Residence {
+    /// `node`'s time in `state`, or in every state for `None`.
+    fn of(&self, node: usize, state: Option<MnpState>) -> SimDuration {
+        self.spans
+            .iter()
+            .filter(|&&(n, label, _)| n == node && state.is_none_or(|s| s.label() == label))
+            .fold(SimDuration::ZERO, |sum, &(_, _, d)| sum + d)
+    }
+
+    fn close(&mut self, node: usize, at: SimTime) {
+        if let Some((since, label)) = self.open[node].take() {
+            self.spans.push((node, label, at.saturating_since(since)));
+        }
+    }
+}
+
+/// Feeds a shared [`Residence`] from the event stream.
+#[derive(Debug)]
+struct ResidenceObserver(Arc<Mutex<Residence>>);
+
+impl Observer for ResidenceObserver {
+    fn on_event(&mut self, ev: &ObsEvent) {
+        if let EventKind::State { to, .. } = ev.kind {
+            let mut r = self.0.lock().expect("no observer panicked");
+            let node = ev.node.index();
+            if node >= r.open.len() {
+                r.open.resize(node + 1, None);
+            }
+            r.close(node, ev.t);
+            r.open[node] = Some((ev.t, to));
+        }
+    }
+
+    fn on_run_end(&mut self, at: SimTime) {
+        let mut r = self.0.lock().expect("no observer panicked");
+        for node in 0..r.open.len() {
+            r.close(node, at);
+        }
+    }
+}
+
 #[test]
 fn state_time_accounting_covers_the_run() {
     let img = image(1);
-    let mut net = build(line_links(3, 0.0), &img, 73, |_| {});
+    let cfg = MnpConfig::for_image(&img);
+    let residence = Arc::new(Mutex::new(Residence::default()));
+    let mut net = NetworkBuilder::new(line_links(3, 0.0), 73)
+        .observer(ResidenceObserver(Arc::clone(&residence)))
+        .build(|id, _| {
+            if id == NodeId(0) {
+                Mnp::base_station(cfg.clone(), &img)
+            } else {
+                Mnp::node(cfg.clone())
+            }
+        });
     assert!(net.run_until_all_complete(SimTime::from_secs(1_200)));
-    // Each node's state-time buckets sum approximately to the span up
-    // to its last event (event-granular accounting).
+    let end = net.now();
+    net.finalize_meters(end);
+    let r = residence.lock().expect("no observer panicked");
+    // Each node's state residence sums to at most the run.
     for i in 0..3 {
-        let p = net.protocol(NodeId::from_index(i));
-        let total: u64 = p.state_times.micros.iter().sum();
+        let total = r.of(i, None);
         assert!(
-            total <= net.now().as_micros(),
-            "node {i} accounted {total}us over a {} run",
-            net.now()
+            total <= end.saturating_since(SimTime::ZERO),
+            "node {i} accounted {total} over a {end} run"
         );
-        assert!(total > 0, "node {i} accounted nothing");
+        assert!(total > SimDuration::ZERO, "node {i} accounted nothing");
     }
-    // The base forwarded: its Forward bucket is nonzero.
-    let base = net.protocol(NodeId(0));
-    assert!(base.state_times.of(MnpState::Forward) > SimDuration::ZERO);
+    // The base forwarded: its Forward residence is nonzero.
+    assert!(r.of(0, Some(MnpState::Forward)) > SimDuration::ZERO);
 }
 
 #[test]
@@ -461,14 +523,4 @@ fn deterministic_replay() {
         let id = NodeId::from_index(i);
         assert_eq!(a.trace().node(id).completion, b.trace().node(id).completion);
     }
-}
-
-#[test]
-fn one_deadline_keeps_mnp_within_its_footprint() {
-    // Download, Update and Query are exclusive states, so they share one
-    // `Deadline`; a field per state would grow every node of a run. The
-    // image is one shared handle in the config and one in the store, not a
-    // program/layout/checksum triple beside a byte copy.
-    let size = std::mem::size_of::<Mnp>();
-    assert!(size <= 464, "Mnp grew to {size} B");
 }

@@ -77,4 +77,4 @@ pub use protocol::{EepromOps, Protocol, WireMsg};
 // Re-exported so protocol crates can implement `WireMsg::detail`, derive
 // observer-facing state labels, and attach observers without depending on
 // `mnp-obs` directly.
-pub use mnp_obs::{MsgDetail, ObsEvent, Observer, StateLabel};
+pub use mnp_obs::{EventKind, MsgDetail, ObsEvent, Observer, StateLabel};

@@ -35,6 +35,9 @@ pub(crate) struct NodeHot {
     pub inflight: Option<TxId>,
 }
 
+// Per-node byte budget (DESIGN §13), checked by the compiler.
+const _: () = assert!(std::mem::size_of::<NodeHot>() <= 32);
+
 impl NodeHot {
     fn new() -> Self {
         NodeHot {

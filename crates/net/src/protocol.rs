@@ -71,7 +71,7 @@ pub struct EepromOps {
 /// [`decode_timer`](Protocol::decode_timer) (usually delegating to a
 /// `mnp::engine::TimerMux`) and [`on_timer_kind`](Protocol::on_timer_kind);
 /// the default `on_timer` then routes live firings to the kind handler and
-/// stale ones to [`on_stale_timer`](Protocol::on_stale_timer).
+/// drops stale ones.
 ///
 /// # Threading
 ///
@@ -98,12 +98,11 @@ pub trait Protocol: Sized + Send {
     ///
     /// The default implementation is the typed path: it decodes the token
     /// with [`decode_timer`](Protocol::decode_timer) and dispatches live
-    /// kinds to [`on_timer_kind`](Protocol::on_timer_kind), stale tokens
-    /// to [`on_stale_timer`](Protocol::on_stale_timer).
+    /// kinds to [`on_timer_kind`](Protocol::on_timer_kind) and ignores
+    /// stale tokens.
     fn on_timer(&mut self, ctx: &mut Context<'_, Self::Msg>, token: u64) {
-        match self.decode_timer(token) {
-            Some(kind) => self.on_timer_kind(ctx, kind),
-            None => self.on_stale_timer(ctx, token),
+        if let Some(kind) = self.decode_timer(token) {
+            self.on_timer_kind(ctx, kind);
         }
     }
 
@@ -118,13 +117,6 @@ pub trait Protocol: Sized + Send {
     /// [`on_timer`](Protocol::on_timer)).
     fn on_timer_kind(&mut self, ctx: &mut Context<'_, Self::Msg>, kind: u64) {
         let _ = (ctx, kind);
-    }
-
-    /// Observes a stale timer firing (typed path). Most protocols ignore
-    /// these; MNP bills state-residency time here, since even a discarded
-    /// event marks the passage of active time.
-    fn on_stale_timer(&mut self, ctx: &mut Context<'_, Self::Msg>, token: u64) {
-        let _ = (ctx, token);
     }
 
     /// Called when a sleep requested through [`Context::sleep_for`] ends

@@ -11,8 +11,6 @@
 //! invoke [`CsmaBank::attempt`]. [`CsmaBank`] holds the MAC state of
 //! *every* node in struct-of-arrays columns; a single MAC is a one-row bank.
 
-use std::collections::VecDeque;
-
 use mnp_sim::profile::{self, Phase};
 use mnp_sim::{SimDuration, SimRng};
 
@@ -67,18 +65,57 @@ pub enum CsmaAction<P> {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum State {
     Idle,
-    /// Waiting for a backoff timer; the head frame is in `currents`.
+    /// Waiting for a backoff timer; the head of the node's FIFO is the
+    /// frame it contends for.
     Backing,
-    /// A frame is on the air.
+    /// A frame is on the air; the FIFO holds only the frames behind it.
     Transmitting,
 }
+
+/// "No slot": the head and tail of an empty FIFO, and the end of a chain.
+const NIL: u32 = u32::MAX;
+
+/// One node's frames in the shared slot pool, chained through
+/// [`Slot::next`] from `head` to `tail`.
+#[derive(Clone, Copy, Debug)]
+struct Fifo {
+    head: u32,
+    tail: u32,
+    len: u32,
+}
+
+impl Fifo {
+    const EMPTY: Fifo = Fifo {
+        head: NIL,
+        tail: NIL,
+        len: 0,
+    };
+}
+
+/// One frame slot of the pool every node shares.
+#[derive(Clone, Debug)]
+struct Slot<P> {
+    /// `None` while the slot sits on the free list.
+    frame: Option<Frame<P>>,
+    /// The next slot of the same node's FIFO, or of the free list.
+    next: u32,
+}
+
+// Per-node byte budget (DESIGN §13), checked by the compiler: the state
+// byte, the FIFO indices and the drop counter. Frames live in the shared
+// pool, which grows with the frames held at once, not with the node count.
+const _: () = assert!(
+    std::mem::size_of::<State>() + std::mem::size_of::<Fifo>() + std::mem::size_of::<u64>() <= 21
+);
 
 /// The CSMA MAC state of every node, in struct-of-arrays columns indexed
 /// by node.
 ///
 /// The hot column (`states`, one byte per node) is what the event loop
-/// touches on every MAC decision; the frame storage (`currents`, `queues`)
-/// and the drop counters live in their own arrays. All nodes share one
+/// touches on every MAC decision. Frames sit in one pool of slots shared by
+/// all nodes: each node keeps an intrusive FIFO into it (head, tail and
+/// length, 12 bytes), whose head is the frame it contends for, and freed
+/// slots are recycled through a free list. All nodes share one
 /// [`CsmaConfig`].
 ///
 /// # Example
@@ -104,9 +141,11 @@ enum State {
 pub struct CsmaBank<P> {
     config: CsmaConfig,
     states: Vec<State>,
-    currents: Vec<Option<Frame<P>>>,
-    queues: Vec<VecDeque<Frame<P>>>,
+    fifos: Vec<Fifo>,
     drops: Vec<u64>,
+    slots: Vec<Slot<P>>,
+    /// Head of the chain of free slots.
+    free: u32,
 }
 
 impl<P> CsmaBank<P> {
@@ -121,9 +160,10 @@ impl<P> CsmaBank<P> {
         CsmaBank {
             config,
             states: vec![State::Idle; nodes],
-            currents: (0..nodes).map(|_| None).collect(),
-            queues: (0..nodes).map(|_| VecDeque::new()).collect(),
+            fifos: vec![Fifo::EMPTY; nodes],
             drops: vec![0; nodes],
+            slots: Vec::new(),
+            free: NIL,
         }
     }
 
@@ -151,16 +191,16 @@ impl<P> CsmaBank<P> {
         let _span = profile::span(Phase::Csma);
         match self.states[node] {
             State::Idle => {
-                debug_assert!(self.currents[node].is_none() && self.queues[node].is_empty());
-                self.currents[node] = Some(frame);
+                debug_assert_eq!(self.fifos[node].len, 0);
+                self.push_back(node, frame);
                 self.states[node] = State::Backing;
                 CsmaAction::Backoff(self.initial_backoff(rng))
             }
             State::Backing | State::Transmitting => {
-                if self.queues[node].len() >= self.config.queue_capacity {
+                if self.queued(node) >= self.config.queue_capacity {
                     self.drops[node] += 1;
                 } else {
-                    self.queues[node].push_back(frame);
+                    self.push_back(node, frame);
                 }
                 CsmaAction::Idle
             }
@@ -188,10 +228,7 @@ impl<P> CsmaBank<P> {
             CsmaAction::Backoff(self.congestion_backoff(rng))
         } else {
             self.states[node] = State::Transmitting;
-            let frame = self.currents[node]
-                .take()
-                .expect("backing implies current frame");
-            CsmaAction::Transmit(frame)
+            CsmaAction::Transmit(self.pop_front(node))
         }
     }
 
@@ -210,14 +247,13 @@ impl<P> CsmaBank<P> {
             State::Transmitting,
             "tx_done without transmission"
         );
-        self.states[node] = State::Idle;
-        match self.queues[node].pop_front() {
-            Some(next) => {
-                self.currents[node] = Some(next);
-                self.states[node] = State::Backing;
-                CsmaAction::Backoff(self.initial_backoff(rng))
-            }
-            None => CsmaAction::Idle,
+        if self.fifos[node].len == 0 {
+            self.states[node] = State::Idle;
+            CsmaAction::Idle
+        } else {
+            // The next queued frame is already the FIFO's head.
+            self.states[node] = State::Backing;
+            CsmaAction::Backoff(self.initial_backoff(rng))
         }
     }
 
@@ -236,14 +272,24 @@ impl<P> CsmaBank<P> {
             State::Transmitting,
             "flush mid-transmission"
         );
-        let n = usize::from(self.currents[node].take().is_some()) + self.queues[node].len();
-        self.queues[node].clear();
         self.states[node] = State::Idle;
-        n
+        let fifo = std::mem::replace(&mut self.fifos[node], Fifo::EMPTY);
+        if fifo.len > 0 {
+            let mut index = fifo.head;
+            while index != NIL {
+                let slot = &mut self.slots[index as usize];
+                slot.frame = None;
+                index = slot.next;
+            }
+            // The emptied chain goes onto the free list whole.
+            self.slots[fifo.tail as usize].next = self.free;
+            self.free = fifo.head;
+        }
+        fifo.len as usize
     }
 
     /// Resets `node`'s MAC to a factory-fresh state (node restart): frames
-    /// discarded, counters zeroed, queue capacity retained.
+    /// discarded, their slots returned to the shared pool, counters zeroed.
     ///
     /// # Panics
     ///
@@ -256,9 +302,7 @@ impl<P> CsmaBank<P> {
     /// Whether `node`'s MAC holds no frames (idle and empty queue).
     #[cfg(test)]
     pub(crate) fn is_idle(&self, node: usize) -> bool {
-        self.states[node] == State::Idle
-            && self.currents[node].is_none()
-            && self.queues[node].is_empty()
+        self.states[node] == State::Idle && self.fifos[node].len == 0
     }
 
     /// Whether `node` has a frame currently on the air.
@@ -268,12 +312,62 @@ impl<P> CsmaBank<P> {
 
     /// Frames waiting behind `node`'s current one.
     pub fn queued(&self, node: usize) -> usize {
-        self.queues[node].len()
+        // While backing off, the FIFO's head is the current frame.
+        self.fifos[node].len as usize - usize::from(self.states[node] == State::Backing)
     }
 
     /// Frames `node` dropped because its queue was full.
     pub fn drops(&self, node: usize) -> u64 {
         self.drops[node]
+    }
+
+    /// Appends `frame` to `node`'s FIFO in a recycled slot, or in a new one
+    /// when none is free.
+    fn push_back(&mut self, node: usize, frame: Frame<P>) {
+        let index = match self.free {
+            NIL => {
+                let index = u32::try_from(self.slots.len())
+                    .ok()
+                    .filter(|&index| index != NIL)
+                    .expect("more than u32::MAX - 1 frames held at once");
+                self.slots.push(Slot {
+                    frame: Some(frame),
+                    next: NIL,
+                });
+                index
+            }
+            index => {
+                let slot = &mut self.slots[index as usize];
+                debug_assert!(slot.frame.is_none(), "free-listed slot holds a frame");
+                self.free = slot.next;
+                slot.frame = Some(frame);
+                slot.next = NIL;
+                index
+            }
+        };
+        let fifo = &mut self.fifos[node];
+        match fifo.tail {
+            NIL => fifo.head = index,
+            tail => self.slots[tail as usize].next = index,
+        }
+        fifo.tail = index;
+        fifo.len += 1;
+    }
+
+    /// Removes the head of `node`'s FIFO and frees its slot.
+    fn pop_front(&mut self, node: usize) -> Frame<P> {
+        let fifo = &mut self.fifos[node];
+        let index = fifo.head;
+        let slot = &mut self.slots[index as usize];
+        let frame = slot.frame.take().expect("backing implies current frame");
+        fifo.head = slot.next;
+        fifo.len -= 1;
+        if fifo.len == 0 {
+            fifo.tail = NIL;
+        }
+        slot.next = self.free;
+        self.free = index;
+        frame
     }
 
     fn initial_backoff(&self, rng: &mut SimRng) -> SimDuration {
@@ -470,8 +564,198 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use std::collections::VecDeque;
+
     use super::*;
     use crate::ids::NodeId;
+
+    /// The bank as it was before the shared pool, kept as the reference
+    /// model: a current-frame column and a `VecDeque` queue per node.
+    struct VecDequeBank<P> {
+        config: CsmaConfig,
+        states: Vec<State>,
+        currents: Vec<Option<Frame<P>>>,
+        queues: Vec<VecDeque<Frame<P>>>,
+        drops: Vec<u64>,
+    }
+
+    impl<P> VecDequeBank<P> {
+        fn new(config: CsmaConfig, nodes: usize) -> Self {
+            VecDequeBank {
+                config,
+                states: vec![State::Idle; nodes],
+                currents: (0..nodes).map(|_| None).collect(),
+                queues: (0..nodes).map(|_| VecDeque::new()).collect(),
+                drops: vec![0; nodes],
+            }
+        }
+
+        fn enqueue(&mut self, node: usize, frame: Frame<P>, rng: &mut SimRng) -> CsmaAction<P> {
+            match self.states[node] {
+                State::Idle => {
+                    self.currents[node] = Some(frame);
+                    self.states[node] = State::Backing;
+                    CsmaAction::Backoff(rng.duration_between(
+                        self.config.initial_backoff_min,
+                        self.config.initial_backoff_max,
+                    ))
+                }
+                State::Backing | State::Transmitting => {
+                    if self.queues[node].len() >= self.config.queue_capacity {
+                        self.drops[node] += 1;
+                    } else {
+                        self.queues[node].push_back(frame);
+                    }
+                    CsmaAction::Idle
+                }
+            }
+        }
+
+        fn attempt(&mut self, node: usize, channel_busy: bool, rng: &mut SimRng) -> CsmaAction<P> {
+            assert_eq!(self.states[node], State::Backing);
+            if channel_busy {
+                CsmaAction::Backoff(rng.duration_between(
+                    self.config.congestion_backoff_min,
+                    self.config.congestion_backoff_max,
+                ))
+            } else {
+                self.states[node] = State::Transmitting;
+                CsmaAction::Transmit(self.currents[node].take().expect("current frame"))
+            }
+        }
+
+        fn tx_done(&mut self, node: usize, rng: &mut SimRng) -> CsmaAction<P> {
+            assert_eq!(self.states[node], State::Transmitting);
+            self.states[node] = State::Idle;
+            match self.queues[node].pop_front() {
+                Some(next) => {
+                    self.currents[node] = Some(next);
+                    self.states[node] = State::Backing;
+                    CsmaAction::Backoff(rng.duration_between(
+                        self.config.initial_backoff_min,
+                        self.config.initial_backoff_max,
+                    ))
+                }
+                None => CsmaAction::Idle,
+            }
+        }
+
+        fn flush(&mut self, node: usize) -> usize {
+            assert_ne!(self.states[node], State::Transmitting);
+            let n = usize::from(self.currents[node].take().is_some()) + self.queues[node].len();
+            self.queues[node].clear();
+            self.states[node] = State::Idle;
+            n
+        }
+
+        fn reset(&mut self, node: usize) {
+            self.flush(node);
+            self.drops[node] = 0;
+        }
+    }
+
+    /// The pooled bank and the `VecDeque` reference agree on every
+    /// observable after every operation of a random multi-node sequence:
+    /// the action (frames included), the MAC RNG's state, and each node's
+    /// state, queue length, drop count and transmitting flag. The pool
+    /// never has more slots than the most frames held at once.
+    #[test]
+    fn prop_pooled_bank_matches_the_vecdeque_reference() {
+        mnp_sim::check(
+            "prop_pooled_bank_matches_the_vecdeque_reference",
+            64,
+            |rng| {
+                let nodes = rng.range_u64(1, 6) as usize;
+                let config = CsmaConfig {
+                    queue_capacity: rng.index(10),
+                    ..CsmaConfig::default()
+                };
+                let mut pooled: CsmaBank<u32> = CsmaBank::new(config, nodes);
+                let mut reference: VecDequeBank<u32> = VecDequeBank::new(config, nodes);
+                let seed = rng.next_u64();
+                let (mut pooled_rng, mut reference_rng) = (SimRng::new(seed), SimRng::new(seed));
+                let mut tag = 0u32;
+                let mut most_held = 0;
+                for step in 0..rng.range_u64(1, 400) {
+                    let node = rng.index(nodes);
+                    let state = reference.states[node];
+                    // Weights 4 : 3 : 2 : 1 : 1 for enqueue, attempt, tx_done,
+                    // flush, reset; an operation illegal in the node's state
+                    // is skipped.
+                    let (op, pooled_action, reference_action) = match rng.index(11) {
+                        0..=3 => {
+                            tag += 1;
+                            let frame = Frame::new(NodeId::from_index(node), 4, tag);
+                            (
+                                "enqueue",
+                                pooled.enqueue(node, frame.clone(), &mut pooled_rng),
+                                reference.enqueue(node, frame, &mut reference_rng),
+                            )
+                        }
+                        4..=6 if state == State::Backing => {
+                            let busy = rng.next_u64() & 1 == 1;
+                            (
+                                "attempt",
+                                pooled.attempt(node, busy, &mut pooled_rng),
+                                reference.attempt(node, busy, &mut reference_rng),
+                            )
+                        }
+                        7..=8 if state == State::Transmitting => (
+                            "tx_done",
+                            pooled.tx_done(node, &mut pooled_rng),
+                            reference.tx_done(node, &mut reference_rng),
+                        ),
+                        9 if state != State::Transmitting => {
+                            assert_eq!(
+                                pooled.flush(node),
+                                reference.flush(node),
+                                "step {step}: flush"
+                            );
+                            ("flush", CsmaAction::Idle, CsmaAction::Idle)
+                        }
+                        10 if state != State::Transmitting => {
+                            pooled.reset(node);
+                            reference.reset(node);
+                            ("reset", CsmaAction::Idle, CsmaAction::Idle)
+                        }
+                        _ => continue,
+                    };
+                    let at = format!("step {step}: {op} on node {node}");
+                    assert_eq!(pooled_action, reference_action, "{at}");
+                    assert_eq!(
+                        pooled_rng.clone().next_u64(),
+                        reference_rng.clone().next_u64(),
+                        "{at}: RNG draws diverged"
+                    );
+                    assert_eq!(pooled.states, reference.states, "{at}");
+                    for n in 0..nodes {
+                        assert_eq!(
+                            pooled.queued(n),
+                            reference.queues[n].len(),
+                            "{at}: queued({n})"
+                        );
+                        assert_eq!(pooled.drops(n), reference.drops[n], "{at}: drops({n})");
+                        assert_eq!(
+                            pooled.is_transmitting(n),
+                            reference.states[n] == State::Transmitting,
+                            "{at}: is_transmitting({n})"
+                        );
+                    }
+                    let held: usize = (0..nodes)
+                        .map(|n| {
+                            usize::from(reference.currents[n].is_some()) + reference.queues[n].len()
+                        })
+                        .sum();
+                    most_held = most_held.max(held);
+                    assert!(
+                        pooled.slots.len() <= most_held,
+                        "{at}: {} slots for at most {most_held} frames held",
+                        pooled.slots.len()
+                    );
+                }
+            },
+        );
+    }
 
     /// Driving the MAC with any legal operation sequence never panics
     /// and keeps its state model consistent: attempts only happen while
