@@ -70,7 +70,7 @@ const CODED_PAYLOAD_MAX: usize = MAX_PAYLOAD_BYTES - CODED_HEADER_BYTES;
 /// sources, its coefficient vector compressed to the RNG seed both ends
 /// expand with [`derive_coeffs`](super::decoder::derive_coeffs). The
 /// payload is carried inline, so a frame owns no heap memory.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Coded {
     /// Generation the combination is drawn from.
     pub gen: u16,
@@ -123,6 +123,9 @@ fn frame_too_wide(width: usize) -> String {
          {MAX_PAYLOAD_BYTES}-byte radio payload"
     )
 }
+
+// Frame byte budget (DESIGN §13), checked by the compiler.
+const _: () = assert!(std::mem::size_of::<Coded>() <= 32);
 
 impl Wire for Coded {
     fn wire_bytes(&self) -> usize {
@@ -347,6 +350,9 @@ impl Plane for RlncPlane {
 /// assert!(net.run_until_all_complete(SimTime::from_secs(600)));
 /// ```
 pub type Rlnc = Paged<RlncPlane>;
+
+// Per-node byte budget (DESIGN §13), checked by the compiler.
+const _: () = assert!(std::mem::size_of::<Rlnc>() <= 464);
 
 impl Rlnc {
     /// The decode frontier for the liveness oracle: the generation being

@@ -26,6 +26,10 @@ use crate::paged::{Frame, Node, Paged, PagedConfig, PagedMsg, PagedStats, Plane,
 /// An [`Xored`] header on the air: `page`, before one byte per id.
 const XORED_HEADER_BYTES: usize = 3;
 
+/// The most bytes an [`Xored`] carries after its header: its ids and its
+/// mix together fill at most the rest of the radio payload.
+const XORED_BODY_MAX: usize = MAX_PAYLOAD_BYTES - XORED_HEADER_BYTES;
+
 /// XOR recoding's own tunable.
 #[derive(Clone, Debug)]
 pub struct XorTunables {
@@ -50,22 +54,50 @@ pub type XorMsg = PagedMsg<PacketBitmap, Xored>;
 /// Per-node XOR-recoding counters for the harness.
 pub type XorStats = PagedStats<XorCounters>;
 
-/// One XOR combination of `ids.len()` plain packets of a page (degree 1
-/// degenerates to a plain data packet).
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// One XOR combination of `degree` plain packets of a page (degree 1
+/// degenerates to a plain data packet). The ids and the mix are carried
+/// inline, so a frame owns no heap memory.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Xored {
     /// Page the mixed packets belong to.
     pub page: u16,
-    /// Packet indices mixed in (1 ..= max_degree, one id byte each on
-    /// the wire).
-    pub ids: Vec<u16>,
-    /// XOR of the padded payloads.
-    pub payload: Vec<u8>,
+    degree: u8,
+    len: u8,
+    /// The ids in `body[..degree]`, then the mix in the `len` bytes after
+    /// them, zeros after that.
+    body: [u8; XORED_BODY_MAX],
 }
+
+impl Xored {
+    /// Packet indices mixed in (1 ..= max_degree), one byte each as on
+    /// the wire: a page holds at most 128 packets.
+    pub fn ids(&self) -> impl Iterator<Item = u16> + '_ {
+        self.body[..usize::from(self.degree)]
+            .iter()
+            .map(|&p| u16::from(p))
+    }
+
+    /// XOR of the mixed packets, each zero-padded to the coding width.
+    pub fn payload(&self) -> &[u8] {
+        &self.body[usize::from(self.degree)..][..usize::from(self.len)]
+    }
+
+    /// XORs `packet` into the front of the mix: a packet zero-padded to
+    /// the coding width.
+    fn mix_in(&mut self, packet: &[u8]) {
+        let mix = &mut self.body[usize::from(self.degree)..][..usize::from(self.len)];
+        for (d, s) in mix.iter_mut().zip(packet) {
+            *d ^= s;
+        }
+    }
+}
+
+// Frame byte budget (DESIGN §13), checked by the compiler.
+const _: () = assert!(std::mem::size_of::<Xored>() <= 30);
 
 impl Wire for Xored {
     fn wire_bytes(&self) -> usize {
-        XORED_HEADER_BYTES + self.ids.len() + self.payload.len()
+        XORED_HEADER_BYTES + usize::from(self.degree) + usize::from(self.len)
     }
 }
 
@@ -104,21 +136,27 @@ pub struct XorPlane {
 }
 
 impl XorPlane {
-    /// Plans one broadcast: a set of packet ids such that every covered
-    /// requester is missing exactly one of them (its own target) and
-    /// holds the rest, so each decodes a different packet from the same
-    /// transmission. Greedy over requesters in arrival order, capped at
-    /// `max_degree`; only ids below `limit` exist in the page.
-    fn plan_mix(&mut self, limit: u16, max_degree: usize) -> Vec<u16> {
-        let mut ids: Vec<u16> = Vec::new();
+    /// Plans one broadcast of `page`: a set of packet ids such that every
+    /// covered requester is missing exactly one of them (its own target)
+    /// and holds the rest, so each decodes a different packet from the
+    /// same transmission. Greedy over requesters in arrival order, capped
+    /// at `max_degree`; only ids below `limit` exist in the page. The
+    /// frame's mix is left empty.
+    fn plan_mix(&mut self, page: u16, limit: u16, max_degree: usize) -> Xored {
+        let mut x = Xored {
+            page,
+            degree: 0,
+            len: 0,
+            body: [0; XORED_BODY_MAX],
+        };
         let covered = &mut self.covered;
         covered.clear();
         for (i, (_, bm)) in self.reqs.iter().enumerate() {
-            if ids.len() >= max_degree {
+            if usize::from(x.degree) >= max_degree {
                 break;
             }
             // This requester must hold every packet already in the mix.
-            if ids.iter().any(|&p| bm.get(p)) {
+            if x.ids().any(|p| bm.get(p)) {
                 continue;
             }
             // Its target: the first packet it is missing (necessarily not
@@ -133,18 +171,20 @@ impl XorPlane {
                 cand = bm.first_set_at_or_after(c + 1).filter(|&p| p < limit);
             }
             let Some(c) = cand else { continue };
-            ids.push(c);
+            // `c < limit <= 128`, so the id fits its wire byte.
+            x.body[usize::from(x.degree)] = c as u8;
+            x.degree += 1;
             covered.push(i);
         }
-        ids
+        x
     }
 
-    /// After broadcasting `ids`, optimistically clears each covered
+    /// After broadcasting `x`, optimistically clears each covered
     /// requester's decoded target; losses are recovered by the normal
     /// rx-timeout re-request round.
-    fn clear_served(&mut self, ids: &[u16]) {
+    fn clear_served(&mut self, x: &Xored) {
         for (_, bm) in &mut self.reqs {
-            let mut missing = ids.iter().copied().filter(|&p| bm.get(p));
+            let mut missing = x.ids().filter(|&p| bm.get(p));
             if let (Some(target), None) = (missing.next(), missing.next()) {
                 bm.clear(target);
             }
@@ -200,24 +240,26 @@ impl Plane for XorPlane {
 
     fn next_frame(&mut self, node: Node<'_, '_, Self>, page: u16) -> Option<Xored> {
         let layout = node.cfg.image.layout();
-        let ids = self.plan_mix(layout.packets_in_segment(page), node.cfg.max_degree);
-        if ids.is_empty() {
+        let plan = self.plan_mix(page, layout.packets_in_segment(page), node.cfg.max_degree);
+        if plan.degree == 0 {
             return None;
         }
-        let mut payload = vec![0u8; layout.payload_bytes()];
-        for &p in &ids {
-            let held = node
-                .store
-                .read_packet(page, p)
-                .expect("Tx node holds the page");
-            xor_into(&mut payload, held);
+        // `new` checked that `max_degree` ids and the mix fit the body.
+        let len = layout.payload_bytes() as u8;
+        let mut x = Xored { len, ..plan };
+        for p in plan.ids() {
+            x.mix_in(
+                node.store
+                    .read_packet(page, p)
+                    .expect("Tx node holds the page"),
+            );
         }
         node.stats.xored_sent += 1;
-        if ids.len() > 1 {
+        if x.degree > 1 {
             node.stats.mixed_sent += 1;
         }
-        self.clear_served(&ids);
-        Some(Xored { page, ids, payload })
+        self.clear_served(&x);
+        Some(x)
     }
 
     fn end_round(&mut self) {
@@ -228,15 +270,11 @@ impl Plane for XorPlane {
     /// exactly when we are missing one constituent.
     fn absorb(&mut self, node: Node<'_, '_, Self>, from: NodeId, x: &Xored) -> bool {
         let width = node.cfg.image.layout().payload_bytes();
-        if x.ids.is_empty() || x.payload.len() != width {
+        if x.degree == 0 || x.payload().len() != width {
             return false;
         }
         let page = x.page;
-        let mut missing = x
-            .ids
-            .iter()
-            .copied()
-            .filter(|&p| !node.store.has_packet(page, p));
+        let mut missing = x.ids().filter(|&p| !node.store.has_packet(page, p));
         let Some(target) = missing.next() else {
             node.stats.redundant += 1;
             return false;
@@ -245,19 +283,17 @@ impl Plane for XorPlane {
             node.stats.unusable += 1;
             return false;
         }
-        // `new` checked that the payload fits a radio frame.
-        let mut buf = [0u8; MAX_PAYLOAD_BYTES];
-        let data = &mut buf[..width];
-        data.copy_from_slice(&x.payload);
-        for &p in x.ids.iter().filter(|&&p| p != target) {
+        // Mixing the held constituents back in leaves `target`, padded.
+        let mut data = *x;
+        for p in x.ids().filter(|&p| p != target) {
             let held = node
                 .store
                 .read_packet(page, p)
                 .expect("constituent held: only `target` is missing");
-            xor_into(data, held);
+            data.mix_in(held);
         }
         let len = node.cfg.image.layout().packet_len(page, target);
-        if !engine::store_packet_once(node.store, page, target, &data[..len]) {
+        if !engine::store_packet_once(node.store, page, target, &data.payload()[..len]) {
             // Not a duplicate (checked above), so a transient write
             // fault: the packet stays missing and the next request round
             // retries it.
@@ -277,14 +313,6 @@ impl Plane for XorPlane {
             node.ctx.note_segment_complete(page);
         }
         done
-    }
-}
-
-/// XORs `src` into the front of `dst`: a packet zero-padded to the
-/// coding width.
-fn xor_into(dst: &mut [u8], src: &[u8]) {
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d ^= s;
     }
 }
 
@@ -314,6 +342,9 @@ fn xor_into(dst: &mut [u8], src: &[u8]) {
 /// assert!(net.run_until_all_complete(SimTime::from_secs(600)));
 /// ```
 pub type Xor = Paged<XorPlane>;
+
+// Per-node byte budget (DESIGN §13), checked by the compiler.
+const _: () = assert!(std::mem::size_of::<Xor>() <= 368);
 
 #[cfg(test)]
 #[path = "xor_tests.rs"]

@@ -100,8 +100,9 @@ fn plan_mix_groups_disjoint_targets() {
     x.reqs = vec![(NodeId(1), a), (NodeId(2), b), (NodeId(3), c)];
     // C misses 0 (already mixed for A), so it cannot join the group with
     // its own target — the mix serves A and B.
-    assert_eq!(x.plan_mix(limit, 3), vec![0, 1]);
-    x.clear_served(&[0, 1]);
+    let mix = x.plan_mix(0, limit, 3);
+    assert_eq!(mix.ids().collect::<Vec<_>>(), [0, 1]);
+    x.clear_served(&mix);
     // A and B are fully served. C, missing exactly one constituent (0),
     // decodes it from the same broadcast, leaving only packet 2.
     assert_eq!(x.reqs.len(), 1);

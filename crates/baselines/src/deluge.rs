@@ -25,39 +25,31 @@ use mnp_radio::NodeId;
 use mnp_storage::PacketStore;
 
 use mnp::engine::{self, ForwardVector};
-use mnp::PacketBitmap;
+use mnp::{DataPacket, PacketBitmap};
 
 use crate::paged::{Frame, Node, Paged, PagedConfig, PagedMsg, PagedStats, Plane, Wire};
 
 /// Deluge parameters: the skeleton's eight, nothing of its own.
 pub type DelugeConfig = PagedConfig<()>;
 
-/// Deluge's message set.
-pub type DelugeMsg = PagedMsg<PacketBitmap, Packet>;
+/// Deluge's message set: a plain data frame names a packet of a page.
+pub type DelugeMsg = PagedMsg<PacketBitmap, DataPacket>;
+
+// Frame byte budget (DESIGN §13), checked by the compiler.
+const _: () = assert!(std::mem::size_of::<DelugeMsg>() <= 32);
 
 /// Per-node Deluge counters for the harness.
 pub type DelugeStats = PagedStats<()>;
 
-/// One plain code packet.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Packet {
-    /// Page the packet belongs to.
-    pub page: u16,
-    /// Packet index within the page.
-    pub pkt: u16,
-    /// Code bytes.
-    pub payload: Vec<u8>,
-}
-
-impl Wire for Packet {
+impl Wire for DataPacket {
     fn wire_bytes(&self) -> usize {
-        3 + self.payload.len()
+        DataPacket::wire_bytes(self)
     }
 }
 
-impl Frame for Packet {
+impl Frame for DataPacket {
     fn page(&self) -> u16 {
-        self.page
+        self.seg
     }
 }
 
@@ -71,7 +63,7 @@ impl Plane for DelugePlane {
     type Tunables = ();
     type Stats = ();
     type Req = PacketBitmap;
-    type Frame = Packet;
+    type Frame = DataPacket;
 
     fn new(_: &DelugeConfig, _: &PacketStore) -> Self {
         DelugePlane::default()
@@ -89,22 +81,22 @@ impl Plane for DelugePlane {
         self.fwd.union_with(missing);
     }
 
-    fn next_frame(&mut self, node: Node<'_, '_, Self>, page: u16) -> Option<Packet> {
+    fn next_frame(&mut self, node: Node<'_, '_, Self>, page: u16) -> Option<DataPacket> {
         let limit = node.cfg.image.layout().packets_in_segment(page);
         let pkt = self.fwd.pop_round_robin(limit)?;
-        let payload = node
+        let held = node
             .store
             .read_packet(page, pkt)
-            .expect("Tx node holds the page")
-            .to_vec();
-        Some(Packet { page, pkt, payload })
+            .expect("Tx node holds the page");
+        Some(DataPacket::new(page, pkt, held))
     }
 
-    fn absorb(&mut self, node: Node<'_, '_, Self>, from: NodeId, p: &Packet) -> bool {
-        if !engine::store_packet_once(node.store, p.page, p.pkt, &p.payload) {
+    fn absorb(&mut self, node: Node<'_, '_, Self>, from: NodeId, p: &DataPacket) -> bool {
+        let bytes = node.cfg.image.packet_payload(p.seg, p.pkt);
+        if !engine::store_packet_once(node.store, p.seg, p.pkt, bytes) {
             return false;
         }
-        node.ctx.note_eeprom_write(p.page, p.pkt);
+        node.ctx.note_eeprom_write(p.seg, p.pkt);
         node.ctx.note_parent(from);
         true
     }
@@ -140,6 +132,9 @@ impl Plane for DelugePlane {
 /// assert!(net.run_until_all_complete(SimTime::from_secs(600)));
 /// ```
 pub type Deluge = Paged<DelugePlane>;
+
+// Per-node byte budget (DESIGN §13), checked by the compiler.
+const _: () = assert!(std::mem::size_of::<Deluge>() <= 304);
 
 #[cfg(test)]
 #[path = "deluge_tests.rs"]

@@ -18,6 +18,7 @@ use mnp_storage::{PacketStore, ProgramImage};
 use mnp_trace::MsgClass;
 
 use mnp::engine::{self, ImageCursor, TimerMux};
+use mnp::DataPacket;
 
 /// Flood parameters.
 #[derive(Clone, Debug)]
@@ -45,23 +46,19 @@ impl FloodConfig {
 }
 
 /// Flood's message set: data only.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FloodMsg {
     /// One code packet.
-    Data {
-        /// Segment of the packet.
-        seg: u16,
-        /// Packet index within the segment.
-        pkt: u16,
-        /// Code bytes.
-        payload: Vec<u8>,
-    },
+    Data(DataPacket),
 }
+
+// Frame byte budget (DESIGN §13), checked by the compiler.
+const _: () = assert!(std::mem::size_of::<FloodMsg>() <= 6);
 
 impl WireMsg for FloodMsg {
     fn wire_bytes(&self) -> usize {
-        let FloodMsg::Data { payload, .. } = self;
-        3 + payload.len()
+        let FloodMsg::Data(d) = self;
+        d.wire_bytes()
     }
 
     fn class(&self) -> MsgClass {
@@ -129,6 +126,9 @@ pub struct Flood {
     pending: Vec<(u16, u16)>,
     rebroadcast_armed: bool,
 }
+
+// Per-node byte budget (DESIGN §13), checked by the compiler.
+const _: () = assert!(std::mem::size_of::<Flood>() <= 120);
 
 impl Flood {
     /// Creates the originating base station.
@@ -209,11 +209,12 @@ impl Protocol for Flood {
         if self.is_base {
             return;
         }
-        let FloodMsg::Data { seg, pkt, payload } = msg;
-        if !engine::store_packet_once(&mut self.store, *seg, *pkt, payload) {
+        let FloodMsg::Data(DataPacket { seg, pkt, .. }) = *msg;
+        let bytes = self.cfg.image.packet_payload(seg, pkt);
+        if !engine::store_packet_once(&mut self.store, seg, pkt, bytes) {
             return; // already seen; a real storm would be even worse
         }
-        ctx.note_eeprom_write(*seg, *pkt);
+        ctx.note_eeprom_write(seg, pkt);
         ctx.note_parent(from);
         if !self.completed && self.store.is_complete() {
             self.completed = true;
@@ -221,7 +222,7 @@ impl Protocol for Flood {
             ctx.note_completion();
         }
         // First sight: schedule the rebroadcast. No suppression of any kind.
-        self.pending.push((*seg, *pkt));
+        self.pending.push((seg, pkt));
         self.arm_rebroadcast(ctx);
     }
 
@@ -236,12 +237,11 @@ impl Protocol for Flood {
                     return;
                 }
                 let (seg, pkt) = (self.cursor.seg(), self.cursor.pkt());
-                let payload = self
+                let held = self
                     .store
                     .read_packet(seg, pkt)
-                    .expect("base holds the image")
-                    .to_vec();
-                ctx.send(FloodMsg::Data { seg, pkt, payload });
+                    .expect("base holds the image");
+                ctx.send(FloodMsg::Data(DataPacket::new(seg, pkt, held)));
                 // One pass only: the tick stops at the end of the image.
                 if !self.cursor.step(self.cfg.image.layout()) {
                     ctx.set_timer(
@@ -254,9 +254,9 @@ impl Protocol for Flood {
                 self.rebroadcast_armed = false;
                 if let Some((seg, pkt)) = self.pending.first().copied() {
                     self.pending.remove(0);
-                    if let Some(payload) = self.store.read_packet(seg, pkt).map(<[u8]>::to_vec) {
+                    if let Some(held) = self.store.read_packet(seg, pkt) {
                         ctx.note_became_sender();
-                        ctx.send(FloodMsg::Data { seg, pkt, payload });
+                        ctx.send(FloodMsg::Data(DataPacket::new(seg, pkt, held)));
                     }
                     self.arm_rebroadcast(ctx);
                 }

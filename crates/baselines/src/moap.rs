@@ -22,7 +22,7 @@ use mnp_storage::{PacketStore, ProgramImage};
 use mnp_trace::MsgClass;
 
 use mnp::engine::{self, Deadline, ImageCursor, TimerMux};
-use mnp::PacketBitmap;
+use mnp::{DataPacket, PacketBitmap};
 
 /// MOAP parameters.
 #[derive(Clone, Debug)]
@@ -63,7 +63,7 @@ impl MoapConfig {
 }
 
 /// MOAP's message set.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MoapMsg {
     /// A complete-image holder announcing availability.
     Publish {
@@ -78,14 +78,7 @@ pub enum MoapMsg {
         subscriber: NodeId,
     },
     /// One code packet.
-    Data {
-        /// Segment of the packet.
-        seg: u16,
-        /// Packet index within the segment.
-        pkt: u16,
-        /// Code bytes.
-        payload: Vec<u8>,
-    },
+    Data(DataPacket),
     /// End of the publisher's pass over the image.
     EndOfImage {
         /// The publisher.
@@ -104,12 +97,15 @@ pub enum MoapMsg {
     },
 }
 
+// Frame byte budget (DESIGN §13), checked by the compiler.
+const _: () = assert!(std::mem::size_of::<MoapMsg>() <= 32);
+
 impl WireMsg for MoapMsg {
     fn wire_bytes(&self) -> usize {
         match self {
             MoapMsg::Publish { .. } => 2,
             MoapMsg::Subscribe { .. } => 4,
-            MoapMsg::Data { payload, .. } => 3 + payload.len(),
+            MoapMsg::Data(d) => d.wire_bytes(),
             MoapMsg::EndOfImage { .. } => 2,
             MoapMsg::Nak { .. } => 6 + 16,
         }
@@ -202,6 +198,9 @@ pub struct Moap {
     rx_deadline: Deadline,
 }
 
+// Per-node byte budget (DESIGN §13), checked by the compiler.
+const _: () = assert!(std::mem::size_of::<Moap>() <= 208);
+
 impl Moap {
     /// Creates the base station holding the full image.
     ///
@@ -283,15 +282,9 @@ impl Moap {
         self.rx_deadline.arm(ctx, self.cfg.rx_timeout, token);
     }
 
-    fn store_data(
-        &mut self,
-        ctx: &mut Context<'_, MoapMsg>,
-        from: NodeId,
-        seg: u16,
-        pkt: u16,
-        payload: &[u8],
-    ) {
-        if self.completed || !engine::store_packet_once(&mut self.store, seg, pkt, payload) {
+    fn store_data(&mut self, ctx: &mut Context<'_, MoapMsg>, from: NodeId, seg: u16, pkt: u16) {
+        let bytes = self.cfg.image.packet_payload(seg, pkt);
+        if self.completed || !engine::store_packet_once(&mut self.store, seg, pkt, bytes) {
             return;
         }
         ctx.note_eeprom_write(seg, pkt);
@@ -346,9 +339,7 @@ impl Protocol for Moap {
                     }
                 }
             }
-            MoapMsg::Data { seg, pkt, payload } => {
-                self.store_data(ctx, from, *seg, *pkt, payload);
-            }
+            MoapMsg::Data(d) => self.store_data(ctx, from, d.seg, d.pkt),
             MoapMsg::EndOfImage { source } => {
                 if self.state == State::Rx && self.publisher == Some(*source) && !self.completed {
                     // NAK the first incomplete segment.
@@ -406,12 +397,11 @@ impl Protocol for Moap {
                 match self.state {
                     State::Tx => {
                         let (seg, pkt) = (self.cursor.seg(), self.cursor.pkt());
-                        let payload = self
+                        let held = self
                             .store
                             .read_packet(seg, pkt)
-                            .expect("publisher holds the image")
-                            .to_vec();
-                        ctx.send(MoapMsg::Data { seg, pkt, payload });
+                            .expect("publisher holds the image");
+                        ctx.send(MoapMsg::Data(DataPacket::new(seg, pkt, held)));
                         if self.cursor.step(self.cfg.image.layout()) {
                             ctx.send(MoapMsg::EndOfImage { source: ctx.id });
                             self.timers.invalidate();
@@ -428,12 +418,11 @@ impl Protocol for Moap {
                             if let Some(pkt) = missing.first_set_at_or_after(0) {
                                 missing.clear(pkt);
                                 let seg = *seg;
-                                let payload = self
+                                let held = self
                                     .store
                                     .read_packet(seg, pkt)
-                                    .expect("publisher holds the image")
-                                    .to_vec();
-                                ctx.send(MoapMsg::Data { seg, pkt, payload });
+                                    .expect("publisher holds the image");
+                                ctx.send(MoapMsg::Data(DataPacket::new(seg, pkt, held)));
                                 self.schedule_tx(ctx);
                             } else {
                                 self.repair_queue.remove(0);

@@ -140,7 +140,7 @@ pub trait Frame: Wire {
 
 /// The message set of a paged protocol whose plane requests with `R` and
 /// answers with frames `F`.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PagedMsg<R, F> {
     /// Maintenance summary: how many pages the sender holds.
     Summary {
@@ -212,7 +212,7 @@ pub trait Plane: Sized + Send + Debug {
     /// What a request asks for within the page.
     type Req: Copy + Debug + PartialEq + Eq + Send + Wire;
     /// One data frame.
-    type Frame: Clone + Debug + PartialEq + Eq + Send + Frame;
+    type Frame: Copy + Debug + PartialEq + Eq + Send + Frame;
 
     /// The plane of a node whose flash is `store`: at start-up, and again
     /// after a crash has wiped RAM.

@@ -17,6 +17,7 @@ use mnp_storage::{PacketStore, ProgramImage};
 use mnp_trace::MsgClass;
 
 use mnp::engine::{self, ImageCursor, TimerMux};
+use mnp::DataPacket;
 
 /// XNP parameters.
 #[derive(Clone, Debug)]
@@ -49,23 +50,19 @@ impl XnpConfig {
 }
 
 /// XNP's message set: data only.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum XnpMsg {
     /// One code packet.
-    Data {
-        /// Segment of the packet.
-        seg: u16,
-        /// Packet index within the segment.
-        pkt: u16,
-        /// Code bytes.
-        payload: Vec<u8>,
-    },
+    Data(DataPacket),
 }
+
+// Frame byte budget (DESIGN §13), checked by the compiler.
+const _: () = assert!(std::mem::size_of::<XnpMsg>() <= 6);
 
 impl WireMsg for XnpMsg {
     fn wire_bytes(&self) -> usize {
-        let XnpMsg::Data { payload, .. } = self;
-        3 + payload.len()
+        let XnpMsg::Data(d) = self;
+        d.wire_bytes()
     }
 
     fn class(&self) -> MsgClass {
@@ -132,6 +129,9 @@ pub struct Xnp {
     cursor: ImageCursor,
     pass: u64,
 }
+
+// Per-node byte budget (DESIGN §13), checked by the compiler.
+const _: () = assert!(std::mem::size_of::<Xnp>() <= 120);
 
 impl Xnp {
     /// Creates the broadcasting base station.
@@ -208,9 +208,10 @@ impl Protocol for Xnp {
         if self.is_base || self.completed {
             return;
         }
-        let XnpMsg::Data { seg, pkt, payload } = msg;
-        if engine::store_packet_once(&mut self.store, *seg, *pkt, payload) {
-            ctx.note_eeprom_write(*seg, *pkt);
+        let XnpMsg::Data(DataPacket { seg, pkt, .. }) = *msg;
+        let bytes = self.cfg.image.packet_payload(seg, pkt);
+        if engine::store_packet_once(&mut self.store, seg, pkt, bytes) {
+            ctx.note_eeprom_write(seg, pkt);
             ctx.note_parent(from);
             if self.store.is_complete() {
                 self.completed = true;
@@ -225,12 +226,11 @@ impl Protocol for Xnp {
             return;
         }
         let (seg, pkt) = (self.cursor.seg(), self.cursor.pkt());
-        let payload = self
+        let held = self
             .store
             .read_packet(seg, pkt)
-            .expect("base holds the image")
-            .to_vec();
-        ctx.send(XnpMsg::Data { seg, pkt, payload });
+            .expect("base holds the image");
+        ctx.send(XnpMsg::Data(DataPacket::new(seg, pkt, held)));
         // Advance the cursor, wrapping per pass.
         if self.cursor.step(self.cfg.image.layout()) {
             self.pass += 1;

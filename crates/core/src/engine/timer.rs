@@ -237,7 +237,7 @@ mod tests {
     /// A raw token the mux never mints (kind 0xff): re-arms the deadline.
     const POKE: u64 = 0xff;
 
-    #[derive(Clone, Debug)]
+    #[derive(Clone, Copy, Debug)]
     struct Silent;
 
     impl WireMsg for Silent {

@@ -11,13 +11,18 @@ pub fn missing_vector(store: &PacketStore, seg: u16) -> PacketBitmap {
     PacketBitmap::from_bits(store.missing_mask(seg))
 }
 
-/// The write-once EEPROM discipline: stores `payload` only if the packet
-/// is not already on flash. Returns `true` when the packet was written —
-/// the caller then accounts the EEPROM write with the network layer.
+/// The write-once EEPROM discipline, and every protocol's one write path:
+/// stores `payload` only if the packet is not already on flash. Returns
+/// `true` when the packet was written — the caller then accounts the
+/// EEPROM write with the network layer.
 ///
 /// "When a node receives a packet for the first time, it stores that
 /// packet in EEPROM"; re-writing a held packet would double-bill flash
 /// energy and wear.
+///
+/// A plain data frame names its packet and carries no bytes, so its
+/// receiver hands over the shared image's slice for that packet; only the
+/// coded planes (XOR, RLNC) hand over bytes they computed.
 ///
 /// A transient [`StorageError::WriteFault`] (injected by the fault model)
 /// also returns `false`: the packet stays missing, so the protocol's
@@ -27,8 +32,8 @@ pub fn missing_vector(store: &PacketStore, seg: u16) -> PacketBitmap {
 ///
 /// Panics with the error's text on any other rejection: a duplicate is
 /// excluded above, so a wrong-length or [`StorageError::Corrupt`] payload
-/// means the protocol mangled the image — a simulator bug that must fail
-/// loudly at the packet it names.
+/// means a coded plane decoded the wrong bytes — a simulator bug that must
+/// fail loudly at the packet it names.
 ///
 /// [`StorageError::WriteFault`]: mnp_storage::StorageError::WriteFault
 /// [`StorageError::Corrupt`]: mnp_storage::StorageError::Corrupt

@@ -4,8 +4,6 @@
 //! largest message (a download request carrying a 16-byte `MissingVector`)
 //! still fits one TinyOS radio packet.
 
-use std::fmt;
-
 use mnp_net::{MsgDetail, WireMsg};
 use mnp_radio::NodeId;
 use mnp_storage::ProgramId;
@@ -50,19 +48,38 @@ pub struct DownloadRequest {
     pub missing: PacketBitmap,
 }
 
-/// One code packet.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// One code packet, the data frame of every plain protocol: it names
+/// packet `pkt` of segment `seg`, and its bytes are that packet of the one
+/// shared image, so the frame does not copy them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DataPacket {
-    /// Segment the packet belongs to.
+    /// Segment (Deluge: page) the packet belongs to.
     pub seg: u16,
     /// Packet index within the segment.
     pub pkt: u16,
-    /// The code bytes (≤ 23).
-    pub payload: Vec<u8>,
+    /// Code bytes on the air (≤ 23; the image's last packet may be short).
+    pub len: u8,
+}
+
+// Frame byte budget (DESIGN §13), checked by the compiler.
+const _: () = assert!(std::mem::size_of::<DataPacket>() <= 6);
+
+impl DataPacket {
+    /// The frame of packet `pkt` of `seg`, whose bytes on flash are
+    /// `bytes`: at most a layout's `u8` payload width, or it panics.
+    pub fn new(seg: u16, pkt: u16, bytes: &[u8]) -> Self {
+        let len = u8::try_from(bytes.len()).expect("a packet fits the layout's u8 width");
+        DataPacket { seg, pkt, len }
+    }
+
+    /// Bytes on the air: seg(2) + pkt(1) + payload.
+    pub fn wire_bytes(&self) -> usize {
+        3 + usize::from(self.len)
+    }
 }
 
 /// The MNP message set.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MnpMsg {
     /// Source advertising an available segment.
     Advertisement(Advertisement),
@@ -107,36 +124,8 @@ pub enum MnpMsg {
     },
 }
 
-impl fmt::Display for MnpMsg {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MnpMsg::Advertisement(a) => write!(
-                f,
-                "Advertisement(src={} seg={} req_ctr={})",
-                a.source.0, a.seg, a.req_ctr
-            ),
-            MnpMsg::DownloadRequest(r) => write!(
-                f,
-                "DownloadRequest(dest={} from={} seg={} req_ctr={})",
-                r.dest.0, r.requester.0, r.seg, r.dest_req_ctr
-            ),
-            MnpMsg::StartDownload { source, seg } => {
-                write!(f, "StartDownload(src={} seg={seg})", source.0)
-            }
-            MnpMsg::Data(d) => write!(f, "Data(seg={} pkt={})", d.seg, d.pkt),
-            MnpMsg::EndDownload { source, seg } => {
-                write!(f, "EndDownload(src={} seg={seg})", source.0)
-            }
-            MnpMsg::Query { source, seg } => write!(f, "Query(src={} seg={seg})", source.0),
-            MnpMsg::Repair {
-                dest,
-                requester,
-                seg,
-                ..
-            } => write!(f, "Repair(dest={} from={} seg={seg})", dest.0, requester.0),
-        }
-    }
-}
+// Frame byte budget (DESIGN §13), checked by the compiler.
+const _: () = assert!(std::mem::size_of::<MnpMsg>() <= 48);
 
 impl WireMsg for MnpMsg {
     fn wire_bytes(&self) -> usize {
@@ -147,8 +136,7 @@ impl WireMsg for MnpMsg {
             MnpMsg::DownloadRequest(_) => 7 + BITMAP_WIRE_BYTES,
             // source(2) + seg(2)
             MnpMsg::StartDownload { .. } => 4,
-            // seg(2) + pkt(1) + payload
-            MnpMsg::Data(d) => 3 + d.payload.len(),
+            MnpMsg::Data(d) => d.wire_bytes(),
             MnpMsg::EndDownload { .. } => 4,
             MnpMsg::Query { .. } => 4,
             // dest(2) + requester(2) + seg(2) + bitmap(16)
@@ -235,7 +223,7 @@ mod tests {
             MnpMsg::Data(DataPacket {
                 seg: 0,
                 pkt: 127,
-                payload: vec![0u8; 23],
+                len: 23,
             }),
             MnpMsg::EndDownload {
                 source: NodeId(0),
@@ -273,7 +261,7 @@ mod tests {
             MnpMsg::Data(DataPacket {
                 seg: 0,
                 pkt: 0,
-                payload: vec![1]
+                len: 1
             })
             .class(),
             MsgClass::Data
@@ -293,12 +281,12 @@ mod tests {
         let small = MnpMsg::Data(DataPacket {
             seg: 0,
             pkt: 0,
-            payload: vec![0; 4],
+            len: 4,
         });
         let full = MnpMsg::Data(DataPacket {
             seg: 0,
             pkt: 0,
-            payload: vec![0; 23],
+            len: 23,
         });
         assert!(small.wire_bytes() < full.wire_bytes());
     }

@@ -99,16 +99,11 @@ impl Mnp {
         debug_assert_eq!(self.state, MnpState::Query);
         match self.fwd.pop_first() {
             Some(pkt) => {
-                let payload = self
+                let held = self
                     .store
                     .read_packet(self.fwd_seg, pkt)
-                    .expect("a sender holds every packet of its forwarded segment")
-                    .to_vec();
-                ctx.send(MnpMsg::Data(DataPacket {
-                    seg: self.fwd_seg,
-                    pkt,
-                    payload,
-                }));
+                    .expect("a sender holds every packet of its forwarded segment");
+                ctx.send(MnpMsg::Data(DataPacket::new(self.fwd_seg, pkt, held)));
                 self.stats.retransmissions += 1;
                 self.deadline.move_to(ctx.now + self.cfg.query_idle_timeout);
                 self.schedule_fwd(ctx);

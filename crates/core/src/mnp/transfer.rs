@@ -89,13 +89,15 @@ impl Mnp {
     }
 
     pub(super) fn on_data(&mut self, ctx: &mut Context<'_, MnpMsg>, from: NodeId, d: &DataPacket) {
+        // The frame names its packet; the bytes are the shared image's.
+        let bytes = self.cfg.image.packet_payload(d.seg, d.pkt);
         match self.state {
             MnpState::Download if d.seg == self.dl_seg => {
                 // "A sensor node can receive packets in any order and from
                 // any node" — only the segment must match.
                 #[allow(clippy::collapsible_match)]
                 if self.missing.get(d.pkt) {
-                    if engine::store_packet_once(&mut self.store, d.seg, d.pkt, &d.payload) {
+                    if engine::store_packet_once(&mut self.store, d.seg, d.pkt, bytes) {
                         ctx.note_eeprom_write(d.seg, d.pkt);
                         self.missing.clear(d.pkt);
                     } else {
@@ -115,7 +117,7 @@ impl Mnp {
                 // repairs — are ignored silently.
                 #[allow(clippy::collapsible_match)]
                 if self.missing.get(d.pkt) {
-                    if engine::store_packet_once(&mut self.store, d.seg, d.pkt, &d.payload) {
+                    if engine::store_packet_once(&mut self.store, d.seg, d.pkt, bytes) {
                         ctx.note_eeprom_write(d.seg, d.pkt);
                         self.missing.clear(d.pkt);
                         // Progress: the retry budget resets.
@@ -142,7 +144,7 @@ impl Mnp {
                     // not lock onto the stream — only a StartDownload
                     // establishes a parent — so a marginal link cannot trap
                     // us in a failing download.
-                    if engine::store_packet_once(&mut self.store, d.seg, d.pkt, &d.payload) {
+                    if engine::store_packet_once(&mut self.store, d.seg, d.pkt, bytes) {
                         ctx.note_eeprom_write(d.seg, d.pkt);
                         ctx.note_parent(from);
                         if self.store.segment_complete(d.seg) {
@@ -187,16 +189,11 @@ impl Mnp {
         let limit = self.cfg.image.layout().packets_in_segment(self.fwd_seg);
         match self.fwd.next_in_order(limit) {
             Some(pkt) => {
-                let payload = self
+                let held = self
                     .store
                     .read_packet(self.fwd_seg, pkt)
-                    .expect("a sender holds every packet of its forwarded segment")
-                    .to_vec();
-                ctx.send(MnpMsg::Data(DataPacket {
-                    seg: self.fwd_seg,
-                    pkt,
-                    payload,
-                }));
+                    .expect("a sender holds every packet of its forwarded segment");
+                ctx.send(MnpMsg::Data(DataPacket::new(self.fwd_seg, pkt, held)));
                 self.schedule_fwd(ctx);
             }
             None => {

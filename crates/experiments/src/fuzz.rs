@@ -36,7 +36,7 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use mnp_net::{FaultPlan, LinkChange, NetworkBuilder};
-use mnp_obs::{InvariantMonitor, Shared};
+use mnp_obs::{push_str_literal, InvariantMonitor, Shared};
 use mnp_radio::{LinkTable, NodeId};
 use mnp_sim::{SimDuration, SimRng, SimTime, TieBreak};
 use mnp_storage::{ImageLayout, ProgramId, ProgramImage};
@@ -44,7 +44,7 @@ use mnp_topology::GridSpec;
 
 use crate::mobility::{FieldLayout, MobileExperiment};
 use crate::registry::{with_protocol, Disseminator, ProtocolId, FAULT_TESTED};
-use crate::report::{escape_json, Json};
+use crate::report::Json;
 use crate::runner::{build, finish, reaches_all, GridExperiment};
 
 /// One planned transient fault of a fuzz scenario.
@@ -746,11 +746,11 @@ pub fn emit_repro(sc: &FuzzScenario, failure: &FuzzFailure) -> String {
         "\n  ],\n"
     });
     out.push_str(&format!(
-        "  \"failure\": {{\"kind\": \"{}\", \"message\": \"{}\"}}\n",
-        failure.kind.name(),
-        escape_json(&failure.message)
+        "  \"failure\": {{\"kind\": \"{}\", \"message\": ",
+        failure.kind.name()
     ));
-    out.push_str("}\n");
+    push_str_literal(&mut out, &failure.message);
+    out.push_str("}\n}\n");
     out
 }
 

@@ -322,25 +322,6 @@ impl Parser<'_> {
     }
 }
 
-/// Escapes a string for embedding in a JSON string literal — the writing
-/// counterpart of [`Json::parse`], shared by every artifact this crate
-/// renders.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Signed percent change from `a` to `b`; 0 when `a` is 0.
 fn pct_change(a: f64, b: f64) -> f64 {
     if a == 0.0 {

@@ -22,7 +22,7 @@
 //! use mnp_radio::{LinkTable, NodeId};
 //! use mnp_trace::MsgClass;
 //!
-//! #[derive(Clone, Debug)]
+//! #[derive(Clone, Copy, Debug)]
 //! struct Ping(u8);
 //! impl WireMsg for Ping {
 //!     fn wire_bytes(&self) -> usize { 1 }

@@ -707,7 +707,7 @@ mod tests {
     use mnp_trace::MsgClass;
 
     /// Test message: a counter.
-    #[derive(Clone, Debug, PartialEq, Eq)]
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     struct Tick(u32);
 
     impl WireMsg for Tick {
@@ -959,7 +959,7 @@ mod failure_tests {
     use mnp_trace::MsgClass;
 
     /// Chatty protocol: every node broadcasts a beacon every 50 ms forever.
-    #[derive(Clone, Debug)]
+    #[derive(Clone, Copy, Debug)]
     struct Beacon;
 
     impl WireMsg for Beacon {
@@ -1317,7 +1317,7 @@ mod shard_tests {
     use mnp_sim::SimDuration;
     use mnp_trace::MsgClass;
 
-    #[derive(Clone, Debug)]
+    #[derive(Clone, Copy, Debug)]
     struct Word(u32);
 
     impl WireMsg for Word {
@@ -1494,7 +1494,7 @@ mod timeline_tests {
     use mnp_trace::MsgClass;
     use std::cell::Cell;
 
-    #[derive(Clone, Debug)]
+    #[derive(Clone, Copy, Debug)]
     struct Word;
 
     impl WireMsg for Word {

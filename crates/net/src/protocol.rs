@@ -81,8 +81,10 @@ pub struct EepromOps {
 /// state is plain owned data in practice, so this costs implementations
 /// nothing.
 pub trait Protocol: Sized + Send {
-    /// The protocol's message type.
-    type Msg: WireMsg + Clone + Debug;
+    /// The protocol's message type. It is `Copy`, so the compiler proves
+    /// that a frame owns no heap memory: a data frame names its packet in
+    /// the one shared image instead of carrying a copy of its bytes.
+    type Msg: WireMsg + Copy + Debug;
 
     /// Called once at simulation start (time zero).
     fn on_start(&mut self, ctx: &mut Context<'_, Self::Msg>);
@@ -166,7 +168,7 @@ pub trait Protocol: Sized + Send {
 mod tests {
     use super::*;
 
-    #[derive(Clone, Debug)]
+    #[derive(Clone, Copy, Debug)]
     struct Nop;
 
     impl WireMsg for Nop {

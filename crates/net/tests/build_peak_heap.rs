@@ -54,7 +54,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct Nothing;
 
 impl WireMsg for Nothing {

@@ -70,8 +70,9 @@ fn push_escaped(out: &mut String, s: &str) {
     }
 }
 
-/// Appends `s` as a JSON string literal (with escaping) to `out`.
-pub(crate) fn push_str_literal(out: &mut String, s: &str) {
+/// Appends `s` as a JSON string literal, quoted and escaped, to `out`:
+/// the one string escaper of every JSON artifact the workspace writes.
+pub fn push_str_literal(out: &mut String, s: &str) {
     out.push('"');
     if needs_escape(s) {
         push_escaped(out, s);

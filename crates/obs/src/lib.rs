@@ -50,6 +50,7 @@ pub mod trace_adapter;
 
 pub use event::{EventKind, LossCause, MsgDetail, ObsEvent};
 pub use invariants::InvariantMonitor;
+pub use json::push_str_literal;
 pub use jsonl::JsonlLogger;
 pub use metrics::{Histogram, MetricsRegistry, NodeMetrics};
 pub use observer::{Observer, Shared};

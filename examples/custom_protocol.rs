@@ -12,7 +12,7 @@
 use mnp_repro::prelude::*;
 
 /// A rumor: one 8-byte value plus a hop counter.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct Rumor {
     value: u64,
     hops: u8,

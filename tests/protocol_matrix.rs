@@ -1,6 +1,8 @@
 //! Configuration-matrix robustness: every combination of the protocol's
 //! optional features must preserve reliability on a lossy multihop grid.
 
+use std::collections::BTreeSet;
+
 use mnp_repro::prelude::*;
 
 fn run_combo(query_update: bool, pipelining: bool, sleep_enabled: bool, seed: u64) -> RunOutcome {
@@ -66,17 +68,72 @@ fn coded_config_knobs_change_behaviour_without_costing_reliability() {
     }
 }
 
+/// The wire sizes of the data messages a run sends.
+#[derive(Debug, Default)]
+struct DataSizes(BTreeSet<usize>);
+
+impl Observer for DataSizes {
+    fn on_event(&mut self, ev: &ObsEvent) {
+        if let EventKind::MsgTx {
+            class: MsgClass::Data,
+            bytes,
+            ..
+        } = ev.kind
+        {
+            self.0.insert(bytes);
+        }
+    }
+}
+
+/// Disseminates `image` from the corner of a 3×3 grid under the strict
+/// invariant monitor, and asserts that its data messages had exactly the
+/// wire sizes `want`.
+fn assert_data_sizes<P: Disseminator>(image: &ProgramImage, want: &BTreeSet<usize>) {
+    let grid = GridSpec::new(3, 3, 10.0);
+    let links = TopologyBuilder::new(grid.placement())
+        .power(PowerLevel::FULL)
+        .build(&mut SimRng::new(700).derive(0xdead_beef))
+        .links;
+    let sizes = Shared::new(DataSizes::default());
+    let invariants = Shared::new(InvariantMonitor::new());
+    let cfg = P::config_for(image);
+    let mut net = NetworkBuilder::new(links, 700)
+        .observer(sizes.clone())
+        .observer(invariants.clone())
+        .build(|id, _| {
+            if id == NodeId(0) {
+                P::base_station(cfg.clone(), image)
+            } else {
+                P::node(cfg.clone())
+            }
+        });
+    let completed = net.run_until_all_complete(SimTime::from_secs(3_600));
+    // Flood has no loss recovery: a relay misses what arrives while it
+    // rebroadcasts, so it runs until the storm dies out instead.
+    assert!(
+        completed || P::NAME == "flood",
+        "{} did not complete",
+        P::NAME
+    );
+    assert!(invariants.borrow().ok(), "{}", P::NAME);
+    assert_eq!(&sizes.borrow().0, want, "{}: data message sizes", P::NAME);
+}
+
 #[test]
 fn smaller_segments_work_too() {
-    // Non-default layout: 32-packet segments, short last packet.
-    let out = GridExperiment::new(4, 4, 10.0)
-        .seed(700)
-        .check_invariants(true)
-        .run::<Mnp>(|c| {
-            // Keep the default image; only the protocol features vary here.
-            c.adv_count = 4;
-        });
-    assert!(out.completed);
+    // 32-packet segments, short last packet: 1 000 bytes are 43 full
+    // 23-byte packets and one of 11, in segments of 32 and 12 packets.
+    let layout = ImageLayout::new(1_000, 32, 23);
+    assert_eq!(layout.segment_count(), 2);
+    let short = layout.packet_len(1, 11);
+    assert_eq!(short, 11);
+    let image = ProgramImage::synthetic(ProgramId(1), layout);
+    let want = BTreeSet::from([3 + short, 3 + 23]);
+    assert_data_sizes::<Mnp>(&image, &want);
+    assert_data_sizes::<Deluge>(&image, &want);
+    assert_data_sizes::<Moap>(&image, &want);
+    assert_data_sizes::<Xnp>(&image, &want);
+    assert_data_sizes::<Flood>(&image, &want);
 }
 
 #[test]
