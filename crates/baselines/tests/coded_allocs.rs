@@ -8,66 +8,19 @@
 //! only the decoded packets stay; and encoding a `Coded` frame, whose
 //! payload is inline, allocates nothing once the coefficient scratch has
 //! grown.
-//!
-//! An integration test is its own crate, so the counting allocator's
-//! `unsafe` lives here and the library keeps `#![forbid(unsafe_code)]`.
-//! Keep this the only `#[test]` in the file, so nothing else allocates.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+#[allow(dead_code)]
+#[path = "../../../tests/support/heap_probe.rs"]
+mod heap_probe;
 
 use mnp_baselines::coded::decoder::{derive_coeffs, encode, GenDecoder};
 use mnp_baselines::coded::rlnc::Coded;
 use mnp_sim::SimRng;
 
-thread_local! {
-    /// Heap allocations (and growths) made by this thread.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-    /// Bytes this thread holds on the heap, net of what it freed.
-    static LIVE: Cell<i64> = const { Cell::new(0) };
-}
-
-fn add_live(bytes: i64) {
-    // `try_with`: a thread still allocates while its locals are torn down.
-    let _ = LIVE.try_with(|n| n.set(n.get() + bytes));
-}
-
-struct CountingAlloc;
-
-// SAFETY: defers every operation to `System`; the counters are
-// side-effect-only and never influence what is returned.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-        add_live(layout.size() as i64);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        add_live(-(layout.size() as i64));
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-        add_live(new_size as i64 - layout.size() as i64);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-fn allocs() -> u64 {
-    ALLOCS.with(Cell::get)
-}
-
-fn live() -> i64 {
-    LIVE.with(Cell::get)
-}
-
-/// The decoder's documented growth factor.
-const GROWTH: f64 = 1.25;
+use heap_probe::{
+    mark, snapshot, CODED_ENCODE_ALLOCS, DECODER_FIXED_ALLOCS, DECODER_GROWTH as GROWTH,
+    DECODER_NEW_ALLOCS,
+};
 
 #[test]
 fn the_decoder_holds_heap_only_while_it_decodes_and_frames_own_none() {
@@ -88,9 +41,13 @@ fn the_decoder_holds_heap_only_while_it_decodes_and_frames_own_none() {
         .collect();
     assert_ne!(coded[0].0[0], 0, "the first row's pivot is column 0");
 
-    let (base_allocs, base_live) = (allocs(), live());
+    let base = mark();
     let mut dec = GenDecoder::new(N, W);
-    assert_eq!(allocs() - base_allocs, 0, "allocations in GenDecoder::new");
+    assert_eq!(
+        snapshot().since(base).calls,
+        DECODER_NEW_ALLOCS,
+        "allocations in GenDecoder::new"
+    );
 
     // Row `p` holds `N − p` coefficients and `W` data bytes; at rank `r`
     // the held rows are at most those of pivots `0..r`.
@@ -102,7 +59,7 @@ fn the_decoder_holds_heap_only_while_it_decodes_and_frames_own_none() {
             break;
         }
         dec.absorb(coeffs, payload);
-        let held = (live() - base_live) as f64;
+        let held = snapshot().since(base).live as f64;
         if dec.is_full() {
             assert_eq!(held as usize, N * W, "only the decoded packets stay");
         } else {
@@ -125,23 +82,31 @@ fn the_decoder_holds_heap_only_while_it_decodes_and_frames_own_none() {
         .ln()
         .div_euclid(GROWTH.ln()) as u64
         + 1;
-    let events = allocs() - base_allocs;
+    let events = snapshot().since(base).calls;
     assert!(
-        events <= 4 + growths,
+        events <= DECODER_FIXED_ALLOCS + growths,
         "{events} heap events for a generation, bound {}",
-        4 + growths
+        DECODER_FIXED_ALLOCS + growths
     );
     drop(dec);
-    assert_eq!(live(), base_live, "dropping the decoder frees everything");
+    assert_eq!(
+        snapshot().since(base).live,
+        0,
+        "dropping the decoder frees everything"
+    );
 
     // A `Coded` frame carries its payload inline: once the coefficient
     // scratch has grown, encoding one allocates nothing.
     let packets = || sources.iter().map(Vec::as_slice);
     let mut scratch = Vec::new();
     let warm = Coded::encode(0, 7, packets(), W, &mut scratch);
-    let before = allocs();
+    let before = mark();
     let frame = Coded::encode(0, 8, packets(), W, &mut scratch);
-    assert_eq!(allocs() - before, 0, "allocations encoding a Coded frame");
+    assert_eq!(
+        snapshot().since(before).calls,
+        CODED_ENCODE_ALLOCS,
+        "allocations encoding a Coded frame"
+    );
     assert_eq!(warm.payload(), encode(&derive_coeffs(0, 7, N), &sources, W));
     assert_eq!(
         frame.payload(),

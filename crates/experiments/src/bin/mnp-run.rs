@@ -53,18 +53,17 @@
 //! `--out` writes the schema-versioned profile JSON, `--series` the
 //! sampler's JSONL rows, and `--timeline` a Chrome trace with the
 //! sampler's gauges merged in as Perfetto counter tracks. This binary
-//! installs a counting global allocator (two relaxed atomic increments
-//! per allocation) so the sampler can record allocation gauges.
+//! installs the heap probe (`tests/support/heap_probe.rs`) as its global
+//! allocator, so the sampler records the run thread's allocation calls
+//! and requested bytes.
 //!
 //! `mnp-run report` diffs two JSON documents of one kind — two benchmark
 //! `results.json` files (`benchmark/README.md`) or two profile files —
 //! pairing rows by `(workload, mode)` or by phase.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Display;
 use std::process::ExitCode;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use mnp::Mnp;
 use mnp_experiments::registry::{FAULT_TESTED, NAMES};
@@ -81,51 +80,16 @@ use mnp_radio::{NodeId, PowerLevel};
 use mnp_sim::{profile, SimDuration};
 use mnp_trace::{render_heatmap, render_parent_map};
 
-/// [`System`] plus cumulative allocation counters, for `mnp-run profile`'s
-/// sampler.
-///
-/// Lives here rather than in the library because a global allocator is
-/// `unsafe` and the library crates `#![forbid(unsafe_code)]`.
-struct CountingAlloc {
-    allocs: AtomicU64,
-    bytes: AtomicU64,
-}
+// The workspace's one counting allocator: the libraries forbid `unsafe`.
+#[allow(dead_code)]
+#[path = "../../../../tests/support/heap_probe.rs"]
+mod heap_probe;
 
-// SAFETY: defers every operation to `System`; the counters are
-// side-effect-only and never influence what is returned.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        self.allocs.fetch_add(1, Ordering::Relaxed);
-        self.bytes
-            .fetch_add(layout.size() as u64, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        self.allocs.fetch_add(1, Ordering::Relaxed);
-        self.bytes.fetch_add(
-            new_size.saturating_sub(layout.size()) as u64,
-            Ordering::Relaxed,
-        );
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc {
-    allocs: AtomicU64::new(0),
-    bytes: AtomicU64::new(0),
-};
-
+/// The run thread's allocation calls and requested bytes, for `mnp-run
+/// profile`'s sampler.
 fn alloc_counters() -> (u64, u64) {
-    (
-        ALLOC.allocs.load(Ordering::Relaxed),
-        ALLOC.bytes.load(Ordering::Relaxed),
-    )
+    let heap = heap_probe::snapshot();
+    (heap.calls, heap.requested)
 }
 
 struct Args {

@@ -316,10 +316,18 @@ fn profile_writes_its_three_artifacts() {
         "no numeric coverage: {profile:?}"
     );
     let series = read(&s);
-    assert!(!series.is_empty());
+    assert!(series.lines().count() > 1, "{series}");
+    // The heap probe feeds the allocation gauges: cumulative, so never
+    // falling, and not all zero.
+    let mut last = (0, 0);
     for line in series.lines() {
-        Json::parse(line).expect("series is JSONL");
+        let row = Json::parse(line).expect("series is JSONL");
+        let gauge = |key| row.get(key).and_then(Json::as_u64).expect("a u64 gauge");
+        let now = (gauge("allocs"), gauge("alloc_bytes"));
+        assert!(now.0 >= last.0 && now.1 >= last.1, "{last:?} -> {now:?}");
+        last = now;
     }
+    assert!(last.0 > 0 && last.1 > 0, "no allocation counted: {last:?}");
     let timeline = Json::parse(&read(&t)).expect("timeline is JSON");
     assert!(timeline.get("traceEvents").is_some(), "no traceEvents");
 }

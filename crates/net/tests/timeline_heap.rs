@@ -2,57 +2,15 @@
 //! schedule: the timeline is resolved in the schedule's own buffer, so a
 //! build over `N` changes never holds more than the schedule's `24·N`
 //! bytes plus what the network keeps per node, per edge and per flap.
-//!
-//! An integration test is its own crate, so the counting allocator's
-//! `unsafe` lives here and the library keeps `#![forbid(unsafe_code)]`.
-//! Keep this the only `#[test]` in the file, so nothing else allocates.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+#[allow(dead_code)]
+#[path = "../../../tests/support/heap_probe.rs"]
+mod heap_probe;
 
 use mnp_net::{Context, FaultPlan, NetworkBuilder, Protocol, WireMsg};
 use mnp_radio::{LinkChange, LinkTable, NodeId};
 use mnp_sim::{SimDuration, SimTime};
 use mnp_trace::MsgClass;
-
-thread_local! {
-    /// Bytes this thread holds on the heap, and the most it has held
-    /// since the last reset.
-    static LIVE: Cell<i64> = const { Cell::new(0) };
-    static PEAK: Cell<i64> = const { Cell::new(0) };
-}
-
-fn grow(bytes: i64) {
-    // `try_with`: a thread still allocates while its locals are torn down.
-    let _ = LIVE.try_with(|live| {
-        live.set(live.get() + bytes);
-        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
-    });
-}
-
-struct CountingAlloc;
-
-// SAFETY: defers every operation to `System`; the counters are
-// side-effect-only and never influence what is returned.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        grow(layout.size() as i64);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        grow(-(layout.size() as i64));
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        grow(new_size as i64 - layout.size() as i64);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
 
 #[derive(Clone, Copy, Debug)]
 struct Nothing;
@@ -73,10 +31,6 @@ impl Protocol for Inert {
     type Msg = Nothing;
     fn on_start(&mut self, _ctx: &mut Context<'_, Nothing>) {}
     fn on_message(&mut self, _ctx: &mut Context<'_, Nothing>, _from: NodeId, _msg: &Nothing) {}
-}
-
-fn live() -> i64 {
-    LIVE.with(Cell::get)
 }
 
 #[test]
@@ -104,7 +58,7 @@ fn build_resolves_the_timeline_in_the_schedule_it_was_given() {
         let at = SimTime::from_secs(5 * i as u64 + 3);
         plan = plan.link_flap(from, to, at, SimDuration::from_secs(7), 1.0);
     }
-    let before = live();
+    let before = heap_probe::mark();
     // A motion-like schedule, in time order: every edge changes on every
     // tick, each change a real one.
     let schedule: Vec<LinkChange> = (0..CHANGES)
@@ -120,23 +74,28 @@ fn build_resolves_the_timeline_in_the_schedule_it_was_given() {
         })
         .collect();
     assert_eq!(schedule.capacity(), CHANGES);
-    PEAK.with(|peak| peak.set(live()));
+    // The peak is build's, measured from before the schedule existed.
+    heap_probe::mark();
     let net = NetworkBuilder::new(links, 7)
         .link_schedule(schedule)
         .faults(plan)
         .build(|_, _| Inert);
-    let peak = PEAK.with(Cell::get) - before;
-    let kept = live() - before;
+    let built = heap_probe::snapshot().since(before);
+    let (peak, kept) = (built.peak, built.live);
     assert!(
         net.pending_events() > CHANGES * 9 / 10,
         "the changes are rows"
     );
     drop(net);
     let schedule = (CHANGES * std::mem::size_of::<LinkChange>()) as i64;
-    assert_eq!(schedule, 24 * CHANGES as i64);
-    // Beside the schedule: the network itself and the resolver's columns,
-    // a few hundred bytes per node, edge and flap.
-    let rest = (NODES * 512 + edges.len() * 64 + FLAPS * 128) as i64;
+    assert_eq!(
+        schedule,
+        heap_probe::TIMELINE_BUILD_BYTES_PER_CHANGE * CHANGES as i64
+    );
+    // Beside the schedule: the network itself and the resolver's columns.
+    let rest = heap_probe::TIMELINE_BUILD_BYTES_PER_NODE * NODES as i64
+        + heap_probe::TIMELINE_BUILD_BYTES_PER_EDGE * edges.len() as i64
+        + heap_probe::TIMELINE_BUILD_BYTES_PER_FLAP * FLAPS as i64;
     assert!(
         peak <= schedule + rest,
         "build peaked at {peak} B for a {schedule} B schedule (kept {kept} B)"

@@ -3,48 +3,16 @@
 //! through begin → rx-start → end → rx-end with every receiver resolved
 //! and the payload released. After a warm-up that fills every pool, a
 //! measured window of transmissions must touch the heap **zero** times.
-//!
-//! An integration test is its own crate, so the counting allocator's
-//! `unsafe` lives here and the library keeps `#![forbid(unsafe_code)]`.
-//! Keep this the only `#[test]` in the file, so nothing else allocates.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+#[allow(dead_code)]
+#[path = "../../../tests/support/heap_probe.rs"]
+mod heap_probe;
 
 use mnp_radio::{
     loss, Frame, LinkTable, Medium, NodeId, PowerLevel, TxOutcome, MAX_PAYLOAD_BYTES,
     PERCEPTION_LATENCY,
 };
 use mnp_sim::{SimRng, SimTime};
-
-thread_local! {
-    /// Heap allocations (and growths) made by this thread.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct CountingAlloc;
-
-// SAFETY: defers every operation to `System`; the counter is
-// side-effect-only and never influences what is returned.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // `try_with`: a thread still allocates while its locals are torn down.
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
 
 const SIDE: usize = 20;
 const NODES: usize = SIDE * SIDE;
@@ -109,12 +77,16 @@ fn medium_hot_path_allocates_nothing_in_steady_state() {
     };
 
     (0..WARMUP).for_each(&mut round);
-    let before = ALLOCS.with(Cell::get);
+    let before = heap_probe::mark();
     (WARMUP..WARMUP + MEASURED).for_each(&mut round);
-    let allocs = ALLOCS.with(Cell::get) - before;
+    let allocs = heap_probe::snapshot().since(before).calls;
 
     // A sole full-power transmitter reaches most of its neighbourhood.
     let rounds = WARMUP + MEASURED;
     assert!(delivered > rounds * 8, "only {delivered} deliveries");
-    assert_eq!(allocs, 0, "allocations over {MEASURED} transmissions");
+    assert_eq!(
+        allocs,
+        heap_probe::MEDIUM_STEADY_STATE_ALLOCS,
+        "allocations over {MEASURED} transmissions"
+    );
 }

@@ -138,10 +138,15 @@ fn documents_cite_only_paths_that_exist() {
     );
 }
 
-/// Every `*.rs` file under `dir`, recursively.
+/// Every `*.rs` file under `dir`, recursively, outside build output
+/// (`target/`) and hidden directories.
 fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
     for entry in fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
         let path = entry.expect("dir entry").path();
+        let name = path.file_name().unwrap().to_string_lossy();
+        if name == "target" || name.starts_with('.') {
+            continue;
+        }
         if path.is_dir() {
             rust_sources(&path, out);
         } else if path.extension().is_some_and(|e| e == "rs") {
@@ -178,4 +183,49 @@ fn the_simulation_path_names_no_hash_container_and_no_wall_clock() {
         }
     }
     assert!(hits.is_empty(), "{}", hits.join("\n"));
+}
+
+#[test]
+fn one_heap_probe_and_every_library_forbids_unsafe() {
+    // Split, so that this file does not hold the needles it looks for.
+    let needles = [
+        ["unsafe impl ", "GlobalAlloc"].concat(),
+        ["#[global_", "allocator]"].concat(),
+    ];
+    let mut sources = Vec::new();
+    rust_sources(&root(), &mut sources);
+    sources.retain(|path| !path.starts_with(root().join("benchmark")));
+    assert!(
+        sources.len() > 100,
+        "only {} sources scanned",
+        sources.len()
+    );
+    let mut hits = [Vec::new(), Vec::new()];
+    for path in &sources {
+        for (n, line) in read(path).lines().enumerate() {
+            let code = !line.trim_start().starts_with("//");
+            for (needle, hits) in needles.iter().zip(&mut hits) {
+                if code && line.contains(needle.as_str()) {
+                    hits.push(format!("{}:{}", path.display(), n + 1));
+                }
+            }
+        }
+    }
+    for (needle, hits) in needles.iter().zip(&hits) {
+        assert!(
+            hits.len() == 1 && hits[0].contains("tests/support/heap_probe.rs:"),
+            "`{needle}` must appear once, in the heap probe: {hits:?}"
+        );
+    }
+    let mut roots = vec![root().join("src/lib.rs")];
+    for entry in fs::read_dir(root().join("crates")).expect("read crates/") {
+        roots.push(entry.expect("dir entry").path().join("src/lib.rs"));
+    }
+    for lib in roots {
+        assert!(
+            read(&lib).contains("#![forbid(unsafe_code)]"),
+            "{} must forbid unsafe code",
+            lib.display()
+        );
+    }
 }
