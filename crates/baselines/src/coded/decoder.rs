@@ -9,57 +9,67 @@
 //! carries a `(generation, u32 seed)` pair and both ends derive the same
 //! coefficients from a [`SimRng`] stream ([`derive_coeffs`]).
 //!
-//! The decoder keeps the received combinations in *triangular* echelon
-//! form. [`GenDecoder::absorb`] forward-eliminates the incoming row
-//! against the held pivot rows in ascending pivot order and stops at the
-//! first nonzero column no row owns: that column is the new pivot, the
-//! row is normalised to a leading 1 and appended, from the pivot on
-//! (`coeffs[pivot..]` followed by the data), to one byte buffer of rows
-//! in arrival order; a `u16` table maps each pivot to its row's offset,
-//! so a row operation is a single [`gf256::mul_add_assign`]. Held rows
-//! are never touched again until the rank reaches `gen_size`; then one
-//! bottom-up back-substitution over the *data* columns alone recovers the
-//! source packets and the rows are released.
+//! The decoder keeps the received combinations in *compact* reduced
+//! echelon form. A held row has a 1 in its own pivot column and a 0 in
+//! every other row's, so it stores no byte for any pivot column: only its
+//! data, then its coefficients on the columns no row owns yet (the *free*
+//! columns). One `u16` permutation lists the free columns first, in the
+//! order every row stores them, then the pivots, row `i`'s at
+//! `gen_size − 1 − i`.
+//!
+//! [`GenDecoder::absorb`] gathers the incoming row into that layout and
+//! subtracts each held row times the incoming coefficient on that row's
+//! pivot; reduced rows leave each other's pivots alone, so the order does
+//! not matter. A nonzero free coefficient left over is the new pivot: the
+//! row is normalised to a 1 there, every held row eliminates that column,
+//! and each row, the new one too, moves its last free coefficient into
+//! the pivot's slot (a swap-remove), so a row only ever loses its last
+//! byte. The two passes are Σ 2r(n − r + w) byte operations for a
+//! generation of `n` packets of `w` bytes, each row operation a single
+//! [`gf256::mul_add_assign`], and nothing is left to back-substitute: at
+//! full rank the rows are the data alone, and re-ordered in place by
+//! pivot they are the source packets.
 //!
 //! Memory: nothing until the first innovative packet. From then on the
-//! row buffer, the offset table (`2·gen_size` bytes) and the work row
-//! (`gen_size + payload_len` bytes); the buffer grows by a fixed factor
-//! of 1.25, so it never holds more than 1.25 × the rows it stores, at
-//! most `gen_size` rows of `gen_size − pivot + payload_len` bytes
-//! (≤ 128·129/2 + 128·23 = 11 200 B for the paper layout). At full rank
-//! all three are freed and only the `gen_size · payload_len` decoded
-//! bytes stay until the decoder is dropped.
+//! row buffer, the permutation (`2·gen_size` bytes) and the work row
+//! (`gen_size + payload_len` bytes). At rank r the rows need r·(n − r + w)
+//! bytes, at most 5 700 for the paper layout (n = 128, w = 23, r = 75),
+//! falling to the n·w decoded bytes at full rank. Rows sit at a common
+//! stride that is re-packed to their width only when the next row does
+//! not fit; the buffer then grows to 1.25 × what it must hold, or shrinks
+//! to that once it holds more, so it never exceeds 1.25 × the most the
+//! rows have needed. At full rank the permutation and the work row are
+//! freed and the buffer is cut to the `gen_size · payload_len` decoded
+//! bytes, which stay until the decoder is dropped.
 
 use mnp_sim::SimRng;
 
 use super::gf256;
 
-/// How much the row buffer grows when a row does not fit: the new
-/// capacity is this factor times the bytes it must hold.
+/// How much the row buffer grows when a row does not fit, and how much
+/// it may hold before it shrinks: this factor times the bytes the rows
+/// need.
 const GROWTH_NUM: usize = 5;
 const GROWTH_DEN: usize = 4;
 
-/// Offset-table entry of a pivot no row owns yet.
-const NO_ROW: u16 = u16::MAX;
-
-/// Incremental triangular-echelon decoder for a single generation.
+/// Incremental compact reduced-echelon decoder for a single generation.
 #[derive(Clone, Debug)]
 pub struct GenDecoder {
     gen_size: usize,
     payload_len: usize,
     rank: usize,
-    /// The held rows back to back in arrival order: each is its
-    /// normalised coefficients from its pivot on (leading 1), then its
-    /// data. Empty before the first innovative packet and after full rank.
+    /// Below full rank, the held rows in arrival order at a common stride
+    /// (`rows.len() / rank`): each is its data, then its coefficients on
+    /// the free columns `cols[..gen_size − rank]`, then padding up to the
+    /// stride. At full rank, the `gen_size` source packets back to back.
+    /// Empty before the first innovative packet.
     rows: Vec<u8>,
-    /// `offsets[c]` is where the row whose pivot is column `c` starts in
-    /// `rows`, or [`NO_ROW`]. Allocated with `rows`.
-    offsets: Vec<u16>,
-    /// The incoming row while it is being eliminated: `gen_size`
-    /// coefficients, then the data. Allocated with `rows`.
+    /// The free columns in the rows' order, then the pivots: row `i`'s is
+    /// `cols[gen_size − 1 − i]`. Allocated with `rows`, freed at full rank.
+    cols: Vec<u16>,
+    /// The incoming row while it is being eliminated, in the rows'
+    /// layout. Allocated with `rows`, freed at full rank.
     work: Vec<u8>,
-    /// The `gen_size` source packets back to back; empty before full rank.
-    decoded: Vec<u8>,
 }
 
 impl GenDecoder {
@@ -68,22 +78,21 @@ impl GenDecoder {
     ///
     /// # Panics
     ///
-    /// Panics when `gen_size` is zero, or when a full triangle of rows
-    /// would not be addressable by a `u16` offset.
+    /// Panics when `gen_size` is zero, or when a column would not be
+    /// addressable by a `u16`.
     pub fn new(gen_size: usize, payload_len: usize) -> Self {
         assert!(gen_size > 0, "empty generation");
         assert!(
-            triangle_bytes(gen_size, payload_len) < usize::from(NO_ROW),
-            "generation of {gen_size} packets of {payload_len} bytes is too large"
+            u16::try_from(gen_size - 1).is_ok(),
+            "generation of {gen_size} packets is too large"
         );
         GenDecoder {
             gen_size,
             payload_len,
             rank: 0,
             rows: Vec::new(),
-            offsets: Vec::new(),
+            cols: Vec::new(),
             work: Vec::new(),
-            decoded: Vec::new(),
         }
     }
 
@@ -117,83 +126,112 @@ impl GenDecoder {
         if self.is_full() {
             return false;
         }
-        let n = self.gen_size;
-        if self.rank == 0 {
+        let (n, w, r) = (self.gen_size, self.payload_len, self.rank);
+        if r == 0 {
             // Nothing to eliminate against: only the zero row is
             // dependent, and any other row is the first one held.
             if coeffs.iter().all(|&c| c == 0) {
                 return false;
             }
-            self.offsets = vec![NO_ROW; n];
-            self.work = vec![0; n + self.payload_len];
+            self.cols = (0..n).map(|c| c as u16).collect();
+            self.work = vec![0; w + n];
         }
-        self.work[..n].copy_from_slice(coeffs);
-        self.work[n..].copy_from_slice(payload);
-
-        // Forward-eliminate in ascending pivot order. Each pivot row has
-        // a leading 1 at its column and nothing before it, so the factor
-        // is the raw coefficient and columns below `c` stay untouched.
-        // The first nonzero column without a row is the new pivot.
-        let mut pivot = None;
-        for c in 0..n {
-            let factor = self.work[c];
-            if factor == 0 {
-                continue;
-            }
-            match self.offsets[c] {
-                NO_ROW => {
-                    pivot = Some(c);
-                    break;
-                }
-                off => {
-                    let row = held_row(&self.rows, off, n - c + self.payload_len);
-                    gf256::mul_add_assign(&mut self.work[c..], row, factor);
-                }
+        let free = n - r;
+        let (free_cols, pivots) = self.cols.split_at(free);
+        let work = &mut self.work[..w + free];
+        work[..w].copy_from_slice(payload);
+        for (slot, &c) in work[w..].iter_mut().zip(free_cols) {
+            *slot = coeffs[usize::from(c)];
+        }
+        // Reduce: held row `i` has a 1 on its pivot and a 0 on every
+        // other pivot, so the factor is the raw incoming coefficient there.
+        let stride = self.rows.len().checked_div(r); // no stride before a row
+        if let Some(stride) = stride {
+            for (row, &p) in self.rows.chunks_exact(stride).zip(pivots.iter().rev()) {
+                gf256::mul_add_assign(work, &row[..w + free], coeffs[usize::from(p)]);
             }
         }
-        let Some(pivot) = pivot else {
+        let Some(j) = work[w..].iter().position(|&b| b != 0) else {
             return false; // reduced to zero: linearly dependent
         };
 
-        // Normalise to a leading 1 and keep the row from its pivot on.
-        let row = &mut self.work[pivot..];
-        gf256::scale_assign(row, gf256::inv(row[0]));
-        let needed = self.rows.len() + row.len();
-        if needed > self.rows.capacity() {
-            let target = needed * GROWTH_NUM / GROWTH_DEN;
-            self.rows.reserve_exact(target - self.rows.len());
+        // Normalise to a 1 on the new pivot, eliminate the pivot's column
+        // from every held row, and swap-remove its slot everywhere.
+        let (slot, last) = (w + j, w + free - 1);
+        gf256::scale_assign(work, gf256::inv(work[slot]));
+        if let Some(stride) = stride {
+            for row in self.rows.chunks_exact_mut(stride) {
+                let row = &mut row[..w + free];
+                let factor = row[slot];
+                gf256::mul_add_assign(row, work, factor);
+                row[slot] = row[last];
+            }
         }
-        self.offsets[pivot] = self.rows.len() as u16;
-        self.rows.extend_from_slice(row);
+        work[slot] = work[last];
+        self.cols.swap(j, free - 1);
+        self.push_work_row();
         self.rank += 1;
         if self.is_full() {
-            self.back_substitute();
+            self.unpermute();
         }
         true
     }
 
-    /// At full rank the coefficient matrix is unit upper triangular:
-    /// source packet `p` is row `p`'s data minus its coefficients times
-    /// the packets above `p`, which a bottom-up sweep has already
-    /// recovered. Only data columns are combined; then the rows, the
-    /// offset table and the work row are freed.
-    fn back_substitute(&mut self) {
-        let (n, w) = (self.gen_size, self.payload_len);
-        let mut decoded = vec![0u8; n * w];
-        for p in (0..n).rev() {
-            let row = held_row(&self.rows, self.offsets[p], n - p + w);
-            let (tail, data) = row.split_at(n - p);
-            let (head, solved) = decoded.split_at_mut((p + 1) * w);
-            let packet = &mut head[p * w..];
-            packet.copy_from_slice(data);
-            for (j, factor) in tail[1..].iter().enumerate() {
-                gf256::mul_add_assign(packet, &solved[j * w..(j + 1) * w], *factor);
+    /// Appends the reduced work row as row `rank`, now that every row is
+    /// one free column narrower. When the rows at their stride do not fit
+    /// the buffer, they are first re-packed to their width, and the buffer
+    /// grows to [`GROWTH_NUM`] / [`GROWTH_DEN`] × what the rows need, or
+    /// shrinks to that if it holds more.
+    fn push_work_row(&mut self) {
+        let (r, width) = (self.rank, self.payload_len + self.gen_size - self.rank - 1);
+        let mut stride = self.rows.len().checked_div(r).unwrap_or(width); // the first row sets it
+        if (r + 1) * stride > self.rows.capacity() {
+            for i in 1..r {
+                self.rows
+                    .copy_within(i * stride..i * stride + width, i * width);
+            }
+            self.rows.truncate(r * width);
+            stride = width;
+            let need = (r + 1) * width;
+            let target = need * GROWTH_NUM / GROWTH_DEN;
+            if need > self.rows.capacity() {
+                self.rows.reserve_exact(target - self.rows.len());
+            } else if self.rows.capacity() > target {
+                self.rows.shrink_to(target);
             }
         }
-        self.rows = Vec::new();
-        self.offsets = Vec::new();
+        self.rows.extend_from_slice(&self.work[..stride]);
+    }
+
+    /// At full rank every row is its data alone: packs the rows to the
+    /// payload width, swaps each into its pivot's place, and frees the
+    /// permutation and the work row.
+    fn unpermute(&mut self) {
+        let (n, w) = (self.gen_size, self.payload_len);
+        let stride = self.rows.len() / n;
+        for i in 1..n {
+            self.rows.copy_within(i * stride..i * stride + w, i * w);
+        }
+        self.rows.truncate(n * w);
+        self.rows.shrink_to_fit();
+        // `held[i]` is the packet row `i` holds; each swap puts one
+        // packet in its place for good.
+        let held = &mut self.cols;
+        held.reverse();
+        for i in 0..n {
+            loop {
+                let p = usize::from(held[i]);
+                if p == i {
+                    break;
+                }
+                let (lo, hi) = (i.min(p), i.max(p));
+                let (head, tail) = self.rows.split_at_mut(hi * w);
+                head[lo * w..(lo + 1) * w].swap_with_slice(&mut tail[..w]);
+                held.swap(i, p);
+            }
+        }
+        self.cols = Vec::new();
         self.work = Vec::new();
-        self.decoded = decoded;
     }
 
     /// Source packet `i`, available once the generation is fully decoded.
@@ -203,20 +241,8 @@ impl GenDecoder {
             return None;
         }
         let w = self.payload_len;
-        Some(&self.decoded[i * w..(i + 1) * w])
+        Some(&self.rows[i * w..(i + 1) * w])
     }
-}
-
-/// The `len` bytes of the held row starting at `off`.
-fn held_row(rows: &[u8], off: u16, len: usize) -> &[u8] {
-    let off = usize::from(off);
-    &rows[off..off + len]
-}
-
-/// Bytes of a full triangle of rows: row `p` holds `gen_size − p`
-/// coefficients and `payload_len` data bytes.
-fn triangle_bytes(gen_size: usize, payload_len: usize) -> usize {
-    gen_size * (gen_size + 1) / 2 + gen_size * payload_len
 }
 
 /// Derives the `n` coded coefficients named by a `(generation, seed)`

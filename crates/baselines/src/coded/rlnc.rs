@@ -352,7 +352,7 @@ impl Plane for RlncPlane {
 pub type Rlnc = Paged<RlncPlane>;
 
 // Per-node byte budget (DESIGN §13), checked by the compiler.
-const _: () = assert!(std::mem::size_of::<Rlnc>() <= 464);
+const _: () = assert!(std::mem::size_of::<Rlnc>() <= 440);
 
 impl Rlnc {
     /// The decode frontier for the liveness oracle: the generation being

@@ -1,13 +1,14 @@
 //! The coded data plane holds heap only while it decodes.
 //!
 //! `GenDecoder::new` allocates nothing; the first innovative packet
-//! allocates the row buffer, the `u16` pivot-to-offset table and the work
-//! row; the buffer grows by a factor of 1.25, so it never holds more than
-//! 1.25 × the rows it stores and a full 128-packet generation takes a
-//! logarithmic number of heap events, not one per packet; at full rank
-//! only the decoded packets stay; and encoding a `Coded` frame, whose
-//! payload is inline, allocates nothing once the coefficient scratch has
-//! grown.
+//! allocates the row buffer, the `u16` column permutation and the work
+//! row; the buffer holds at most 1.25 × the most its compact rows have
+//! needed, so a decoder's peak is set by the rank where the rows need
+//! the most bytes (r = 75 of 128), not by full rank, and a full 128-packet
+//! generation takes a logarithmic number of heap events, not one per
+//! packet; at full rank only the decoded packets stay; and encoding a
+//! `Coded` frame, whose payload is inline, allocates nothing once the
+//! coefficient scratch has grown.
 
 #[allow(dead_code)]
 #[path = "../../../tests/support/heap_probe.rs"]
@@ -49,11 +50,12 @@ fn the_decoder_holds_heap_only_while_it_decodes_and_frames_own_none() {
         "allocations in GenDecoder::new"
     );
 
-    // Row `p` holds `N − p` coefficients and `W` data bytes; at rank `r`
-    // the held rows are at most those of pivots `0..r`.
-    let row_bytes = |p: usize| N - p + W;
-    let triangle = |r: usize| (0..r).map(row_bytes).sum::<usize>();
-    let table_and_work = 2 * N + (N + W);
+    // At rank `r` each of the `r` rows holds its data and a coefficient
+    // on each of the `N − r` columns no row owns; the buffer holds at most
+    // `GROWTH` × the most the rows have needed so far.
+    let rows_at = |r: usize| r * (N - r + W);
+    let most_by = |r: usize| (1..=r).map(rows_at).max().unwrap_or(0);
+    let perm_and_work = 2 * N + (N + W);
     for (coeffs, payload) in &coded {
         if dec.is_full() {
             break;
@@ -63,7 +65,7 @@ fn the_decoder_holds_heap_only_while_it_decodes_and_frames_own_none() {
         if dec.is_full() {
             assert_eq!(held as usize, N * W, "only the decoded packets stay");
         } else {
-            let bound = GROWTH * triangle(dec.rank()) as f64 + table_and_work as f64;
+            let bound = GROWTH * most_by(dec.rank()) as f64 + perm_and_work as f64;
             assert!(
                 held <= bound,
                 "rank {}: {held} B held, bound {bound}",
@@ -75,18 +77,32 @@ fn the_decoder_holds_heap_only_while_it_decodes_and_frames_own_none() {
     for (i, s) in sources.iter().enumerate() {
         assert_eq!(dec.packet(i), Some(s.as_slice()));
     }
-    // The table, the work row, the buffer's first allocation and the
-    // decoded packets, plus the growths: each multiplies the capacity by
-    // at least `GROWTH`, from `GROWTH` times the first row to the triangle.
-    let growths = (triangle(N) as f64 / (GROWTH * row_bytes(0) as f64))
-        .ln()
-        .div_euclid(GROWTH.ln()) as u64
-        + 1;
-    let events = snapshot().since(base).calls;
+    // The rows need the most at rank 75 (5 700 B), so one decoder never
+    // holds more than 1.25 · 5 700 + 407 = 7 532 B.
+    let most = most_by(N);
+    let peak_rank = (1..=N).find(|&r| rows_at(r) == most).unwrap();
+    let peak_bound = GROWTH * most as f64 + perm_and_work as f64;
+    let peak = snapshot().since(base).peak as f64;
     assert!(
-        events <= DECODER_FIXED_ALLOCS + growths,
-        "{events} heap events for a generation, bound {}",
-        DECODER_FIXED_ALLOCS + growths
+        peak <= peak_bound,
+        "decoder peak {peak} B, bound {peak_bound}"
+    );
+    // The permutation, the work row, the buffer's first allocation and
+    // its cut to the decoded packets, plus the growth and shrink steps.
+    // A growth sets the capacity to `GROWTH` × more than it was, from
+    // `GROWTH` × the first row to at most `GROWTH` × the peak. A shrink
+    // re-packs, which leaves room for a quarter more rows, and can only
+    // come once the rows need less than at the peak: so shrinks are at
+    // ranks above the peak rank that grow by the factor.
+    let log_growth = |ratio: f64| (ratio.ln() / GROWTH.ln()).floor() as u64;
+    let first = (GROWTH * rows_at(1) as f64).floor();
+    let growths = log_growth(GROWTH * most as f64 / first);
+    let shrinks = log_growth(N as f64 / peak_rank as f64) + 1;
+    let events = snapshot().since(base).calls;
+    let bound = DECODER_FIXED_ALLOCS + growths + shrinks;
+    assert!(
+        events <= bound,
+        "{events} heap events for a generation, bound {bound}"
     );
     drop(dec);
     assert_eq!(

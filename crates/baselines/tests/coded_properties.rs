@@ -1,16 +1,17 @@
 //! Property tests for the coding layer: the GF(256) field axioms the
 //! RLNC decoder's correctness rests on, the row kernels against the
 //! scalar multiply, and the decoder's rank discipline — on its own and
-//! against the incremental-RREF decoder it replaced.
+//! against a full-width incremental-RREF reference.
 
 use mnp_baselines::coded::decoder::{derive_coeffs, encode, GenDecoder};
 use mnp_baselines::coded::gf256::{self, add, div, inv, mul};
 use mnp_sim::{check, SimRng};
 
-/// The decoder `GenDecoder` was before it went forward-only: every
-/// absorbed row is forward-eliminated, normalised and then back-eliminated
-/// from all held rows, so the matrix is the identity at full rank. Kept
-/// here as the reference, on the scalar `gf256::mul` only.
+/// The reference decoder, on the scalar `gf256::mul` only: every absorbed
+/// row is forward-eliminated, normalised and then back-eliminated from
+/// all held rows, each row `gen_size` coefficients wide, so the matrix is
+/// the identity at full rank. `GenDecoder` keeps the same reduced form
+/// without the bytes of the pivot columns.
 struct RrefDecoder {
     gen_size: usize,
     /// `rows[c]` = (coefficients, data) of the row whose pivot is `c`.
@@ -175,80 +176,134 @@ fn prop_decoder_rank_is_monotone_and_decode_needs_full_rank() {
     );
 }
 
-/// Differential: the forward-only decoder and the incremental-RREF
-/// reference see the same absorb sequence — random combinations mixed
-/// with repeats, scalar multiples, unit vectors, the all-zero patch
-/// (`e_0`), the zero row, and once, at a random rank, a random
-/// combination of every row fed so far — and must agree on every
-/// `absorb` result, on the rank after each, on "no read-out below full
-/// rank", and on the decoded packets, which are the sources. Generations
-/// span 1..=128 packets and widths 1..=32 bytes (a `Coded` frame carries
-/// at most 23). A full decoder keeps refusing rows and keeps its packets.
+/// How the differential test picks the rows it feeds.
+#[derive(Clone, Copy, Debug)]
+enum Order {
+    /// Random combinations mixed with repeats, scalar multiples, unit
+    /// vectors, the all-zero patch (`e_0`) and the zero row.
+    Mixed,
+    /// Each innovative row reduces to a single free column, the
+    /// decoder's last free slot: columns `n − 1` down to 0, so the
+    /// swap-remove never moves a slot.
+    LastSlot,
+    /// Each innovative row reduces to a single free column, the
+    /// decoder's first free slot: column 0, then `n − 1` down to 1, as
+    /// each swap-remove moves the last free column to the front.
+    FirstSlot,
+}
+
+impl Order {
+    /// The column the `k`-th innovative row of a slot order reduces to.
+    fn target(self, k: usize, n: usize) -> Option<usize> {
+        match self {
+            Order::Mixed => None,
+            Order::LastSlot => Some(n - 1 - k),
+            Order::FirstSlot => Some(if k == 0 { 0 } else { n - k }),
+        }
+    }
+}
+
+/// One differential case: the compact decoder and the full-width
+/// reference see the same absorb sequence — rows in `order`, mixed with
+/// repeats, scalar multiples and the zero row, and once, at a random
+/// rank, a random combination of every row fed so far — and must agree
+/// on every `absorb` result, on the rank after each, on "no read-out
+/// below full rank", and on the decoded packets, which are the sources.
+/// A full decoder keeps refusing rows and keeps its packets.
+fn matches_the_reference(rng: &mut SimRng, gen_size: usize, width: usize, order: Order) {
+    let gen = rng.range_u64(0, 4) as u16;
+    let sources: Vec<Vec<u8>> = (0..gen_size)
+        .map(|_| (0..width).map(|_| rng.next_u64() as u8).collect())
+        .collect();
+    let mut dec = GenDecoder::new(gen_size, width);
+    let mut reference = RrefDecoder::new(gen_size);
+    let mut fed: Vec<Vec<u8>> = Vec::new();
+    let mut dependent_at = Some(rng.index(gen_size));
+    let mut after_full = 0;
+    while after_full < 4 {
+        assert!(fed.len() < 4 * gen_size + 64, "rank stalled");
+        let unit = |i: usize| {
+            let mut coeffs = vec![0u8; gen_size];
+            coeffs[i] = 1;
+            coeffs
+        };
+        // A slot order's next innovative row: nonzero on its target
+        // column, anything on the columns targeted before, zero elsewhere.
+        let rank = dec.rank();
+        let slot_row = |rng: &mut SimRng| {
+            let k = rank.min(gen_size - 1);
+            let mut coeffs = vec![0u8; gen_size];
+            for i in 0..k {
+                coeffs[order.target(i, gen_size)?] = rng.next_u64() as u8;
+            }
+            coeffs[order.target(k, gen_size)?] = rng.range_u64(1, 256) as u8;
+            Some(coeffs)
+        };
+        let dependent = dependent_at == Some(rank);
+        let coeffs = match rng.index(8) {
+            _ if dependent => {
+                dependent_at = None;
+                let mut row = vec![0u8; gen_size];
+                for f in &fed {
+                    gf256::mul_add_assign(&mut row, f, rng.next_u64() as u8);
+                }
+                row
+            }
+            0 if !fed.is_empty() => fed[rng.index(fed.len())].clone(),
+            1 if !fed.is_empty() => {
+                let mut row = fed[rng.index(fed.len())].clone();
+                gf256::scale_assign(&mut row, rng.next_u64() as u8 | 2);
+                row
+            }
+            4 => vec![0u8; gen_size],
+            choice => match slot_row(rng) {
+                Some(row) => row,
+                None if choice == 2 => unit(rng.index(gen_size)),
+                None if choice == 3 => unit(0), // what `derive_coeffs` patches an all-zero draw to
+                None => derive_coeffs(gen, rng.next_u32(), gen_size),
+            },
+        };
+        let coded = encode(&coeffs, &sources, width);
+        let was_full = dec.is_full();
+        let innovative = dec.absorb(&coeffs, &coded);
+        assert_eq!(innovative, reference.absorb(&coeffs, &coded));
+        assert_eq!(dec.rank(), reference.rank);
+        assert!(!(was_full && innovative), "a full decoder absorbed a row");
+        assert!(!(dependent && innovative), "a dependent row was absorbed");
+        fed.push(coeffs);
+        if dec.is_full() {
+            after_full += 1;
+            for (i, src) in sources.iter().enumerate() {
+                assert_eq!(dec.packet(i), Some(src.as_slice()));
+                assert_eq!(reference.packet(i), Some(src.as_slice()));
+            }
+        } else {
+            for i in 0..gen_size {
+                assert!(dec.packet(i).is_none(), "read-out below full rank");
+            }
+        }
+    }
+}
+
+/// Differential against the full-width reference: generations of
+/// 1..=128 packets, widths of 1..=32 bytes (a `Coded` frame carries at
+/// most 23), each case in one of the three orders; and once per run the
+/// paper layout, 128 × 23, in the mixed order a node hears.
 #[test]
-fn prop_forward_only_decoder_matches_the_rref_reference() {
+fn prop_compact_decoder_matches_the_rref_reference() {
+    check(
+        "prop_compact_decoder_matches_the_rref_reference/128x23",
+        1,
+        |rng| matches_the_reference(rng, 128, 23, Order::Mixed),
+    );
     // 32 cases: each decodes a generation twice, once per decoder.
     check(
-        "prop_forward_only_decoder_matches_the_rref_reference",
+        "prop_compact_decoder_matches_the_rref_reference",
         32,
         |rng| {
             let (gen_size, width) = (rng.index(128) + 1, rng.index(32) + 1);
-            let gen = rng.range_u64(0, 4) as u16;
-            let sources: Vec<Vec<u8>> = (0..gen_size)
-                .map(|_| (0..width).map(|_| rng.next_u64() as u8).collect())
-                .collect();
-            let mut dec = GenDecoder::new(gen_size, width);
-            let mut reference = RrefDecoder::new(gen_size);
-            let mut fed: Vec<Vec<u8>> = Vec::new();
-            let mut dependent_at = Some(rng.index(gen_size));
-            let mut after_full = 0;
-            while after_full < 4 {
-                assert!(fed.len() < 4 * gen_size + 64, "rank stalled");
-                let unit = |i: usize| {
-                    let mut coeffs = vec![0u8; gen_size];
-                    coeffs[i] = 1;
-                    coeffs
-                };
-                let dependent = dependent_at == Some(dec.rank());
-                let coeffs = match rng.index(8) {
-                    _ if dependent => {
-                        dependent_at = None;
-                        let mut row = vec![0u8; gen_size];
-                        for f in &fed {
-                            gf256::mul_add_assign(&mut row, f, rng.next_u64() as u8);
-                        }
-                        row
-                    }
-                    0 if !fed.is_empty() => fed[rng.index(fed.len())].clone(),
-                    1 if !fed.is_empty() => {
-                        let mut row = fed[rng.index(fed.len())].clone();
-                        gf256::scale_assign(&mut row, rng.next_u64() as u8 | 2);
-                        row
-                    }
-                    2 => unit(rng.index(gen_size)),
-                    3 => unit(0), // what `derive_coeffs` patches an all-zero draw to
-                    4 => vec![0u8; gen_size],
-                    _ => derive_coeffs(gen, rng.next_u32(), gen_size),
-                };
-                let coded = encode(&coeffs, &sources, width);
-                let was_full = dec.is_full();
-                let innovative = dec.absorb(&coeffs, &coded);
-                assert_eq!(innovative, reference.absorb(&coeffs, &coded));
-                assert_eq!(dec.rank(), reference.rank);
-                assert!(!(was_full && innovative), "a full decoder absorbed a row");
-                assert!(!(dependent && innovative), "a dependent row was absorbed");
-                fed.push(coeffs);
-                if dec.is_full() {
-                    after_full += 1;
-                    for (i, src) in sources.iter().enumerate() {
-                        assert_eq!(dec.packet(i), Some(src.as_slice()));
-                        assert_eq!(reference.packet(i), Some(src.as_slice()));
-                    }
-                } else {
-                    for i in 0..gen_size {
-                        assert!(dec.packet(i).is_none(), "read-out below full rank");
-                    }
-                }
-            }
+            let order = [Order::Mixed, Order::LastSlot, Order::FirstSlot][rng.index(3)];
+            matches_the_reference(rng, gen_size, width, order)
         },
     );
 }

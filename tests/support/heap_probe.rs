@@ -140,9 +140,9 @@ pub const TIMELINE_BUILD_BYTES_PER_EDGE: i64 = 64;
 pub const TIMELINE_BUILD_BYTES_PER_FLAP: i64 = 128;
 /// `GenDecoder::new` · build · calls · decode-time heap.
 pub const DECODER_NEW_ALLOCS: u64 = 0;
-/// `GenDecoder` below full rank · run · bytes held per row byte · decode-time heap.
+/// `GenDecoder` below full rank · run · row bytes held per byte the rows have needed at most (peak 7 007 B at 128 × 23) · compact decoder.
 pub const DECODER_GROWTH: f64 = 1.25;
-/// `GenDecoder`, one 128-packet generation · run · calls besides growth steps · decode-time heap.
+/// `GenDecoder`, one 128-packet generation · run · calls besides growth and shrink steps (16 in all) · compact decoder.
 pub const DECODER_FIXED_ALLOCS: u64 = 4;
 /// `Coded::encode`, warm · run · calls · decode-time heap.
 pub const CODED_ENCODE_ALLOCS: u64 = 0;
