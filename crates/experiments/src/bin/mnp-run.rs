@@ -150,7 +150,21 @@ impl Args {
             }
         }
         node_count(args.rows, args.cols, "--rows × --cols")?;
-        Ok(args)
+        // One observer cannot soundly record several concurrent runs; the
+        // multi-seed mode is summary-only.
+        let watched = args.events.is_some()
+            || args.metrics.is_some()
+            || args.timeline.is_some()
+            || args.check_invariants
+            || args.heatmap
+            || args.parents;
+        match args.seeds.as_deref() {
+            Some([]) => Err("--seeds needs at least one seed".into()),
+            Some(_) if watched => {
+                Err("--seeds cannot be combined with observer or rendering flags".into())
+            }
+            _ => Ok(args),
+        }
     }
 }
 
@@ -741,20 +755,6 @@ fn run_repro(it: ArgIter) -> Result<ExitCode, String> {
 }
 
 fn run_seeds(args: &Args, scenario: &GridExperiment, seeds: &[u64]) -> Result<ExitCode, String> {
-    // One observer cannot soundly record several concurrent runs; the
-    // multi-seed mode is summary-only.
-    if args.events.is_some()
-        || args.metrics.is_some()
-        || args.timeline.is_some()
-        || args.check_invariants
-        || args.heatmap
-        || args.parents
-    {
-        return Err("--seeds cannot be combined with observer or rendering flags".into());
-    }
-    if seeds.is_empty() {
-        return Err("--seeds needs at least one seed".into());
-    }
     let outs = scenario.run_seeds_with(seeds, |s| {
         s.run_named(args.protocol, Instruments::default())
     });

@@ -34,18 +34,17 @@
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
-use mnp_net::{FaultPlan, LinkChange, NetworkBuilder};
+use mnp_net::FaultPlan;
 use mnp_obs::{push_str_literal, InvariantMonitor, Shared};
-use mnp_radio::{LinkTable, NodeId};
+use mnp_radio::NodeId;
 use mnp_sim::{SimDuration, SimRng, SimTime, TieBreak};
-use mnp_storage::{ImageLayout, ProgramId, ProgramImage};
-use mnp_topology::GridSpec;
 
 use crate::mobility::{FieldLayout, MobileExperiment};
 use crate::registry::{with_protocol, Disseminator, ProtocolId, FAULT_TESTED};
 use crate::report::Json;
-use crate::runner::{build, finish, reaches_all, GridExperiment};
+use crate::runner::{GridExperiment, Instruments, Scenario, ScenarioError, Site};
 
 /// One planned transient fault of a fuzz scenario.
 ///
@@ -127,41 +126,16 @@ impl FuzzLayout {
     }
 }
 
-/// Motion of a mobile fuzz scenario: the node count comes from
-/// `rows × cols` and the topology from [`MobileExperiment`] instead of a
-/// grid. Speed is integer tenths of a ft/s so scenarios stay `Eq` and the
-/// repro JSON stays a flat integer format.
+/// Motion of a mobile fuzz scenario: `rows × cols` nodes run on a moving
+/// field ([`MobileExperiment`]) instead of a grid. Speed is integer tenths
+/// of a ft/s so scenarios stay `Eq` and the repro JSON stays a flat
+/// integer format.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MobilitySpec {
     /// Initial placement family.
     pub layout: FuzzLayout,
     /// Random-waypoint speed, tenths of a foot per second.
     pub speed_tenths: u32,
-}
-
-/// The mobile experiment a scenario's topology and link schedule come
-/// from — shared by generation (viability probing) and replay.
-fn mobile_experiment(
-    nodes: usize,
-    m: MobilitySpec,
-    seed: u64,
-    deadline: SimTime,
-) -> MobileExperiment {
-    let exp = MobileExperiment::new(nodes)
-        .seed(seed)
-        .deadline(deadline)
-        .speed(f64::from(m.speed_tenths) / 10.0);
-    match m.layout {
-        FuzzLayout::Uniform => exp,
-        FuzzLayout::Poisson => exp.layout(FieldLayout::Poisson { min_dist_ft: 6.0 }),
-        FuzzLayout::Clustered => exp.layout(FieldLayout::Clustered {
-            clusters: 3,
-            spread_ft: 12.0,
-        }),
-        FuzzLayout::Corridor => exp
-            .field(nodes as f64 * 8.0, 20.0)
-            .layout(FieldLayout::Corridor { width_ft: 20.0 }),
-    }
 }
 
 /// A complete, self-describing fuzz scenario: everything needed to replay
@@ -210,23 +184,34 @@ impl FuzzScenario {
         }
     }
 
-    /// The links (and, for mobile scenarios, the motion-induced link
-    /// schedule) this scenario runs over. `Err` means the sampled
-    /// topology cannot reach every node at `t = 0` — the scenario is
-    /// invalid, not failing.
-    fn topology(&self) -> Result<(LinkTable, Vec<LinkChange>), String> {
-        let (links, schedule) = match self.mobility {
-            Some(m) => mobile_experiment(self.rows * self.cols, m, self.seed, self.deadline)
-                .links_and_schedule(),
-            None => {
-                let grid = GridExperiment::new(self.rows, self.cols, FUZZ_SPACING_FT);
-                (grid.seed(self.seed).sample_links(), Vec::new())
+    /// The harness scenario this one runs: its grid or moving field,
+    /// image, seed, deadline, tie-break and fault plan — shared by
+    /// generation (viability probing) and replay.
+    fn scenario(&self) -> Scenario<Arc<dyn Site>> {
+        let nodes = self.rows * self.cols;
+        let site = match self.mobility {
+            None => GridExperiment::new(self.rows, self.cols, FUZZ_SPACING_FT).erase(),
+            Some(m) => {
+                let field = MobileExperiment::new(nodes).speed(f64::from(m.speed_tenths) / 10.0);
+                match m.layout {
+                    FuzzLayout::Uniform => field,
+                    FuzzLayout::Poisson => field.layout(FieldLayout::Poisson { min_dist_ft: 6.0 }),
+                    FuzzLayout::Clustered => field.layout(FieldLayout::Clustered {
+                        clusters: 3,
+                        spread_ft: 12.0,
+                    }),
+                    FuzzLayout::Corridor => field
+                        .field(nodes as f64 * 8.0, 20.0)
+                        .layout(FieldLayout::Corridor { width_ft: 20.0 }),
+                }
+                .erase()
             }
         };
-        if !reaches_all(&links) {
-            return Err("sampled topology does not reach every node".into());
-        }
-        Ok((links, schedule))
+        site.segments(self.segments)
+            .seed(self.seed)
+            .deadline(self.deadline)
+            .tie_break(self.tie_break())
+            .faults(self.fault_plan())
     }
 
     /// The scenario's fault plan.
@@ -401,16 +386,13 @@ pub fn run_scenario(sc: &FuzzScenario) -> Verdict {
 /// (cannot even be built).
 fn check<P: Disseminator>(sc: &FuzzScenario) -> Result<Option<FuzzFailure>, String> {
     let monitor = Shared::new(InvariantMonitor::lenient());
-    let image = ProgramImage::synthetic(ProgramId(1), ImageLayout::paper_default(sc.segments));
-    let (links, schedule) = sc.topology()?;
-    let builder = NetworkBuilder::new(links, sc.seed)
-        .tie_break(sc.tie_break())
-        .faults(sc.fault_plan())
-        .link_schedule(schedule)
-        .observer(monitor.clone());
-    let mut net = build::<P>(builder, &image, P::config_for(&image)).map_err(|e| e.to_string())?;
-    let grid = GridSpec::new(sc.rows, sc.cols, FUZZ_SPACING_FT);
-    let completed = finish(&mut net, grid, sc.deadline).completed;
+    let instruments = Instruments::observing(monitor.clone());
+    let run = sc.scenario().run_network::<P>(|_| {}, instruments, None);
+    let (net, out) = run.map_err(|e| match e {
+        ScenarioError::Unreachable => "sampled topology does not reach every node".into(),
+        ScenarioError::Faults(e) => e.to_string(),
+    })?;
+    let completed = out.completed;
 
     // Oracle order: most specific first, so a run that trips several
     // reports the most actionable one.
@@ -554,7 +536,7 @@ pub fn generate_with(
     };
     let mut draws = 1;
     let links = loop {
-        if let Ok((links, _)) = sc.topology() {
+        if let Some(links) = sc.scenario().viable_links() {
             break links;
         }
         assert!(draws < 32, "no viable topology in 32 draws (full power)");
@@ -1144,7 +1126,10 @@ mod tests {
         // Generated scenarios are valid by construction: every fault
         // names a live node / real (or potential) edge of the scenario's
         // own topology.
-        let (links, _) = a.topology().expect("generated topology is viable");
+        let links = a
+            .scenario()
+            .viable_links()
+            .expect("generated topology is viable");
         assert!(
             a.fault_plan().validate(&links).is_ok(),
             "generated faults validate against the sampled topology"

@@ -5,9 +5,9 @@
 //! beyond the kernel's [`Protocol`]: how to size a config for an image,
 //! how to build the base station and an ordinary node, and how to ask a
 //! node whether it holds the whole image. Everything that runs a protocol
-//! — [`GridExperiment`](crate::GridExperiment),
-//! [`MobileExperiment`](crate::MobileExperiment), the fuzz and chaos
-//! harnesses, the comparison sweeps, `mnp-run` — is generic over it, so a
+//! — every [`Scenario`](crate::runner::Scenario), grid or moving field,
+//! and through it the fuzz and chaos harnesses, the comparison sweeps and
+//! `mnp-run` — is generic over it, so a
 //! new protocol plugs in with one `impl` here and one name in
 //! `with_protocol!`'s list.
 
@@ -235,16 +235,19 @@ mod tests {
     use mnp_obs::{MetricsRegistry, Shared};
 
     use super::*;
-    use crate::runner::{GridExperiment, Instruments};
-    use crate::seeded_logs::{LogScenario, SEEDED_LOGS};
+    use crate::runner::{GridExperiment, Instruments, Scenario, Site};
+    use crate::seeded_logs::SEEDED_LOGS;
 
     /// Runs `P` on `scenario` with a metrics registry attached and checks
     /// that each count Table 1 prices is one fact: per node, the trace's
     /// frames sent and received are the medium's and the registry's, and
     /// its active radio time is the medium's at completion.
-    fn assert_one_count_per_fact<P: Disseminator>(scenario: &GridExperiment, what: &str) {
+    fn assert_one_count_per_fact<P: Disseminator, S: Site>(scenario: &Scenario<S>, what: &str) {
         let metrics = Shared::new(MetricsRegistry::new());
-        let (net, out) = scenario.run_network::<P>(Instruments::observing(metrics.clone()));
+        let instruments = Instruments::observing(metrics.clone());
+        let (net, out) = scenario
+            .run_network::<P>(|_| {}, instruments, None)
+            .unwrap_or_else(|e| panic!("{e}"));
         let metrics = metrics.borrow();
         for i in 0..net.len() {
             let node = NodeId::from_index(i);
@@ -287,14 +290,12 @@ mod tests {
                 assert!(out.completed, "{name} did not complete: {out}");
                 assert_eq!(out.complete_nodes, 9, "{name}");
             }
-            with_protocol!(id, P => assert_one_count_per_fact::<P>(&scenario, name));
+            with_protocol!(id, P => assert_one_count_per_fact::<P, _>(&scenario, name));
         }
-        let faulted = SEEDED_LOGS
-            .iter()
-            .filter(|row| matches!(row.scenario, LogScenario::Faulted(_)));
-        for row in faulted {
-            let scenario = row.grid().expect("a faulted row runs on the grid");
-            with_protocol!(row.protocol(), P => assert_one_count_per_fact::<P>(&scenario, &row.name()));
+        // Every seeded row: clean, faulted, capture and the moving fields.
+        for row in SEEDED_LOGS {
+            let scenario = row.experiment();
+            with_protocol!(row.protocol(), P => assert_one_count_per_fact::<P, _>(&scenario, &row.name()));
         }
         assert_eq!(ProtocolId::lookup("fountain"), None);
     }

@@ -19,11 +19,10 @@ use mnp::Mnp;
 use mnp_net::{FaultPlan, NetworkBuilder};
 use mnp_radio::{LinkTable, NodeId};
 use mnp_sim::{SimDuration, SimRng, SimTime};
-use mnp_storage::{ImageLayout, ProgramId, ProgramImage};
 use mnp_topology::GridSpec;
 
 use crate::registry::{with_protocol, Disseminator, ProtocolId};
-use crate::runner::{build, finish, GridExperiment};
+use crate::runner::{build, GridExperiment, Instruments, PlanOf};
 
 /// One row: a kill fraction and what happened.
 #[derive(Clone, Copy, Debug)]
@@ -50,14 +49,14 @@ pub struct Resilience {
 /// Runs on an `n×n` grid for each kill fraction (the paper-scale sweep:
 /// 10×10, killing 0–20 % of nodes).
 pub fn run(n: usize, fractions: &[f64], seed: u64) -> Resilience {
-    let grid = GridSpec::new(n, n, 10.0);
-    let image = ProgramImage::synthetic(ProgramId(1), ImageLayout::paper_default(1));
-    let links = GridExperiment::new(n, n, 10.0).seed(seed).sample_links();
+    let scenario = GridExperiment::new(n, n, 10.0).seed(seed);
+    let (grid, image) = (scenario.grid(), scenario.image());
+    let links = scenario.viable_links().expect("connected grid");
     let rows = fractions
         .iter()
         .map(|&frac| {
             let builder = NetworkBuilder::new(links.clone(), seed);
-            let mut net = build::<Mnp>(builder, &image, Mnp::config_for(&image))
+            let mut net = build::<Mnp>(builder, image, Mnp::config_for(image))
                 .expect("no fault plan to reject");
             // Pick victims and death times deterministically.
             let mut kill_rng = SimRng::new(seed).derive(0x6b11);
@@ -165,22 +164,14 @@ fn random_storage_plan(
     plan
 }
 
-/// One chaos run under protocol `P`: build the seeded topology, apply the
-/// plan, disseminate, and score coverage over *all* nodes.
-fn chaos_one<P: Disseminator>(
-    n: usize,
-    seed: u64,
-    plan_of: &dyn Fn(&LinkTable) -> FaultPlan,
-    injected: usize,
-) -> ChaosRow {
-    let image = ProgramImage::synthetic(ProgramId(1), ImageLayout::paper_default(1));
-    let scenario = GridExperiment::new(n, n, 10.0).seed(seed);
-    let links = scenario.sample_links();
-    let plan = plan_of(&links);
-    let builder = NetworkBuilder::new(links, seed).faults(plan);
-    let mut net =
-        build::<P>(builder, &image, P::config_for(&image)).unwrap_or_else(|e| panic!("{e}"));
-    let out = finish(&mut net, scenario.grid(), SimTime::from_secs(2 * 3_600));
+/// One chaos run under protocol `P`: the seeded grid under the plan
+/// `plan_of` draws over its links, scored for coverage over *all* nodes.
+fn chaos_one<P: Disseminator>(n: usize, seed: u64, plan_of: PlanOf, injected: usize) -> ChaosRow {
+    let scenario = GridExperiment::new(n, n, 10.0)
+        .seed(seed)
+        .deadline(SimTime::from_secs(2 * 3_600));
+    let run = scenario.run_network::<P>(|_| {}, Instruments::default(), Some(plan_of));
+    let (_, out) = run.unwrap_or_else(|e| panic!("{e}"));
     // The slowest *completing* node, even when someone never finished.
     let completion = out
         .trace

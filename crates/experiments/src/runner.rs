@@ -1,6 +1,8 @@
-//! Shared experiment infrastructure: grid scenarios and run outcomes.
+//! Shared experiment infrastructure: the one [`Scenario`] every harness
+//! run is built from, on a [`Grid`] or a moving field, and run outcomes.
 
 use std::fmt;
+use std::sync::Arc;
 
 use mnp::Mnp;
 use mnp_net::{FaultPlan, FaultPlanError, Network, NetworkBuilder, Observer};
@@ -8,7 +10,7 @@ use mnp_obs::{InvariantMonitor, Shared, TimeSeriesSampler};
 use mnp_radio::{LinkTable, NodeId, PowerLevel};
 use mnp_sim::{SimRng, SimTime, TieBreak};
 use mnp_storage::{ImageLayout, ProgramId, ProgramImage};
-use mnp_topology::{GridSpec, TopologyBuilder};
+use mnp_topology::{GridSpec, MotionSchedule, TopologyBuilder};
 use mnp_trace::RunTrace;
 
 use crate::registry::{with_protocol, Disseminator, ProtocolId};
@@ -25,20 +27,14 @@ pub(crate) fn topology_rng(seed: u64) -> SimRng {
     SimRng::new(seed).derive(TOPOLOGY_STREAM)
 }
 
-/// Whether `links` has a usable bidirectional path from the base station
-/// to every node.
-pub(crate) fn reaches_all(links: &LinkTable) -> bool {
-    links.reaches_all_usable(BASE, mnp_radio::loss::usable_ber_threshold())
-}
-
 /// What a run attaches to its network besides the protocol: observers
 /// (event logs, metrics, timelines; see `mnp_obs`) and an optional
 /// time-series sampler fed kernel gauges (queue depth, event rate) on its
 /// sim-time cadence.
 ///
-/// These ride outside the scenario structs (observers are stateful and
-/// belong to one run) so scenarios stay `Clone` and fan-out-able across
-/// threads; keep a [`Shared`] clone of each to read it back after the run.
+/// These ride outside the scenario (observers are stateful and belong to
+/// one run) so a scenario stays `Clone` and fans out across threads; keep
+/// a [`Shared`] clone of each to read it back after the run.
 #[derive(Default)]
 pub struct Instruments {
     /// Observers, attached in order.
@@ -55,21 +51,10 @@ impl Instruments {
             sampler: None,
         }
     }
-
-    pub(crate) fn attach(self, mut builder: NetworkBuilder) -> NetworkBuilder {
-        for obs in self.observers {
-            builder = builder.observer(obs);
-        }
-        if let Some(sampler) = self.sampler {
-            builder = builder.timeseries(sampler);
-        }
-        builder
-    }
 }
 
-/// The build half of the harness's one run path: instantiates `P` on
-/// every node of `builder`'s network — the base station holding `image`,
-/// everyone else empty.
+/// Instantiates `P` on every node of `builder`'s network: the base
+/// station holding `image`, everyone else empty.
 pub(crate) fn build<P: Disseminator>(
     builder: NetworkBuilder,
     image: &ProgramImage,
@@ -84,37 +69,95 @@ pub(crate) fn build<P: Disseminator>(
     })
 }
 
-/// The finish half: runs `net` until every node completes or `deadline`
-/// passes, and collects the outcome. `net` stays with the caller for
-/// whatever else it reads off the finished network.
-pub(crate) fn finish<P: Disseminator>(
-    net: &mut Network<P>,
-    grid: GridSpec,
-    deadline: SimTime,
-) -> RunOutcome {
-    let completed = net.run_until_all_complete(deadline);
-    let mut outcome = RunOutcome::collect(net, grid, completed);
-    for i in 0..net.len() {
-        let id = NodeId::from_index(i);
-        let p = net.protocol(id);
-        outcome.complete_nodes += usize::from(p.is_complete());
-        p.fold_stats(id, &mut outcome);
-    }
-    outcome
+/// What a [`Site`] samples for one run: every (potential) link at `t = 0`,
+/// the link-quality changes of any motion, and any crash–restart churn.
+pub type Sampled = (LinkTable, Option<MotionSchedule>, Option<FaultPlan>);
+
+/// Where a scenario's nodes are. A site's one job is to sample what a run
+/// starts from.
+pub trait Site: fmt::Debug + Send + Sync {
+    /// What a run seeded `seed` that lasts until `deadline` starts from.
+    fn sample(&self, seed: u64, deadline: SimTime) -> Sampled;
+    /// The grid a [`RunOutcome`] of this site records.
+    fn grid_spec(&self) -> GridSpec;
 }
 
-/// Build + finish for scenarios whose fault plan is known valid.
-pub(crate) fn run<P: Disseminator>(
-    builder: NetworkBuilder,
-    image: &ProgramImage,
-    tweak: impl FnOnce(&mut P::Config),
-    grid: GridSpec,
-    deadline: SimTime,
-) -> RunOutcome {
-    let mut cfg = P::config_for(image);
-    tweak(&mut cfg);
-    let mut net = build::<P>(builder, image, cfg).unwrap_or_else(|e| panic!("{e}"));
-    finish(&mut net, grid, deadline)
+/// A `rows × cols` grid of motes, base station at the corner: the
+/// placement of every experiment in the paper's §4.
+#[derive(Clone, Debug)]
+pub struct Grid {
+    rows: usize,
+    cols: usize,
+    spacing_ft: f64,
+    power: PowerLevel,
+    node_power: Vec<(NodeId, PowerLevel)>,
+}
+
+impl Site for Grid {
+    fn sample(&self, seed: u64, _deadline: SimTime) -> Sampled {
+        let mut builder = TopologyBuilder::new(self.grid_spec().placement()).power(self.power);
+        for (node, p) in &self.node_power {
+            builder = builder.node_power(*node, *p);
+        }
+        let links = builder.build(&mut topology_rng(seed)).links;
+        (links, None, None)
+    }
+
+    fn grid_spec(&self) -> GridSpec {
+        GridSpec::new(self.rows, self.cols, self.spacing_ft)
+    }
+}
+
+/// A site chosen at run time, for a seeded-log row or a fuzz draw.
+impl<T: Site + ?Sized> Site for Arc<T> {
+    fn sample(&self, seed: u64, deadline: SimTime) -> Sampled {
+        (**self).sample(seed, deadline)
+    }
+
+    fn grid_spec(&self) -> GridSpec {
+        (**self).grid_spec()
+    }
+}
+
+/// Why a scenario's network cannot be built.
+#[derive(Debug)]
+pub(crate) enum ScenarioError {
+    /// The links sampled at `t = 0` do not reach every node.
+    Unreachable,
+    /// The fault plan names a node or an edge the topology lacks.
+    Faults(FaultPlanError),
+}
+
+impl fmt::Display for ScenarioError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ScenarioError::Unreachable => f.write_str(
+                "sampled topology has no usable bidirectional path to some node; \
+                 coverage is impossible (reseed)",
+            ),
+            ScenarioError::Faults(e) => e.fmt(f),
+        }
+    }
+}
+
+/// Draws a fault plan over a run's sampled links: a chaos row's link
+/// flaps name edges of that very draw.
+pub(crate) type PlanOf<'a> = &'a dyn Fn(&LinkTable) -> FaultPlan;
+
+/// One dissemination experiment: a [`Site`] plus what every run shares.
+/// A setter that makes sense on one site only is defined there, so the
+/// compiler rejects, say, a per-node power on a moving field.
+#[derive(Clone, Debug)]
+pub struct Scenario<S> {
+    pub(crate) site: S,
+    image: ProgramImage,
+    pub(crate) seed: u64,
+    pub(crate) deadline: SimTime,
+    tie_break: TieBreak,
+    capture: bool,
+    extra_loss: f64,
+    check_invariants: bool,
+    faults: Option<FaultPlan>,
 }
 
 /// A grid dissemination scenario: the common shape of every experiment in
@@ -130,22 +173,7 @@ pub(crate) fn run<P: Disseminator>(
 /// let out = GridExperiment::new(3, 3, 10.0).segments(1).seed(1).run::<Mnp>(|_| {});
 /// assert!(out.completed);
 /// ```
-#[derive(Clone, Debug)]
-pub struct GridExperiment {
-    rows: usize,
-    cols: usize,
-    spacing_ft: f64,
-    power: PowerLevel,
-    node_power: Vec<(NodeId, PowerLevel)>,
-    image: ProgramImage,
-    seed: u64,
-    deadline: SimTime,
-    capture: bool,
-    check_invariants: bool,
-    faults: Option<FaultPlan>,
-    tie_break: TieBreak,
-    extra_loss: f64,
-}
+pub type GridExperiment = Scenario<Grid>;
 
 /// Bits per full frame (18 overhead + 29 payload bytes): the repo-wide
 /// convention converting a per-packet loss probability to a BER.
@@ -160,25 +188,252 @@ fn ber_for_packet_loss(p: f64) -> f64 {
     1.0 - (1.0 - p).powf(1.0 / FRAME_BITS)
 }
 
+impl<S: Site> Scenario<S> {
+    /// A scenario on `site`: a 1-segment image, seed 42, a 4 h deadline,
+    /// FIFO tie-break, no capture, extra loss, monitor or faults.
+    pub(crate) fn on(site: S) -> Self {
+        Scenario {
+            site,
+            image: ProgramImage::synthetic(ProgramId(1), ImageLayout::paper_default(1)),
+            seed: 42,
+            deadline: SimTime::from_secs(4 * 3_600),
+            tie_break: TieBreak::Fifo,
+            capture: false,
+            extra_loss: 0.0,
+            check_invariants: false,
+            faults: None,
+        }
+    }
+
+    /// Attaches a fail-fast [`InvariantMonitor`] to every run of this
+    /// scenario (write-once EEPROM, in-order segments, no sleeping
+    /// transmitter, ReqCtr echo).
+    pub fn check_invariants(mut self, check: bool) -> Self {
+        self.check_invariants = check;
+        self
+    }
+
+    /// Injects a deterministic [`FaultPlan`] into every run of this
+    /// scenario (crash–restarts, link flaps, EEPROM write faults). The
+    /// plan is part of the scenario: the same seed and plan replay the
+    /// same faulted schedule byte for byte. A moving field takes either
+    /// this or its [`churn`](crate::MobileExperiment::churn), not both.
+    pub fn faults(mut self, plan: FaultPlan) -> Self {
+        self.faults = Some(plan);
+        self
+    }
+
+    /// Sets the event queue's same-instant tie-break policy. The default
+    /// [`TieBreak::Fifo`] is the deterministic insertion order every
+    /// headline experiment uses; [`TieBreak::SeededPermutation`] explores
+    /// alternative same-instant schedules for the fuzz harness, still
+    /// byte-reproducible per seed.
+    pub fn tie_break(mut self, tie_break: TieBreak) -> Self {
+        self.tie_break = tie_break;
+        self
+    }
+
+    /// Uses an image of `segments` full segments (the simulation sizing).
+    pub fn segments(mut self, segments: u16) -> Self {
+        self.image = ProgramImage::synthetic(ProgramId(1), ImageLayout::paper_default(segments));
+        self
+    }
+
+    /// Sets the experiment seed.
+    pub fn seed(mut self, seed: u64) -> Self {
+        self.seed = seed;
+        self
+    }
+
+    /// Sets the simulation deadline (on a moving field, also the motion
+    /// horizon).
+    pub fn deadline(mut self, deadline: SimTime) -> Self {
+        self.deadline = deadline;
+        self
+    }
+
+    /// The image under dissemination.
+    pub fn image(&self) -> &ProgramImage {
+        &self.image
+    }
+
+    /// The scenario seed.
+    pub fn seed_value(&self) -> u64 {
+        self.seed
+    }
+
+    /// The same scenario with its site chosen at run time.
+    pub(crate) fn erase(self) -> Scenario<Arc<dyn Site>>
+    where
+        S: 'static,
+    {
+        Scenario {
+            site: Arc::new(self.site),
+            image: self.image,
+            seed: self.seed,
+            deadline: self.deadline,
+            tie_break: self.tie_break,
+            capture: self.capture,
+            extra_loss: self.extra_loss,
+            check_invariants: self.check_invariants,
+            faults: self.faults,
+        }
+    }
+
+    /// What the site samples for a run of this scenario, if its `t = 0`
+    /// links have a usable bidirectional path from the base to every node.
+    fn sample(&self) -> Result<Sampled, ScenarioError> {
+        let sampled = self.site.sample(self.seed, self.deadline);
+        let usable = mnp_radio::loss::usable_ber_threshold();
+        if sampled.0.reaches_all_usable(BASE, usable) {
+            Ok(sampled)
+        } else {
+            Err(ScenarioError::Unreachable)
+        }
+    }
+
+    /// The links a run starts from, before any extra loss, if viable.
+    pub(crate) fn viable_links(&self) -> Option<LinkTable> {
+        self.sample().ok().map(|(links, ..)| links)
+    }
+
+    /// Whether the `t = 0` topology has a usable bidirectional path from
+    /// the base to every node. Campaigns check this and reseed rather than
+    /// run an impossible scenario (on a moving field it does not depend on
+    /// the speed).
+    pub fn is_viable(&self) -> bool {
+        self.viable_links().is_some()
+    }
+
+    /// Runs protocol `P` over this scenario; `tweak` may adjust the
+    /// protocol config (ablations).
+    pub fn run<P: Disseminator>(&self, tweak: impl FnOnce(&mut P::Config)) -> RunOutcome {
+        self.run_observed::<P>(tweak, Instruments::default())
+    }
+
+    /// Runs protocol `P` with `instruments` attached to the network.
+    pub fn run_observed<P: Disseminator>(
+        &self,
+        tweak: impl FnOnce(&mut P::Config),
+        instruments: Instruments,
+    ) -> RunOutcome {
+        let run = self.run_network::<P>(tweak, instruments, None);
+        run.unwrap_or_else(|e| panic!("{e}")).1
+    }
+
+    /// Runs the registered protocol `protocol` names, at its default
+    /// config.
+    pub fn run_named(&self, protocol: ProtocolId, instruments: Instruments) -> RunOutcome {
+        with_protocol!(protocol, P => self.run_observed::<P>(|_| {}, instruments))
+    }
+
+    /// Runs `run` over a per-seed copy of this scenario, one thread per
+    /// seed ([`std::thread::scope`]); outcomes come back in `seeds` order.
+    ///
+    /// Each thread gets its own clone, so the runs are fully independent
+    /// and each is as deterministic as a solo [`Scenario::run`] with that
+    /// seed.
+    pub fn run_seeds_with<F>(&self, seeds: &[u64], run: F) -> Vec<RunOutcome>
+    where
+        Self: Clone,
+        F: Fn(&Self) -> RunOutcome + Sync,
+    {
+        let run = &run;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = seeds
+                .iter()
+                .map(|&seed| {
+                    let scenario = self.clone().seed(seed);
+                    scope.spawn(move || run(&scenario))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("seed run panicked"))
+                .collect()
+        })
+    }
+
+    /// Runs `P` until every node completes or the deadline passes, and
+    /// hands back the finished network beside the outcome. `draw`, if
+    /// given, draws the fault plan in place of the scenario's own.
+    pub(crate) fn run_network<P: Disseminator>(
+        &self,
+        tweak: impl FnOnce(&mut P::Config),
+        instruments: Instruments,
+        draw: Option<PlanOf>,
+    ) -> Result<(Network<P>, RunOutcome), ScenarioError> {
+        let mut cfg = P::config_for(&self.image);
+        tweak(&mut cfg);
+        let builder = self.network(instruments, draw)?;
+        let mut net = build::<P>(builder, &self.image, cfg).map_err(ScenarioError::Faults)?;
+        let completed = net.run_until_all_complete(self.deadline);
+        let outcome = RunOutcome::collect(&mut net, self.site.grid_spec(), completed);
+        Ok((net, outcome))
+    }
+
+    /// The one place a harness run's network is put together: the sampled
+    /// links with any extra loss, then the link schedule, the fault plan
+    /// (`draw`'s, the scenario's or the site's churn), the invariant
+    /// monitor and `instruments`, in that order.
+    fn network(
+        &self,
+        instruments: Instruments,
+        draw: Option<PlanOf>,
+    ) -> Result<NetworkBuilder, ScenarioError> {
+        let (mut links, motion, churn) = self.sample()?;
+        let plan = match draw {
+            Some(draw) => Some(draw(&links)),
+            None => self.faults.clone(),
+        };
+        assert!(
+            plan.is_none() || churn.is_none(),
+            "a scenario takes churn or a fault plan, not both"
+        );
+        if self.extra_loss > 0.0 {
+            // Compose the sweep's packet loss with every link's sampled
+            // BER: independent loss processes multiply their survival
+            // probabilities.
+            let q = ber_for_packet_loss(self.extra_loss);
+            for from in 0..links.len() {
+                let from = NodeId::from_index(from);
+                let edges: Vec<(NodeId, f64)> = links.neighbors(from).collect();
+                for (to, ber) in edges {
+                    links.set_ber(from, to, 1.0 - (1.0 - ber) * (1.0 - q));
+                }
+            }
+        }
+        let mut builder = NetworkBuilder::new(links, self.seed)
+            .capture(self.capture)
+            .tie_break(self.tie_break)
+            .link_schedule(motion.iter().flat_map(MotionSchedule::iter).collect());
+        if let Some(plan) = plan.or(churn) {
+            builder = builder.faults(plan);
+        }
+        if self.check_invariants {
+            builder = builder.observer(InvariantMonitor::new());
+        }
+        for obs in instruments.observers {
+            builder = builder.observer(obs);
+        }
+        if let Some(sampler) = instruments.sampler {
+            builder = builder.timeseries(sampler);
+        }
+        Ok(builder)
+    }
+}
+
 impl GridExperiment {
     /// Starts a scenario over a `rows × cols` grid at `spacing_ft`, full
     /// power, a 1-segment image, seed 42, base station at the corner.
     pub fn new(rows: usize, cols: usize, spacing_ft: f64) -> Self {
-        GridExperiment {
+        Scenario::on(Grid {
             rows,
             cols,
             spacing_ft,
             power: PowerLevel::FULL,
             node_power: Vec::new(),
-            image: ProgramImage::synthetic(ProgramId(1), ImageLayout::paper_default(1)),
-            seed: 42,
-            deadline: SimTime::from_secs(4 * 3_600),
-            capture: false,
-            check_invariants: false,
-            faults: None,
-            tie_break: TieBreak::Fifo,
-            extra_loss: 0.0,
-        }
+        })
     }
 
     /// Adds an independent per-packet loss probability `p` (0 ≤ p ≤ 1)
@@ -200,48 +455,15 @@ impl GridExperiment {
         self
     }
 
-    /// Attaches a fail-fast [`InvariantMonitor`] to every run of this
-    /// scenario (write-once EEPROM, in-order segments, no sleeping
-    /// transmitter, ReqCtr echo).
-    pub fn check_invariants(mut self, check: bool) -> Self {
-        self.check_invariants = check;
-        self
-    }
-
-    /// Injects a deterministic [`FaultPlan`] into every run of this
-    /// scenario (crash–restarts, link flaps, EEPROM write faults). The
-    /// plan is part of the scenario: the same seed and plan replay the
-    /// same faulted schedule byte for byte.
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
-        self
-    }
-
-    /// Sets the event queue's same-instant tie-break policy. The default
-    /// [`TieBreak::Fifo`] is the deterministic insertion order every
-    /// headline experiment uses; [`TieBreak::SeededPermutation`] explores
-    /// alternative same-instant schedules for the fuzz harness, still
-    /// byte-reproducible per seed.
-    pub fn tie_break(mut self, tie_break: TieBreak) -> Self {
-        self.tie_break = tie_break;
-        self
-    }
-
     /// Sets the transmission power level of every node.
     pub fn power(mut self, power: PowerLevel) -> Self {
-        self.power = power;
+        self.site.power = power;
         self
     }
 
     /// Overrides one node's power (battery-aware extension).
     pub fn node_power(mut self, node: NodeId, power: PowerLevel) -> Self {
-        self.node_power.push((node, power));
-        self
-    }
-
-    /// Uses an image of `segments` full segments (the simulation sizing).
-    pub fn segments(mut self, segments: u16) -> Self {
-        self.image = ProgramImage::synthetic(ProgramId(1), ImageLayout::paper_default(segments));
+        self.site.node_power.push((node, power));
         self
     }
 
@@ -252,143 +474,9 @@ impl GridExperiment {
         self
     }
 
-    /// Sets the experiment seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the wall-clock simulation deadline.
-    pub fn deadline(mut self, deadline: SimTime) -> Self {
-        self.deadline = deadline;
-        self
-    }
-
     /// The grid spec of this scenario.
     pub fn grid(&self) -> GridSpec {
-        GridSpec::new(self.rows, self.cols, self.spacing_ft)
-    }
-
-    /// The image under dissemination.
-    pub fn image(&self) -> &ProgramImage {
-        &self.image
-    }
-
-    /// Samples this scenario's link graph (before any
-    /// [`extra_loss`](GridExperiment::extra_loss) is composed in).
-    pub(crate) fn sample_links(&self) -> LinkTable {
-        let mut builder = TopologyBuilder::new(self.grid().placement()).power(self.power);
-        for (node, p) in &self.node_power {
-            builder = builder.node_power(*node, *p);
-        }
-        builder.build(&mut topology_rng(self.seed)).links
-    }
-
-    /// Whether the topology this scenario would sample has a usable
-    /// bidirectional path from the base to every node. Experiments with
-    /// aggressive per-node power reductions (battery extension) check this
-    /// and reseed instead of running an impossible scenario.
-    pub fn is_viable(&self) -> bool {
-        reaches_all(&self.sample_links())
-    }
-
-    /// Runs protocol `P` over this scenario; `tweak` may adjust the
-    /// protocol config (ablations).
-    pub fn run<P: Disseminator>(&self, tweak: impl FnOnce(&mut P::Config)) -> RunOutcome {
-        self.run_observed::<P>(tweak, Instruments::default())
-    }
-
-    /// Runs protocol `P` with `instruments` attached to the network.
-    pub fn run_observed<P: Disseminator>(
-        &self,
-        tweak: impl FnOnce(&mut P::Config),
-        instruments: Instruments,
-    ) -> RunOutcome {
-        run::<P>(
-            self.builder(instruments),
-            &self.image,
-            tweak,
-            self.grid(),
-            self.deadline,
-        )
-    }
-
-    /// Runs the registered protocol `protocol` names, at its default
-    /// config.
-    pub fn run_named(&self, protocol: ProtocolId, instruments: Instruments) -> RunOutcome {
-        with_protocol!(protocol, P => self.run_observed::<P>(|_| {}, instruments))
-    }
-
-    /// Runs `P` at its default config, as [`GridExperiment::run_named`]
-    /// does, and hands back the finished network beside the outcome.
-    #[cfg(test)]
-    pub(crate) fn run_network<P: Disseminator>(
-        &self,
-        instruments: Instruments,
-    ) -> (Network<P>, RunOutcome) {
-        let cfg = P::config_for(&self.image);
-        let mut net = build::<P>(self.builder(instruments), &self.image, cfg)
-            .unwrap_or_else(|e| panic!("{e}"));
-        let out = finish(&mut net, self.grid(), self.deadline);
-        (net, out)
-    }
-
-    /// Runs `run` over a per-seed copy of this scenario, one thread per
-    /// seed ([`std::thread::scope`]); outcomes come back in `seeds` order.
-    ///
-    /// Each thread gets its own `GridExperiment` clone, so the runs are
-    /// fully independent and each is as deterministic as a solo
-    /// [`GridExperiment::run`] with that seed.
-    pub fn run_seeds_with<F>(&self, seeds: &[u64], run: F) -> Vec<RunOutcome>
-    where
-        F: Fn(&GridExperiment) -> RunOutcome + Sync,
-    {
-        let run = &run;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = seeds
-                .iter()
-                .map(|&seed| {
-                    let scenario = self.clone().seed(seed);
-                    scope.spawn(move || run(&scenario))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("seed run panicked"))
-                .collect()
-        })
-    }
-
-    fn builder(&self, instruments: Instruments) -> NetworkBuilder {
-        let mut links = self.sample_links();
-        assert!(
-            reaches_all(&links),
-            "sampled topology has no usable bidirectional path to some node; \
-             coverage is impossible (reseed)"
-        );
-        if self.extra_loss > 0.0 {
-            // Compose the sweep's packet loss with every link's sampled
-            // BER: independent loss processes multiply their survival
-            // probabilities.
-            let q = ber_for_packet_loss(self.extra_loss);
-            for from in 0..links.len() {
-                let from = NodeId::from_index(from);
-                let edges: Vec<(NodeId, f64)> = links.neighbors(from).collect();
-                for (to, ber) in edges {
-                    links.set_ber(from, to, 1.0 - (1.0 - ber) * (1.0 - q));
-                }
-            }
-        }
-        let mut builder = NetworkBuilder::new(links, self.seed)
-            .capture(self.capture)
-            .tie_break(self.tie_break);
-        if let Some(plan) = &self.faults {
-            builder = builder.faults(plan.clone());
-        }
-        if self.check_invariants {
-            builder = builder.observer(InvariantMonitor::new());
-        }
-        instruments.attach(builder)
+        self.site.grid_spec()
     }
 }
 
@@ -439,7 +527,7 @@ impl RunOutcome {
             })
             .collect();
         let collisions = nodes().map(|id| net.medium_stats(id).collisions).sum();
-        RunOutcome {
+        let mut outcome = RunOutcome {
             grid,
             completed,
             completion,
@@ -451,12 +539,16 @@ impl RunOutcome {
             received: nodes().map(|id| trace.node(id).received as f64).collect(),
             trace,
             collisions,
-            complete_nodes: 0,
+            complete_nodes: nodes().filter(|&id| net.protocol(id).is_complete()).count(),
             forward_rounds: vec![0; n],
             protocol_fails: 0,
             sleeps: 0,
             events: net.events_processed(),
+        };
+        for id in nodes() {
+            net.protocol(id).fold_stats(id, &mut outcome);
         }
+        outcome
     }
 
     /// Fraction of nodes holding the complete image when the run stopped.

@@ -4,8 +4,11 @@
 //!
 //! `examples/dump_logs.rs` writes one file per row, `tests/determinism.rs`
 //! checks every row's completion flag and digest, and the registry test
-//! runs the faulted rows. A change that moves a log's bytes re-records the
-//! row's digest here and says why (old → new) in CHANGES.md.
+//! checks that every row's trace, medium and metrics agree. A change that
+//! moves a log's bytes re-records the row's digest here and says why
+//! (old → new) in CHANGES.md.
+
+use std::sync::Arc;
 
 use mnp_net::FaultPlan;
 use mnp_obs::{JsonlLogger, Shared};
@@ -14,7 +17,7 @@ use mnp_sim::{SimDuration, SimTime};
 
 use crate::mobility::MobileExperiment;
 use crate::registry::ProtocolId;
-use crate::runner::{GridExperiment, Instruments, RunOutcome};
+use crate::runner::{GridExperiment, Instruments, RunOutcome, Scenario, Site};
 
 /// One seeded run whose event log is frozen.
 #[derive(Clone, Copy, Debug)]
@@ -108,38 +111,27 @@ impl SeededLog {
         ProtocolId::lookup(self.protocol).expect("a seeded log names a registered protocol")
     }
 
-    /// The grid scenario of a grid row; `None` for a mobile one.
-    pub fn grid(&self) -> Option<GridExperiment> {
+    /// The scenario the row runs.
+    pub fn experiment(&self) -> Scenario<Arc<dyn Site>> {
         match self.scenario {
-            Grid(seed) => Some(grid4(seed)),
-            Faulted(seed) => Some(grid4(seed).faults(grid4_fault_plan())),
-            Capture(seed) => Some(grid4(seed).capture(true)),
-            Mobile(_) => None,
-        }
-    }
-
-    /// Runs the row with `instruments` attached.
-    pub fn run(&self, instruments: Instruments) -> RunOutcome {
-        match self.scenario {
+            Grid(seed) => grid4(seed).erase(),
+            Faulted(seed) => grid4(seed).faults(grid4_fault_plan()).erase(),
+            Capture(seed) => grid4(seed).capture(true).erase(),
             Mobile(seed) => MobileExperiment::new(9)
                 .seed(seed)
                 .speed(2.0)
                 .churn(1)
-                .run_named(self.protocol(), instruments),
-            _ => self
-                .grid()
-                .expect("every other scenario is a grid")
-                .run_named(self.protocol(), instruments),
+                .erase(),
         }
     }
 
-    /// Runs the row as [`SeededLog::run`] does, with a JSONL logger
-    /// attached ahead of `instruments`, and returns the log beside the
-    /// outcome.
+    /// Runs the row's protocol over its [`experiment`](SeededLog::experiment)
+    /// with a JSONL logger attached ahead of `instruments`, and returns
+    /// the log beside the outcome.
     pub fn record(&self, mut instruments: Instruments) -> (String, RunOutcome) {
         let log = Shared::new(JsonlLogger::new());
         instruments.observers.insert(0, Box::new(log.clone()));
-        let out = self.run(instruments);
+        let out = self.experiment().run_named(self.protocol(), instruments);
         let text = log.borrow().as_str().to_owned();
         (text, out)
     }

@@ -15,8 +15,6 @@ use mnp::{Mnp, MnpConfig};
 use mnp_net::{Network, NetworkBuilder};
 use mnp_radio::NodeId;
 use mnp_sim::SimTime;
-use mnp_storage::{ImageLayout, ProgramId, ProgramImage};
-use mnp_topology::GridSpec;
 
 use crate::runner::GridExperiment;
 
@@ -46,16 +44,16 @@ pub struct Subsets {
 /// Runs on an `n×n` grid, targeting columns `< n/2` (the paper-scale
 /// run: 12×12).
 pub fn run(n: usize, seed: u64) -> Subsets {
-    let grid = GridSpec::new(n, n, 10.0);
-    let links = GridExperiment::new(n, n, 10.0).seed(seed).sample_links();
-    let image = ProgramImage::synthetic(ProgramId(1), ImageLayout::paper_default(2));
-    let cfg = MnpConfig::for_image(&image);
+    let scenario = GridExperiment::new(n, n, 10.0).segments(2).seed(seed);
+    let (grid, image) = (scenario.grid(), scenario.image());
+    let links = scenario.viable_links().expect("connected grid");
+    let cfg = MnpConfig::for_image(image);
 
     let in_subset = |id: NodeId| grid.coords(id).1 < n / 2;
     // The one three-way factory: members, outsiders, and the base.
     let mut net: Network<Mnp> = NetworkBuilder::new(links, seed).build(|id, _| {
         if id == grid.corner() {
-            Mnp::base_station(cfg.clone(), &image)
+            Mnp::base_station(cfg.clone(), image)
         } else if in_subset(id) {
             Mnp::node(cfg.clone())
         } else {

@@ -114,13 +114,21 @@ fn seeds_mode_runs_any_protocol_and_rejects_an_empty_list() {
     let out = mnp_run(&[&base[..], &["--seeds", "1,2"]].concat());
     assert!(out.status.success(), "{}", stderr(&out));
     assert!(stdout(&out).contains("over 2 seeds"), "{}", stdout(&out));
-    let out = mnp_run(&[&base[..], &["--seeds", ""]].concat());
-    assert_eq!(out.status.code(), Some(1));
-    assert!(
-        stderr(&out).contains("at least one seed"),
-        "{}",
-        stderr(&out)
-    );
+    // Misuse is rejected while the flags are parsed: before the header
+    // line is printed and before any seed's topology is sampled.
+    for (flags, needle) in [
+        (&["--seeds", ""][..], "at least one seed"),
+        (&["--seeds", "1,2", "--heatmap"][..], "cannot be combined"),
+        (
+            &["--check-invariants", "--seeds", "1"][..],
+            "cannot be combined",
+        ),
+    ] {
+        let out = mnp_run(&[&base[..], flags].concat());
+        assert_eq!(out.status.code(), Some(1), "{flags:?}");
+        assert!(stderr(&out).contains(needle), "{flags:?}: {}", stderr(&out));
+        assert_eq!(stdout(&out), "", "{flags:?}");
+    }
 }
 
 #[test]

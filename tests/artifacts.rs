@@ -185,6 +185,94 @@ fn the_simulation_path_names_no_hash_container_and_no_wall_clock() {
     assert!(hits.is_empty(), "{}", hits.join("\n"));
 }
 
+/// The lines of `text` outside `#[cfg(test)]` items, numbered from 1.
+fn non_test_lines(text: &str) -> Vec<(usize, &str)> {
+    let mut out = Vec::new();
+    let mut lines = text.lines().enumerate();
+    while let Some((n, line)) = lines.next() {
+        if line.trim() != "#[cfg(test)]" {
+            out.push((n + 1, line));
+            continue;
+        }
+        // Skip the item the attribute gates, up to its closing brace.
+        let mut depth = 0i32;
+        for (_, line) in lines.by_ref() {
+            depth += line.matches('{').count() as i32 - line.matches('}').count() as i32;
+            if depth <= 0 && (line.contains('}') || line.trim_end().ends_with(';')) {
+                break;
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn the_harness_builds_every_network_in_one_place() {
+    // Every harness run is a `Scenario`, and one function turns a scenario
+    // into a network: it samples the site, checks reachability at t = 0,
+    // and attaches faults, the invariant monitor and the instruments in
+    // one order. An experiment that keeps a builder of its own is named
+    // here with its reason, as (file, enclosing fn, reason).
+    const ALLOWED: [(&str, &str, &str); 3] = [
+        ("runner.rs", "network", "the scenario's one function"),
+        (
+            "resilience.rs",
+            "run",
+            "kills nodes on the built network and waits for the survivors, \
+             over one topology sampled for the whole sweep",
+        ),
+        (
+            "subsets.rs",
+            "run",
+            "the three-way factory: base, members and `node_uninterested` outsiders",
+        ),
+    ];
+    let needle = "NetworkBuilder::new";
+    let mut sources = Vec::new();
+    rust_sources(&root().join("crates/experiments/src"), &mut sources);
+    assert!(sources.len() > 20, "only {} sources scanned", sources.len());
+    let mut hits = Vec::new();
+    for path in &sources {
+        let file = path.file_name().unwrap().to_string_lossy().into_owned();
+        let text = read(path);
+        let mut function = String::new();
+        for (n, line) in non_test_lines(&text) {
+            let code = line.split("//").next().unwrap_or_default();
+            if let Some(rest) = code.split("fn ").nth(1) {
+                let ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+                function = rest.split(|c| !ident(c)).next().unwrap_or_default().into();
+            }
+            if code.contains(needle) {
+                hits.push((file.clone(), function.clone(), n));
+            }
+        }
+    }
+    let stray: Vec<String> = hits
+        .iter()
+        .filter(|(file, function, _)| {
+            !ALLOWED
+                .iter()
+                .any(|(f, func, _)| f == file && func == function)
+        })
+        .map(|(file, function, n)| format!("{file}:{n} (in fn {function})"))
+        .collect();
+    assert!(
+        stray.is_empty(),
+        "`{needle}` outside `Scenario::network` and the allow-list:\n{}",
+        stray.join("\n")
+    );
+    for (file, function, reason) in ALLOWED {
+        let count = hits
+            .iter()
+            .filter(|(f, func, _)| f == file && func == function)
+            .count();
+        assert_eq!(
+            count, 1,
+            "{file} fn {function} ({reason}): {count} builders"
+        );
+    }
+}
+
 #[test]
 fn one_heap_probe_and_every_library_forbids_unsafe() {
     // Split, so that this file does not hold the needles it looks for.

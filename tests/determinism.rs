@@ -239,7 +239,9 @@ fn attaching_observers_never_changes_delivery() {
     // a run: every row runs once bare, and must agree with its recorded
     // run, which had every observer attached.
     for (row, (_, watched)) in SEEDED_LOGS.iter().zip(recorded()) {
-        let bare = row.run(Instruments::default());
+        let bare = row
+            .experiment()
+            .run_named(row.protocol(), Instruments::default());
         let name = row.name();
         assert_eq!(bare.completed, watched.completed, "{name}");
         assert_eq!(fingerprint(watched), fingerprint(&bare), "{name}");
