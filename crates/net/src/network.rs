@@ -268,22 +268,35 @@ impl NetworkBuilder {
             ..
         } = &mut net;
         if !observers.is_empty() {
-            for (i, p) in kernel.protocols.iter().enumerate() {
-                let ev = ObsEvent {
+            let start: Vec<ObsEvent> = kernel
+                .protocols
+                .iter()
+                .enumerate()
+                .map(|(i, p)| ObsEvent {
                     t: SimTime::ZERO,
                     node: NodeId::from_index(i),
                     kind: EventKind::State {
                         from: "",
                         to: p.state_label(),
                     },
-                };
-                Observer::on_event(trace, &ev);
-                for obs in observers.iter_mut() {
-                    obs.on_event(&ev);
-                }
-            }
+                })
+                .collect();
+            deliver(trace, observers, &start);
         }
         Ok(net)
+    }
+}
+
+/// Hands one dispatch's events (or the build's start reports) to the run
+/// trace, event by event, then to each observer as one batch
+/// (observer-major): a `Shared` observer takes its lock once per batch,
+/// not once per event.
+fn deliver(trace: &mut RunTrace, observers: &mut [Box<dyn Observer + Send>], evs: &[ObsEvent]) {
+    for ev in evs {
+        Observer::on_event(trace, ev);
+    }
+    for obs in observers {
+        obs.on_events(evs);
     }
 }
 
@@ -625,12 +638,8 @@ impl<P: Protocol> Network<P> {
             return;
         }
         let _span = profile::span(Phase::Observe);
-        for ev in buf.drain(..) {
-            Observer::on_event(trace, &ev);
-            for obs in observers.iter_mut() {
-                obs.on_event(&ev);
-            }
-        }
+        deliver(trace, observers, buf);
+        buf.clear();
     }
 
     /// Feeds the attached sampler one snapshot and advances the cadence
@@ -1316,6 +1325,8 @@ mod shard_tests {
     use crate::protocol::WireMsg;
     use mnp_sim::SimDuration;
     use mnp_trace::MsgClass;
+    use std::cell::{Cell, RefCell};
+    use std::sync::{Arc, Mutex};
 
     #[derive(Clone, Copy, Debug)]
     struct Word(u32);
@@ -1476,6 +1487,73 @@ mod shard_tests {
             assert_eq!(base.3, run.3, "frame counts diverged at .shards({n})");
             assert_eq!(base.4, run.4, "protocol state diverged at .shards({n})");
         }
+    }
+
+    /// Records each delivery call as one batch of `Debug` lines.
+    #[derive(Clone, Debug, Default)]
+    struct Batches(Arc<Mutex<Vec<Vec<String>>>>);
+
+    impl Batches {
+        fn batches(&self) -> Vec<Vec<String>> {
+            self.0.lock().expect("no recorder panicked").clone()
+        }
+    }
+
+    impl Observer for Batches {
+        fn on_event(&mut self, _ev: &ObsEvent) {
+            panic!("the network delivers whole dispatches through on_events");
+        }
+
+        fn on_events(&mut self, evs: &[ObsEvent]) {
+            let batch = evs.iter().map(|ev| format!("{ev:?}")).collect();
+            self.0.lock().expect("no recorder panicked").push(batch);
+        }
+    }
+
+    /// Observers attached directly and through `Shared` get the same
+    /// stream a per-event observer sees, cut into exactly one batch per
+    /// dispatch that emitted events, after one batch of start reports.
+    #[test]
+    fn observers_get_one_batch_per_dispatch() {
+        let direct = Batches::default();
+        let shared = Shared::new(Batches::default());
+        let rec = Shared::new(Rec::default());
+        let mut net: Network<Gossip> = NetworkBuilder::new(line(), 42)
+            .observer(direct.clone())
+            .observer(shared.clone())
+            .observer(rec.clone())
+            .faults(plan())
+            .build(|id, _| Gossip {
+                id,
+                best: 0,
+                ticks: 0,
+            });
+        // The predicate runs before every dispatch: what the per-event
+        // recorder gained since its last call is one dispatch's events.
+        let sizes = RefCell::new(vec![net.len()]);
+        let seen = Cell::new(rec.borrow().0.len());
+        net.run_until(
+            |_| {
+                let len = rec.borrow().0.len();
+                if len > seen.get() {
+                    sizes.borrow_mut().push(len - seen.get());
+                    seen.set(len);
+                }
+                false
+            },
+            SimTime::from_secs(6),
+        );
+        let batches = shared.borrow().batches();
+        assert!(batches.len() > 1_000, "scenario produces real traffic");
+        assert_eq!(
+            batches.iter().map(Vec::len).collect::<Vec<_>>(),
+            sizes.take()
+        );
+        assert!(batches.concat() == rec.borrow().0, "batches reorder events");
+        assert!(
+            direct.batches() == batches,
+            "direct and shared deliveries differ"
+        );
     }
 }
 

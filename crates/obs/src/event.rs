@@ -80,6 +80,9 @@ pub struct ObsEvent {
     pub kind: EventKind,
 }
 
+// The network buffers one dispatch's events before handing them over.
+const _: () = assert!(std::mem::size_of::<ObsEvent>() <= 56);
+
 /// The kinds of events the network layer emits.
 #[derive(Clone, Copy, Debug)]
 pub enum EventKind {

@@ -17,6 +17,15 @@ pub trait Observer: fmt::Debug {
     /// Handles one event.
     fn on_event(&mut self, ev: &ObsEvent);
 
+    /// Handles the events of one dispatch, in order. The network delivers
+    /// through this call, one batch per dispatch; the default hands each
+    /// event to [`Observer::on_event`].
+    fn on_events(&mut self, evs: &[ObsEvent]) {
+        for ev in evs {
+            self.on_event(ev);
+        }
+    }
+
     /// Called exactly once when the run ends (all nodes complete, deadline
     /// hit, or the run predicate stopped the loop), so interval-based
     /// observers can close their last interval.
@@ -36,6 +45,10 @@ pub trait Observer: fmt::Debug {
 impl<T: Observer + ?Sized> Observer for Box<T> {
     fn on_event(&mut self, ev: &ObsEvent) {
         (**self).on_event(ev);
+    }
+
+    fn on_events(&mut self, evs: &[ObsEvent]) {
+        (**self).on_events(evs);
     }
 
     fn on_run_end(&mut self, at: SimTime) {
@@ -98,6 +111,11 @@ impl<T> Clone for Shared<T> {
 impl<T: Observer> Observer for Shared<T> {
     fn on_event(&mut self, ev: &ObsEvent) {
         self.borrow_mut().on_event(ev);
+    }
+
+    /// Takes the lock once for the whole batch.
+    fn on_events(&mut self, evs: &[ObsEvent]) {
+        self.borrow_mut().on_events(evs);
     }
 
     fn on_run_end(&mut self, at: SimTime) {
