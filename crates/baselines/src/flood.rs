@@ -20,30 +20,30 @@ use mnp_trace::MsgClass;
 use mnp::engine::{self, ImageCursor, TimerMux};
 use mnp::DataPacket;
 
-/// Flood parameters.
+/// Flood parameters: the image. The timings are this module's constants.
 #[derive(Clone, Debug)]
 pub struct FloodConfig {
     /// The program being disseminated: one handle shared by every node,
     /// which checks each flash write against it.
     pub image: ProgramImage,
-    /// Base-station pacing between fresh packets.
-    pub data_packet_period: SimDuration,
-    /// Maximum random delay before a node rebroadcasts a packet (tiny, to
-    /// desynchronise rebroadcasts slightly; zero reproduces the worst
-    /// case).
-    pub rebroadcast_jitter: SimDuration,
 }
 
 impl FloodConfig {
-    /// Defaults matched to the MNP data pacing.
+    /// The configuration for a given image.
     pub fn for_image(image: &ProgramImage) -> Self {
         FloodConfig {
             image: image.clone(),
-            data_packet_period: SimDuration::from_millis(60),
-            rebroadcast_jitter: SimDuration::from_millis(25),
         }
     }
 }
+
+// Timings, matched to the MNP data pacing (DESIGN §4).
+/// Base-station pacing between fresh packets.
+const DATA_PACKET_PERIOD: SimDuration = SimDuration::from_millis(60);
+/// Maximum random delay before a node rebroadcasts a packet (tiny, to
+/// desynchronise rebroadcasts slightly; zero would reproduce the worst
+/// case).
+const REBROADCAST_JITTER: SimDuration = SimDuration::from_millis(25);
 
 /// Flood's message set: data only.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -115,7 +115,6 @@ impl StateLabel for FloodState {
 /// ```
 #[derive(Debug)]
 pub struct Flood {
-    cfg: FloodConfig,
     store: PacketStore,
     is_base: bool,
     completed: bool,
@@ -128,7 +127,7 @@ pub struct Flood {
 }
 
 // Per-node byte budget (DESIGN §13), checked by the compiler.
-const _: () = assert!(std::mem::size_of::<Flood>() <= 120);
+const _: () = assert!(std::mem::size_of::<Flood>() <= 96);
 
 impl Flood {
     /// Creates the originating base station.
@@ -141,7 +140,6 @@ impl Flood {
         assert_eq!(image.layout(), cfg.image.layout(), "image/layout mismatch");
         let store = PacketStore::preloaded(&cfg.image, cfg.image.layout().segment_count());
         Flood {
-            cfg,
             store,
             is_base: true,
             completed: true,
@@ -157,7 +155,6 @@ impl Flood {
     pub fn node(cfg: FloodConfig) -> Self {
         let store = PacketStore::new(&cfg.image);
         Flood {
-            cfg,
             store,
             is_base: false,
             completed: false,
@@ -184,7 +181,7 @@ impl Flood {
             self.rebroadcast_armed = true;
             let delay = ctx
                 .rng
-                .duration_between(SimDuration::ZERO, self.cfg.rebroadcast_jitter)
+                .duration_between(SimDuration::ZERO, REBROADCAST_JITTER)
                 .max(SimDuration::from_micros(1));
             ctx.set_timer(delay, self.timers.token(T_REBROADCAST));
         }
@@ -198,10 +195,7 @@ impl Protocol for Flood {
         if self.is_base {
             ctx.note_completion();
             ctx.note_became_sender();
-            ctx.set_timer(
-                self.cfg.data_packet_period,
-                self.timers.token(T_SOURCE_TICK),
-            );
+            ctx.set_timer(DATA_PACKET_PERIOD, self.timers.token(T_SOURCE_TICK));
         }
     }
 
@@ -210,8 +204,7 @@ impl Protocol for Flood {
             return;
         }
         let FloodMsg::Data(DataPacket { seg, pkt, .. }) = *msg;
-        let bytes = self.cfg.image.packet_payload(seg, pkt);
-        if !engine::store_packet_once(&mut self.store, seg, pkt, bytes) {
+        if !engine::store_named_packet(&mut self.store, seg, pkt) {
             return; // already seen; a real storm would be even worse
         }
         ctx.note_eeprom_write(seg, pkt);
@@ -243,11 +236,8 @@ impl Protocol for Flood {
                     .expect("base holds the image");
                 ctx.send(FloodMsg::Data(DataPacket::new(seg, pkt, held)));
                 // One pass only: the tick stops at the end of the image.
-                if !self.cursor.step(self.cfg.image.layout()) {
-                    ctx.set_timer(
-                        self.cfg.data_packet_period,
-                        self.timers.token(T_SOURCE_TICK),
-                    );
+                if !self.cursor.step(self.store.layout()) {
+                    ctx.set_timer(DATA_PACKET_PERIOD, self.timers.token(T_SOURCE_TICK));
                 }
             }
             T_REBROADCAST => {

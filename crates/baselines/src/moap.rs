@@ -24,43 +24,38 @@ use mnp_trace::MsgClass;
 use mnp::engine::{self, Deadline, ImageCursor, TimerMux};
 use mnp::{DataPacket, PacketBitmap};
 
-/// MOAP parameters.
+/// MOAP parameters: the image. The timings are this module's constants.
 #[derive(Clone, Debug)]
 pub struct MoapConfig {
     /// The program being disseminated: one handle shared by every node,
     /// which checks each flash write against it.
     pub image: ProgramImage,
-    /// Publish (advertisement) interval bounds.
-    pub publish_interval_min: SimDuration,
-    /// Upper bound of the publish interval.
-    pub publish_interval_max: SimDuration,
-    /// Pacing between data packets.
-    pub data_packet_period: SimDuration,
-    /// Jitter on the pacing.
-    pub data_packet_jitter: SimDuration,
-    /// How long a publisher collects subscriptions before transmitting.
-    pub subscribe_window: SimDuration,
-    /// Publisher idle timeout waiting for NAKs before going quiet.
-    pub nak_idle_timeout: SimDuration,
-    /// Subscriber timeout waiting for data before unsubscribing.
-    pub rx_timeout: SimDuration,
 }
 
 impl MoapConfig {
-    /// Defaults matched to the MNP data pacing.
+    /// The configuration for a given image.
     pub fn for_image(image: &ProgramImage) -> Self {
         MoapConfig {
             image: image.clone(),
-            publish_interval_min: SimDuration::from_millis(1_000),
-            publish_interval_max: SimDuration::from_millis(3_000),
-            data_packet_period: SimDuration::from_millis(60),
-            data_packet_jitter: SimDuration::from_millis(20),
-            subscribe_window: SimDuration::from_millis(800),
-            nak_idle_timeout: SimDuration::from_secs(2),
-            rx_timeout: SimDuration::from_secs(4),
         }
     }
 }
+
+// Timings, matched to the MNP data pacing (DESIGN §4).
+/// Lower bound of the publish (advertisement) interval.
+const PUBLISH_INTERVAL_MIN: SimDuration = SimDuration::from_millis(1_000);
+/// Upper bound of the publish interval.
+const PUBLISH_INTERVAL_MAX: SimDuration = SimDuration::from_millis(3_000);
+/// Pacing between data packets.
+const DATA_PACKET_PERIOD: SimDuration = SimDuration::from_millis(60);
+/// Jitter on the pacing.
+const DATA_PACKET_JITTER: SimDuration = SimDuration::from_millis(20);
+/// How long a publisher collects subscriptions before transmitting.
+const SUBSCRIBE_WINDOW: SimDuration = SimDuration::from_millis(800);
+/// Publisher idle timeout waiting for NAKs before going quiet.
+const NAK_IDLE_TIMEOUT: SimDuration = SimDuration::from_secs(2);
+/// Subscriber timeout waiting for data before unsubscribing.
+const RX_TIMEOUT: SimDuration = SimDuration::from_secs(4);
 
 /// MOAP's message set.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -179,7 +174,6 @@ const T_RX_TIMEOUT: u64 = 5;
 /// ```
 #[derive(Debug)]
 pub struct Moap {
-    cfg: MoapConfig,
     store: PacketStore,
     is_base: bool,
     completed: bool,
@@ -199,7 +193,7 @@ pub struct Moap {
 }
 
 // Per-node byte budget (DESIGN §13), checked by the compiler.
-const _: () = assert!(std::mem::size_of::<Moap>() <= 208);
+const _: () = assert!(std::mem::size_of::<Moap>() <= 144);
 
 impl Moap {
     /// Creates the base station holding the full image.
@@ -211,7 +205,7 @@ impl Moap {
         assert_eq!(image.id(), cfg.image.id(), "image/program mismatch");
         assert_eq!(image.layout(), cfg.image.layout(), "image/layout mismatch");
         let store = PacketStore::preloaded(&cfg.image, cfg.image.layout().segment_count());
-        let mut m = Moap::with_store(cfg, store);
+        let mut m = Moap::with_store(store);
         m.is_base = true;
         m.completed = true;
         m.state = State::Publish;
@@ -220,13 +214,11 @@ impl Moap {
 
     /// Creates an ordinary node with empty flash.
     pub fn node(cfg: MoapConfig) -> Self {
-        let store = PacketStore::new(&cfg.image);
-        Moap::with_store(cfg, store)
+        Moap::with_store(PacketStore::new(&cfg.image))
     }
 
-    fn with_store(cfg: MoapConfig, store: PacketStore) -> Self {
+    fn with_store(store: PacketStore) -> Self {
         Moap {
-            cfg,
             store,
             is_base: false,
             completed: false,
@@ -259,7 +251,7 @@ impl Moap {
     fn schedule_publish(&mut self, ctx: &mut Context<'_, MoapMsg>) {
         let delay = ctx
             .rng
-            .duration_between(self.cfg.publish_interval_min, self.cfg.publish_interval_max);
+            .duration_between(PUBLISH_INTERVAL_MIN, PUBLISH_INTERVAL_MAX);
         ctx.set_timer(delay, self.timers.token(T_PUBLISH));
     }
 
@@ -271,20 +263,17 @@ impl Moap {
     }
 
     fn schedule_tx(&mut self, ctx: &mut Context<'_, MoapMsg>) {
-        let delay = ctx
-            .rng
-            .jittered(self.cfg.data_packet_period, self.cfg.data_packet_jitter);
+        let delay = ctx.rng.jittered(DATA_PACKET_PERIOD, DATA_PACKET_JITTER);
         ctx.set_timer(delay, self.timers.token(T_TX_TICK));
     }
 
     fn arm_rx_timeout(&mut self, ctx: &mut Context<'_, MoapMsg>) {
         let token = self.timers.token(T_RX_TIMEOUT);
-        self.rx_deadline.arm(ctx, self.cfg.rx_timeout, token);
+        self.rx_deadline.arm(ctx, RX_TIMEOUT, token);
     }
 
     fn store_data(&mut self, ctx: &mut Context<'_, MoapMsg>, from: NodeId, seg: u16, pkt: u16) {
-        let bytes = self.cfg.image.packet_payload(seg, pkt);
-        if self.completed || !engine::store_packet_once(&mut self.store, seg, pkt, bytes) {
+        if self.completed || !engine::store_named_packet(&mut self.store, seg, pkt) {
             return;
         }
         ctx.note_eeprom_write(seg, pkt);
@@ -335,7 +324,7 @@ impl Protocol for Moap {
                     if self.state == State::Publish {
                         self.timers.invalidate();
                         self.state = State::GatherSubs;
-                        ctx.set_timer(self.cfg.subscribe_window, self.timers.token(T_SUBS_CLOSE));
+                        ctx.set_timer(SUBSCRIBE_WINDOW, self.timers.token(T_SUBS_CLOSE));
                     }
                 }
             }
@@ -344,7 +333,7 @@ impl Protocol for Moap {
                 if self.state == State::Rx && self.publisher == Some(*source) && !self.completed {
                     // NAK the first incomplete segment.
                     let seg = self.store.segments_received_prefix();
-                    if seg < self.cfg.image.layout().segment_count() {
+                    if seg < self.store.layout().segment_count() {
                         ctx.send(MoapMsg::Nak {
                             dest: *source,
                             requester: ctx.id,
@@ -364,7 +353,7 @@ impl Protocol for Moap {
                 if matches!(self.state, State::Repair | State::Tx) {
                     self.repair_queue.push((*seg, *missing));
                     if self.state == State::Repair {
-                        self.nak_deadline = ctx.now + self.cfg.nak_idle_timeout;
+                        self.nak_deadline = ctx.now + NAK_IDLE_TIMEOUT;
                     }
                 }
             }
@@ -402,12 +391,12 @@ impl Protocol for Moap {
                             .read_packet(seg, pkt)
                             .expect("publisher holds the image");
                         ctx.send(MoapMsg::Data(DataPacket::new(seg, pkt, held)));
-                        if self.cursor.step(self.cfg.image.layout()) {
+                        if self.cursor.step(self.store.layout()) {
                             ctx.send(MoapMsg::EndOfImage { source: ctx.id });
                             self.timers.invalidate();
                             self.state = State::Repair;
-                            self.nak_deadline = ctx.now + self.cfg.nak_idle_timeout;
-                            ctx.set_timer(self.cfg.nak_idle_timeout, self.timers.token(T_NAK_IDLE));
+                            self.nak_deadline = ctx.now + NAK_IDLE_TIMEOUT;
+                            ctx.set_timer(NAK_IDLE_TIMEOUT, self.timers.token(T_NAK_IDLE));
                         } else {
                             self.schedule_tx(ctx);
                         }
@@ -444,8 +433,8 @@ impl Protocol for Moap {
                 if !self.repair_queue.is_empty() {
                     // Repairs pending: start draining.
                     self.schedule_tx(ctx);
-                    self.nak_deadline = ctx.now + self.cfg.nak_idle_timeout;
-                    ctx.set_timer(self.cfg.nak_idle_timeout, self.timers.token(T_NAK_IDLE));
+                    self.nak_deadline = ctx.now + NAK_IDLE_TIMEOUT;
+                    ctx.set_timer(NAK_IDLE_TIMEOUT, self.timers.token(T_NAK_IDLE));
                     return;
                 }
                 if ctx.now < self.nak_deadline {

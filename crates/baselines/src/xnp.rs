@@ -19,35 +19,35 @@ use mnp_trace::MsgClass;
 use mnp::engine::{self, ImageCursor, TimerMux};
 use mnp::DataPacket;
 
-/// XNP parameters.
+/// XNP parameters: the image and the base's pass budget. The timings are
+/// this module's constants.
 #[derive(Clone, Debug)]
 pub struct XnpConfig {
     /// The program being disseminated: one handle shared by every node,
     /// which checks each flash write against it.
     pub image: ProgramImage,
-    /// Pacing between packets.
-    pub data_packet_period: SimDuration,
-    /// Jitter on the pacing.
-    pub data_packet_jitter: SimDuration,
-    /// Pause between image passes.
-    pub inter_pass_gap: SimDuration,
     /// Passes before the base stops (a real deployment stops on operator
     /// command; benches need termination).
     pub max_passes: u32,
 }
 
 impl XnpConfig {
-    /// Defaults matched to the MNP data pacing.
+    /// The configuration for a given image: 40 passes.
     pub fn for_image(image: &ProgramImage) -> Self {
         XnpConfig {
             image: image.clone(),
-            data_packet_period: SimDuration::from_millis(60),
-            data_packet_jitter: SimDuration::from_millis(20),
-            inter_pass_gap: SimDuration::from_secs(2),
             max_passes: 40,
         }
     }
 }
+
+// Timings, matched to the MNP data pacing (DESIGN §4).
+/// Pacing between packets.
+const DATA_PACKET_PERIOD: SimDuration = SimDuration::from_millis(60);
+/// Jitter on the pacing.
+const DATA_PACKET_JITTER: SimDuration = SimDuration::from_millis(20);
+/// Pause between image passes.
+const INTER_PASS_GAP: SimDuration = SimDuration::from_secs(2);
 
 /// XNP's message set: data only.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -120,8 +120,9 @@ impl StateLabel for XnpState {
 /// ```
 #[derive(Debug)]
 pub struct Xnp {
-    cfg: XnpConfig,
     store: PacketStore,
+    /// The base's pass budget (`XnpConfig::max_passes`).
+    max_passes: u32,
     is_base: bool,
     completed: bool,
     state: XnpState,
@@ -131,7 +132,7 @@ pub struct Xnp {
 }
 
 // Per-node byte budget (DESIGN §13), checked by the compiler.
-const _: () = assert!(std::mem::size_of::<Xnp>() <= 120);
+const _: () = assert!(std::mem::size_of::<Xnp>() <= 88);
 
 impl Xnp {
     /// Creates the broadcasting base station.
@@ -149,8 +150,8 @@ impl Xnp {
             XnpState::Broadcast
         };
         Xnp {
-            cfg,
             store,
+            max_passes: cfg.max_passes,
             is_base: true,
             completed: true,
             state,
@@ -164,8 +165,8 @@ impl Xnp {
     pub fn node(cfg: XnpConfig) -> Self {
         let store = PacketStore::new(&cfg.image);
         Xnp {
-            cfg,
             store,
+            max_passes: cfg.max_passes,
             is_base: false,
             completed: false,
             state: XnpState::Listen,
@@ -186,7 +187,7 @@ impl Xnp {
     }
 
     fn schedule_tick(&self, ctx: &mut Context<'_, XnpMsg>, gap: SimDuration) {
-        let delay = ctx.rng.jittered(gap, self.cfg.data_packet_jitter);
+        let delay = ctx.rng.jittered(gap, DATA_PACKET_JITTER);
         // XNP never tears state down, so the mux stays at epoch 0 and the
         // token is the raw kind value.
         ctx.set_timer(delay, self.timers.token(T_TICK));
@@ -200,7 +201,7 @@ impl Protocol for Xnp {
         if self.is_base {
             ctx.note_completion();
             ctx.note_became_sender();
-            self.schedule_tick(ctx, self.cfg.data_packet_period);
+            self.schedule_tick(ctx, DATA_PACKET_PERIOD);
         }
     }
 
@@ -209,8 +210,7 @@ impl Protocol for Xnp {
             return;
         }
         let XnpMsg::Data(DataPacket { seg, pkt, .. }) = *msg;
-        let bytes = self.cfg.image.packet_payload(seg, pkt);
-        if engine::store_packet_once(&mut self.store, seg, pkt, bytes) {
+        if engine::store_named_packet(&mut self.store, seg, pkt) {
             ctx.note_eeprom_write(seg, pkt);
             ctx.note_parent(from);
             if self.store.is_complete() {
@@ -232,16 +232,16 @@ impl Protocol for Xnp {
             .expect("base holds the image");
         ctx.send(XnpMsg::Data(DataPacket::new(seg, pkt, held)));
         // Advance the cursor, wrapping per pass.
-        if self.cursor.step(self.cfg.image.layout()) {
+        if self.cursor.step(self.store.layout()) {
             self.pass += 1;
-            if self.pass < u64::from(self.cfg.max_passes) {
-                self.schedule_tick(ctx, self.cfg.inter_pass_gap);
+            if self.pass < u64::from(self.max_passes) {
+                self.schedule_tick(ctx, INTER_PASS_GAP);
             } else {
                 self.state = XnpState::Done;
             }
             return;
         }
-        self.schedule_tick(ctx, self.cfg.data_packet_period);
+        self.schedule_tick(ctx, DATA_PACKET_PERIOD);
     }
 
     fn eeprom_ops(&self) -> EepromOps {

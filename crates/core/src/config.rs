@@ -1,15 +1,16 @@
-//! Protocol parameters.
+//! Protocol parameters: the ablation switches a caller may flip, and the
+//! timings, which are constants.
 
 use mnp_radio::airtime;
 use mnp_sim::SimDuration;
-use mnp_storage::ProgramImage;
+use mnp_storage::{ImageLayout, ProgramImage};
 
-/// MNP protocol parameters.
+/// MNP protocol parameters: the image and the four design choices.
 ///
-/// Defaults follow the paper where it gives values and the companion
-/// technical report's orders of magnitude elsewhere; every knob that the
-/// paper calls a design choice is an explicit field so the ablation
-/// experiments (DESIGN.md A1–A4) can flip it.
+/// Every knob that the paper calls a design choice is an explicit field
+/// so the ablation experiments (DESIGN.md A1–A4) can flip it. The
+/// protocol timings are not knobs: no caller varies them, so they are the
+/// one constant `TIMINGS` of this module, checked at compile time.
 ///
 /// # Example
 ///
@@ -28,51 +29,9 @@ pub struct MnpConfig {
     /// geometry; the program ID and segment count still travel in
     /// advertisements.
     pub image: ProgramImage,
-
-    /// Number of advertisements a source sends before deciding whether it
-    /// has requesters ("after advertising K times", Fig. 2).
-    pub adv_count: u8,
-    /// Lower bound of the random advertisement interval.
-    pub adv_interval_min: SimDuration,
-    /// Upper bound of the random advertisement interval.
-    pub adv_interval_max: SimDuration,
-    /// Initial sleep gap between quiet advertisement rounds.
-    pub quiet_gap_initial: SimDuration,
-    /// Cap for the exponentially increased quiet gap of a node holding the
-    /// complete image ("we exponentially increase the advertise interval
-    /// if no request is received"; §6 discusses the sleep-length
-    /// tradeoff).
-    pub quiet_gap_cap: SimDuration,
-    /// Quiet-gap cap while the node is still missing segments: it must
-    /// wake often enough to catch upstream advertisements, so the cap is
-    /// short.
-    pub quiet_gap_cap_incomplete: SimDuration,
-
-    /// Pacing between consecutive data packets of a segment transfer; the
-    /// EEPROM write on the receiving side bounds this from below.
-    pub data_packet_period: SimDuration,
-    /// Random jitter added to the packet pacing.
-    pub data_packet_jitter: SimDuration,
-    /// How long a downloading node waits for the next packet before
-    /// declaring the download failed ("it will wait for reasonably long
-    /// time until it concludes that this download process fails").
-    pub download_timeout: SimDuration,
-
-    /// How long a sender sleeps after finishing a forward round ("it quits
-    /// the competition temporarily by sleeping for a while, so that other
-    /// sources have better chance to become senders") — long enough to sit
-    /// out one advertisement round.
-    pub post_forward_sleep: SimDuration,
     /// Enable the optional query/update repair phase (the paper's second
-    /// state machine).
+    /// state machine; ablation A4).
     pub query_update: bool,
-    /// Sender-side: how long to wait in query state without repair
-    /// requests before sleeping.
-    pub query_idle_timeout: SimDuration,
-    /// Receiver-side: how long to wait for a retransmission in update
-    /// state before failing.
-    pub update_timeout: SimDuration,
-
     /// Enable the sender-selection competition (ablation A1). When off,
     /// sources ignore rivals' `ReqCtr`s and never yield.
     pub sender_selection: bool,
@@ -91,30 +50,89 @@ impl MnpConfig {
     pub fn for_image(image: &ProgramImage) -> Self {
         MnpConfig {
             image: image.clone(),
-            adv_count: 2,
-            adv_interval_min: SimDuration::from_millis(200),
-            adv_interval_max: SimDuration::from_millis(600),
-            quiet_gap_initial: SimDuration::from_secs(2),
-            quiet_gap_cap: SimDuration::from_secs(60),
-            quiet_gap_cap_incomplete: SimDuration::from_secs(8),
-            data_packet_period: SimDuration::from_millis(35),
-            data_packet_jitter: SimDuration::from_millis(10),
-            download_timeout: SimDuration::from_secs(2),
-            post_forward_sleep: SimDuration::from_millis(1_500),
             query_update: true,
-            query_idle_timeout: SimDuration::from_secs(3),
-            update_timeout: SimDuration::from_secs(2),
             sender_selection: true,
             sleep_enabled: true,
             pipelining: true,
         }
     }
 
-    /// Expected time to transmit one full segment: the sleep period is
-    /// "approximately the expected code transmission time" of what the
-    /// winning neighbour is sending.
+    /// Expected time to transmit one full segment of this image.
     pub fn segment_tx_time(&self) -> SimDuration {
-        let layout = self.image.layout();
+        TIMINGS.segment_tx_time(self.image.layout())
+    }
+}
+
+/// MNP's protocol timings. They follow the paper where it gives values and
+/// the companion technical report's orders of magnitude elsewhere.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Timings {
+    /// Number of advertisements a source sends before deciding whether it
+    /// has requesters ("after advertising K times", Fig. 2).
+    pub(crate) adv_count: u8,
+    /// Lower bound of the random advertisement interval.
+    pub(crate) adv_interval_min: SimDuration,
+    /// Upper bound of the random advertisement interval.
+    pub(crate) adv_interval_max: SimDuration,
+    /// Initial sleep gap between quiet advertisement rounds.
+    pub(crate) quiet_gap_initial: SimDuration,
+    /// Cap for the exponentially increased quiet gap of a node holding the
+    /// complete image ("we exponentially increase the advertise interval
+    /// if no request is received"; §6 discusses the sleep-length
+    /// tradeoff).
+    pub(crate) quiet_gap_cap: SimDuration,
+    /// Quiet-gap cap while the node is still missing segments: it must
+    /// wake often enough to catch upstream advertisements, so the cap is
+    /// short.
+    pub(crate) quiet_gap_cap_incomplete: SimDuration,
+
+    /// Pacing between consecutive data packets of a segment transfer; the
+    /// EEPROM write on the receiving side bounds this from below.
+    pub(crate) data_packet_period: SimDuration,
+    /// Random jitter added to the packet pacing.
+    pub(crate) data_packet_jitter: SimDuration,
+    /// How long a downloading node waits for the next packet before
+    /// declaring the download failed ("it will wait for reasonably long
+    /// time until it concludes that this download process fails").
+    pub(crate) download_timeout: SimDuration,
+
+    /// How long a sender sleeps after finishing a forward round ("it quits
+    /// the competition temporarily by sleeping for a while, so that other
+    /// sources have better chance to become senders") — long enough to sit
+    /// out one advertisement round.
+    pub(crate) post_forward_sleep: SimDuration,
+    /// Sender-side: how long to wait in query state without repair
+    /// requests before sleeping.
+    pub(crate) query_idle_timeout: SimDuration,
+    /// Receiver-side: how long to wait for a retransmission in update
+    /// state before failing.
+    pub(crate) update_timeout: SimDuration,
+}
+
+/// The timings every MNP node runs with.
+pub(crate) const TIMINGS: Timings = Timings {
+    adv_count: 2,
+    adv_interval_min: SimDuration::from_millis(200),
+    adv_interval_max: SimDuration::from_millis(600),
+    quiet_gap_initial: SimDuration::from_secs(2),
+    quiet_gap_cap: SimDuration::from_secs(60),
+    quiet_gap_cap_incomplete: SimDuration::from_secs(8),
+    data_packet_period: SimDuration::from_millis(35),
+    data_packet_jitter: SimDuration::from_millis(10),
+    download_timeout: SimDuration::from_secs(2),
+    post_forward_sleep: SimDuration::from_millis(1_500),
+    query_idle_timeout: SimDuration::from_secs(3),
+    update_timeout: SimDuration::from_secs(2),
+};
+
+// The timings are consistent, checked by the compiler.
+const _: () = TIMINGS.validate();
+
+impl Timings {
+    /// Expected time to transmit one full segment of `layout`: the sleep
+    /// period is "approximately the expected code transmission time" of
+    /// what the winning neighbour is sending.
+    pub(crate) fn segment_tx_time(&self, layout: ImageLayout) -> SimDuration {
         let per_packet = self.data_packet_period
             + self.data_packet_jitter / 2
             + airtime(3 + layout.payload_bytes());
@@ -126,14 +144,14 @@ impl MnpConfig {
     /// # Panics
     ///
     /// Panics on inverted intervals or a zero advertisement count.
-    pub fn validate(&self) {
+    const fn validate(&self) {
         assert!(self.adv_count >= 1, "need at least one advertisement");
         assert!(
-            self.adv_interval_min <= self.adv_interval_max,
+            self.adv_interval_min.as_micros() <= self.adv_interval_max.as_micros(),
             "inverted advertisement interval"
         );
         assert!(
-            self.quiet_gap_initial <= self.quiet_gap_cap,
+            self.quiet_gap_initial.as_micros() <= self.quiet_gap_cap.as_micros(),
             "quiet gap cap below its initial value"
         );
         assert!(
@@ -141,7 +159,7 @@ impl MnpConfig {
             "data packets need pacing"
         );
         assert!(
-            self.download_timeout > self.data_packet_period,
+            self.download_timeout.as_micros() > self.data_packet_period.as_micros(),
             "download timeout must exceed the packet period"
         );
     }
@@ -159,7 +177,7 @@ mod tests {
 
     #[test]
     fn defaults_validate() {
-        cfg().validate();
+        TIMINGS.validate();
     }
 
     #[test]
@@ -188,16 +206,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "inverted")]
     fn inverted_interval_rejected() {
-        let mut c = cfg();
-        c.adv_interval_min = SimDuration::from_secs(10);
-        c.validate();
+        let mut t = TIMINGS;
+        t.adv_interval_min = SimDuration::from_secs(10);
+        t.validate();
     }
 
     #[test]
     #[should_panic(expected = "at least one")]
     fn zero_adv_count_rejected() {
-        let mut c = cfg();
-        c.adv_count = 0;
-        c.validate();
+        let mut t = TIMINGS;
+        t.adv_count = 0;
+        t.validate();
     }
 }

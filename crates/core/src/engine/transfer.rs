@@ -48,6 +48,17 @@ pub fn store_packet_once(store: &mut PacketStore, seg: u16, pkt: u16, payload: &
     }
 }
 
+/// [`store_packet_once`] for a plain data frame, which names its packet:
+/// the payload is the store's own image's slice for `(seg, pkt)`.
+pub fn store_named_packet(store: &mut PacketStore, seg: u16, pkt: u16) -> bool {
+    if store.has_packet(seg, pkt) {
+        return false;
+    }
+    // A second image handle lends the payload while the store is written.
+    let image = store.image().clone();
+    store_packet_once(store, seg, pkt, image.packet_payload(seg, pkt))
+}
+
 /// The sender's "ForwardVector": the union of the requesters' missing
 /// packets, drained in one of three orders depending on the consumer.
 ///

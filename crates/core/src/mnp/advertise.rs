@@ -4,6 +4,7 @@
 
 use mnp_net::Context;
 
+use crate::config::TIMINGS;
 use crate::engine::Offer;
 use crate::message::{Advertisement, DownloadRequest, MnpMsg};
 
@@ -14,7 +15,7 @@ impl Mnp {
     /// falls back to idle otherwise.
     pub(super) fn enter_advertise(&mut self, ctx: &mut Context<'_, MnpMsg>) {
         let prefix = self.expected_seg();
-        let may_serve = prefix > 0 && (self.cfg.pipelining || self.completed);
+        let may_serve = prefix > 0 && (self.pipelining || self.completed);
         if !may_serve {
             self.enter_idle();
             return;
@@ -23,18 +24,16 @@ impl Mnp {
         self.state = MnpState::Advertise;
         self.adv.begin_round(prefix - 1);
         self.fwd.reset();
-        self.adv.ensure_quiet_gap(self.cfg.quiet_gap_initial);
+        self.adv.ensure_quiet_gap(TIMINGS.quiet_gap_initial);
         self.schedule_adv(ctx);
     }
 
     pub(super) fn schedule_adv(&mut self, ctx: &mut Context<'_, MnpMsg>) {
         // Advertisements within a round are paced at the base random
         // interval; the between-round backoff is the sleep gap instead.
-        let delay = self.adv.next_adv_delay(
-            ctx.rng,
-            self.cfg.adv_interval_min,
-            self.cfg.adv_interval_max,
-        );
+        let delay =
+            self.adv
+                .next_adv_delay(ctx.rng, TIMINGS.adv_interval_min, TIMINGS.adv_interval_max);
         ctx.set_timer(delay, self.timers.token(T_ADV));
     }
 
@@ -52,7 +51,7 @@ impl Mnp {
     }
 
     pub(super) fn on_advertisement(&mut self, ctx: &mut Context<'_, MnpMsg>, adv: &Advertisement) {
-        if adv.program != self.cfg.image.id() {
+        if adv.program != self.store.program() {
             return;
         }
         if !self.heard_any_adv {
@@ -72,15 +71,10 @@ impl Mnp {
                 missing: self.missing_for(expected),
             }));
             self.stats.requests_sent += 1;
-            if !self.requested_from.contains(&adv.source) {
-                if self.requested_from.len() >= 8 {
-                    self.requested_from.remove(0);
-                }
-                self.requested_from.push(adv.source);
-            }
+            self.requested_from.insert(adv.source);
         }
         // Source competition (Fig. 2 / pipelining rule 4).
-        if self.state == MnpState::Advertise && self.cfg.sender_selection {
+        if self.state == MnpState::Advertise && self.sender_selection {
             let rival = Offer {
                 seg: adv.seg,
                 req_ctr: adv.req_ctr,
@@ -111,10 +105,10 @@ impl Mnp {
                 // ("applying different advertise frequencies enables fast
                 // data propagation when the network is in active updating
                 // state").
-                self.adv.reset_quiet_gap(self.cfg.quiet_gap_initial);
+                self.adv.reset_quiet_gap(TIMINGS.quiet_gap_initial);
             }
             self.fwd.union_with(&req.missing);
-        } else if self.cfg.sender_selection {
+        } else if self.sender_selection {
             // Overheard request to another source k: the echoed ReqCtr
             // tells us k's standing even if we never heard k (hidden
             // terminal defence).
@@ -137,9 +131,9 @@ impl Mnp {
 
     pub(super) fn on_adv_timer(&mut self, ctx: &mut Context<'_, MnpMsg>) {
         debug_assert_eq!(self.state, MnpState::Advertise);
-        if self.adv.should_send(self.cfg.adv_count) {
+        if self.adv.should_send(TIMINGS.adv_count) {
             ctx.send(MnpMsg::Advertisement(Advertisement {
-                program: self.cfg.image.id(),
+                program: self.store.program(),
                 total_segments: self.total_segments(),
                 source: ctx.id,
                 req_ctr: self.adv.req_ctr(),
@@ -165,15 +159,15 @@ impl Mnp {
         // complete node has nothing to listen for and backs off far.
         self.adv.end_quiet_round();
         if self.completed {
-            let gap = self.adv.grow_quiet_gap(self.cfg.quiet_gap_cap);
-            let span = self.sleeper.nap_span(ctx.rng, gap);
+            let gap = self.adv.grow_quiet_gap(TIMINGS.quiet_gap_cap);
+            let span = ctx.rng.jittered(gap, gap / 4);
             self.rest_with(ctx, span, false);
         } else {
             // Still missing segments: stay awake through the gap — this
             // node is simultaneously a requester and must hear upstream
             // advertisement bursts the moment they happen.
-            let gap = self.adv.grow_quiet_gap(self.cfg.quiet_gap_cap_incomplete);
-            let span = self.sleeper.nap_span(ctx.rng, gap);
+            let gap = self.adv.grow_quiet_gap(TIMINGS.quiet_gap_cap_incomplete);
+            let span = ctx.rng.jittered(gap, gap / 4);
             ctx.set_timer(span, self.timers.token(T_ADV));
         }
     }

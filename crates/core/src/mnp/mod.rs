@@ -10,8 +10,8 @@
 //! * [`transfer`] — pipelined segment download/forward on the engine's
 //!   MissingVector/ForwardVector bookkeeping;
 //! * [`recovery`] — the optional query/update repair phase (§5);
-//! * [`sleep`] — rest spans and wake handling through the engine's
-//!   [`crate::engine::SleepController`];
+//! * [`sleep`] — rest spans, the sleep ablation's radio-on path, and wake
+//!   handling;
 //! * [`stats`] — the counters surfaced to the experiment harness.
 //!
 //! This module owns the `Mnp` struct, its constructors, the transient
@@ -33,8 +33,8 @@ use mnp_radio::NodeId;
 use mnp_storage::{PacketStore, ProgramImage};
 
 use crate::bitmap::PacketBitmap;
-use crate::config::MnpConfig;
-use crate::engine::{self, AdvertiseScheduler, Deadline, ForwardVector, SleepController, TimerMux};
+use crate::config::{MnpConfig, TIMINGS};
+use crate::engine::{self, AdvertiseScheduler, Deadline, ForwardVector, TimerMux};
 use crate::message::MnpMsg;
 
 pub use states::MnpState;
@@ -60,8 +60,14 @@ const T_REST: u64 = 6;
 /// See the crate-level example.
 #[derive(Debug)]
 pub struct Mnp {
-    cfg: MnpConfig,
+    /// The flash store; its image handle is the node's one reference to
+    /// the program (id, layout and bytes).
     store: PacketStore,
+    // The ablation switches (see `MnpConfig`).
+    query_update: bool,
+    sender_selection: bool,
+    sleep_enabled: bool,
+    pipelining: bool,
     is_base: bool,
     /// Whether this node wants the program at all (§6 subset
     /// dissemination: "we can send different types of data to several
@@ -86,7 +92,7 @@ pub struct Mnp {
     /// child of a source we actually asked — joining an unrequested
     /// (typically marginal) stream wastes a download slot; passive
     /// storage still collects its packets.
-    requested_from: Vec<NodeId>,
+    requested_from: Requested,
     parent: Option<NodeId>,
     dl_seg: u16,
     /// The receiver's "MissingVector" for the segment in flight.
@@ -102,16 +108,41 @@ pub struct Mnp {
     /// Whether the query-state retransmission loop is running.
     repair_ticking: bool,
 
-    sleeper: SleepController,
     /// Counters for the harness.
     pub stats: MnpStats,
 }
 
 // Per-node byte budget (DESIGN §13), checked by the compiler. Download,
 // Update and Query are exclusive states, so they share one `Deadline`; the
-// image is one shared handle in the config and one in the store; state
-// residence is read off `State` events, not billed per node.
-const _: () = assert!(std::mem::size_of::<Mnp>() <= 400);
+// image is one shared handle, held by the store; the timings are
+// constants; state residence is read off `State` events, not billed per
+// node.
+const _: () = assert!(std::mem::size_of::<Mnp>() <= 304);
+
+/// The sources a node has sent download requests to: at most the newest
+/// eight, oldest first, inline, so recording one never allocates. Unused
+/// slots hold [`Requested::EMPTY`], which names no node (node ids stop at
+/// `i32::MAX`), and sit before the ids.
+#[derive(Clone, Copy, Debug)]
+struct Requested([NodeId; 8]);
+
+impl Requested {
+    const EMPTY: NodeId = NodeId(u32::MAX);
+    const NONE: Requested = Requested([Self::EMPTY; 8]);
+
+    fn contains(&self, id: NodeId) -> bool {
+        self.0.contains(&id)
+    }
+
+    /// Records `id` unless it is already held; the slot shifted out is
+    /// unused or the oldest.
+    fn insert(&mut self, id: NodeId) {
+        if !self.contains(id) {
+            self.0.copy_within(1.., 0);
+            self.0[7] = id;
+        }
+    }
+}
 
 impl Mnp {
     /// Creates the base station: it holds the complete image and starts in
@@ -119,30 +150,23 @@ impl Mnp {
     ///
     /// # Panics
     ///
-    /// Panics if `image` does not match the config's program/layout, or if
-    /// the config is inconsistent.
+    /// Panics if `image` does not match the config's program/layout.
     pub fn base_station(cfg: MnpConfig, image: &ProgramImage) -> Self {
-        cfg.validate();
         assert_eq!(image.id(), cfg.image.id(), "image/program mismatch");
         assert_eq!(image.layout(), cfg.image.layout(), "image/layout mismatch");
         // The base's image arrived over the programming board, not the
         // radio, so it is preloaded rather than written.
         let store = PacketStore::preloaded(&cfg.image, cfg.image.layout().segment_count());
-        let mut node = Mnp::with_store(cfg, store);
+        let mut node = Mnp::with_store(&cfg, store);
         node.is_base = true;
         node.completed = true;
         node
     }
 
     /// Creates an ordinary node with empty flash.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the config is inconsistent.
     pub fn node(cfg: MnpConfig) -> Self {
-        cfg.validate();
         let store = PacketStore::new(&cfg.image);
-        Mnp::with_store(cfg, store)
+        Mnp::with_store(&cfg, store)
     }
 
     /// Creates a node that already holds the first `prefix_segments`
@@ -153,25 +177,19 @@ impl Mnp {
     ///
     /// # Panics
     ///
-    /// Panics if `image` does not match the config's program/layout, if
-    /// the config is inconsistent, or if `prefix_segments` exceeds the
-    /// image.
+    /// Panics if `image` does not match the config's program/layout, or if
+    /// `prefix_segments` exceeds the image.
     pub fn node_with_prefix(cfg: MnpConfig, image: &ProgramImage, prefix_segments: u16) -> Self {
-        cfg.validate();
         assert_eq!(image.id(), cfg.image.id(), "image/program mismatch");
         assert_eq!(image.layout(), cfg.image.layout(), "image/layout mismatch");
         // The prefix survived from the previous version on flash.
         let store = PacketStore::preloaded(&cfg.image, prefix_segments);
-        Mnp::with_store(cfg, store)
+        Mnp::with_store(&cfg, store)
     }
 
     /// Creates a node that is *not* in the program's target subset (§6).
     /// It never requests, downloads or stores; it powers its radio down
     /// whenever neighbours transfer the program.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the config is inconsistent.
     pub fn node_uninterested(cfg: MnpConfig) -> Self {
         let mut n = Mnp::node(cfg);
         n.interested = false;
@@ -183,11 +201,13 @@ impl Mnp {
         self.interested
     }
 
-    fn with_store(cfg: MnpConfig, store: PacketStore) -> Self {
-        let sleeper = SleepController::new(cfg.sleep_enabled);
+    fn with_store(cfg: &MnpConfig, store: PacketStore) -> Self {
         Mnp {
-            cfg,
             store,
+            query_update: cfg.query_update,
+            sender_selection: cfg.sender_selection,
+            sleep_enabled: cfg.sleep_enabled,
+            pipelining: cfg.pipelining,
             is_base: false,
             interested: true,
             state: MnpState::Idle,
@@ -196,7 +216,7 @@ impl Mnp {
             heard_any_adv: false,
             adv: AdvertiseScheduler::new(),
             fwd: ForwardVector::new(),
-            requested_from: Vec::new(),
+            requested_from: Requested::NONE,
             parent: None,
             dl_seg: 0,
             missing: PacketBitmap::empty(),
@@ -205,7 +225,6 @@ impl Mnp {
             update_retries: 0,
             fwd_seg: 0,
             repair_ticking: false,
-            sleeper,
             stats: MnpStats::default(),
         }
     }
@@ -225,11 +244,6 @@ impl Mnp {
         &self.store
     }
 
-    /// The protocol configuration.
-    pub fn config(&self) -> &MnpConfig {
-        &self.cfg
-    }
-
     // ----- derived values -----
 
     /// Index of the next segment this node needs (its received prefix).
@@ -238,7 +252,7 @@ impl Mnp {
     }
 
     fn total_segments(&self) -> u16 {
-        self.cfg.image.layout().segment_count()
+        self.store.layout().segment_count()
     }
 
     /// A fresh `MissingVector` for `seg` given what flash already holds.
@@ -266,13 +280,13 @@ impl Mnp {
     fn finish_segment(&mut self, ctx: &mut Context<'_, MnpMsg>) {
         debug_assert!(self.store.segment_complete(self.dl_seg));
         ctx.note_segment_complete(self.dl_seg);
-        self.requested_from.clear();
+        self.requested_from = Requested::NONE;
         if !self.completed && self.store.is_complete() {
             self.completed = true;
             ctx.note_completion();
         }
         // Fresh content to serve: advertise eagerly again.
-        self.adv.reset_quiet_gap(self.cfg.quiet_gap_initial);
+        self.adv.reset_quiet_gap(TIMINGS.quiet_gap_initial);
         self.enter_advertise(ctx);
     }
 }
@@ -289,7 +303,7 @@ impl Protocol for Mnp {
         }
         if self.is_base {
             ctx.note_completion();
-            self.adv.reset_quiet_gap(self.cfg.quiet_gap_initial);
+            self.adv.reset_quiet_gap(TIMINGS.quiet_gap_initial);
             self.enter_advertise(ctx);
         }
     }
@@ -345,7 +359,7 @@ impl Protocol for Mnp {
         self.heard_any_adv = false;
         self.adv = AdvertiseScheduler::new();
         self.fwd = ForwardVector::new();
-        self.requested_from.clear();
+        self.requested_from = Requested::NONE;
         self.parent = None;
         self.dl_seg = 0;
         self.missing = PacketBitmap::empty();
@@ -354,14 +368,13 @@ impl Protocol for Mnp {
         self.update_retries = 0;
         self.fwd_seg = 0;
         self.repair_ticking = false;
-        self.sleeper = SleepController::new(self.cfg.sleep_enabled);
         // Segments verified on flash were reported before the crash;
         // re-reporting them would violate the observers' in-order segment
         // accounting, so only the protocol side re-arms here. A node that
         // rebooted holding the complete image (the base always does)
         // resumes serving it.
         if self.completed {
-            self.adv.reset_quiet_gap(self.cfg.quiet_gap_initial);
+            self.adv.reset_quiet_gap(TIMINGS.quiet_gap_initial);
             self.enter_advertise(ctx);
         }
     }

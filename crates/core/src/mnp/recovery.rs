@@ -7,6 +7,7 @@ use mnp_net::Context;
 use mnp_radio::NodeId;
 
 use crate::bitmap::PacketBitmap;
+use crate::config::TIMINGS;
 use crate::message::{DataPacket, MnpMsg};
 
 use super::{Mnp, MnpState, T_QUERY_IDLE, T_UPDATE};
@@ -22,8 +23,8 @@ impl Mnp {
             source: ctx.id,
             seg: self.fwd_seg,
         });
-        self.deadline.move_to(ctx.now + self.cfg.query_idle_timeout);
-        ctx.set_timer(self.cfg.query_idle_timeout, self.timers.token(T_QUERY_IDLE));
+        self.deadline.move_to(ctx.now + TIMINGS.query_idle_timeout);
+        ctx.set_timer(TIMINGS.query_idle_timeout, self.timers.token(T_QUERY_IDLE));
     }
 
     pub(super) fn on_query(&mut self, ctx: &mut Context<'_, MnpMsg>, source: NodeId, seg: u16) {
@@ -72,7 +73,7 @@ impl Mnp {
 
     pub(super) fn arm_update_timeout(&mut self, ctx: &mut Context<'_, MnpMsg>) {
         let token = self.timers.token(T_UPDATE);
-        self.deadline.arm(ctx, self.cfg.update_timeout, token);
+        self.deadline.arm(ctx, TIMINGS.update_timeout, token);
     }
 
     pub(super) fn on_repair(
@@ -86,8 +87,8 @@ impl Mnp {
             return;
         }
         self.fwd.union_with(missing);
-        self.deadline.move_to(ctx.now + self.cfg.query_idle_timeout);
-        ctx.set_timer(self.cfg.query_idle_timeout, self.timers.token(T_QUERY_IDLE));
+        self.deadline.move_to(ctx.now + TIMINGS.query_idle_timeout);
+        ctx.set_timer(TIMINGS.query_idle_timeout, self.timers.token(T_QUERY_IDLE));
         if !self.repair_ticking {
             self.repair_ticking = true;
             self.schedule_fwd(ctx);
@@ -105,12 +106,12 @@ impl Mnp {
                     .expect("a sender holds every packet of its forwarded segment");
                 ctx.send(MnpMsg::Data(DataPacket::new(self.fwd_seg, pkt, held)));
                 self.stats.retransmissions += 1;
-                self.deadline.move_to(ctx.now + self.cfg.query_idle_timeout);
+                self.deadline.move_to(ctx.now + TIMINGS.query_idle_timeout);
                 self.schedule_fwd(ctx);
             }
             None => {
                 self.repair_ticking = false;
-                ctx.set_timer(self.cfg.query_idle_timeout, self.timers.token(T_QUERY_IDLE));
+                ctx.set_timer(TIMINGS.query_idle_timeout, self.timers.token(T_QUERY_IDLE));
             }
         }
     }
@@ -128,8 +129,7 @@ impl Mnp {
             return;
         }
         // "No more repair request → set sleep timer."
-        let span = self.sleeper.long_span(ctx.rng, self.cfg.post_forward_sleep);
-        self.rest(ctx, span);
+        self.rest_after_forward(ctx);
     }
 
     pub(super) fn on_update_timeout(&mut self, ctx: &mut Context<'_, MnpMsg>) {

@@ -10,7 +10,7 @@ use mnp_storage::{ImageLayout, ProgramId, ProgramImage};
 
 use crate::config::MnpConfig;
 
-use super::{Mnp, MnpState};
+use super::{Mnp, MnpState, Requested};
 
 fn image(segments: u16) -> ProgramImage {
     ProgramImage::synthetic(ProgramId(1), ImageLayout::paper_default(segments))
@@ -523,4 +523,41 @@ fn deterministic_replay() {
         let id = NodeId::from_index(i);
         assert_eq!(a.trace().node(id).completion, b.trace().node(id).completion);
     }
+}
+
+#[test]
+fn requested_sources_keep_the_newest_eight_like_a_bounded_vec() {
+    // Reference: the `Vec` the inline ring replaced — push if absent,
+    // dropping the oldest at eight; cleared on segment completion.
+    mnp_sim::check("prop_requested_matches_bounded_vec", 64, |rng| {
+        let mut ring = Requested::NONE;
+        let mut reference: Vec<NodeId> = Vec::new();
+        for _ in 0..200 {
+            if rng.chance(0.05) {
+                ring = Requested::NONE;
+                reference.clear();
+                continue;
+            }
+            // Few distinct ids, so repeats and evictions both happen.
+            let id = NodeId(rng.range_u64(0, 12) as u32);
+            ring.insert(id);
+            if !reference.contains(&id) {
+                if reference.len() >= 8 {
+                    reference.remove(0);
+                }
+                reference.push(id);
+            }
+            for probe in 0..12 {
+                let probe = NodeId(probe);
+                assert_eq!(ring.contains(probe), reference.contains(&probe), "{probe}");
+            }
+            let held: Vec<NodeId> = ring
+                .0
+                .iter()
+                .copied()
+                .filter(|&n| n != Requested::EMPTY)
+                .collect();
+            assert_eq!(held, reference, "oldest first");
+        }
+    });
 }

@@ -5,6 +5,7 @@
 use mnp_net::Context;
 use mnp_radio::NodeId;
 
+use crate::config::TIMINGS;
 use crate::engine;
 use crate::message::{DataPacket, MnpMsg};
 
@@ -24,7 +25,7 @@ impl Mnp {
 
     fn arm_dl_timeout(&mut self, ctx: &mut Context<'_, MnpMsg>) {
         let token = self.timers.token(T_DL_TIMEOUT);
-        self.deadline.arm(ctx, self.cfg.download_timeout, token);
+        self.deadline.arm(ctx, TIMINGS.download_timeout, token);
     }
 
     pub(super) fn enter_forward(&mut self, ctx: &mut Context<'_, MnpMsg>) {
@@ -35,7 +36,7 @@ impl Mnp {
         if self.fwd.is_empty() {
             // Defensive: a requester exists but its bitmap was empty.
             self.fwd
-                .fill(self.cfg.image.layout().packets_in_segment(self.fwd_seg));
+                .fill(self.store.layout().packets_in_segment(self.fwd_seg));
         }
         self.stats.forward_rounds += 1;
         ctx.note_became_sender();
@@ -49,7 +50,7 @@ impl Mnp {
     pub(super) fn schedule_fwd(&mut self, ctx: &mut Context<'_, MnpMsg>) {
         let delay = ctx
             .rng
-            .jittered(self.cfg.data_packet_period, self.cfg.data_packet_jitter);
+            .jittered(TIMINGS.data_packet_period, TIMINGS.data_packet_jitter);
         ctx.set_timer(delay, self.timers.token(T_FWD));
     }
 
@@ -64,14 +65,14 @@ impl Mnp {
                 if self.interested
                     && !self.completed
                     && seg == self.expected_seg()
-                    && self.requested_from.contains(&source)
+                    && self.requested_from.contains(source)
                 {
                     self.enter_download(ctx, source, seg);
                 } else if self.interested && !self.completed && seg == self.expected_seg() {
                     // A stream we can use but did not ask for: listen
                     // passively (see `on_data`) without locking on.
                 } else if self.state == MnpState::Advertise {
-                    if self.cfg.sender_selection {
+                    if self.sender_selection {
                         // "Some node in the neighborhood has won this round."
                         let span = self.sleep_span(ctx);
                         self.rest(ctx, span);
@@ -89,15 +90,13 @@ impl Mnp {
     }
 
     pub(super) fn on_data(&mut self, ctx: &mut Context<'_, MnpMsg>, from: NodeId, d: &DataPacket) {
-        // The frame names its packet; the bytes are the shared image's.
-        let bytes = self.cfg.image.packet_payload(d.seg, d.pkt);
         match self.state {
             MnpState::Download if d.seg == self.dl_seg => {
                 // "A sensor node can receive packets in any order and from
                 // any node" — only the segment must match.
                 #[allow(clippy::collapsible_match)]
                 if self.missing.get(d.pkt) {
-                    if engine::store_packet_once(&mut self.store, d.seg, d.pkt, bytes) {
+                    if engine::store_named_packet(&mut self.store, d.seg, d.pkt) {
                         ctx.note_eeprom_write(d.seg, d.pkt);
                         self.missing.clear(d.pkt);
                     } else {
@@ -117,7 +116,7 @@ impl Mnp {
                 // repairs — are ignored silently.
                 #[allow(clippy::collapsible_match)]
                 if self.missing.get(d.pkt) {
-                    if engine::store_packet_once(&mut self.store, d.seg, d.pkt, bytes) {
+                    if engine::store_named_packet(&mut self.store, d.seg, d.pkt) {
                         ctx.note_eeprom_write(d.seg, d.pkt);
                         self.missing.clear(d.pkt);
                         // Progress: the retry budget resets.
@@ -144,7 +143,7 @@ impl Mnp {
                     // not lock onto the stream — only a StartDownload
                     // establishes a parent — so a marginal link cannot trap
                     // us in a failing download.
-                    if engine::store_packet_once(&mut self.store, d.seg, d.pkt, bytes) {
+                    if engine::store_named_packet(&mut self.store, d.seg, d.pkt) {
                         ctx.note_eeprom_write(d.seg, d.pkt);
                         ctx.note_parent(from);
                         if self.store.segment_complete(d.seg) {
@@ -153,7 +152,7 @@ impl Mnp {
                             self.finish_segment(ctx);
                         }
                     }
-                } else if self.cfg.sender_selection || self.state == MnpState::Idle {
+                } else if self.sender_selection || self.state == MnpState::Idle {
                     // A neighbour transfers a segment we cannot use: sleep
                     // out the transfer.
                     let span = self.sleep_span(ctx);
@@ -175,7 +174,7 @@ impl Mnp {
         }
         if self.missing.is_empty() {
             self.finish_segment(ctx);
-        } else if self.cfg.query_update {
+        } else if self.query_update {
             // Hold on for the parent's query.
             self.awaiting_query = true;
             self.arm_dl_timeout(ctx);
@@ -186,7 +185,7 @@ impl Mnp {
 
     pub(super) fn on_fwd_timer(&mut self, ctx: &mut Context<'_, MnpMsg>) {
         debug_assert_eq!(self.state, MnpState::Forward);
-        let limit = self.cfg.image.layout().packets_in_segment(self.fwd_seg);
+        let limit = self.store.layout().packets_in_segment(self.fwd_seg);
         match self.fwd.next_in_order(limit) {
             Some(pkt) => {
                 let held = self
@@ -201,13 +200,12 @@ impl Mnp {
                     source: ctx.id,
                     seg: self.fwd_seg,
                 });
-                if self.cfg.query_update {
+                if self.query_update {
                     self.enter_query(ctx);
                 } else {
                     // "After l finishes transmitting the code, it quits the
                     // competition temporarily by sleeping for a while."
-                    let span = self.sleeper.long_span(ctx.rng, self.cfg.post_forward_sleep);
-                    self.rest(ctx, span);
+                    self.rest_after_forward(ctx);
                 }
             }
         }

@@ -51,6 +51,7 @@ impl Json {
     /// Returns a message with the byte offset of the first violation.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -115,6 +116,8 @@ impl Json {
 }
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text` as bytes.
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects currently open around `pos`.
@@ -259,12 +262,15 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar, not one byte.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|e| format!("invalid UTF-8 at byte {}: {e}", self.pos))?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash whole.
+                    // Both are ASCII, so the run ends on a character
+                    // boundary of the (valid UTF-8) text.
+                    let end = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    out.push_str(&self.text[self.pos..end]);
+                    self.pos = end;
                 }
             }
         }
@@ -522,6 +528,55 @@ mod tests {
         assert!(Json::parse(&ok).is_ok());
         let too_deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
         assert!(Json::parse(&too_deep).is_err());
+    }
+
+    #[test]
+    fn a_one_mebibyte_string_parses_in_linear_time() {
+        // The parser used to re-validate the whole rest of the document
+        // for every character of a string: minutes for this one.
+        let piece = "plain ascii é € 😀 \" \\ \n\t";
+        let text = piece.repeat((1 << 20) / piece.len() + 1);
+        let mut doc = String::from("[");
+        mnp_obs::push_str_literal(&mut doc, &text);
+        doc.push(']');
+        let start = std::time::Instant::now();
+        let parsed = Json::parse(&doc).expect("parses");
+        let took = start.elapsed();
+        assert_eq!(parsed, Json::Arr(vec![Json::Str(text)]));
+        assert!(took.as_secs() < 10, "took {took:?}");
+    }
+
+    /// A random string over the classes JSON writers get wrong: quotes,
+    /// backslashes, control characters, and 1- to 4-byte UTF-8 scalars.
+    fn awkward_text(rng: &mut mnp_sim::SimRng) -> String {
+        (0..rng.index(40))
+            .map(|_| {
+                let (lo, hi) = match rng.index(6) {
+                    0 => return ['"', '\\', '/'][rng.index(3)],
+                    1 => (0x00, 0x20),
+                    2 => (0x20, 0x80),
+                    3 => (0x80, 0x800),
+                    4 => (0x800, 0x1_0000),
+                    _ => (0x1_0000, 0x11_0000),
+                };
+                // Surrogates are not scalars; the two-byte class stands in.
+                char::from_u32(rng.range_u64(lo, hi) as u32).unwrap_or('é')
+            })
+            .collect()
+    }
+
+    #[test]
+    fn strings_round_trip_through_the_obs_writer_and_this_reader() {
+        mnp_sim::check("prop_string_literal_round_trip", 256, |rng| {
+            let (key, value) = (awkward_text(rng), awkward_text(rng));
+            let mut doc = String::from("{");
+            mnp_obs::push_str_literal(&mut doc, &key);
+            doc.push(':');
+            mnp_obs::push_str_literal(&mut doc, &value);
+            doc.push('}');
+            let parsed = Json::parse(&doc).unwrap_or_else(|e| panic!("{doc:?}: {e}"));
+            assert_eq!(parsed, Json::Obj(vec![(key, Json::Str(value))]), "{doc:?}");
+        });
     }
 
     #[test]

@@ -168,6 +168,11 @@ impl PacketStore {
         self.pending_write_faults = self.pending_write_faults.saturating_add(n);
     }
 
+    /// The source image this store receives.
+    pub fn image(&self) -> &ProgramImage {
+        &self.image
+    }
+
     /// The program being received.
     pub fn program(&self) -> ProgramId {
         self.image.id()

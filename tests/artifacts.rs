@@ -317,3 +317,127 @@ fn one_heap_probe_and_every_library_forbids_unsafe() {
         );
     }
 }
+
+/// The leading decimal number of `cell` (`"440 B (464 before …)"` → 440).
+fn leading_number(cell: &str) -> Option<usize> {
+    let digits: String = cell.chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().ok()
+}
+
+#[test]
+fn design_byte_budgets_match_the_compiler_checked_asserts() {
+    // Every `const _: () = assert!(size_of::<T>() <= N)` outside test code
+    // has a row naming `T` with budget `N` in DESIGN §13's per-node /
+    // per-frame table, and every row has such an assert. The one assert
+    // over a sum of sizes is named by its row label instead, as
+    // (file, row label).
+    const SUMS: [(&str, &str); 1] = [("radio/src/csma.rs", "CSMA per-node columns")];
+    let mut sources = Vec::new();
+    rust_sources(&root().join("src"), &mut sources);
+    rust_sources(&root().join("crates"), &mut sources);
+    sources.retain(|p| {
+        let p = p.to_string_lossy();
+        !p.contains("/tests/") && !p.ends_with("tests.rs") && !p.contains("/bin/")
+    });
+    let mut code: BTreeSet<(String, usize)> = BTreeSet::new();
+    for path in &sources {
+        let text = read(path);
+        let lines = non_test_lines(&text);
+        let mut i = 0;
+        while i < lines.len() {
+            if !lines[i]
+                .1
+                .trim_start()
+                .starts_with("const _: () = assert!(")
+            {
+                i += 1;
+                continue;
+            }
+            // The statement, joined up to its closing `);`.
+            let mut stmt = String::new();
+            while i < lines.len() {
+                stmt.push_str(lines[i].1.trim());
+                i += 1;
+                if stmt.ends_with(");") {
+                    break;
+                }
+            }
+            if !stmt.contains("size_of::<") {
+                continue;
+            }
+            let budget = stmt
+                .rsplit("<= ")
+                .next()
+                .and_then(leading_number)
+                .unwrap_or_else(|| panic!("{}: no `<= N` in {stmt}", path.display()));
+            let types: Vec<&str> = stmt
+                .split("size_of::<")
+                .skip(1)
+                .map(|rest| rest.split('>').next().unwrap_or_default())
+                .collect();
+            let name = match types[..] {
+                [ty] => ty.to_string(),
+                _ => {
+                    let (_, label) = SUMS
+                        .iter()
+                        .find(|(file, _)| path.ends_with(file))
+                        .unwrap_or_else(|| panic!("{}: unnamed sum {stmt}", path.display()));
+                    label.to_string()
+                }
+            };
+            assert!(
+                code.insert((name.clone(), budget)),
+                "{name} <= {budget} is asserted twice"
+            );
+        }
+    }
+    assert!(code.len() >= 15, "only {} size budgets found", code.len());
+
+    let design = read(&root().join("DESIGN.md"));
+    let section = design
+        .split("\n## 13.")
+        .nth(1)
+        .and_then(|s| s.split("\n## 14.").next())
+        .expect("DESIGN §13");
+    let table = section
+        .split("| per node | budget |")
+        .nth(1)
+        .expect("§13's per-node / per-frame budget table");
+    let mut doc: BTreeSet<(String, usize)> = BTreeSet::new();
+    for row in table.lines().skip(2) {
+        let row = row.trim();
+        if !row.starts_with('|') {
+            break;
+        }
+        let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+        for pair in [(1, 2), (4, 5)] {
+            let (names, budget) = (cells[pair.0], cells[pair.1]);
+            if names.is_empty() {
+                continue;
+            }
+            let budget = leading_number(budget)
+                .unwrap_or_else(|| panic!("DESIGN §13 row {row}: no budget for {names}"));
+            let types: Vec<&str> = names
+                .split('`')
+                .skip(1)
+                .step_by(2)
+                .filter(|t| t.starts_with(|c: char| c.is_ascii_uppercase()))
+                .filter(|t| t.chars().all(|c| c.is_ascii_alphanumeric()))
+                .collect();
+            if types.is_empty() {
+                let label = names.split(" (").next().unwrap_or_default();
+                doc.insert((label.to_string(), budget));
+            }
+            for ty in types {
+                doc.insert((ty.to_string(), budget));
+            }
+        }
+    }
+    let missing: Vec<_> = code.difference(&doc).collect();
+    let stale: Vec<_> = doc.difference(&code).collect();
+    assert!(
+        missing.is_empty() && stale.is_empty(),
+        "asserted in code but not in DESIGN §13: {missing:?}; \
+         in DESIGN §13 but not asserted: {stale:?}"
+    );
+}

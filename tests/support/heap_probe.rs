@@ -102,16 +102,16 @@ unsafe impl GlobalAlloc for Probe {
 #[global_allocator]
 static PROBE: Probe = Probe;
 
-/// MNP 30×30, seed 42 · run · bytes left per node (≈ 110) · shared MAC frame pool.
-pub const MNP_GRID_RUN_BYTES_PER_NODE: i64 = 128;
+/// MNP 30×30, seed 42 · run · bytes left per node (97) · inline requested-sources ring.
+pub const MNP_GRID_RUN_BYTES_PER_NODE: i64 = 104;
 /// MNP 30×30, Deluge-like 10×10 · run · under 1 call per this many data msgs · frames name packets.
 pub const DATA_MSGS_PER_RUN_ALLOC: u64 = 4;
 /// RLNC 6×6, 2 segments · run · under 1 call per this many coded msgs (0.48) · this probe.
 pub const CODED_MSGS_PER_RUN_ALLOC: u64 = 1;
 /// RLNC 6×6, 2 segments · run · bytes left per node (1 612) · this probe.
 pub const RLNC_GRID_RUN_BYTES_PER_NODE: i64 = 2_048;
-/// MNP, 36 mobile nodes, seed 42 · run · calls per node (4.2) · this probe.
-pub const MOBILE_RUN_ALLOCS_PER_NODE: u64 = 8;
+/// MNP, 36 mobile nodes, seed 42 · run · calls per node (3.1) · inline requested-sources ring.
+pub const MOBILE_RUN_ALLOCS_PER_NODE: u64 = 4;
 /// MNP, 36 mobile nodes, seed 42 · run · bytes left per potential edge (138) · this probe.
 pub const MOBILE_RUN_BYTES_PER_EDGE: i64 = 192;
 /// `Medium` 20×20, 4 096 warm transmissions · run · calls · allocation-free radio path.
